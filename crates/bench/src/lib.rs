@@ -414,25 +414,25 @@ impl Experiments {
 
     /// §IV-B: iso-throughput voltage scaling on a representative benchmark
     /// (the kernel whose speedup sits at the median of the Fig. 8 suite).
-    /// The benchmark is simulated once, with every candidate operating point
-    /// observing the same streaming pass.
+    /// No benchmark is re-simulated: each candidate operating point replays
+    /// the digest captured in [`Experiments::prepare`], walking downward
+    /// from nominal and stopping at the first infeasible voltage, so the
+    /// result equals [`vfs::scale_for_iso_throughput`] on the live trace.
     #[must_use]
     pub fn power_scaling(&self) -> VoltageScalingResult {
-        let workload = self
+        let index = self
             .suite
             .iter()
-            .find(|w| w.name == "beebs_dijkstra")
+            .position(|w| w.name == "beebs_dijkstra")
             .expect("beebs_dijkstra exists");
-        let lut = self.lut.clone();
-        vfs::scale_for_iso_throughput_program(
+        vfs::scale_for_iso_throughput_digest(
             ProfileKind::CriticalRangeOptimized,
             &self.library,
             &self.power,
-            &Simulator::new(SimConfig::default()),
-            &workload.program,
-            &move |model: &TimingModel| {
+            &self.suite_digests[index],
+            &|model: &TimingModel| {
                 Box::new(InstructionBased::new(
-                    lut.scaled(model.operating_point().delay_scale),
+                    self.lut.scaled(model.operating_point().delay_scale),
                 ))
             },
             &ClockGenerator::Ideal,
@@ -572,5 +572,34 @@ mod tests {
         let fig6 = exp.fig6();
         let total: f64 = fig6.iter().map(|r| r.percent).sum();
         assert!((total - 100.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn digest_replayed_power_scaling_equals_the_trace_scan() {
+        let exp = Experiments::prepare();
+        let workload = exp
+            .suite
+            .iter()
+            .find(|w| w.name == "beebs_dijkstra")
+            .expect("beebs_dijkstra exists");
+        let trace = Simulator::new(SimConfig::default())
+            .run(&workload.program)
+            .expect("beebs_dijkstra runs")
+            .trace;
+        let oracle = vfs::scale_for_iso_throughput(
+            ProfileKind::CriticalRangeOptimized,
+            &exp.library,
+            &exp.power,
+            &trace,
+            &|model: &TimingModel| {
+                Box::new(InstructionBased::new(
+                    exp.lut.scaled(model.operating_point().delay_scale),
+                ))
+            },
+            &ClockGenerator::Ideal,
+        )
+        .expect("a feasible operating point exists");
+        assert!(oracle.voltage_reduction_mv > 0, "{oracle:?}");
+        assert_eq!(exp.power_scaling(), oracle);
     }
 }

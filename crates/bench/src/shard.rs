@@ -345,8 +345,9 @@ impl SweepReport {
     ///
     /// A report file is untrusted input shipped between machines: wrong
     /// magic, unknown version, truncation, trailing garbage, a flipped
-    /// payload bit, out-of-range or out-of-order job coordinates and
-    /// inconsistent corner tables are all reported as a
+    /// payload bit, out-of-range or out-of-order job coordinates,
+    /// inconsistent corner tables and fault or interrupt specs the CLI
+    /// parsers would reject are all reported as a
     /// [`ReportFormatError`] — no input can panic this parser or yield a
     /// structurally inconsistent report.
     ///
@@ -429,6 +430,14 @@ impl SweepReport {
         }
         if codec::fnv1a(body) != checksum {
             return Err(ReportFormatError::ChecksumMismatch);
+        }
+        // A matching checksum proves only that the bytes are the ones
+        // written: the specs must also pass the checks the CLI parsers run.
+        if faults.is_some_and(|spec| spec.validate().is_err()) {
+            return Err(ReportFormatError::Malformed("fault spec out of range"));
+        }
+        if interrupts.is_some_and(|spec| spec.validate().is_err()) {
+            return Err(ReportFormatError::Malformed("interrupt spec out of range"));
         }
         if corner_count != corners as usize {
             return Err(ReportFormatError::Malformed(
@@ -822,6 +831,35 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(SweepReport::from_bytes(&padded).is_err());
+    }
+
+    #[test]
+    fn out_of_range_specs_are_rejected_despite_a_valid_checksum() {
+        // `to_bytes` checksums whatever it is given, exactly like a crafted
+        // file would: the decoder itself must range-check the specs.
+        let report = small_report();
+        let nan_droop = SweepReport {
+            faults: Some(FaultSpec {
+                droop_rate: f64::NAN,
+                ..FaultSpec::default()
+            }),
+            ..report.clone()
+        };
+        assert_eq!(
+            SweepReport::from_bytes(&nan_droop.to_bytes()),
+            Err(ReportFormatError::Malformed("fault spec out of range"))
+        );
+        let overfull_storm = SweepReport {
+            interrupts: Some(InterruptSpec {
+                rate: 1.5,
+                ..InterruptSpec::default()
+            }),
+            ..report
+        };
+        assert_eq!(
+            SweepReport::from_bytes(&overfull_storm.to_bytes()),
+            Err(ReportFormatError::Malformed("interrupt spec out of range"))
+        );
     }
 
     #[test]

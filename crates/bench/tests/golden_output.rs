@@ -80,6 +80,16 @@ fn summary_report_matches_golden() {
     assert_matches_golden("summary.txt", &single);
 }
 
+/// The full default report: Figs. 5–8, Tables I/II, §IV-B and the
+/// ablations. `--summary` pins only the headline.
+#[test]
+fn default_report_matches_golden() {
+    let two = repro_stdout(&[], "2");
+    let four = repro_stdout(&[], "4");
+    assert_eq!(two, four, "default output differs between thread counts");
+    assert_matches_golden("repro_default.txt", &two);
+}
+
 #[test]
 fn digest_cached_sweep_is_byte_identical_cold_warm_threaded_and_stale() {
     let dir = std::env::temp_dir().join(format!("idca-golden-cache-{}", std::process::id()));

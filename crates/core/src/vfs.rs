@@ -9,13 +9,12 @@
 //! voltage at which the dynamically-clocked core still meets the baseline
 //! throughput, then compares energy efficiency at the two points.
 
-use crate::sim::PolicyObserver;
-use crate::{run_with_policy, ClockGenerator, ClockPolicy, CoreError, RunOutcome, StaticClock};
-use idca_isa::Program;
-use idca_pipeline::{CycleObserver, PipelineTrace, Simulator};
+use crate::{
+    replay_digest, run_with_policy, ClockGenerator, ClockPolicy, CoreError, RunOutcome, StaticClock,
+};
+use idca_pipeline::{PipelineTrace, TimingDigest};
 use idca_timing::{
-    ActivitySummary, CellLibrary, PowerModel, PowerReport, ProfileKind, TimingModel,
-    NOMINAL_VOLTAGE_MV,
+    CellLibrary, PowerModel, PowerReport, ProfileKind, TimingModel, NOMINAL_VOLTAGE_MV,
 };
 use serde::{Deserialize, Serialize};
 
@@ -70,8 +69,14 @@ impl VoltageScalingResult {
 
 /// Finds the lowest characterized supply voltage at which the
 /// dynamically-clocked core still delivers at least the conventional core's
-/// nominal-voltage throughput, and reports the resulting energy-efficiency
-/// gain.
+/// nominal-voltage throughput on `trace`, and reports the resulting
+/// energy-efficiency gain.
+///
+/// Every candidate operating point runs the materialized trace through
+/// [`run_with_policy`], walking downward from nominal and stopping at the
+/// first infeasible point. This is the live-record reference oracle of
+/// [`scale_for_iso_throughput_digest`], which scans a captured digest
+/// instead and returns the identical result.
 ///
 /// * `policy_factory` builds the dynamic-clock policy for a given timing
 ///   model (the model changes with voltage because every path stretches).
@@ -91,20 +96,69 @@ pub fn scale_for_iso_throughput(
     policy_factory: &dyn Fn(&TimingModel) -> Box<dyn ClockPolicy>,
     generator: &ClockGenerator,
 ) -> Result<VoltageScalingResult, CoreError> {
-    let activity = ActivitySummary::from_trace(trace);
+    scan_for_iso_throughput(
+        profile,
+        library,
+        power,
+        policy_factory,
+        generator,
+        &|model, policy, generator| run_with_policy(model, trace, policy, generator),
+    )
+}
+
+/// [`scale_for_iso_throughput`] over a captured [`TimingDigest`]: each
+/// candidate operating point is one [`replay_digest`], bit-identical to
+/// running the trace of the originating execution, so both return the same
+/// result without a simulator in the loop. The scan stops at the first
+/// infeasible voltage, so it replays only the candidates down to there.
+///
+/// # Errors
+///
+/// As [`scale_for_iso_throughput`].
+pub fn scale_for_iso_throughput_digest(
+    profile: ProfileKind,
+    library: &CellLibrary,
+    power: &PowerModel,
+    digest: &TimingDigest,
+    policy_factory: &dyn Fn(&TimingModel) -> Box<dyn ClockPolicy>,
+    generator: &ClockGenerator,
+) -> Result<VoltageScalingResult, CoreError> {
+    scan_for_iso_throughput(
+        profile,
+        library,
+        power,
+        policy_factory,
+        generator,
+        &|model, policy, generator| replay_digest(model, digest, policy, generator),
+    )
+}
+
+/// The downward voltage scan behind both entry points; `run` evaluates one
+/// policy on the workload under one timing model.
+fn scan_for_iso_throughput(
+    profile: ProfileKind,
+    library: &CellLibrary,
+    power: &PowerModel,
+    policy_factory: &dyn Fn(&TimingModel) -> Box<dyn ClockPolicy>,
+    generator: &ClockGenerator,
+    run: &dyn Fn(&TimingModel, &dyn ClockPolicy, &ClockGenerator) -> RunOutcome,
+) -> Result<VoltageScalingResult, CoreError> {
+    let model_at = |voltage_mv| {
+        TimingModel::new(
+            idca_timing::TimingProfile::new(profile),
+            library.clone(),
+            voltage_mv,
+        )
+    };
 
     // Baseline: conventional synchronous clocking at the nominal voltage.
-    let nominal_model = TimingModel::new(
-        idca_timing::TimingProfile::new(profile),
-        library.clone(),
-        NOMINAL_VOLTAGE_MV,
-    )?;
-    let baseline_outcome = run_with_policy(
+    let nominal_model = model_at(NOMINAL_VOLTAGE_MV)?;
+    let baseline_outcome = run(
         &nominal_model,
-        trace,
         &StaticClock::of_model(&nominal_model),
         &ClockGenerator::Ideal,
     );
+    let activity = baseline_outcome.activity;
     let nominal_point = library.operating_point(NOMINAL_VOLTAGE_MV)?;
     let baseline_report = power.report(&activity, &nominal_point, baseline_outcome.avg_period_ps);
     let required_mhz = baseline_outcome.effective_frequency_mhz;
@@ -113,13 +167,9 @@ pub fn scale_for_iso_throughput(
     let mut best: Option<(u32, f64)> = None; // (voltage_mv, avg_period_ps)
     let mut voltage_mv = NOMINAL_VOLTAGE_MV;
     while voltage_mv >= CellLibrary::MIN_MV {
-        let model = TimingModel::new(
-            idca_timing::TimingProfile::new(profile),
-            library.clone(),
-            voltage_mv,
-        )?;
+        let model = model_at(voltage_mv)?;
         let policy = policy_factory(&model);
-        let outcome = run_with_policy(&model, trace, policy.as_ref(), generator);
+        let outcome = run(&model, policy.as_ref(), generator);
         if outcome.effective_frequency_mhz + 1e-9 >= required_mhz {
             best = Some((voltage_mv, outcome.avg_period_ps));
         } else {
@@ -128,108 +178,6 @@ pub fn scale_for_iso_throughput(
             break;
         }
         voltage_mv -= CellLibrary::STEP_MV;
-    }
-
-    let (scaled_mv, scaled_period) =
-        best.ok_or(CoreError::NoFeasibleOperatingPoint { required_mhz })?;
-    let scaled_point = library.operating_point(scaled_mv)?;
-    let scaled_report = power.report(&activity, &scaled_point, scaled_period);
-
-    let baseline = OperatingSummary::from_report(&baseline_report);
-    let scaled = OperatingSummary::from_report(&scaled_report);
-    Ok(VoltageScalingResult {
-        baseline,
-        scaled,
-        voltage_reduction_mv: NOMINAL_VOLTAGE_MV - scaled_mv,
-        efficiency_gain: baseline.uw_per_mhz / scaled.uw_per_mhz,
-    })
-}
-
-/// Single-pass variant of [`scale_for_iso_throughput`]: simulates `program`
-/// **once**, with one [`PolicyObserver`] per characterized operating point
-/// (nominal and below) plus the static baseline all riding on the same
-/// streaming pass, then selects the lowest supply voltage that still meets
-/// the baseline throughput. The selection rule matches the sequential scan
-/// of [`scale_for_iso_throughput`] (walk downward from nominal, stop at the
-/// first infeasible point), so both variants return the same result.
-///
-/// # Errors
-///
-/// Returns [`CoreError::NoFeasibleOperatingPoint`] if even the nominal
-/// voltage cannot sustain the baseline throughput, [`CoreError::Library`] if
-/// an operating point is missing from the library, or a wrapped
-/// [`PipelineError`](idca_pipeline::PipelineError) if the benchmark fails to
-/// simulate.
-pub fn scale_for_iso_throughput_program(
-    profile: ProfileKind,
-    library: &CellLibrary,
-    power: &PowerModel,
-    simulator: &Simulator,
-    program: &Program,
-    policy_factory: &dyn Fn(&TimingModel) -> Box<dyn ClockPolicy>,
-    generator: &ClockGenerator,
-) -> Result<VoltageScalingResult, CoreError> {
-    // Candidate voltages from the nominal point downward, plus the models
-    // and policies evaluated at each of them.
-    let mut voltages = Vec::new();
-    let mut voltage_mv = NOMINAL_VOLTAGE_MV;
-    while voltage_mv >= CellLibrary::MIN_MV {
-        voltages.push(voltage_mv);
-        voltage_mv -= CellLibrary::STEP_MV;
-    }
-    let models = voltages
-        .iter()
-        .map(|&mv| {
-            TimingModel::new(
-                idca_timing::TimingProfile::new(profile),
-                library.clone(),
-                mv,
-            )
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let policies: Vec<Box<dyn ClockPolicy>> = models.iter().map(policy_factory).collect();
-
-    let nominal_model = &models[0];
-    let static_policy = StaticClock::of_model(nominal_model);
-    let mut baseline_observer =
-        PolicyObserver::new(nominal_model, &static_policy, &ClockGenerator::Ideal);
-    let mut dynamic_observers: Vec<PolicyObserver<'_>> = models
-        .iter()
-        .zip(&policies)
-        .map(|(model, policy)| PolicyObserver::new(model, policy.as_ref(), generator))
-        .collect();
-
-    {
-        let mut observers: Vec<&mut dyn CycleObserver> = Vec::with_capacity(voltages.len() + 1);
-        observers.push(&mut baseline_observer);
-        for observer in &mut dynamic_observers {
-            observers.push(observer);
-        }
-        simulator
-            .run_observed(program, &mut observers)
-            .map_err(CoreError::from)?;
-    }
-
-    let baseline_outcome = baseline_observer.into_outcome();
-    let outcomes: Vec<RunOutcome> = dynamic_observers
-        .into_iter()
-        .map(PolicyObserver::into_outcome)
-        .collect();
-    let activity = baseline_outcome.activity;
-    let nominal_point = library.operating_point(NOMINAL_VOLTAGE_MV)?;
-    let baseline_report = power.report(&activity, &nominal_point, baseline_outcome.avg_period_ps);
-    let required_mhz = baseline_outcome.effective_frequency_mhz;
-
-    // Walk downward from the nominal voltage exactly like the sequential
-    // scan: keep the lowest feasible point, stop at the first infeasible one
-    // (delays grow monotonically as the supply drops).
-    let mut best: Option<(u32, f64)> = None;
-    for (&mv, outcome) in voltages.iter().zip(&outcomes) {
-        if outcome.effective_frequency_mhz + 1e-9 >= required_mhz {
-            best = Some((mv, outcome.avg_period_ps));
-        } else {
-            break;
-        }
     }
 
     let (scaled_mv, scaled_period) =

@@ -162,39 +162,44 @@ impl InterruptSpec {
             };
             match key {
                 "seed" => parsed.seed = value.parse().map_err(|_| bad("seed"))?,
-                "rate" => {
-                    parsed.rate = value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|v| v.is_finite() && (0.0..=1.0).contains(v))
-                        .ok_or_else(|| bad("rate"))?;
-                }
+                "rate" => parsed.rate = value.parse().map_err(|_| bad("rate"))?,
                 "timer" => parsed.timer = value.parse().map_err(|_| bad("timer"))?,
-                "vector" => {
-                    parsed.vector = value
-                        .parse::<u32>()
-                        .ok()
-                        .filter(|v| v.is_multiple_of(4))
-                        .ok_or_else(|| bad("vector"))?;
-                }
-                "penalty" => {
-                    parsed.penalty = value
-                        .parse::<u32>()
-                        .ok()
-                        .filter(|p| (1..=1024).contains(p))
-                        .ok_or_else(|| bad("penalty"))?;
-                }
-                "surge" => {
-                    parsed.surge = value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|v| v.is_finite() && (0.0..=4.0).contains(v))
-                        .ok_or_else(|| bad("surge"))?;
-                }
+                "vector" => parsed.vector = value.parse().map_err(|_| bad("vector"))?,
+                "penalty" => parsed.penalty = value.parse().map_err(|_| bad("penalty"))?,
+                "surge" => parsed.surge = value.parse().map_err(|_| bad("surge"))?,
                 other => return Err(InterruptSpecError::UnknownKey(other.to_string())),
             }
+            // Range-check every pair as it lands, so the error names the
+            // first bad one.
+            parsed.validate()?;
         }
         Ok(parsed)
+    }
+
+    /// Checks every field against the ranges [`InterruptSpec::parse`]
+    /// accepts: `rate` in `[0, 1]`, `surge` in `[0, 4]`, `penalty` in
+    /// `[1, 1024]` and a word-aligned `vector`. Specs decoded from a
+    /// sweep-report file go through the same check.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InterruptSpecError::BadValue`] naming the first field out
+    /// of range (NaN included).
+    pub fn validate(&self) -> Result<(), InterruptSpecError> {
+        let bad = |key, value: String| InterruptSpecError::BadValue { key, value };
+        if !(0.0..=1.0).contains(&self.rate) {
+            return Err(bad("rate", self.rate.to_string()));
+        }
+        if !self.vector.is_multiple_of(4) {
+            return Err(bad("vector", self.vector.to_string()));
+        }
+        if !(1..=1024).contains(&self.penalty) {
+            return Err(bad("penalty", self.penalty.to_string()));
+        }
+        if !(0.0..=4.0).contains(&self.surge) {
+            return Err(bad("surge", self.surge.to_string()));
+        }
+        Ok(())
     }
 
     /// Canonical one-line rendering of the spec (stable across runs, used
@@ -233,7 +238,7 @@ impl InterruptSpec {
     }
 }
 
-/// Errors of [`InterruptSpec::parse`].
+/// Errors of [`InterruptSpec::parse`] and [`InterruptSpec::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum InterruptSpecError {

@@ -129,34 +129,62 @@ impl FaultSpec {
             let Some((key, value)) = pair.split_once('=') else {
                 return Err(FaultSpecError::MalformedPair(pair.to_string()));
             };
-            let unit = |key: &'static str, bound: f64| parse_f64_in(key, value, 0.0, bound);
+            let bad = |key: &'static str| FaultSpecError::BadValue {
+                key,
+                value: value.to_string(),
+            };
+            let float = |key: &'static str| value.parse::<f64>().map_err(|_| bad(key));
             match key {
-                "seed" => {
-                    parsed.seed = value.parse().map_err(|_| FaultSpecError::BadValue {
-                        key: "seed",
-                        value: value.to_string(),
-                    })?;
-                }
-                "droop-rate" => parsed.droop_rate = unit("droop-rate", 1.0)?,
-                "droop-mag" => parsed.droop_mag = unit("droop-mag", 4.0)?,
-                "spike-rate" => parsed.spike_rate = unit("spike-rate", 1.0)?,
-                "spike-mag" => parsed.spike_mag = unit("spike-mag", 4.0)?,
-                "shift-mag" => parsed.shift_mag = unit("shift-mag", 4.0)?,
-                "detect-window" => parsed.detect_window = unit("detect-window", 1.0)?,
-                "penalty" => {
-                    parsed.replay_penalty = value
-                        .parse::<u32>()
-                        .ok()
-                        .filter(|&p| p <= 10_000)
-                        .ok_or_else(|| FaultSpecError::BadValue {
-                            key: "penalty",
-                            value: value.to_string(),
-                        })?;
-                }
+                "seed" => parsed.seed = value.parse().map_err(|_| bad("seed"))?,
+                "droop-rate" => parsed.droop_rate = float("droop-rate")?,
+                "droop-mag" => parsed.droop_mag = float("droop-mag")?,
+                "spike-rate" => parsed.spike_rate = float("spike-rate")?,
+                "spike-mag" => parsed.spike_mag = float("spike-mag")?,
+                "shift-mag" => parsed.shift_mag = float("shift-mag")?,
+                "detect-window" => parsed.detect_window = float("detect-window")?,
+                "penalty" => parsed.replay_penalty = value.parse().map_err(|_| bad("penalty"))?,
                 other => return Err(FaultSpecError::UnknownKey(other.to_string())),
             }
+            // Range-check every pair as it lands, so the error names the
+            // first bad one.
+            parsed.validate()?;
         }
         Ok(parsed)
+    }
+
+    /// Checks every field against the ranges [`FaultSpec::parse`] accepts:
+    /// rates and the detection window in `[0, 1]`, magnitudes in `[0, 4]`,
+    /// `penalty` at most 10000. Specs decoded from a sweep-report file go
+    /// through the same check.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FaultSpecError::BadValue`] naming the first field out of
+    /// range (NaN included).
+    pub fn validate(&self) -> Result<(), FaultSpecError> {
+        let floats = [
+            ("droop-rate", self.droop_rate, 1.0),
+            ("droop-mag", self.droop_mag, 4.0),
+            ("spike-rate", self.spike_rate, 1.0),
+            ("spike-mag", self.spike_mag, 4.0),
+            ("shift-mag", self.shift_mag, 4.0),
+            ("detect-window", self.detect_window, 1.0),
+        ];
+        for (key, value, hi) in floats {
+            if !(0.0..=hi).contains(&value) {
+                return Err(FaultSpecError::BadValue {
+                    key,
+                    value: value.to_string(),
+                });
+            }
+        }
+        if self.replay_penalty > 10_000 {
+            return Err(FaultSpecError::BadValue {
+                key: "penalty",
+                value: self.replay_penalty.to_string(),
+            });
+        }
+        Ok(())
     }
 
     /// Canonical one-line rendering of the spec (stable across runs, used
@@ -208,19 +236,7 @@ impl FaultSpec {
     }
 }
 
-/// Shared `[lo, hi]`-range float parse of [`FaultSpec::parse`].
-fn parse_f64_in(key: &'static str, value: &str, lo: f64, hi: f64) -> Result<f64, FaultSpecError> {
-    value
-        .parse::<f64>()
-        .ok()
-        .filter(|v| v.is_finite() && (lo..=hi).contains(v))
-        .ok_or_else(|| FaultSpecError::BadValue {
-            key,
-            value: value.to_string(),
-        })
-}
-
-/// Errors of [`FaultSpec::parse`].
+/// Errors of [`FaultSpec::parse`] and [`FaultSpec::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultSpecError {

@@ -340,7 +340,7 @@ impl CycleObserver for EventLogObserver<'_> {
 /// fetch_address)` only, so the digest replay recomputes the identical
 /// value without storing it.
 pub(crate) fn stage_dither(cycle: u64, stage: Stage, fetch_address: u32) -> f64 {
-    quantize_dither(hash01(cycle, stage.index() as u64, fetch_address.into()))
+    dither_level(hash(cycle, stage.index() as u64, fetch_address.into()))
 }
 
 /// All six per-stage dithers of one cycle in a single batched kernel — the
@@ -357,8 +357,8 @@ pub(crate) fn stage_dithers(cycle: u64, fetch_address: u32) -> [f64; Stage::COUN
         .wrapping_add(u64::from(fetch_address).wrapping_mul(HASH_SALT_C));
     let mut dithers = [0.0; Stage::COUNT];
     for (index, dither) in dithers.iter_mut().enumerate() {
-        let mixed = mix01(shared.wrapping_add((index as u64).wrapping_mul(HASH_SALT_B)));
-        *dither = quantize_dither(mixed);
+        let salted = shared.wrapping_add((index as u64).wrapping_mul(HASH_SALT_B));
+        *dither = dither_level(mix(salted));
     }
     dithers
 }
@@ -371,9 +371,25 @@ pub(crate) fn blend_excitation(raw: f64, dither: f64) -> f64 {
     (raw * 0.92 + 0.08 * dither).clamp(0.0, 1.0)
 }
 
-/// Quantizes a `[0, 1)` dither value to eight discrete levels `0, 1/7, ..., 1`.
-fn quantize_dither(value: f64) -> f64 {
-    ((value * 8.0).floor() / 7.0).clamp(0.0, 1.0)
+/// The eight dither levels `k / 7`, `k = 0..=7`.
+const DITHER_LEVELS: [f64; 8] = [
+    0.0,
+    1.0 / 7.0,
+    2.0 / 7.0,
+    3.0 / 7.0,
+    4.0 / 7.0,
+    5.0 / 7.0,
+    6.0 / 7.0,
+    1.0,
+];
+
+/// The dither level of a mixed hash: its top three bits `k` pick `k / 7`.
+/// Bit-identical to quantizing `u = `[`unit_interval`]`(mixed)` as
+/// `floor(u * 8) / 7`: `mixed >> 11 < 2^53` converts to `f64` exactly and
+/// scaling by a power of two is exact, so `floor(u * 8)` is `mixed >> 61`
+/// (pinned against that float quantizer by the unit tests below).
+fn dither_level(mixed: u64) -> f64 {
+    DITHER_LEVELS[(mixed >> 61) as usize]
 }
 
 /// Salt multiplying the first hash input (split-mix increment constant).
@@ -388,23 +404,30 @@ const HASH_SALT_C: u64 = 0x94D0_49BB_1331_11EB;
 /// hash-based rather than RNG-based makes every simulation bit-reproducible.
 /// Shared with the PVT [`crate::VariationModel`] corner sampler.
 pub(crate) fn hash01(a: u64, b: u64, c: u64) -> f64 {
-    mix01(
-        a.wrapping_mul(HASH_SALT_A)
-            .wrapping_add(b.wrapping_mul(HASH_SALT_B))
-            .wrapping_add(c.wrapping_mul(HASH_SALT_C)),
-    )
+    unit_interval(hash(a, b, c))
 }
 
-/// The split-mix finisher shared by [`hash01`] and the batched
-/// [`stage_dithers`] kernel: avalanches the salted sum and maps the top
-/// bits into `[0, 1)`.
-fn mix01(mut x: u64) -> f64 {
+/// The salted split-mix hash behind [`hash01`] and [`stage_dither`].
+fn hash(a: u64, b: u64, c: u64) -> u64 {
+    mix(a
+        .wrapping_mul(HASH_SALT_A)
+        .wrapping_add(b.wrapping_mul(HASH_SALT_B))
+        .wrapping_add(c.wrapping_mul(HASH_SALT_C)))
+}
+
+/// The split-mix finisher shared by [`hash`] and the batched
+/// [`stage_dithers`] kernel: avalanches the salted sum.
+fn mix(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(HASH_SALT_B);
     x ^= x >> 27;
     x = x.wrapping_mul(HASH_SALT_C);
-    x ^= x >> 31;
-    (x >> 11) as f64 / (1u64 << 53) as f64
+    x ^ (x >> 31)
+}
+
+/// Maps the top 53 bits of a mixed hash into `[0, 1)`.
+fn unit_interval(mixed: u64) -> f64 {
+    (mixed >> 11) as f64 / (1u64 << 53) as f64
 }
 
 fn default_endpoints() -> Vec<Endpoint> {
@@ -573,6 +596,29 @@ mod tests {
                     "cycle {cycle} stage {stage}"
                 );
             }
+        }
+    }
+
+    /// The float quantizer the integer dither level replaced: the oracle
+    /// for [`dither_level`].
+    fn quantize_dither(value: f64) -> f64 {
+        ((value * 8.0).floor() / 7.0).clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn integer_dither_level_matches_the_float_quantizer() {
+        // Every engine shares this kernel, so cross-engine tests cannot
+        // see it drift; pin it bit for bit against the float quantizer on
+        // the extremes, both sides of every level boundary, and 2^20
+        // pseudo-random hashes.
+        let boundaries = (0..8u64).flat_map(|k| [k << 61, (k << 61).wrapping_sub(1)]);
+        let random = (0..1u64 << 20).map(mix);
+        for mixed in [0, u64::MAX].into_iter().chain(boundaries).chain(random) {
+            assert_eq!(
+                dither_level(mixed).to_bits(),
+                quantize_dither(unit_interval(mixed)).to_bits(),
+                "mixed hash {mixed:#018x}"
+            );
         }
     }
 
