@@ -151,7 +151,7 @@ fn bench_policy_bank_kernel(c: &mut Criterion) {
                         bank_static.observe_actuals(lanes.max_lanes());
                         bank_lut.observe_actuals(lanes.max_lanes());
                         bank_exec.observe_actuals(lanes.max_lanes());
-                        adaptive.observe_cycle_lanes(cycle, dc, lanes);
+                        adaptive.observe_cycle_lanes_phased(cycle, dc, lanes, false);
                     }
                 });
                 bank_static.finish(&summary);

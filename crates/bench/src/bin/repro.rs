@@ -15,6 +15,7 @@
 //! `repro serve` answers quantile/violation/speedup queries over a
 //! directory of merged reports without ever re-running the replay engine.
 
+use idca_bench::sweep::pvt_sweep_timed_with_cache;
 use idca_bench::{
     merge_reports, paper, pvt_sweep_seed_range_timed_with_cache, Corpus, DigestCacheStats,
     Experiments, FaultSpec, InterruptSpec, QueryError, ServeSession, SweepConfig, SweepReport,
@@ -626,9 +627,8 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
     // cycle totals can come from any of them.
     let mut best: Option<(u64, SweepTiming)> = None;
     for _ in 0..runs {
-        let (report, timing) =
-            Experiments::pvt_sweep_timed_with_cache(&config, cache_dir.as_deref())
-                .map_err(|error| error.to_string())?;
+        let (report, timing) = pvt_sweep_timed_with_cache(&config, cache_dir.as_deref())
+            .map_err(|error| error.to_string())?;
         let evaluated = report.total_cycles();
         if best
             .as_ref()

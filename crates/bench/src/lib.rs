@@ -15,7 +15,7 @@
 //! | Fig. 8 | per-benchmark effective frequency | [`Experiments::fig8`] |
 //! | §IV-B | voltage scaling / energy efficiency | [`Experiments::power_scaling`] |
 //! | ablations | CG quantization, execute-only, profile, LUT source | [`Experiments::ablations`] |
-//! | PVT outlook | Monte Carlo seeds × corners sweep | [`Experiments::pvt_sweep`] |
+//! | PVT outlook | Monte Carlo seeds × corners sweep | [`sweep::pvt_sweep`] |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -493,47 +493,6 @@ impl Experiments {
             genie_percent: percent(&genie),
             truncated_lut_violations,
         }
-    }
-
-    /// The Monte Carlo PVT sweep: `seeds` generated programs × `corners`
-    /// sampled PVT corners, two-phase — each program simulated exactly once
-    /// into a timing digest (phase 1), every `(digest, corner)` pair then
-    /// replayed through the PolicyObserver/AdaptiveObserver stack without a
-    /// simulator in the loop (phase 2), both phases sharded across rayon
-    /// workers. Unlike the other experiments this needs no characterization
-    /// run, so it is an associated function rather than a method.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SweepError`] when a seed's simulation fails (for example a
-    /// cycle-limit overrun), naming the failing seed.
-    pub fn pvt_sweep(config: &SweepConfig) -> Result<SweepReport, SweepError> {
-        sweep::pvt_sweep(config)
-    }
-
-    /// [`Experiments::pvt_sweep`] with the per-phase wall-clock breakdown
-    /// (the `repro bench` perf harness reports it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SweepError`] when a seed's simulation fails.
-    pub fn pvt_sweep_timed(config: &SweepConfig) -> Result<(SweepReport, SweepTiming), SweepError> {
-        sweep::pvt_sweep_timed(config)
-    }
-
-    /// [`Experiments::pvt_sweep_timed`] with a persistent digest cache:
-    /// valid cached digests skip phase 1's simulations, stale or corrupt
-    /// entries are re-simulated and rewritten, and the report is
-    /// byte-identical either way (`repro sweep --digest-cache DIR`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SweepError`] when a seed's simulation fails.
-    pub fn pvt_sweep_timed_with_cache(
-        config: &SweepConfig,
-        cache_dir: Option<&std::path::Path>,
-    ) -> Result<(SweepReport, SweepTiming), SweepError> {
-        sweep::pvt_sweep_timed_with_cache(config, cache_dir)
     }
 
     /// The conventional-clocking baseline outcome for a single benchmark

@@ -854,10 +854,22 @@ mod tests {
                 rate: 1.5,
                 ..InterruptSpec::default()
             }),
-            ..report
+            ..report.clone()
         };
         assert_eq!(
             SweepReport::from_bytes(&overfull_storm.to_bytes()),
+            Err(ReportFormatError::Malformed("interrupt spec out of range"))
+        );
+        // A timer that fires on every cycle livelocks every program.
+        let livelocked_timer = SweepReport {
+            interrupts: Some(InterruptSpec {
+                timer: 1,
+                ..InterruptSpec::default()
+            }),
+            ..report
+        };
+        assert_eq!(
+            SweepReport::from_bytes(&livelocked_timer.to_bytes()),
             Err(ReportFormatError::Malformed("interrupt spec out of range"))
         );
     }

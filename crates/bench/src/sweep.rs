@@ -30,13 +30,12 @@
 //!    simulator, no per-corner `CycleTiming` structs and no per-corner
 //!    scalar state in the loop.
 //!
-//! The banked replay is bit-identical to the retained lane-by-lane path
-//! ([`pvt_sweep_lanewise`], which replays each `(digest, corner)` pair
-//! separately) and to live observation ([`pvt_sweep_direct`], the retained
-//! single-phase reference implementation) — pinned by the
-//! digest-equivalence and banked-replay property tests — so the report is
-//! byte-for-byte the same as the original `N×M`-simulations engine while
-//! doing a fraction of the work.
+//! The banked replay is bit-identical to live observation
+//! ([`pvt_sweep_direct`], the retained single-phase oracle that simulates
+//! every `(seed, corner)` job with the scalar observers riding along) —
+//! pinned by the digest-equivalence property tests and the unit tests
+//! here — so the report is byte-for-byte the same as the original
+//! `N×M`-simulations engine while doing a fraction of the work.
 //!
 //! Determinism is load-bearing: programs and corners are hash-derived from
 //! the master seed, workers are stateless, and [`SweepReport::merge`] sorts
@@ -57,8 +56,8 @@ use idca_pipeline::{
     SIMULATOR_VERSION,
 };
 use idca_timing::{
-    surged, CornerBank, FaultPlan, FaultSpec, IrqTimeline, ProfileKind, Ps, PvtCorner, TimingModel,
-    VariationModel,
+    CornerBank, FaultPlan, FaultSpec, IrqTimeline, Perturbation, ProfileKind, Ps, PvtCorner,
+    TimingModel, VariationModel,
 };
 use idca_workloads::suite::par_map;
 use std::cell::RefCell;
@@ -376,17 +375,18 @@ impl SweepReport {
             .sum()
     }
 
-    /// Total interrupt entries across all jobs. Like [`total_cycles`]
-    /// (`Self::total_cycles`), every corner of a seed repeats the seed's
-    /// (corner-invariant) count, so this scales with the job count.
+    /// Total interrupt entries across all jobs. Like
+    /// [`total_cycles`](Self::total_cycles), every corner of a seed repeats
+    /// the seed's (corner-invariant) count, so this scales with the job
+    /// count.
     #[must_use]
     pub fn irq_entries(&self) -> u64 {
         self.jobs.iter().map(|j| j.irq_entries).sum()
     }
 
     /// Total cycles spent in exception entry or handler code across all
-    /// jobs (same per-job accounting convention as [`irq_entries`]
-    /// (`Self::irq_entries`)).
+    /// jobs (same per-job accounting convention as
+    /// [`irq_entries`](Self::irq_entries)).
     #[must_use]
     pub fn irq_handler_cycles(&self) -> u64 {
         self.jobs.iter().map(|j| j.irq_handler_cycles).sum()
@@ -636,8 +636,7 @@ pub struct SweepTiming {
     /// policy-bank and adaptive-bank digest folds — summed across workers.
     /// A subset of `replay` (not an additional phase): the remainder is
     /// corner-constant setup (varied models, policy tables, the SoA corner
-    /// bank) plus scheduling. Reported by the corner-batched engine only;
-    /// the reference engines leave it 0.
+    /// bank) plus scheduling.
     pub policy_replay: Duration,
     /// Programs phase 1 actually simulated (0 on a fully warm cache).
     pub simulated_programs: u32,
@@ -804,27 +803,6 @@ fn with_sweep_faults<'a>(
     }
 }
 
-/// One seed's replay-side interrupt scenario: the phase timeline rebuilt
-/// from that seed's digest event stream, plus the sweep-constant entry
-/// surge factor (`1 + surge`).
-#[derive(Clone, Copy)]
-struct IrqScenario<'a> {
-    timeline: &'a IrqTimeline,
-    surge_factor: f64,
-}
-
-/// Attaches the sweep's interrupt scenario (when configured) to a policy
-/// observer — the replay observers derive phases from the shared timeline.
-fn with_sweep_interrupts<'a>(
-    observer: PolicyObserver<'a>,
-    irq: Option<IrqScenario<'a>>,
-) -> PolicyObserver<'a> {
-    match irq {
-        Some(scenario) => observer.with_interrupts(Some(scenario.timeline), scenario.surge_factor),
-        None => observer,
-    }
-}
-
 /// Rides along the live reference engine's observer stack to count the
 /// interrupt entries and entry/handler cycles of one run straight off the
 /// records' live phases. Counts exactly what [`IrqTimeline`] recomputes
@@ -854,108 +832,6 @@ impl CycleObserver for IrqStatObserver {
         self.entries += u64::from(phase == IrqPhase::Entry && self.prev != IrqPhase::Entry);
         self.handler_cycles += u64::from(phase != IrqPhase::None);
         self.prev = phase;
-    }
-}
-
-/// Phase 2 worker: replays one digest against one corner's varied timing
-/// model, evaluating the full policy stack with a single model evaluation
-/// per cycle — no simulator in the loop. Bit-identical to [`run_job`] on
-/// the originating simulation (see the digest-equivalence tests). With a
-/// fault plan, the shared per-cycle timing is perturbed once (the same
-/// pure `(fault seed, cycle)` function every engine applies) before all
-/// four observers see it.
-fn replay_job(
-    digest: &TimingDigest,
-    ctx: &CornerContext,
-    faults: Option<&FaultPlan>,
-    irq: Option<IrqScenario<'_>>,
-    seed_index: u32,
-) -> SweepJobOutcome {
-    let varied = &ctx.varied;
-    let mut ob_static = with_sweep_interrupts(
-        with_sweep_faults(
-            PolicyObserver::new(varied, &ctx.static_policy, &ClockGenerator::Ideal),
-            faults,
-        ),
-        irq,
-    );
-    let mut ob_lut = with_sweep_interrupts(
-        with_sweep_faults(
-            PolicyObserver::new(varied, &ctx.lut_policy, &ClockGenerator::Ideal),
-            faults,
-        ),
-        irq,
-    );
-    let mut ob_exec = with_sweep_interrupts(
-        with_sweep_faults(
-            PolicyObserver::new(varied, &ctx.exec_only, &ClockGenerator::Ideal),
-            faults,
-        ),
-        irq,
-    );
-    let mut ob_adaptive = AdaptiveObserver::new(
-        varied,
-        &AdaptiveConfig::default(),
-        &ClockGenerator::Ideal,
-        None,
-        Drift::None,
-    );
-    if let Some(plan) = faults {
-        ob_adaptive = ob_adaptive.with_faults(plan);
-    }
-    if let Some(scenario) = irq {
-        ob_adaptive = ob_adaptive.with_interrupts(Some(scenario.timeline), scenario.surge_factor);
-    }
-
-    let mut cursor = irq.map(|scenario| scenario.timeline.cursor());
-    digest.for_each_cycle(|cycle, dc| {
-        // One model evaluation per cycle, shared by all four observers.
-        let timing = varied.digest_cycle_timing(cycle, dc);
-        // Canonical composition order: faults first, then the entry surge —
-        // float multiplication is not bit-associative, so every engine
-        // applies the two perturbations in this order.
-        let timing = match faults {
-            Some(plan) => plan.faulted(cycle, &timing),
-            None => timing,
-        };
-        let entry = cursor
-            .as_mut()
-            .is_some_and(|cursor| cursor.phase(cycle) == IrqPhase::Entry);
-        let timing = if entry {
-            surged(&timing, irq.expect("entry implies scenario").surge_factor)
-        } else {
-            timing
-        };
-        ob_static.observe_digest_timed(cycle, dc, &timing);
-        ob_lut.observe_digest_timed(cycle, dc, &timing);
-        ob_exec.observe_digest_timed(cycle, dc, &timing);
-        ob_adaptive.observe_digest_timed(cycle, dc, &timing);
-    });
-    let summary = digest.summary();
-    ob_static.finish(&summary);
-    ob_lut.finish(&summary);
-    ob_exec.finish(&summary);
-    ob_adaptive.finish(&summary);
-
-    let (irq_entries, irq_handler_cycles) = match irq {
-        Some(scenario) => (
-            scenario.timeline.entries(),
-            scenario.timeline.handler_cycles(summary.cycles),
-        ),
-        None => (0, 0),
-    };
-    SweepJobOutcome {
-        seed_index,
-        corner_index: ctx.corner_index,
-        cycles: summary.cycles,
-        irq_entries,
-        irq_handler_cycles,
-        policies: [
-            policy_outcome(ob_static.into_outcome()),
-            policy_outcome(ob_lut.into_outcome()),
-            policy_outcome(ob_exec.into_outcome()),
-            adaptive_outcome(ob_adaptive.into_outcome()),
-        ],
     }
 }
 
@@ -1080,26 +956,25 @@ fn with_replay_scratch<R>(
 /// scalar state walks the digest anymore.
 ///
 /// The sweep keeps only violations and frequencies per row, so no
-/// switching activity is folded here — the lane-by-lane reference path
-/// still folds it per policy, and the rows are proven byte-identical
-/// anyway because [`SweepJobOutcome`] never carries activity. Produces the
-/// same rows, bit for bit, as running [`replay_job`] per corner (pinned by
-/// the banked-replay tests): one decode, one dither batch, `M` corner
-/// outcomes.
+/// switching activity is folded here — [`SweepJobOutcome`] never carries
+/// it. Produces the same rows, bit for bit, as [`run_job`] simulating each
+/// `(seed, corner)` pair live (pinned by the sweep tests): one decode, one
+/// dither batch, `M` corner outcomes. `timeline` is the seed's interrupt
+/// phase timeline (`None` without an interrupt scenario).
 fn replay_seed_banked(
     digest: &TimingDigest,
     contexts: &[CornerContext],
     bank: &CornerBank,
-    faults: Option<&FaultPlan>,
-    irq: Option<IrqScenario<'_>>,
+    perturbation: Perturbation<'_>,
+    timeline: Option<&IrqTimeline>,
     seed_index: u32,
 ) -> Vec<SweepJobOutcome> {
     if contexts.is_empty() {
         return Vec::new();
     }
-    with_replay_scratch(contexts, faults, |scratch| {
+    with_replay_scratch(contexts, perturbation.faults, |scratch| {
         let mut evaluator = bank.evaluator();
-        let mut cursor = irq.map(|scenario| scenario.timeline.cursor());
+        let mut cursor = timeline.map(IrqTimeline::cursor);
         digest.for_each_run(|start, len, dc| {
             // Stage classes are constant across a run-block and every
             // corner deploys the same guarded LUT, so one decision serves
@@ -1122,17 +997,9 @@ fn replay_seed_banked(
                     .as_mut()
                     .is_some_and(|cursor| cursor.phase(cycle) == IrqPhase::Entry);
                 let lanes = evaluator.cycle_lanes(cycle, dc);
-                if let Some(plan) = faults {
-                    // The perturbation is the same pure
-                    // `(fault seed, cycle)` function the scalar paths
-                    // apply, so the lanes stay bit-identical to them.
-                    lanes.apply_fault(plan, cycle);
-                }
-                if entry {
-                    // Faults first, then the entry surge — same canonical
-                    // composition order as the scalar paths.
-                    lanes.apply_surge(irq.expect("entry implies scenario").surge_factor);
-                }
+                // The same fault-then-surge perturbation the scalar paths
+                // apply, so the lanes stay bit-identical to them.
+                perturbation.lanes(cycle, lanes, entry);
                 let lanes = &*lanes;
                 if entry {
                     scratch.bank_static.observe_actuals_entry(lanes.max_lanes());
@@ -1159,11 +1026,8 @@ fn replay_seed_banked(
         let out_exec = scratch.bank_exec.take_outcomes();
         let out_adaptive = scratch.adaptive.take_outcomes();
 
-        let (irq_entries, irq_handler_cycles) = match irq {
-            Some(scenario) => (
-                scenario.timeline.entries(),
-                scenario.timeline.handler_cycles(summary.cycles),
-            ),
+        let (irq_entries, irq_handler_cycles) = match timeline {
+            Some(timeline) => (timeline.entries(), timeline.handler_cycles(summary.cycles)),
             None => (0, 0),
         };
         let stacks = out_static
@@ -1494,27 +1358,18 @@ fn store_cached_digest(
 /// (simulating exactly once, parallel over seeds), phase 2 fans `N`
 /// per-seed corner-batched replays across rayon workers and folds the
 /// outcomes into one canonical [`SweepReport`] — byte-identical to the
-/// lane-by-lane [`pvt_sweep_lanewise`] and the single-phase
-/// [`pvt_sweep_direct`] at a fraction of the work.
+/// single-phase [`pvt_sweep_direct`] at a fraction of the work.
 ///
 /// # Errors
 ///
 /// Returns [`SweepError::JobFailed`] naming the first failing seed (in
 /// canonical order) if any program fails to simulate.
 pub fn pvt_sweep(config: &SweepConfig) -> Result<SweepReport, SweepError> {
-    Ok(pvt_sweep_timed(config)?.0)
+    Ok(pvt_sweep_timed_with_cache(config, None)?.0)
 }
 
-/// [`pvt_sweep`] with the per-phase wall-clock breakdown (perf harness).
-///
-/// # Errors
-///
-/// Returns [`SweepError::JobFailed`] if any program fails to simulate.
-pub fn pvt_sweep_timed(config: &SweepConfig) -> Result<(SweepReport, SweepTiming), SweepError> {
-    pvt_sweep_timed_with_cache(config, None)
-}
-
-/// [`pvt_sweep_timed`] with an optional persistent digest cache: when
+/// [`pvt_sweep`] with the per-phase wall-clock breakdown (the `repro bench`
+/// perf harness reports it) and an optional persistent digest cache: when
 /// `cache_dir` is given, phase 1 loads each seed's digest from
 /// `digest-<seed>.bin` if a valid entry keyed by the exact
 /// `(program seed, generator-config hash, simulator version)` exists, and
@@ -1595,9 +1450,12 @@ pub fn pvt_sweep_seed_range_timed_with_cache(
         .collect();
     let varied_models: Vec<TimingModel> = contexts.iter().map(|ctx| ctx.varied.clone()).collect();
     let bank = CornerBank::from_models(&varied_models);
+    let perturbation = Perturbation {
+        faults: plan.as_ref(),
+        surge_factor: irq_spec.as_ref().map_or(1.0, |spec| 1.0 + spec.surge),
+    };
     // The interrupt scenario replays from the digests' own event streams:
     // one timeline per seed, shared by every corner of that seed.
-    let surge_factor = irq_spec.as_ref().map_or(1.0, |spec| 1.0 + spec.surge);
     let timelines: Vec<Option<IrqTimeline>> = digests
         .iter()
         .map(|(digest, _, _)| {
@@ -1609,16 +1467,12 @@ pub fn pvt_sweep_seed_range_timed_with_cache(
     let positions: Vec<usize> = (0..seed_indices.len()).collect();
     let timed_jobs: Vec<(Vec<SweepJobOutcome>, Duration)> = par_map(&positions, |&p| {
         let job_start = Instant::now();
-        let irq = timelines[p].as_ref().map(|timeline| IrqScenario {
-            timeline,
-            surge_factor,
-        });
         let rows = replay_seed_banked(
             &digests[p].0,
             &contexts,
             &bank,
-            plan.as_ref(),
-            irq,
+            perturbation,
+            timelines[p].as_ref(),
             seed_indices[p],
         );
         (rows, job_start.elapsed())
@@ -1637,89 +1491,6 @@ pub fn pvt_sweep_seed_range_timed_with_cache(
             policy_replay,
             simulated_programs: seed_indices.len() as u32 - digest_cache_hits,
             digest_cache_hits,
-        },
-    ))
-}
-
-/// The retained lane-by-lane two-phase engine: phase 1 is identical to
-/// [`pvt_sweep`], phase 2 replays each `(digest, corner)` pair as its own
-/// job through the scalar replay path. Kept (and exercised by the property
-/// tests) to pin the corner-batched kernel byte-identical; also the honest
-/// baseline for the banked-replay speedup measurement.
-///
-/// # Errors
-///
-/// Returns [`SweepError::JobFailed`] if any program fails to simulate.
-pub fn pvt_sweep_lanewise(config: &SweepConfig) -> Result<SweepReport, SweepError> {
-    Ok(pvt_sweep_lanewise_timed(config)?.0)
-}
-
-/// [`pvt_sweep_lanewise`] with the per-phase wall-clock breakdown.
-///
-/// # Errors
-///
-/// Returns [`SweepError::JobFailed`] if any program fails to simulate.
-pub fn pvt_sweep_lanewise_timed(
-    config: &SweepConfig,
-) -> Result<(SweepReport, SweepTiming), SweepError> {
-    config.validate()?;
-    let (nominal, guarded_lut, corner_samples) = sweep_setup(config);
-
-    let start = Instant::now();
-    let simulator = Simulator::new(sim_config(config));
-    let irq_spec = config.active_interrupts();
-    let seed_indices: Vec<u32> = (0..config.seeds).collect();
-    let digests = collect_jobs(par_map(&seed_indices, |&i| {
-        let program_seed = nth_seed(config.master_seed, u64::from(i));
-        let program = generate_program(program_seed, &config.gen);
-        digest_seed(&simulator, &program, irq_spec.as_ref())
-            .map_err(|error| job_failed(i, program_seed, error))
-    }))?;
-    let simulate = start.elapsed();
-    let predecode = digests.iter().map(|(_, d)| *d).sum();
-
-    let start = Instant::now();
-    let plan = config.faults.map(|spec| FaultPlan::new(&spec));
-    let contexts: Vec<CornerContext> = corner_samples
-        .iter()
-        .map(|corner| CornerContext::new(&nominal, &config.variation, corner, &guarded_lut))
-        .collect();
-    let surge_factor = irq_spec.as_ref().map_or(1.0, |spec| 1.0 + spec.surge);
-    let timelines: Vec<Option<IrqTimeline>> = digests
-        .iter()
-        .map(|(digest, _)| {
-            irq_spec
-                .as_ref()
-                .map(|spec| IrqTimeline::from_events(digest.events(), spec.penalty))
-        })
-        .collect();
-    let jobs = job_list(config);
-    let outcomes = par_map(&jobs, |&(seed_index, corner_index)| {
-        let irq = timelines[seed_index as usize]
-            .as_ref()
-            .map(|timeline| IrqScenario {
-                timeline,
-                surge_factor,
-            });
-        replay_job(
-            &digests[seed_index as usize].0,
-            &contexts[corner_index as usize],
-            plan.as_ref(),
-            irq,
-            seed_index,
-        )
-    });
-    let replay = start.elapsed();
-
-    Ok((
-        finish_report(config, corner_samples, outcomes),
-        SweepTiming {
-            simulate,
-            predecode,
-            replay,
-            policy_replay: Duration::ZERO,
-            simulated_programs: config.seeds,
-            digest_cache_hits: 0,
         },
     ))
 }
@@ -1797,7 +1568,6 @@ mod tests {
         };
         for result in [
             pvt_sweep(&config),
-            pvt_sweep_lanewise(&config),
             pvt_sweep_direct(&config),
             pvt_sweep_seed_range_timed_with_cache(&config, 0..config.seeds, None)
                 .map(|(report, _)| report),
@@ -1832,11 +1602,7 @@ mod tests {
                 corners,
                 ..SweepConfig::default()
             };
-            for result in [
-                pvt_sweep(&config),
-                pvt_sweep_lanewise(&config),
-                pvt_sweep_direct(&config),
-            ] {
+            for result in [pvt_sweep(&config), pvt_sweep_direct(&config)] {
                 let error = result.expect_err("degenerate shape must be rejected");
                 assert_eq!(error, SweepError::InvalidConfig { field });
                 let message = error.to_string();
@@ -1858,7 +1624,7 @@ mod tests {
     }
 
     #[test]
-    fn banked_sweep_is_byte_identical_to_lanewise_and_direct_references() {
+    fn banked_sweep_is_byte_identical_to_the_direct_reference() {
         // Corner counts deliberately straddle the SIMD lane width (3, 5) so
         // the padded lanes are exercised alongside exact multiples.
         for (seeds, corners, master_seed) in [(4, 3, 0x5EED), (6, 2, 7), (3, 5, 0xC0DE)] {
@@ -1869,10 +1635,8 @@ mod tests {
                 ..SweepConfig::default()
             };
             let banked = pvt_sweep(&config).expect("sweep runs");
-            let lanewise = pvt_sweep_lanewise(&config).expect("sweep runs");
             let direct = pvt_sweep_direct(&config).expect("sweep runs");
             // Bit-identical job rows (f64 equality), not just rendered text.
-            assert_eq!(banked, lanewise, "{seeds}x{corners}@{master_seed:#x}");
             assert_eq!(banked, direct, "{seeds}x{corners}@{master_seed:#x}");
             assert_eq!(banked.render(), direct.render());
         }
@@ -1973,9 +1737,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let banked = pvt_sweep(&config).expect("sweep runs");
-        let lanewise = pvt_sweep_lanewise(&config).expect("sweep runs");
         let direct = pvt_sweep_direct(&config).expect("sweep runs");
-        assert_eq!(banked, lanewise, "banked vs lanewise under faults");
         assert_eq!(banked, direct, "banked vs live under faults");
         assert_eq!(banked.render(), direct.render());
 
@@ -2030,9 +1792,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let banked = pvt_sweep(&config).expect("sweep runs");
-        let lanewise = pvt_sweep_lanewise(&config).expect("sweep runs");
         let direct = pvt_sweep_direct(&config).expect("sweep runs");
-        assert_eq!(banked, lanewise, "banked vs lanewise under interrupts");
         assert_eq!(banked, direct, "banked replay vs live under interrupts");
         assert_eq!(banked.render(), direct.render());
 
@@ -2113,9 +1873,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let banked = pvt_sweep(&config).expect("sweep runs");
-        let lanewise = pvt_sweep_lanewise(&config).expect("sweep runs");
         let direct = pvt_sweep_direct(&config).expect("sweep runs");
-        assert_eq!(banked, lanewise, "banked vs lanewise, faults+interrupts");
         assert_eq!(banked, direct, "banked vs live, faults+interrupts");
         assert!(banked.irq_entries() > 0);
         // Fault recovery still classifies every violation, entry or not.

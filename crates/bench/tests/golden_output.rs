@@ -703,7 +703,15 @@ fn sweep_rejects_malformed_flags() {
         );
     }
     // Interrupt specs are validated up front too, naming the rule.
-    for bad in ["seed", "warp=1", "rate=1.5", "penalty=0", "vector=6"] {
+    for bad in [
+        "seed",
+        "warp=1",
+        "rate=1.5",
+        "rate=1",
+        "timer=1",
+        "penalty=0",
+        "vector=6",
+    ] {
         let output = run(&["sweep", "--interrupts", bad]);
         assert!(!output.status.success(), "--interrupts {bad} was accepted");
         assert!(

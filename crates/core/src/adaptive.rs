@@ -16,6 +16,7 @@
 //!   *backed off*, which lets the table track slow drift (temperature,
 //!   voltage droop, aging) that would invalidate a static characterization.
 
+use crate::tally::{frequencies, ViolationTally};
 use crate::{ClockGenerator, DelayLut};
 use idca_isa::TimingClass;
 use idca_pipeline::{
@@ -23,7 +24,7 @@ use idca_pipeline::{
     TimingDigest,
 };
 use idca_timing::{
-    surged, CornerBank, CycleLanes, CycleTiming, FaultPlan, IrqCursor, IrqTimeline, Ps,
+    CornerBank, CycleLanes, CycleTiming, FaultPlan, IrqCursor, IrqTimeline, Perturbation, Ps,
     TimingModel, LANE_WIDTH,
 };
 use serde::{Deserialize, Serialize};
@@ -129,16 +130,9 @@ pub struct AdaptiveObserver<'a> {
     // characterization instead of learning from scratch).
     learned: Vec<Ps>,
     observations: Vec<u64>,
-    faults: Option<&'a FaultPlan>,
+    perturbation: Perturbation<'a>,
     irq: Option<IrqCursor<'a>>,
-    surge_factor: f64,
-    total_time: f64,
-    penalty_time: f64,
-    violations: u64,
-    entry_violations: u64,
-    recovered_cycles: u64,
-    replay_penalty_cycles: u64,
-    silent_risk_cycles: u64,
+    tally: ViolationTally,
     warmup_cycles: u64,
     outcome: Option<AdaptiveOutcome>,
 }
@@ -185,16 +179,9 @@ impl<'a> AdaptiveObserver<'a> {
             static_period: model.static_period_ps(),
             learned,
             observations,
-            faults: None,
+            perturbation: Perturbation::default(),
             irq: None,
-            surge_factor: 1.0,
-            total_time: 0.0,
-            penalty_time: 0.0,
-            violations: 0,
-            entry_violations: 0,
-            recovered_cycles: 0,
-            replay_penalty_cycles: 0,
-            silent_risk_cycles: 0,
+            tally: ViolationTally::default(),
             warmup_cycles: 0,
             outcome: None,
         }
@@ -207,10 +194,10 @@ impl<'a> AdaptiveObserver<'a> {
     /// and *learns from* the perturbed delays — and every violation is
     /// classified through the plan's recovery model.
     /// [`AdaptiveObserver::observe_digest_timed`] expects the caller to
-    /// have applied [`FaultPlan::faulted`] already.
+    /// have perturbed the timing already.
     #[must_use]
     pub fn with_faults(mut self, faults: &'a FaultPlan) -> Self {
-        self.faults = Some(faults);
+        self.perturbation.faults = Some(faults);
         self
     }
 
@@ -224,13 +211,14 @@ impl<'a> AdaptiveObserver<'a> {
     /// The **live** path reads each record's `irq_phase` directly — pass
     /// `None` for `timeline`. The **replay** paths rebuild phases from the
     /// digest event stream — pass the run's [`IrqTimeline`]. The
-    /// cycle-computing entry points apply the surge themselves (faults
-    /// first, then the surge); [`AdaptiveObserver::observe_digest_timed`]
-    /// expects the caller to have applied it, like the fault factors.
+    /// cycle-computing entry points apply the surge themselves through a
+    /// [`Perturbation`] (faults first, then the surge);
+    /// [`AdaptiveObserver::observe_digest_timed`] expects the caller to
+    /// have applied it, like the fault factors.
     #[must_use]
     pub fn with_interrupts(mut self, timeline: Option<&'a IrqTimeline>, surge_factor: f64) -> Self {
         self.irq = timeline.map(IrqTimeline::cursor);
-        self.surge_factor = surge_factor;
+        self.perturbation.surge_factor = surge_factor;
         self
     }
 
@@ -279,15 +267,7 @@ impl<'a> AdaptiveObserver<'a> {
     pub fn observe_digest(&mut self, cycle: u64, digest_cycle: &DigestCycle) {
         let entry = self.entry_at(cycle);
         let timing = self.model.digest_cycle_timing(cycle, digest_cycle);
-        let timing = match self.faults {
-            Some(plan) => plan.faulted(cycle, &timing),
-            None => timing,
-        };
-        let timing = if entry {
-            surged(&timing, self.surge_factor)
-        } else {
-            timing
-        };
+        let timing = self.perturbation.timing(cycle, timing, entry);
         self.observe_parts(cycle, &digest_cycle.classes, &timing, entry);
     }
 
@@ -339,22 +319,9 @@ impl<'a> AdaptiveObserver<'a> {
         //    of the cycle (with environmental drift applied).
         let drift_factor = self.drift.factor(cycle);
         let actual_max = timing.max_delay_ps * drift_factor;
-        let violated = realized + 1e-9 < actual_max;
-        if violated {
-            self.violations += 1;
-            self.entry_violations += u64::from(entry);
-            if let Some(plan) = self.faults {
-                let spec = plan.spec();
-                if actual_max <= realized * (1.0 + spec.detect_window) {
-                    self.recovered_cycles += 1;
-                    self.replay_penalty_cycles += u64::from(spec.replay_penalty);
-                    self.penalty_time += realized * f64::from(spec.replay_penalty);
-                } else {
-                    self.silent_risk_cycles += 1;
-                }
-            }
-        }
-        self.total_time += realized;
+        let violated = self
+            .tally
+            .record(realized, actual_max, entry, self.perturbation.faults);
 
         // 3. Adapt the in-flight entries.
         for stage in Stage::ALL {
@@ -383,35 +350,15 @@ impl CycleObserver for AdaptiveObserver<'_> {
             classes[stage.index()] = record.timing_class(stage);
         }
         let timing = self.model.cycle_timing(record);
-        let timing = match self.faults {
-            Some(plan) => plan.faulted(record.cycle, &timing),
-            None => timing,
-        };
-        let timing = if entry {
-            surged(&timing, self.surge_factor)
-        } else {
-            timing
-        };
+        let timing = self.perturbation.timing(record.cycle, timing, entry);
         self.observe_parts(record.cycle, &classes, &timing, entry);
     }
 
     fn finish(&mut self, summary: &RunSummary) {
         let cycles = summary.cycles;
-        let avg_period_ps = if cycles == 0 {
-            0.0
-        } else {
-            self.total_time / cycles as f64
-        };
-        let effective_frequency_mhz = if avg_period_ps > 0.0 {
-            1.0e6 / avg_period_ps
-        } else {
-            0.0
-        };
-        let recovery_period_ps = if cycles == 0 {
-            0.0
-        } else {
-            (self.total_time + self.penalty_time) / cycles as f64
-        };
+        let tally = self.tally;
+        let (avg_period_ps, effective_frequency_mhz, recovery_frequency_mhz) =
+            frequencies(tally.total_time_ps, tally.penalty_time_ps, cycles);
         self.outcome = Some(AdaptiveOutcome {
             cycles,
             avg_period_ps,
@@ -421,16 +368,12 @@ impl CycleObserver for AdaptiveObserver<'_> {
             } else {
                 1.0
             },
-            violations: self.violations,
-            entry_violations: self.entry_violations,
-            recovered_cycles: self.recovered_cycles,
-            replay_penalty_cycles: self.replay_penalty_cycles,
-            silent_risk_cycles: self.silent_risk_cycles,
-            recovery_frequency_mhz: if recovery_period_ps > 0.0 {
-                1.0e6 / recovery_period_ps
-            } else {
-                0.0
-            },
+            violations: tally.violations,
+            entry_violations: tally.entry_violations,
+            recovered_cycles: tally.recovered_cycles,
+            replay_penalty_cycles: tally.replay_penalty_cycles,
+            silent_risk_cycles: tally.silent_risk_cycles,
+            recovery_frequency_mhz,
             warmup_cycles: self.warmup_cycles,
         });
     }
@@ -482,17 +425,15 @@ pub struct AdaptiveBank<'a> {
     replay_penalty_cycles: Vec<u64>,
     silent_risk_cycles: Vec<u64>,
     warmup_cycles: Vec<u64>,
-    // Per-cycle scratch, reused across the whole walk.
+    // Per-cycle scratch (`padded` long), reused across the whole walk: the
+    // predicted request of every lane.
     requested: Vec<Ps>,
-    warm: Vec<bool>,
-    realized: Vec<Ps>,
-    violated: Vec<bool>,
-    // Lanes-path scratch (`padded` long): the realized period of violated
+    // Per-cycle scratch (`padded` long): the realized period of violated
     // lanes, `+inf` otherwise, so the adapt pass's backoff test is one
     // `f64` compare. Padding lanes stay `+inf` forever.
     violation_limit: Vec<Ps>,
-    // Lanes-path constant (`padded` long): `2 x static_period` per corner,
-    // the adapt pass's backoff cap (padding lanes 0).
+    // Constant (`padded` long): `2 x static_period` per corner, the adapt
+    // pass's backoff cap (padding lanes 0).
     backoff_cap: Vec<Ps>,
     outcomes: Option<Vec<AdaptiveOutcome>>,
 }
@@ -522,9 +463,9 @@ impl<'a> AdaptiveBank<'a> {
     /// [`AdaptiveBank::new`] from the corners' static periods alone — the
     /// only model parameter the controllers consume (the dynamic delays
     /// arrive pre-evaluated through
-    /// [`AdaptiveBank::observe_digest_timed`]), so callers that already
-    /// hold the periods (e.g. via [`CornerBank::static_period_ps`]) need
-    /// not materialize a model slice.
+    /// [`AdaptiveBank::observe_cycle_lanes_phased`]), so callers that
+    /// already hold the periods (e.g. via [`CornerBank::static_period_ps`])
+    /// need not materialize a model slice.
     #[must_use]
     pub fn from_static_periods(
         static_periods: Vec<Ps>,
@@ -576,31 +517,22 @@ impl<'a> AdaptiveBank<'a> {
             silent_risk_cycles: vec![0; corners],
             warmup_cycles: vec![0; corners],
             requested: vec![0.0; padded],
-            warm: vec![true; padded],
-            realized: vec![0.0; corners],
-            violated: vec![false; corners],
             violation_limit: vec![Ps::INFINITY; padded],
             backoff_cap,
             outcomes: None,
         }
     }
 
-    /// Attaches a [`FaultPlan`] for the recovery accounting. The per-cycle
-    /// [`CycleTiming`]s handed to [`AdaptiveBank::observe_digest_timed`]
-    /// must already carry the plan's perturbation (apply
-    /// [`FaultPlan::faulted`] where the bank evaluator produces them) —
-    /// the bank itself only classifies violations as recovered or silent
-    /// risk, lane by lane, exactly like the scalar observer.
+    /// Attaches a [`FaultPlan`] for the recovery accounting. The
+    /// [`CycleLanes`] handed to [`AdaptiveBank::observe_cycle_lanes_phased`]
+    /// must already carry the plan's perturbation (apply it with
+    /// [`Perturbation::lanes`]) — the bank itself only classifies
+    /// violations as recovered or silent risk, lane by lane, exactly like
+    /// the scalar observer.
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = Some(faults);
         self
-    }
-
-    /// Replaces the fault plan (or clears it) without reallocating lanes —
-    /// the worker-scratch path reuses one bank across sweep jobs.
-    pub fn set_faults(&mut self, faults: Option<FaultPlan>) {
-        self.faults = faults;
     }
 
     /// Clears the learned tables and run accumulators so the bank can
@@ -660,140 +592,27 @@ impl<'a> AdaptiveBank<'a> {
     }
 
     /// Replays the predict/observe/update loop of **all** corners on one
-    /// digested cycle, given the per-corner [`CycleTiming`]s a
-    /// [`idca_timing::BankEvaluator`] produced for it (index = corner).
-    /// Bit-identical, lane by lane, to
-    /// [`AdaptiveObserver::observe_digest_timed`] on the matching model.
+    /// digested cycle straight off a [`idca_timing::BankEvaluator`]'s
+    /// structure-of-arrays [`CycleLanes`] — the hot entry point of the
+    /// corner-batched sweep. No per-corner [`CycleTiming`] structs are
+    /// materialized: the observe pass folds the contiguous max-delay lanes
+    /// and the adapt pass folds each keyed `(stage, class)` entry against
+    /// the matching contiguous stage lanes. Bit-identical, lane by lane, to
+    /// [`AdaptiveObserver::observe_digest_timed`] on the matching model
+    /// (the hoisted `(1 + margin)`-style factors are computed exactly as
+    /// the scalar expressions, just once per cycle instead of once per
+    /// lane).
     ///
-    /// # Panics
-    ///
-    /// Panics if `timings` does not carry exactly one entry per corner.
-    pub fn observe_digest_timed(&mut self, cycle: u64, dc: &DigestCycle, timings: &[CycleTiming]) {
-        self.observe_digest_timed_phased(cycle, dc, timings, false);
-    }
-
-    /// [`AdaptiveBank::observe_digest_timed`] with the cycle's
-    /// interrupt-entry classification supplied by the caller — the bank
+    /// `entry` is the cycle's interrupt-entry classification — the bank
     /// lives in `'static` worker scratch, so it cannot hold a borrowed
     /// timeline cursor; the sweep derives the phase once per cycle from a
-    /// shared [`IrqCursor`] instead. The caller must also have applied the
-    /// entry surge to `timings` on entry cycles, exactly like the fault
-    /// factors.
-    pub fn observe_digest_timed_phased(
-        &mut self,
-        cycle: u64,
-        dc: &DigestCycle,
-        timings: &[CycleTiming],
-        entry: bool,
-    ) {
-        assert_eq!(
-            timings.len(),
-            self.corners,
-            "one CycleTiming per corner is required"
-        );
-        let padded = self.padded;
-
-        // 1. Predict: the controllers only see the (corner-invariant)
-        //    instruction classes; any entry still warming up keeps that
-        //    lane's whole cycle at its always-safe static period. The fold
-        //    walks each keyed entry's lanes contiguously in LANE_WIDTH
-        //    chunks.
-        self.requested.fill(0.0);
-        self.warm.fill(true);
-        for stage in Stage::ALL {
-            let at = table_offset(padded, stage, dc.classes[stage.index()]);
-            let lanes = self
-                .requested
-                .chunks_exact_mut(LANE_WIDTH)
-                .zip(self.warm.chunks_exact_mut(LANE_WIDTH))
-                .zip(self.learned[at..at + padded].chunks_exact(LANE_WIDTH))
-                .zip(self.observations[at..at + padded].chunks_exact(LANE_WIDTH));
-            for (((req4, warm4), learned4), obs4) in lanes {
-                for l in 0..LANE_WIDTH {
-                    if obs4[l] < self.config.warmup_observations {
-                        warm4[l] = false;
-                    } else {
-                        req4[l] = req4[l].max(learned4[l]);
-                    }
-                }
-            }
-        }
-
-        // 2. Realize and observe: per corner, the same arithmetic (and the
-        //    same order of operations) as the scalar observer.
-        let drift_factor = self.drift.factor(cycle);
-        for (lane, timing) in timings.iter().enumerate() {
-            let mut requested = self.requested[lane];
-            if !self.warm[lane] {
-                requested = requested.max(self.static_period[lane]);
-                self.warmup_cycles[lane] += 1;
-            }
-            let realized = self.generator.realize(requested);
-            let actual_max = timing.max_delay_ps * drift_factor;
-            let violated = realized + 1e-9 < actual_max;
-            if violated {
-                self.violations[lane] += 1;
-                self.entry_violations[lane] += u64::from(entry);
-                if let Some(plan) = &self.faults {
-                    let spec = plan.spec();
-                    if actual_max <= realized * (1.0 + spec.detect_window) {
-                        self.recovered_cycles[lane] += 1;
-                        self.replay_penalty_cycles[lane] += u64::from(spec.replay_penalty);
-                        self.penalty_time[lane] += realized * f64::from(spec.replay_penalty);
-                    } else {
-                        self.silent_risk_cycles[lane] += 1;
-                    }
-                }
-            }
-            self.total_time[lane] += realized;
-            self.realized[lane] = realized;
-            self.violated[lane] = violated;
-        }
-
-        // 3. Adapt the in-flight entries, again lane-contiguously per keyed
-        //    `(stage, class)` entry.
-        for stage in Stage::ALL {
-            let at = table_offset(padded, stage, dc.classes[stage.index()]);
-            let learned = &mut self.learned[at..at + padded];
-            let observations = &mut self.observations[at..at + padded];
-            for (lane, timing) in timings.iter().enumerate() {
-                let observed = timing.stage_delay_ps[stage.index()] * drift_factor;
-                observations[lane] += 1;
-                let target = observed * (1.0 + self.config.margin);
-                if target > learned[lane] {
-                    learned[lane] = target;
-                }
-                if self.violated[lane] && observed + 1e-9 > self.realized[lane] {
-                    // This lane's stage was (one of) the violators: back off
-                    // so the next occurrence gets headroom against drift.
-                    learned[lane] = (learned[lane] * (1.0 + self.config.violation_backoff))
-                        .min(self.static_period[lane] * 2.0);
-                }
-            }
-        }
-    }
-
-    /// [`AdaptiveBank::observe_digest_timed`] straight off a
-    /// [`idca_timing::BankEvaluator`]'s structure-of-arrays [`CycleLanes`]
-    /// — the hot entry point of the corner-batched sweep. No per-corner
-    /// [`CycleTiming`] structs are materialized: the observe pass folds the
-    /// contiguous max-delay lanes and the adapt pass folds each keyed
-    /// `(stage, class)` entry against the matching contiguous stage lanes.
-    /// Bit-identical, lane by lane, to the scalar observer (the hoisted
-    /// `(1 + margin)`-style factors are computed exactly as the scalar
-    /// expressions, just once per cycle instead of once per lane).
+    /// shared [`IrqCursor`] instead. The lanes must already carry the
+    /// cycle's [`Perturbation`] (fault factors and, on entry cycles, the
+    /// surge).
     ///
     /// # Panics
     ///
     /// Panics if the lanes' padded width differs from the bank's.
-    pub fn observe_cycle_lanes(&mut self, cycle: u64, dc: &DigestCycle, lanes: &CycleLanes) {
-        self.observe_cycle_lanes_phased(cycle, dc, lanes, false);
-    }
-
-    /// [`AdaptiveBank::observe_cycle_lanes`] with the cycle's
-    /// interrupt-entry classification supplied by the caller (see
-    /// [`AdaptiveBank::observe_digest_timed_phased`] for the convention:
-    /// the surge must already be in `lanes`, the phase comes in as a bool).
     // `inline(never)` is load-bearing: letting this body inline into the
     // sweep's replay loop (alongside the evaluator and the three policy
     // banks) doubles the replay time at 100×8 — the merged loop spills
@@ -815,7 +634,7 @@ impl<'a> AdaptiveBank<'a> {
         }
         let generator = self.generator;
 
-        // 1. Predict — identical to `observe_digest_timed`, exploiting a
+        // 1. Predict — identical to the scalar observer, exploiting a
         //    structural invariant of the bank: every observe pass increments
         //    the touched entry's observation count for all lanes together
         //    (and construction/reset/seed-LUT initialization is equally
@@ -957,21 +776,8 @@ impl<'a> AdaptiveBank<'a> {
         let cycles = summary.cycles;
         let outcomes = (0..self.corners)
             .map(|lane| {
-                let avg_period_ps = if cycles == 0 {
-                    0.0
-                } else {
-                    self.total_time[lane] / cycles as f64
-                };
-                let effective_frequency_mhz = if avg_period_ps > 0.0 {
-                    1.0e6 / avg_period_ps
-                } else {
-                    0.0
-                };
-                let recovery_period_ps = if cycles == 0 {
-                    0.0
-                } else {
-                    (self.total_time[lane] + self.penalty_time[lane]) / cycles as f64
-                };
+                let (avg_period_ps, effective_frequency_mhz, recovery_frequency_mhz) =
+                    frequencies(self.total_time[lane], self.penalty_time[lane], cycles);
                 AdaptiveOutcome {
                     cycles,
                     avg_period_ps,
@@ -986,11 +792,7 @@ impl<'a> AdaptiveBank<'a> {
                     recovered_cycles: self.recovered_cycles[lane],
                     replay_penalty_cycles: self.replay_penalty_cycles[lane],
                     silent_risk_cycles: self.silent_risk_cycles[lane],
-                    recovery_frequency_mhz: if recovery_period_ps > 0.0 {
-                        1.0e6 / recovery_period_ps
-                    } else {
-                        0.0
-                    },
+                    recovery_frequency_mhz,
                     warmup_cycles: self.warmup_cycles[lane],
                 }
             })
@@ -1079,10 +881,11 @@ pub fn replay_adaptive_digest(
 /// digest walk — the corner-batched counterpart of
 /// [`replay_adaptive_digest`]. The per-cycle dither/excitation evaluation
 /// runs once through a [`CornerBank`] and is broadcast across corners; the
-/// `M` controllers' tables live in one [`AdaptiveBank`] and are updated in
-/// lane-friendly folds. Outcome `i` is bit-identical to
-/// `replay_adaptive_digest(&models[i], ...)` (pinned by the banked-replay
-/// property tests), at a fraction of the walk cost.
+/// `M` controllers' tables live in one [`AdaptiveBank`] and are updated by
+/// the sweep's own lanes kernel
+/// ([`AdaptiveBank::observe_cycle_lanes_phased`]). Outcome `i` is
+/// bit-identical to `replay_adaptive_digest(&models[i], ...)` (pinned by
+/// the banked-replay property tests), at a fraction of the walk cost.
 #[must_use]
 pub fn replay_adaptive_digest_banked(
     models: &[TimingModel],
@@ -1094,8 +897,9 @@ pub fn replay_adaptive_digest_banked(
 ) -> Vec<AdaptiveOutcome> {
     let bank = CornerBank::from_models(models);
     let mut adaptive = AdaptiveBank::new(models, config, generator, seed_lut, drift);
-    bank.replay_digest(digest, |cycle, dc, timings| {
-        adaptive.observe_digest_timed(cycle, dc, timings);
+    let mut evaluator = bank.evaluator();
+    digest.for_each_cycle(|cycle, dc| {
+        adaptive.observe_cycle_lanes_phased(cycle, dc, evaluator.cycle_lanes(cycle, dc), false);
     });
     adaptive.finish(&digest.summary());
     adaptive.into_outcomes()
@@ -1306,8 +1110,9 @@ mod tests {
         let corner_bank = idca_timing::CornerBank::from_models(&models);
         let mut bank =
             AdaptiveBank::new(&models, &config, &ClockGenerator::Ideal, None, Drift::None);
-        corner_bank.replay_digest(&digest, |cycle, dc, timings| {
-            bank.observe_digest_timed(cycle, dc, timings);
+        let mut evaluator = corner_bank.evaluator();
+        digest.for_each_cycle(|cycle, dc| {
+            bank.observe_cycle_lanes_phased(cycle, dc, evaluator.cycle_lanes(cycle, dc), false);
         });
         for (corner, model) in models.iter().enumerate() {
             let mut scalar =

@@ -69,6 +69,7 @@ mod lut;
 pub mod policy;
 pub mod policy_bank;
 mod sim;
+mod tally;
 pub mod vfs;
 
 pub use adaptive::{

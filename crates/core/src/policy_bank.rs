@@ -6,7 +6,7 @@
 //! — realized-time, violation, fault-recovery and min/max folds — into
 //! [`LANE_WIDTH`]-padded structure-of-arrays lanes, so a digest replay
 //! updates all `M` corners of one policy in contiguous loops instead of
-//! `M` scalar `observe_timing_prepared` calls per cycle.
+//! stepping `M` scalar observers per cycle.
 //!
 //! The bank exploits a structural property of the table-driven policies
 //! (static / instruction-based / execute-only): their requested period
@@ -24,6 +24,7 @@
 //! `tests/banked_replay.rs` and `tests/fault_replay.rs`.
 
 use crate::sim::RunOutcome;
+use crate::tally::frequencies;
 use crate::ClockGenerator;
 use idca_pipeline::{CycleObserver, RunSummary};
 use idca_timing::{ActivityObserver, FaultPlan, Ps, LANE_WIDTH};
@@ -114,22 +115,13 @@ impl<'a> PolicyBank<'a> {
     /// Attaches a [`FaultPlan`]: violations are classified through the
     /// plan's recovery model exactly as in
     /// [`PolicyObserver::with_faults`](crate::PolicyObserver::with_faults).
-    /// The caller is expected to apply [`FaultPlan::faulted`] to the cycle
-    /// timings before [`PolicyBank::observe_actuals`] (the prepared-entry
-    /// convention of the banked sweep).
+    /// The caller is expected to perturb the cycle lanes with
+    /// [`Perturbation::lanes`](idca_timing::Perturbation::lanes) before
+    /// [`PolicyBank::observe_actuals`].
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = Some(faults);
         self
-    }
-
-    /// Replaces the fault plan (or clears it) without reallocating lanes —
-    /// the worker-scratch path reuses one bank across sweep jobs.
-    pub fn set_faults(&mut self, faults: Option<FaultPlan>) {
-        self.faults = faults;
-        // The hoisted detect/penalty lanes depend on the spec: force a
-        // refill on the next block.
-        self.primed = false;
     }
 
     /// Number of (unpadded) corners the bank accumulates.
@@ -261,7 +253,7 @@ impl<'a> PolicyBank<'a> {
     /// `inline(never)` keeps this kernel out of the sweep's replay loop:
     /// merged with the evaluator and the other banks it spills registers
     /// and roughly doubles the replay time (see `AdaptiveBank::
-    /// observe_cycle_lanes` for the same finding).
+    /// observe_cycle_lanes_phased` for the same finding).
     #[inline(never)]
     pub fn observe_actuals(&mut self, actuals: &[Ps]) {
         let lanes = actuals.len();
@@ -314,8 +306,9 @@ impl<'a> PolicyBank<'a> {
     /// same accumulation, plus each lane's violation (recomputed from the
     /// hoisted threshold, so the count is bit-identical to the main kernel's
     /// compare) is tallied into the entry-violation lanes. The caller is
-    /// expected to have applied the entry surge to `actuals` already — the
-    /// prepared-entry convention, matching the fault factors.
+    /// expected to have applied the entry surge to `actuals` already
+    /// ([`Perturbation::lanes`](idca_timing::Perturbation::lanes)), like the
+    /// fault factors.
     pub fn observe_actuals_entry(&mut self, actuals: &[Ps]) {
         self.observe_actuals(actuals);
         let folds = self
@@ -342,28 +335,10 @@ impl<'a> PolicyBank<'a> {
         let outcomes = (0..self.corners)
             .map(|lane| {
                 let total_time_ps = self.total_time_ps[lane];
-                let avg_period_ps = if cycles == 0 {
-                    0.0
-                } else {
-                    total_time_ps / cycles as f64
-                };
-                let effective_frequency_mhz = if avg_period_ps > 0.0 {
-                    1.0e6 / avg_period_ps
-                } else {
-                    0.0
-                };
+                let (avg_period_ps, effective_frequency_mhz, recovery_frequency_mhz) =
+                    frequencies(total_time_ps, self.penalty_time_ps[lane], cycles);
                 let mips = if total_time_ps > 0.0 {
                     summary.retired as f64 / (total_time_ps * 1e-6)
-                } else {
-                    0.0
-                };
-                let recovery_period_ps = if cycles == 0 {
-                    0.0
-                } else {
-                    (total_time_ps + self.penalty_time_ps[lane]) / cycles as f64
-                };
-                let recovery_frequency_mhz = if recovery_period_ps > 0.0 {
-                    1.0e6 / recovery_period_ps
                 } else {
                     0.0
                 };
@@ -460,7 +435,7 @@ mod tests {
 
     /// Drives a bank and the scalar reference over the same digest and
     /// asserts bit-identical outcomes (modulo the activity fold, which the
-    /// scalar reference also skips on the `observe_timing_prepared` path).
+    /// bank leaves empty-finished).
     fn assert_bank_matches_scalar(models: &[TimingModel], faults: Option<FaultPlan>) {
         let digest = digest();
         let generator = ClockGenerator::quantized_50ps();
@@ -474,25 +449,15 @@ mod tests {
         if let Some(plan) = faults {
             pbank = pbank.with_faults(plan);
         }
-        let mut actuals = vec![0.0; bank.padded_lanes()];
         let mut evaluator = bank.evaluator();
-        let mut scratch = Vec::new();
         digest.for_each_run(|start, len, dc| {
             pbank.begin_block_per_corner(&requests);
             for cycle in start..start + u64::from(len) {
-                let timings = evaluator.cycle_timings(cycle, dc);
-                let timings = match &faults {
-                    Some(plan) => {
-                        scratch.clear();
-                        scratch.extend(timings.iter().map(|t| plan.faulted(cycle, t)));
-                        &scratch[..]
-                    }
-                    None => timings,
-                };
-                for (lane, slot) in actuals.iter_mut().enumerate() {
-                    *slot = timings.get(lane).map_or(0.0, |t| t.max_delay_ps);
+                let lanes = evaluator.cycle_lanes(cycle, dc);
+                if let Some(plan) = &faults {
+                    lanes.apply_fault(plan, cycle);
                 }
-                pbank.observe_actuals(&actuals);
+                pbank.observe_actuals(lanes.max_lanes());
             }
         });
         pbank.finish(&digest.summary());
@@ -510,10 +475,12 @@ mod tests {
                     Some(plan) => plan.faulted(cycle, &timing),
                     None => timing,
                 };
-                observer.observe_timing_prepared(requests[corner], &timing);
+                observer.observe_digest_timed(cycle, dc, &timing);
             });
             observer.finish(&digest.summary());
-            assert_eq!(*expected, observer.into_outcome(), "corner {corner}");
+            let mut scalar = observer.into_outcome();
+            scalar.activity = expected.activity;
+            assert_eq!(*expected, scalar, "corner {corner}");
         }
     }
 

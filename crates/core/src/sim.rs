@@ -13,13 +13,14 @@
 //! (see [`crate::eval`]). [`run_with_policy`] replays a materialized
 //! [`PipelineTrace`] through the same accumulation.
 
+use crate::tally::{frequencies, ViolationTally};
 use crate::{ClockGenerator, ClockPolicy};
 use idca_pipeline::{
     CycleObserver, CycleRecord, DigestCycle, IrqPhase, PipelineTrace, RunSummary, TimingDigest,
 };
 use idca_timing::{
-    surged, ActivityObserver, ActivitySummary, CornerBank, CycleTiming, FaultPlan, IrqCursor,
-    IrqTimeline, Ps, TimingModel,
+    ActivityObserver, ActivitySummary, CornerBank, CycleTiming, FaultPlan, IrqCursor, IrqTimeline,
+    Perturbation, Ps, TimingModel,
 };
 use serde::{Deserialize, Serialize};
 
@@ -115,18 +116,11 @@ pub struct PolicyObserver<'a> {
     model: &'a TimingModel,
     policy: &'a dyn ClockPolicy,
     generator: &'a ClockGenerator,
-    faults: Option<&'a FaultPlan>,
+    perturbation: Perturbation<'a>,
     irq: Option<IrqCursor<'a>>,
-    surge_factor: f64,
-    total_time_ps: f64,
-    penalty_time_ps: f64,
+    tally: ViolationTally,
     min_period_ps: Ps,
     max_period_ps: Ps,
-    violations: u64,
-    entry_violations: u64,
-    recovered_cycles: u64,
-    replay_penalty_cycles: u64,
-    silent_risk_cycles: u64,
     activity: ActivityObserver,
     outcome: Option<RunOutcome>,
 }
@@ -144,18 +138,11 @@ impl<'a> PolicyObserver<'a> {
             model,
             policy,
             generator,
-            faults: None,
+            perturbation: Perturbation::default(),
             irq: None,
-            surge_factor: 1.0,
-            total_time_ps: 0.0,
-            penalty_time_ps: 0.0,
+            tally: ViolationTally::default(),
             min_period_ps: Ps::INFINITY,
             max_period_ps: 0.0,
-            violations: 0,
-            entry_violations: 0,
-            recovered_cycles: 0,
-            replay_penalty_cycles: 0,
-            silent_risk_cycles: 0,
             activity: ActivityObserver::new(),
             outcome: None,
         }
@@ -166,13 +153,12 @@ impl<'a> PolicyObserver<'a> {
     /// perturb each cycle's timing through the plan, and every violation is
     /// classified through the plan's recovery model — detected-and-replayed
     /// (inside the detection window, at the configured penalty) or silent
-    /// corruption risk. The prepared entry points
-    /// ([`PolicyObserver::observe_digest_timed`] and friends) expect the
-    /// *caller* to have applied [`FaultPlan::faulted`] already; the plan
-    /// then only drives the recovery accounting.
+    /// corruption risk. [`PolicyObserver::observe_digest_timed`] expects the
+    /// *caller* to have perturbed the timing already; the plan then only
+    /// drives the recovery accounting.
     #[must_use]
     pub fn with_faults(mut self, faults: &'a FaultPlan) -> Self {
-        self.faults = Some(faults);
+        self.perturbation.faults = Some(faults);
         self
     }
 
@@ -190,15 +176,14 @@ impl<'a> PolicyObserver<'a> {
     /// cycles (pinned by the interrupt differential tests).
     ///
     /// Like faults, the surge convention splits by entry point: the
-    /// cycle-computing entry points apply the surge themselves (after the
-    /// fault perturbation — the canonical composition order), while the
-    /// prepared entry points expect the caller to have applied
-    /// [`surged`] / [`CycleLanes::apply_surge`](idca_timing::CycleLanes::apply_surge)
-    /// already.
+    /// cycle-computing entry points apply it themselves through a
+    /// [`Perturbation`] (after the fault factors — the canonical order),
+    /// while [`PolicyObserver::observe_digest_timed`] expects the caller to
+    /// have applied it already.
     #[must_use]
     pub fn with_interrupts(mut self, timeline: Option<&'a IrqTimeline>, surge_factor: f64) -> Self {
         self.irq = timeline.map(IrqTimeline::cursor);
-        self.surge_factor = surge_factor;
+        self.perturbation.surge_factor = surge_factor;
         self
     }
 
@@ -231,24 +216,17 @@ impl<'a> PolicyObserver<'a> {
     pub fn observe_digest(&mut self, cycle: u64, digest_cycle: &DigestCycle) {
         let entry = self.entry_at(cycle);
         let timing = self.model.digest_cycle_timing(cycle, digest_cycle);
-        let timing = match self.faults {
-            Some(plan) => plan.faulted(cycle, &timing),
-            None => timing,
-        };
-        let timing = if entry {
-            surged(&timing, self.surge_factor)
-        } else {
-            timing
-        };
+        let timing = self.perturbation.timing(cycle, timing, entry);
         let requested = self.policy.digest_period_ps(cycle, digest_cycle);
         self.step(requested, timing.max_delay_ps, entry);
         self.activity.observe_digest(digest_cycle);
     }
 
     /// [`PolicyObserver::observe_digest`] with the cycle's [`CycleTiming`]
-    /// already evaluated, so several observers riding the same replay (the
-    /// PVT sweep folds four policies per digest) share one model
-    /// evaluation per cycle.
+    /// already evaluated — and already perturbed, faults and entry surge
+    /// alike — so several observers riding the same replay share one model
+    /// evaluation per cycle ([`crate::eval::compare_digest`]). The cycle's
+    /// interrupt phase still comes from the attached timeline.
     pub fn observe_digest_timed(
         &mut self,
         cycle: u64,
@@ -261,73 +239,13 @@ impl<'a> PolicyObserver<'a> {
         self.activity.observe_digest(digest_cycle);
     }
 
-    /// [`PolicyObserver::observe_digest_timed`] with the policy's requested
-    /// period also precomputed. The banked sweep walks digests one RLE
-    /// run-block at a time; within a block the stage classes are constant,
-    /// so the table-driven policies' decisions are too — the caller
-    /// evaluates [`ClockPolicy::digest_period_ps`] once per block and feeds
-    /// the identical value to every cycle (and, for corner-invariant
-    /// policies, every corner) instead of re-deriving it per lane.
-    pub fn observe_digest_prepared(
-        &mut self,
-        requested: Ps,
-        digest_cycle: &DigestCycle,
-        timing: &CycleTiming,
-    ) {
-        self.step(requested, timing.max_delay_ps, false);
-        self.activity.observe_digest(digest_cycle);
-    }
-
-    /// [`PolicyObserver::observe_digest_prepared`] without the
-    /// switching-activity fold, for callers that discard
-    /// [`RunOutcome::activity`] (the PVT sweep keeps only violations and
-    /// frequencies, so folding the same digest's activity once per policy
-    /// per corner was pure overhead on the banked path). Every other
-    /// outcome field is accumulated identically; the outcome's activity
-    /// summary stays at its empty default.
-    pub fn observe_timing_prepared(&mut self, requested: Ps, timing: &CycleTiming) {
-        self.step(requested, timing.max_delay_ps, false);
-    }
-
-    /// [`PolicyObserver::observe_timing_prepared`] with the cycle's
-    /// interrupt-entry classification supplied by the caller (the banked
-    /// sweep derives it once per cycle from a shared [`IrqCursor`] instead
-    /// of attaching one cursor per observer). The caller must also have
-    /// applied the entry surge to `timing` on entry cycles.
-    pub fn observe_timing_prepared_phased(
-        &mut self,
-        requested: Ps,
-        timing: &CycleTiming,
-        entry: bool,
-    ) {
-        self.step(requested, timing.max_delay_ps, entry);
-    }
-
     /// The per-cycle accumulation shared by the live and the replay paths:
-    /// realize the requested period, check the violation invariant against
-    /// the actual dynamic delay, accumulate the realized time — and, when a
-    /// fault plan is attached, classify each violation as recovered (the
-    /// overshoot fits the detection window; a replay penalty is charged) or
-    /// as silent corruption risk. `entry` marks exception-entry cycles,
-    /// whose violations are additionally tallied as
-    /// [`RunOutcome::entry_violations`].
+    /// realize the requested period, account it against the actual dynamic
+    /// delay ([`ViolationTally::record`]) and fold the min/max period.
     fn step(&mut self, requested: Ps, actual: Ps, entry: bool) {
         let realized = self.generator.realize(requested);
-        if realized + 1e-9 < actual {
-            self.violations += 1;
-            self.entry_violations += u64::from(entry);
-            if let Some(plan) = self.faults {
-                let spec = plan.spec();
-                if actual <= realized * (1.0 + spec.detect_window) {
-                    self.recovered_cycles += 1;
-                    self.replay_penalty_cycles += u64::from(spec.replay_penalty);
-                    self.penalty_time_ps += realized * f64::from(spec.replay_penalty);
-                } else {
-                    self.silent_risk_cycles += 1;
-                }
-            }
-        }
-        self.total_time_ps += realized;
+        self.tally
+            .record(realized, actual, entry, self.perturbation.faults);
         self.min_period_ps = self.min_period_ps.min(realized);
         self.max_period_ps = self.max_period_ps.max(realized);
     }
@@ -338,44 +256,19 @@ impl CycleObserver for PolicyObserver<'_> {
         let entry = record.irq_phase == IrqPhase::Entry;
         let requested = self.policy.period_ps(record);
         let timing = self.model.cycle_timing(record);
-        let timing = match self.faults {
-            Some(plan) => plan.faulted(record.cycle, &timing),
-            None => timing,
-        };
-        let actual = if entry {
-            surged(&timing, self.surge_factor).max_delay_ps
-        } else {
-            timing.max_delay_ps
-        };
-        self.step(requested, actual, entry);
+        let timing = self.perturbation.timing(record.cycle, timing, entry);
+        self.step(requested, timing.max_delay_ps, entry);
         self.activity.observe_cycle(record);
     }
 
     fn finish(&mut self, summary: &RunSummary) {
         self.activity.finish(summary);
         let cycles = summary.cycles;
-        let avg_period_ps = if cycles == 0 {
-            0.0
-        } else {
-            self.total_time_ps / cycles as f64
-        };
-        let effective_frequency_mhz = if avg_period_ps > 0.0 {
-            1.0e6 / avg_period_ps
-        } else {
-            0.0
-        };
-        let mips = if self.total_time_ps > 0.0 {
-            summary.retired as f64 / (self.total_time_ps * 1e-6)
-        } else {
-            0.0
-        };
-        let recovery_period_ps = if cycles == 0 {
-            0.0
-        } else {
-            (self.total_time_ps + self.penalty_time_ps) / cycles as f64
-        };
-        let recovery_frequency_mhz = if recovery_period_ps > 0.0 {
-            1.0e6 / recovery_period_ps
+        let tally = self.tally;
+        let (avg_period_ps, effective_frequency_mhz, recovery_frequency_mhz) =
+            frequencies(tally.total_time_ps, tally.penalty_time_ps, cycles);
+        let mips = if tally.total_time_ps > 0.0 {
+            summary.retired as f64 / (tally.total_time_ps * 1e-6)
         } else {
             0.0
         };
@@ -383,17 +276,17 @@ impl CycleObserver for PolicyObserver<'_> {
             policy: self.policy.name().to_string(),
             cycles,
             retired: summary.retired,
-            total_time_ps: self.total_time_ps,
+            total_time_ps: tally.total_time_ps,
             avg_period_ps,
             min_period_ps: if cycles == 0 { 0.0 } else { self.min_period_ps },
             max_period_ps: self.max_period_ps,
             effective_frequency_mhz,
             mips,
-            violations: self.violations,
-            entry_violations: self.entry_violations,
-            recovered_cycles: self.recovered_cycles,
-            replay_penalty_cycles: self.replay_penalty_cycles,
-            silent_risk_cycles: self.silent_risk_cycles,
+            violations: tally.violations,
+            entry_violations: tally.entry_violations,
+            recovered_cycles: tally.recovered_cycles,
+            replay_penalty_cycles: tally.replay_penalty_cycles,
+            silent_risk_cycles: tally.silent_risk_cycles,
             recovery_frequency_mhz,
             activity: self.activity.summary(),
         });

@@ -7,7 +7,7 @@
 //! terminating** ORBIS32 programs with a configurable instruction-class mix,
 //! bounded loop nesting and a bounded memory footprint — the raw material for
 //! differential fuzzing (`tests/differential.rs`) and the Monte Carlo PVT
-//! sweep engine (`idca_bench::Experiments::pvt_sweep`).
+//! sweep engine (`idca_bench::sweep::pvt_sweep`).
 //!
 //! Design constraints:
 //!

@@ -101,10 +101,10 @@ pub struct InterruptSpec {
     /// the same workloads can be re-swept under a different storm draw.
     pub seed: u64,
     /// Per-cycle probability that the storm line raises (`0.0` disables
-    /// the storm).
+    /// the storm). Below `1.0`: see [`InterruptSpec::validate`].
     pub rate: f64,
     /// Timer period in cycles; the timer line raises every `timer` cycles
-    /// (`0` disables the timer).
+    /// (`0` disables the timer). Never `1`: see [`InterruptSpec::validate`].
     pub timer: u32,
     /// Handler vector byte address; `0` (the default) resolves to the
     /// acknowledge-and-return handler [`InterruptPlan::attach`] appends at
@@ -139,8 +139,9 @@ impl InterruptSpec {
     ///
     /// Accepted keys: `seed`, `rate`, `timer`, `vector`, `penalty`,
     /// `surge`; unspecified keys keep the [`InterruptSpec::default`]
-    /// values. `rate` must lie in `[0, 1]`, `surge` in `[0, 4]`, `penalty`
-    /// in `[1, 1024]`, and `vector` must be word-aligned.
+    /// values. `rate` must lie in `[0, 1)`, `timer` must be `0` or at least
+    /// `2`, `surge` must lie in `[0, 4]`, `penalty` in `[1, 1024]`, and
+    /// `vector` must be word-aligned.
     ///
     /// # Errors
     ///
@@ -177,9 +178,16 @@ impl InterruptSpec {
     }
 
     /// Checks every field against the ranges [`InterruptSpec::parse`]
-    /// accepts: `rate` in `[0, 1]`, `surge` in `[0, 4]`, `penalty` in
-    /// `[1, 1024]` and a word-aligned `vector`. Specs decoded from a
-    /// sweep-report file go through the same check.
+    /// accepts: `rate` in `[0, 1)`, `timer` either `0` or at least `2`,
+    /// `surge` in `[0, 4]`, `penalty` in `[1, 1024]` and a word-aligned
+    /// `vector`. Specs decoded from a sweep-report file go through the same
+    /// check.
+    ///
+    /// A line that raises on every cycle (`rate = 1` or `timer = 1`) is
+    /// rejected because it livelocks every program: the line is pending
+    /// again on the cycle `l.rfe` returns, while fetch and decode hold only
+    /// flush bubbles, so the controller re-enters before any user
+    /// instruction is fetched and the run burns its whole cycle budget.
     ///
     /// # Errors
     ///
@@ -187,8 +195,11 @@ impl InterruptSpec {
     /// of range (NaN included).
     pub fn validate(&self) -> Result<(), InterruptSpecError> {
         let bad = |key, value: String| InterruptSpecError::BadValue { key, value };
-        if !(0.0..=1.0).contains(&self.rate) {
+        if !(0.0..1.0).contains(&self.rate) {
             return Err(bad("rate", self.rate.to_string()));
+        }
+        if self.timer == 1 {
+            return Err(bad("timer", self.timer.to_string()));
         }
         if !self.vector.is_multiple_of(4) {
             return Err(bad("vector", self.vector.to_string()));
@@ -637,6 +648,15 @@ mod tests {
             InterruptSpec::parse("rate=1.5"),
             Err(InterruptSpecError::BadValue { key: "rate", .. })
         ));
+        // A line raised on every cycle livelocks every program.
+        assert!(matches!(
+            InterruptSpec::parse("rate=1"),
+            Err(InterruptSpecError::BadValue { key: "rate", .. })
+        ));
+        assert!(matches!(
+            InterruptSpec::parse("timer=1"),
+            Err(InterruptSpecError::BadValue { key: "timer", .. })
+        ));
         assert!(matches!(
             InterruptSpec::parse("penalty=0"),
             Err(InterruptSpecError::BadValue { key: "penalty", .. })
@@ -690,7 +710,14 @@ mod tests {
 
     #[test]
     fn accept_ack_and_return_cycle() {
-        let spec = InterruptSpec::parse("timer=1,penalty=2").unwrap();
+        // A timer that fires on every cycle: `validate` rejects it for whole
+        // runs (it livelocks them), so build the spec directly to drive the
+        // controller one cycle at a time.
+        let spec = InterruptSpec {
+            timer: 1,
+            penalty: 2,
+            ..InterruptSpec::default()
+        };
         let (_, plan) = InterruptPlan::attach(&ProgramBuilder::named("t").build(), &spec);
         let mut ctl = InterruptController::new(&plan);
         ctl.begin_cycle(0);

@@ -1,6 +1,7 @@
 //! The corner-batched timing-evaluation kernel.
 //!
-//! A Monte Carlo PVT sweep replays the same [`TimingDigest`] against many
+//! A Monte Carlo PVT sweep replays the same
+//! [`TimingDigest`](idca_pipeline::TimingDigest) against many
 //! corner-varied [`TimingModel`]s. Evaluated corner by corner, each replay
 //! walks the digest separately and repeats the per-cycle work — decode the
 //! pooled cycle, hash the six stage dithers, blend the six excitations —
@@ -22,13 +23,13 @@
 //! arithmetic of [`TimingModel::digest_cycle_timing`] (the parameters are
 //! read from the already-varied models, the operations are in the same
 //! order, and Rust never contracts float expressions), so the batched kernel
-//! is bit-identical to the lane-by-lane path — pinned by the unit tests here
-//! and by the workspace-level banked-replay property tests.
+//! is bit-identical to the scalar path — pinned by the unit tests here and
+//! by the workspace-level banked-replay property tests.
 
 use crate::model::{blend_excitation, stage_dithers};
-use crate::{CycleTiming, FaultPlan, Ps, TimingModel};
+use crate::{FaultPlan, Ps, TimingModel};
 use idca_isa::TimingClass;
-use idca_pipeline::{DigestCycle, Stage, TimingDigest};
+use idca_pipeline::{DigestCycle, Stage};
 
 /// Width of one evaluation lane chunk. The fold loops are written in chunks
 /// of this many `f64`s so the auto-vectorizer maps them onto 256-bit vector
@@ -41,7 +42,7 @@ pub const LANE_WIDTH: usize = 4;
 ///
 /// Built from the already-varied models with [`CornerBank::from_models`];
 /// evaluated per digested cycle through a [`BankEvaluator`] (which owns the
-/// reusable scratch) or in one sweep with [`CornerBank::replay_digest`].
+/// reusable scratch).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CornerBank {
     corners: usize,
@@ -113,97 +114,29 @@ impl CornerBank {
     }
 
     /// Number of lanes including padding: [`CornerBank::corners`] rounded
-    /// up to the next [`LANE_WIDTH`] multiple. This is the buffer length
-    /// [`CornerBank::delays_from_excitation`] requires.
+    /// up to the next [`LANE_WIDTH`] multiple — the length of every
+    /// [`CycleLanes`] slice.
     #[must_use]
     pub fn padded_lanes(&self) -> usize {
         self.padded
     }
 
-    /// Evaluates the `(stage, class)` delay at a blended excitation for
-    /// every corner at once — the batched counterpart of the scalar
-    /// `delay_from_excitation` shared by the direct and replay paths.
-    /// `out` must hold at least [`CornerBank::padded_lanes`] entries; the
-    /// first [`CornerBank::corners`] are the per-corner delays, the rest is
-    /// scratch ([`CornerBank::evaluator`] sizes this for you).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than [`CornerBank::padded_lanes`].
-    #[inline]
-    pub fn delays_from_excitation(
-        &self,
-        stage: Stage,
-        class: TimingClass,
-        excitation: f64,
-        out: &mut [Ps],
-    ) {
-        let at = lane_offset(self.padded, stage, class);
-        let base = &self.base[at..at + self.padded];
-        let spread = &self.spread[at..at + self.padded];
-        let scale = &self.scale[..self.padded];
-        let out = &mut out[..self.padded];
-        let shortfall = 1.0 - excitation;
-        // Fixed-width chunks: the inner loop has no bounds checks and a
-        // compile-time trip count, which is what lets LLVM emit packed
-        // f64x4 subtract/multiply/max instructions for it.
-        let mut lanes = out
-            .chunks_exact_mut(LANE_WIDTH)
-            .zip(base.chunks_exact(LANE_WIDTH))
-            .zip(spread.chunks_exact(LANE_WIDTH))
-            .zip(scale.chunks_exact(LANE_WIDTH));
-        for (((out4, base4), spread4), scale4) in &mut lanes {
-            for l in 0..LANE_WIDTH {
-                let delay = base4[l] - spread4[l] * shortfall;
-                out4[l] = delay.max(base4[l] * 0.35) * scale4[l];
-            }
-        }
-    }
-
     /// Creates an evaluator bound to this bank, owning the reusable lane
-    /// scratch and [`CycleTiming`] output buffer.
+    /// scratch.
     #[must_use]
     pub fn evaluator(&self) -> BankEvaluator<'_> {
         BankEvaluator {
             bank: self,
             cycle: CycleLanes::new(self.padded),
-            timings: vec![
-                CycleTiming {
-                    stage_delay_ps: [0.0; Stage::COUNT],
-                    max_delay_ps: 0.0,
-                    limiting_stage: Stage::Execute,
-                };
-                self.corners
-            ],
         }
-    }
-
-    /// Replays a whole digest against the bank: one digest walk, with `f`
-    /// invoked once per simulated cycle carrying the per-corner
-    /// [`CycleTiming`]s (index = corner). Pool entries are decoded once per
-    /// RLE run-block; the per-cycle dithers are computed once and broadcast
-    /// across corners.
-    pub fn replay_digest<F: FnMut(u64, &DigestCycle, &[CycleTiming])>(
-        &self,
-        digest: &TimingDigest,
-        mut f: F,
-    ) {
-        let mut evaluator = self.evaluator();
-        digest.for_each_run(|start, len, dc| {
-            for cycle in start..start + u64::from(len) {
-                f(cycle, dc, evaluator.cycle_timings(cycle, dc));
-            }
-        });
     }
 }
 
 /// One evaluated cycle of a [`CornerBank`] kept in structure-of-arrays
 /// layout: per-stage delay lanes plus the folded per-corner maximum, all
-/// padded to [`CornerBank::padded_lanes`]. This is the raw form the
-/// evaluator computes in anyway — [`BankEvaluator::cycle_lanes`] hands it
-/// out without transposing into per-corner [`CycleTiming`] structs, so
-/// lane-oriented consumers (policy banks, the adaptive bank) fold
-/// contiguous slices instead of striding over an array of structs.
+/// padded to [`CornerBank::padded_lanes`]. No per-corner
+/// [`CycleTiming`](crate::CycleTiming) structs are built: lane-oriented
+/// consumers (policy banks, the adaptive bank) fold contiguous slices.
 ///
 /// Lane `i` of every slice is corner `i`; padding lanes evaluate inert
 /// zero parameters and hold `0.0`.
@@ -214,8 +147,9 @@ pub struct CycleLanes {
     /// corner `lane`'s delay through that stage this cycle.
     stage_delay_ps: Vec<Ps>,
     /// Per-corner maximum stage delay — the lane form of
-    /// [`CycleTiming::max_delay_ps`], folded in stage order with the same
-    /// strict-`>` reduction as the scalar path.
+    /// [`CycleTiming::max_delay_ps`](crate::CycleTiming::max_delay_ps),
+    /// folded in stage order with the same strict-`>` reduction as the
+    /// scalar path.
     max_delay_ps: Vec<Ps>,
 }
 
@@ -253,8 +187,10 @@ impl CycleLanes {
     /// [`FaultPlan::faulted`]: each stage lane is rescaled by that stage's
     /// factor and the per-corner maximum is re-folded in stage order with
     /// the same strict-`>` reduction, so every lane stays bit-identical to
-    /// perturbing its [`CycleTiming`] individually. A cycle with no active
-    /// event leaves the lanes untouched.
+    /// perturbing its [`CycleTiming`](crate::CycleTiming) individually. A
+    /// cycle with no active event leaves the lanes untouched. Engines call
+    /// it through [`Perturbation::lanes`](crate::Perturbation::lanes),
+    /// which fixes its order relative to the entry surge.
     #[inline]
     pub fn apply_fault(&mut self, plan: &FaultPlan, cycle: u64) {
         let factors = plan.stage_factors(cycle);
@@ -281,9 +217,11 @@ impl CycleLanes {
     /// [`surged`](crate::surged): every stage lane is rescaled by the same
     /// uniform `factor` and the per-corner maximum is re-folded in stage
     /// order with the same strict-`>` reduction, so every lane stays
-    /// bit-identical to surging its [`CycleTiming`] individually (and to the
-    /// live path, which scales the scalar timing the same way). A factor of
-    /// exactly `1.0` leaves the lanes untouched.
+    /// bit-identical to surging its [`CycleTiming`](crate::CycleTiming)
+    /// individually (and to the live path, which scales the scalar timing
+    /// the same way). A factor of exactly `1.0` leaves the lanes untouched.
+    /// Engines call it through
+    /// [`Perturbation::lanes`](crate::Perturbation::lanes).
     #[inline]
     pub fn apply_surge(&mut self, factor: f64) {
         if factor == 1.0 {
@@ -305,32 +243,26 @@ impl CycleLanes {
     }
 }
 
-/// Reusable per-walk state of one [`CornerBank`]: the padded lane scratch
-/// and the per-corner [`CycleTiming`] outputs. Create with
-/// [`CornerBank::evaluator`]; one evaluator serves any number of cycles.
+/// Reusable per-walk state of one [`CornerBank`]: the padded lane scratch.
+/// Create with [`CornerBank::evaluator`]; one evaluator serves any number
+/// of cycles.
 #[derive(Debug, Clone)]
 pub struct BankEvaluator<'b> {
     bank: &'b CornerBank,
     cycle: CycleLanes,
-    timings: Vec<CycleTiming>,
 }
 
 impl BankEvaluator<'_> {
-    /// The bank this evaluator reads from.
-    #[must_use]
-    pub fn bank(&self) -> &CornerBank {
-        self.bank
-    }
-
     /// Evaluates one digested cycle against every corner of the bank,
-    /// returning the delay lanes in structure-of-arrays form — the hot
-    /// entry point of the corner-batched replay. The lanes carry exactly
-    /// the values [`BankEvaluator::cycle_timings`] would spread over
-    /// [`CycleTiming`] structs (same dither, blend, delay and max-fold
-    /// arithmetic), minus the limiting-stage attribution no lane consumer
-    /// reads. The reference is mutable so a fault plan can perturb the
-    /// lanes in place ([`CycleLanes::apply_fault`]); the next call
-    /// recomputes every lane from scratch.
+    /// returning the delay lanes in structure-of-arrays form — the
+    /// corner-batched replay's only evaluation entry point. Lane `i`
+    /// carries exactly the stage delays and maximum of
+    /// `models[i].digest_cycle_timing(cycle, dc)` on the model the bank was
+    /// built from (same dither, blend, delay and max-fold arithmetic),
+    /// minus the limiting-stage attribution no lane consumer reads. The
+    /// reference is mutable so a
+    /// [`Perturbation`](crate::Perturbation) can perturb the lanes in
+    /// place; the next call recomputes every lane from scratch.
     pub fn cycle_lanes(&mut self, cycle: u64, dc: &DigestCycle) -> &mut CycleLanes {
         let bank = self.bank;
         let padded = bank.padded;
@@ -340,8 +272,8 @@ impl BankEvaluator<'_> {
         // by construction).
         let dithers = stage_dithers(cycle, dc.fetch_address);
         let scale = &bank.scale[..padded];
-        // One fused pass per stage: the delay expression is exactly
-        // `delays_from_excitation` and the select-form running max keeps
+        // One fused pass per stage: the delay expression is exactly the
+        // scalar `delay_from_excitation` and the select-form running max keeps
         // each lane's comparison sequence in stage order with the scalar
         // strict-`>` reduction, so both stay bit-identical to the
         // per-corner path while the loops vectorize branch-free. The first
@@ -384,35 +316,6 @@ impl BankEvaluator<'_> {
         }
         &mut self.cycle
     }
-
-    /// Evaluates one digested cycle against every corner of the bank,
-    /// returning one [`CycleTiming`] per corner (index = corner). Each
-    /// entry is bit-identical to
-    /// `models[corner].digest_cycle_timing(cycle, dc)` on the model the
-    /// bank was built from: the dither, blend and delay arithmetic is the
-    /// same, only batched — this is the [`BankEvaluator::cycle_lanes`]
-    /// result transposed into per-corner structs, with the limiting stage
-    /// re-attributed by the scalar fold (stage order, strict `>`, so ties
-    /// resolve identically).
-    pub fn cycle_timings(&mut self, cycle: u64, dc: &DigestCycle) -> &[CycleTiming] {
-        self.cycle_lanes(cycle, dc);
-        let padded = self.cycle.padded;
-        for (corner, timing) in self.timings.iter_mut().enumerate() {
-            let mut max_delay = 0.0;
-            let mut limiting = Stage::Execute;
-            for stage in Stage::ALL {
-                let delay = self.cycle.stage_delay_ps[stage.index() * padded + corner];
-                timing.stage_delay_ps[stage.index()] = delay;
-                if delay > max_delay {
-                    max_delay = delay;
-                    limiting = stage;
-                }
-            }
-            timing.max_delay_ps = max_delay;
-            timing.limiting_stage = limiting;
-        }
-        &self.timings
-    }
 }
 
 /// Start of the lane vector of one `(stage, class)` pair.
@@ -423,9 +326,9 @@ fn lane_offset(padded: usize, stage: Stage, class: TimingClass) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProfileKind, VariationModel};
+    use crate::{CycleTiming, ProfileKind, VariationModel};
     use idca_isa::asm::Assembler;
-    use idca_pipeline::{SimConfig, Simulator};
+    use idca_pipeline::{SimConfig, Simulator, TimingDigest};
 
     fn digest(src: &str) -> TimingDigest {
         let program = Assembler::new().assemble(src).expect("assembles");
@@ -461,6 +364,29 @@ mod tests {
             .collect()
     }
 
+    /// Asserts that lane `corner` carries `expected`'s stage delays and
+    /// maximum, bit for bit.
+    fn assert_lane_matches(
+        lanes: &CycleLanes,
+        corner: usize,
+        expected: &CycleTiming,
+        cycle: u64,
+        what: &str,
+    ) {
+        assert_eq!(
+            lanes.max_lanes()[corner].to_bits(),
+            expected.max_delay_ps.to_bits(),
+            "{what}: cycle {cycle} corner {corner}"
+        );
+        for stage in Stage::ALL {
+            assert_eq!(
+                lanes.stage_lanes(stage)[corner].to_bits(),
+                expected.stage_delay_ps[stage.index()].to_bits(),
+                "{what}: cycle {cycle} corner {corner} stage {stage:?}"
+            );
+        }
+    }
+
     #[test]
     fn banked_timings_are_bit_identical_to_scalar_replay() {
         let d = mixed_digest();
@@ -469,11 +395,15 @@ mod tests {
             let models = varied_models(corners, 0xBA2C);
             let bank = CornerBank::from_models(&models);
             assert_eq!(bank.corners(), corners as usize);
-            bank.replay_digest(&d, |cycle, dc, timings| {
-                for (model, banked) in models.iter().zip(timings) {
+            let mut evaluator = bank.evaluator();
+            d.for_each_cycle(|cycle, dc| {
+                let lanes = evaluator.cycle_lanes(cycle, dc);
+                for (corner, model) in models.iter().enumerate() {
                     let scalar = model.digest_cycle_timing(cycle, dc);
-                    assert_eq!(scalar, *banked, "corners {corners} cycle {cycle}");
+                    assert_lane_matches(lanes, corner, &scalar, cycle, "lanes");
                 }
+                // Padding lanes evaluate zero parameters and stay inert.
+                assert!(lanes.max_lanes()[models.len()..].iter().all(|&d| d == 0.0));
             });
         }
     }
@@ -485,31 +415,64 @@ mod tests {
         let bank = CornerBank::from_models(&models);
         let spec = crate::FaultSpec::parse("seed=9,droop-rate=0.4,droop-mag=0.3").unwrap();
         let plan = crate::FaultPlan::new(&spec);
+        let bits = |t: &CycleTiming| {
+            (
+                t.stage_delay_ps.map(f64::to_bits),
+                t.max_delay_ps.to_bits(),
+                t.limiting_stage,
+            )
+        };
         let mut evaluator = bank.evaluator();
-        d.for_each_cycle(|cycle, dc| {
-            // Canonical composition: faults first, then the entry surge.
-            let lanes = evaluator.cycle_lanes(cycle, dc);
-            lanes.apply_fault(&plan, cycle);
-            lanes.apply_surge(1.25);
-            for (corner, model) in models.iter().enumerate() {
-                let scalar = crate::surged(
-                    &plan.faulted(cycle, &model.digest_cycle_timing(cycle, dc)),
-                    1.25,
-                );
-                assert_eq!(
-                    lanes.max_lanes()[corner].to_bits(),
-                    scalar.max_delay_ps.to_bits(),
-                    "cycle {cycle} corner {corner}"
-                );
-                for stage in Stage::ALL {
-                    assert_eq!(
-                        lanes.stage_lanes(stage)[corner].to_bits(),
-                        scalar.stage_delay_ps[stage.index()].to_bits(),
-                        "cycle {cycle} corner {corner} stage {stage:?}"
-                    );
-                }
+        for faults in [None, Some(&plan)] {
+            let perturbation = crate::Perturbation {
+                faults,
+                surge_factor: 1.25,
+            };
+            for entry in [false, true] {
+                d.for_each_cycle(|cycle, dc| {
+                    // The canonical composition, written out by hand: faults
+                    // first, then the entry surge.
+                    let expected: Vec<CycleTiming> = models
+                        .iter()
+                        .map(|model| {
+                            let timing = model.digest_cycle_timing(cycle, dc);
+                            let timing = match faults {
+                                Some(plan) => plan.faulted(cycle, &timing),
+                                None => timing,
+                            };
+                            if entry {
+                                crate::surged(&timing, 1.25)
+                            } else {
+                                timing
+                            }
+                        })
+                        .collect();
+                    let lanes = evaluator.cycle_lanes(cycle, dc);
+                    if let Some(plan) = faults {
+                        lanes.apply_fault(plan, cycle);
+                    }
+                    if entry {
+                        lanes.apply_surge(1.25);
+                    }
+                    for (corner, timing) in expected.iter().enumerate() {
+                        assert_lane_matches(lanes, corner, timing, cycle, "hand-written lanes");
+                    }
+                    // `Perturbation` must reproduce the hand-written order
+                    // on both the lanes and the scalar timing.
+                    let lanes = evaluator.cycle_lanes(cycle, dc);
+                    perturbation.lanes(cycle, lanes, entry);
+                    for (corner, (model, timing)) in models.iter().zip(&expected).enumerate() {
+                        assert_lane_matches(lanes, corner, timing, cycle, "Perturbation::lanes");
+                        let scalar = model.digest_cycle_timing(cycle, dc);
+                        assert_eq!(
+                            bits(&perturbation.timing(cycle, scalar, entry)),
+                            bits(timing),
+                            "Perturbation::timing: cycle {cycle} corner {corner}"
+                        );
+                    }
+                });
             }
-        });
+        }
     }
 
     #[test]
@@ -519,25 +482,19 @@ mod tests {
         for (corner, model) in models.iter().enumerate() {
             assert_eq!(bank.static_period_ps(corner), model.static_period_ps());
         }
-        // Full excitation leaves only base × scale; the batched fold must
-        // agree with the scalar worst case.
-        let mut lanes = vec![0.0; bank.padded_lanes()];
-        bank.delays_from_excitation(Stage::Execute, TimingClass::Mul, 1.0, &mut lanes);
-        for (corner, model) in models.iter().enumerate() {
-            assert_eq!(
-                lanes[corner],
-                model.worst_case_ps(Stage::Execute, TimingClass::Mul)
-            );
-        }
     }
 
     #[test]
     fn empty_bank_is_inert() {
         let bank = CornerBank::from_models(&[]);
         assert!(bank.is_empty());
+        assert_eq!(bank.padded_lanes(), 0);
+        let mut evaluator = bank.evaluator();
         let mut visited = 0u64;
-        bank.replay_digest(&mixed_digest(), |_, _, timings| {
-            assert!(timings.is_empty());
+        mixed_digest().for_each_cycle(|cycle, dc| {
+            let lanes = evaluator.cycle_lanes(cycle, dc);
+            assert!(lanes.max_lanes().is_empty());
+            assert!(Stage::ALL.iter().all(|&s| lanes.stage_lanes(s).is_empty()));
             visited += 1;
         });
         assert!(visited > 0);

@@ -25,9 +25,10 @@
 //!
 //! The intended call pattern: parse a [`FaultSpec`] once (`repro sweep
 //! --faults SPEC`), build one [`FaultPlan`] per run, and perturb each
-//! cycle's [`CycleTiming`] with [`FaultPlan::faulted`] before the policy
-//! observers fold it. Observers that are handed pre-perturbed timings use
-//! the plan only for its recovery parameters.
+//! cycle's [`CycleTiming`] through a [`Perturbation`](crate::Perturbation)
+//! (which applies [`FaultPlan::faulted`], then any interrupt entry surge)
+//! before the policy observers fold it. Observers that are handed
+//! pre-perturbed timings use the plan only for its recovery parameters.
 
 use crate::model::hash01;
 use crate::{CycleTiming, Ps};

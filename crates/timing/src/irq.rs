@@ -21,14 +21,15 @@
 //! and the instruction-based delay predictor has had no chance to see the
 //! handler's first cycles. We model this as a multiplicative delay surge of
 //! factor `1 + surge` applied uniformly to every stage during entry cycles
-//! ([`surged`], [`CycleLanes::apply_surge`](crate::CycleLanes::apply_surge)),
-//! composing multiplicatively with any active fault factors — exactly like a
-//! short, perfectly-correlated voltage droop pinned to the entry window.
+//! ([`surged`], [`CycleLanes::apply_surge`]), composing multiplicatively
+//! with any active fault factors — exactly like a short,
+//! perfectly-correlated voltage droop pinned to the entry window. Every
+//! engine composes the two through one [`Perturbation`].
 
 use idca_pipeline::{DigestEvent, DigestEventKind, IrqPhase, Stage};
 
 use crate::model::CycleTiming;
-use crate::Ps;
+use crate::{CycleLanes, FaultPlan, Ps};
 
 /// One interrupt episode reconstructed from the digest event stream: the
 /// entry window `[entry, entry + penalty)` during which the pipeline drains
@@ -164,14 +165,73 @@ impl IrqCursor<'_> {
     }
 }
 
+/// The per-cycle timing perturbation of one scenario: the fault plan's
+/// stage factors on every cycle, then the entry surge on exception-entry
+/// cycles.
+///
+/// This is the one place that order is written down. Float multiplication
+/// is not associative, so surging before faulting would change the last
+/// bits of a delay. The scalar observers (live and replay) perturb through
+/// [`Perturbation::timing`] and the corner-batched sweep through
+/// [`Perturbation::lanes`], so every engine composes the two identically.
+/// The default — no plan, surge factor `1.0` — leaves every timing
+/// untouched.
+#[derive(Debug, Clone, Copy)]
+pub struct Perturbation<'a> {
+    /// The fault plan whose stage factors apply on every cycle (`None`: no
+    /// faults).
+    pub faults: Option<&'a FaultPlan>,
+    /// The uniform delay factor of exception-entry cycles (`1 + surge`;
+    /// `1.0`: no surge).
+    pub surge_factor: f64,
+}
+
+impl Default for Perturbation<'_> {
+    fn default() -> Self {
+        Perturbation {
+            faults: None,
+            surge_factor: 1.0,
+        }
+    }
+}
+
+impl Perturbation<'_> {
+    /// Perturbs one cycle's scalar timing: the fault factors, then — when
+    /// `entry` — the entry surge.
+    #[inline]
+    #[must_use]
+    pub fn timing(&self, cycle: u64, timing: CycleTiming, entry: bool) -> CycleTiming {
+        let timing = match self.faults {
+            Some(plan) => plan.faulted(cycle, &timing),
+            None => timing,
+        };
+        if entry {
+            surged(&timing, self.surge_factor)
+        } else {
+            timing
+        }
+    }
+
+    /// The lane form of [`Perturbation::timing`]: perturbs every corner of
+    /// one evaluated cycle in place, in the same order, so lane `i` stays
+    /// bit-identical to perturbing corner `i`'s [`CycleTiming`].
+    #[inline]
+    pub fn lanes(&self, cycle: u64, lanes: &mut CycleLanes, entry: bool) {
+        if let Some(plan) = self.faults {
+            lanes.apply_fault(plan, cycle);
+        }
+        if entry {
+            lanes.apply_surge(self.surge_factor);
+        }
+    }
+}
+
 /// Apply the exception-entry delay surge to one cycle's timing: every stage
 /// delay scales by `factor` and the maximum/limiting stage are refolded.
 ///
-/// Mirrors [`FaultPlan::faulted`](crate::FaultPlan::faulted) exactly — the
-/// refold is the same strict-greater scan — so the surge composes
-/// multiplicatively with fault factors. Composition order matters for
-/// bit-identity (float multiplication is not associative): every engine
-/// applies faults first, then the surge.
+/// Mirrors [`FaultPlan::faulted`] exactly — the refold is the same
+/// strict-greater scan — so the surge composes multiplicatively with fault
+/// factors, in the order [`Perturbation`] fixes.
 #[must_use]
 pub fn surged(timing: &CycleTiming, factor: f64) -> CycleTiming {
     if factor == 1.0 {

@@ -48,6 +48,9 @@
 //!   `(fault seed, cycle)` so live simulation and both digest-replay
 //!   engines recompute identical perturbations, plus the Razor-style
 //!   violation-recovery parameters (replay penalty, detection window).
+//!   [`Perturbation`] composes the fault factors with the interrupt entry
+//!   surge in the one canonical order, on a [`CycleTiming`] or on
+//!   [`CycleLanes`].
 //!
 //! # Example
 //!
@@ -88,7 +91,7 @@ pub use dta::{DtaObserver, DynamicTimingAnalysis};
 pub use eventlog::{Endpoint, EndpointEvent, EndpointId, EventLog};
 pub use fault::{FaultPlan, FaultSpec, FaultSpecError, DROOP_WINDOW_CYCLES, SHIFT_ONSET_HORIZON};
 pub use histogram::{Histogram, HistogramMergeError};
-pub use irq::{surged, IrqCursor, IrqTimeline};
+pub use irq::{surged, IrqCursor, IrqTimeline, Perturbation};
 pub use library::{CellLibrary, LibraryError, OperatingPoint};
 pub use model::{CycleTiming, EventLogObserver, TimingModel};
 pub use power::{ActivityObserver, ActivitySummary, PowerModel, PowerReport};

@@ -2,9 +2,9 @@
 //! binary codec, over *random* inputs:
 //!
 //! * replaying a digest against `M` corner-varied models through the SIMD
-//!   [`CornerBank`] lanes must be **bit-identical** to the retained
-//!   lane-by-lane scalar replay, for every policy, for corner counts on
-//!   both sides of (and straddling) the lane width — padding lanes must be
+//!   [`CornerBank`] lanes must be **bit-identical** to the scalar replay of
+//!   each corner on its own, for every policy, for corner counts on both
+//!   sides of (and straddling) the lane width — padding lanes must be
 //!   inert;
 //! * serializing a digest and loading it back must reproduce the identical
 //!   digest, the identical bytes, and the identical replay outcomes;
@@ -129,11 +129,11 @@ proptest! {
         seeded in any::<bool>(),
         drifting in any::<bool>(),
     ) {
-        // Pins the sweep's actual phase-2 kernel: the [`CycleLanes`]
+        // Pins the sweep's actual phase-2 loop: the [`CycleLanes`]
         // structure-of-arrays evaluation feeding the three [`PolicyBank`]s
         // (one block decision, one contiguous compare per cycle) and the
-        // [`AdaptiveBank`]'s lanes path — not the AoS
-        // `observe_digest_timed` fallback the other properties cover.
+        // [`AdaptiveBank`]'s lanes kernel, wired exactly as the sweep
+        // wires them.
         let digest = digest_of(master_seed);
         let models = varied_models(corners, master_seed);
         let base = nominal();
@@ -175,7 +175,7 @@ proptest! {
                 bank_static.observe_actuals(lanes.max_lanes());
                 bank_lut.observe_actuals(lanes.max_lanes());
                 bank_exec.observe_actuals(lanes.max_lanes());
-                adaptive.observe_cycle_lanes(cycle, dc, lanes);
+                adaptive.observe_cycle_lanes_phased(cycle, dc, lanes, false);
             }
         });
         let summary = digest.summary();
@@ -188,8 +188,8 @@ proptest! {
         let out_exec = bank_exec.into_outcomes();
         let out_adaptive = adaptive.into_outcomes();
 
-        // Scalar reference: per corner, the prepared-timing observers the
-        // lane-by-lane engine runs.
+        // Scalar reference: per corner, the scalar observers fed one shared
+        // timing evaluation per cycle.
         for (corner, model) in models.iter().enumerate() {
             let static_policy = StaticClock::new(static_requests[corner]);
             let mut ob_static = PolicyObserver::new(model, &static_policy, &generator);
@@ -235,12 +235,20 @@ proptest! {
         let digest = digest_of(master_seed);
         let models = varied_models(corners, master_seed);
         let bank = CornerBank::from_models(&models);
+        let mut evaluator = bank.evaluator();
         let mut mismatches = 0u64;
-        bank.replay_digest(&digest, |cycle, dc, timings| {
-            for (model, banked) in models.iter().zip(timings) {
-                if model.digest_cycle_timing(cycle, dc) != *banked {
-                    mismatches += 1;
-                }
+        digest.for_each_cycle(|cycle, dc| {
+            let lanes = evaluator.cycle_lanes(cycle, dc);
+            for (corner, model) in models.iter().enumerate() {
+                // Bit-for-bit: every stage lane and the folded maximum.
+                let scalar = model.digest_cycle_timing(cycle, dc);
+                let stages_match = Stage::ALL.iter().all(|&stage| {
+                    lanes.stage_lanes(stage)[corner].to_bits()
+                        == scalar.stage_delay_ps[stage.index()].to_bits()
+                });
+                let max_matches =
+                    lanes.max_lanes()[corner].to_bits() == scalar.max_delay_ps.to_bits();
+                mismatches += u64::from(!(stages_match && max_matches));
             }
         });
         prop_assert_eq!(mismatches, 0);

@@ -242,7 +242,7 @@ proptest! {
                 bank_static.observe_actuals(lanes.max_lanes());
                 bank_lut.observe_actuals(lanes.max_lanes());
                 bank_exec.observe_actuals(lanes.max_lanes());
-                adaptive.observe_cycle_lanes(cycle, dc, lanes);
+                adaptive.observe_cycle_lanes_phased(cycle, dc, lanes, false);
             }
         });
         let summary = digest.summary();
