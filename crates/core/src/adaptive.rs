@@ -379,16 +379,16 @@ impl CycleObserver for AdaptiveObserver<'_> {
     }
 }
 
-/// Start of the lane vector of one `(stage, class)` learned-table entry in
-/// the [`AdaptiveBank`]'s structure-of-arrays tables.
-fn table_offset(padded: usize, stage: Stage, class: TimingClass) -> usize {
-    (stage.index() * TimingClass::COUNT + class.index()) * padded
+/// Index of a `(stage, class)` entry in the [`AdaptiveBank`]'s per-entry
+/// tables: its observation count, and the start (times the padded width) of
+/// its learned lanes.
+fn table_index(stage: Stage, class: TimingClass) -> usize {
+    stage.index() * TimingClass::COUNT + class.index()
 }
 
-/// The corner-batched online-adaptive controller: the learned delay tables,
-/// observation counters and run accumulators of `M` independent
-/// [`AdaptiveObserver`]s packed in structure-of-arrays layout, mirroring
-/// [`CornerBank`] on the timing side.
+/// The corner-batched online-adaptive controller: the learned delay tables
+/// and run accumulators of `M` independent [`AdaptiveObserver`]s packed in
+/// structure-of-arrays layout, mirroring [`CornerBank`] on the timing side.
 ///
 /// In a corner-batched digest replay the adaptive controller used to be the
 /// only remaining per-corner scalar state: every corner's observer re-walked
@@ -397,6 +397,13 @@ fn table_offset(padded: usize, stage: Stage, class: TimingClass) -> usize {
 /// corner-invariant digest) and folds all `M` lanes of that entry
 /// contiguously — predict, realize, observe, adapt — in lane-friendly loops
 /// padded to [`LANE_WIDTH`].
+///
+/// State that cannot differ between corners is held once. Every corner
+/// sees the same classes, so an entry's observation count is the same in
+/// every lane — construction, [`AdaptiveBank::reset`], seed-LUT seeding and
+/// the per-cycle bump all touch the lanes of an entry together — and so is
+/// the number of cycles spent warming up. Each is one scalar, not a lane
+/// vector.
 ///
 /// Every lane performs **exactly** the scalar arithmetic of
 /// [`AdaptiveObserver`] in the same order, so outcome `i` is bit-identical
@@ -408,13 +415,15 @@ pub struct AdaptiveBank<'a> {
     drift: Drift,
     corners: usize,
     padded: usize,
-    /// Per-corner static periods (the always-safe fallback request).
+    /// Per-corner static periods (the always-safe fallback request),
+    /// `padded` long; padding lanes hold 0.
     static_period: Vec<Ps>,
     /// Learned-table lanes, `(stage, class)`-major: entry
-    /// `(stage.index() * TimingClass::COUNT + class.index()) * padded + lane`
-    /// is corner `lane`'s running maximum of `observed × (1 + margin)`.
+    /// `table_index(stage, class) * padded + lane` is corner `lane`'s
+    /// running maximum of `observed × (1 + margin)`.
     learned: Vec<Ps>,
-    /// Observation counters, same layout as `learned`.
+    /// Observation count of each `(stage, class)` entry, shared by all
+    /// lanes (indexed by `table_index`).
     observations: Vec<u64>,
     faults: Option<FaultPlan>,
     total_time: Vec<f64>,
@@ -424,17 +433,16 @@ pub struct AdaptiveBank<'a> {
     recovered_cycles: Vec<u64>,
     replay_penalty_cycles: Vec<u64>,
     silent_risk_cycles: Vec<u64>,
-    warmup_cycles: Vec<u64>,
+    /// Cycles run at the static period while an in-flight entry warmed up,
+    /// shared by all lanes like the observation counts.
+    warmup_cycles: u64,
     // Per-cycle scratch (`padded` long), reused across the whole walk: the
-    // predicted request of every lane.
+    // predicted request of every lane, realized in place.
     requested: Vec<Ps>,
     // Per-cycle scratch (`padded` long): the realized period of violated
-    // lanes, `+inf` otherwise, so the adapt pass's backoff test is one
-    // `f64` compare. Padding lanes stay `+inf` forever.
+    // lanes, `+inf` otherwise, so the backoff test is one `f64` compare.
+    // Padding lanes stay `+inf` forever.
     violation_limit: Vec<Ps>,
-    // Constant (`padded` long): `2 x static_period` per corner, the adapt
-    // pass's backoff cap (padding lanes 0).
-    backoff_cap: Vec<Ps>,
     outcomes: Option<Vec<AdaptiveOutcome>>,
 }
 
@@ -468,7 +476,7 @@ impl<'a> AdaptiveBank<'a> {
     /// need not materialize a model slice.
     #[must_use]
     pub fn from_static_periods(
-        static_periods: Vec<Ps>,
+        mut static_periods: Vec<Ps>,
         config: &AdaptiveConfig,
         generator: &'a ClockGenerator,
         seed_lut: Option<&DelayLut>,
@@ -476,37 +484,20 @@ impl<'a> AdaptiveBank<'a> {
     ) -> Self {
         let corners = static_periods.len();
         let padded = corners.next_multiple_of(LANE_WIDTH);
+        // Padding lanes get a 0 static period: the cold-cycle padding keeps
+        // their request at 0 and their backoff cap at 0. They are never
+        // read back.
+        static_periods.resize(padded, 0.0);
         let table_len = Stage::COUNT * TimingClass::COUNT;
-        let mut learned = vec![0.0; table_len * padded];
-        let mut observations = vec![0u64; table_len * padded];
-        if let Some(lut) = seed_lut {
-            for stage in Stage::ALL {
-                for class in TimingClass::ALL {
-                    let at = table_offset(padded, stage, class);
-                    let seeded = lut.delay_ps(stage, class);
-                    for lane in 0..corners {
-                        learned[at + lane] = seeded;
-                        observations[at + lane] = config.warmup_observations;
-                    }
-                }
-            }
-        }
-        // Padded copy of the backoff cap (`2 x` each corner's static
-        // period, exactly the scalar expression hoisted out of the adapt
-        // loop); padding lanes cap at 0 and are never read back.
-        let mut backoff_cap = vec![0.0; padded];
-        for (cap, period) in backoff_cap.iter_mut().zip(&static_periods) {
-            *cap = *period * 2.0;
-        }
-        AdaptiveBank {
+        let mut bank = AdaptiveBank {
             config: *config,
             generator,
             drift,
             corners,
             padded,
             static_period: static_periods,
-            learned,
-            observations,
+            learned: vec![0.0; table_len * padded],
+            observations: vec![0; table_len],
             faults: None,
             total_time: vec![0.0; corners],
             penalty_time: vec![0.0; corners],
@@ -515,12 +506,13 @@ impl<'a> AdaptiveBank<'a> {
             recovered_cycles: vec![0; corners],
             replay_penalty_cycles: vec![0; corners],
             silent_risk_cycles: vec![0; corners],
-            warmup_cycles: vec![0; corners],
+            warmup_cycles: 0,
             requested: vec![0.0; padded],
             violation_limit: vec![Ps::INFINITY; padded],
-            backoff_cap,
             outcomes: None,
-        }
+        };
+        bank.reset(seed_lut);
+        bank
     }
 
     /// Attaches a [`FaultPlan`] for the recovery accounting. The
@@ -545,12 +537,10 @@ impl<'a> AdaptiveBank<'a> {
         if let Some(lut) = seed_lut {
             for stage in Stage::ALL {
                 for class in TimingClass::ALL {
-                    let at = table_offset(self.padded, stage, class);
-                    let seeded = lut.delay_ps(stage, class);
-                    for lane in 0..self.corners {
-                        self.learned[at + lane] = seeded;
-                        self.observations[at + lane] = self.config.warmup_observations;
-                    }
+                    let entry = table_index(stage, class);
+                    let at = entry * self.padded;
+                    self.learned[at..at + self.corners].fill(lut.delay_ps(stage, class));
+                    self.observations[entry] = self.config.warmup_observations;
                 }
             }
         }
@@ -561,7 +551,7 @@ impl<'a> AdaptiveBank<'a> {
         self.recovered_cycles.fill(0);
         self.replay_penalty_cycles.fill(0);
         self.silent_risk_cycles.fill(0);
-        self.warmup_cycles.fill(0);
+        self.warmup_cycles = 0;
         self.outcomes = None;
     }
 
@@ -579,16 +569,36 @@ impl<'a> AdaptiveBank<'a> {
 
     /// One corner's current learned table entry, in picoseconds — the
     /// banked counterpart of [`AdaptiveObserver::learned_ps`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corner` is not below [`AdaptiveBank::corners`].
     #[must_use]
     pub fn learned_ps(&self, corner: usize, stage: Stage, class: TimingClass) -> Ps {
-        self.learned[table_offset(self.padded, stage, class) + corner]
+        self.assert_corner(corner);
+        self.learned[table_index(stage, class) * self.padded + corner]
     }
 
     /// How many times one corner has observed a `(stage, class)` pair —
     /// the banked counterpart of [`AdaptiveObserver::observation_count`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corner` is not below [`AdaptiveBank::corners`].
     #[must_use]
     pub fn observation_count(&self, corner: usize, stage: Stage, class: TimingClass) -> u64 {
-        self.observations[table_offset(self.padded, stage, class) + corner]
+        self.assert_corner(corner);
+        self.observations[table_index(stage, class)]
+    }
+
+    /// The tables are padded and entry-major, so an unchecked corner past
+    /// the last one would read a padding lane or another entry's lanes.
+    fn assert_corner(&self, corner: usize) {
+        assert!(
+            corner < self.corners,
+            "corner {corner} is out of range for a bank of {} corners",
+            self.corners
+        );
     }
 
     /// Replays the predict/observe/update loop of **all** corners on one
@@ -602,6 +612,12 @@ impl<'a> AdaptiveBank<'a> {
     /// (the hoisted `(1 + margin)`-style factors are computed exactly as
     /// the scalar expressions, just once per cycle instead of once per
     /// lane).
+    ///
+    /// Per-lane work is spent only where lanes can differ: warmth is one
+    /// flag per cycle, the generator's variant is dispatched once per
+    /// cycle, and the violation classification and the backoff fold run
+    /// only on cycles where some lane violated — otherwise the adapt pass
+    /// is a grow-only running maximum.
     ///
     /// `entry` is the cycle's interrupt-entry classification — the bank
     /// lives in `'static` worker scratch, so it cannot hold a borrowed
@@ -632,24 +648,20 @@ impl<'a> AdaptiveBank<'a> {
         if corners == 0 {
             return;
         }
-        let generator = self.generator;
 
-        // 1. Predict — identical to the scalar observer, exploiting a
-        //    structural invariant of the bank: every observe pass increments
-        //    the touched entry's observation count for all lanes together
-        //    (and construction/reset/seed-LUT initialization is equally
-        //    lane-uniform), so one entry's count is the same in every lane
-        //    and warmth is a per-entry scalar. The fold then touches only
-        //    `f64` lanes — no per-lane counter compares — and the warm flag
-        //    collapses to one bool per cycle.
-        self.requested.fill(0.0);
+        // 1. Predict — identical to the scalar observer. Warmth is a
+        //    per-entry scalar (the observation counts are lane-uniform), so
+        //    the fold touches only `f64` lanes and the warm flag collapses
+        //    to one bool per cycle.
+        let requested = &mut self.requested[..padded];
+        requested.fill(0.0);
         let warmup = self.config.warmup_observations;
         let mut all_warm = true;
         for stage in Stage::ALL {
-            let at = table_offset(padded, stage, dc.classes[stage.index()]);
-            if self.observations[at] >= warmup {
+            let entry = table_index(stage, dc.classes[stage.index()]);
+            if self.observations[entry] >= warmup {
+                let at = entry * padded;
                 let learned = &self.learned[at..at + padded];
-                let requested = &mut self.requested[..padded];
                 // Comparison-select form of the scalar `f64::max` fold:
                 // learned periods are finite and non-negative (never NaN
                 // or -0.0), so the picked value is bit-identical — and the
@@ -668,11 +680,46 @@ impl<'a> AdaptiveBank<'a> {
                 all_warm = false;
             }
         }
+        // An entry still warming up keeps the whole cycle at the
+        // always-safe static period — the scalar `f64::max` again as a
+        // select over finite non-negative periods.
+        if !all_warm {
+            self.warmup_cycles += 1;
+            for (request, period) in requested.iter_mut().zip(&self.static_period) {
+                *request = if *period > *request {
+                    *period
+                } else {
+                    *request
+                };
+            }
+        }
+        self.generator.realize_lanes(&mut requested[..corners]);
 
-        // 2. Realize and observe: the same arithmetic (and order of
-        //    operations) as the scalar observer, over length-bound slices
-        //    so the per-lane indexing stays check-free.
+        // 2. Observe: the scalar observer's violation check and run time,
+        //    with the same arithmetic, over length-bound slices so the
+        //    per-lane indexing stays check-free.
         let drift_factor = self.drift.factor(cycle);
+        let realized_lanes = &requested[..corners];
+        let actual_lanes = &lanes.max_lanes()[..corners];
+        let violations = &mut self.violations[..corners];
+        let total_time = &mut self.total_time[..corners];
+        let violation_limit = &mut self.violation_limit[..corners];
+        let mut any_violated = false;
+        for lane in 0..corners {
+            let realized = realized_lanes[lane];
+            let violated = realized + 1e-9 < actual_lanes[lane] * drift_factor;
+            violations[lane] += u64::from(violated);
+            total_time[lane] += realized;
+            // The adapt pass only asks "was this lane violated, and is the
+            // observed delay above its realized period" — encoding the
+            // non-violated case as `+inf` turns that into a single compare.
+            violation_limit[lane] = if violated { realized } else { Ps::INFINITY };
+            any_violated |= violated;
+        }
+
+        // 3. Classify the violations: the entry-cycle tally and the fault
+        //    plan's recovery model. Only a violated lane moves these
+        //    counters, so violation-free cycles skip the pass.
         let recovery = self.faults.as_ref().map(|plan| {
             let spec = plan.spec();
             (
@@ -681,90 +728,86 @@ impl<'a> AdaptiveBank<'a> {
                 f64::from(spec.replay_penalty),
             )
         });
-        let actual_lanes = &lanes.max_lanes()[..corners];
-        let requested = &self.requested[..corners];
-        let static_period = &self.static_period[..corners];
-        let warmup_cycles = &mut self.warmup_cycles[..corners];
-        let violations = &mut self.violations[..corners];
-        let entry_violations = &mut self.entry_violations[..corners];
-        let recovered = &mut self.recovered_cycles[..corners];
-        let replayed = &mut self.replay_penalty_cycles[..corners];
-        let silent = &mut self.silent_risk_cycles[..corners];
-        let penalty_time = &mut self.penalty_time[..corners];
-        let total_time = &mut self.total_time[..corners];
-        let violation_limit = &mut self.violation_limit[..corners];
-        // Warmth is lane-uniform (see the predict pass), so the cold-lane
-        // padding is one loop-invariant branch the compiler unswitches.
-        let cold = !all_warm;
-        for lane in 0..corners {
-            let padded_up = requested[lane].max(static_period[lane]);
-            let request = if cold { padded_up } else { requested[lane] };
-            warmup_cycles[lane] += u64::from(cold);
-            let realized = generator.realize(request);
-            let actual_max = actual_lanes[lane] * drift_factor;
-            let violated = realized + 1e-9 < actual_max;
-            violations[lane] += u64::from(violated);
-            entry_violations[lane] += u64::from(violated && entry);
-            if let Some((detect_factor, penalty_cycles, penalty)) = recovery {
-                let detected = violated && actual_max <= realized * detect_factor;
-                recovered[lane] += u64::from(detected);
-                replayed[lane] += u64::from(detected) * penalty_cycles;
-                silent[lane] += u64::from(violated && !detected);
-                // `x + 0.0 == x` bit-exactly for the non-negative
-                // accumulator, so the select matches the scalar observer's
-                // guarded add while keeping the loop branch-free.
-                penalty_time[lane] += if detected { realized * penalty } else { 0.0 };
+        if any_violated && (entry || recovery.is_some()) {
+            let entry_violations = &mut self.entry_violations[..corners];
+            let recovered = &mut self.recovered_cycles[..corners];
+            let replayed = &mut self.replay_penalty_cycles[..corners];
+            let silent = &mut self.silent_risk_cycles[..corners];
+            let penalty_time = &mut self.penalty_time[..corners];
+            for lane in 0..corners {
+                let realized = realized_lanes[lane];
+                let actual_max = actual_lanes[lane] * drift_factor;
+                let violated = realized + 1e-9 < actual_max;
+                entry_violations[lane] += u64::from(violated && entry);
+                if let Some((detect_factor, penalty_cycles, penalty)) = recovery {
+                    let detected = violated && actual_max <= realized * detect_factor;
+                    recovered[lane] += u64::from(detected);
+                    replayed[lane] += u64::from(detected) * penalty_cycles;
+                    silent[lane] += u64::from(violated && !detected);
+                    // `x + 0.0 == x` bit-exactly for the non-negative
+                    // accumulator, so the select matches the scalar
+                    // observer's guarded add while keeping the loop
+                    // branch-free.
+                    penalty_time[lane] += if detected { realized * penalty } else { 0.0 };
+                }
             }
-            total_time[lane] += realized;
-            // The adapt pass only asks "was this lane violated, and is the
-            // observed delay above its realized period" — encoding the
-            // non-violated case as `+inf` turns that into a single compare.
-            violation_limit[lane] = if violated { realized } else { Ps::INFINITY };
         }
 
-        // 3. Adapt the in-flight entries, lane-contiguously per keyed
+        // 4. Adapt the in-flight entries, lane-contiguously per keyed
         //    `(stage, class)` entry against that stage's contiguous delay
-        //    lanes.
+        //    lanes. The folds run over the full padded width in fixed-trip
+        //    chunks (compile-time trip count, packed compare-and-blend).
+        //    Padding lanes carry a 0 delay, a 0 static period and a `+inf`
+        //    violation limit; their learned entries are never read back.
         let margin_factor = 1.0 + self.config.margin;
         let backoff_factor = 1.0 + self.config.violation_backoff;
         for stage in Stage::ALL {
-            let at = table_offset(padded, stage, dc.classes[stage.index()]);
-            // Separate counter bump: keeps the learn loop pure-`f64` so it
-            // vectorizes without integer lanes mixed in.
-            for count in &mut self.observations[at..at + corners] {
-                *count += 1;
-            }
-            // The learn fold runs over the full padded width in fixed-trip
-            // chunks (compile-time trip count, packed compare-and-blend).
-            // Padding lanes carry a 0 delay, a 0 cap and a `+inf` violation
-            // limit; their learned entries are never read back.
+            let entry = table_index(stage, dc.classes[stage.index()]);
+            self.observations[entry] += 1;
+            let at = entry * padded;
             let learned = &mut self.learned[at..at + padded];
             let observed_lanes = &lanes.stage_lanes(stage)[..padded];
-            let violation_limit = &self.violation_limit[..padded];
-            let backoff_cap = &self.backoff_cap[..padded];
             let chunks = learned
                 .chunks_exact_mut(LANE_WIDTH)
-                .zip(observed_lanes.chunks_exact(LANE_WIDTH))
-                .zip(violation_limit.chunks_exact(LANE_WIDTH))
-                .zip(backoff_cap.chunks_exact(LANE_WIDTH));
-            for (((learned4, observed4), limit4), cap4) in chunks {
-                for l in 0..LANE_WIDTH {
-                    let observed = observed4[l] * drift_factor;
-                    let target = observed * margin_factor;
-                    let grown = if target > learned4[l] {
-                        target
-                    } else {
-                        learned4[l]
-                    };
-                    // This lane's stage was (one of) the violators: back off
-                    // so the next occurrence gets headroom against drift.
-                    // Select form of the scalar conditional update — the
-                    // `f64::min` cap as a compare-and-select over finite
-                    // non-negative periods picks bit-identical values.
-                    let boosted = grown * backoff_factor;
-                    let backed = if boosted < cap4[l] { boosted } else { cap4[l] };
-                    let backoff = observed + 1e-9 > limit4[l];
-                    learned4[l] = if backoff { backed } else { grown };
+                .zip(observed_lanes.chunks_exact(LANE_WIDTH));
+            if any_violated {
+                let chunks = chunks
+                    .zip(self.violation_limit.chunks_exact(LANE_WIDTH))
+                    .zip(self.static_period.chunks_exact(LANE_WIDTH));
+                for (((learned4, observed4), limit4), period4) in chunks {
+                    for l in 0..LANE_WIDTH {
+                        let observed = observed4[l] * drift_factor;
+                        let target = observed * margin_factor;
+                        let grown = if target > learned4[l] {
+                            target
+                        } else {
+                            learned4[l]
+                        };
+                        // This lane's stage was (one of) the violators: back
+                        // off so the next occurrence gets headroom against
+                        // drift. Select form of the scalar conditional
+                        // update — the `f64::min` cap as a compare-and-select
+                        // over finite non-negative periods picks
+                        // bit-identical values.
+                        let boosted = grown * backoff_factor;
+                        let cap = period4[l] * 2.0;
+                        let backed = if boosted < cap { boosted } else { cap };
+                        let backoff = observed + 1e-9 > limit4[l];
+                        learned4[l] = if backoff { backed } else { grown };
+                    }
+                }
+            } else {
+                // Grow-only: every violation limit is `+inf`, so the fold
+                // above would keep `grown` in every lane.
+                for (learned4, observed4) in chunks {
+                    for l in 0..LANE_WIDTH {
+                        let target = observed4[l] * drift_factor * margin_factor;
+                        learned4[l] = if target > learned4[l] {
+                            target
+                        } else {
+                            learned4[l]
+                        };
+                    }
                 }
             }
         }
@@ -793,7 +836,7 @@ impl<'a> AdaptiveBank<'a> {
                     replay_penalty_cycles: self.replay_penalty_cycles[lane],
                     silent_risk_cycles: self.silent_risk_cycles[lane],
                     recovery_frequency_mhz,
-                    warmup_cycles: self.warmup_cycles[lane],
+                    warmup_cycles: self.warmup_cycles,
                 }
             })
             .collect();
@@ -1066,6 +1109,7 @@ mod tests {
         let config = AdaptiveConfig::default();
         // Corner counts straddling the lane width, plus both seeding modes
         // and a non-trivial drift (which exercises the backoff path).
+        let mut drift_violations = 0;
         for corners in [1usize, 3, 4, 5, 8] {
             let models = varied_models(corners as u32, 0xADA7);
             let seed = DelayLut::from_model(&models[0]);
@@ -1098,8 +1142,14 @@ mod tests {
                     );
                     assert_eq!(banked[corner], scalar, "corners {corners} lane {corner}");
                 }
+                if seed_lut.is_some() {
+                    drift_violations += banked.iter().map(|o| o.violations).sum::<u64>();
+                }
             }
         }
+        // The seeded, drifting case must violate somewhere, so the
+        // grow-plus-backoff fold ran and not only the grow-only one.
+        assert!(drift_violations > 0, "the drift never violated");
     }
 
     #[test]
@@ -1131,6 +1181,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn adaptive_bank_rejects_a_corner_past_the_last() {
+        let models = varied_models(3, 7);
+        let bank = AdaptiveBank::new(
+            &models,
+            &AdaptiveConfig::default(),
+            &ClockGenerator::Ideal,
+            None,
+            Drift::None,
+        );
+        let _ = bank.learned_ps(bank.corners(), Stage::Execute, TimingClass::Bubble);
     }
 
     #[test]

@@ -104,6 +104,18 @@ impl ClockGenerator {
             }
         }
     }
+
+    /// Realizes every period of `periods` in place — [`ClockGenerator::realize`]
+    /// applied element-wise. The variant is checked once for the whole
+    /// slice, so the `Ideal` generator (the identity) costs nothing.
+    pub(crate) fn realize_lanes(&self, periods: &mut [Ps]) {
+        if matches!(self, ClockGenerator::Ideal) {
+            return;
+        }
+        for period in periods {
+            *period = self.realize(*period);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -143,12 +155,16 @@ mod tests {
             ClockGenerator::discrete(8, 800.0, 2400.0),
         ];
         for cg in &generators {
-            for request in [800.0, 1111.0, 1450.5, 1899.0, 2026.0] {
+            let requests = [800.0, 1111.0, 1450.5, 1899.0, 2026.0];
+            for request in requests {
                 assert!(
                     cg.realize(request) >= request,
                     "{cg:?} undercuts the requested {request} ps"
                 );
             }
+            let mut lanes = requests;
+            cg.realize_lanes(&mut lanes);
+            assert_eq!(lanes, requests.map(|request| cg.realize(request)), "{cg:?}");
         }
     }
 

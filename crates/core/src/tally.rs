@@ -6,8 +6,9 @@
 //! [`ViolationTally::record`] is that check for [`PolicyObserver`] and
 //! [`AdaptiveObserver`], together with the fault plan's recovery
 //! classification. The SoA banks keep their own lane-packed copies of the
-//! same arithmetic (one realize per run-block, branch-free selects), pinned
-//! bit-identical to this one by the banked-replay property tests.
+//! same arithmetic (one realize per run-block in the policy banks and per
+//! cycle in the adaptive bank, branch-free selects), pinned bit-identical to
+//! this one by the banked-replay property tests.
 //!
 //! [`PolicyObserver`]: crate::PolicyObserver
 //! [`AdaptiveObserver`]: crate::AdaptiveObserver

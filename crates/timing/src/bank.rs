@@ -32,9 +32,11 @@ use idca_isa::TimingClass;
 use idca_pipeline::{DigestCycle, Stage};
 
 /// Width of one evaluation lane chunk. The fold loops are written in chunks
-/// of this many `f64`s so the auto-vectorizer maps them onto 256-bit vector
-/// registers; banks whose corner count is not a multiple are padded with
-/// inert lanes.
+/// of this many `f64`s so the auto-vectorizer sees a compile-time trip
+/// count; banks whose corner count is not a multiple are padded with inert
+/// lanes. The workspace sets no `target-cpu`, so the default x86-64 target
+/// has only SSE2 and one chunk compiles to two 128-bit operations; a wider
+/// target is a build-setting change, to be measured on its own.
 pub const LANE_WIDTH: usize = 4;
 
 /// The per-`(stage, class)` delay parameters of `M` timing-model corners in

@@ -39,7 +39,8 @@
 //! * [`CornerBank`] — the corner-batched evaluation kernel: the delay
 //!   parameters of `M` varied models packed in structure-of-arrays lanes,
 //!   so one digested cycle is evaluated against every corner at once in
-//!   auto-vectorized `f64x4` chunks, bit-identical to the scalar path.
+//!   auto-vectorized [`LANE_WIDTH`]-lane chunks (two 128-bit operations
+//!   each on the default x86-64 target), bit-identical to the scalar path.
 //!   The six per-cycle stage dithers it broadcasts come out of one batched
 //!   hash kernel shared with the scalar evaluation paths.
 //! * [`FaultPlan`] / [`FaultSpec`] — deterministic fault injection:

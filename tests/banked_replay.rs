@@ -125,7 +125,6 @@ proptest! {
     fn soa_lanes_kernel_is_bit_identical_to_scalar_observers(
         corners in 1u32..=9,
         master_seed in any::<u64>(),
-        quantized in any::<bool>(),
         seeded in any::<bool>(),
         drifting in any::<bool>(),
     ) {
@@ -137,11 +136,6 @@ proptest! {
         let digest = digest_of(master_seed);
         let models = varied_models(corners, master_seed);
         let base = nominal();
-        let generator = if quantized {
-            ClockGenerator::quantized_50ps()
-        } else {
-            ClockGenerator::Ideal
-        };
         let config = AdaptiveConfig::default();
         let seed_lut = DelayLut::from_model(&base);
         let seed_lut = seeded.then_some(&seed_lut);
@@ -158,72 +152,81 @@ proptest! {
             .iter()
             .map(|m| StaticClock::of_model(m).period())
             .collect();
-
-        // Banked: one digest walk, all corners in SoA lanes.
         let bank = CornerBank::from_models(&models);
-        let mut bank_static = PolicyBank::new("static", models.len(), &generator);
-        let mut bank_lut = PolicyBank::new("instruction-based", models.len(), &generator);
-        let mut bank_exec = PolicyBank::new("execute-only", models.len(), &generator);
-        let mut adaptive = AdaptiveBank::new(&models, &config, &generator, seed_lut, drift);
-        let mut evaluator = bank.evaluator();
-        digest.for_each_run(|start, len, dc| {
-            bank_lut.begin_block(lut_policy.digest_period_ps(start, dc));
-            bank_exec.begin_block(exec_policy.digest_period_ps(start, dc));
-            bank_static.begin_block_per_corner(&static_requests);
-            for cycle in start..start + u64::from(len) {
-                let lanes = &*evaluator.cycle_lanes(cycle, dc);
-                bank_static.observe_actuals(lanes.max_lanes());
-                bank_lut.observe_actuals(lanes.max_lanes());
-                bank_exec.observe_actuals(lanes.max_lanes());
-                adaptive.observe_cycle_lanes_phased(cycle, dc, lanes, false);
-            }
-        });
-        let summary = digest.summary();
-        bank_static.finish(&summary);
-        bank_lut.finish(&summary);
-        bank_exec.finish(&summary);
-        adaptive.finish(&summary);
-        let out_static = bank_static.into_outcomes();
-        let out_lut = bank_lut.into_outcomes();
-        let out_exec = bank_exec.into_outcomes();
-        let out_adaptive = adaptive.into_outcomes();
 
-        // Scalar reference: per corner, the scalar observers fed one shared
-        // timing evaluation per cycle.
-        for (corner, model) in models.iter().enumerate() {
-            let static_policy = StaticClock::new(static_requests[corner]);
-            let mut ob_static = PolicyObserver::new(model, &static_policy, &generator);
-            let mut ob_lut = PolicyObserver::new(model, &lut_policy, &generator);
-            let mut ob_exec = PolicyObserver::new(model, &exec_policy, &generator);
-            let mut ob_adaptive =
-                AdaptiveObserver::new(model, &config, &generator, seed_lut, drift);
-            digest.for_each_cycle(|cycle, dc| {
-                let timing = model.digest_cycle_timing(cycle, dc);
-                ob_static.observe_digest_timed(cycle, dc, &timing);
-                ob_lut.observe_digest_timed(cycle, dc, &timing);
-                ob_exec.observe_digest_timed(cycle, dc, &timing);
-                ob_adaptive.observe_digest_timed(cycle, dc, &timing);
+        // Every generator in every case, so each `realize` arm (and the
+        // banks' once-per-cycle realize) is reached whatever the sample.
+        for generator in [
+            ClockGenerator::Ideal,
+            ClockGenerator::quantized_50ps(),
+            ClockGenerator::discrete(8, 900.0, 2100.0),
+        ] {
+            // Banked: one digest walk, all corners in SoA lanes.
+            let mut bank_static = PolicyBank::new("static", models.len(), &generator);
+            let mut bank_lut = PolicyBank::new("instruction-based", models.len(), &generator);
+            let mut bank_exec = PolicyBank::new("execute-only", models.len(), &generator);
+            let mut adaptive = AdaptiveBank::new(&models, &config, &generator, seed_lut, drift);
+            let mut evaluator = bank.evaluator();
+            digest.for_each_run(|start, len, dc| {
+                bank_lut.begin_block(lut_policy.digest_period_ps(start, dc));
+                bank_exec.begin_block(exec_policy.digest_period_ps(start, dc));
+                bank_static.begin_block_per_corner(&static_requests);
+                for cycle in start..start + u64::from(len) {
+                    let lanes = &*evaluator.cycle_lanes(cycle, dc);
+                    bank_static.observe_actuals(lanes.max_lanes());
+                    bank_lut.observe_actuals(lanes.max_lanes());
+                    bank_exec.observe_actuals(lanes.max_lanes());
+                    adaptive.observe_cycle_lanes_phased(cycle, dc, lanes, false);
+                }
             });
-            ob_static.finish(&summary);
-            ob_lut.finish(&summary);
-            ob_exec.finish(&summary);
-            ob_adaptive.finish(&summary);
-            // Field-for-field f64 equality, not tolerance — including the
-            // learned tables and warmup counts of the adaptive outcome. The
-            // activity summary is the one documented exception: the banks
-            // leave it empty-finished (the sweep folds activity once,
-            // outside the banks, and its rows never carry it), so align it
-            // before the whole-struct compare.
-            let mut scalar_static = ob_static.into_outcome();
-            let mut scalar_lut = ob_lut.into_outcome();
-            let mut scalar_exec = ob_exec.into_outcome();
-            scalar_static.activity = out_static[corner].activity;
-            scalar_lut.activity = out_lut[corner].activity;
-            scalar_exec.activity = out_exec[corner].activity;
-            prop_assert_eq!(&out_static[corner], &scalar_static, "corner {}", corner);
-            prop_assert_eq!(&out_lut[corner], &scalar_lut, "corner {}", corner);
-            prop_assert_eq!(&out_exec[corner], &scalar_exec, "corner {}", corner);
-            prop_assert_eq!(&out_adaptive[corner], &ob_adaptive.into_outcome(), "corner {}", corner);
+            let summary = digest.summary();
+            bank_static.finish(&summary);
+            bank_lut.finish(&summary);
+            bank_exec.finish(&summary);
+            adaptive.finish(&summary);
+            let out_static = bank_static.into_outcomes();
+            let out_lut = bank_lut.into_outcomes();
+            let out_exec = bank_exec.into_outcomes();
+            let out_adaptive = adaptive.into_outcomes();
+
+            // Scalar reference: per corner, the scalar observers fed one
+            // shared timing evaluation per cycle.
+            for (corner, model) in models.iter().enumerate() {
+                let static_policy = StaticClock::new(static_requests[corner]);
+                let mut ob_static = PolicyObserver::new(model, &static_policy, &generator);
+                let mut ob_lut = PolicyObserver::new(model, &lut_policy, &generator);
+                let mut ob_exec = PolicyObserver::new(model, &exec_policy, &generator);
+                let mut ob_adaptive =
+                    AdaptiveObserver::new(model, &config, &generator, seed_lut, drift);
+                digest.for_each_cycle(|cycle, dc| {
+                    let timing = model.digest_cycle_timing(cycle, dc);
+                    ob_static.observe_digest_timed(cycle, dc, &timing);
+                    ob_lut.observe_digest_timed(cycle, dc, &timing);
+                    ob_exec.observe_digest_timed(cycle, dc, &timing);
+                    ob_adaptive.observe_digest_timed(cycle, dc, &timing);
+                });
+                ob_static.finish(&summary);
+                ob_lut.finish(&summary);
+                ob_exec.finish(&summary);
+                ob_adaptive.finish(&summary);
+                // Field-for-field f64 equality, not tolerance — including
+                // the learned tables and warmup counts of the adaptive
+                // outcome. The activity summary is the one documented
+                // exception: the banks leave it empty-finished (the sweep
+                // folds activity once, outside the banks, and its rows never
+                // carry it), so align it before the whole-struct compare.
+                let mut scalar_static = ob_static.into_outcome();
+                let mut scalar_lut = ob_lut.into_outcome();
+                let mut scalar_exec = ob_exec.into_outcome();
+                scalar_static.activity = out_static[corner].activity;
+                scalar_lut.activity = out_lut[corner].activity;
+                scalar_exec.activity = out_exec[corner].activity;
+                prop_assert_eq!(&out_static[corner], &scalar_static, "corner {}", corner);
+                prop_assert_eq!(&out_lut[corner], &scalar_lut, "corner {}", corner);
+                prop_assert_eq!(&out_exec[corner], &scalar_exec, "corner {}", corner);
+                let scalar_adaptive = ob_adaptive.into_outcome();
+                prop_assert_eq!(&out_adaptive[corner], &scalar_adaptive, "corner {}", corner);
+            }
         }
     }
 
