@@ -142,10 +142,11 @@ fn bench_policy_bank_kernel(c: &mut Criterion) {
                 bank_lut.reset();
                 bank_exec.reset();
                 adaptive.reset(None);
+                // Primed once per job, as the sweep primes it.
+                bank_static.begin_block_per_corner(&static_requests);
                 digest.for_each_run(|start, len, dc| {
                     bank_lut.begin_block(lut_policy.digest_period_ps(start, dc));
                     bank_exec.begin_block(exec_policy.digest_period_ps(start, dc));
-                    bank_static.begin_block_per_corner(&static_requests);
                     for cycle in start..start + u64::from(len) {
                         let lanes = &*evaluator.cycle_lanes(cycle, dc);
                         bank_static.observe_actuals(lanes.max_lanes());

@@ -17,18 +17,18 @@
 //!    `(program seed, generator-config hash, simulator version)`), so
 //!    repeat sweeps skip this phase entirely.
 //! 2. **Replay** (`O(N)` corner-batched digest walks): the sweep is
-//!    sharded into `N` per-seed jobs. Each job walks its digest **once**,
-//!    RLE run-block by run-block — one pool decode and one set of
-//!    corner-invariant policy decisions per block, one batched dither
-//!    kernel per cycle — and evaluates every cycle against **all** `M`
-//!    corners at once through the vectorized [`CornerBank`] lanes. The
-//!    evaluated cycle stays in structure-of-arrays form end to end: the
-//!    shared delay/max lanes feed three lane-packed [`PolicyBank`]s
-//!    (static baseline, margin-guarded instruction-based and
-//!    execute-only) and all `M` online-learning adaptive controllers
-//!    folded through one SoA [`AdaptiveBank`] — with no pipeline
-//!    simulator, no per-corner `CycleTiming` structs and no per-corner
-//!    scalar state in the loop.
+//!    sharded into `N` per-seed jobs. Each job walks its digest **once** —
+//!    one pool decode per RLE run-block (on pooled digests nearly every
+//!    run-block is a single cycle), one set of corner-invariant policy
+//!    decisions and one batched dither kernel per cycle — and evaluates
+//!    every cycle against **all** `M` corners at once through the
+//!    vectorized [`CornerBank`] lanes. The evaluated cycle stays in
+//!    structure-of-arrays form end to end: the shared delay/max lanes feed
+//!    three [`PolicyBank`]s (static baseline, margin-guarded
+//!    instruction-based and execute-only) and all `M` online-learning
+//!    adaptive controllers folded through one SoA [`AdaptiveBank`] — with
+//!    no pipeline simulator, no per-corner `CycleTiming` structs and no
+//!    per-corner scalar state in the loop.
 //!
 //! The banked replay is bit-identical to live observation
 //! ([`pvt_sweep_direct`], the retained single-phase oracle that simulates
@@ -731,35 +731,18 @@ fn collect_jobs<T>(results: Vec<Result<T, SweepError>>) -> Result<Vec<T>, SweepE
     results.into_iter().collect()
 }
 
-/// Corner-constant replay state: the varied timing model and the immutable
-/// policy tables, built **once per corner** and shared (they are `Sync`) by
-/// every job of that corner — in the replay phase each job's real work is a
-/// cheap digest fold, so repeating this setup per `(seed, corner)` job
-/// would be a measurable fixed cost.
-struct CornerContext {
-    corner_index: u32,
-    varied: TimingModel,
-    static_policy: StaticClock,
+/// Corner-constant replay state of one sweep, built **once** and shared
+/// (it is `Sync`) by every per-seed job: in the replay phase each job's
+/// real work is a cheap digest fold, so repeating this setup per job would
+/// be a measurable fixed cost. Every corner deploys the same margin-guarded
+/// LUT, so the two table-driven policies are built once for all corners.
+struct ReplaySetup<'a> {
+    corner_samples: &'a [PvtCorner],
+    /// Each corner's STA period: the static baseline's per-corner request.
+    static_periods: Vec<Ps>,
     lut_policy: InstructionBased,
     exec_only: ExecuteOnly,
-}
-
-impl CornerContext {
-    fn new(
-        nominal: &TimingModel,
-        variation: &VariationModel,
-        corner: &PvtCorner,
-        guarded_lut: &DelayLut,
-    ) -> CornerContext {
-        let varied = variation.apply(nominal, corner);
-        CornerContext {
-            corner_index: corner.index,
-            static_policy: StaticClock::of_model(&varied),
-            lut_policy: InstructionBased::new(guarded_lut.clone()),
-            exec_only: ExecuteOnly::new(guarded_lut.clone()),
-            varied,
-        }
-    }
+    bank: CornerBank,
 }
 
 /// Maps a policy observer's [`idca_core::RunOutcome`] to the sweep's
@@ -850,8 +833,6 @@ struct ReplayScratch {
     static_periods: Vec<Ps>,
     /// Key: the fault plan the banks classify violations under.
     faults: Option<FaultPlan>,
-    /// Hoisted per-corner static-baseline requests (walk-constant).
-    static_requests: Vec<Ps>,
     bank_static: PolicyBank<'static>,
     bank_lut: PolicyBank<'static>,
     bank_exec: PolicyBank<'static>,
@@ -859,12 +840,8 @@ struct ReplayScratch {
 }
 
 impl ReplayScratch {
-    fn new(contexts: &[CornerContext], faults: Option<&FaultPlan>) -> ReplayScratch {
-        let corners = contexts.len();
-        let static_periods: Vec<Ps> = contexts
-            .iter()
-            .map(|ctx| ctx.varied.static_period_ps())
-            .collect();
+    fn new(static_periods: &[Ps], faults: Option<&FaultPlan>) -> ReplayScratch {
+        let corners = static_periods.len();
         let bank = |name: &str| {
             let mut bank = PolicyBank::new(name, corners, &IDEAL_GENERATOR);
             if let Some(plan) = faults {
@@ -873,7 +850,7 @@ impl ReplayScratch {
             bank
         };
         let mut adaptive = AdaptiveBank::from_static_periods(
-            static_periods.clone(),
+            static_periods.to_vec(),
             &AdaptiveConfig::default(),
             &IDEAL_GENERATOR,
             None,
@@ -883,12 +860,8 @@ impl ReplayScratch {
             adaptive = adaptive.with_faults(*plan);
         }
         ReplayScratch {
-            static_periods,
+            static_periods: static_periods.to_vec(),
             faults: faults.copied(),
-            static_requests: contexts
-                .iter()
-                .map(|ctx| ctx.static_policy.period())
-                .collect(),
             bank_static: bank(SWEEP_POLICIES[0]),
             bank_lut: bank(SWEEP_POLICIES[1]),
             bank_exec: bank(SWEEP_POLICIES[2]),
@@ -898,14 +871,8 @@ impl ReplayScratch {
 
     /// Whether this scratch was built for exactly this sweep's corners and
     /// fault plan (and can therefore be reset instead of rebuilt).
-    fn matches(&self, contexts: &[CornerContext], faults: Option<&FaultPlan>) -> bool {
-        self.faults == faults.copied()
-            && self.static_periods.len() == contexts.len()
-            && self
-                .static_periods
-                .iter()
-                .zip(contexts)
-                .all(|(period, ctx)| *period == ctx.varied.static_period_ps())
+    fn matches(&self, static_periods: &[Ps], faults: Option<&FaultPlan>) -> bool {
+        self.faults == faults.copied() && self.static_periods == static_periods
     }
 
     /// Clears all per-job accumulator state (bank lanes, learned tables).
@@ -921,7 +888,7 @@ impl ReplayScratch {
 /// use (or when the sweep's corners/fault plan changed) and resetting it
 /// otherwise — the phase-2 counterpart of [`with_worker_buffers`].
 fn with_replay_scratch<R>(
-    contexts: &[CornerContext],
+    static_periods: &[Ps],
     faults: Option<&FaultPlan>,
     f: impl FnOnce(&mut ReplayScratch) -> R,
 ) -> R {
@@ -931,29 +898,32 @@ fn with_replay_scratch<R>(
     SCRATCH.with(|cell| {
         let mut slot = cell.borrow_mut();
         let scratch = match slot.as_mut() {
-            Some(scratch) if scratch.matches(contexts, faults) => {
+            Some(scratch) if scratch.matches(static_periods, faults) => {
                 scratch.reset();
                 scratch
             }
-            _ => slot.insert(ReplayScratch::new(contexts, faults)),
+            _ => slot.insert(ReplayScratch::new(static_periods, faults)),
         };
         f(scratch)
     })
 }
 
 /// Phase 2 worker of the corner-batched engine: replays one seed's digest
-/// against **every** corner in a single walk. Each RLE run-block is decoded
-/// once; the table-driven policies' requests (constant across the block,
-/// and — because all corners deploy the same margin-guarded LUT —
-/// corner-invariant too) are decided once per block; each cycle's six stage
-/// dithers come out of one batched hash kernel and are broadcast; the
-/// per-corner delay folds run through the [`CornerBank`]'s vectorized
-/// lanes; and **all** per-corner policy state lives in structure-of-arrays
-/// banks — the three table-driven policies' accumulators in
-/// [`PolicyBank`]s (one realize/threshold/penalty derivation per run-block,
-/// one contiguous compare-and-count per cycle) and the `M` adaptive
+/// against **every** corner in a single walk. Each pooled digest record is
+/// decoded once per RLE run-block; each cycle's six stage dithers come out
+/// of one batched hash kernel and are broadcast; the per-corner delay folds
+/// run through the [`CornerBank`]'s vectorized lanes; and **all** per-corner
+/// policy state lives in structure-of-arrays banks — the three table-driven
+/// policies' accumulators in [`PolicyBank`]s and the `M` adaptive
 /// controllers' learned tables in one [`AdaptiveBank`] — no per-corner
 /// scalar state walks the digest anymore.
+///
+/// Every corner deploys the same guarded LUT, so the instruction-based and
+/// execute-only requests are corner-invariant: each is decided once per
+/// cycle, and its bank holds the realized period and its limits as
+/// scalars, leaving one compare-and-count per lane. The static baseline's
+/// per-corner requests are fixed for the whole job, so its bank is primed
+/// once, before the walk.
 ///
 /// The sweep keeps only violations and frequencies per row, so no
 /// switching activity is folded here — [`SweepJobOutcome`] never carries
@@ -963,32 +933,34 @@ fn with_replay_scratch<R>(
 /// phase timeline (`None` without an interrupt scenario).
 fn replay_seed_banked(
     digest: &TimingDigest,
-    contexts: &[CornerContext],
-    bank: &CornerBank,
+    setup: &ReplaySetup<'_>,
     perturbation: Perturbation<'_>,
     timeline: Option<&IrqTimeline>,
     seed_index: u32,
 ) -> Vec<SweepJobOutcome> {
-    if contexts.is_empty() {
+    if setup.corner_samples.is_empty() {
         return Vec::new();
     }
-    with_replay_scratch(contexts, perturbation.faults, |scratch| {
-        let mut evaluator = bank.evaluator();
-        let mut cursor = timeline.map(IrqTimeline::cursor);
-        digest.for_each_run(|start, len, dc| {
-            // Stage classes are constant across a run-block and every
-            // corner deploys the same guarded LUT, so one decision serves
-            // the whole block across all corners; the banks hoist the
-            // realized period and violation threshold with it.
-            scratch
-                .bank_lut
-                .begin_block(contexts[0].lut_policy.digest_period_ps(start, dc));
-            scratch
-                .bank_exec
-                .begin_block(contexts[0].exec_only.digest_period_ps(start, dc));
+    with_replay_scratch(&setup.static_periods, perturbation.faults, |scratch| {
+        // An empty walk must not fold a realized period into the static
+        // bank's min/max: the scalar observer reports zero for it.
+        if digest.cycles() > 0 {
             scratch
                 .bank_static
-                .begin_block_per_corner(&scratch.static_requests);
+                .begin_block_per_corner(&setup.static_periods);
+        }
+        let mut evaluator = setup.bank.evaluator();
+        let mut cursor = timeline.map(IrqTimeline::cursor);
+        digest.for_each_run(|start, len, dc| {
+            // Every corner deploys the same guarded LUT, so one decision
+            // per block serves all corners; the banks hold its realized
+            // period and limits as scalars.
+            scratch
+                .bank_lut
+                .begin_block(setup.lut_policy.digest_period_ps(start, dc));
+            scratch
+                .bank_exec
+                .begin_block(setup.exec_only.digest_period_ps(start, dc));
             for cycle in start..start + u64::from(len) {
                 // The evaluated cycle stays in structure-of-arrays form end
                 // to end: no per-corner `CycleTiming` structs are built on
@@ -1035,22 +1007,25 @@ fn replay_seed_banked(
             .zip(out_lut)
             .zip(out_exec)
             .zip(out_adaptive);
-        contexts
+        setup
+            .corner_samples
             .iter()
             .zip(stacks)
-            .map(|(ctx, (((ob_s, ob_l), ob_e), adaptive))| SweepJobOutcome {
-                seed_index,
-                corner_index: ctx.corner_index,
-                cycles: summary.cycles,
-                irq_entries,
-                irq_handler_cycles,
-                policies: [
-                    policy_outcome(ob_s),
-                    policy_outcome(ob_l),
-                    policy_outcome(ob_e),
-                    adaptive_outcome(adaptive),
-                ],
-            })
+            .map(
+                |(corner, (((ob_s, ob_l), ob_e), adaptive))| SweepJobOutcome {
+                    seed_index,
+                    corner_index: corner.index,
+                    cycles: summary.cycles,
+                    irq_entries,
+                    irq_handler_cycles,
+                    policies: [
+                        policy_outcome(ob_s),
+                        policy_outcome(ob_l),
+                        policy_outcome(ob_e),
+                        adaptive_outcome(adaptive),
+                    ],
+                },
+            )
             .collect()
     })
 }
@@ -1444,12 +1419,20 @@ pub fn pvt_sweep_seed_range_timed_with_cache(
     // are built once and shared by every job.
     let start = Instant::now();
     let plan = config.faults.map(|spec| FaultPlan::new(&spec));
-    let contexts: Vec<CornerContext> = corner_samples
+    let varied_models: Vec<TimingModel> = corner_samples
         .iter()
-        .map(|corner| CornerContext::new(&nominal, &config.variation, corner, &guarded_lut))
+        .map(|corner| config.variation.apply(&nominal, corner))
         .collect();
-    let varied_models: Vec<TimingModel> = contexts.iter().map(|ctx| ctx.varied.clone()).collect();
-    let bank = CornerBank::from_models(&varied_models);
+    let setup = ReplaySetup {
+        corner_samples: &corner_samples,
+        static_periods: varied_models
+            .iter()
+            .map(TimingModel::static_period_ps)
+            .collect(),
+        lut_policy: InstructionBased::new(guarded_lut.clone()),
+        exec_only: ExecuteOnly::new(guarded_lut),
+        bank: CornerBank::from_models(&varied_models),
+    };
     let perturbation = Perturbation {
         faults: plan.as_ref(),
         surge_factor: irq_spec.as_ref().map_or(1.0, |spec| 1.0 + spec.surge),
@@ -1469,8 +1452,7 @@ pub fn pvt_sweep_seed_range_timed_with_cache(
         let job_start = Instant::now();
         let rows = replay_seed_banked(
             &digests[p].0,
-            &contexts,
-            &bank,
+            &setup,
             perturbation,
             timelines[p].as_ref(),
             seed_indices[p],

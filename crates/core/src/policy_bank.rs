@@ -1,79 +1,219 @@
 //! Corner-batched accumulation for table-driven clock policies.
 //!
 //! [`PolicyBank`] is the policy-side counterpart of
-//! [`idca_timing::CornerBank`] and [`crate::AdaptiveBank`]: it packs the
-//! per-corner accumulator state of one [`PolicyObserver`](crate::PolicyObserver)
-//! — realized-time, violation, fault-recovery and min/max folds — into
-//! [`LANE_WIDTH`]-padded structure-of-arrays lanes, so a digest replay
-//! updates all `M` corners of one policy in contiguous loops instead of
-//! stepping `M` scalar observers per cycle.
+//! [`idca_timing::CornerBank`] and [`crate::AdaptiveBank`]: it accumulates
+//! what one [`PolicyObserver`](crate::PolicyObserver) per corner would —
+//! realized time, violation, fault-recovery and min/max folds — for `M`
+//! PVT corners at once, so a digest replay updates all `M` corners of one
+//! policy in contiguous [`LANE_WIDTH`]-padded loops instead of stepping `M`
+//! scalar observers per cycle.
 //!
-//! The bank exploits a structural property of the table-driven policies
-//! (static / instruction-based / execute-only): their requested period
-//! depends only on the digest classes (or on nothing at all), never on the
-//! cycle index. Within one digest RLE run-block the request — and therefore
-//! the generator-realized period, the violation threshold and the fault
-//! detection limit — is constant, so [`PolicyBank::begin_block`] hoists all
-//! four out of the per-cycle loop and [`PolicyBank::observe_actuals`]
-//! reduces each cycle to a compare-and-count over the lanes.
+//! The table-driven policies (static / instruction-based / execute-only)
+//! never read a corner's timing model, so the bank does per-lane work only
+//! where the lanes can differ:
+//!
+//! - A walk fed by [`PolicyBank::begin_block`] — corner-invariant
+//!   requests, as the instruction-based and execute-only policies issue —
+//!   holds its lane-uniform state once, as scalars: the realized period,
+//!   the violation threshold, the fault detection limit, the penalty step,
+//!   the total time and the min/max period. Each request costs one realize
+//!   and a few scalar operations, whatever the corner count. Every lane
+//!   would add the same realized periods in the same order, so the one
+//!   scalar sum equals each lane's sum bit for bit, and min and max are
+//!   idempotent.
+//! - A walk fed by [`PolicyBank::begin_block_per_corner`] — the static
+//!   baseline clocks each corner at its own STA period — holds the same
+//!   values per lane. Those requests are fixed for a whole job, so the
+//!   sweep primes them once per job; each cycle then adds the realized
+//!   lanes into the total-time lanes.
+//!
+//! Per cycle, [`PolicyBank::observe_actuals`] does the remaining per-lane
+//! work: the violation compare-and-count, plus the recovery classification
+//! and penalty time under a fault plan, plus the entry count on
+//! exception-entry cycles ([`PolicyBank::observe_actuals_entry`]).
 //!
 //! Every fold replicates [`PolicyObserver`](crate::PolicyObserver)'s
-//! arithmetic operation-for-operation (same order, same constants), so
+//! arithmetic operation for operation (same order, same constants), so
 //! [`PolicyBank::into_outcomes`] is bit-identical to running `M`
 //! independent scalar observers — pinned by the property tests in
-//! `tests/banked_replay.rs` and `tests/fault_replay.rs`.
+//! `tests/banked_replay.rs`, `tests/fault_replay.rs` and
+//! `tests/interrupt_replay.rs`.
 
 use crate::sim::RunOutcome;
 use crate::tally::frequencies;
 use crate::ClockGenerator;
 use idca_pipeline::{CycleObserver, RunSummary};
-use idca_timing::{ActivityObserver, FaultPlan, Ps, LANE_WIDTH};
+use idca_timing::{ActivityObserver, FaultPlan, FaultSpec, Ps, LANE_WIDTH};
 
-/// SoA-packed per-corner accumulators of one clock policy evaluated
-/// against `M` PVT corners — see the [module docs](self).
+/// Per-corner accumulators of one clock policy evaluated against `M` PVT
+/// corners — see the [module docs](self).
 ///
 /// # Protocol
 ///
-/// For each digest run-block: one call to [`PolicyBank::begin_block`]
-/// (corner-invariant request) or [`PolicyBank::begin_block_per_corner`]
-/// (per-corner requests, e.g. the per-corner static period), then one
-/// [`PolicyBank::observe_actuals`] per cycle of the block with the
-/// lane-packed actual delays. After the walk, [`PolicyBank::finish`] with
-/// the run summary and [`PolicyBank::into_outcomes`] to take the
-/// per-corner [`RunOutcome`]s.
+/// The first [`PolicyBank::begin_block`] (a corner-invariant request) or
+/// [`PolicyBank::begin_block_per_corner`] (one request per corner) after
+/// [`PolicyBank::new`] or [`PolicyBank::reset`] fixes the walk's request
+/// kind. Call it again whenever the request may change — the sweep calls
+/// `begin_block` once per digest run-block and `begin_block_per_corner`
+/// once per job — and [`PolicyBank::observe_actuals`] (or
+/// [`PolicyBank::observe_actuals_entry`] on an exception-entry cycle) once
+/// per cycle with the lane-packed actual delays. After the walk,
+/// [`PolicyBank::finish`] with the run summary and
+/// [`PolicyBank::into_outcomes`] to take the per-corner [`RunOutcome`]s.
 #[derive(Debug, Clone)]
 pub struct PolicyBank<'a> {
     policy_name: String,
     generator: &'a ClockGenerator,
-    faults: Option<FaultPlan>,
     corners: usize,
     padded: usize,
-    // Per-lane accumulators, `padded` long; the padding lanes accumulate
-    // against zeroed requests/actuals and are never read back.
-    total_time_ps: Vec<f64>,
-    penalty_time_ps: Vec<f64>,
-    min_period_ps: Vec<Ps>,
-    max_period_ps: Vec<Ps>,
+    // The walk's request kind, fixed by its first `begin_*` call.
+    kind: Option<Requests>,
+    // A `begin_block` walk's state, equal in every lane and so held once.
+    uniform: Realized<Ps>,
+    total_time_ps: f64,
+    min_period_ps: Ps,
+    max_period_ps: Ps,
+    // A `begin_block_per_corner` walk's state, `padded` long; the padding
+    // lanes realize a zero request and are never read back.
+    lane_requests: Vec<Ps>,
+    lanes: Realized<Vec<Ps>>,
+    lane_total_time_ps: Vec<f64>,
+    lane_min_period_ps: Vec<Ps>,
+    lane_max_period_ps: Vec<Ps>,
+    tally: LaneTally,
+    outcomes: Option<Vec<RunOutcome>>,
+}
+
+/// Which `begin_*` call feeds a walk's requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Requests {
+    /// [`PolicyBank::begin_block`]: one request shared by every corner.
+    Uniform,
+    /// [`PolicyBank::begin_block_per_corner`]: one request per corner.
+    PerCorner,
+}
+
+/// A realized period and the accounting limits it fixes, derived with the
+/// scalar observer's arithmetic: held once (`Realized<Ps>`) for a
+/// corner-invariant request, in lanes (`Realized<Vec<Ps>>`) otherwise.
+#[derive(Debug, Clone, Copy)]
+struct Realized<T> {
+    period: T,
+    /// The violation threshold, `period + 1e-9`.
+    threshold: T,
+    /// The fault detection limit, `period * (1 + detect_window)`.
+    detect_limit: T,
+    /// The replay time of one recovered violation,
+    /// `period * replay_penalty`.
+    penalty_step: T,
+}
+
+impl Realized<Ps> {
+    /// Derives the limits of `period`; without a fault plan the detection
+    /// limit and the penalty step are never read.
+    fn of(period: Ps, faults: Option<&FaultPlan>) -> Self {
+        let spec = faults.map_or_else(FaultSpec::default, |plan| *plan.spec());
+        Realized {
+            period,
+            threshold: period + 1e-9,
+            detect_limit: period * (1.0 + spec.detect_window),
+            penalty_step: period * f64::from(spec.replay_penalty),
+        }
+    }
+}
+
+impl<T> Realized<T> {
+    fn map<'s, U>(&'s self, f: impl Fn(&'s T) -> U) -> Realized<U> {
+        Realized {
+            period: f(&self.period),
+            threshold: f(&self.threshold),
+            detect_limit: f(&self.detect_limit),
+            penalty_step: f(&self.penalty_step),
+        }
+    }
+}
+
+/// One [`Realized`] field as the observe loops read it: a scalar shared by
+/// every lane, or a slice with one value per lane.
+trait Lane: Copy {
+    fn at(self, lane: usize) -> Ps;
+}
+
+impl Lane for Ps {
+    fn at(self, _lane: usize) -> Ps {
+        self
+    }
+}
+
+impl Lane for &[Ps] {
+    fn at(self, lane: usize) -> Ps {
+        self[lane]
+    }
+}
+
+/// The lane-packed counterpart of
+/// [`ViolationTally`](crate::tally::ViolationTally): the fault plan
+/// violations are classified under, and the per-lane violation and
+/// recovery counters, `padded` long (the padding lanes count against zero
+/// actual delays and are never read back).
+#[derive(Debug, Clone)]
+struct LaneTally {
+    faults: Option<FaultPlan>,
     violations: Vec<u64>,
     entry_violations: Vec<u64>,
     recovered_cycles: Vec<u64>,
     replay_penalty_cycles: Vec<u64>,
     silent_risk_cycles: Vec<u64>,
-    // Block-hoisted per-lane values, refreshed by `begin_block*`:
-    // the generator-realized period, the violation threshold
-    // (`realized + 1e-9`), the fault detection limit
-    // (`realized * (1 + detect_window)`) and the per-event penalty time
-    // (`realized * replay_penalty`).
-    realized: Vec<Ps>,
-    threshold: Vec<Ps>,
-    detect_limit: Vec<Ps>,
-    penalty_step: Vec<f64>,
-    // Last block's requests, so a repeated request (the common case: the
-    // table-driven policies emit a handful of distinct periods) skips the
-    // realize-and-derive refill.
-    last_requests: Vec<Ps>,
-    primed: bool,
-    outcomes: Option<Vec<RunOutcome>>,
+    penalty_time_ps: Vec<f64>,
+}
+
+impl LaneTally {
+    /// Accounts one cycle against `limits`, lane by lane: the violation
+    /// count, the recovery classification and penalty time under a fault
+    /// plan, and the entry count on an `entry` cycle — the arithmetic of
+    /// `ViolationTally::record`, minus the realized-time add the caller
+    /// makes.
+    #[inline(always)]
+    fn record<T: Lane>(&mut self, actuals: &[Ps], limits: Realized<T>, entry: bool) {
+        match self.faults {
+            None => count(&mut self.violations, limits.threshold, actuals),
+            Some(plan) => {
+                let penalty = u64::from(plan.spec().replay_penalty);
+                let lanes = actuals.len();
+                let violations = &mut self.violations[..lanes];
+                let recovered = &mut self.recovered_cycles[..lanes];
+                let replayed = &mut self.replay_penalty_cycles[..lanes];
+                let silent = &mut self.silent_risk_cycles[..lanes];
+                let penalty_time = &mut self.penalty_time_ps[..lanes];
+                for (lane, &actual) in actuals.iter().enumerate() {
+                    let violated = limits.threshold.at(lane) < actual;
+                    let detected = violated && actual <= limits.detect_limit.at(lane);
+                    violations[lane] += u64::from(violated);
+                    recovered[lane] += u64::from(detected);
+                    replayed[lane] += u64::from(detected) * penalty;
+                    silent[lane] += u64::from(violated && !detected);
+                    // `x + 0.0 == x` bit-exactly for the non-negative
+                    // accumulator, so the select keeps the loop branch-free
+                    // while matching the scalar observer's guarded add.
+                    penalty_time[lane] += if detected {
+                        limits.penalty_step.at(lane)
+                    } else {
+                        0.0
+                    };
+                }
+            }
+        }
+        if entry {
+            count(&mut self.entry_violations, limits.threshold, actuals);
+        }
+    }
+}
+
+/// Adds each lane's violation, `threshold < actual`, into `counts`.
+fn count(counts: &mut [u64], threshold: impl Lane, actuals: &[Ps]) {
+    for (lane, (count, &actual)) in counts.iter_mut().zip(actuals).enumerate() {
+        *count += u64::from(threshold.at(lane) < actual);
+    }
 }
 
 impl<'a> PolicyBank<'a> {
@@ -87,29 +227,34 @@ impl<'a> PolicyBank<'a> {
         generator: &'a ClockGenerator,
     ) -> Self {
         let padded = corners.next_multiple_of(LANE_WIDTH);
-        PolicyBank {
+        let mut bank = PolicyBank {
             policy_name: policy_name.into(),
             generator,
-            faults: None,
             corners,
             padded,
-            total_time_ps: vec![0.0; padded],
-            penalty_time_ps: vec![0.0; padded],
-            min_period_ps: vec![Ps::INFINITY; padded],
-            max_period_ps: vec![0.0; padded],
-            violations: vec![0; padded],
-            entry_violations: vec![0; padded],
-            recovered_cycles: vec![0; padded],
-            replay_penalty_cycles: vec![0; padded],
-            silent_risk_cycles: vec![0; padded],
-            realized: vec![0.0; padded],
-            threshold: vec![0.0; padded],
-            detect_limit: vec![0.0; padded],
-            penalty_step: vec![0.0; padded],
-            last_requests: vec![0.0; padded],
-            primed: false,
+            kind: None,
+            uniform: Realized::of(0.0, None),
+            total_time_ps: 0.0,
+            min_period_ps: 0.0,
+            max_period_ps: 0.0,
+            lane_requests: vec![0.0; padded],
+            lanes: Realized::of(0.0, None).map(|_| vec![0.0; padded]),
+            lane_total_time_ps: vec![0.0; padded],
+            lane_min_period_ps: vec![0.0; padded],
+            lane_max_period_ps: vec![0.0; padded],
+            tally: LaneTally {
+                faults: None,
+                violations: vec![0; padded],
+                entry_violations: vec![0; padded],
+                recovered_cycles: vec![0; padded],
+                replay_penalty_cycles: vec![0; padded],
+                silent_risk_cycles: vec![0; padded],
+                penalty_time_ps: vec![0.0; padded],
+            },
             outcomes: None,
-        }
+        };
+        bank.reset();
+        bank
     }
 
     /// Attaches a [`FaultPlan`]: violations are classified through the
@@ -120,7 +265,7 @@ impl<'a> PolicyBank<'a> {
     /// [`PolicyBank::observe_actuals`].
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = Some(faults);
+        self.tally.faults = Some(faults);
         self
     }
 
@@ -138,117 +283,97 @@ impl<'a> PolicyBank<'a> {
         self.padded
     }
 
-    /// Clears all accumulator state so the bank can replay another digest
-    /// (same corners, same generator) without reallocating — the
-    /// worker-scratch counterpart of constructing a fresh bank.
+    /// Clears all accumulator state and the walk's request kind so the
+    /// bank can replay another digest (same corners, same generator)
+    /// without reallocating — the worker-scratch counterpart of
+    /// constructing a fresh bank.
     pub fn reset(&mut self) {
-        self.total_time_ps.fill(0.0);
-        self.penalty_time_ps.fill(0.0);
-        self.min_period_ps.fill(Ps::INFINITY);
-        self.max_period_ps.fill(0.0);
-        self.violations.fill(0);
-        self.entry_violations.fill(0);
-        self.recovered_cycles.fill(0);
-        self.replay_penalty_cycles.fill(0);
-        self.silent_risk_cycles.fill(0);
-        self.primed = false;
+        self.kind = None;
+        self.total_time_ps = 0.0;
+        self.min_period_ps = Ps::INFINITY;
+        self.max_period_ps = 0.0;
+        self.lane_total_time_ps.fill(0.0);
+        self.lane_min_period_ps.fill(Ps::INFINITY);
+        self.lane_max_period_ps.fill(0.0);
+        let tally = &mut self.tally;
+        tally.violations.fill(0);
+        tally.entry_violations.fill(0);
+        tally.recovered_cycles.fill(0);
+        tally.replay_penalty_cycles.fill(0);
+        tally.silent_risk_cycles.fill(0);
+        tally.penalty_time_ps.fill(0.0);
         self.outcomes = None;
     }
 
-    /// Starts a run-block whose request is corner-invariant (the
-    /// table-driven LUT policies decide from digest classes alone):
-    /// realizes `requested` once, broadcasts the hoisted
-    /// threshold/detect/penalty values across the lanes and folds the
-    /// block's min/max periods.
-    #[inline]
-    pub fn begin_block(&mut self, requested: Ps) {
-        if self.padded == 0 {
-            return;
-        }
-        // Min/max folding is idempotent, so folding only when the realized
-        // period actually changes (a request-cache miss) is bit-identical
-        // to the scalar observer's per-cycle fold.
-        if !(self.primed && self.last_requests[0] == requested) {
-            let realized = self.generator.realize(requested);
-            self.fill_lanes_uniform(requested, realized);
-            self.fold_min_max();
-        }
+    /// Fixes the walk's request kind on its first `begin_*` call and
+    /// returns whether an earlier call already had (so the last request is
+    /// valid).
+    fn fix_kind(&mut self, kind: Requests) -> bool {
+        let fixed = self.kind.replace(kind);
+        assert_eq!(fixed.unwrap_or(kind), kind, "one request kind per walk");
+        fixed.is_some()
     }
 
-    /// [`PolicyBank::begin_block`] with one request per corner (the static
-    /// baseline clocks each corner at its own STA period). `requests` must
-    /// be [`PolicyBank::corners`] long.
+    /// Sets the corner-invariant request of the coming cycles (the
+    /// table-driven LUT policies decide from digest classes alone): realizes
+    /// it once and holds its limits and the min/max fold as scalars, so a
+    /// call costs one realize and a few scalar operations whatever the
+    /// corner count.
     ///
     /// # Panics
     ///
-    /// Panics if `requests.len() != self.corners()`.
+    /// Panics if this walk already called
+    /// [`PolicyBank::begin_block_per_corner`].
+    #[inline]
+    pub fn begin_block(&mut self, requested: Ps) {
+        self.fix_kind(Requests::Uniform);
+        let realized = self.generator.realize(requested);
+        self.uniform = Realized::of(realized, self.tally.faults.as_ref());
+        self.min_period_ps = self.min_period_ps.min(realized);
+        self.max_period_ps = self.max_period_ps.max(realized);
+    }
+
+    /// [`PolicyBank::begin_block`] with one request per corner (the static
+    /// baseline clocks each corner at its own STA period), held in lanes.
+    /// `requests` must be [`PolicyBank::corners`] long. Repeating the last
+    /// requests costs one compare, so priming them once per job and
+    /// repeating them per block accumulate the same outcomes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests.len() != self.corners()`, or if this walk
+    /// already called [`PolicyBank::begin_block`].
     pub fn begin_block_per_corner(&mut self, requests: &[Ps]) {
         assert_eq!(requests.len(), self.corners, "one request per corner");
-        if !(self.primed && self.last_requests[..self.corners] == *requests) {
-            for lane in 0..self.padded {
-                let requested = requests.get(lane).copied().unwrap_or(0.0);
-                let realized = self.generator.realize(requested);
-                self.set_lane(lane, requested, realized);
-            }
-            self.primed = true;
-            self.fold_min_max();
+        if self.fix_kind(Requests::PerCorner) && self.lane_requests[..self.corners] == *requests {
+            return;
+        }
+        for lane in 0..self.padded {
+            let requested = requests.get(lane).copied().unwrap_or(0.0);
+            let realized = self.generator.realize(requested);
+            let realized = Realized::of(realized, self.tally.faults.as_ref());
+            self.lane_requests[lane] = requested;
+            self.lanes.period[lane] = realized.period;
+            self.lanes.threshold[lane] = realized.threshold;
+            self.lanes.detect_limit[lane] = realized.detect_limit;
+            self.lanes.penalty_step[lane] = realized.penalty_step;
+            self.lane_min_period_ps[lane] = self.lane_min_period_ps[lane].min(realized.period);
+            self.lane_max_period_ps[lane] = self.lane_max_period_ps[lane].max(realized.period);
         }
     }
 
-    /// Broadcasts one realized request across every lane.
-    fn fill_lanes_uniform(&mut self, requested: Ps, realized: Ps) {
-        self.last_requests.fill(requested);
-        self.realized.fill(realized);
-        self.threshold.fill(realized + 1e-9);
-        if let Some(plan) = &self.faults {
-            let spec = plan.spec();
-            self.detect_limit
-                .fill(realized * (1.0 + spec.detect_window));
-            self.penalty_step
-                .fill(realized * f64::from(spec.replay_penalty));
-        }
-        self.primed = true;
-    }
-
-    /// Writes one lane's hoisted block values.
-    fn set_lane(&mut self, lane: usize, requested: Ps, realized: Ps) {
-        self.last_requests[lane] = requested;
-        self.realized[lane] = realized;
-        self.threshold[lane] = realized + 1e-9;
-        if let Some(plan) = &self.faults {
-            let spec = plan.spec();
-            self.detect_limit[lane] = realized * (1.0 + spec.detect_window);
-            self.penalty_step[lane] = realized * f64::from(spec.replay_penalty);
-        }
-    }
-
-    /// Folds the current block's realized period into the min/max lanes.
-    /// The realized period is constant within a block, so folding once per
-    /// block is bit-identical to the scalar observer's per-cycle fold
-    /// (min/max are idempotent).
-    #[inline]
-    fn fold_min_max(&mut self) {
-        let lanes = self
-            .min_period_ps
-            .iter_mut()
-            .zip(&mut self.max_period_ps)
-            .zip(&self.realized);
-        for ((min, max), &realized) in lanes {
-            *min = min.min(realized);
-            *max = max.max(realized);
-        }
-    }
-
-    /// Accumulates one cycle: compares each lane's hoisted threshold
-    /// against that lane's actual delay and advances the violation,
-    /// recovery and realized-time accumulators. `actuals` must be
-    /// [`PolicyBank::padded_lanes`] long (lane `i` = corner `i`'s
+    /// Accumulates one cycle: adds the realized period to the run time
+    /// and compares each lane's threshold against that lane's actual
+    /// delay, advancing the violation and recovery counters. `actuals`
+    /// must be [`PolicyBank::padded_lanes`] long (lane `i` = corner `i`'s
     /// [`CycleTiming::max_delay_ps`](idca_timing::CycleTiming::max_delay_ps);
     /// padding lanes zero).
     ///
     /// # Panics
     ///
-    /// Panics if `actuals.len() != self.padded_lanes()`.
+    /// Panics if `actuals.len() != self.padded_lanes()`, or if neither
+    /// [`PolicyBank::begin_block`] nor [`PolicyBank::begin_block_per_corner`]
+    /// was called since [`PolicyBank::new`] or [`PolicyBank::reset`].
     ///
     /// `inline(never)` keeps this kernel out of the sweep's replay loop:
     /// merged with the evaluator and the other banks it spills registers
@@ -256,72 +381,47 @@ impl<'a> PolicyBank<'a> {
     /// observe_cycle_lanes_phased` for the same finding).
     #[inline(never)]
     pub fn observe_actuals(&mut self, actuals: &[Ps]) {
-        let lanes = actuals.len();
-        assert_eq!(lanes, self.padded, "lane-packed actual delays");
-        match &self.faults {
-            Some(plan) => {
-                let penalty = u64::from(plan.spec().replay_penalty);
-                let threshold = &self.threshold[..lanes];
-                let detect_limit = &self.detect_limit[..lanes];
-                let penalty_step = &self.penalty_step[..lanes];
-                let realized = &self.realized[..lanes];
-                let violations = &mut self.violations[..lanes];
-                let recovered = &mut self.recovered_cycles[..lanes];
-                let replayed = &mut self.replay_penalty_cycles[..lanes];
-                let silent = &mut self.silent_risk_cycles[..lanes];
-                let penalty_time = &mut self.penalty_time_ps[..lanes];
-                let total_time = &mut self.total_time_ps[..lanes];
-                for lane in 0..lanes {
-                    let actual = actuals[lane];
-                    let violated = threshold[lane] < actual;
-                    let detected = violated && actual <= detect_limit[lane];
-                    violations[lane] += u64::from(violated);
-                    recovered[lane] += u64::from(detected);
-                    replayed[lane] += u64::from(detected) * penalty;
-                    silent[lane] += u64::from(violated && !detected);
-                    // `x + 0.0 == x` bit-exactly for the non-negative
-                    // accumulator, so the select keeps the loop branch-free
-                    // while matching the scalar observer's guarded add.
-                    penalty_time[lane] += if detected { penalty_step[lane] } else { 0.0 };
-                    total_time[lane] += realized[lane];
-                }
-            }
-            None => {
-                let folds = self
-                    .violations
-                    .iter_mut()
-                    .zip(&mut self.total_time_ps)
-                    .zip(&self.threshold)
-                    .zip(&self.realized)
-                    .zip(actuals);
-                for ((((violations, total_time), &threshold), &realized), &actual) in folds {
-                    *violations += u64::from(threshold < actual);
-                    *total_time += realized;
-                }
-            }
-        }
+        self.observe(actuals, false);
     }
 
     /// [`PolicyBank::observe_actuals`] for an exception-entry cycle: the
-    /// same accumulation, plus each lane's violation (recomputed from the
-    /// hoisted threshold, so the count is bit-identical to the main kernel's
-    /// compare) is tallied into the entry-violation lanes. The caller is
-    /// expected to have applied the entry surge to `actuals` already
-    /// ([`Perturbation::lanes`](idca_timing::Perturbation::lanes)), like the
-    /// fault factors.
+    /// same accumulation, plus each lane's violation is tallied into the
+    /// entry-violation counters. The caller is expected to have applied
+    /// the entry surge to `actuals` already
+    /// ([`Perturbation::lanes`](idca_timing::Perturbation::lanes)), like
+    /// the fault factors.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`PolicyBank::observe_actuals`] does.
+    #[inline(never)]
     pub fn observe_actuals_entry(&mut self, actuals: &[Ps]) {
-        self.observe_actuals(actuals);
-        let folds = self
-            .entry_violations
-            .iter_mut()
-            .zip(&self.threshold)
-            .zip(actuals);
-        for ((entry, &threshold), &actual) in folds {
-            *entry += u64::from(threshold < actual);
+        self.observe(actuals, true);
+    }
+
+    /// The one observe kernel behind both entry points, inlined into each
+    /// so the `entry` pass folds away on ordinary cycles.
+    #[inline(always)]
+    fn observe(&mut self, actuals: &[Ps], entry: bool) {
+        let lanes = actuals.len();
+        assert_eq!(lanes, self.padded, "lane-packed actual delays");
+        match self.kind {
+            Some(Requests::Uniform) => {
+                self.total_time_ps += self.uniform.period;
+                self.tally.record(actuals, self.uniform, entry);
+            }
+            Some(Requests::PerCorner) => {
+                let limits = self.lanes.map(|lane| &lane[..lanes]);
+                for (total, &period) in self.lane_total_time_ps.iter_mut().zip(limits.period) {
+                    *total += period;
+                }
+                self.tally.record(actuals, limits, entry);
+            }
+            None => panic!("PolicyBank observed a cycle before any begin_block call"),
         }
     }
 
-    /// Derives the per-corner [`RunOutcome`]s from the accumulated lanes —
+    /// Derives the per-corner [`RunOutcome`]s from the accumulated state —
     /// field-for-field the arithmetic of
     /// [`PolicyObserver`](crate::PolicyObserver)'s `finish`. The activity
     /// summary is the empty-finished default (the banked paths fold
@@ -332,11 +432,19 @@ impl<'a> PolicyBank<'a> {
         activity.finish(summary);
         let activity = activity.summary();
         let cycles = summary.cycles;
+        // A `begin_block` walk held its run time and min/max once; every
+        // corner reports them.
+        if self.kind == Some(Requests::Uniform) {
+            self.lane_total_time_ps.fill(self.total_time_ps);
+            self.lane_min_period_ps.fill(self.min_period_ps);
+            self.lane_max_period_ps.fill(self.max_period_ps);
+        }
+        let (tally, min_period) = (&self.tally, &self.lane_min_period_ps);
         let outcomes = (0..self.corners)
             .map(|lane| {
-                let total_time_ps = self.total_time_ps[lane];
+                let total_time_ps = self.lane_total_time_ps[lane];
                 let (avg_period_ps, effective_frequency_mhz, recovery_frequency_mhz) =
-                    frequencies(total_time_ps, self.penalty_time_ps[lane], cycles);
+                    frequencies(total_time_ps, tally.penalty_time_ps[lane], cycles);
                 let mips = if total_time_ps > 0.0 {
                     summary.retired as f64 / (total_time_ps * 1e-6)
                 } else {
@@ -348,19 +456,15 @@ impl<'a> PolicyBank<'a> {
                     retired: summary.retired,
                     total_time_ps,
                     avg_period_ps,
-                    min_period_ps: if cycles == 0 {
-                        0.0
-                    } else {
-                        self.min_period_ps[lane]
-                    },
-                    max_period_ps: self.max_period_ps[lane],
+                    min_period_ps: if cycles == 0 { 0.0 } else { min_period[lane] },
+                    max_period_ps: self.lane_max_period_ps[lane],
                     effective_frequency_mhz,
                     mips,
-                    violations: self.violations[lane],
-                    entry_violations: self.entry_violations[lane],
-                    recovered_cycles: self.recovered_cycles[lane],
-                    replay_penalty_cycles: self.replay_penalty_cycles[lane],
-                    silent_risk_cycles: self.silent_risk_cycles[lane],
+                    violations: tally.violations[lane],
+                    entry_violations: tally.entry_violations[lane],
+                    recovered_cycles: tally.recovered_cycles[lane],
+                    replay_penalty_cycles: tally.replay_penalty_cycles[lane],
+                    silent_risk_cycles: tally.silent_risk_cycles[lane],
                     recovery_frequency_mhz,
                     activity,
                 }
@@ -516,6 +620,25 @@ mod tests {
         bank.reset();
         let second = run(&mut bank);
         assert_eq!(first, second);
+    }
+
+    #[test]
+    #[should_panic(expected = "before any begin_block call")]
+    fn observing_before_any_request_panics() {
+        // Without a request there is no threshold to compare against: a
+        // silent zero threshold would count every cycle as a violation.
+        let generator = ClockGenerator::Ideal;
+        let mut bank = PolicyBank::new("static", 3, &generator);
+        bank.observe_actuals(&[1500.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one request kind per walk")]
+    fn mixing_request_kinds_in_one_walk_panics() {
+        let generator = ClockGenerator::Ideal;
+        let mut bank = PolicyBank::new("static", 3, &generator);
+        bank.begin_block(1800.0);
+        bank.begin_block_per_corner(&[1800.0; 3]);
     }
 
     #[test]

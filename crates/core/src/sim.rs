@@ -395,11 +395,10 @@ pub fn replay_digest_banked(
     digest.for_each_run(|start, len, dc| {
         for cycle in start..start + u64::from(len) {
             // The policy sees only the digest, never the model, so its
-            // request is corner-invariant: decide once, broadcast to every
-            // lane. It may still depend on the cycle index (the genie
-            // oracle dithers), so it is re-derived per cycle; the bank
-            // skips its realize-and-derive refill whenever the request
-            // repeats.
+            // request is corner-invariant: decide once per cycle (it may
+            // depend on the cycle index — the genie oracle dithers), and
+            // the bank holds the realized period and its limits once, as
+            // scalars, for every lane.
             pbank.begin_block(policy.digest_period_ps(cycle, dc));
             // The evaluated cycle stays in structure-of-arrays form: the
             // bank folds the contiguous max-delay lanes directly.

@@ -6,9 +6,11 @@
 //! [`ViolationTally::record`] is that check for [`PolicyObserver`] and
 //! [`AdaptiveObserver`], together with the fault plan's recovery
 //! classification. The SoA banks keep their own lane-packed copies of the
-//! same arithmetic (one realize per run-block in the policy banks and per
-//! cycle in the adaptive bank, branch-free selects), pinned bit-identical to
-//! this one by the banked-replay property tests.
+//! same arithmetic (branch-free selects; the policy banks derive the
+//! realized period and its limits once per request change, as scalars when
+//! the request is corner-invariant, and the adaptive bank realizes once per
+//! cycle), pinned bit-identical to this one by the banked-replay property
+//! tests.
 //!
 //! [`PolicyObserver`]: crate::PolicyObserver
 //! [`AdaptiveObserver`]: crate::AdaptiveObserver

@@ -166,11 +166,16 @@ proptest! {
             let mut bank_lut = PolicyBank::new("instruction-based", models.len(), &generator);
             let mut bank_exec = PolicyBank::new("execute-only", models.len(), &generator);
             let mut adaptive = AdaptiveBank::new(&models, &config, &generator, seed_lut, drift);
+            // The static requests are fixed for the job, so the bank is
+            // primed once before the walk, as the sweep primes it (the
+            // fault and interrupt lanes tests keep priming it per block).
+            if digest.cycles() > 0 {
+                bank_static.begin_block_per_corner(&static_requests);
+            }
             let mut evaluator = bank.evaluator();
             digest.for_each_run(|start, len, dc| {
                 bank_lut.begin_block(lut_policy.digest_period_ps(start, dc));
                 bank_exec.begin_block(exec_policy.digest_period_ps(start, dc));
-                bank_static.begin_block_per_corner(&static_requests);
                 for cycle in start..start + u64::from(len) {
                     let lanes = &*evaluator.cycle_lanes(cycle, dc);
                     bank_static.observe_actuals(lanes.max_lanes());

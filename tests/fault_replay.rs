@@ -219,79 +219,89 @@ proptest! {
             .map(|m| StaticClock::of_model(m).period())
             .collect();
 
-        // Banked walk: lanes perturbed in place, banks classify recovery.
-        let bank = CornerBank::from_models(&models);
-        let mut bank_static =
-            PolicyBank::new("static", models.len(), &ClockGenerator::Ideal).with_faults(plan);
-        let mut bank_lut = PolicyBank::new("instruction-based", models.len(), &ClockGenerator::Ideal)
-            .with_faults(plan);
-        let mut bank_exec = PolicyBank::new("execute-only", models.len(), &ClockGenerator::Ideal)
-            .with_faults(plan);
-        let mut adaptive =
-            AdaptiveBank::new(&models, &config, &ClockGenerator::Ideal, None, drift)
+        // Every generator in every case: a quantizing or discrete
+        // generator realizes a period other than the request, so the
+        // detection limit and penalty step must derive from the realized
+        // period, not from the request.
+        for generator in [
+            ClockGenerator::Ideal,
+            ClockGenerator::quantized_50ps(),
+            ClockGenerator::discrete(8, 900.0, 2100.0),
+        ] {
+            // Banked walk: lanes perturbed in place, banks classify recovery.
+            let bank = CornerBank::from_models(&models);
+            let mut bank_static =
+                PolicyBank::new("static", models.len(), &generator).with_faults(plan);
+            let mut bank_lut = PolicyBank::new("instruction-based", models.len(), &generator)
                 .with_faults(plan);
-        let mut evaluator = bank.evaluator();
-        digest.for_each_run(|start, len, dc| {
-            bank_lut.begin_block(lut_policy.digest_period_ps(start, dc));
-            bank_exec.begin_block(exec_policy.digest_period_ps(start, dc));
-            bank_static.begin_block_per_corner(&static_requests);
-            for cycle in start..start + u64::from(len) {
-                let lanes = evaluator.cycle_lanes(cycle, dc);
-                lanes.apply_fault(&plan, cycle);
-                let lanes = &*lanes;
-                bank_static.observe_actuals(lanes.max_lanes());
-                bank_lut.observe_actuals(lanes.max_lanes());
-                bank_exec.observe_actuals(lanes.max_lanes());
-                adaptive.observe_cycle_lanes_phased(cycle, dc, lanes, false);
-            }
-        });
-        let summary = digest.summary();
-        bank_static.finish(&summary);
-        bank_lut.finish(&summary);
-        bank_exec.finish(&summary);
-        adaptive.finish(&summary);
-        let out_static = bank_static.into_outcomes();
-        let out_lut = bank_lut.into_outcomes();
-        let out_exec = bank_exec.into_outcomes();
-        let out_adaptive = adaptive.into_outcomes();
-
-        for (corner, varied) in models.iter().enumerate() {
-            let static_policy = StaticClock::new(static_requests[corner]);
-            let mut ob_static =
-                PolicyObserver::new(varied, &static_policy, &ClockGenerator::Ideal)
-                    .with_faults(&plan);
-            let mut ob_lut = PolicyObserver::new(varied, &lut_policy, &ClockGenerator::Ideal)
-                .with_faults(&plan);
-            let mut ob_exec = PolicyObserver::new(varied, &exec_policy, &ClockGenerator::Ideal)
-                .with_faults(&plan);
-            let mut ob_adaptive =
-                AdaptiveObserver::new(varied, &config, &ClockGenerator::Ideal, None, drift)
-                    .with_faults(&plan);
-            digest.for_each_cycle(|cycle, dc| {
-                let timing = varied.digest_cycle_timing(cycle, dc);
-                let timing = plan.faulted(cycle, &timing);
-                ob_static.observe_digest_timed(cycle, dc, &timing);
-                ob_lut.observe_digest_timed(cycle, dc, &timing);
-                ob_exec.observe_digest_timed(cycle, dc, &timing);
-                ob_adaptive.observe_digest_timed(cycle, dc, &timing);
+            let mut bank_exec = PolicyBank::new("execute-only", models.len(), &generator)
+                .with_faults(plan);
+            let mut adaptive =
+                AdaptiveBank::new(&models, &config, &generator, None, drift)
+                    .with_faults(plan);
+            let mut evaluator = bank.evaluator();
+            digest.for_each_run(|start, len, dc| {
+                bank_lut.begin_block(lut_policy.digest_period_ps(start, dc));
+                bank_exec.begin_block(exec_policy.digest_period_ps(start, dc));
+                bank_static.begin_block_per_corner(&static_requests);
+                for cycle in start..start + u64::from(len) {
+                    let lanes = evaluator.cycle_lanes(cycle, dc);
+                    lanes.apply_fault(&plan, cycle);
+                    let lanes = &*lanes;
+                    bank_static.observe_actuals(lanes.max_lanes());
+                    bank_lut.observe_actuals(lanes.max_lanes());
+                    bank_exec.observe_actuals(lanes.max_lanes());
+                    adaptive.observe_cycle_lanes_phased(cycle, dc, lanes, false);
+                }
             });
-            ob_static.finish(&summary);
-            ob_lut.finish(&summary);
-            ob_exec.finish(&summary);
-            ob_adaptive.finish(&summary);
-            // Whole-struct bit equality, modulo the documented
-            // empty-finished activity of the banks (the sweep folds
-            // activity outside them).
-            let mut scalar_static = ob_static.into_outcome();
-            let mut scalar_lut = ob_lut.into_outcome();
-            let mut scalar_exec = ob_exec.into_outcome();
-            scalar_static.activity = out_static[corner].activity;
-            scalar_lut.activity = out_lut[corner].activity;
-            scalar_exec.activity = out_exec[corner].activity;
-            prop_assert_eq!(&out_static[corner], &scalar_static, "corner {}", corner);
-            prop_assert_eq!(&out_lut[corner], &scalar_lut, "corner {}", corner);
-            prop_assert_eq!(&out_exec[corner], &scalar_exec, "corner {}", corner);
-            prop_assert_eq!(&out_adaptive[corner], &ob_adaptive.into_outcome(), "corner {}", corner);
+            let summary = digest.summary();
+            bank_static.finish(&summary);
+            bank_lut.finish(&summary);
+            bank_exec.finish(&summary);
+            adaptive.finish(&summary);
+            let out_static = bank_static.into_outcomes();
+            let out_lut = bank_lut.into_outcomes();
+            let out_exec = bank_exec.into_outcomes();
+            let out_adaptive = adaptive.into_outcomes();
+
+            for (corner, varied) in models.iter().enumerate() {
+                let static_policy = StaticClock::new(static_requests[corner]);
+                let mut ob_static =
+                    PolicyObserver::new(varied, &static_policy, &generator)
+                        .with_faults(&plan);
+                let mut ob_lut = PolicyObserver::new(varied, &lut_policy, &generator)
+                    .with_faults(&plan);
+                let mut ob_exec = PolicyObserver::new(varied, &exec_policy, &generator)
+                    .with_faults(&plan);
+                let mut ob_adaptive =
+                    AdaptiveObserver::new(varied, &config, &generator, None, drift)
+                        .with_faults(&plan);
+                digest.for_each_cycle(|cycle, dc| {
+                    let timing = varied.digest_cycle_timing(cycle, dc);
+                    let timing = plan.faulted(cycle, &timing);
+                    ob_static.observe_digest_timed(cycle, dc, &timing);
+                    ob_lut.observe_digest_timed(cycle, dc, &timing);
+                    ob_exec.observe_digest_timed(cycle, dc, &timing);
+                    ob_adaptive.observe_digest_timed(cycle, dc, &timing);
+                });
+                ob_static.finish(&summary);
+                ob_lut.finish(&summary);
+                ob_exec.finish(&summary);
+                ob_adaptive.finish(&summary);
+                // Whole-struct bit equality, modulo the documented
+                // empty-finished activity of the banks (the sweep folds
+                // activity outside them).
+                let mut scalar_static = ob_static.into_outcome();
+                let mut scalar_lut = ob_lut.into_outcome();
+                let mut scalar_exec = ob_exec.into_outcome();
+                scalar_static.activity = out_static[corner].activity;
+                scalar_lut.activity = out_lut[corner].activity;
+                scalar_exec.activity = out_exec[corner].activity;
+                prop_assert_eq!(&out_static[corner], &scalar_static, "corner {}", corner);
+                prop_assert_eq!(&out_lut[corner], &scalar_lut, "corner {}", corner);
+                prop_assert_eq!(&out_exec[corner], &scalar_exec, "corner {}", corner);
+                prop_assert_eq!(&out_adaptive[corner], &ob_adaptive.into_outcome(), "corner {}", corner);
+            }
         }
     }
 
