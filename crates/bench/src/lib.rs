@@ -1,8 +1,8 @@
 //! # idca-bench — experiment harness
 //!
 //! Shared plumbing for regenerating every table and figure of the paper's
-//! evaluation section. The Criterion benches under `benches/` and the
-//! `repro` binary both go through the functions in this crate, so the
+//! evaluation section. The `repro` binary and the repository benchmark
+//! (`perfbench/`) both go through the functions in this crate, so the
 //! numbers they print are produced by exactly one code path.
 //!
 //! | Experiment | Paper | Function |

@@ -514,6 +514,59 @@ fn interrupt_sweep_is_thread_invariant_cached_sharded_and_matches_golden() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An interrupt storm and a combined faults + interrupts scenario on the
+/// 16 seeds x 4 corners grid: both are thread-invariant and carry their
+/// scenario columns, the combined report is pinned byte for byte, and the
+/// steady-state report of the same grid carries no irq columns.
+#[test]
+fn storm_and_combined_fault_interrupt_sweeps_are_thread_invariant_and_match_golden() {
+    let sweep = |scenario: &[&str], threads: &str| {
+        let mut args = vec!["sweep", "--seeds", "16", "--corners", "4", "--seed", "7"];
+        args.extend_from_slice(scenario);
+        repro_stdout(&args, threads)
+    };
+
+    let steady = sweep(&[], "2");
+    assert!(
+        !steady.contains("irq."),
+        "steady-state report must not carry irq columns"
+    );
+
+    let storm = ["--interrupts", "seed=3,rate=0.004,timer=211,penalty=6"];
+    let single = sweep(&storm, "1");
+    assert_eq!(
+        single,
+        sweep(&storm, "4"),
+        "storm sweep differs between RAYON_NUM_THREADS=1 and =4"
+    );
+    assert!(single.contains("pvt_sweep.interrupts=seed=3,"), "{single}");
+    assert!(single.contains("irq.entries="), "{single}");
+    assert!(
+        single.contains("policy.instruction-based.entry_violations="),
+        "{single}"
+    );
+
+    // Fault factors apply first, then the entry surge.
+    let combined = [
+        "--faults",
+        "seed=9,droop-rate=0.3,droop-mag=0.5,penalty=4",
+        "--interrupts",
+        "seed=5,rate=0.003,timer=173,penalty=5",
+    ];
+    let single = sweep(&combined, "1");
+    assert_eq!(
+        single,
+        sweep(&combined, "4"),
+        "combined sweep differs between RAYON_NUM_THREADS=1 and =4"
+    );
+    assert!(single.contains("policy.adaptive.recovered="), "{single}");
+    assert!(
+        single.contains("policy.adaptive.entry_violations="),
+        "{single}"
+    );
+    assert_matches_golden("sweep_s16_c4_seed7_faults_interrupts.txt", &single);
+}
+
 #[test]
 fn serve_survives_hostile_stdin() {
     use std::io::Write;

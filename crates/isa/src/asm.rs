@@ -31,31 +31,22 @@
 //! # }
 //! ```
 
-use crate::{Insn, IsaError, Program, ProgramBuilder, Reg, SetFlagCond, INSN_BYTES};
+use crate::table::{Format, Imm};
+use crate::{Insn, IsaError, Opcode, Program, ProgramBuilder, Reg, INSN_BYTES};
 use std::collections::BTreeMap;
 
-/// Two-pass assembler producing [`Program`] images.
+/// Two-pass assembler producing [`Program`] images. The first instruction
+/// sits at byte address 0.
 #[derive(Debug, Clone, Default)]
 pub struct Assembler {
-    base_address: u32,
     name: String,
 }
 
 impl Assembler {
-    /// Creates an assembler with base address `0` and an empty program name.
+    /// Creates an assembler with an empty program name.
     #[must_use]
     pub fn new() -> Self {
-        Assembler {
-            base_address: 0,
-            name: String::new(),
-        }
-    }
-
-    /// Sets the byte address of the first instruction.
-    #[must_use]
-    pub fn with_base_address(mut self, base: u32) -> Self {
-        self.base_address = base;
-        self
+        Assembler::default()
     }
 
     /// Sets the name recorded in the resulting [`Program`].
@@ -69,15 +60,16 @@ impl Assembler {
     ///
     /// # Errors
     ///
-    /// Returns [`IsaError::ParseError`], [`IsaError::UndefinedLabel`],
-    /// [`IsaError::DuplicateLabel`], [`IsaError::ImmediateOutOfRange`] or
-    /// [`IsaError::BranchOutOfRange`] describing the first problem found.
+    /// Returns [`IsaError::ParseError`] (unknown mnemonic or directive, wrong
+    /// operand count, malformed operand, undefined label),
+    /// [`IsaError::DuplicateLabel`] or [`IsaError::ImmediateOutOfRange`]
+    /// describing the first problem found.
     pub fn assemble(&self, source: &str) -> Result<Program, IsaError> {
         let lines = preprocess(source);
 
         // Pass 1: resolve label addresses.
         let mut labels: BTreeMap<String, u32> = BTreeMap::new();
-        let mut address = self.base_address;
+        let mut address = 0;
         for line in &lines {
             for label in &line.labels {
                 if labels.insert(label.clone(), address).is_some() {
@@ -97,9 +89,8 @@ impl Assembler {
 
         // Pass 2: emit instructions and data.
         let mut builder = ProgramBuilder::named(self.name.clone());
-        builder.set_base_address(self.base_address);
         let mut data_cursor: u32 = 0;
-        let mut address = self.base_address;
+        let mut address = 0;
         for line in &lines {
             let Some(stmt) = &line.statement else {
                 continue;
@@ -246,6 +237,19 @@ fn parse_i32(text: &str) -> Result<i32, String> {
     parse_u32(text).map(|v| v as i32)
 }
 
+/// An immediate literal as the field sees it: a signed field reads the
+/// 32-bit pattern as `i32`, an unsigned field as `u32`, so `-1` is out of
+/// range for the latter.
+fn parse_imm(text: &str, kind: Imm) -> Result<i64, String> {
+    let value = parse_u32(text)?;
+    let (_, signed) = kind.width();
+    Ok(if signed {
+        i64::from(value as i32)
+    } else {
+        i64::from(value)
+    })
+}
+
 fn parse_reg(text: &str) -> Result<Reg, String> {
     let text = text.trim();
     let digits = text
@@ -309,190 +313,54 @@ fn parse_instruction(
     let perr = |message: String| IsaError::ParseError { line, message };
     let (mnemonic, rest) = stmt.split_once(char::is_whitespace).unwrap_or((stmt, ""));
     let mnemonic = mnemonic.to_ascii_lowercase();
+    let opcode = Opcode::from_mnemonic(&mnemonic)
+        .ok_or_else(|| perr(format!("unknown mnemonic `{mnemonic}`")))?;
+    let format = opcode.row().format;
     let ops = split_operands(rest);
+    // `l.nop` may omit its immediate.
+    let omitted = matches!(format, Format::K(_)) && ops.is_empty();
+    if ops.len() != format.arity() && !omitted {
+        return Err(perr(format!(
+            "`{mnemonic}` expects {} operand(s), found {}",
+            format.arity(),
+            ops.len()
+        )));
+    }
+    let reg = |i: usize| parse_reg(&ops[i]).map(Some).map_err(&perr);
+    let imm = |i: usize, kind: Imm| parse_imm(&ops[i], kind).map(Some).map_err(&perr);
+    let mem = |i: usize| parse_mem_operand(&ops[i]).map_err(&perr);
 
-    let need = |n: usize| -> Result<(), IsaError> {
-        if ops.len() == n {
-            Ok(())
-        } else {
-            Err(perr(format!(
-                "`{mnemonic}` expects {n} operand(s), found {}",
-                ops.len()
-            )))
+    let (rd, ra, rb, imm) = match format {
+        Format::Dab => (reg(0)?, reg(1)?, reg(2)?, None),
+        Format::Da => (reg(0)?, reg(1)?, None, None),
+        Format::Dai(kind) => (reg(0)?, reg(1)?, None, imm(2, kind)?),
+        Format::Dk(kind) => (reg(0)?, None, None, imm(1, kind)?),
+        Format::Ab => (None, reg(0)?, reg(1)?, None),
+        Format::Ai(kind) => (None, reg(0)?, None, imm(1, kind)?),
+        Format::Load(_) => {
+            let (offset, ra) = mem(1)?;
+            (reg(0)?, Some(ra), None, Some(offset.into()))
         }
+        Format::Store(_) => {
+            let (offset, ra) = mem(0)?;
+            (None, Some(ra), reg(1)?, Some(offset.into()))
+        }
+        Format::Pc(_) | Format::PcLink(_) => {
+            let offset = resolve_target(&ops[0], address, labels).map_err(&perr)?;
+            (None, None, None, Some(offset.into()))
+        }
+        Format::B | Format::BLink => (None, None, reg(0)?, None),
+        Format::K(_) if omitted => (None, None, None, Some(0)),
+        Format::K(kind) => (None, None, None, imm(0, kind)?),
+        Format::Bare => (None, None, None, None),
     };
-    let reg = |i: usize| parse_reg(&ops[i]).map_err(&perr);
-    let imm = |i: usize| parse_i32(&ops[i]).map_err(&perr);
-
-    // Register-register ALU instructions share the `rD, rA, rB` shape.
-    let rrr: Option<fn(Reg, Reg, Reg) -> Insn> = match mnemonic.as_str() {
-        "l.add" => Some(Insn::add),
-        "l.addc" => Some(Insn::addc),
-        "l.sub" => Some(Insn::sub),
-        "l.and" => Some(Insn::and),
-        "l.or" => Some(Insn::or),
-        "l.xor" => Some(Insn::xor),
-        "l.mul" => Some(Insn::mul),
-        "l.mulu" => Some(Insn::mulu),
-        "l.sll" => Some(Insn::sll),
-        "l.srl" => Some(Insn::srl),
-        "l.sra" => Some(Insn::sra),
-        "l.ror" => Some(Insn::ror),
-        "l.cmov" => Some(Insn::cmov),
-        _ => None,
-    };
-    if let Some(ctor) = rrr {
-        need(3)?;
-        return Ok(ctor(reg(0)?, reg(1)?, reg(2)?));
-    }
-
-    // Immediate ALU instructions share the `rD, rA, imm` shape.
-    match mnemonic.as_str() {
-        "l.addi" => {
-            need(3)?;
-            return Insn::addi(reg(0)?, reg(1)?, imm(2)?);
-        }
-        "l.addic" => {
-            need(3)?;
-            return Insn::addic(reg(0)?, reg(1)?, imm(2)?);
-        }
-        "l.andi" => {
-            need(3)?;
-            return Insn::andi(reg(0)?, reg(1)?, imm(2)? as u32);
-        }
-        "l.ori" => {
-            need(3)?;
-            return Insn::ori(reg(0)?, reg(1)?, imm(2)? as u32);
-        }
-        "l.xori" => {
-            need(3)?;
-            return Insn::xori(reg(0)?, reg(1)?, imm(2)?);
-        }
-        "l.muli" => {
-            need(3)?;
-            return Insn::muli(reg(0)?, reg(1)?, imm(2)?);
-        }
-        "l.slli" => {
-            need(3)?;
-            return Insn::slli(reg(0)?, reg(1)?, imm(2)? as u32);
-        }
-        "l.srli" => {
-            need(3)?;
-            return Insn::srli(reg(0)?, reg(1)?, imm(2)? as u32);
-        }
-        "l.srai" => {
-            need(3)?;
-            return Insn::srai(reg(0)?, reg(1)?, imm(2)? as u32);
-        }
-        "l.rori" => {
-            need(3)?;
-            return Insn::rori(reg(0)?, reg(1)?, imm(2)? as u32);
-        }
-        "l.movhi" => {
-            need(2)?;
-            return Insn::movhi(reg(0)?, imm(1)? as u32 & 0xFFFF);
-        }
-        "l.extbs" => {
-            need(2)?;
-            return Ok(Insn::extbs(reg(0)?, reg(1)?));
-        }
-        "l.exths" => {
-            need(2)?;
-            return Ok(Insn::exths(reg(0)?, reg(1)?));
-        }
-        "l.nop" => {
-            let k = if ops.is_empty() { 0 } else { imm(0)? };
-            return Ok(Insn::nop(k as u16));
-        }
-        "l.rfe" => {
-            need(0)?;
-            return Ok(Insn::rfe());
-        }
-        "l.jr" => {
-            need(1)?;
-            return Ok(Insn::jr(reg(0)?));
-        }
-        "l.jalr" => {
-            need(1)?;
-            return Ok(Insn::jalr(reg(0)?));
-        }
-        _ => {}
-    }
-
-    // Set-flag comparisons: l.sf<cond>[i].
-    if let Some(suffix) = mnemonic.strip_prefix("l.sf") {
-        let (cond_text, is_imm) = match suffix.strip_suffix('i') {
-            // `l.sfnei` ends with `i`; but plain `l.sfgeui` also ends in `i`
-            // after stripping we must still find a valid condition.
-            Some(stripped) if SetFlagCond::ALL.iter().any(|c| c.suffix() == stripped) => {
-                (stripped, true)
-            }
-            _ => (suffix, false),
-        };
-        let cond = SetFlagCond::ALL
-            .into_iter()
-            .find(|c| c.suffix() == cond_text)
-            .ok_or_else(|| perr(format!("unknown set-flag condition in `{mnemonic}`")))?;
-        need(2)?;
-        return if is_imm {
-            Insn::sfi(cond, reg(0)?, imm(1)?)
-        } else {
-            Ok(Insn::sf(cond, reg(0)?, parse_reg(&ops[1]).map_err(&perr)?))
-        };
-    }
-
-    // Loads: `rD, offset(rA)`.
-    type LoadCtor = fn(Reg, i32, Reg) -> Result<Insn, IsaError>;
-    let load: Option<LoadCtor> = match mnemonic.as_str() {
-        "l.lwz" => Some(Insn::lwz),
-        "l.lws" => Some(Insn::lws),
-        "l.lhz" => Some(Insn::lhz),
-        "l.lhs" => Some(Insn::lhs),
-        "l.lbz" => Some(Insn::lbz),
-        "l.lbs" => Some(Insn::lbs),
-        _ => None,
-    };
-    if let Some(ctor) = load {
-        need(2)?;
-        let (offset, ra) = parse_mem_operand(&ops[1]).map_err(&perr)?;
-        return ctor(reg(0)?, offset, ra);
-    }
-
-    // Stores: `offset(rA), rB`.
-    type StoreCtor = fn(i32, Reg, Reg) -> Result<Insn, IsaError>;
-    let store: Option<StoreCtor> = match mnemonic.as_str() {
-        "l.sw" => Some(Insn::sw),
-        "l.sh" => Some(Insn::sh),
-        "l.sb" => Some(Insn::sb),
-        _ => None,
-    };
-    if let Some(ctor) = store {
-        need(2)?;
-        let (offset, ra) = parse_mem_operand(&ops[0]).map_err(&perr)?;
-        return ctor(offset, ra, parse_reg(&ops[1]).map_err(&perr)?);
-    }
-
-    // PC-relative control flow: operand is a label or a word offset.
-    let jump: Option<fn(i32) -> Result<Insn, IsaError>> = match mnemonic.as_str() {
-        "l.j" => Some(Insn::j),
-        "l.jal" => Some(Insn::jal),
-        "l.bf" => Some(Insn::bf),
-        "l.bnf" => Some(Insn::bnf),
-        _ => None,
-    };
-    if let Some(ctor) = jump {
-        need(1)?;
-        let offset = resolve_target(&ops[0], address, labels).map_err(&perr)?;
-        return ctor(offset);
-    }
-
-    Err(perr(format!("unknown mnemonic `{mnemonic}`")))
+    Insn::from_fields(opcode, rd, ra, rb, imm)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Opcode, TimingClass};
+    use crate::{SetFlagCond, TimingClass};
 
     #[test]
     fn assembles_loop_with_labels() {
@@ -593,6 +461,46 @@ mod tests {
             .unwrap();
         assert_eq!(program.insns()[0].imm(), Some(-16));
         assert_eq!(program.insns()[1].imm(), Some(0xABCD));
+    }
+
+    fn out_of_range(source: &str) -> (&'static str, i64) {
+        match Assembler::new().assemble(source) {
+            Err(IsaError::ImmediateOutOfRange {
+                mnemonic, value, ..
+            }) => (mnemonic, value),
+            other => panic!("`{source}` assembled to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nop_and_movhi_immediates_are_range_checked() {
+        assert_eq!(out_of_range("l.nop 70000"), ("l.nop", 70_000));
+        assert_eq!(out_of_range("l.nop -1"), ("l.nop", 0xFFFF_FFFF));
+        assert_eq!(out_of_range("l.movhi r1, 0x12345"), ("l.movhi", 0x12345));
+        assert_eq!(out_of_range("l.movhi r1, -1"), ("l.movhi", 0xFFFF_FFFF));
+    }
+
+    #[test]
+    fn extra_operands_are_rejected() {
+        match Assembler::new().assemble("l.nop 1, 2") {
+            Err(IsaError::ParseError { message, .. }) => {
+                assert!(
+                    message.contains("expects 1 operand(s), found 2"),
+                    "{message}"
+                );
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(
+            Assembler::new().assemble("l.nop").unwrap().insns(),
+            &[Insn::nop(0)]
+        );
+    }
+
+    #[test]
+    fn memory_offset_errors_name_the_instruction() {
+        assert_eq!(out_of_range("l.lwz r1, 40000(r2)"), ("l.lwz", 40_000));
+        assert_eq!(out_of_range("l.sw -40000(r2), r1"), ("l.sw", -40_000));
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Disassembly of instructions and program images into OpenRISC assembly
-//! syntax, mainly used for traces, debugging and the paper-style reports.
+//! Disassembly of instructions into OpenRISC assembly syntax, mainly used
+//! for traces, debugging and the paper-style reports.
 
-use crate::{Insn, Opcode, Program};
+use crate::table::Format;
+use crate::{Insn, Reg};
 
-/// Formats a single instruction using OpenRISC assembly syntax.
+/// Formats a single instruction using OpenRISC assembly syntax, in the
+/// operand order of its format. The assembler reads the text back to the
+/// same instruction.
 ///
 /// Branch and jump targets are rendered as relative word offsets
-/// (e.g. `l.bf -3`); use [`disassemble_program`] to render resolved byte
-/// addresses instead.
+/// (e.g. `l.bf -3`).
 ///
 /// # Example
 ///
@@ -20,86 +22,27 @@ use crate::{Insn, Opcode, Program};
 #[must_use]
 pub fn format_insn(insn: &Insn) -> String {
     let m = insn.opcode().mnemonic();
-    let rd = insn.rd();
-    let ra = insn.ra();
-    let rb = insn.rb();
-    let imm = insn.imm();
-    match insn.opcode() {
-        Opcode::Nop => format!("{m} {}", imm.unwrap_or(0)),
-        Opcode::Movhi => format!(
-            "{m} {}, {:#x}",
-            rd.unwrap(),
-            imm.unwrap_or(0) as u32 & 0xFFFF
-        ),
-        Opcode::J | Opcode::Jal | Opcode::Bf | Opcode::Bnf => {
-            format!("{m} {}", imm.unwrap_or(0))
-        }
-        Opcode::Jr | Opcode::Jalr => format!("{m} {}", rb.unwrap()),
-        Opcode::Lwz | Opcode::Lws | Opcode::Lhz | Opcode::Lhs | Opcode::Lbz | Opcode::Lbs => {
-            format!("{m} {}, {}({})", rd.unwrap(), imm.unwrap_or(0), ra.unwrap())
-        }
-        Opcode::Sw | Opcode::Sh | Opcode::Sb => {
-            format!("{m} {}({}), {}", imm.unwrap_or(0), ra.unwrap(), rb.unwrap())
-        }
-        Opcode::Rfe => m,
-        Opcode::Sf(_) => format!("{m} {}, {}", ra.unwrap(), rb.unwrap()),
-        Opcode::Sfi(_) => format!("{m} {}, {}", ra.unwrap(), imm.unwrap_or(0)),
-        Opcode::Extbs | Opcode::Exths => format!("{m} {}, {}", rd.unwrap(), ra.unwrap()),
-        Opcode::Slli | Opcode::Srli | Opcode::Srai | Opcode::Rori => {
-            format!("{m} {}, {}, {}", rd.unwrap(), ra.unwrap(), imm.unwrap_or(0))
-        }
-        _ => {
-            // Remaining formats: rD, rA, rB or rD, rA, imm.
-            if let Some(rb) = rb {
-                format!("{m} {}, {}, {}", rd.unwrap(), ra.unwrap(), rb)
-            } else {
-                format!("{m} {}, {}, {}", rd.unwrap(), ra.unwrap(), imm.unwrap_or(0))
-            }
-        }
+    // Every `Insn` has exactly its row's fields, so the fallback is unused.
+    let [d, a, b] = [insn.rd(), insn.ra(), insn.rb()].map(|r| r.unwrap_or(Reg::R0));
+    let i = insn.imm().unwrap_or(0);
+    match insn.opcode().row().format {
+        Format::Dab => format!("{m} {d}, {a}, {b}"),
+        Format::Da => format!("{m} {d}, {a}"),
+        Format::Dai(_) => format!("{m} {d}, {a}, {i}"),
+        Format::Dk(_) => format!("{m} {d}, {i:#x}"),
+        Format::Ab => format!("{m} {a}, {b}"),
+        Format::Ai(_) => format!("{m} {a}, {i}"),
+        Format::Load(_) => format!("{m} {d}, {i}({a})"),
+        Format::Store(_) => format!("{m} {i}({a}), {b}"),
+        Format::Pc(_) | Format::PcLink(_) | Format::K(_) => format!("{m} {i}"),
+        Format::B | Format::BLink => format!("{m} {b}"),
+        Format::Bare => m,
     }
-}
-
-/// A single line of a disassembled program.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DisasmLine {
-    /// Byte address of the instruction.
-    pub address: u32,
-    /// Raw 32-bit encoding.
-    pub word: u32,
-    /// Formatted assembly text.
-    pub text: String,
-}
-
-/// Disassembles a whole [`Program`], resolving branch/jump targets to byte
-/// addresses where possible.
-#[must_use]
-pub fn disassemble_program(program: &Program) -> Vec<DisasmLine> {
-    program
-        .insns()
-        .iter()
-        .enumerate()
-        .map(|(i, insn)| {
-            let address = program.base_address() + (i as u32) * crate::INSN_BYTES;
-            let mut text = format_insn(insn);
-            if insn.opcode().is_control_flow() {
-                if let Some(offset) = insn.imm() {
-                    let target = address.wrapping_add((offset as u32).wrapping_mul(4));
-                    text = format!("{text}    # -> {target:#06x}");
-                }
-            }
-            DisasmLine {
-                address,
-                word: insn.encode(),
-                text,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProgramBuilder, Reg};
 
     #[test]
     fn formats_all_operand_shapes() {
@@ -126,19 +69,5 @@ mod tests {
             format_insn(&Insn::extbs(Reg::r(2), Reg::r(3))),
             "l.extbs r2, r3"
         );
-    }
-
-    #[test]
-    fn program_disassembly_resolves_targets() {
-        let mut builder = ProgramBuilder::new();
-        builder.push(Insn::addi(Reg::r(3), Reg::r(0), 1).unwrap());
-        builder.push(Insn::bf(-1).unwrap());
-        builder.push(Insn::nop(0));
-        let program = builder.build();
-        let lines = disassemble_program(&program);
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0].address, 0);
-        assert_eq!(lines[1].address, 4);
-        assert!(lines[1].text.contains("-> 0x0000"));
     }
 }

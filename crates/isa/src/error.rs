@@ -35,11 +35,6 @@ pub enum IsaError {
         /// Human readable description of the problem.
         message: String,
     },
-    /// A label was referenced but never defined.
-    UndefinedLabel {
-        /// Name of the missing label.
-        label: String,
-    },
     /// A label was defined more than once.
     DuplicateLabel {
         /// Name of the duplicated label.
@@ -51,13 +46,6 @@ pub enum IsaError {
         from: u32,
         /// Destination address (bytes).
         to: u32,
-    },
-    /// A program exceeded the requested memory size.
-    ProgramTooLarge {
-        /// Number of instruction words in the program.
-        words: usize,
-        /// Capacity of the target memory in words.
-        capacity: usize,
     },
 }
 
@@ -83,16 +71,9 @@ impl fmt::Display for IsaError {
             IsaError::ParseError { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
-            IsaError::UndefinedLabel { label } => write!(f, "undefined label `{label}`"),
             IsaError::DuplicateLabel { label } => write!(f, "duplicate label `{label}`"),
             IsaError::BranchOutOfRange { from, to } => {
                 write!(f, "branch from {from:#x} to {to:#x} is out of range")
-            }
-            IsaError::ProgramTooLarge { words, capacity } => {
-                write!(
-                    f,
-                    "program of {words} words exceeds memory capacity of {capacity} words"
-                )
             }
         }
     }

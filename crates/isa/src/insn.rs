@@ -44,43 +44,48 @@ pub struct Insn {
     operands: Operands,
 }
 
-fn check_signed(mnemonic: &'static str, value: i64, bits: u32) -> Result<(), IsaError> {
-    let min = -(1i64 << (bits - 1));
-    let max = (1i64 << (bits - 1)) - 1;
-    if value < min || value > max {
-        return Err(IsaError::ImmediateOutOfRange {
-            mnemonic,
-            value,
-            bits,
-            signed: true,
-        });
-    }
-    Ok(())
-}
-
-fn check_unsigned(mnemonic: &'static str, value: i64, bits: u32) -> Result<(), IsaError> {
-    let max = (1i64 << bits) - 1;
-    if value < 0 || value > max {
-        return Err(IsaError::ImmediateOutOfRange {
-            mnemonic,
-            value,
-            bits,
-            signed: false,
-        });
-    }
-    Ok(())
-}
-
 impl Insn {
-    /// Creates an instruction from an opcode and a raw operand bundle.
-    ///
-    /// This performs no operand validation and is intended for generic code
-    /// (e.g. a decoder or a random program generator) that has already
-    /// range-checked its inputs; the typed constructors below are the
-    /// preferred way to build instructions by hand.
-    #[must_use]
-    pub fn from_parts(opcode: Opcode, operands: Operands) -> Self {
-        Insn { opcode, operands }
+    /// Builds `opcode` from exactly the fields its row has, range-checking
+    /// the immediate against the row. The decoder, the assembler,
+    /// `ProgramBuilder::push_branch_to` and every typed constructor with an
+    /// immediate come through here, so every `Insn` satisfies its row.
+    pub(crate) fn from_fields(
+        opcode: Opcode,
+        rd: Option<Reg>,
+        ra: Option<Reg>,
+        rb: Option<Reg>,
+        imm: Option<i64>,
+    ) -> Result<Self, IsaError> {
+        let row = opcode.row();
+        let imm = match (row.format.imm(), imm) {
+            (Some(kind), Some(value)) => Some(kind.check(row.mnemonic, value)?),
+            _ => None,
+        };
+        Ok(Self::raw(opcode, rd, ra, rb, imm))
+    }
+
+    fn raw(
+        opcode: Opcode,
+        rd: Option<Reg>,
+        ra: Option<Reg>,
+        rb: Option<Reg>,
+        imm: Option<i32>,
+    ) -> Self {
+        let format = opcode.row().format;
+        debug_assert_eq!(
+            [rd.is_some(), ra.is_some(), rb.is_some(), imm.is_some()],
+            [
+                format.has_rd(),
+                format.has_ra(),
+                format.has_rb(),
+                format.imm().is_some()
+            ],
+            "operands do not match the {opcode} row"
+        );
+        Insn {
+            opcode,
+            operands: Operands { rd, ra, rb, imm },
+        }
     }
 
     /// The opcode of this instruction.
@@ -135,10 +140,9 @@ impl Insn {
     }
 
     /// The *effective* architectural destination register: the `rD` field
-    /// when [`Opcode::writes_rd`] holds, `None` otherwise (stores, compares,
-    /// plain branches and `l.nop` never write back even if a malformed
-    /// operand bundle carries an `rd`). Link-register writes of `l.jal` /
-    /// `l.jalr` are a property of the jump itself, not of this field.
+    /// when [`Opcode::writes_rd`] holds, `None` otherwise. Link-register
+    /// writes of `l.jal` / `l.jalr` are a property of the jump itself, not
+    /// of this field.
     #[must_use]
     pub fn dest_reg(&self) -> Option<Reg> {
         if self.opcode.writes_rd() {
@@ -153,27 +157,11 @@ impl Insn {
     // ---------------------------------------------------------------------
 
     fn rrr(opcode: Opcode, rd: Reg, ra: Reg, rb: Reg) -> Self {
-        Insn {
-            opcode,
-            operands: Operands {
-                rd: Some(rd),
-                ra: Some(ra),
-                rb: Some(rb),
-                imm: None,
-            },
-        }
+        Self::raw(opcode, Some(rd), Some(ra), Some(rb), None)
     }
 
-    fn rri(opcode: Opcode, rd: Reg, ra: Reg, imm: i32) -> Self {
-        Insn {
-            opcode,
-            operands: Operands {
-                rd: Some(rd),
-                ra: Some(ra),
-                rb: None,
-                imm: Some(imm),
-            },
-        }
+    fn rri(opcode: Opcode, rd: Reg, ra: Reg, imm: i64) -> Result<Self, IsaError> {
+        Self::from_fields(opcode, Some(rd), Some(ra), None, Some(imm))
     }
 
     /// `l.add rD, rA, rB`
@@ -257,29 +245,13 @@ impl Insn {
     /// `l.extbs rD, rA`
     #[must_use]
     pub fn extbs(rd: Reg, ra: Reg) -> Self {
-        Insn {
-            opcode: Opcode::Extbs,
-            operands: Operands {
-                rd: Some(rd),
-                ra: Some(ra),
-                rb: None,
-                imm: None,
-            },
-        }
+        Self::raw(Opcode::Extbs, Some(rd), Some(ra), None, None)
     }
 
     /// `l.exths rD, rA`
     #[must_use]
     pub fn exths(rd: Reg, ra: Reg) -> Self {
-        Insn {
-            opcode: Opcode::Exths,
-            operands: Operands {
-                rd: Some(rd),
-                ra: Some(ra),
-                rb: None,
-                imm: None,
-            },
-        }
+        Self::raw(Opcode::Exths, Some(rd), Some(ra), None, None)
     }
 
     // ---------------------------------------------------------------------
@@ -292,8 +264,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn addi(rd: Reg, ra: Reg, imm: i32) -> Result<Self, IsaError> {
-        check_signed("l.addi", imm.into(), 16)?;
-        Ok(Self::rri(Opcode::Addi, rd, ra, imm))
+        Self::rri(Opcode::Addi, rd, ra, imm.into())
     }
 
     /// `l.addic rD, rA, I` (add immediate with carry-in).
@@ -302,8 +273,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn addic(rd: Reg, ra: Reg, imm: i32) -> Result<Self, IsaError> {
-        check_signed("l.addic", imm.into(), 16)?;
-        Ok(Self::rri(Opcode::Addic, rd, ra, imm))
+        Self::rri(Opcode::Addic, rd, ra, imm.into())
     }
 
     /// `l.andi rD, rA, K` with an unsigned 16-bit immediate.
@@ -312,8 +282,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn andi(rd: Reg, ra: Reg, imm: u32) -> Result<Self, IsaError> {
-        check_unsigned("l.andi", imm.into(), 16)?;
-        Ok(Self::rri(Opcode::Andi, rd, ra, imm as i32))
+        Self::rri(Opcode::Andi, rd, ra, imm.into())
     }
 
     /// `l.ori rD, rA, K` with an unsigned 16-bit immediate.
@@ -322,8 +291,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn ori(rd: Reg, ra: Reg, imm: u32) -> Result<Self, IsaError> {
-        check_unsigned("l.ori", imm.into(), 16)?;
-        Ok(Self::rri(Opcode::Ori, rd, ra, imm as i32))
+        Self::rri(Opcode::Ori, rd, ra, imm.into())
     }
 
     /// `l.xori rD, rA, I` with a signed 16-bit immediate.
@@ -332,8 +300,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn xori(rd: Reg, ra: Reg, imm: i32) -> Result<Self, IsaError> {
-        check_signed("l.xori", imm.into(), 16)?;
-        Ok(Self::rri(Opcode::Xori, rd, ra, imm))
+        Self::rri(Opcode::Xori, rd, ra, imm.into())
     }
 
     /// `l.muli rD, rA, I` with a signed 16-bit immediate.
@@ -342,8 +309,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn muli(rd: Reg, ra: Reg, imm: i32) -> Result<Self, IsaError> {
-        check_signed("l.muli", imm.into(), 16)?;
-        Ok(Self::rri(Opcode::Muli, rd, ra, imm))
+        Self::rri(Opcode::Muli, rd, ra, imm.into())
     }
 
     /// `l.slli rD, rA, L` with a shift amount in `0..32`.
@@ -352,8 +318,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `amount >= 32`.
     pub fn slli(rd: Reg, ra: Reg, amount: u32) -> Result<Self, IsaError> {
-        check_unsigned("l.slli", amount.into(), 5)?;
-        Ok(Self::rri(Opcode::Slli, rd, ra, amount as i32))
+        Self::rri(Opcode::Slli, rd, ra, amount.into())
     }
 
     /// `l.srli rD, rA, L` with a shift amount in `0..32`.
@@ -362,8 +327,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `amount >= 32`.
     pub fn srli(rd: Reg, ra: Reg, amount: u32) -> Result<Self, IsaError> {
-        check_unsigned("l.srli", amount.into(), 5)?;
-        Ok(Self::rri(Opcode::Srli, rd, ra, amount as i32))
+        Self::rri(Opcode::Srli, rd, ra, amount.into())
     }
 
     /// `l.srai rD, rA, L` with a shift amount in `0..32`.
@@ -372,8 +336,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `amount >= 32`.
     pub fn srai(rd: Reg, ra: Reg, amount: u32) -> Result<Self, IsaError> {
-        check_unsigned("l.srai", amount.into(), 5)?;
-        Ok(Self::rri(Opcode::Srai, rd, ra, amount as i32))
+        Self::rri(Opcode::Srai, rd, ra, amount.into())
     }
 
     /// `l.rori rD, rA, L` with a rotate amount in `0..32`.
@@ -382,8 +345,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `amount >= 32`.
     pub fn rori(rd: Reg, ra: Reg, amount: u32) -> Result<Self, IsaError> {
-        check_unsigned("l.rori", amount.into(), 5)?;
-        Ok(Self::rri(Opcode::Rori, rd, ra, amount as i32))
+        Self::rri(Opcode::Rori, rd, ra, amount.into())
     }
 
     /// `l.movhi rD, K` with an unsigned 16-bit immediate.
@@ -392,16 +354,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn movhi(rd: Reg, imm: u32) -> Result<Self, IsaError> {
-        check_unsigned("l.movhi", imm.into(), 16)?;
-        Ok(Insn {
-            opcode: Opcode::Movhi,
-            operands: Operands {
-                rd: Some(rd),
-                ra: None,
-                rb: None,
-                imm: Some(imm as i32),
-            },
-        })
+        Self::from_fields(Opcode::Movhi, Some(rd), None, None, Some(imm.into()))
     }
 
     // ---------------------------------------------------------------------
@@ -411,15 +364,7 @@ impl Insn {
     /// `l.sf<cond> rA, rB`
     #[must_use]
     pub fn sf(cond: SetFlagCond, ra: Reg, rb: Reg) -> Self {
-        Insn {
-            opcode: Opcode::Sf(cond),
-            operands: Operands {
-                rd: None,
-                ra: Some(ra),
-                rb: Some(rb),
-                imm: None,
-            },
-        }
+        Self::raw(Opcode::Sf(cond), None, Some(ra), Some(rb), None)
     }
 
     /// `l.sf<cond>i rA, I` with a signed 16-bit immediate.
@@ -428,46 +373,15 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn sfi(cond: SetFlagCond, ra: Reg, imm: i32) -> Result<Self, IsaError> {
-        check_signed("l.sf*i", imm.into(), 16)?;
-        Ok(Insn {
-            opcode: Opcode::Sfi(cond),
-            operands: Operands {
-                rd: None,
-                ra: Some(ra),
-                rb: None,
-                imm: Some(imm),
-            },
-        })
+        Self::from_fields(Opcode::Sfi(cond), None, Some(ra), None, Some(imm.into()))
     }
 
     // ---------------------------------------------------------------------
     // Loads / stores
     // ---------------------------------------------------------------------
 
-    fn load(opcode: Opcode, rd: Reg, offset: i32, ra: Reg) -> Result<Self, IsaError> {
-        check_signed("load", offset.into(), 16)?;
-        Ok(Insn {
-            opcode,
-            operands: Operands {
-                rd: Some(rd),
-                ra: Some(ra),
-                rb: None,
-                imm: Some(offset),
-            },
-        })
-    }
-
     fn store(opcode: Opcode, offset: i32, ra: Reg, rb: Reg) -> Result<Self, IsaError> {
-        check_signed("store", offset.into(), 16)?;
-        Ok(Insn {
-            opcode,
-            operands: Operands {
-                rd: None,
-                ra: Some(ra),
-                rb: Some(rb),
-                imm: Some(offset),
-            },
-        })
+        Self::from_fields(opcode, None, Some(ra), Some(rb), Some(offset.into()))
     }
 
     /// `l.lwz rD, I(rA)` — load word.
@@ -476,7 +390,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `offset` does not fit.
     pub fn lwz(rd: Reg, offset: i32, ra: Reg) -> Result<Self, IsaError> {
-        Self::load(Opcode::Lwz, rd, offset, ra)
+        Self::rri(Opcode::Lwz, rd, ra, offset.into())
     }
 
     /// `l.lws rD, I(rA)` — load word, sign-extended (identical to `l.lwz` on
@@ -486,7 +400,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `offset` does not fit.
     pub fn lws(rd: Reg, offset: i32, ra: Reg) -> Result<Self, IsaError> {
-        Self::load(Opcode::Lws, rd, offset, ra)
+        Self::rri(Opcode::Lws, rd, ra, offset.into())
     }
 
     /// `l.lhz rD, I(rA)` — load half-word zero-extended.
@@ -495,7 +409,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `offset` does not fit.
     pub fn lhz(rd: Reg, offset: i32, ra: Reg) -> Result<Self, IsaError> {
-        Self::load(Opcode::Lhz, rd, offset, ra)
+        Self::rri(Opcode::Lhz, rd, ra, offset.into())
     }
 
     /// `l.lhs rD, I(rA)` — load half-word sign-extended.
@@ -504,7 +418,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `offset` does not fit.
     pub fn lhs(rd: Reg, offset: i32, ra: Reg) -> Result<Self, IsaError> {
-        Self::load(Opcode::Lhs, rd, offset, ra)
+        Self::rri(Opcode::Lhs, rd, ra, offset.into())
     }
 
     /// `l.lbz rD, I(rA)` — load byte zero-extended.
@@ -513,7 +427,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `offset` does not fit.
     pub fn lbz(rd: Reg, offset: i32, ra: Reg) -> Result<Self, IsaError> {
-        Self::load(Opcode::Lbz, rd, offset, ra)
+        Self::rri(Opcode::Lbz, rd, ra, offset.into())
     }
 
     /// `l.lbs rD, I(rA)` — load byte sign-extended.
@@ -522,7 +436,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `offset` does not fit.
     pub fn lbs(rd: Reg, offset: i32, ra: Reg) -> Result<Self, IsaError> {
-        Self::load(Opcode::Lbs, rd, offset, ra)
+        Self::rri(Opcode::Lbs, rd, ra, offset.into())
     }
 
     /// `l.sw I(rA), rB` — store word.
@@ -556,17 +470,8 @@ impl Insn {
     // Control flow
     // ---------------------------------------------------------------------
 
-    fn pc_rel(opcode: Opcode, mnemonic: &'static str, word_offset: i32) -> Result<Self, IsaError> {
-        check_signed(mnemonic, word_offset.into(), 26)?;
-        Ok(Insn {
-            opcode,
-            operands: Operands {
-                rd: None,
-                ra: None,
-                rb: None,
-                imm: Some(word_offset),
-            },
-        })
+    fn pc_rel(opcode: Opcode, word_offset: i32) -> Result<Self, IsaError> {
+        Self::from_fields(opcode, None, None, None, Some(word_offset.into()))
     }
 
     /// `l.j N` — PC-relative jump by `word_offset` instruction words.
@@ -575,7 +480,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if the offset exceeds 26 bits.
     pub fn j(word_offset: i32) -> Result<Self, IsaError> {
-        Self::pc_rel(Opcode::J, "l.j", word_offset)
+        Self::pc_rel(Opcode::J, word_offset)
     }
 
     /// `l.jal N` — jump and link.
@@ -584,7 +489,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if the offset exceeds 26 bits.
     pub fn jal(word_offset: i32) -> Result<Self, IsaError> {
-        Self::pc_rel(Opcode::Jal, "l.jal", word_offset)
+        Self::pc_rel(Opcode::Jal, word_offset)
     }
 
     /// `l.bf N` — branch (if flag) by `word_offset` instruction words.
@@ -593,7 +498,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if the offset exceeds 26 bits.
     pub fn bf(word_offset: i32) -> Result<Self, IsaError> {
-        Self::pc_rel(Opcode::Bf, "l.bf", word_offset)
+        Self::pc_rel(Opcode::Bf, word_offset)
     }
 
     /// `l.bnf N` — branch (if flag clear) by `word_offset` instruction words.
@@ -602,58 +507,31 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if the offset exceeds 26 bits.
     pub fn bnf(word_offset: i32) -> Result<Self, IsaError> {
-        Self::pc_rel(Opcode::Bnf, "l.bnf", word_offset)
+        Self::pc_rel(Opcode::Bnf, word_offset)
     }
 
     /// `l.jr rB` — jump to the address in `rB`.
     #[must_use]
     pub fn jr(rb: Reg) -> Self {
-        Insn {
-            opcode: Opcode::Jr,
-            operands: Operands {
-                rd: None,
-                ra: None,
-                rb: Some(rb),
-                imm: None,
-            },
-        }
+        Self::raw(Opcode::Jr, None, None, Some(rb), None)
     }
 
     /// `l.jalr rB` — jump to the address in `rB` and link.
     #[must_use]
     pub fn jalr(rb: Reg) -> Self {
-        Insn {
-            opcode: Opcode::Jalr,
-            operands: Operands {
-                rd: None,
-                ra: None,
-                rb: Some(rb),
-                imm: None,
-            },
-        }
+        Self::raw(Opcode::Jalr, None, None, Some(rb), None)
     }
 
     /// `l.rfe` — return from exception to the saved exception PC.
     #[must_use]
     pub fn rfe() -> Self {
-        Insn {
-            opcode: Opcode::Rfe,
-            operands: Operands::default(),
-        }
+        Self::raw(Opcode::Rfe, None, None, None, None)
     }
 
     /// `l.nop K`.
     #[must_use]
     pub fn nop(k: u16) -> Self {
-        Insn {
-            opcode: Opcode::Nop,
-            operands: Operands {
-                rd: None,
-                ra: None,
-                rb: None,
-                imm: Some(k as i32),
-            },
-        }
+        Self::raw(Opcode::Nop, None, None, None, Some(k.into()))
     }
 
     // ---------------------------------------------------------------------
@@ -663,7 +541,19 @@ impl Insn {
     /// Encodes the instruction into its 32-bit ORBIS32 machine word.
     #[must_use]
     pub fn encode(&self) -> u32 {
-        encode::encode(self)
+        let row = self.opcode.row();
+        let field = |reg: Option<Reg>, lsb: u32| reg.map_or(0, |r| u32::from(r.index()) << lsb);
+        let Operands { rd, ra, rb, imm } = self.operands;
+        row.bits
+            | field(rd, 21)
+            | field(ra, 16)
+            | field(rb, 11)
+            | self.opcode.cond().map_or(0, |cond| cond.code() << 21)
+            | row
+                .format
+                .imm()
+                .zip(imm)
+                .map_or(0, |(kind, v)| kind.place(v))
     }
 
     /// Decodes a 32-bit machine word.
@@ -671,262 +561,25 @@ impl Insn {
     /// # Errors
     ///
     /// Returns [`IsaError::UnknownEncoding`] for words outside the modelled
-    /// subset.
+    /// subset, and [`IsaError::ImmediateOutOfRange`] for a shift-immediate
+    /// word whose 6-bit amount field reads 32 or more.
     pub fn decode(word: u32) -> Result<Self, IsaError> {
-        encode::decode(word)
+        let opcode = Opcode::of_word(word).ok_or(IsaError::UnknownEncoding { word })?;
+        let format = opcode.row().format;
+        let field = |present: bool, lsb: u32| present.then(|| Reg::r((word >> lsb) & 0x1F));
+        Self::from_fields(
+            opcode,
+            field(format.has_rd(), 21),
+            field(format.has_ra(), 16),
+            field(format.has_rb(), 11),
+            format.imm().map(|kind| kind.extract(word)),
+        )
     }
 }
 
 impl fmt::Display for Insn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&crate::disasm::format_insn(self))
-    }
-}
-
-mod encode {
-    use super::*;
-
-    const OP_J: u32 = 0x00;
-    const OP_JAL: u32 = 0x01;
-    const OP_BNF: u32 = 0x03;
-    const OP_BF: u32 = 0x04;
-    const OP_NOP: u32 = 0x05;
-    const OP_MOVHI: u32 = 0x06;
-    const OP_RFE: u32 = 0x09;
-    const OP_JR: u32 = 0x11;
-    const OP_JALR: u32 = 0x12;
-    const OP_LWZ: u32 = 0x21;
-    const OP_LWS: u32 = 0x22;
-    const OP_LBZ: u32 = 0x23;
-    const OP_LBS: u32 = 0x24;
-    const OP_LHZ: u32 = 0x25;
-    const OP_LHS: u32 = 0x26;
-    const OP_ADDI: u32 = 0x27;
-    const OP_ADDIC: u32 = 0x28;
-    const OP_ANDI: u32 = 0x29;
-    const OP_ORI: u32 = 0x2A;
-    const OP_XORI: u32 = 0x2B;
-    const OP_MULI: u32 = 0x2C;
-    const OP_SHIFTI: u32 = 0x2E;
-    const OP_SFI: u32 = 0x2F;
-    const OP_SW: u32 = 0x35;
-    const OP_SB: u32 = 0x36;
-    const OP_SH: u32 = 0x37;
-    const OP_ALU: u32 = 0x38;
-    const OP_SF: u32 = 0x39;
-
-    fn rd(insn: &Insn) -> u32 {
-        insn.rd().map_or(0, |r| u32::from(r.index()))
-    }
-    fn ra(insn: &Insn) -> u32 {
-        insn.ra().map_or(0, |r| u32::from(r.index()))
-    }
-    fn rb(insn: &Insn) -> u32 {
-        insn.rb().map_or(0, |r| u32::from(r.index()))
-    }
-    fn imm16(insn: &Insn) -> u32 {
-        (insn.imm().unwrap_or(0) as u32) & 0xFFFF
-    }
-    fn imm26(insn: &Insn) -> u32 {
-        (insn.imm().unwrap_or(0) as u32) & 0x03FF_FFFF
-    }
-
-    fn alu(insn: &Insn, low: u32, sel98: u32, sel76: u32) -> u32 {
-        (OP_ALU << 26)
-            | (rd(insn) << 21)
-            | (ra(insn) << 16)
-            | (rb(insn) << 11)
-            | (sel98 << 8)
-            | (sel76 << 6)
-            | low
-    }
-
-    pub(super) fn encode(insn: &Insn) -> u32 {
-        match insn.opcode() {
-            Opcode::J => (OP_J << 26) | imm26(insn),
-            Opcode::Jal => (OP_JAL << 26) | imm26(insn),
-            Opcode::Bnf => (OP_BNF << 26) | imm26(insn),
-            Opcode::Bf => (OP_BF << 26) | imm26(insn),
-            Opcode::Nop => (OP_NOP << 26) | (1 << 24) | imm16(insn),
-            Opcode::Rfe => OP_RFE << 26,
-            Opcode::Movhi => (OP_MOVHI << 26) | (rd(insn) << 21) | imm16(insn),
-            Opcode::Jr => (OP_JR << 26) | (rb(insn) << 11),
-            Opcode::Jalr => (OP_JALR << 26) | (rb(insn) << 11),
-            Opcode::Lwz => (OP_LWZ << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Lws => (OP_LWS << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Lbz => (OP_LBZ << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Lbs => (OP_LBS << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Lhz => (OP_LHZ << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Lhs => (OP_LHS << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Addi => (OP_ADDI << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Addic => (OP_ADDIC << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Andi => (OP_ANDI << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Ori => (OP_ORI << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Xori => (OP_XORI << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Muli => (OP_MULI << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Slli => {
-                (OP_SHIFTI << 26) | (rd(insn) << 21) | (ra(insn) << 16) | (imm16(insn) & 0x3F)
-            }
-            Opcode::Srli => {
-                (OP_SHIFTI << 26)
-                    | (rd(insn) << 21)
-                    | (ra(insn) << 16)
-                    | (0b01 << 6)
-                    | (imm16(insn) & 0x3F)
-            }
-            Opcode::Srai => {
-                (OP_SHIFTI << 26)
-                    | (rd(insn) << 21)
-                    | (ra(insn) << 16)
-                    | (0b10 << 6)
-                    | (imm16(insn) & 0x3F)
-            }
-            Opcode::Rori => {
-                (OP_SHIFTI << 26)
-                    | (rd(insn) << 21)
-                    | (ra(insn) << 16)
-                    | (0b11 << 6)
-                    | (imm16(insn) & 0x3F)
-            }
-            Opcode::Sfi(cond) => {
-                (OP_SFI << 26) | (cond.code() << 21) | (ra(insn) << 16) | imm16(insn)
-            }
-            Opcode::Sf(cond) => {
-                (OP_SF << 26) | (cond.code() << 21) | (ra(insn) << 16) | (rb(insn) << 11)
-            }
-            Opcode::Sw | Opcode::Sb | Opcode::Sh => {
-                let op = match insn.opcode() {
-                    Opcode::Sw => OP_SW,
-                    Opcode::Sb => OP_SB,
-                    _ => OP_SH,
-                };
-                let imm = imm16(insn);
-                (op << 26)
-                    | ((imm >> 11) << 21)
-                    | (ra(insn) << 16)
-                    | (rb(insn) << 11)
-                    | (imm & 0x7FF)
-            }
-            Opcode::Add => alu(insn, 0x0, 0, 0),
-            Opcode::Addc => alu(insn, 0x1, 0, 0),
-            Opcode::Sub => alu(insn, 0x2, 0, 0),
-            Opcode::And => alu(insn, 0x3, 0, 0),
-            Opcode::Or => alu(insn, 0x4, 0, 0),
-            Opcode::Xor => alu(insn, 0x5, 0, 0),
-            Opcode::Mul => alu(insn, 0x6, 0b11, 0),
-            Opcode::Mulu => alu(insn, 0xB, 0b11, 0),
-            Opcode::Sll => alu(insn, 0x8, 0, 0b00),
-            Opcode::Srl => alu(insn, 0x8, 0, 0b01),
-            Opcode::Sra => alu(insn, 0x8, 0, 0b10),
-            Opcode::Ror => alu(insn, 0x8, 0, 0b11),
-            Opcode::Cmov => alu(insn, 0xE, 0, 0),
-            Opcode::Extbs => alu(insn, 0xC, 0, 0b01),
-            Opcode::Exths => alu(insn, 0xC, 0, 0b00),
-        }
-    }
-
-    fn sext(value: u32, bits: u32) -> i32 {
-        let shift = 32 - bits;
-        ((value << shift) as i32) >> shift
-    }
-
-    fn reg_at(word: u32, lsb: u32) -> Reg {
-        Reg::r((word >> lsb) & 0x1F)
-    }
-
-    pub(super) fn decode(word: u32) -> Result<Insn, IsaError> {
-        let op = word >> 26;
-        let err = || IsaError::UnknownEncoding { word };
-        let rd = reg_at(word, 21);
-        let ra = reg_at(word, 16);
-        let rb = reg_at(word, 11);
-        let i16s = sext(word & 0xFFFF, 16);
-        let u16v = word & 0xFFFF;
-
-        let insn = match op {
-            OP_J => Insn::j(sext(word & 0x03FF_FFFF, 26))?,
-            OP_JAL => Insn::jal(sext(word & 0x03FF_FFFF, 26))?,
-            OP_BNF => Insn::bnf(sext(word & 0x03FF_FFFF, 26))?,
-            OP_BF => Insn::bf(sext(word & 0x03FF_FFFF, 26))?,
-            OP_NOP => Insn::nop(u16v as u16),
-            OP_RFE => {
-                if word & 0x03FF_FFFF != 0 {
-                    return Err(err());
-                }
-                Insn::rfe()
-            }
-            OP_MOVHI => Insn::movhi(rd, u16v)?,
-            OP_JR => Insn::jr(rb),
-            OP_JALR => Insn::jalr(rb),
-            OP_LWZ => Insn::lwz(rd, i16s, ra)?,
-            OP_LWS => Insn::load(Opcode::Lws, rd, i16s, ra)?,
-            OP_LBZ => Insn::lbz(rd, i16s, ra)?,
-            OP_LBS => Insn::lbs(rd, i16s, ra)?,
-            OP_LHZ => Insn::lhz(rd, i16s, ra)?,
-            OP_LHS => Insn::lhs(rd, i16s, ra)?,
-            OP_ADDI => Insn::addi(rd, ra, i16s)?,
-            OP_ADDIC => Insn::addic(rd, ra, i16s)?,
-            OP_ANDI => Insn::andi(rd, ra, u16v)?,
-            OP_ORI => Insn::ori(rd, ra, u16v)?,
-            OP_XORI => Insn::xori(rd, ra, i16s)?,
-            OP_MULI => Insn::muli(rd, ra, i16s)?,
-            OP_SHIFTI => {
-                let amount = word & 0x3F;
-                match (word >> 6) & 0x3 {
-                    0b00 => Insn::slli(rd, ra, amount)?,
-                    0b01 => Insn::srli(rd, ra, amount)?,
-                    0b10 => Insn::srai(rd, ra, amount)?,
-                    _ => Insn::rori(rd, ra, amount)?,
-                }
-            }
-            OP_SFI => {
-                let cond = SetFlagCond::from_code((word >> 21) & 0x1F).ok_or_else(err)?;
-                Insn::sfi(cond, ra, i16s)?
-            }
-            OP_SF => {
-                let cond = SetFlagCond::from_code((word >> 21) & 0x1F).ok_or_else(err)?;
-                Insn::sf(cond, ra, rb)
-            }
-            OP_SW | OP_SB | OP_SH => {
-                let imm = (((word >> 21) & 0x1F) << 11) | (word & 0x7FF);
-                let offset = sext(imm, 16);
-                match op {
-                    OP_SW => Insn::sw(offset, ra, rb)?,
-                    OP_SB => Insn::sb(offset, ra, rb)?,
-                    _ => Insn::sh(offset, ra, rb)?,
-                }
-            }
-            OP_ALU => {
-                let low = word & 0xF;
-                let sel98 = (word >> 8) & 0x3;
-                let sel76 = (word >> 6) & 0x3;
-                match (low, sel98) {
-                    (0x0, 0) => Insn::add(rd, ra, rb),
-                    (0x1, 0) => Insn::addc(rd, ra, rb),
-                    (0x2, 0) => Insn::sub(rd, ra, rb),
-                    (0x3, 0) => Insn::and(rd, ra, rb),
-                    (0x4, 0) => Insn::or(rd, ra, rb),
-                    (0x5, 0) => Insn::xor(rd, ra, rb),
-                    (0x6, 0b11) => Insn::mul(rd, ra, rb),
-                    (0xB, 0b11) => Insn::mulu(rd, ra, rb),
-                    (0x8, 0) => match sel76 {
-                        0b00 => Insn::sll(rd, ra, rb),
-                        0b01 => Insn::srl(rd, ra, rb),
-                        0b10 => Insn::sra(rd, ra, rb),
-                        _ => Insn::ror(rd, ra, rb),
-                    },
-                    (0xE, 0) => Insn::cmov(rd, ra, rb),
-                    (0xC, 0) => match sel76 {
-                        0b01 => Insn::extbs(rd, ra),
-                        0b00 => Insn::exths(rd, ra),
-                        _ => return Err(err()),
-                    },
-                    _ => return Err(err()),
-                }
-            }
-            _ => return Err(err()),
-        };
-        Ok(insn)
     }
 }
 
@@ -1054,6 +707,52 @@ mod tests {
                 "offset {offset}"
             );
         }
+    }
+
+    /// Pins the decode map, quirks included: an FNV-1a fold of every
+    /// result over 4 194 304 words that sweep all 2048 values of bits
+    /// 31..21 against all 2048 of bits 10..0 (bits 20..11 fixed). The
+    /// counts and fold are those of the hand-written decoder the table
+    /// replaced.
+    #[test]
+    fn decode_map_matches_the_pinned_sample_fold() {
+        fn mix(h: u64, v: u64) -> u64 {
+            v.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3))
+        }
+        let reg = |r: Option<Reg>| r.map_or(0xFF, |r| u64::from(r.index()));
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        let (mut ok, mut unknown, mut out_of_range) = (0u32, 0u32, 0u32);
+        for hi in 0..2048u32 {
+            for lo in 0..2048u32 {
+                match Insn::decode((hi << 21) | (0x2CD << 11) | lo) {
+                    Ok(i) => {
+                        ok += 1;
+                        h = mix(
+                            h,
+                            (1 << 63)
+                                | (u64::from(i.encode()) << 24)
+                                | (reg(i.rd()) << 16)
+                                | (reg(i.ra()) << 8)
+                                | reg(i.rb()),
+                        );
+                        h = mix(h, i.imm().map_or(u64::MAX, |v| u64::from(v as u32)));
+                    }
+                    Err(IsaError::UnknownEncoding { .. }) => {
+                        unknown += 1;
+                        h = mix(h, 0);
+                    }
+                    Err(IsaError::ImmediateOutOfRange { .. }) => {
+                        out_of_range += 1;
+                        h = mix(h, 2);
+                    }
+                    Err(e) => panic!("{e}"),
+                }
+            }
+        }
+        assert_eq!((ok, unknown, out_of_range), (1_591_808, 2_569_728, 32_768));
+        assert_eq!(h, 0x6743_b859_2a0a_2f25);
     }
 
     #[test]

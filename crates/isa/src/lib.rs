@@ -8,15 +8,24 @@
 //! set-flag comparisons, conditional branches, jumps, loads/stores and
 //! `l.nop`/`l.movhi`.
 //!
+//! Every instruction is defined once, as one row of a crate-private table:
+//! its mnemonic, fixed encoding bits, decode mask, operand format (which
+//! of rD, rA, rB and the immediate exist, and the immediate's width and
+//! signedness) and timing class. Everything below reads that row, so an
+//! instruction is added or changed in one place and round-trips by
+//! construction.
+//!
 //! The crate provides:
 //!
 //! * [`Opcode`] / [`Insn`] — decoded instruction representation with
-//!   faithful 32-bit ORBIS32 encodings ([`Insn::encode`] / [`Insn::decode`]).
+//!   faithful 32-bit ORBIS32 encodings ([`Insn::encode`] / [`Insn::decode`]);
+//!   the typed constructors range-check immediates against the row.
 //! * [`TimingClass`] — the instruction grouping used as the key of the
 //!   per-stage delay lookup table of the paper (e.g. `l.add` and `l.addi`
 //!   share the `Add` class, exactly like the paper's "l.add(i)" rows).
-//! * [`asm::Assembler`] — a two-pass textual assembler with labels, used by
-//!   the workload crate to express benchmark kernels.
+//! * [`asm::Assembler`] and [`disasm::format_insn`] — a two-pass textual
+//!   assembler with labels, used by the workload crate to express benchmark
+//!   kernels, and its inverse.
 //! * [`ProgramBuilder`] / [`Program`] — a programmatic builder and the
 //!   resulting program image consumed by the pipeline simulator.
 //!
@@ -52,10 +61,11 @@ mod insn;
 mod opcode;
 mod program;
 mod reg;
+mod table;
 
 pub use error::IsaError;
 pub use insn::{Insn, Operands};
-pub use opcode::{ExecUnit, Opcode, SetFlagCond, TimingClass};
+pub use opcode::{Opcode, SetFlagCond, TimingClass};
 pub use program::{Program, ProgramBuilder};
 pub use reg::Reg;
 

@@ -203,26 +203,6 @@ impl SetFlagCond {
     }
 }
 
-/// The functional unit an instruction occupies in the execute stage of the
-/// customized `mor1kx` micro-architecture (Fig. 4 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ExecUnit {
-    /// The main adder (also computes comparisons and memory addresses).
-    Adder,
-    /// The logic unit (AND/OR/XOR, conditional move, extensions, `l.movhi`).
-    Logic,
-    /// The barrel shifter.
-    Shifter,
-    /// The shielded single-cycle multiplier.
-    Multiplier,
-    /// The load/store unit (address generation plus memory access).
-    LoadStore,
-    /// Branch/jump resolution (next-PC selection).
-    Branch,
-    /// No functional unit (e.g. `l.nop` or a pipeline bubble).
-    None,
-}
-
 /// Grouping of instructions used as the key of the per-stage delay lookup
 /// table, mirroring the granularity of the paper's Tables I and II
 /// (e.g. the row "l.add(i)" covers both `l.add` and `l.addi`).
@@ -357,101 +337,17 @@ impl Opcode {
     /// Returns the canonical ORBIS32 mnemonic, e.g. `"l.addi"`.
     #[must_use]
     pub fn mnemonic(self) -> String {
-        match self {
-            Opcode::Add => "l.add".into(),
-            Opcode::Addc => "l.addc".into(),
-            Opcode::Sub => "l.sub".into(),
-            Opcode::And => "l.and".into(),
-            Opcode::Or => "l.or".into(),
-            Opcode::Xor => "l.xor".into(),
-            Opcode::Mul => "l.mul".into(),
-            Opcode::Mulu => "l.mulu".into(),
-            Opcode::Sll => "l.sll".into(),
-            Opcode::Srl => "l.srl".into(),
-            Opcode::Sra => "l.sra".into(),
-            Opcode::Ror => "l.ror".into(),
-            Opcode::Cmov => "l.cmov".into(),
-            Opcode::Extbs => "l.extbs".into(),
-            Opcode::Exths => "l.exths".into(),
-            Opcode::Addi => "l.addi".into(),
-            Opcode::Addic => "l.addic".into(),
-            Opcode::Andi => "l.andi".into(),
-            Opcode::Ori => "l.ori".into(),
-            Opcode::Xori => "l.xori".into(),
-            Opcode::Muli => "l.muli".into(),
-            Opcode::Slli => "l.slli".into(),
-            Opcode::Srli => "l.srli".into(),
-            Opcode::Srai => "l.srai".into(),
-            Opcode::Rori => "l.rori".into(),
-            Opcode::Movhi => "l.movhi".into(),
-            Opcode::Sf(c) => format!("l.sf{}", c.suffix()),
-            Opcode::Sfi(c) => format!("l.sf{}i", c.suffix()),
-            Opcode::Lwz => "l.lwz".into(),
-            Opcode::Lws => "l.lws".into(),
-            Opcode::Lhz => "l.lhz".into(),
-            Opcode::Lhs => "l.lhs".into(),
-            Opcode::Lbz => "l.lbz".into(),
-            Opcode::Lbs => "l.lbs".into(),
-            Opcode::Sw => "l.sw".into(),
-            Opcode::Sh => "l.sh".into(),
-            Opcode::Sb => "l.sb".into(),
-            Opcode::J => "l.j".into(),
-            Opcode::Jal => "l.jal".into(),
-            Opcode::Jr => "l.jr".into(),
-            Opcode::Jalr => "l.jalr".into(),
-            Opcode::Bf => "l.bf".into(),
-            Opcode::Bnf => "l.bnf".into(),
-            Opcode::Rfe => "l.rfe".into(),
-            Opcode::Nop => "l.nop".into(),
+        let mnemonic = self.row().mnemonic;
+        match self.cond() {
+            Some(cond) => mnemonic.replace('*', cond.suffix()),
+            None => mnemonic.to_string(),
         }
     }
 
     /// The delay-LUT grouping this opcode belongs to.
     #[must_use]
     pub fn timing_class(self) -> TimingClass {
-        match self {
-            Opcode::Add | Opcode::Addc | Opcode::Sub | Opcode::Addi | Opcode::Addic => {
-                TimingClass::Add
-            }
-            Opcode::And | Opcode::Andi => TimingClass::And,
-            Opcode::Or | Opcode::Ori => TimingClass::Or,
-            Opcode::Xor | Opcode::Xori => TimingClass::Xor,
-            Opcode::Cmov | Opcode::Extbs | Opcode::Exths | Opcode::Movhi => TimingClass::Move,
-            Opcode::Sll
-            | Opcode::Srl
-            | Opcode::Sra
-            | Opcode::Ror
-            | Opcode::Slli
-            | Opcode::Srli
-            | Opcode::Srai
-            | Opcode::Rori => TimingClass::Shift,
-            Opcode::Mul | Opcode::Mulu | Opcode::Muli => TimingClass::Mul,
-            Opcode::Sf(_) | Opcode::Sfi(_) => TimingClass::SetFlag,
-            Opcode::Lwz | Opcode::Lws | Opcode::Lhz | Opcode::Lhs | Opcode::Lbz | Opcode::Lbs => {
-                TimingClass::Load
-            }
-            Opcode::Sw | Opcode::Sh | Opcode::Sb => TimingClass::Store,
-            Opcode::Bf | Opcode::Bnf => TimingClass::BranchCond,
-            Opcode::J | Opcode::Jal => TimingClass::Jump,
-            Opcode::Jr | Opcode::Jalr | Opcode::Rfe => TimingClass::JumpReg,
-            Opcode::Nop => TimingClass::Nop,
-        }
-    }
-
-    /// The execute-stage functional unit this opcode uses.
-    #[must_use]
-    pub fn exec_unit(self) -> ExecUnit {
-        match self.timing_class() {
-            TimingClass::Add | TimingClass::SetFlag => ExecUnit::Adder,
-            TimingClass::And | TimingClass::Or | TimingClass::Xor | TimingClass::Move => {
-                ExecUnit::Logic
-            }
-            TimingClass::Shift => ExecUnit::Shifter,
-            TimingClass::Mul => ExecUnit::Multiplier,
-            TimingClass::Load | TimingClass::Store => ExecUnit::LoadStore,
-            TimingClass::BranchCond | TimingClass::Jump | TimingClass::JumpReg => ExecUnit::Branch,
-            TimingClass::Nop | TimingClass::Bubble => ExecUnit::None,
-        }
+        self.row().class
     }
 
     /// `true` for load instructions.
@@ -472,89 +368,24 @@ impl Opcode {
         self.is_load() || self.is_store()
     }
 
-    /// `true` for instructions that change control flow when executed
-    /// (taken branches, unconditional and register jumps).
-    #[must_use]
-    pub fn is_control_flow(self) -> bool {
-        matches!(
-            self.timing_class(),
-            TimingClass::BranchCond | TimingClass::Jump | TimingClass::JumpReg
-        )
-    }
-
-    /// `true` for instructions with an architectural delay slot
-    /// (all ORBIS32 jumps and branches have one delay slot).
-    #[must_use]
-    pub fn has_delay_slot(self) -> bool {
-        self.is_control_flow()
-    }
-
-    /// `true` if the instruction writes a destination register `rD`.
+    /// `true` if the instruction writes a destination register: its `rD`
+    /// field, or the link register `r9` of `l.jal` / `l.jalr`.
     #[must_use]
     pub fn writes_rd(self) -> bool {
-        match self {
-            Opcode::Sf(_) | Opcode::Sfi(_) => false,
-            Opcode::Sw | Opcode::Sh | Opcode::Sb => false,
-            Opcode::J | Opcode::Bf | Opcode::Bnf | Opcode::Jr | Opcode::Rfe | Opcode::Nop => false,
-            Opcode::Jal | Opcode::Jalr => true, // link register r9
-            _ => true,
-        }
+        let format = self.row().format;
+        format.has_rd() || format.links()
     }
 
     /// `true` if the instruction reads source register `rA`.
     #[must_use]
     pub fn reads_ra(self) -> bool {
-        !matches!(
-            self,
-            Opcode::Movhi
-                | Opcode::J
-                | Opcode::Jal
-                | Opcode::Jr
-                | Opcode::Jalr
-                | Opcode::Bf
-                | Opcode::Bnf
-                | Opcode::Rfe
-                | Opcode::Nop
-        )
+        self.row().format.has_ra()
     }
 
     /// `true` if the instruction reads source register `rB`.
     #[must_use]
     pub fn reads_rb(self) -> bool {
-        matches!(
-            self,
-            Opcode::Add
-                | Opcode::Addc
-                | Opcode::Sub
-                | Opcode::And
-                | Opcode::Or
-                | Opcode::Xor
-                | Opcode::Mul
-                | Opcode::Mulu
-                | Opcode::Sll
-                | Opcode::Srl
-                | Opcode::Sra
-                | Opcode::Ror
-                | Opcode::Cmov
-                | Opcode::Sf(_)
-                | Opcode::Sw
-                | Opcode::Sh
-                | Opcode::Sb
-                | Opcode::Jr
-                | Opcode::Jalr
-        )
-    }
-
-    /// `true` if the instruction writes the compare flag.
-    #[must_use]
-    pub fn writes_flag(self) -> bool {
-        matches!(self, Opcode::Sf(_) | Opcode::Sfi(_))
-    }
-
-    /// `true` if the instruction reads the compare flag.
-    #[must_use]
-    pub fn reads_flag(self) -> bool {
-        matches!(self, Opcode::Bf | Opcode::Bnf | Opcode::Cmov)
+        self.row().format.has_rb()
     }
 
     /// Memory access width in bytes for loads/stores, `None` otherwise.
@@ -638,18 +469,7 @@ mod tests {
         assert!(Opcode::Sw.reads_rb());
         assert!(Opcode::Jal.writes_rd());
         assert!(!Opcode::Bf.reads_ra());
-        assert!(Opcode::Bf.reads_flag());
-        assert!(Opcode::Sf(SetFlagCond::Eq).writes_flag());
         assert!(!Opcode::Nop.writes_rd());
-    }
-
-    #[test]
-    fn delay_slot_only_for_control_flow() {
-        assert!(Opcode::J.has_delay_slot());
-        assert!(Opcode::Bf.has_delay_slot());
-        assert!(Opcode::Jr.has_delay_slot());
-        assert!(!Opcode::Add.has_delay_slot());
-        assert!(!Opcode::Lwz.has_delay_slot());
     }
 
     #[test]
@@ -658,17 +478,6 @@ mod tests {
         assert_eq!(Opcode::Sh.mem_width(), Some(2));
         assert_eq!(Opcode::Lbs.mem_width(), Some(1));
         assert_eq!(Opcode::Add.mem_width(), None);
-    }
-
-    #[test]
-    fn exec_units_match_microarchitecture() {
-        assert_eq!(Opcode::Mul.exec_unit(), ExecUnit::Multiplier);
-        assert_eq!(Opcode::Lwz.exec_unit(), ExecUnit::LoadStore);
-        assert_eq!(Opcode::Add.exec_unit(), ExecUnit::Adder);
-        assert_eq!(Opcode::Xor.exec_unit(), ExecUnit::Logic);
-        assert_eq!(Opcode::Slli.exec_unit(), ExecUnit::Shifter);
-        assert_eq!(Opcode::Bf.exec_unit(), ExecUnit::Branch);
-        assert_eq!(Opcode::Nop.exec_unit(), ExecUnit::None);
     }
 
     #[test]

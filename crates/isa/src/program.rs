@@ -1,4 +1,5 @@
-use crate::{Insn, IsaError, Reg, INSN_BYTES};
+use crate::table::Format;
+use crate::{Insn, IsaError, Opcode, Reg, INSN_BYTES};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -223,29 +224,17 @@ impl ProgramBuilder {
     ///
     /// Returns [`IsaError::BranchOutOfRange`] if the target cannot be encoded
     /// and [`IsaError::ParseError`] if `opcode` is not PC-relative.
-    pub fn push_branch_to(
-        &mut self,
-        opcode: crate::Opcode,
-        label: Label,
-    ) -> Result<&mut Self, IsaError> {
-        let from = self.current_address();
-        let delta_bytes = i64::from(label.0) - i64::from(from);
-        let words = delta_bytes / i64::from(INSN_BYTES);
-        let words =
-            i32::try_from(words).map_err(|_| IsaError::BranchOutOfRange { from, to: label.0 })?;
-        let insn = match opcode {
-            crate::Opcode::J => Insn::j(words),
-            crate::Opcode::Jal => Insn::jal(words),
-            crate::Opcode::Bf => Insn::bf(words),
-            crate::Opcode::Bnf => Insn::bnf(words),
-            other => {
-                return Err(IsaError::ParseError {
-                    line: 0,
-                    message: format!("{other} is not a PC-relative control-flow instruction"),
-                })
-            }
+    pub fn push_branch_to(&mut self, opcode: Opcode, label: Label) -> Result<&mut Self, IsaError> {
+        if !matches!(opcode.row().format, Format::Pc(_) | Format::PcLink(_)) {
+            return Err(IsaError::ParseError {
+                line: 0,
+                message: format!("{opcode} is not a PC-relative control-flow instruction"),
+            });
         }
-        .map_err(|_| IsaError::BranchOutOfRange { from, to: label.0 })?;
+        let from = self.current_address();
+        let words = (i64::from(label.0) - i64::from(from)) / i64::from(INSN_BYTES);
+        let insn = Insn::from_fields(opcode, None, None, None, Some(words))
+            .map_err(|_| IsaError::BranchOutOfRange { from, to: label.0 })?;
         self.insns.push(insn);
         Ok(self)
     }
@@ -310,7 +299,7 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Opcode, SetFlagCond};
+    use crate::SetFlagCond;
 
     #[test]
     fn builder_tracks_addresses() {
