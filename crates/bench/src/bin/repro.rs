@@ -97,9 +97,10 @@ fn print_bench_help() {
         "--seeds/..."
     );
     println!(
-        "  {:<16} timed repetitions; the fastest is reported (default 3)",
+        "  {:<16} timed repetitions; the median run by total wall is reported,",
         "--runs K"
     );
+    println!("  {:<16} with the fastest and slowest wall (default 3)", "");
     println!(
         "  {:<16} also write the machine-readable report to BENCH_sweep.json",
         "--json"
@@ -564,8 +565,8 @@ fn ms(duration: Duration) -> f64 {
 }
 
 /// Parses and runs the `bench` subcommand: times the two-phase PVT sweep
-/// and reports throughput, optionally as `BENCH_sweep.json` so CI can track
-/// the perf trajectory and flag regressions.
+/// and reports throughput, optionally as JSON (`BENCH_sweep.json` by
+/// default) for CI's same-job ratio gates.
 fn run_bench(args: &[String]) -> Result<ExitCode, String> {
     let mut shape = SweepShapeArgs::new(SweepConfig {
         seeds: 100,
@@ -622,22 +623,22 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
         "benchmarking PVT sweep: {} seeds x {} corners, {} timed runs...",
         config.seeds, config.corners, runs
     );
-    // Take the fastest of `runs` repetitions (the usual wall-clock noise
-    // filter); every repetition produces the identical report, so the
-    // cycle totals can come from any of them.
-    let mut best: Option<(u64, SweepTiming)> = None;
+    // Report the median of `runs` repetitions by total wall (the lower
+    // middle run for an even count), with the spread of all of them. Every
+    // repetition produces the identical report, so the cycle totals can
+    // come from any of them.
+    let mut timings: Vec<SweepTiming> = Vec::with_capacity(runs as usize);
+    let mut evaluated_cycles = 0;
     for _ in 0..runs {
         let (report, timing) = pvt_sweep_timed_with_cache(&config, cache_dir.as_deref())
             .map_err(|error| error.to_string())?;
-        let evaluated = report.total_cycles();
-        if best
-            .as_ref()
-            .is_none_or(|(_, t)| timing.total() < t.total())
-        {
-            best = Some((evaluated, timing));
-        }
+        evaluated_cycles = report.total_cycles();
+        timings.push(timing);
     }
-    let (evaluated_cycles, timing) = best.expect("at least one timed run");
+    timings.sort_by_key(SweepTiming::total);
+    let wall_ms_min = ms(timings[0].total());
+    let wall_ms_max = ms(timings[timings.len() - 1].total());
+    let timing = timings[(timings.len() - 1) / 2];
     let wall = timing.total().as_secs_f64();
     let jobs_per_sec = jobs as f64 / wall;
     let cycles_per_sec = evaluated_cycles as f64 / wall;
@@ -646,13 +647,16 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
     // cycle·corner count the replay phase pushed through its SIMD lanes.
     let replay_cycle_corners_per_sec = evaluated_cycles as f64 / timing.replay.as_secs_f64();
 
-    println!("bench.schema=4");
+    println!("bench.schema=5");
     println!("bench.seeds={}", config.seeds);
     println!("bench.corners={}", config.corners);
     println!("bench.master_seed={}", config.master_seed);
     println!("bench.jobs={jobs}");
     println!("bench.evaluated_cycles={evaluated_cycles}");
+    println!("bench.runs={runs}");
     println!("bench.wall_ms={:.3}", ms(timing.total()));
+    println!("bench.wall_ms_min={wall_ms_min:.3}");
+    println!("bench.wall_ms_max={wall_ms_max:.3}");
     println!("bench.simulate_ms={:.3}", ms(timing.simulate));
     println!("bench.predecode_ms={:.3}", ms(timing.predecode));
     println!("bench.replay_ms={:.3}", ms(timing.replay));
@@ -665,8 +669,9 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
 
     if write_json {
         let json = format!(
-            "{{\n  \"schema\": 4,\n  \"seeds\": {},\n  \"corners\": {},\n  \"master_seed\": {},\n  \
-             \"jobs\": {},\n  \"evaluated_cycles\": {},\n  \"wall_ms\": {:.3},\n  \
+            "{{\n  \"schema\": 5,\n  \"seeds\": {},\n  \"corners\": {},\n  \"master_seed\": {},\n  \
+             \"jobs\": {},\n  \"evaluated_cycles\": {},\n  \"runs\": {},\n  \"wall_ms\": {:.3},\n  \
+             \"wall_ms_min\": {:.3},\n  \"wall_ms_max\": {:.3},\n  \
              \"simulate_ms\": {:.3},\n  \"predecode_ms\": {:.3},\n  \"replay_ms\": {:.3},\n  \
              \"policy_replay_ms\": {:.3},\n  \"simulated_programs\": {},\n  \
              \"digest_cache_hits\": {},\n  \"jobs_per_sec\": {:.1},\n  \
@@ -676,7 +681,10 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
             config.master_seed,
             jobs,
             evaluated_cycles,
+            runs,
             ms(timing.total()),
+            wall_ms_min,
+            wall_ms_max,
             ms(timing.simulate),
             ms(timing.predecode),
             ms(timing.replay),

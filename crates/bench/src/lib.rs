@@ -467,8 +467,8 @@ impl Experiments {
         // LUT built from a deliberately short characterization: count how
         // many violations slip through on the full suite. The truncated
         // characterization is a digest replay of the first 500 cycles of
-        // the pass captured in `prepare` — bit-identical to re-simulating
-        // behind a `TakeObserver`, with no simulator in the loop — and the
+        // the pass captured in `prepare` — bit-identical to characterizing
+        // only those cycles live, with no simulator in the loop — and the
         // suite evaluation replays the captured benchmark digests.
         let truncated_lut_violations = {
             let short_digest = self.characterization_digest.truncated(500);

@@ -261,11 +261,19 @@ impl<'a> AdaptiveObserver<'a> {
         &self.config
     }
 
-    /// Replays the predict/observe/update loop on one *digested* cycle —
-    /// the replay counterpart of [`CycleObserver::observe_cycle`],
-    /// bit-identical to observing the originating [`CycleRecord`].
+    /// Replays the predict/observe/update loop on one *digested* cycle,
+    /// with its interrupt phase from the attached timeline — the body live
+    /// observation runs too, so replaying a digest is bit-identical to
+    /// observing the originating [`CycleRecord`]s.
     pub fn observe_digest(&mut self, cycle: u64, digest_cycle: &DigestCycle) {
         let entry = self.entry_at(cycle);
+        self.evaluate(cycle, digest_cycle, entry);
+    }
+
+    /// The per-cycle evaluation of live observation and digest replay: the
+    /// model's dynamic delays, perturbed by the attached faults and entry
+    /// surge, drive [`AdaptiveObserver::observe_parts`].
+    fn evaluate(&mut self, cycle: u64, digest_cycle: &DigestCycle, entry: bool) {
         let timing = self.model.digest_cycle_timing(cycle, digest_cycle);
         let timing = self.perturbation.timing(cycle, timing, entry);
         self.observe_parts(cycle, &digest_cycle.classes, &timing, entry);
@@ -286,9 +294,8 @@ impl<'a> AdaptiveObserver<'a> {
         self.observe_parts(cycle, &digest_cycle.classes, timing, entry);
     }
 
-    /// The predict/observe/update loop shared by the live and the replay
-    /// paths, driven by the per-stage classes and the cycle's dynamic
-    /// delays.
+    /// The predict/observe/update loop shared by every entry point, driven
+    /// by the per-stage classes and the cycle's dynamic delays.
     fn observe_parts(
         &mut self,
         cycle: u64,
@@ -345,13 +352,7 @@ impl<'a> AdaptiveObserver<'a> {
 impl CycleObserver for AdaptiveObserver<'_> {
     fn observe_cycle(&mut self, record: &CycleRecord) {
         let entry = record.irq_phase == IrqPhase::Entry;
-        let mut classes = [TimingClass::Bubble; Stage::COUNT];
-        for stage in Stage::ALL {
-            classes[stage.index()] = record.timing_class(stage);
-        }
-        let timing = self.model.cycle_timing(record);
-        let timing = self.perturbation.timing(record.cycle, timing, entry);
-        self.observe_parts(record.cycle, &classes, &timing, entry);
+        self.evaluate(record.cycle, &DigestCycle::of_record(record), entry);
     }
 
     fn finish(&mut self, summary: &RunSummary) {
@@ -1063,8 +1064,13 @@ mod tests {
             let policy = InstructionBased::new(frozen_lut.clone());
             let mut violations = 0;
             for record in trace.cycles() {
-                let requested = crate::ClockPolicy::period_ps(&policy, record);
-                let actual = model.cycle_timing(record).max_delay_ps * drift.factor(record.cycle);
+                let digest_cycle = DigestCycle::of_record(record);
+                let requested =
+                    crate::ClockPolicy::digest_period_ps(&policy, record.cycle, &digest_cycle);
+                let actual = model
+                    .digest_cycle_timing(record.cycle, &digest_cycle)
+                    .max_delay_ps
+                    * drift.factor(record.cycle);
                 if requested + 1e-9 < actual {
                     violations += 1;
                 }

@@ -12,8 +12,7 @@
 //! | [`GenieOracle`] | the genie-aided per-cycle adjustment used as the 50 % upper bound |
 
 use crate::DelayLut;
-use idca_isa::TimingClass;
-use idca_pipeline::{CycleRecord, DigestCycle, Stage};
+use idca_pipeline::{DigestCycle, Stage};
 use idca_timing::{Ps, TimingModel};
 
 /// A per-cycle clock-period decision rule.
@@ -29,16 +28,11 @@ pub trait ClockPolicy: Sync {
     /// Short human-readable name used in reports.
     fn name(&self) -> &str;
 
-    /// The clock period requested for this cycle, in picoseconds.
-    fn period_ps(&self, record: &CycleRecord) -> Ps;
-
-    /// The clock period requested for one *digested* cycle — the
-    /// simulate-once / evaluate-many counterpart of
-    /// [`ClockPolicy::period_ps`]. The digest carries exactly the
-    /// information the hardware controller of Fig. 1 sees (the instruction
-    /// classes in flight), so every policy must decide identically from it;
-    /// the bit-identity of both paths is pinned by the digest-equivalence
-    /// property tests.
+    /// The clock period requested for one cycle, in picoseconds, decided
+    /// from its digest. The digest carries the information the hardware
+    /// controller of Fig. 1 sees (the instruction classes in flight), and
+    /// live observers digest each record before asking, so live and
+    /// replayed runs share this one decision.
     fn digest_period_ps(&self, cycle: u64, digest_cycle: &DigestCycle) -> Ps;
 }
 
@@ -74,10 +68,6 @@ impl StaticClock {
 impl ClockPolicy for StaticClock {
     fn name(&self) -> &str {
         "static"
-    }
-
-    fn period_ps(&self, _record: &CycleRecord) -> Ps {
-        self.period_ps
     }
 
     fn digest_period_ps(&self, _cycle: u64, _digest_cycle: &DigestCycle) -> Ps {
@@ -118,14 +108,6 @@ impl InstructionBased {
 impl ClockPolicy for InstructionBased {
     fn name(&self) -> &str {
         "instruction-based"
-    }
-
-    fn period_ps(&self, record: &CycleRecord) -> Ps {
-        let mut classes = [TimingClass::Bubble; Stage::COUNT];
-        for stage in Stage::ALL {
-            classes[stage.index()] = record.timing_class(stage);
-        }
-        self.lut.period_for(&classes)
     }
 
     fn digest_period_ps(&self, _cycle: u64, digest_cycle: &DigestCycle) -> Ps {
@@ -172,11 +154,6 @@ impl ClockPolicy for ExecuteOnly {
         "execute-only"
     }
 
-    fn period_ps(&self, record: &CycleRecord) -> Ps {
-        let class = record.timing_class(Stage::Execute);
-        self.lut.delay_ps(Stage::Execute, class).max(self.guard_ps)
-    }
-
     fn digest_period_ps(&self, _cycle: u64, digest_cycle: &DigestCycle) -> Ps {
         let class = digest_cycle.classes[Stage::Execute.index()];
         self.lut.delay_ps(Stage::Execute, class).max(self.guard_ps)
@@ -206,10 +183,6 @@ impl ClockPolicy for GenieOracle {
         "genie-oracle"
     }
 
-    fn period_ps(&self, record: &CycleRecord) -> Ps {
-        self.model.cycle_timing(record).max_delay_ps
-    }
-
     fn digest_period_ps(&self, cycle: u64, digest_cycle: &DigestCycle) -> Ps {
         self.model
             .digest_cycle_timing(cycle, digest_cycle)
@@ -220,8 +193,8 @@ impl ClockPolicy for GenieOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idca_isa::asm::Assembler;
-    use idca_pipeline::{PipelineTrace, SimConfig, Simulator};
+    use idca_isa::{asm::Assembler, TimingClass};
+    use idca_pipeline::{CycleRecord, PipelineTrace, SimConfig, Simulator};
     use idca_timing::ProfileKind;
 
     fn trace(src: &str) -> PipelineTrace {
@@ -236,13 +209,18 @@ mod tests {
         TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized)
     }
 
+    /// A policy's request for a live record, decided from its digest.
+    fn period(policy: &dyn ClockPolicy, record: &CycleRecord) -> Ps {
+        policy.digest_period_ps(record.cycle, &DigestCycle::of_record(record))
+    }
+
     #[test]
     fn static_policy_is_constant() {
         let m = model();
         let policy = StaticClock::of_model(&m);
         let t = trace("l.addi r3, r0, 1\n l.mul r4, r3, r3\n l.nop 1\n");
         for record in t.cycles() {
-            assert_eq!(policy.period_ps(record), m.static_period_ps());
+            assert_eq!(period(&policy, record), m.static_period_ps());
         }
         assert_eq!(policy.name(), "static");
     }
@@ -258,7 +236,7 @@ mod tests {
         let mut mul_period = 0.0f64;
         let mut nop_period = f64::MAX;
         for record in t.cycles() {
-            let p = policy.period_ps(record);
+            let p = period(&policy, record);
             match record.timing_class(Stage::Execute) {
                 TimingClass::Mul => mul_period = p,
                 TimingClass::Nop => nop_period = nop_period.min(p),
@@ -277,7 +255,7 @@ mod tests {
             "l.addi r3, r0, 10\nloop: l.addi r3, r3, -1\n l.sfne r3, r0\n l.bf loop\n l.nop 0\n l.nop 1\n",
         );
         for record in t.cycles() {
-            let p = policy.period_ps(record);
+            let p = period(&policy, record);
             for stage in Stage::ALL {
                 let entry = policy.lut().delay_ps(stage, record.timing_class(stage));
                 assert!(p >= entry, "period must cover stage {stage}");
@@ -292,7 +270,7 @@ mod tests {
         assert!(policy.guard_ps() >= 1172.0);
         let t = trace("l.nop 0\n l.nop 0\n l.nop 0\n l.nop 1\n");
         for record in t.cycles() {
-            assert!(policy.period_ps(record) >= policy.guard_ps());
+            assert!(period(&policy, record) >= policy.guard_ps());
         }
     }
 
@@ -303,8 +281,9 @@ mod tests {
         let t = trace("l.addi r3, r0, 3\n l.mul r4, r3, r3\n l.nop 1\n");
         for record in t.cycles() {
             assert_eq!(
-                policy.period_ps(record),
-                m.cycle_timing(record).max_delay_ps
+                period(&policy, record),
+                m.digest_cycle_timing(record.cycle, &DigestCycle::of_record(record))
+                    .max_delay_ps
             );
         }
     }
@@ -319,7 +298,7 @@ mod tests {
         let genie = GenieOracle::new(m.clone());
         let lut_policy = InstructionBased::from_model(&m);
         let fixed = StaticClock::of_model(&m);
-        let sum = |p: &dyn ClockPolicy| -> f64 { t.cycles().iter().map(|r| p.period_ps(r)).sum() };
+        let sum = |p: &dyn ClockPolicy| -> f64 { t.cycles().iter().map(|r| period(p, r)).sum() };
         let genie_total = sum(&genie);
         let lut_total = sum(&lut_policy);
         let static_total = sum(&fixed);

@@ -86,19 +86,6 @@ impl RunOutcome {
             self.effective_frequency_mhz / baseline.effective_frequency_mhz
         }
     }
-
-    /// [`RunOutcome::speedup_over`] on the recovery-charged frequencies —
-    /// the *effective* speedup once every detected violation has paid its
-    /// replay penalty. Equals the raw speedup when neither run recovered
-    /// anything.
-    #[must_use]
-    pub fn recovery_speedup_over(&self, baseline: &RunOutcome) -> f64 {
-        if baseline.recovery_frequency_mhz == 0.0 {
-            1.0
-        } else {
-            self.recovery_frequency_mhz / baseline.recovery_frequency_mhz
-        }
-    }
 }
 
 /// Streaming dynamic-clock evaluation: a [`CycleObserver`] that applies a
@@ -207,19 +194,13 @@ impl<'a> PolicyObserver<'a> {
             .expect("simulation must complete (finish) before taking the outcome")
     }
 
-    /// Evaluates one *digested* cycle — the replay counterpart of
-    /// [`CycleObserver::observe_cycle`]: the policy decides from the
-    /// digest's classes, the violation check compares against the digest
-    /// replay of the model's dynamic delays, and the activity statistics
-    /// fold the digest's occupancy bits. Bit-identical to observing the
-    /// originating [`CycleRecord`].
+    /// Evaluates one *digested* cycle, with its interrupt phase from the
+    /// attached timeline — the body live observation runs too, so replaying
+    /// a digest is bit-identical to observing the originating
+    /// [`CycleRecord`]s.
     pub fn observe_digest(&mut self, cycle: u64, digest_cycle: &DigestCycle) {
         let entry = self.entry_at(cycle);
-        let timing = self.model.digest_cycle_timing(cycle, digest_cycle);
-        let timing = self.perturbation.timing(cycle, timing, entry);
-        let requested = self.policy.digest_period_ps(cycle, digest_cycle);
-        self.step(requested, timing.max_delay_ps, entry);
-        self.activity.observe_digest(digest_cycle);
+        self.evaluate(cycle, digest_cycle, entry);
     }
 
     /// [`PolicyObserver::observe_digest`] with the cycle's [`CycleTiming`]
@@ -234,31 +215,38 @@ impl<'a> PolicyObserver<'a> {
         timing: &CycleTiming,
     ) {
         let entry = self.entry_at(cycle);
-        let requested = self.policy.digest_period_ps(cycle, digest_cycle);
-        self.step(requested, timing.max_delay_ps, entry);
-        self.activity.observe_digest(digest_cycle);
+        self.step(cycle, digest_cycle, timing.max_delay_ps, entry);
     }
 
-    /// The per-cycle accumulation shared by the live and the replay paths:
-    /// realize the requested period, account it against the actual dynamic
-    /// delay ([`ViolationTally::record`]) and fold the min/max period.
-    fn step(&mut self, requested: Ps, actual: Ps, entry: bool) {
+    /// The per-cycle evaluation of live observation and digest replay: the
+    /// model's dynamic delays, perturbed by the attached faults and entry
+    /// surge, then [`PolicyObserver::step`].
+    fn evaluate(&mut self, cycle: u64, digest_cycle: &DigestCycle, entry: bool) {
+        let timing = self.model.digest_cycle_timing(cycle, digest_cycle);
+        let timing = self.perturbation.timing(cycle, timing, entry);
+        self.step(cycle, digest_cycle, timing.max_delay_ps, entry);
+    }
+
+    /// The per-cycle accumulation shared by every entry point: the policy
+    /// decides from the digest's classes, the realized period is accounted
+    /// against the actual dynamic delay ([`ViolationTally::record`]) and
+    /// folded into the min/max period, and the activity statistics fold the
+    /// digest's occupancy bits.
+    fn step(&mut self, cycle: u64, digest_cycle: &DigestCycle, actual: Ps, entry: bool) {
+        let requested = self.policy.digest_period_ps(cycle, digest_cycle);
         let realized = self.generator.realize(requested);
         self.tally
             .record(realized, actual, entry, self.perturbation.faults);
         self.min_period_ps = self.min_period_ps.min(realized);
         self.max_period_ps = self.max_period_ps.max(realized);
+        self.activity.observe_digest(digest_cycle);
     }
 }
 
 impl CycleObserver for PolicyObserver<'_> {
     fn observe_cycle(&mut self, record: &CycleRecord) {
         let entry = record.irq_phase == IrqPhase::Entry;
-        let requested = self.policy.period_ps(record);
-        let timing = self.model.cycle_timing(record);
-        let timing = self.perturbation.timing(record.cycle, timing, entry);
-        self.step(requested, timing.max_delay_ps, entry);
-        self.activity.observe_cycle(record);
+        self.evaluate(record.cycle, &DigestCycle::of_record(record), entry);
     }
 
     fn finish(&mut self, summary: &RunSummary) {

@@ -60,10 +60,9 @@ use std::sync::Arc;
 /// coefficients of the per-cycle dither: `raw = base + dither_gain × dither`
 /// with `dither ∈ [0, 1]`.
 ///
-/// This is the single source of truth for the activity → excitation mapping
-/// (the paper's "which paths does this operand pattern toggle" question);
-/// the timing model evaluates it for the direct simulation path and the
-/// digest replay alike.
+/// Both coefficients lie in `[0, 1]`: every value the excitation model
+/// produces does, and [`TimingDigest::from_bytes`] rejects a digest holding
+/// any other value (NaN included) even under a valid checksum.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageExcitation {
     /// Dither-independent part of the raw excitation.
@@ -73,77 +72,126 @@ pub struct StageExcitation {
 }
 
 impl StageExcitation {
-    /// Computes the excitation coefficients of `stage` from a cycle record.
-    #[must_use]
-    pub fn of_record(record: &CycleRecord, stage: Stage) -> StageExcitation {
-        excitation_for(record, stage, record.timing_class(stage), None)
-    }
-
-    /// The raw (pre-blend) excitation at a given dither value. Evaluated
-    /// with the same `base + gain × dither` expression for the direct and
-    /// the replay path, so both produce bit-identical delays.
+    /// The raw (pre-blend) excitation at a given dither value. Every layer
+    /// evaluates the same `base + gain × dither` expression, so live and
+    /// replayed cycles produce bit-identical delays.
     #[must_use]
     pub fn raw(&self, dither: f64) -> f64 {
         self.base + self.dither_gain * dither
     }
 }
 
-/// The single source of truth for the per-stage activity → excitation
-/// mapping. `class` is the stage occupant's timing class (precomputed by
-/// both callers); `hint` optionally supplies the instruction-static fetch
-/// and decode bases from a [`DigestHints`] table — the hinted and unhinted
-/// expressions are bit-identical by construction (the hint stores the result
-/// of exactly the fallback arithmetic), which the digest test suite pins.
-fn excitation_for(
-    record: &CycleRecord,
-    stage: Stage,
-    class: TimingClass,
-    hint: Option<&HintEntry>,
-) -> StageExcitation {
-    let (base, dither_gain) = match stage {
-        Stage::Address => {
-            if record.fetch_redirected && is_control_class(class) {
-                // Branch-target adder + PC mux + instruction-memory
-                // address setup: the long address-stage path.
-                (0.70, 0.30)
+/// Everything the excitation model reads of one cycle besides the six stage
+/// classes. The unhinted, hinted and fused captures only gather it, each
+/// from its own source; [`excitation`] turns it into coefficients.
+#[derive(Clone, Copy)]
+struct Activity {
+    /// A branch or jump redirected the fetch address this cycle.
+    fetch_redirected: bool,
+    /// The fetch occupant's [`fetch_base`] (`None` for a bubble).
+    fetch_base: Option<f64>,
+    /// The decode occupant's [`decode_base`] (`None` for a bubble).
+    decode_base: Option<f64>,
+    /// The execute-stage facts (`None` when nothing executes).
+    exec: Option<ExecFacts>,
+    /// Load data returned by the control stage, if any.
+    mem_return: Option<u32>,
+    /// Value written to the register file, if any.
+    wb_value: Option<u32>,
+}
+
+/// The execute-stage operand activity the excitation model reads.
+#[derive(Clone, Copy)]
+struct ExecFacts {
+    carry_chain: u8,
+    mul_bits: u8,
+    shift_amount: u8,
+    /// Operand toggling at the logic unit (`op_a ^ op_b`).
+    operand_toggle: u32,
+    result: u32,
+    /// Data-memory address issued (0 without a request).
+    mem_address: u32,
+    branch_taken: bool,
+    forwarded: bool,
+}
+
+/// The activity → excitation model (the paper's "which paths does this
+/// operand pattern toggle" question), written once for every capture path.
+/// Every coefficient lies in `[0, 1]`: carry chains and multiplier widths
+/// are at most 32 and shift amounts at most 31, popcount fractions and the
+/// load/store drive at most 1, and the forwarding bump is clamped.
+#[inline(always)]
+fn excitation(
+    classes: &[TimingClass; Stage::COUNT],
+    activity: &Activity,
+) -> [StageExcitation; Stage::COUNT] {
+    let ex = |base: f64, dither_gain: f64| StageExcitation { base, dither_gain };
+    let bubble = ex(0.35, 0.0);
+    let redirected = activity.fetch_redirected && is_control_class(classes[Stage::Address.index()]);
+    let address = if redirected {
+        // Branch-target adder + PC mux + instruction-memory address setup:
+        // the long address-stage path.
+        ex(0.70, 0.30)
+    } else {
+        ex(0.30, 0.40)
+    };
+    let fetch = activity.fetch_base.map_or(bubble, |base| ex(base, 0.0));
+    let decode = activity.decode_base.map_or(bubble, |base| ex(base, 0.12));
+    let execute = match &activity.exec {
+        None => 0.40,
+        Some(exec) => {
+            let e = match classes[Stage::Execute.index()] {
+                TimingClass::Add | TimingClass::SetFlag => f64::from(exec.carry_chain) / 32.0,
+                TimingClass::Mul => f64::from(exec.mul_bits) / 32.0,
+                TimingClass::Shift => f64::from(exec.shift_amount) / 31.0,
+                TimingClass::And | TimingClass::Or | TimingClass::Xor | TimingClass::Move => {
+                    popcount_frac(exec.operand_toggle)
+                }
+                TimingClass::Load | TimingClass::Store => {
+                    // The LSU path (address adder → SRAM address/write
+                    // pins) is driven by the address-generation carry chain
+                    // and by how many address bits toggle at the macro
+                    // inputs; the address space is 16 bits wide, so
+                    // toggling is normalized to it.
+                    let addr_toggle = f64::from((exec.mem_address & 0xFFFF).count_ones()) / 16.0;
+                    let drive = (f64::from(exec.carry_chain) / 32.0).max(addr_toggle);
+                    0.45 + 0.55 * drive
+                }
+                TimingClass::BranchCond if exec.branch_taken => 0.85,
+                TimingClass::BranchCond => 0.45,
+                TimingClass::Jump => 0.55,
+                TimingClass::JumpReg => popcount_frac(exec.result).max(0.5),
+                TimingClass::Nop => 0.30,
+                TimingClass::Bubble => 0.40,
+            };
+            if exec.forwarded {
+                // The forwarding multiplexers lengthen the operand path.
+                (e + 0.12).min(1.0)
             } else {
-                (0.30, 0.40)
+                e
             }
         }
-        Stage::Fetch => match record.occupant(stage) {
-            Occupant::Insn { insn, .. } => (
-                hint.map_or_else(
-                    || 0.25 + 0.75 * popcount_frac(insn.encode()),
-                    |h| h.fetch_base,
-                ),
-                0.0,
-            ),
-            Occupant::Bubble(_) => (0.35, 0.0),
-        },
-        Stage::Decode => match record.occupant(stage) {
-            Occupant::Insn { insn, .. } => (
-                hint.map_or_else(|| decode_base(insn), |h| h.decode_base),
-                0.12,
-            ),
-            Occupant::Bubble(_) => (0.35, 0.0),
-        },
-        Stage::Execute => (execute_excitation(record, class), 0.0),
-        Stage::Control => match class {
-            TimingClass::Load => (
-                0.30 + 0.70 * popcount_frac(record.mem_return.unwrap_or(0)),
-                0.0,
-            ),
-            TimingClass::Store => (0.35, 0.45),
-            TimingClass::Mul => (0.45, 0.35),
-            TimingClass::Bubble => (0.35, 0.0),
-            _ => (0.35, 0.35),
-        },
-        Stage::Writeback => match &record.writeback {
-            Some(wb) => (0.25 + 0.75 * popcount_frac(wb.value), 0.0),
-            None => (0.35, 0.0),
-        },
     };
-    StageExcitation { base, dither_gain }
+    let control = match classes[Stage::Control.index()] {
+        TimingClass::Load => ex(
+            0.30 + 0.70 * popcount_frac(activity.mem_return.unwrap_or(0)),
+            0.0,
+        ),
+        TimingClass::Store => ex(0.35, 0.45),
+        TimingClass::Mul => ex(0.45, 0.35),
+        TimingClass::Bubble => bubble,
+        _ => ex(0.35, 0.35),
+    };
+    let writeback = activity
+        .wb_value
+        .map_or(bubble, |value| ex(0.25 + 0.75 * popcount_frac(value), 0.0));
+    [address, fetch, decode, ex(execute, 0.0), control, writeback]
+}
+
+/// The instruction-static part of the fetch-stage excitation (instruction
+/// word toggling on the fetch bus).
+fn fetch_base(insn: &Insn) -> f64 {
+    0.25 + 0.75 * popcount_frac(insn.encode())
 }
 
 /// The instruction-static part of the decode-stage excitation (operand-port
@@ -163,12 +211,13 @@ fn decode_base(insn: &Insn) -> f64 {
 }
 
 /// Per-instruction digest excitation facts that depend only on the
-/// instruction word: its timing class, the fetch-stage popcount base and the
-/// decode-stage operand-port base. A [`crate::PredecodedProgram`] computes
+/// instruction word: its timing class and the static fetch- and
+/// decode-stage excitation bases. A [`crate::PredecodedProgram`] computes
 /// one table per program; [`DigestObserver::with_hints`] then skips the
 /// per-cycle instruction re-encode and accessor matching during capture.
 /// Hinted and unhinted capture are bit-identical (pinned by tests): the
-/// table stores the result of exactly the arithmetic the unhinted path runs.
+/// table stores the results of the same functions the unhinted capture
+/// calls.
 #[derive(Debug, Clone)]
 pub struct DigestHints {
     base: u32,
@@ -191,7 +240,7 @@ impl DigestHints {
             .iter()
             .map(|insn| HintEntry {
                 class: insn.timing_class(),
-                fetch_base: 0.25 + 0.75 * popcount_frac(insn.encode()),
+                fetch_base: fetch_base(insn),
                 decode_base: decode_base(insn),
             })
             .collect();
@@ -221,44 +270,65 @@ fn popcount_frac(value: u32) -> f64 {
     f64::from(value.count_ones()) / 32.0
 }
 
-fn execute_excitation(record: &CycleRecord, class: TimingClass) -> f64 {
-    let Some(exec) = &record.exec else {
-        return 0.40;
-    };
-    let mut e = match class {
-        TimingClass::Add | TimingClass::SetFlag => f64::from(exec.carry_chain) / 32.0,
-        TimingClass::Mul => f64::from(exec.mul_bits) / 32.0,
-        TimingClass::Shift => f64::from(exec.shift_amount) / 31.0,
-        TimingClass::And | TimingClass::Or | TimingClass::Xor | TimingClass::Move => {
-            popcount_frac(exec.op_a ^ exec.op_b)
-        }
-        TimingClass::Load | TimingClass::Store => {
-            // The LSU path (address adder → SRAM address/write pins) is
-            // driven by the address-generation carry chain and by how
-            // many address bits toggle at the macro inputs; the address
-            // space is 16 bits wide, so toggling is normalized to it.
-            let addr = exec.mem_request.map_or(0, |m| m.address);
-            let addr_toggle = f64::from((addr & 0xFFFF).count_ones()) / 16.0;
-            let drive = (f64::from(exec.carry_chain) / 32.0).max(addr_toggle);
-            0.45 + 0.55 * drive
-        }
-        TimingClass::BranchCond => {
-            if exec.branch.is_some_and(|b| b.taken) {
-                0.85
-            } else {
-                0.45
-            }
-        }
-        TimingClass::Jump => 0.55,
-        TimingClass::JumpReg => popcount_frac(exec.result).max(0.5),
-        TimingClass::Nop => 0.30,
-        TimingClass::Bubble => 0.40,
-    };
-    if exec.forward_a.is_some() || exec.forward_b.is_some() {
-        // The forwarding multiplexers lengthen the operand path.
-        e = (e + 0.12).min(1.0);
+/// The timing class of one stage occupant, and its hint entry when `hints`
+/// covers the occupant's pc.
+#[inline(always)]
+fn classify<'h>(
+    occupant: &Occupant,
+    hints: Option<&'h DigestHints>,
+) -> (TimingClass, Option<&'h HintEntry>) {
+    match occupant {
+        Occupant::Insn { pc, insn, .. } => match hints.and_then(|h| h.entry(*pc)) {
+            Some(entry) => (entry.class, Some(entry)),
+            None => (insn.timing_class(), None),
+        },
+        Occupant::Bubble(_) => (TimingClass::Bubble, None),
     }
-    e
+}
+
+/// Digests one cycle record: the unhinted capture (the reference) without
+/// `hints`, the hinted one with them. Occupants whose pc falls outside the
+/// hint table take the unhinted derivation. The six stage lookups are
+/// written out: gathering them through `Stage::ALL.map` made capture about
+/// a quarter slower.
+#[inline(always)]
+fn capture(record: &CycleRecord, hints: Option<&DigestHints>) -> DigestCycle {
+    let fetch = record.occupant(Stage::Fetch);
+    let decode = record.occupant(Stage::Decode);
+    let (adr_class, _) = classify(record.occupant(Stage::Address), hints);
+    let (fe_class, fe_hint) = classify(fetch, hints);
+    let (dc_class, dc_hint) = classify(decode, hints);
+    let (ex_class, _) = classify(record.occupant(Stage::Execute), hints);
+    let (ctl_class, _) = classify(record.occupant(Stage::Control), hints);
+    let (wb_class, _) = classify(record.occupant(Stage::Writeback), hints);
+    let classes = [adr_class, fe_class, dc_class, ex_class, ctl_class, wb_class];
+    let activity = Activity {
+        fetch_redirected: record.fetch_redirected,
+        fetch_base: fetch
+            .insn()
+            .map(|insn| fe_hint.map_or_else(|| fetch_base(insn), |h| h.fetch_base)),
+        decode_base: decode
+            .insn()
+            .map(|insn| dc_hint.map_or_else(|| decode_base(insn), |h| h.decode_base)),
+        exec: record.exec.as_ref().map(|exec| ExecFacts {
+            carry_chain: exec.carry_chain,
+            mul_bits: exec.mul_bits,
+            shift_amount: exec.shift_amount,
+            operand_toggle: exec.op_a ^ exec.op_b,
+            result: exec.result,
+            mem_address: exec.mem_request.map_or(0, |m| m.address),
+            branch_taken: exec.branch.is_some_and(|b| b.taken),
+            forwarded: exec.forward_a.is_some() || exec.forward_b.is_some(),
+        }),
+        mem_return: record.mem_return,
+        wb_value: record.writeback.map(|wb| wb.value),
+    };
+    DigestCycle {
+        classes,
+        excitation: excitation(&classes, &activity),
+        fetch_address: record.fetch_address,
+        flags: CycleRecordFlags::of_record(record),
+    }
 }
 
 /// The timing-relevant content of one simulated cycle: per-stage instruction
@@ -266,6 +336,10 @@ fn execute_excitation(record: &CycleRecord, class: TimingClass) -> f64 {
 /// the activity bits consumed by the power model. Deliberately free of the
 /// cycle index, so identical pipeline situations produce identical digest
 /// cycles regardless of when they occur.
+///
+/// This is the only per-cycle input of the timing and core layers: live
+/// observers digest each record with [`DigestCycle::of_record`] and run the
+/// same evaluation digest replay runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DigestCycle {
     /// Timing class occupying each stage (indexed by [`Stage::index`]).
@@ -279,99 +353,11 @@ pub struct DigestCycle {
 }
 
 impl DigestCycle {
-    /// Extracts the digest of one cycle record.
+    /// Extracts the digest of one cycle record — the unhinted reference
+    /// capture the hinted and fused captures are pinned against.
     #[must_use]
     pub fn of_record(record: &CycleRecord) -> DigestCycle {
-        let mut classes = [TimingClass::Bubble; Stage::COUNT];
-        let mut excitation = [StageExcitation {
-            base: 0.0,
-            dither_gain: 0.0,
-        }; Stage::COUNT];
-        for stage in Stage::ALL {
-            classes[stage.index()] = record.timing_class(stage);
-            excitation[stage.index()] = StageExcitation::of_record(record, stage);
-        }
-        DigestCycle {
-            classes,
-            excitation,
-            fetch_address: record.fetch_address,
-            flags: CycleRecordFlags::of_record(record),
-        }
-    }
-
-    /// [`DigestCycle::of_record`] with a precomputed [`DigestHints`] table:
-    /// per-stage instruction classes and the static fetch/decode excitation
-    /// bases come from one table lookup per occupied stage instead of
-    /// re-encoding and re-classifying the instruction word. Bit-identical to
-    /// the unhinted extraction (pinned by tests); occupants whose `pc` falls
-    /// outside the hint table fall back to the unhinted derivation.
-    ///
-    /// This is the digest-capture hot path, so the per-stage derivations are
-    /// written straight-line here instead of looping through the generic
-    /// `excitation_for` dispatch: each stage's arm below computes exactly
-    /// the expression its `excitation_for` arm computes, in the same
-    /// floating-point order.
-    #[must_use]
-    pub fn of_record_hinted(record: &CycleRecord, hints: &DigestHints) -> DigestCycle {
-        let class_and_hint = |occupant: &Occupant| match occupant {
-            Occupant::Insn { pc, insn, .. } => match hints.entry(*pc) {
-                Some(h) => (h.class, Some(h)),
-                None => (insn.timing_class(), None),
-            },
-            Occupant::Bubble(_) => (TimingClass::Bubble, None),
-        };
-        let ex = |base: f64, dither_gain: f64| StageExcitation { base, dither_gain };
-
-        let (adr_class, _) = class_and_hint(record.occupant(Stage::Address));
-        let adr = if record.fetch_redirected && is_control_class(adr_class) {
-            ex(0.70, 0.30)
-        } else {
-            ex(0.30, 0.40)
-        };
-
-        let (fe_class, fe_hint) = class_and_hint(record.occupant(Stage::Fetch));
-        let fe = match (fe_hint, record.occupant(Stage::Fetch)) {
-            (Some(h), _) => ex(h.fetch_base, 0.0),
-            (None, Occupant::Insn { insn, .. }) => {
-                ex(0.25 + 0.75 * popcount_frac(insn.encode()), 0.0)
-            }
-            (None, Occupant::Bubble(_)) => ex(0.35, 0.0),
-        };
-
-        let (dc_class, dc_hint) = class_and_hint(record.occupant(Stage::Decode));
-        let dc = match (dc_hint, record.occupant(Stage::Decode)) {
-            (Some(h), _) => ex(h.decode_base, 0.12),
-            (None, Occupant::Insn { insn, .. }) => ex(decode_base(insn), 0.12),
-            (None, Occupant::Bubble(_)) => ex(0.35, 0.0),
-        };
-
-        let (ex_class, _) = class_and_hint(record.occupant(Stage::Execute));
-        let exc = ex(execute_excitation(record, ex_class), 0.0);
-
-        let (ctl_class, _) = class_and_hint(record.occupant(Stage::Control));
-        let ctl = match ctl_class {
-            TimingClass::Load => ex(
-                0.30 + 0.70 * popcount_frac(record.mem_return.unwrap_or(0)),
-                0.0,
-            ),
-            TimingClass::Store => ex(0.35, 0.45),
-            TimingClass::Mul => ex(0.45, 0.35),
-            TimingClass::Bubble => ex(0.35, 0.0),
-            _ => ex(0.35, 0.35),
-        };
-
-        let (wb_class, _) = class_and_hint(record.occupant(Stage::Writeback));
-        let wb = match &record.writeback {
-            Some(wb) => ex(0.25 + 0.75 * popcount_frac(wb.value), 0.0),
-            None => ex(0.35, 0.0),
-        };
-
-        DigestCycle {
-            classes: [adr_class, fe_class, dc_class, ex_class, ctl_class, wb_class],
-            excitation: [adr, fe, dc, exc, ctl, wb],
-            fetch_address: record.fetch_address,
-            flags: CycleRecordFlags::of_record(record),
-        }
+        capture(record, None)
     }
 }
 
@@ -624,9 +610,10 @@ impl TimingDigest {
     ///
     /// Every failure mode of a file from disk — wrong magic, unknown
     /// version, truncation, trailing garbage, a flipped payload bit, classes
-    /// or run ids out of range, run lengths that do not add up to the header
-    /// cycle count — is reported as a [`DigestFormatError`]; no input can
-    /// panic this parser or yield a structurally inconsistent digest.
+    /// or run ids out of range, excitation coefficients outside `[0, 1]`,
+    /// run lengths that do not add up to the header cycle count — is
+    /// reported as a [`DigestFormatError`]; no input can panic this parser
+    /// or yield a structurally inconsistent digest.
     ///
     /// # Errors
     ///
@@ -687,6 +674,13 @@ impl TimingDigest {
             for slot in &mut excitation {
                 slot.base = f64::from_bits(r.u64()?);
                 slot.dither_gain = f64::from_bits(r.u64()?);
+                // The checksum detects corruption but does not
+                // authenticate: range-check what the model can produce.
+                if !(0.0..=1.0).contains(&slot.base) || !(0.0..=1.0).contains(&slot.dither_gain) {
+                    return Err(DigestFormatError::Malformed(
+                        "excitation coefficient outside [0, 1]",
+                    ));
+                }
             }
             let fetch_address = r.u32()?;
             let flags = CycleRecordFlags::from_bits(r.u8()?)
@@ -783,8 +777,9 @@ pub enum DigestFormatError {
     /// The payload does not hash to the header checksum (bit rot or a
     /// partial write).
     ChecksumMismatch,
-    /// A structural invariant is violated (out-of-range class, dangling run
-    /// id, inconsistent cycle totals, trailing bytes, ...).
+    /// A structural invariant is violated (out-of-range class or excitation
+    /// coefficient, dangling run id, inconsistent cycle totals, trailing
+    /// bytes, ...).
     Malformed(
         /// Which invariant failed.
         &'static str,
@@ -1023,9 +1018,8 @@ impl DedupIndex {
 /// during a burst; control and writeback may still carry pre-burst bubbles)
 /// plus the data-dependent execute/control/writeback activity. Everything
 /// [`DigestObserver::observe_fast_cycle`] needs to reproduce — bit-exactly —
-/// the [`DigestCycle`] that [`DigestCycle::of_record_hinted`] would extract
-/// from the equivalent [`CycleRecord`], without that record ever being
-/// materialized.
+/// the [`DigestCycle`] that hinted record capture would extract from the
+/// equivalent [`CycleRecord`], without that record ever being materialized.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FastCycleFacts {
     /// Instruction-memory address presented this cycle (dither salt).
@@ -1111,71 +1105,41 @@ impl DigestObserver {
     /// by the caller pairing the observer with the program it simulates —
     /// indexes the same micro-op table the facts' indices point into.
     ///
-    /// Every arm below reproduces, in the same floating-point order, exactly
-    /// what [`DigestCycle::of_record_hinted`] computes for a burst cycle: an
-    /// un-redirected, un-stalled cycle whose front four stages hold plain
-    /// table ops with an exec-activity record and no branch resolution. The
+    /// It gathers the same [`Activity`] the hinted record capture gathers
+    /// for a burst cycle — an un-redirected, un-stalled cycle whose front
+    /// four stages hold plain table ops with an exec-activity record and no
+    /// branch resolution — and runs the one excitation model on it. The
     /// differential suite pins the resulting digests against full-record
     /// capture on the reference engine.
     pub(crate) fn observe_fast_cycle(&mut self, fc: &FastCycleFacts) {
         let hints = self.hints.as_ref().expect("fast-path capture is hinted");
         let entry = |idx: u32| &hints.entries[idx as usize];
-        let ex = |base: f64, dither_gain: f64| StageExcitation { base, dither_gain };
-
-        // Address: never redirected during a burst.
-        let adr_class = entry(fc.adr_idx).class;
-        let adr = ex(0.30, 0.40);
-
-        let fe_hint = entry(fc.fe_idx);
-        let fe = ex(fe_hint.fetch_base, 0.0);
-        let dc_hint = entry(fc.dc_idx);
-        let dc = ex(dc_hint.decode_base, 0.12);
-
-        // Execute: `execute_excitation` with activity present and no branch.
-        let ex_class = entry(fc.ex_idx).class;
-        let mut exec_base = match ex_class {
-            TimingClass::Add | TimingClass::SetFlag => f64::from(fc.carry_chain) / 32.0,
-            TimingClass::Mul => f64::from(fc.mul_bits) / 32.0,
-            TimingClass::Shift => f64::from(fc.shift_amount) / 31.0,
-            TimingClass::And | TimingClass::Or | TimingClass::Xor | TimingClass::Move => {
-                popcount_frac(fc.op_a ^ fc.op_b)
-            }
-            TimingClass::Load | TimingClass::Store => {
-                let addr = fc.mem_address.unwrap_or(0);
-                let addr_toggle = f64::from((addr & 0xFFFF).count_ones()) / 16.0;
-                let drive = (f64::from(fc.carry_chain) / 32.0).max(addr_toggle);
-                0.45 + 0.55 * drive
-            }
-            // Control classes are not plain ops, so they never execute in a
-            // burst; the arms still mirror `execute_excitation` exactly.
-            TimingClass::BranchCond => 0.45,
-            TimingClass::Jump => 0.55,
-            TimingClass::JumpReg => popcount_frac(fc.result).max(0.5),
-            TimingClass::Nop => 0.30,
-            TimingClass::Bubble => 0.40,
-        };
-        if fc.forwarded {
-            exec_base = (exec_base + 0.12).min(1.0);
-        }
-        let exc = ex(exec_base, 0.0);
-
-        let ctl_class = fc
-            .ctrl_idx
-            .map_or(TimingClass::Bubble, |idx| entry(idx).class);
-        let ctl = match ctl_class {
-            TimingClass::Load => ex(0.30 + 0.70 * popcount_frac(fc.mem_return.unwrap_or(0)), 0.0),
-            TimingClass::Store => ex(0.35, 0.45),
-            TimingClass::Mul => ex(0.45, 0.35),
-            TimingClass::Bubble => ex(0.35, 0.0),
-            _ => ex(0.35, 0.35),
-        };
-
-        let wb_class = fc
-            .wb_idx
-            .map_or(TimingClass::Bubble, |idx| entry(idx).class);
-        let wb = match fc.wb_value {
-            Some(value) => ex(0.25 + 0.75 * popcount_frac(value), 0.0),
-            None => ex(0.35, 0.0),
+        let class_of = |idx: Option<u32>| idx.map_or(TimingClass::Bubble, |idx| entry(idx).class);
+        let (fetch, decode) = (entry(fc.fe_idx), entry(fc.dc_idx));
+        let classes = [
+            entry(fc.adr_idx).class,
+            fetch.class,
+            decode.class,
+            entry(fc.ex_idx).class,
+            class_of(fc.ctrl_idx),
+            class_of(fc.wb_idx),
+        ];
+        let activity = Activity {
+            fetch_redirected: false,
+            fetch_base: Some(fetch.fetch_base),
+            decode_base: Some(decode.decode_base),
+            exec: Some(ExecFacts {
+                carry_chain: fc.carry_chain,
+                mul_bits: fc.mul_bits,
+                shift_amount: fc.shift_amount,
+                operand_toggle: fc.op_a ^ fc.op_b,
+                result: fc.result,
+                mem_address: fc.mem_address.unwrap_or(0),
+                branch_taken: false,
+                forwarded: fc.forwarded,
+            }),
+            mem_return: fc.mem_return,
+            wb_value: fc.wb_value,
         };
 
         let mut bits = CycleRecordFlags::EXECUTE_INSN;
@@ -1190,15 +1154,8 @@ impl DigestObserver {
         }
 
         self.push(DigestCycle {
-            classes: [
-                adr_class,
-                fe_hint.class,
-                dc_hint.class,
-                ex_class,
-                ctl_class,
-                wb_class,
-            ],
-            excitation: [adr, fe, dc, exc, ctl, wb],
+            classes,
+            excitation: excitation(&classes, &activity),
             fetch_address: fc.fetch_address,
             flags: CycleRecordFlags::from_bits(bits).expect("burst flags are defined bits"),
         });
@@ -1232,11 +1189,7 @@ impl DigestObserver {
 
 impl CycleObserver for DigestObserver {
     fn observe_cycle(&mut self, record: &CycleRecord) {
-        let dc = match &self.hints {
-            Some(hints) => DigestCycle::of_record_hinted(record, hints),
-            None => DigestCycle::of_record(record),
-        };
-        self.push(dc);
+        self.push(capture(record, self.hints.as_deref()));
     }
 
     fn observe_event(&mut self, event: &DigestEvent) {
@@ -1460,6 +1413,30 @@ mod tests {
         assert!(DigestFormatError::ChecksumMismatch
             .to_string()
             .contains("checksum"));
+    }
+
+    #[test]
+    fn out_of_range_excitation_coefficients_are_rejected_under_a_valid_checksum() {
+        // The checksum only detects corruption: a rewritten coefficient with
+        // a recomputed checksum must still be refused, whichever of the two
+        // coefficients it is.
+        let t = trace("l.addi r3, r0, 5\n l.mul r4, r3, r3\n l.nop 1\n");
+        let digest = TimingDigest::from_trace(&t);
+        let base = |e: &mut StageExcitation, v: f64| e.base = v;
+        let gain = |e: &mut StageExcitation, v: f64| e.dither_gain = v;
+        for set in [base, gain] {
+            for bad in [f64::NAN, f64::INFINITY, -1e-9, 1.0 + 1e-9] {
+                let mut d = digest.clone();
+                set(&mut d.pool[0].excitation[Stage::Execute.index()], bad);
+                assert_eq!(
+                    TimingDigest::from_bytes(&d.to_bytes()),
+                    Err(DigestFormatError::Malformed(
+                        "excitation coefficient outside [0, 1]"
+                    )),
+                    "coefficient {bad}"
+                );
+            }
+        }
     }
 
     /// Builds a digest carrying a populated asynchronous-event stream by

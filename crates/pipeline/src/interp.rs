@@ -230,13 +230,6 @@ impl Interpreter {
         Self::default()
     }
 
-    /// Sets the data-memory size in bytes.
-    #[must_use]
-    pub fn with_data_memory_size(mut self, bytes: usize) -> Self {
-        self.data_memory_size = bytes;
-        self
-    }
-
     /// Sets the maximum number of instructions to execute before giving up.
     #[must_use]
     pub fn with_max_instructions(mut self, limit: u64) -> Self {

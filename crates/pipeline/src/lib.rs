@@ -78,12 +78,12 @@ pub use irq::{
     MMIO_TIMER_COUNT, MMIO_TIMER_PERIOD,
 };
 pub use memory::Memory;
-pub use observer::{CycleObserver, RunSummary, TakeObserver};
+pub use observer::{CycleObserver, RunSummary};
 pub use predecode::{AdderKind, AluKind, CtlKind, MemKind, MicroOp, PredecodedProgram};
 pub use regfile::RegisterFile;
 pub use simulator::{ArchState, ObservedRun, SimBuffers, SimConfig, SimResult, Simulator};
 pub use stage::Stage;
-pub use trace::{class_at, occupant_at, PipelineTrace, TraceStats};
+pub use trace::{PipelineTrace, TraceStats};
 
 /// The `l.nop` immediate that requests simulation exit, following the
 /// convention of the OpenRISC architectural simulator (`NOP_EXIT`).

@@ -49,8 +49,8 @@ pub trait CycleObserver {
     /// basic-block burst cycles straight into the digest without
     /// materializing a [`CycleRecord`] per cycle. Capture through either
     /// path is bit-identical (pinned by the digest and differential tests).
-    /// Adapters that filter or reorder cycles (e.g. `TakeObserver`) must
-    /// keep the default `None` so they always see the full record stream.
+    /// Adapters that filter or reorder cycles must keep the default `None`
+    /// so they always see the full record stream.
     #[doc(hidden)]
     fn as_hinted_digest(&mut self) -> Option<&mut DigestObserver> {
         None
@@ -73,62 +73,6 @@ impl<O: CycleObserver + ?Sized> CycleObserver for &mut O {
 
     fn as_hinted_digest(&mut self) -> Option<&mut DigestObserver> {
         (**self).as_hinted_digest()
-    }
-}
-
-/// An observer adapter that forwards only the first `limit` cycles to its
-/// inner observer — the streaming equivalent of truncating a materialized
-/// trace (used e.g. to study LUTs built from deliberately short
-/// characterizations).
-#[derive(Debug, Clone)]
-pub struct TakeObserver<O> {
-    inner: O,
-    limit: u64,
-    seen: u64,
-}
-
-impl<O: CycleObserver> TakeObserver<O> {
-    /// Wraps `inner`, forwarding at most `limit` cycles.
-    #[must_use]
-    pub fn new(inner: O, limit: u64) -> Self {
-        TakeObserver {
-            inner,
-            limit,
-            seen: 0,
-        }
-    }
-
-    /// Consumes the adapter and returns the inner observer.
-    #[must_use]
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: CycleObserver> CycleObserver for TakeObserver<O> {
-    fn observe_cycle(&mut self, record: &CycleRecord) {
-        if self.seen < self.limit {
-            self.seen += 1;
-            self.inner.observe_cycle(record);
-        }
-    }
-
-    fn observe_event(&mut self, event: &DigestEvent) {
-        // Events of cycle N arrive after cycle N's record, so the inner
-        // observer keeps a consistent truncated view.
-        if event.cycle < self.limit {
-            self.inner.observe_event(event);
-        }
-    }
-
-    fn finish(&mut self, summary: &RunSummary) {
-        // The inner observer saw `seen` cycles; clamp the totals so its view
-        // stays consistent with what was forwarded.
-        let truncated = RunSummary {
-            cycles: self.seen,
-            retired: summary.retired.min(self.seen),
-        };
-        self.inner.finish(&truncated);
     }
 }
 
@@ -165,27 +109,6 @@ mod tests {
             stalled: false,
             irq_phase: crate::IrqPhase::None,
         }
-    }
-
-    #[test]
-    fn take_observer_truncates_stream_and_summary() {
-        let mut take = TakeObserver::new(Counting::default(), 3);
-        for cycle in 0..10 {
-            take.observe_cycle(&record(cycle));
-        }
-        take.finish(&RunSummary {
-            cycles: 10,
-            retired: 8,
-        });
-        let inner = take.into_inner();
-        assert_eq!(inner.observed, 3);
-        assert_eq!(
-            inner.finished,
-            Some(RunSummary {
-                cycles: 3,
-                retired: 3
-            })
-        );
     }
 
     #[test]

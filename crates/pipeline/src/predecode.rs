@@ -12,9 +12,7 @@
 //! it **once per program** into a flat [`MicroOp`] table the engines index by
 //! instruction word offset.
 //!
-//! On top of the table the lowering derives a *basic-block map*: the
-//! straight-line runs of micro-ops between control-flow instructions
-//! ([`PredecodedProgram::basic_blocks`]) and, for the simulator's fast path,
+//! On top of the table the lowering derives, for the simulator's fast path,
 //! a per-index *runway* ([`PredecodedProgram::runway`]) — the number of
 //! consecutive plain (non-control, non-exit) micro-ops starting at an index.
 //! While the pipeline is executing inside a runway nothing can redirect the
@@ -33,7 +31,6 @@ use crate::digest::DigestHints;
 use crate::interp::alu::{self, AluOutcome};
 use crate::{PipelineError, NOP_EXIT};
 use idca_isa::{Insn, Opcode, Program, Reg, SetFlagCond, TimingClass, INSN_BYTES};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// The data-path operation a micro-op performs in the execute stage — a
@@ -465,26 +462,6 @@ impl PredecodedProgram {
         self.runway.get(idx as usize).copied().unwrap_or(0)
     }
 
-    /// The basic-block map: half-open index ranges of straight-line runs,
-    /// each ending just after its terminating control-flow/exit op (the
-    /// architectural delay slot belongs to the *following* block). Blocks
-    /// cover the whole table and are non-empty.
-    #[must_use]
-    pub fn basic_blocks(&self) -> Vec<Range<usize>> {
-        let mut blocks = Vec::new();
-        let mut start = 0usize;
-        for (i, op) in self.ops.iter().enumerate() {
-            if !op.is_plain() {
-                blocks.push(start..i + 1);
-                start = i + 1;
-            }
-        }
-        if start < self.ops.len() {
-            blocks.push(start..self.ops.len());
-        }
-        blocks
-    }
-
     /// The table index of the instruction fetched at byte address `pc`.
     ///
     /// # Errors
@@ -511,37 +488,6 @@ mod tests {
 
     fn assemble(src: &str) -> Program {
         Assembler::new().assemble(src).expect("assembles")
-    }
-
-    #[test]
-    fn basic_blocks_partition_the_table() {
-        let program = assemble(
-            "        l.addi r3, r0, 5
-             loop:   l.addi r3, r3, -1
-                     l.sfne r3, r0
-                     l.bf   loop
-                     l.nop  0
-                     l.nop  1",
-        );
-        let pre = PredecodedProgram::lower(&program);
-        let blocks = pre.basic_blocks();
-        // Blocks tile the whole table without gaps or overlaps.
-        let mut next = 0usize;
-        for block in &blocks {
-            assert_eq!(block.start, next);
-            assert!(!block.is_empty());
-            next = block.end;
-        }
-        assert_eq!(next, pre.len());
-        // Every block ends at a control op (or at the end of the program),
-        // and contains no control op before its last slot.
-        for block in &blocks {
-            for i in block.start..block.end - 1 {
-                assert!(pre.ops()[i].is_plain(), "interior op {i} is control flow");
-            }
-        }
-        // The l.bf ends a block; the exit marker ends the last block.
-        assert_eq!(blocks.len(), 2);
     }
 
     #[test]

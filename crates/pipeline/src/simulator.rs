@@ -2082,6 +2082,13 @@ mod tests {
             .run_observed_predecoded(&pre, &mut [&mut fused])
             .expect("fused runs");
 
+        // Hinted record-path capture: a second observer keeps every cycle
+        // on full records.
+        let mut hinted = DigestObserver::with_hints(pre.digest_hints());
+        let mut chaperone = crate::TraceStats::default();
+        sim.run_observed_predecoded(&pre, &mut [&mut hinted, &mut chaperone])
+            .expect("hinted runs");
+
         assert_eq!(ref_run.summary, pre_run.summary);
         assert_eq!(ref_run.summary, fused_run.summary);
         for r in 0..32 {
@@ -2100,6 +2107,7 @@ mod tests {
         );
         assert_eq!(reference.to_bytes(), predecoded.to_bytes());
         assert_eq!(reference.to_bytes(), fused.to_bytes());
+        assert_eq!(reference.to_bytes(), hinted.into_digest().to_bytes());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::{CycleObserver, CycleRecord, Occupant, RunSummary, Stage};
+use crate::{CycleObserver, CycleRecord, CycleRecordFlags, RunSummary, Stage};
 use idca_isa::TimingClass;
 use serde::{Deserialize, Serialize};
 
@@ -118,50 +118,32 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Accumulates one cycle record into the statistics. This is the single
-    /// counting rule shared by [`PipelineTrace::stats`] and by streaming
-    /// consumers that use `TraceStats` as a [`CycleObserver`], so the two
-    /// paths cannot drift apart.
+    /// Accumulates one cycle record into the statistics, through the same
+    /// counting rule as [`TraceStats::observe_digest`]: the record's
+    /// [`CycleRecordFlags`] encode exactly the facts counted here, so a
+    /// replayed digest yields the identical statistics.
     pub fn observe(&mut self, record: &CycleRecord) {
-        self.cycles += 1;
-        let occupant = record.occupant(Stage::Execute);
-        self.execute_class_counts[occupant.timing_class().index()] += 1;
-        if !occupant.is_insn() {
-            self.execute_bubbles += 1;
-        }
-        if let Some(exec) = &record.exec {
-            if exec.mem_request.is_some() {
-                self.memory_accesses += 1;
-            }
-            if let Some(branch) = &exec.branch {
-                self.branches += 1;
-                if branch.taken {
-                    self.taken_branches += 1;
-                }
-            }
-            if exec.mul_active {
-                self.multiplications += 1;
-            }
-            if exec.forward_a.is_some() || exec.forward_b.is_some() {
-                self.forwarded_cycles += 1;
-            }
-        }
-        if record.stalled {
-            self.stall_cycles += 1;
-        }
+        self.count(
+            record.timing_class(Stage::Execute),
+            CycleRecordFlags::of_record(record),
+        );
     }
 
     /// Accumulates one digest cycle into the statistics — the digest-replay
-    /// counterpart of [`TraceStats::observe`]. Both paths count from the
-    /// same facts (the digest's classes and activity flags are extracted
-    /// from the records this method's sibling consumes), so a replayed
-    /// digest yields the identical statistics.
+    /// counterpart of [`TraceStats::observe`].
     pub fn observe_digest(&mut self, digest_cycle: &crate::DigestCycle) {
-        use crate::CycleRecordFlags as F;
+        self.count(
+            digest_cycle.classes[Stage::Execute.index()],
+            digest_cycle.flags,
+        );
+    }
+
+    /// The one counting rule: the execute-stage class and the activity
+    /// flags of a cycle.
+    fn count(&mut self, execute_class: TimingClass, flags: CycleRecordFlags) {
+        use CycleRecordFlags as F;
         self.cycles += 1;
-        let class = digest_cycle.classes[Stage::Execute.index()];
-        self.execute_class_counts[class.index()] += 1;
-        let flags = digest_cycle.flags;
+        self.execute_class_counts[execute_class.index()] += 1;
         if !flags.contains(F::EXECUTE_INSN) {
             self.execute_bubbles += 1;
         }
@@ -212,26 +194,10 @@ impl CycleObserver for TraceStats {
     }
 }
 
-/// Convenience helper for tests and reports: the timing class present in a
-/// given stage at a given cycle, or `Bubble` when the index is out of range.
-#[must_use]
-pub fn class_at(trace: &PipelineTrace, cycle: usize, stage: Stage) -> TimingClass {
-    trace
-        .cycles()
-        .get(cycle)
-        .map_or(TimingClass::Bubble, |c| c.timing_class(stage))
-}
-
-/// Returns the occupant of a stage at a given cycle (test helper).
-#[must_use]
-pub fn occupant_at(trace: &PipelineTrace, cycle: usize, stage: Stage) -> Option<Occupant> {
-    trace.cycles().get(cycle).map(|c| *c.occupant(stage))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BubbleKind;
+    use crate::{BubbleKind, Occupant};
 
     fn empty_record(cycle: u64) -> CycleRecord {
         CycleRecord {

@@ -21,7 +21,7 @@
 
 use crate::{EventLog, Histogram, Ps, TimingModel};
 use idca_isa::TimingClass;
-use idca_pipeline::{CycleObserver, CycleRecord, PipelineTrace, Stage, TimingDigest};
+use idca_pipeline::{CycleObserver, CycleRecord, DigestCycle, PipelineTrace, Stage, TimingDigest};
 use serde::{Deserialize, Serialize};
 
 /// Result of a dynamic timing analysis over one execution trace.
@@ -72,14 +72,10 @@ impl DynamicTimingAnalysis {
     }
 
     /// Folds one cycle record into the analysis, evaluating its dynamic
-    /// stage delays against `model`.
+    /// stage delays against `model`: the record is digested and takes the
+    /// per-cycle fold of [`DynamicTimingAnalysis::replay_digest`].
     pub fn observe(&mut self, model: &TimingModel, record: &CycleRecord) {
-        let timing = model.cycle_timing(record);
-        let mut classes = [TimingClass::Bubble; Stage::COUNT];
-        for stage in Stage::ALL {
-            classes[stage.index()] = record.timing_class(stage);
-        }
-        self.accumulate_cycle(&timing.stage_delay_ps, &classes);
+        self.observe_digest_cycle(model, record.cycle, &DigestCycle::of_record(record));
     }
 
     /// Runs the analysis directly from the timing model and a pipeline trace
@@ -103,11 +99,14 @@ impl DynamicTimingAnalysis {
     #[must_use]
     pub fn replay_digest(model: &TimingModel, digest: &TimingDigest) -> Self {
         let mut dta = Self::empty(model.static_period_ps());
-        digest.for_each_cycle(|cycle, dc| {
-            let timing = model.digest_cycle_timing(cycle, dc);
-            dta.accumulate_cycle(&timing.stage_delay_ps, &dc.classes);
-        });
+        digest.for_each_cycle(|cycle, dc| dta.observe_digest_cycle(model, cycle, dc));
         dta
+    }
+
+    /// The per-cycle fold of live observation and digest replay alike.
+    fn observe_digest_cycle(&mut self, model: &TimingModel, cycle: u64, dc: &DigestCycle) {
+        let timing = model.digest_cycle_timing(cycle, dc);
+        self.accumulate_cycle(&timing.stage_delay_ps, &dc.classes);
     }
 
     /// Runs the analysis from a pre-recorded endpoint event log plus the
@@ -266,12 +265,6 @@ impl DynamicTimingAnalysis {
     #[must_use]
     pub fn stage_histogram(&self, stage: Stage, class: TimingClass) -> &Histogram {
         &self.class_stage_hist[table_index(stage, class)]
-    }
-
-    /// Total number of cycles a class spent in the execute stage.
-    #[must_use]
-    pub fn execute_occurrences(&self, class: TimingClass) -> u64 {
-        self.observations(Stage::Execute, class)
     }
 }
 

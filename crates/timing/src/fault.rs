@@ -375,7 +375,7 @@ impl FaultPlan {
 
     /// Applies this cycle's fault factors to an evaluated [`CycleTiming`],
     /// rescaling each stage delay and re-folding the maximum with the same
-    /// strict-`>` reduction as [`crate::TimingModel::cycle_timing`].
+    /// strict-`>` reduction as [`crate::TimingModel::digest_cycle_timing`].
     ///
     /// A cycle with no active event returns the input **unchanged** (not
     /// merely numerically equal), so fault-enabled runs stay bit-identical

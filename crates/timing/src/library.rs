@@ -8,7 +8,7 @@
 //! grows exponentially with voltage. The library is normalized so that the
 //! nominal 0.70 V point reproduces the paper's 2026 ps static period.
 
-use crate::{Ps, NOMINAL_VOLTAGE_MV};
+use crate::NOMINAL_VOLTAGE_MV;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -171,12 +171,6 @@ impl CellLibrary {
     pub fn nominal(&self) -> OperatingPoint {
         self.operating_point(NOMINAL_VOLTAGE_MV)
             .expect("nominal point is always characterized")
-    }
-
-    /// Scales a nominal-voltage delay to the given operating point.
-    #[must_use]
-    pub fn scale_delay(&self, delay_ps: Ps, point: &OperatingPoint) -> Ps {
-        delay_ps * point.delay_scale
     }
 
     /// The effective threshold voltage of the device model, in volts.

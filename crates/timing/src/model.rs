@@ -8,16 +8,16 @@
 //! descriptors recorded by the pipeline simulator: carry-chain length in the
 //! adder, operand width at the multiplier, shift distance, operand toggling
 //! in the logic unit, memory requests, forwarding-mux activity and
-//! branch-target redirects.
+//! branch-target redirects. The pipeline crate's digest turns them into
+//! per-stage excitation coefficients ([`DigestCycle`]), and every cycle is
+//! evaluated from its digest, live or replayed.
 
 use crate::{
     CellLibrary, Endpoint, EndpointEvent, EndpointId, EventLog, LibraryError, OperatingPoint,
     ProfileKind, Ps, TimingProfile,
 };
 use idca_isa::TimingClass;
-use idca_pipeline::{
-    CycleObserver, CycleRecord, DigestCycle, PipelineTrace, Stage, StageExcitation,
-};
+use idca_pipeline::{CycleObserver, CycleRecord, DigestCycle, PipelineTrace, Stage};
 
 /// The dynamic delay of every pipeline stage in one cycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,51 +129,10 @@ impl TimingModel {
         &self.endpoints
     }
 
-    /// Evaluates the dynamic delay of every stage for one cycle.
-    #[must_use]
-    pub fn cycle_timing(&self, record: &CycleRecord) -> CycleTiming {
-        let dithers = stage_dithers(record.cycle, record.fetch_address);
-        let mut delays = [0.0; Stage::COUNT];
-        let mut max_delay = 0.0;
-        let mut limiting = Stage::Execute;
-        for stage in Stage::ALL {
-            let dither = dithers[stage.index()];
-            let excitation = blend_excitation(
-                StageExcitation::of_record(record, stage).raw(dither),
-                dither,
-            );
-            let delay = self.delay_from_excitation(stage, record.timing_class(stage), excitation);
-            delays[stage.index()] = delay;
-            if delay > max_delay {
-                max_delay = delay;
-                limiting = stage;
-            }
-        }
-        CycleTiming {
-            stage_delay_ps: delays,
-            max_delay_ps: max_delay,
-            limiting_stage: limiting,
-        }
-    }
-
-    /// Dynamic delay of one stage in one cycle.
-    #[must_use]
-    pub fn stage_delay_ps(&self, record: &CycleRecord, stage: Stage) -> Ps {
-        let class = record.timing_class(stage);
-        let dither = stage_dither(record.cycle, stage, record.fetch_address);
-        let excitation = blend_excitation(
-            StageExcitation::of_record(record, stage).raw(dither),
-            dither,
-        );
-        self.delay_from_excitation(stage, class, excitation)
-    }
-
-    /// Dynamic delay of one stage of a digested cycle — the replay
-    /// counterpart of [`TimingModel::stage_delay_ps`]. The digest carries
-    /// the same excitation coefficients the direct path derives from the
-    /// live [`CycleRecord`], and the dither is recomputed from the same
-    /// `(cycle, stage, fetch_address)` salt, so both paths evaluate the
-    /// identical arithmetic and produce bit-identical delays.
+    /// Dynamic delay of one stage of a digested cycle. A live record is
+    /// digested first ([`DigestCycle::of_record`]); the dither comes from
+    /// the `(cycle, stage, fetch_address)` salt, so a live cycle and its
+    /// replay evaluate the identical arithmetic.
     #[must_use]
     pub fn digest_stage_delay_ps(&self, cycle: u64, digest: &DigestCycle, stage: Stage) -> Ps {
         let class = digest.classes[stage.index()];
@@ -183,8 +142,8 @@ impl TimingModel {
     }
 
     /// Evaluates the dynamic delay of every stage of a digested cycle — the
-    /// replay counterpart of [`TimingModel::cycle_timing`], bit-identical by
-    /// construction (see [`TimingModel::digest_stage_delay_ps`]).
+    /// one per-cycle evaluation of live observation and digest replay alike
+    /// (see [`TimingModel::digest_stage_delay_ps`]).
     #[must_use]
     pub fn digest_cycle_timing(&self, cycle: u64, digest: &DigestCycle) -> CycleTiming {
         let dithers = stage_dithers(cycle, digest.fetch_address);
@@ -209,8 +168,7 @@ impl TimingModel {
         }
     }
 
-    /// The delay of `(stage, class)` at a given blended excitation — the
-    /// single evaluation shared by the direct and the digest-replay paths.
+    /// The delay of `(stage, class)` at a given blended excitation.
     fn delay_from_excitation(&self, stage: Stage, class: TimingClass, excitation: f64) -> Ps {
         let base = self.profile.worst_case(stage, class);
         let spread = self.profile.spread(stage, class);
@@ -220,11 +178,12 @@ impl TimingModel {
 
     /// Appends the endpoint events of one cycle to an [`EventLog`].
     pub fn append_events(&self, record: &CycleRecord, log: &mut EventLog) {
-        let timing = self.cycle_timing(record);
+        let digest_cycle = DigestCycle::of_record(record);
+        let timing = self.digest_cycle_timing(record.cycle, &digest_cycle);
         for endpoint in &self.endpoints {
             let stage_delay = timing.stage(endpoint.stage);
-            let class = record.timing_class(endpoint.stage);
-            let share = self.endpoint_share(endpoint, class, record);
+            let class = digest_cycle.classes[endpoint.stage.index()];
+            let share = self.endpoint_share(endpoint, class, record.cycle);
             if share <= 0.0 {
                 continue;
             }
@@ -268,8 +227,8 @@ impl TimingModel {
     /// class currently occupying the stage. The *principal* endpoint of the
     /// excited path group receives the full stage delay; secondary endpoints
     /// receive shorter arrivals; irrelevant endpoints receive none.
-    fn endpoint_share(&self, endpoint: &Endpoint, class: TimingClass, record: &CycleRecord) -> f64 {
-        let dither = 0.85 + 0.10 * hash01(record.cycle, u64::from(endpoint.id.0), 17);
+    fn endpoint_share(&self, endpoint: &Endpoint, class: TimingClass, cycle: u64) -> f64 {
+        let dither = 0.85 + 0.10 * hash01(cycle, u64::from(endpoint.id.0), 17);
         match (endpoint.stage, endpoint.name.as_str()) {
             (Stage::Address, "u_fetch/imem_addr_pins") => 1.0,
             (Stage::Address, _) => 0.80 * dither,
@@ -344,13 +303,12 @@ pub(crate) fn stage_dither(cycle: u64, stage: Stage, fetch_address: u32) -> f64 
 }
 
 /// All six per-stage dithers of one cycle in a single batched kernel — the
-/// shared evaluation of both the scalar [`TimingModel::cycle_timing`] /
-/// [`TimingModel::digest_cycle_timing`] paths and the corner-batched
-/// [`crate::BankEvaluator`]. The `(cycle, fetch_address)` hash terms are
-/// stage-invariant, so they are mixed once and only the stage salt varies
-/// across the fixed-trip-count loop (wrapping addition is associative and
-/// commutative, so each lane reproduces [`stage_dither`] bit for bit —
-/// pinned by the unit tests below).
+/// shared evaluation of the scalar [`TimingModel::digest_cycle_timing`] and
+/// the corner-batched [`crate::BankEvaluator`]. The `(cycle, fetch_address)`
+/// hash terms are stage-invariant, so they are mixed once and only the stage
+/// salt varies across the fixed-trip-count loop (wrapping addition is
+/// associative and commutative, so each lane reproduces [`stage_dither`] bit
+/// for bit — pinned by the unit tests below).
 pub(crate) fn stage_dithers(cycle: u64, fetch_address: u32) -> [f64; Stage::COUNT] {
     let shared = cycle
         .wrapping_mul(HASH_SALT_A)
@@ -478,6 +436,11 @@ mod tests {
             .trace
     }
 
+    /// The dynamic delays of a live record, evaluated through its digest.
+    fn live_timing(model: &TimingModel, record: &CycleRecord) -> CycleTiming {
+        model.digest_cycle_timing(record.cycle, &DigestCycle::of_record(record))
+    }
+
     #[test]
     fn dynamic_delay_never_exceeds_class_worst_case() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
@@ -486,7 +449,7 @@ mod tests {
              l.add r5, r4, r3\n l.mul r6, r4, r4\n l.sw 0(r0), r6\n l.lwz r7, 0(r0)\n l.nop 1\n",
         );
         for record in t.cycles() {
-            let timing = model.cycle_timing(record);
+            let timing = live_timing(&model, record);
             for stage in Stage::ALL {
                 let class = record.timing_class(stage);
                 assert!(
@@ -510,7 +473,7 @@ mod tests {
         let mut best_add = 0.0f64;
         for record in t.cycles() {
             if record.timing_class(Stage::Execute) == TimingClass::Add {
-                best_add = best_add.max(model.stage_delay_ps(record, Stage::Execute));
+                best_add = best_add.max(live_timing(&model, record).stage(Stage::Execute));
             }
         }
         let worst = model.worst_case_ps(Stage::Execute, TimingClass::Add);
@@ -531,8 +494,8 @@ mod tests {
         let mut and_delay = 0.0f64;
         for record in t.cycles() {
             match record.timing_class(Stage::Execute) {
-                TimingClass::Mul => mul_delay = model.stage_delay_ps(record, Stage::Execute),
-                TimingClass::And => and_delay = model.stage_delay_ps(record, Stage::Execute),
+                TimingClass::Mul => mul_delay = live_timing(&model, record).stage(Stage::Execute),
+                TimingClass::And => and_delay = live_timing(&model, record).stage(Stage::Execute),
                 _ => {}
             }
         }
@@ -547,8 +510,8 @@ mod tests {
         let t = trace("l.addi r3, r0, 5\n l.add r4, r3, r3\n l.nop 1\n");
         let record = &t.cycles()[4];
         assert!(
-            low.stage_delay_ps(record, Stage::Execute)
-                > nominal.stage_delay_ps(record, Stage::Execute)
+            live_timing(&low, record).stage(Stage::Execute)
+                > live_timing(&nominal, record).stage(Stage::Execute)
         );
     }
 
@@ -568,7 +531,7 @@ mod tests {
             .iter()
             .find(|c| c.timing_class(Stage::Execute) == TimingClass::Mul)
             .unwrap();
-        let expected = model.stage_delay_ps(mul_cycle, Stage::Execute);
+        let expected = live_timing(&model, mul_cycle).stage(Stage::Execute);
         let mul_ep = log
             .endpoints()
             .iter()
@@ -629,8 +592,8 @@ mod tests {
         let t2 = trace("l.addi r3, r0, 9\n l.mul r4, r3, r3\n l.nop 1\n");
         for (a, b) in t1.cycles().iter().zip(t2.cycles()) {
             assert_eq!(
-                model.cycle_timing(a).max_delay_ps,
-                model.cycle_timing(b).max_delay_ps
+                live_timing(&model, a).max_delay_ps,
+                live_timing(&model, b).max_delay_ps
             );
         }
     }

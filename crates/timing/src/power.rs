@@ -190,13 +190,6 @@ impl PowerModel {
         }
     }
 
-    /// Overrides the per-unit energy coefficients.
-    #[must_use]
-    pub fn with_coefficients(mut self, coefficients: PowerCoefficients) -> Self {
-        self.coefficients = coefficients;
-        self
-    }
-
     /// Charges an extra fraction of dynamic power for the tunable clock
     /// generator (the paper notes the CG "requires special care"; the
     /// ablation benches use this knob).

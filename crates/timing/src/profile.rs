@@ -313,12 +313,6 @@ impl TimingProfile {
         optimized.class_worst_case(class).1 / conventional.class_worst_case(class).1
     }
 
-    /// Borrow of the full worst-case delay table.
-    #[must_use]
-    pub fn worst_case_table(&self) -> &StageClassDelays {
-        &self.base
-    }
-
     /// Returns a copy of the profile with every `(stage, class)` path group
     /// scaled by `factor(stage, class)` — the hook the PVT
     /// [`VariationModel`](crate::VariationModel) uses to perturb per-cell

@@ -329,7 +329,7 @@ mod tests {
     #[test]
     fn varied_dynamic_delays_never_exceed_margin_scaled_nominal_worst() {
         use idca_isa::asm::Assembler;
-        use idca_pipeline::{SimConfig, Simulator};
+        use idca_pipeline::{DigestCycle, SimConfig, Simulator};
 
         let vm = VariationModel::default();
         let base = nominal();
@@ -348,10 +348,11 @@ mod tests {
             let corner = vm.sample_corner(11, index);
             let varied = vm.apply(&base, &corner);
             for record in trace.cycles() {
+                let digest_cycle = DigestCycle::of_record(record);
                 for stage in Stage::ALL {
                     let class = record.timing_class(stage);
                     assert!(
-                        varied.stage_delay_ps(record, stage)
+                        varied.digest_stage_delay_ps(record.cycle, &digest_cycle, stage)
                             <= base.worst_case_ps(stage, class) * (1.0 + margin) + 1e-9,
                         "corner {index} cycle {} stage {stage} escapes the margin",
                         record.cycle

@@ -273,10 +273,10 @@ fn retired_instruction_counts_match_between_models() {
 
 /// The predecoded fast-path engine is pinned **bit-identical** to the
 /// retained per-cycle reference loop: same `RunSummary`, same architectural
-/// state, same `CycleRecord` stream, and same timing-digest bytes (hinted
-/// capture on the fast path vs unhinted capture on the reference loop —
-/// which also exercises the fused burst→digest path, since a lone hinted
-/// observer takes it).
+/// state, same `CycleRecord` stream, and same timing-digest bytes (unhinted
+/// capture on the reference loop vs both hinted captures on the fast path:
+/// the fused burst→digest path, which a lone hinted observer takes, and the
+/// record path, which it takes beside another observer).
 ///
 /// The population is a deliberately hostile mix — branch/jump and
 /// load/store heavy with nested short loops — so bursts stay short and
@@ -325,10 +325,13 @@ fn predecoded_engine_is_bit_identical_to_reference_loop_on_hostile_mix() {
             .run_observed_predecoded(&pre, &mut [&mut fast_digest])
             .unwrap_or_else(|e| panic!("seed {seed:#x}: predecoded engine failed: {e}"));
 
-        // Predecoded engine again with a trace observer (record path).
+        // Predecoded engine again with a trace observer beside a hinted
+        // digest capture: two observers keep every cycle on the record
+        // path, so this pins hinted record-path capture.
         let mut fast_trace = PipelineTrace::default();
+        let mut hinted_digest = DigestObserver::with_hints(pre.digest_hints());
         let recorded = simulator
-            .run_observed_predecoded(&pre, &mut [&mut fast_trace])
+            .run_observed_predecoded(&pre, &mut [&mut fast_trace, &mut hinted_digest])
             .unwrap_or_else(|e| panic!("seed {seed:#x}: predecoded engine failed: {e}"));
 
         assert_eq!(
@@ -347,10 +350,16 @@ fn predecoded_engine_is_bit_identical_to_reference_loop_on_hostile_mix() {
             fast_trace, ref_trace,
             "seed {seed:#x}: cycle-record streams diverge"
         );
+        let ref_bytes = ref_digest.into_digest().to_bytes();
         assert_eq!(
             fast_digest.into_digest().to_bytes(),
-            ref_digest.into_digest().to_bytes(),
+            ref_bytes,
             "seed {seed:#x}: timing-digest bytes diverge"
+        );
+        assert_eq!(
+            hinted_digest.into_digest().to_bytes(),
+            ref_bytes,
+            "seed {seed:#x}: hinted record-path digest bytes diverge"
         );
     }
 }

@@ -4,6 +4,12 @@
 //! the adaptive controller and the activity statistics, at the nominal
 //! corner and across sampled PVT corners. This is the correctness contract
 //! of the simulate-once / evaluate-many sweep architecture.
+//!
+//! Live observers digest each record with [`DigestCycle::of_record`] and
+//! run the per-cycle body replay runs, so what these tests pin is what
+//! still has two implementations: the observer's pooled, run-length-encoded
+//! capture against per-record digests, and the cycle index replay
+//! reconstructs from stream position.
 
 use idca::core::{
     replay_adaptive_digest, replay_digest, run_adaptive, AdaptiveConfig, AdaptiveObserver, Drift,

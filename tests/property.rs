@@ -7,7 +7,7 @@
 
 use idca::core::{AdaptiveConfig, AdaptiveObserver, Drift};
 use idca::isa::disasm;
-use idca::pipeline::Interpreter;
+use idca::pipeline::{DigestCycle, Interpreter};
 use idca::prelude::*;
 use proptest::prelude::*;
 
@@ -245,7 +245,7 @@ proptest! {
         let mut previous = vec![0.0f64; Stage::COUNT * TimingClass::COUNT];
         for record in trace.cycles() {
             controller.observe_cycle(record);
-            let timing = model.cycle_timing(record);
+            let timing = model.digest_cycle_timing(record.cycle, &DigestCycle::of_record(record));
             for stage in Stage::ALL {
                 let class = record.timing_class(stage);
                 let learned = controller.learned_ps(stage, class);
