@@ -847,14 +847,14 @@ fn main() -> ExitCode {
         println!("  (paper: EX close to the static maximum with ~300 ps spread, other stages much lower)\n");
     }
 
-    if want("--fig8") {
+    let fig8 = (want("--fig8") || want("--summary")).then(|| exp.fig8());
+    if let Some((rows, summary)) = fig8.as_ref().filter(|_| want("--fig8")) {
         println!("== Fig. 8 — effective clock frequency per benchmark ==");
         println!(
             "  {:<22} {:>11} {:>12} {:>9}",
             "benchmark", "static MHz", "dynamic MHz", "speedup"
         );
-        let (rows, summary) = exp.fig8();
-        for row in &rows {
+        for row in rows {
             println!(
                 "  {:<22} {:>11.1} {:>12.1} {:>8.1}%",
                 row.benchmark, row.static_mhz, row.dynamic_mhz, row.speedup_percent
@@ -935,9 +935,8 @@ fn main() -> ExitCode {
         println!();
     }
 
-    if want("--summary") {
+    if let Some((_, summary)) = fig8.as_ref().filter(|_| want("--summary")) {
         let fig5 = exp.fig5();
-        let (_, summary) = exp.fig8();
         println!("== Headline summary ==");
         println!(
             "  genie bound        : +{:.1} %   [paper +50 %]",

@@ -22,7 +22,7 @@
 
 use idca_core::{
     eval::{self, SuiteSummary},
-    policy::{ExecuteOnly, GenieOracle, InstructionBased, StaticClock},
+    policy::{ExecuteOnly, GenieOracle, InstructionBased},
     vfs::{self, VoltageScalingResult},
     ClockGenerator, ClockPolicy, DelayLut,
 };
@@ -352,7 +352,8 @@ impl Experiments {
         )
     }
 
-    /// Fig. 8 with an arbitrary policy / clock generator (used by ablations).
+    /// Fig. 8 with an arbitrary policy / clock generator: the one-policy
+    /// case of the suite evaluation the ablations share.
     ///
     /// No benchmark is re-simulated: each policy pair replays the digests
     /// captured once in [`Experiments::prepare`] (bit-identical to a live
@@ -363,53 +364,45 @@ impl Experiments {
         policy: &dyn ClockPolicy,
         generator: &ClockGenerator,
     ) -> (Vec<Fig8Row>, SuiteSummary) {
-        self.suite_summary_with(&self.model, policy, generator)
+        self.suite_summaries_with(&self.model, &[(policy, generator)])
+            .pop()
+            .expect("one summary per policy")
     }
 
-    /// Parallel digest-replay suite evaluation against an arbitrary model.
-    /// The digests are model-independent (they capture architecture and
-    /// path excitation, not delays), so the same captured suite serves the
-    /// optimized profile, the conventional profile and any varied corner —
-    /// profile sweeps never re-simulate.
-    fn suite_summary_with(
+    /// Parallel digest-replay suite evaluation of every `(policy,
+    /// generator)` pair against an arbitrary model, in one walk per suite
+    /// digest ([`eval::compare_digest_policies`]); entry `i` belongs to
+    /// `policies[i]`. The digests are model-independent (they capture
+    /// architecture and path excitation, not delays), so the same captured
+    /// suite serves the optimized profile, the conventional profile and any
+    /// varied corner — profile sweeps never re-simulate.
+    fn suite_summaries_with(
         &self,
         model: &TimingModel,
-        policy: &dyn ClockPolicy,
-        generator: &ClockGenerator,
-    ) -> (Vec<Fig8Row>, SuiteSummary) {
+        policies: &[(&dyn ClockPolicy, &ClockGenerator)],
+    ) -> Vec<(Vec<Fig8Row>, SuiteSummary)> {
         let indices: Vec<usize> = (0..self.suite.len()).collect();
-        let comparisons = suite::par_map(&indices, |&i| {
-            eval::compare_digest(
+        let per_benchmark = suite::par_map(&indices, |&i| {
+            eval::compare_digest_policies(
                 model,
                 self.suite[i].name.clone(),
                 &self.suite_digests[i],
-                policy,
-                generator,
+                policies,
             )
         });
-        let mut rows = Vec::new();
-        let mut summary = SuiteSummary::new();
-        for comparison in comparisons {
-            rows.push(Fig8Row {
-                benchmark: comparison.benchmark.clone(),
-                static_mhz: comparison.baseline.effective_frequency_mhz,
-                dynamic_mhz: comparison.dynamic.effective_frequency_mhz,
-                speedup_percent: (comparison.speedup() - 1.0) * 100.0,
-            });
-            summary.push(comparison);
+        let mut results = vec![(Vec::new(), SuiteSummary::new()); policies.len()];
+        for comparisons in per_benchmark {
+            for (comparison, (rows, summary)) in comparisons.into_iter().zip(&mut results) {
+                rows.push(Fig8Row {
+                    benchmark: comparison.benchmark.clone(),
+                    static_mhz: comparison.baseline.effective_frequency_mhz,
+                    dynamic_mhz: comparison.dynamic.effective_frequency_mhz,
+                    speedup_percent: (comparison.speedup() - 1.0) * 100.0,
+                });
+                summary.push(comparison);
+            }
         }
-        (rows, summary)
-    }
-
-    /// Evaluates one policy on one pre-captured suite digest.
-    fn outcome_for_digest(
-        &self,
-        model: &TimingModel,
-        digest: &TimingDigest,
-        policy: &dyn ClockPolicy,
-        generator: &ClockGenerator,
-    ) -> idca_core::RunOutcome {
-        idca_core::replay_digest(model, digest, policy, generator)
+        results
     }
 
     /// §IV-B: iso-throughput voltage scaling on a representative benchmark
@@ -440,80 +433,64 @@ impl Experiments {
         .expect("a feasible operating point exists")
     }
 
-    /// Ablation studies over the design choices called out in DESIGN.md.
+    /// Ablation studies over the paper's design choices: clock-generator
+    /// quantization, execute-only monitoring, the genie bound, the
+    /// conventional (timing-wall) profile and the characterization length
+    /// behind the LUT.
+    ///
+    /// Two suite evaluations serve them all: the six optimized-model
+    /// policies share one walk per suite digest, and the conventional
+    /// profile, a second model, takes a second.
     #[must_use]
     pub fn ablations(&self) -> Ablations {
         let lut_policy = InstructionBased::new(self.lut.clone());
-        let (_, ideal) = self.fig8_with(&lut_policy, &ClockGenerator::Ideal);
-        let (_, quantized) = self.fig8_with(&lut_policy, &ClockGenerator::quantized_50ps());
-        let (_, discrete) =
-            self.fig8_with(&lut_policy, &ClockGenerator::discrete(8, 900.0, 2100.0));
-        let (_, execute_only) =
-            self.fig8_with(&ExecuteOnly::new(self.lut.clone()), &ClockGenerator::Ideal);
-        let (_, genie) = self.fig8_with(
-            &GenieOracle::new(self.model.clone()),
-            &ClockGenerator::Ideal,
-        );
-
-        // Conventional (timing-wall) profile: both the baseline and the LUT
-        // come from the conventional implementation.
-        let conventional_summary = {
-            let policy = InstructionBased::from_model(&self.conventional);
-            let (_, summary) =
-                self.suite_summary_with(&self.conventional, &policy, &ClockGenerator::Ideal);
-            summary
-        };
-
+        let exec_policy = ExecuteOnly::new(self.lut.clone());
+        let genie_policy = GenieOracle::new(self.model.clone());
         // LUT built from a deliberately short characterization: count how
         // many violations slip through on the full suite. The truncated
         // characterization is a digest replay of the first 500 cycles of
         // the pass captured in `prepare` — bit-identical to characterizing
-        // only those cycles live, with no simulator in the loop — and the
-        // suite evaluation replays the captured benchmark digests.
-        let truncated_lut_violations = {
-            let short_digest = self.characterization_digest.truncated(500);
-            let short_dta = DynamicTimingAnalysis::replay_digest(&self.model, &short_digest);
-            let short_lut = DelayLut::from_dta(&short_dta, 1);
-            let policy = InstructionBased::new(short_lut);
-            suite::par_map(&self.suite_digests, |digest| {
-                self.outcome_for_digest(&self.model, digest, &policy, &ClockGenerator::Ideal)
-                    .violations
-            })
-            .into_iter()
-            .sum()
-        };
+        // only those cycles live, with no simulator in the loop.
+        let short_dta = DynamicTimingAnalysis::replay_digest(
+            &self.model,
+            &self.characterization_digest.truncated(500),
+        );
+        let short_lut_policy = InstructionBased::new(DelayLut::from_dta(&short_dta, 1));
+        let ideal = ClockGenerator::Ideal;
+        let optimized = self.suite_summaries_with(
+            &self.model,
+            &[
+                (&lut_policy, &ideal),
+                (&lut_policy, &ClockGenerator::quantized_50ps()),
+                (&lut_policy, &ClockGenerator::discrete(8, 900.0, 2100.0)),
+                (&exec_policy, &ideal),
+                (&genie_policy, &ideal),
+                (&short_lut_policy, &ideal),
+            ],
+        );
+        let [ideal_cg, quantized_cg, discrete_cg, execute_only, genie, truncated_lut] =
+            <[_; 6]>::try_from(optimized)
+                .expect("one summary per policy")
+                .map(|(_, summary)| summary);
+
+        // Conventional (timing-wall) profile: both the baseline and the LUT
+        // come from the conventional implementation.
+        let conventional_policy = InstructionBased::from_model(&self.conventional);
+        let (_, conventional) = self
+            .suite_summaries_with(&self.conventional, &[(&conventional_policy, &ideal)])
+            .pop()
+            .expect("one summary per policy");
 
         let percent = |s: &SuiteSummary| (s.mean_speedup() - 1.0) * 100.0;
         Ablations {
-            ideal_cg_percent: percent(&ideal),
-            quantized_cg_percent: percent(&quantized),
-            discrete_cg_percent: percent(&discrete),
+            ideal_cg_percent: percent(&ideal_cg),
+            quantized_cg_percent: percent(&quantized_cg),
+            discrete_cg_percent: percent(&discrete_cg),
             execute_only_percent: percent(&execute_only),
-            conventional_profile_percent: percent(&conventional_summary),
+            conventional_profile_percent: percent(&conventional),
             genie_percent: percent(&genie),
-            truncated_lut_violations,
+            truncated_lut_violations: truncated_lut.total_violations(),
         }
-    }
-
-    /// The conventional-clocking baseline outcome for a single benchmark
-    /// (used by the power bench to report µW/MHz at 0.70 V).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `benchmark` is not part of the Fig. 8 suite.
-    #[must_use]
-    pub fn baseline_outcome(&self, benchmark: &str) -> idca_core::RunOutcome {
-        let index = self
-            .suite
-            .iter()
-            .position(|w| w.name == benchmark)
-            .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
-        self.outcome_for_digest(
-            &self.model,
-            &self.suite_digests[index],
-            &StaticClock::of_model(&self.model),
-            &ClockGenerator::Ideal,
-        )
     }
 }
 

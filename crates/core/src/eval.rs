@@ -6,7 +6,9 @@
 //! [`PolicyObserver`]s riding on the same [`Simulator::run_observed`] pass,
 //! so the Fig. 8 evaluation neither materializes traces nor re-simulates per
 //! policy. [`compare`] is the trace-replay equivalent for callers that
-//! already hold a [`PipelineTrace`].
+//! already hold a [`PipelineTrace`], and [`compare_digest_policies`]
+//! evaluates any number of policies in one walk of a captured
+//! [`TimingDigest`].
 
 use crate::sim::PolicyObserver;
 use crate::{run_with_policy, ClockGenerator, ClockPolicy, RunOutcome, StaticClock};
@@ -96,9 +98,10 @@ pub fn compare_program(
 /// clocking by replaying a pre-captured [`TimingDigest`] — the
 /// simulate-once / evaluate-many counterpart of [`compare_program`]: one
 /// digested simulation serves any number of `(model, policy, generator)`
-/// evaluations with no simulator in the loop, and both observers share a
-/// single model evaluation per cycle. Bit-identical to [`compare_program`]
-/// on the originating program (the digest replay is the same arithmetic).
+/// evaluations with no simulator in the loop. This is the one-policy call
+/// of [`compare_digest_policies`], and bit-identical to
+/// [`compare_program`] on the originating program (the digest replay is the
+/// same arithmetic).
 #[must_use]
 pub fn compare_digest(
     model: &TimingModel,
@@ -107,22 +110,53 @@ pub fn compare_digest(
     policy: &dyn ClockPolicy,
     generator: &ClockGenerator,
 ) -> PolicyComparison {
+    compare_digest_policies(model, benchmark, digest, &[(policy, generator)])
+        .pop()
+        .expect("one comparison per policy")
+}
+
+/// Compares every `(policy, generator)` pair against conventional static
+/// clocking in **one** walk of a pre-captured [`TimingDigest`]: the model
+/// is evaluated once per cycle, and that timing feeds the static baseline
+/// and every policy's [`PolicyObserver`] side by side. Comparison `i`
+/// belongs to `policies[i]`, and every comparison carries the same
+/// baseline outcome; each is bit-identical to a [`compare_digest`] (or a
+/// [`crate::replay_digest`]) of that pair alone.
+#[must_use]
+pub fn compare_digest_policies(
+    model: &TimingModel,
+    benchmark: impl Into<String>,
+    digest: &TimingDigest,
+    policies: &[(&dyn ClockPolicy, &ClockGenerator)],
+) -> Vec<PolicyComparison> {
     let static_policy = StaticClock::of_model(model);
     let mut baseline = PolicyObserver::new(model, &static_policy, &ClockGenerator::Ideal);
-    let mut dynamic = PolicyObserver::new(model, policy, generator);
+    let mut dynamic: Vec<_> = policies
+        .iter()
+        .map(|&(policy, generator)| PolicyObserver::new(model, policy, generator))
+        .collect();
     digest.for_each_cycle(|cycle, dc| {
         let timing = model.digest_cycle_timing(cycle, dc);
         baseline.observe_digest_timed(cycle, dc, &timing);
-        dynamic.observe_digest_timed(cycle, dc, &timing);
+        for observer in &mut dynamic {
+            observer.observe_digest_timed(cycle, dc, &timing);
+        }
     });
     let summary = digest.summary();
     baseline.finish(&summary);
-    dynamic.finish(&summary);
-    PolicyComparison {
-        benchmark: benchmark.into(),
-        baseline: baseline.into_outcome(),
-        dynamic: dynamic.into_outcome(),
-    }
+    let baseline = baseline.into_outcome();
+    let benchmark = benchmark.into();
+    dynamic
+        .into_iter()
+        .map(|mut observer| {
+            observer.finish(&summary);
+            PolicyComparison {
+                benchmark: benchmark.clone(),
+                baseline: baseline.clone(),
+                dynamic: observer.into_outcome(),
+            }
+        })
+        .collect()
 }
 
 /// Aggregation of [`PolicyComparison`]s over a benchmark suite (Fig. 8).

@@ -206,8 +206,8 @@ impl<'a> PolicyObserver<'a> {
     /// [`PolicyObserver::observe_digest`] with the cycle's [`CycleTiming`]
     /// already evaluated — and already perturbed, faults and entry surge
     /// alike — so several observers riding the same replay share one model
-    /// evaluation per cycle ([`crate::eval::compare_digest`]). The cycle's
-    /// interrupt phase still comes from the attached timeline.
+    /// evaluation per cycle ([`crate::eval::compare_digest_policies`]). The
+    /// cycle's interrupt phase still comes from the attached timeline.
     pub fn observe_digest_timed(
         &mut self,
         cycle: u64,

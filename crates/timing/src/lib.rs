@@ -9,7 +9,7 @@
 //!
 //! None of those proprietary inputs (RTL, EDA tools, foundry libraries) are
 //! available, so this crate provides a **synthetic but structurally faithful
-//! substitute** (see `DESIGN.md` for the substitution argument):
+//! substitute**:
 //!
 //! * [`CellLibrary`] / [`OperatingPoint`] — a 28 nm-FDSOI-like library
 //!   characterized from 0.50 V to 0.90 V (delay scaling, dynamic energy,

@@ -18,7 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .trace;
     let dta = DynamicTimingAnalysis::run(&model, &char_trace);
     // Raw observed worst-cases plus a 1.5 % guardband for data conditions
-    // the characterization stimuli did not produce (see DESIGN.md).
+    // the characterization stimuli did not produce (see
+    // `DelayLut::with_guardband`).
     let lut = DelayLut::from_dta(&dta, 8).with_guardband(0.015);
     let policy = InstructionBased::new(lut);
 

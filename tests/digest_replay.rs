@@ -78,7 +78,9 @@ fn dta_replay_is_bit_identical_to_streaming() {
 }
 
 /// Every policy's replayed outcome (including the embedded activity
-/// summary) must equal the live outcome field for field.
+/// summary) must equal the live outcome field for field — replayed alone,
+/// and side by side with every other pair in one multi-policy walk, whose
+/// comparisons all carry the live static baseline.
 fn assert_policies_replay_identically(
     m: &TimingModel,
     digest: &TimingDigest,
@@ -89,13 +91,25 @@ fn assert_policies_replay_identically(
     let exec_policy = ExecuteOnly::new(DelayLut::from_model(m));
     let genie = GenieOracle::new(m.clone());
     let policies: [&dyn ClockPolicy; 4] = [&static_policy, &lut_policy, &exec_policy, &genie];
-    for (generator, policy) in [ClockGenerator::Ideal, ClockGenerator::quantized_50ps()]
+    let generators = [
+        ClockGenerator::Ideal,
+        ClockGenerator::quantized_50ps(),
+        ClockGenerator::discrete(8, 900.0, 2100.0),
+    ];
+    let pairs: Vec<(&dyn ClockPolicy, &ClockGenerator)> = generators
         .iter()
-        .flat_map(|g| policies.iter().map(move |p| (g, *p)))
-    {
+        .flat_map(|g| policies.iter().map(move |p| (*p, g)))
+        .collect();
+    let baseline = run_with_policy(m, trace, &static_policy, &ClockGenerator::Ideal);
+    let fused = eval::compare_digest_policies(m, "fused", digest, &pairs);
+    assert_eq!(fused.len(), pairs.len());
+    for (&(policy, generator), comparison) in pairs.iter().zip(&fused) {
+        let label = format!("policy {} via {generator:?}", policy.name());
         let direct = run_with_policy(m, trace, policy, generator);
         let replayed = replay_digest(m, digest, policy, generator);
-        assert_eq!(direct, replayed, "policy {}", policy.name());
+        assert_eq!(direct, replayed, "{label}");
+        assert_eq!(comparison.dynamic, direct, "fused {label}");
+        assert_eq!(comparison.baseline, baseline, "fused baseline, {label}");
     }
 }
 

@@ -134,8 +134,8 @@ fn fig8_suite_speedup_within_band() {
     let model = nominal_model();
     let dta = characterization_dta(&model);
     // A 1.5 % guardband covers data conditions the finite characterization
-    // run did not excite (see DESIGN.md), preserving the zero-violation
-    // property on workloads the LUT has never seen.
+    // run did not excite (see `DelayLut::with_guardband`), preserving the
+    // zero-violation property on workloads the LUT has never seen.
     let lut = DelayLut::from_dta(&dta, 8).with_guardband(0.015);
     let policy = InstructionBased::new(lut);
     let simulator = Simulator::new(SimConfig::default());
