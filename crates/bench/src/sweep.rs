@@ -1608,8 +1608,11 @@ mod tests {
     #[test]
     fn banked_sweep_is_byte_identical_to_the_direct_reference() {
         // Corner counts deliberately straddle the SIMD lane width (3, 5) so
-        // the padded lanes are exercised alongside exact multiples.
-        for (seeds, corners, master_seed) in [(4, 3, 0x5EED), (6, 2, 7), (3, 5, 0xC0DE)] {
+        // the padded lanes are exercised alongside exact multiples, and 37
+        // corners (40 padded lanes) cross the gate to the wide kernel copy.
+        for (seeds, corners, master_seed) in
+            [(4, 3, 0x5EED), (6, 2, 7), (3, 5, 0xC0DE), (2, 37, 0xA5)]
+        {
             let config = SweepConfig {
                 seeds,
                 corners,
@@ -1839,29 +1842,35 @@ mod tests {
         // The combined scenario: deterministic droop faults *and* an
         // interrupt storm. Faults apply first, then the entry surge — the
         // canonical composition order every engine must share for the rows
-        // to stay bit-identical.
-        let config = SweepConfig {
-            seeds: 2,
-            corners: 3,
-            master_seed: 0xFA17,
-            faults: Some(
-                FaultSpec::parse("seed=9,droop-rate=0.3,droop-mag=0.5,penalty=4")
-                    .expect("valid fault spec"),
-            ),
-            interrupts: Some(
-                InterruptSpec::parse("seed=5,rate=0.003,timer=173,penalty=5")
-                    .expect("valid interrupt spec"),
-            ),
-            ..SweepConfig::default()
-        };
-        let banked = pvt_sweep(&config).expect("sweep runs");
-        let direct = pvt_sweep_direct(&config).expect("sweep runs");
-        assert_eq!(banked, direct, "banked vs live, faults+interrupts");
-        assert!(banked.irq_entries() > 0);
-        // Fault recovery still classifies every violation, entry or not.
-        for job in &banked.jobs {
-            for p in &job.policies {
-                assert_eq!(p.recovered_cycles + p.silent_risk_cycles, p.violations);
+        // to stay bit-identical. 37 corners (40 padded lanes) run the wide
+        // kernel copy under both perturbations.
+        for corners in [3, 37] {
+            let config = SweepConfig {
+                seeds: 2,
+                corners,
+                master_seed: 0xFA17,
+                faults: Some(
+                    FaultSpec::parse("seed=9,droop-rate=0.3,droop-mag=0.5,penalty=4")
+                        .expect("valid fault spec"),
+                ),
+                interrupts: Some(
+                    InterruptSpec::parse("seed=5,rate=0.003,timer=173,penalty=5")
+                        .expect("valid interrupt spec"),
+                ),
+                ..SweepConfig::default()
+            };
+            let banked = pvt_sweep(&config).expect("sweep runs");
+            let direct = pvt_sweep_direct(&config).expect("sweep runs");
+            assert_eq!(
+                banked, direct,
+                "banked vs live, faults+interrupts, {corners} corners"
+            );
+            assert!(banked.irq_entries() > 0);
+            // Fault recovery still classifies every violation, entry or not.
+            for job in &banked.jobs {
+                for p in &job.policies {
+                    assert_eq!(p.recovered_cycles + p.silent_risk_cycles, p.violations);
+                }
             }
         }
     }

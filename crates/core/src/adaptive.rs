@@ -24,8 +24,8 @@ use idca_pipeline::{
     TimingDigest,
 };
 use idca_timing::{
-    CornerBank, CycleLanes, CycleTiming, FaultPlan, IrqCursor, IrqTimeline, Perturbation, Ps,
-    TimingModel, LANE_WIDTH,
+    CornerBank, CycleLanes, CycleTiming, FaultPlan, IrqCursor, IrqTimeline, LaneIsa, Perturbation,
+    Ps, TimingModel, LANE_WIDTH,
 };
 use serde::{Deserialize, Serialize};
 
@@ -397,7 +397,8 @@ fn table_index(stage: Stage, class: TimingClass) -> usize {
 /// each `(stage, class)` entry once per cycle (the classes come from the
 /// corner-invariant digest) and folds all `M` lanes of that entry
 /// contiguously — predict, realize, observe, adapt — in lane-friendly loops
-/// padded to [`LANE_WIDTH`].
+/// padded to [`LANE_WIDTH`]. A bank of at least 32 padded lanes on a CPU
+/// with AVX2 runs them in their AVX2 copy ([`LaneIsa`]).
 ///
 /// State that cannot differ between corners is held once. Every corner
 /// sees the same classes, so an entry's observation count is the same in
@@ -445,6 +446,8 @@ pub struct AdaptiveBank<'a> {
     // Padding lanes stay `+inf` forever.
     violation_limit: Vec<Ps>,
     outcomes: Option<Vec<AdaptiveOutcome>>,
+    // The copy of the lanes kernel this bank runs.
+    isa: LaneIsa,
 }
 
 impl<'a> AdaptiveBank<'a> {
@@ -511,9 +514,18 @@ impl<'a> AdaptiveBank<'a> {
             requested: vec![0.0; padded],
             violation_limit: vec![Ps::INFINITY; padded],
             outcomes: None,
+            isa: LaneIsa::for_lanes(padded),
         };
         bank.reset(seed_lut);
         bank
+    }
+
+    /// Pins the copy of the lanes kernel, past the width gate of
+    /// [`LaneIsa::for_lanes`], so tests run both copies at any width.
+    #[cfg(test)]
+    pub(crate) fn with_isa(mut self, isa: LaneIsa) -> Self {
+        self.isa = isa;
+        self
     }
 
     /// Attaches a [`FaultPlan`] for the recovery accounting. The
@@ -643,6 +655,16 @@ impl<'a> AdaptiveBank<'a> {
         lanes: &CycleLanes,
         entry: bool,
     ) {
+        self.isa.run(
+            #[inline(always)]
+            || self.observe_lanes(cycle, dc, lanes, entry),
+        );
+    }
+
+    /// The body of [`AdaptiveBank::observe_cycle_lanes_phased`], compiled
+    /// into both copies of [`LaneIsa::run`].
+    #[inline(always)]
+    fn observe_lanes(&mut self, cycle: u64, dc: &DigestCycle, lanes: &CycleLanes, entry: bool) {
         let padded = self.padded;
         assert_eq!(lanes.padded_lanes(), padded, "lane widths must match");
         let corners = self.corners;
@@ -1113,43 +1135,63 @@ mod tests {
     fn adaptive_bank_is_bit_identical_to_scalar_observers() {
         let digest = TimingDigest::from_trace(&long_trace());
         let config = AdaptiveConfig::default();
-        // Corner counts straddling the lane width, plus both seeding modes
-        // and a non-trivial drift (which exercises the backoff path).
+        // Corner counts straddling the lane width and one past the wide-copy
+        // gate (37 corners pad to 40 lanes), through both copies of the
+        // kernel, plus both seeding modes and a non-trivial drift (which
+        // exercises the backoff path).
         let mut drift_violations = 0;
-        for corners in [1usize, 3, 4, 5, 8] {
-            let models = varied_models(corners as u32, 0xADA7);
-            let seed = DelayLut::from_model(&models[0]);
-            for (seed_lut, drift) in [
-                (None, Drift::None),
-                (
-                    Some(&seed),
-                    Drift::LinearSlowdown {
-                        fraction_per_kilocycle: 0.02,
-                    },
-                ),
-            ] {
-                let banked = replay_adaptive_digest_banked(
-                    &models,
-                    &digest,
-                    &config,
-                    &ClockGenerator::Ideal,
-                    seed_lut,
-                    drift,
-                );
-                assert_eq!(banked.len(), corners);
-                for (corner, model) in models.iter().enumerate() {
-                    let scalar = replay_adaptive_digest(
-                        model,
-                        &digest,
+        for isa in [LaneIsa::BASELINE, LaneIsa::detected()] {
+            for corners in [1usize, 3, 4, 5, 8, 37] {
+                let models = varied_models(corners as u32, 0xADA7);
+                let seed = DelayLut::from_model(&models[0]);
+                for (seed_lut, drift) in [
+                    (None, Drift::None),
+                    (
+                        Some(&seed),
+                        Drift::LinearSlowdown {
+                            fraction_per_kilocycle: 0.02,
+                        },
+                    ),
+                ] {
+                    // `replay_adaptive_digest_banked` with the copy pinned.
+                    let corner_bank = CornerBank::from_models(&models);
+                    let mut evaluator = corner_bank.evaluator();
+                    let mut bank = AdaptiveBank::new(
+                        &models,
                         &config,
                         &ClockGenerator::Ideal,
                         seed_lut,
                         drift,
-                    );
-                    assert_eq!(banked[corner], scalar, "corners {corners} lane {corner}");
-                }
-                if seed_lut.is_some() {
-                    drift_violations += banked.iter().map(|o| o.violations).sum::<u64>();
+                    )
+                    .with_isa(isa);
+                    digest.for_each_cycle(|cycle, dc| {
+                        bank.observe_cycle_lanes_phased(
+                            cycle,
+                            dc,
+                            evaluator.cycle_lanes(cycle, dc),
+                            false,
+                        );
+                    });
+                    bank.finish(&digest.summary());
+                    let banked = bank.into_outcomes();
+                    assert_eq!(banked.len(), corners);
+                    for (corner, model) in models.iter().enumerate() {
+                        let scalar = replay_adaptive_digest(
+                            model,
+                            &digest,
+                            &config,
+                            &ClockGenerator::Ideal,
+                            seed_lut,
+                            drift,
+                        );
+                        assert_eq!(
+                            banked[corner], scalar,
+                            "{isa:?} corners {corners} lane {corner}"
+                        );
+                    }
+                    if seed_lut.is_some() {
+                        drift_violations += banked.iter().map(|o| o.violations).sum::<u64>();
+                    }
                 }
             }
         }

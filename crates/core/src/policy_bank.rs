@@ -30,7 +30,9 @@
 //! Per cycle, [`PolicyBank::observe_actuals`] does the remaining per-lane
 //! work: the violation compare-and-count, plus the recovery classification
 //! and penalty time under a fault plan, plus the entry count on
-//! exception-entry cycles ([`PolicyBank::observe_actuals_entry`]).
+//! exception-entry cycles ([`PolicyBank::observe_actuals_entry`]). A bank of
+//! at least 32 padded lanes on a CPU with AVX2 runs that loop in its AVX2
+//! copy ([`LaneIsa`]).
 //!
 //! Every fold replicates [`PolicyObserver`](crate::PolicyObserver)'s
 //! arithmetic operation for operation (same order, same constants), so
@@ -43,7 +45,7 @@ use crate::sim::RunOutcome;
 use crate::tally::frequencies;
 use crate::ClockGenerator;
 use idca_pipeline::{CycleObserver, RunSummary};
-use idca_timing::{ActivityObserver, FaultPlan, FaultSpec, Ps, LANE_WIDTH};
+use idca_timing::{ActivityObserver, FaultPlan, FaultSpec, LaneIsa, Ps, LANE_WIDTH};
 
 /// Per-corner accumulators of one clock policy evaluated against `M` PVT
 /// corners — see the [module docs](self).
@@ -82,6 +84,8 @@ pub struct PolicyBank<'a> {
     lane_max_period_ps: Vec<Ps>,
     tally: LaneTally,
     outcomes: Option<Vec<RunOutcome>>,
+    // The copy of the observe kernel this bank runs.
+    isa: LaneIsa,
 }
 
 /// Which `begin_*` call feeds a walk's requests.
@@ -252,9 +256,18 @@ impl<'a> PolicyBank<'a> {
                 penalty_time_ps: vec![0.0; padded],
             },
             outcomes: None,
+            isa: LaneIsa::for_lanes(padded),
         };
         bank.reset();
         bank
+    }
+
+    /// Pins the copy of the observe kernel, past the width gate of
+    /// [`LaneIsa::for_lanes`], so tests run both copies at any width.
+    #[cfg(test)]
+    pub(crate) fn with_isa(mut self, isa: LaneIsa) -> Self {
+        self.isa = isa;
+        self
     }
 
     /// Attaches a [`FaultPlan`]: violations are classified through the
@@ -381,7 +394,10 @@ impl<'a> PolicyBank<'a> {
     /// observe_cycle_lanes_phased` for the same finding).
     #[inline(never)]
     pub fn observe_actuals(&mut self, actuals: &[Ps]) {
-        self.observe(actuals, false);
+        self.isa.run(
+            #[inline(always)]
+            || self.observe(actuals, false),
+        );
     }
 
     /// [`PolicyBank::observe_actuals`] for an exception-entry cycle: the
@@ -396,11 +412,15 @@ impl<'a> PolicyBank<'a> {
     /// Panics as [`PolicyBank::observe_actuals`] does.
     #[inline(never)]
     pub fn observe_actuals_entry(&mut self, actuals: &[Ps]) {
-        self.observe(actuals, true);
+        self.isa.run(
+            #[inline(always)]
+            || self.observe(actuals, true),
+        );
     }
 
-    /// The one observe kernel behind both entry points, inlined into each
-    /// so the `entry` pass folds away on ordinary cycles.
+    /// The one observe kernel behind both entry points, inlined into both
+    /// copies of each (see [`LaneIsa::run`]) so the `entry` pass folds away
+    /// on ordinary cycles.
     #[inline(always)]
     fn observe(&mut self, actuals: &[Ps], entry: bool) {
         let lanes = actuals.len();
@@ -537,10 +557,10 @@ mod tests {
             .collect()
     }
 
-    /// Drives a bank and the scalar reference over the same digest and
-    /// asserts bit-identical outcomes (modulo the activity fold, which the
-    /// bank leaves empty-finished).
-    fn assert_bank_matches_scalar(models: &[TimingModel], faults: Option<FaultPlan>) {
+    /// Drives a bank running the `isa` copy of its kernel and the scalar
+    /// reference over the same digest and asserts bit-identical outcomes
+    /// (modulo the activity fold, which the bank leaves empty-finished).
+    fn assert_bank_matches_scalar(models: &[TimingModel], faults: Option<FaultPlan>, isa: LaneIsa) {
         let digest = digest();
         let generator = ClockGenerator::quantized_50ps();
         let bank = CornerBank::from_models(models);
@@ -549,7 +569,7 @@ mod tests {
             .map(|i| bank.static_period_ps(i))
             .collect();
 
-        let mut pbank = PolicyBank::new("static", models.len(), &generator);
+        let mut pbank = PolicyBank::new("static", models.len(), &generator).with_isa(isa);
         if let Some(plan) = faults {
             pbank = pbank.with_faults(plan);
         }
@@ -588,16 +608,27 @@ mod tests {
         }
     }
 
+    // Both copies of the kernel, below and past the wide-copy gate (37
+    // corners pad to 40 lanes).
     #[test]
     fn bank_matches_scalar_observers_without_faults() {
-        assert_bank_matches_scalar(&corner_models(5), None);
+        for isa in [LaneIsa::BASELINE, LaneIsa::detected()] {
+            for corners in [5, 37] {
+                assert_bank_matches_scalar(&corner_models(corners), None, isa);
+            }
+        }
     }
 
     #[test]
     fn bank_matches_scalar_observers_under_faults() {
         let spec = FaultSpec::parse("seed=3,droop-rate=0.4,droop-mag=0.5,spike-rate=0.05,spike-mag=0.9,penalty=5,detect-window=0.3")
             .unwrap();
-        assert_bank_matches_scalar(&corner_models(6), Some(FaultPlan::new(&spec)));
+        let plan = FaultPlan::new(&spec);
+        for isa in [LaneIsa::BASELINE, LaneIsa::detected()] {
+            for corners in [6, 37] {
+                assert_bank_matches_scalar(&corner_models(corners), Some(plan), isa);
+            }
+        }
     }
 
     #[test]

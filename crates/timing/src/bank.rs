@@ -17,27 +17,122 @@
 //! delay = max(base - spread × (1 - excitation), base × 0.35) × scale
 //! ```
 //!
-//! runs over all corners at once in `[f64; 4]` chunks that LLVM
-//! auto-vectorizes, while the dither and the blended excitation are computed
-//! once per cycle and broadcast. Every lane performs **exactly** the scalar
-//! arithmetic of [`TimingModel::digest_cycle_timing`] (the parameters are
-//! read from the already-varied models, the operations are in the same
-//! order, and Rust never contracts float expressions), so the batched kernel
-//! is bit-identical to the scalar path — pinned by the unit tests here and
-//! by the workspace-level banked-replay property tests.
+//! runs over all corners at once, one auto-vectorized loop per stage, while
+//! the dither and the blended excitation are computed once per cycle and
+//! broadcast. The fold is compiled for the build target (128-bit SSE2 on the
+//! default x86-64 target) and once more with 256-bit AVX2, which wide banks
+//! select at run time (see [`LaneIsa`]). Every lane performs **exactly** the
+//! scalar arithmetic of [`TimingModel::digest_cycle_timing`] (the parameters
+//! are read from the already-varied models, the operations are in the same
+//! order, neither copy enables FMA, and Rust never contracts float
+//! expressions), so both copies are bit-identical to the scalar path —
+//! pinned by the unit tests here, which run both, and by the
+//! workspace-level banked-replay property tests.
 
 use crate::model::{blend_excitation, stage_dithers};
 use crate::{FaultPlan, Ps, TimingModel};
 use idca_isa::TimingClass;
 use idca_pipeline::{DigestCycle, Stage};
 
-/// Width of one evaluation lane chunk. The fold loops are written in chunks
-/// of this many `f64`s so the auto-vectorizer sees a compile-time trip
-/// count; banks whose corner count is not a multiple are padded with inert
-/// lanes. The workspace sets no `target-cpu`, so the default x86-64 target
-/// has only SSE2 and one chunk compiles to two 128-bit operations; a wider
-/// target is a build-setting change, to be measured on its own.
+/// Width of one evaluation lane chunk: every bank pads its corner count up
+/// to a multiple of it with inert lanes, so a lane slice is a whole number
+/// of four-`f64` chunks — two 128-bit operations on the baseline x86-64
+/// target (SSE2), one 256-bit operation in the AVX2 copy of a kernel (see
+/// [`LaneIsa`]).
+///
+/// Only the `AdaptiveBank`'s predict and adapt folds are written in
+/// fixed-trip chunks of this width. [`BankEvaluator::cycle_lanes`], the
+/// `PolicyBank` loops and the adaptive observe pass run `0..padded` (or
+/// `0..corners`), a runtime trip. LLVM's AVX2 copy of such a loop steps 8
+/// or 16 lanes per iteration (two or four 256-bit registers) and leaves the
+/// rest to remainder code, so a narrow bank pays the wide loop's set-up
+/// without filling it. An A/B of the two copies measured the AVX2 copy
+/// slower or no faster up to 16 lanes and faster from 24 on, so a bank
+/// runs it from 32 padded lanes ([`LaneIsa::for_lanes`]).
 pub const LANE_WIDTH: usize = 4;
+
+/// The narrowest bank, in padded lanes, that runs the AVX2 copy of the lane
+/// kernels (see [`LANE_WIDTH`] for why).
+const AVX2_MIN_LANES: usize = 8 * LANE_WIDTH;
+
+/// Which compiled copy of the lane kernels a bank runs: the baseline copy,
+/// built for the compilation target (SSE2 on the default x86-64 target), or
+/// on x86-64 a second copy of the same source built with AVX2 enabled.
+///
+/// The binary needs no build flag and still runs on a CPU without AVX2:
+/// the field is private, so the AVX2 value comes only out of
+/// [`LaneIsa::detected`], after the CPU was checked. Each bank picks its copy
+/// once, at construction, with [`LaneIsa::for_lanes`].
+///
+/// Both copies are bit-identical. The AVX2 copy enables no FMA and the
+/// kernels call no `mul_add`, and Rust never contracts `a * b + c`, so every
+/// lane performs the same IEEE operations in the same order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneIsa(Isa);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    Baseline,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl LaneIsa {
+    /// The copy built for the compilation target, which every CPU the
+    /// binary runs on supports.
+    pub const BASELINE: LaneIsa = LaneIsa(Isa::Baseline);
+
+    /// The widest copy this CPU runs: AVX2 on an x86-64 CPU that has it, the
+    /// baseline otherwise.
+    #[must_use]
+    pub fn detected() -> LaneIsa {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return LaneIsa(Isa::Avx2);
+        }
+        LaneIsa::BASELINE
+    }
+
+    /// The copy a bank of `padded_lanes` lanes runs: [`LaneIsa::detected`]
+    /// from 32 padded lanes on, the baseline below.
+    #[must_use]
+    pub fn for_lanes(padded_lanes: usize) -> LaneIsa {
+        if padded_lanes >= AVX2_MIN_LANES {
+            LaneIsa::detected()
+        } else {
+            LaneIsa::BASELINE
+        }
+    }
+
+    /// Runs `kernel` in this copy. Pass an `#[inline(always)]` closure: its
+    /// body then compiles once into the caller (the baseline copy) and once
+    /// into the AVX2 trampoline, with 256-bit registers.
+    #[inline(always)]
+    pub fn run<R>(self, kernel: impl FnOnce() -> R) -> R {
+        match self.0 {
+            Isa::Baseline => kernel(),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => {
+                // SAFETY: calling an `avx2` target-feature function requires
+                // a CPU that runs AVX2. `Isa::Avx2` is private to this module
+                // and only `LaneIsa::detected` builds it, after
+                // `is_x86_feature_detected!("avx2")` found the feature.
+                #[allow(unsafe_code)]
+                unsafe {
+                    avx2(kernel)
+                }
+            }
+        }
+    }
+}
+
+/// The AVX2 trampoline of [`LaneIsa::run`]: the inlined kernel compiles
+/// into this body with AVX2 (and no FMA) enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2<R>(kernel: impl FnOnce() -> R) -> R {
+    kernel()
+}
 
 /// The per-`(stage, class)` delay parameters of `M` timing-model corners in
 /// structure-of-arrays layout, ready for batched evaluation.
@@ -60,6 +155,8 @@ pub struct CornerBank {
     scale: Vec<f64>,
     /// Per-corner static periods (handy for per-lane static baselines).
     static_period_ps: Vec<Ps>,
+    /// The copy of the evaluator's fold this bank runs.
+    isa: LaneIsa,
 }
 
 impl CornerBank {
@@ -94,7 +191,16 @@ impl CornerBank {
             spread,
             scale,
             static_period_ps,
+            isa: LaneIsa::for_lanes(padded),
         }
+    }
+
+    /// Pins the copy of the fold, past the width gate of
+    /// [`LaneIsa::for_lanes`], so tests run both copies at any width.
+    #[cfg(test)]
+    pub(crate) fn with_isa(mut self, isa: LaneIsa) -> CornerBank {
+        self.isa = isa;
+        self
     }
 
     /// Number of corners in the bank (excluding padding lanes).
@@ -266,6 +372,17 @@ impl BankEvaluator<'_> {
     /// [`Perturbation`](crate::Perturbation) can perturb the lanes in
     /// place; the next call recomputes every lane from scratch.
     pub fn cycle_lanes(&mut self, cycle: u64, dc: &DigestCycle) -> &mut CycleLanes {
+        self.bank.isa.run(
+            #[inline(always)]
+            || self.fold(cycle, dc),
+        );
+        &mut self.cycle
+    }
+
+    /// The body of [`BankEvaluator::cycle_lanes`], compiled into both copies
+    /// of [`LaneIsa::run`].
+    #[inline(always)]
+    fn fold(&mut self, cycle: u64, dc: &DigestCycle) {
         let bank = self.bank;
         let padded = bank.padded;
         // Corner-invariant per-cycle terms, computed once and broadcast: all
@@ -316,7 +433,6 @@ impl BankEvaluator<'_> {
                 }
             }
         }
-        &mut self.cycle
     }
 }
 
@@ -392,29 +508,56 @@ mod tests {
     #[test]
     fn banked_timings_are_bit_identical_to_scalar_replay() {
         let d = mixed_digest();
-        // Corner counts straddling the lane width, including non-multiples.
-        for corners in [1, 2, 3, 4, 5, 7, 8, 9] {
-            let models = varied_models(corners, 0xBA2C);
-            let bank = CornerBank::from_models(&models);
-            assert_eq!(bank.corners(), corners as usize);
-            let mut evaluator = bank.evaluator();
-            d.for_each_cycle(|cycle, dc| {
-                let lanes = evaluator.cycle_lanes(cycle, dc);
-                for (corner, model) in models.iter().enumerate() {
-                    let scalar = model.digest_cycle_timing(cycle, dc);
-                    assert_lane_matches(lanes, corner, &scalar, cycle, "lanes");
-                }
-                // Padding lanes evaluate zero parameters and stay inert.
-                assert!(lanes.max_lanes()[models.len()..].iter().all(|&d| d == 0.0));
-            });
+        // Corner counts straddling the lane width, including non-multiples,
+        // and one past the wide-copy gate (37 corners pad to 40 lanes), each
+        // through both copies of the fold.
+        for isa in [LaneIsa::BASELINE, LaneIsa::detected()] {
+            for corners in [1, 2, 3, 4, 5, 7, 8, 9, 37] {
+                let models = varied_models(corners, 0xBA2C);
+                let bank = CornerBank::from_models(&models).with_isa(isa);
+                assert_eq!(bank.corners(), corners as usize);
+                let mut evaluator = bank.evaluator();
+                d.for_each_cycle(|cycle, dc| {
+                    let lanes = evaluator.cycle_lanes(cycle, dc);
+                    for (corner, model) in models.iter().enumerate() {
+                        let scalar = model.digest_cycle_timing(cycle, dc);
+                        assert_lane_matches(lanes, corner, &scalar, cycle, "lanes");
+                    }
+                    // Padding lanes evaluate zero parameters and stay inert.
+                    assert!(lanes.max_lanes()[models.len()..].iter().all(|&d| d == 0.0));
+                });
+            }
         }
     }
 
     #[test]
+    fn only_banks_of_32_lanes_or_more_run_the_detected_copy() {
+        assert_eq!(LaneIsa::for_lanes(4), LaneIsa::BASELINE);
+        assert_eq!(LaneIsa::for_lanes(28), LaneIsa::BASELINE);
+        assert_eq!(LaneIsa::for_lanes(32), LaneIsa::detected());
+        assert_eq!(LaneIsa::for_lanes(256), LaneIsa::detected());
+        assert_eq!(
+            CornerBank::from_models(&varied_models(1, 5)).isa,
+            LaneIsa::BASELINE
+        );
+        assert_eq!(
+            CornerBank::from_models(&varied_models(253, 5)).isa,
+            LaneIsa::detected()
+        );
+    }
+
+    #[test]
     fn lane_surge_is_bit_identical_to_scalar_surge() {
+        for isa in [LaneIsa::BASELINE, LaneIsa::detected()] {
+            for corners in [5, 37] {
+                assert_lane_surge_matches_scalar(&varied_models(corners, 0x51AB), isa);
+            }
+        }
+    }
+
+    fn assert_lane_surge_matches_scalar(models: &[TimingModel], isa: LaneIsa) {
         let d = mixed_digest();
-        let models = varied_models(5, 0x51AB);
-        let bank = CornerBank::from_models(&models);
+        let bank = CornerBank::from_models(models).with_isa(isa);
         let spec = crate::FaultSpec::parse("seed=9,droop-rate=0.4,droop-mag=0.3").unwrap();
         let plan = crate::FaultPlan::new(&spec);
         let bits = |t: &CycleTiming| {

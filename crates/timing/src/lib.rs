@@ -39,10 +39,14 @@
 //! * [`CornerBank`] — the corner-batched evaluation kernel: the delay
 //!   parameters of `M` varied models packed in structure-of-arrays lanes,
 //!   so one digested cycle is evaluated against every corner at once in
-//!   auto-vectorized [`LANE_WIDTH`]-lane chunks (two 128-bit operations
-//!   each on the default x86-64 target), bit-identical to the scalar path.
-//!   The six per-cycle stage dithers it broadcasts come out of one batched
-//!   hash kernel shared with the scalar evaluation paths.
+//!   auto-vectorized loops over [`LANE_WIDTH`]-padded lanes, bit-identical
+//!   to the scalar path. The six per-cycle stage dithers it broadcasts come
+//!   out of one batched hash kernel shared with the scalar evaluation paths.
+//! * [`LaneIsa`] — which compiled copy of a lane kernel a bank runs: the
+//!   baseline copy (128-bit SSE2 on the default x86-64 target), or an AVX2
+//!   copy of the same source that banks of at least 32 padded lanes select
+//!   at run time on a CPU that has AVX2, with no build flag. Its AVX2
+//!   trampoline holds this workspace's only `unsafe` block.
 //! * [`FaultPlan`] / [`FaultSpec`] — deterministic fault injection:
 //!   voltage-droop windows, one-shot delay spikes and a persistent mid-run
 //!   corner shift, all sampled hash-deterministically from
@@ -72,7 +76,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bank;
@@ -87,7 +91,7 @@ mod power;
 mod profile;
 mod variation;
 
-pub use bank::{BankEvaluator, CornerBank, CycleLanes, LANE_WIDTH};
+pub use bank::{BankEvaluator, CornerBank, CycleLanes, LaneIsa, LANE_WIDTH};
 pub use dta::{DtaObserver, DynamicTimingAnalysis};
 pub use eventlog::{Endpoint, EndpointEvent, EndpointId, EventLog};
 pub use fault::{FaultPlan, FaultSpec, FaultSpecError, DROOP_WINDOW_CYCLES, SHIFT_ONSET_HORIZON};
