@@ -11,9 +11,10 @@
 //! Every instruction is defined once, as one row of a crate-private table:
 //! its mnemonic, fixed encoding bits, decode mask, operand format (which
 //! of rD, rA, rB and the immediate exist, and the immediate's width and
-//! signedness) and timing class. Everything below reads that row, so an
-//! instruction is added or changed in one place and round-trips by
-//! construction.
+//! signedness), timing class, and the dispatch tags the pipeline runs on
+//! ([`AluKind`], [`CtlKind`], [`MemKind`]). Everything below reads that
+//! row, so an instruction is added or changed in one place and round-trips
+//! by construction.
 //!
 //! The crate provides:
 //!
@@ -65,7 +66,7 @@ mod table;
 
 pub use error::IsaError;
 pub use insn::{Insn, Operands};
-pub use opcode::{Opcode, SetFlagCond, TimingClass};
+pub use opcode::{AluKind, CtlKind, MemKind, Opcode, SetFlagCond, TimingClass};
 pub use program::{Program, ProgramBuilder};
 pub use reg::Reg;
 

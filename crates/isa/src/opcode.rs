@@ -333,6 +333,135 @@ impl fmt::Display for TimingClass {
     }
 }
 
+/// The data-path operation an instruction performs in the execute stage:
+/// a dense, pre-classified mirror of the per-opcode semantics, read from
+/// the instruction's table row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AluKind {
+    /// 32-bit addition with carry-out (`l.add`, `l.addi`).
+    Add,
+    /// Addition with carry-in and carry-out (`l.addc`, `l.addic`).
+    AddCarry,
+    /// Subtraction with borrow-out (`l.sub`).
+    Sub,
+    /// Bitwise AND (`l.and`, `l.andi`).
+    And,
+    /// Bitwise OR (`l.or`, `l.ori`).
+    Or,
+    /// Bitwise XOR (`l.xor`, `l.xori`).
+    Xor,
+    /// Signed 32×32→32 multiply (`l.mul`, `l.muli`).
+    MulSigned,
+    /// Unsigned multiply (`l.mulu`).
+    MulUnsigned,
+    /// Shift left logical (`l.sll`, `l.slli`).
+    ShiftLeft,
+    /// Shift right logical (`l.srl`, `l.srli`).
+    ShiftRightLogical,
+    /// Shift right arithmetic (`l.sra`, `l.srai`).
+    ShiftRightArith,
+    /// Rotate right (`l.ror`, `l.rori`).
+    RotateRight,
+    /// Conditional move on the compare flag (`l.cmov`).
+    Cmov,
+    /// Sign-extend byte (`l.extbs`).
+    ExtendByte,
+    /// Sign-extend half-word (`l.exths`).
+    ExtendHalf,
+    /// Load immediate into the upper half-word (`l.movhi`).
+    MoveHigh,
+    /// Set-flag comparison (`l.sf*`, `l.sf*i`).
+    SetFlag(SetFlagCond),
+    /// Effective-address computation of loads/stores.
+    MemAddr,
+    /// No data-path result (jumps, branches, `l.nop`).
+    None,
+}
+
+/// Control-flow behaviour of an instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CtlKind {
+    /// Straight-line instruction: never redirects fetch.
+    None,
+    /// The `l.nop 1` exit marker: sets the halting state in execute. No
+    /// table row carries it; the pipeline derives it from the immediate.
+    Exit,
+    /// PC-relative jump resolved in decode (`l.j`, `l.jal`); `link` writes
+    /// `r9 = pc + 8` in execute.
+    Jump {
+        /// `true` for `l.jal`.
+        link: bool,
+    },
+    /// Conditional branch taken when the flag is set (`l.bf`).
+    BranchIfFlag,
+    /// Conditional branch taken when the flag is clear (`l.bnf`).
+    BranchIfNotFlag,
+    /// Register-indirect jump resolved in execute (`l.jr`, `l.jalr`).
+    JumpReg {
+        /// `true` for `l.jalr`.
+        link: bool,
+    },
+    /// `l.rfe`: return from exception, resolved in execute like a register
+    /// jump but targeting the interrupt controller's saved PC.
+    Rfe,
+}
+
+/// Memory access of an instruction: load or store, width and sign.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemKind {
+    /// Not a memory instruction.
+    None,
+    /// `l.lwz` / `l.lws` (identical on a 32-bit core).
+    LoadWord,
+    /// `l.lhz` / `l.lhs`.
+    LoadHalf {
+        /// `true` sign-extends the half-word (`l.lhs`).
+        signed: bool,
+    },
+    /// `l.lbz` / `l.lbs`.
+    LoadByte {
+        /// `true` sign-extends the byte (`l.lbs`).
+        signed: bool,
+    },
+    /// `l.sw`.
+    StoreWord,
+    /// `l.sh`.
+    StoreHalf,
+    /// `l.sb`.
+    StoreByte,
+}
+
+impl MemKind {
+    /// `true` for the load variants.
+    #[must_use]
+    pub fn is_load(self) -> bool {
+        matches!(
+            self,
+            MemKind::LoadWord | MemKind::LoadHalf { .. } | MemKind::LoadByte { .. }
+        )
+    }
+
+    /// `true` for the store variants.
+    #[must_use]
+    pub fn is_store(self) -> bool {
+        matches!(
+            self,
+            MemKind::StoreWord | MemKind::StoreHalf | MemKind::StoreByte
+        )
+    }
+
+    /// Access width in bytes, `None` for [`MemKind::None`].
+    #[must_use]
+    pub fn width(self) -> Option<u32> {
+        match self {
+            MemKind::None => None,
+            MemKind::LoadWord | MemKind::StoreWord => Some(4),
+            MemKind::LoadHalf { .. } | MemKind::StoreHalf => Some(2),
+            MemKind::LoadByte { .. } | MemKind::StoreByte => Some(1),
+        }
+    }
+}
+
 impl Opcode {
     /// Returns the canonical ORBIS32 mnemonic, e.g. `"l.addi"`.
     #[must_use]
@@ -391,12 +520,39 @@ impl Opcode {
     /// Memory access width in bytes for loads/stores, `None` otherwise.
     #[must_use]
     pub fn mem_width(self) -> Option<u32> {
-        match self {
-            Opcode::Lwz | Opcode::Lws | Opcode::Sw => Some(4),
-            Opcode::Lhz | Opcode::Lhs | Opcode::Sh => Some(2),
-            Opcode::Lbz | Opcode::Lbs | Opcode::Sb => Some(1),
-            _ => None,
+        self.mem_kind().width()
+    }
+
+    /// `true` when the immediate, if the instruction has one, is the second
+    /// data-path operand: the register-immediate, set-flag-immediate,
+    /// `l.movhi` and load/store formats. The immediate of a jump, branch or
+    /// `l.nop` is not an operand.
+    #[must_use]
+    pub fn imm_is_operand_b(self) -> bool {
+        self.row().format.imm_is_operand_b()
+    }
+
+    /// The execute-stage data-path operation, with the set-flag condition
+    /// filled in.
+    #[must_use]
+    pub fn alu_kind(self) -> AluKind {
+        match (self.row().alu, self.cond()) {
+            (AluKind::SetFlag(_), Some(cond)) => AluKind::SetFlag(cond),
+            (alu, _) => alu,
         }
+    }
+
+    /// How the instruction steers control flow. Never [`CtlKind::Exit`]:
+    /// whether an `l.nop` ends the simulation depends on its immediate.
+    #[must_use]
+    pub fn ctl_kind(self) -> CtlKind {
+        self.row().ctl
+    }
+
+    /// The memory access the instruction performs.
+    #[must_use]
+    pub fn mem_kind(self) -> MemKind {
+        self.row().mem
     }
 }
 

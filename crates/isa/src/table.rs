@@ -1,13 +1,17 @@
 //! The instruction table: one row per [`Opcode`] variant, in declaration
 //! order. Encoding, decoding, immediate range checks, the assembler, the
-//! disassembler and the per-opcode predicates all read these rows, so an
-//! instruction is added or changed in exactly one place.
+//! disassembler, the per-opcode predicates and the pipeline's dispatch tags
+//! all read these rows, so an instruction is added or changed in exactly
+//! one place.
 
-use crate::{IsaError, Opcode, SetFlagCond, TimingClass};
+use crate::{AluKind, CtlKind, Insn, IsaError, MemKind, Opcode, Reg, SetFlagCond, TimingClass};
 use std::collections::HashMap;
 use std::sync::OnceLock;
+use AluKind as A;
+use CtlKind as F;
 use Format::{Ab, Ai, BLink, Bare, Da, Dab, Dai, Dk, Load, Pc, PcLink, Store, B, K};
 use Imm::{S16Split, S16, S26, U16, U5};
+use MemKind as M;
 use Opcode as O;
 use SetFlagCond as C;
 use TimingClass as T;
@@ -62,10 +66,10 @@ pub(crate) enum Format {
     Bare,
 }
 
-/// One instruction: its mnemonic, encoding, operand format and delay-LUT
-/// class. A word is this instruction when `(word ^ bits) & mask == 0`;
-/// `bits` may also set bits outside `mask` that encoding always emits and
-/// decoding ignores (bit 24 of `l.nop`).
+/// One instruction: its mnemonic, encoding, operand format, delay-LUT
+/// class and pipeline dispatch tags. A word is this instruction when
+/// `(word ^ bits) & mask == 0`; `bits` may also set bits outside `mask`
+/// that encoding always emits and decoding ignores (bit 24 of `l.nop`).
 #[derive(Debug)]
 pub(crate) struct Row {
     pub(crate) opcode: Opcode,
@@ -75,8 +79,12 @@ pub(crate) struct Row {
     pub(crate) mask: u32,
     pub(crate) format: Format,
     pub(crate) class: TimingClass,
+    pub(crate) alu: AluKind,
+    pub(crate) ctl: CtlKind,
+    pub(crate) mem: MemKind,
 }
 
+#[allow(clippy::too_many_arguments)]
 const fn row(
     opcode: Opcode,
     mnemonic: &'static str,
@@ -84,6 +92,9 @@ const fn row(
     mask: u32,
     format: Format,
     class: TimingClass,
+    alu: AluKind,
+    ctl: CtlKind,
+    mem: MemKind,
 ) -> Row {
     Row {
         opcode,
@@ -92,61 +103,124 @@ const fn row(
         mask,
         format,
         class,
+        alu,
+        ctl,
+        mem,
     }
 }
 
 /// Bits 31..26 hold the major opcode. The two set-flag rows stand for all
-/// ten conditions (`Eq` is a placeholder): the condition is an operand field
-/// in bits 25..21, and its codes and suffixes live in [`SetFlagCond`].
+/// ten conditions (`Eq` is a placeholder, in the opcode and the data-path
+/// column alike): the condition is an operand field in bits 25..21, and its
+/// codes and suffixes live in [`SetFlagCond`].
+///
+/// The last three columns are the dispatch tags: the data-path operation
+/// (`A`), the control-flow kind (`F`) and the memory access (`M`).
 #[rustfmt::skip]
 pub(crate) static TABLE: [Row; 45] = [
-    //  opcode          mnemonic   bits         mask         format           class
-    row(O::Add,         "l.add",   0xE000_0000, 0xFC00_030F, Dab,             T::Add),
-    row(O::Addc,        "l.addc",  0xE000_0001, 0xFC00_030F, Dab,             T::Add),
-    row(O::Sub,         "l.sub",   0xE000_0002, 0xFC00_030F, Dab,             T::Add),
-    row(O::And,         "l.and",   0xE000_0003, 0xFC00_030F, Dab,             T::And),
-    row(O::Or,          "l.or",    0xE000_0004, 0xFC00_030F, Dab,             T::Or),
-    row(O::Xor,         "l.xor",   0xE000_0005, 0xFC00_030F, Dab,             T::Xor),
-    row(O::Mul,         "l.mul",   0xE000_0306, 0xFC00_030F, Dab,             T::Mul),
-    row(O::Mulu,        "l.mulu",  0xE000_030B, 0xFC00_030F, Dab,             T::Mul),
-    row(O::Sll,         "l.sll",   0xE000_0008, 0xFC00_03CF, Dab,             T::Shift),
-    row(O::Srl,         "l.srl",   0xE000_0048, 0xFC00_03CF, Dab,             T::Shift),
-    row(O::Sra,         "l.sra",   0xE000_0088, 0xFC00_03CF, Dab,             T::Shift),
-    row(O::Ror,         "l.ror",   0xE000_00C8, 0xFC00_03CF, Dab,             T::Shift),
-    row(O::Cmov,        "l.cmov",  0xE000_000E, 0xFC00_030F, Dab,             T::Move),
-    row(O::Extbs,       "l.extbs", 0xE000_004C, 0xFC00_03CF, Da,              T::Move),
-    row(O::Exths,       "l.exths", 0xE000_000C, 0xFC00_03CF, Da,              T::Move),
-    row(O::Addi,        "l.addi",  0x9C00_0000, 0xFC00_0000, Dai(S16),        T::Add),
-    row(O::Addic,       "l.addic", 0xA000_0000, 0xFC00_0000, Dai(S16),        T::Add),
-    row(O::Andi,        "l.andi",  0xA400_0000, 0xFC00_0000, Dai(U16),        T::And),
-    row(O::Ori,         "l.ori",   0xA800_0000, 0xFC00_0000, Dai(U16),        T::Or),
-    row(O::Xori,        "l.xori",  0xAC00_0000, 0xFC00_0000, Dai(S16),        T::Xor),
-    row(O::Muli,        "l.muli",  0xB000_0000, 0xFC00_0000, Dai(S16),        T::Mul),
-    row(O::Slli,        "l.slli",  0xB800_0000, 0xFC00_00C0, Dai(U5),         T::Shift),
-    row(O::Srli,        "l.srli",  0xB800_0040, 0xFC00_00C0, Dai(U5),         T::Shift),
-    row(O::Srai,        "l.srai",  0xB800_0080, 0xFC00_00C0, Dai(U5),         T::Shift),
-    row(O::Rori,        "l.rori",  0xB800_00C0, 0xFC00_00C0, Dai(U5),         T::Shift),
-    row(O::Movhi,       "l.movhi", 0x1800_0000, 0xFC00_0000, Dk(U16),         T::Move),
-    row(O::Sf(C::Eq),   "l.sf*",   0xE400_0000, 0xFC00_0000, Ab,              T::SetFlag),
-    row(O::Sfi(C::Eq),  "l.sf*i",  0xBC00_0000, 0xFC00_0000, Ai(S16),         T::SetFlag),
-    row(O::Lwz,         "l.lwz",   0x8400_0000, 0xFC00_0000, Load(S16),       T::Load),
-    row(O::Lws,         "l.lws",   0x8800_0000, 0xFC00_0000, Load(S16),       T::Load),
-    row(O::Lhz,         "l.lhz",   0x9400_0000, 0xFC00_0000, Load(S16),       T::Load),
-    row(O::Lhs,         "l.lhs",   0x9800_0000, 0xFC00_0000, Load(S16),       T::Load),
-    row(O::Lbz,         "l.lbz",   0x8C00_0000, 0xFC00_0000, Load(S16),       T::Load),
-    row(O::Lbs,         "l.lbs",   0x9000_0000, 0xFC00_0000, Load(S16),       T::Load),
-    row(O::Sw,          "l.sw",    0xD400_0000, 0xFC00_0000, Store(S16Split), T::Store),
-    row(O::Sh,          "l.sh",    0xDC00_0000, 0xFC00_0000, Store(S16Split), T::Store),
-    row(O::Sb,          "l.sb",    0xD800_0000, 0xFC00_0000, Store(S16Split), T::Store),
-    row(O::J,           "l.j",     0x0000_0000, 0xFC00_0000, Pc(S26),         T::Jump),
-    row(O::Jal,         "l.jal",   0x0400_0000, 0xFC00_0000, PcLink(S26),     T::Jump),
-    row(O::Jr,          "l.jr",    0x4400_0000, 0xFC00_0000, B,               T::JumpReg),
-    row(O::Jalr,        "l.jalr",  0x4800_0000, 0xFC00_0000, BLink,           T::JumpReg),
-    row(O::Bf,          "l.bf",    0x1000_0000, 0xFC00_0000, Pc(S26),         T::BranchCond),
-    row(O::Bnf,         "l.bnf",   0x0C00_0000, 0xFC00_0000, Pc(S26),         T::BranchCond),
-    row(O::Rfe,         "l.rfe",   0x2400_0000, 0xFFFF_FFFF, Bare,            T::JumpReg),
-    row(O::Nop,         "l.nop",   0x1500_0000, 0xFC00_0000, K(U16),          T::Nop),
+    //  opcode         mnemonic   bits         mask         format           class          data path             control flow                memory access
+    row(O::Add,        "l.add",   0xE000_0000, 0xFC00_030F, Dab,             T::Add,        A::Add,               F::None,                    M::None),
+    row(O::Addc,       "l.addc",  0xE000_0001, 0xFC00_030F, Dab,             T::Add,        A::AddCarry,          F::None,                    M::None),
+    row(O::Sub,        "l.sub",   0xE000_0002, 0xFC00_030F, Dab,             T::Add,        A::Sub,               F::None,                    M::None),
+    row(O::And,        "l.and",   0xE000_0003, 0xFC00_030F, Dab,             T::And,        A::And,               F::None,                    M::None),
+    row(O::Or,         "l.or",    0xE000_0004, 0xFC00_030F, Dab,             T::Or,         A::Or,                F::None,                    M::None),
+    row(O::Xor,        "l.xor",   0xE000_0005, 0xFC00_030F, Dab,             T::Xor,        A::Xor,               F::None,                    M::None),
+    row(O::Mul,        "l.mul",   0xE000_0306, 0xFC00_030F, Dab,             T::Mul,        A::MulSigned,         F::None,                    M::None),
+    row(O::Mulu,       "l.mulu",  0xE000_030B, 0xFC00_030F, Dab,             T::Mul,        A::MulUnsigned,       F::None,                    M::None),
+    row(O::Sll,        "l.sll",   0xE000_0008, 0xFC00_03CF, Dab,             T::Shift,      A::ShiftLeft,         F::None,                    M::None),
+    row(O::Srl,        "l.srl",   0xE000_0048, 0xFC00_03CF, Dab,             T::Shift,      A::ShiftRightLogical, F::None,                    M::None),
+    row(O::Sra,        "l.sra",   0xE000_0088, 0xFC00_03CF, Dab,             T::Shift,      A::ShiftRightArith,   F::None,                    M::None),
+    row(O::Ror,        "l.ror",   0xE000_00C8, 0xFC00_03CF, Dab,             T::Shift,      A::RotateRight,       F::None,                    M::None),
+    row(O::Cmov,       "l.cmov",  0xE000_000E, 0xFC00_030F, Dab,             T::Move,       A::Cmov,              F::None,                    M::None),
+    row(O::Extbs,      "l.extbs", 0xE000_004C, 0xFC00_03CF, Da,              T::Move,       A::ExtendByte,        F::None,                    M::None),
+    row(O::Exths,      "l.exths", 0xE000_000C, 0xFC00_03CF, Da,              T::Move,       A::ExtendHalf,        F::None,                    M::None),
+    row(O::Addi,       "l.addi",  0x9C00_0000, 0xFC00_0000, Dai(S16),        T::Add,        A::Add,               F::None,                    M::None),
+    row(O::Addic,      "l.addic", 0xA000_0000, 0xFC00_0000, Dai(S16),        T::Add,        A::AddCarry,          F::None,                    M::None),
+    row(O::Andi,       "l.andi",  0xA400_0000, 0xFC00_0000, Dai(U16),        T::And,        A::And,               F::None,                    M::None),
+    row(O::Ori,        "l.ori",   0xA800_0000, 0xFC00_0000, Dai(U16),        T::Or,         A::Or,                F::None,                    M::None),
+    row(O::Xori,       "l.xori",  0xAC00_0000, 0xFC00_0000, Dai(S16),        T::Xor,        A::Xor,               F::None,                    M::None),
+    row(O::Muli,       "l.muli",  0xB000_0000, 0xFC00_0000, Dai(S16),        T::Mul,        A::MulSigned,         F::None,                    M::None),
+    row(O::Slli,       "l.slli",  0xB800_0000, 0xFC00_00C0, Dai(U5),         T::Shift,      A::ShiftLeft,         F::None,                    M::None),
+    row(O::Srli,       "l.srli",  0xB800_0040, 0xFC00_00C0, Dai(U5),         T::Shift,      A::ShiftRightLogical, F::None,                    M::None),
+    row(O::Srai,       "l.srai",  0xB800_0080, 0xFC00_00C0, Dai(U5),         T::Shift,      A::ShiftRightArith,   F::None,                    M::None),
+    row(O::Rori,       "l.rori",  0xB800_00C0, 0xFC00_00C0, Dai(U5),         T::Shift,      A::RotateRight,       F::None,                    M::None),
+    row(O::Movhi,      "l.movhi", 0x1800_0000, 0xFC00_0000, Dk(U16),         T::Move,       A::MoveHigh,          F::None,                    M::None),
+    row(O::Sf(C::Eq),  "l.sf*",   0xE400_0000, 0xFC00_0000, Ab,              T::SetFlag,    A::SetFlag(C::Eq),    F::None,                    M::None),
+    row(O::Sfi(C::Eq), "l.sf*i",  0xBC00_0000, 0xFC00_0000, Ai(S16),         T::SetFlag,    A::SetFlag(C::Eq),    F::None,                    M::None),
+    row(O::Lwz,        "l.lwz",   0x8400_0000, 0xFC00_0000, Load(S16),       T::Load,       A::MemAddr,           F::None,                    M::LoadWord),
+    row(O::Lws,        "l.lws",   0x8800_0000, 0xFC00_0000, Load(S16),       T::Load,       A::MemAddr,           F::None,                    M::LoadWord),
+    row(O::Lhz,        "l.lhz",   0x9400_0000, 0xFC00_0000, Load(S16),       T::Load,       A::MemAddr,           F::None,                    M::LoadHalf { signed: false }),
+    row(O::Lhs,        "l.lhs",   0x9800_0000, 0xFC00_0000, Load(S16),       T::Load,       A::MemAddr,           F::None,                    M::LoadHalf { signed: true }),
+    row(O::Lbz,        "l.lbz",   0x8C00_0000, 0xFC00_0000, Load(S16),       T::Load,       A::MemAddr,           F::None,                    M::LoadByte { signed: false }),
+    row(O::Lbs,        "l.lbs",   0x9000_0000, 0xFC00_0000, Load(S16),       T::Load,       A::MemAddr,           F::None,                    M::LoadByte { signed: true }),
+    row(O::Sw,         "l.sw",    0xD400_0000, 0xFC00_0000, Store(S16Split), T::Store,      A::MemAddr,           F::None,                    M::StoreWord),
+    row(O::Sh,         "l.sh",    0xDC00_0000, 0xFC00_0000, Store(S16Split), T::Store,      A::MemAddr,           F::None,                    M::StoreHalf),
+    row(O::Sb,         "l.sb",    0xD800_0000, 0xFC00_0000, Store(S16Split), T::Store,      A::MemAddr,           F::None,                    M::StoreByte),
+    row(O::J,          "l.j",     0x0000_0000, 0xFC00_0000, Pc(S26),         T::Jump,       A::None,              F::Jump { link: false },    M::None),
+    row(O::Jal,        "l.jal",   0x0400_0000, 0xFC00_0000, PcLink(S26),     T::Jump,       A::None,              F::Jump { link: true },     M::None),
+    row(O::Jr,         "l.jr",    0x4400_0000, 0xFC00_0000, B,               T::JumpReg,    A::None,              F::JumpReg { link: false }, M::None),
+    row(O::Jalr,       "l.jalr",  0x4800_0000, 0xFC00_0000, BLink,           T::JumpReg,    A::None,              F::JumpReg { link: true },  M::None),
+    row(O::Bf,         "l.bf",    0x1000_0000, 0xFC00_0000, Pc(S26),         T::BranchCond, A::None,              F::BranchIfFlag,            M::None),
+    row(O::Bnf,        "l.bnf",   0x0C00_0000, 0xFC00_0000, Pc(S26),         T::BranchCond, A::None,              F::BranchIfNotFlag,         M::None),
+    row(O::Rfe,        "l.rfe",   0x2400_0000, 0xFFFF_FFFF, Bare,            T::JumpReg,    A::None,              F::Rfe,                     M::None),
+    row(O::Nop,        "l.nop",   0x1500_0000, 0xFC00_0000, K(U16),          T::Nop,        A::None,              F::None,                    M::None),
 ];
+
+impl Row {
+    /// The opcodes this row stands for: one, or each condition of a
+    /// set-flag row.
+    fn opcodes(&self) -> Vec<Opcode> {
+        match self.opcode.cond() {
+            Some(_) => C::ALL.map(|cond| self.opcode.with_cond(cond)).to_vec(),
+            None => vec![self.opcode],
+        }
+    }
+}
+
+impl Insn {
+    /// Every instruction of the table at its field extremes: each row with
+    /// each set-flag condition, r0 and r31 in every register field the row
+    /// has, and the immediate at its minimum, -1, 0, 1 and maximum where
+    /// these are in range. A deterministic input set that reaches every
+    /// row, for checking what reads the table.
+    #[must_use]
+    pub fn field_extremes() -> Vec<Insn> {
+        let regs = |present: bool| {
+            if present {
+                vec![Some(Reg::r(0)), Some(Reg::r(31))]
+            } else {
+                vec![None]
+            }
+        };
+        let mut insns = Vec::new();
+        for row in &TABLE {
+            let format = row.format;
+            let imms: Vec<Option<i64>> = match format.imm() {
+                Some(kind) => {
+                    let (min, max) = kind.range();
+                    let mut imms = vec![min, -1, 0, 1, max];
+                    imms.retain(|imm| (min..=max).contains(imm));
+                    imms.dedup();
+                    imms.into_iter().map(Some).collect()
+                }
+                None => vec![None],
+            };
+            for opcode in row.opcodes() {
+                for rd in regs(format.has_rd()) {
+                    for ra in regs(format.has_ra()) {
+                        for rb in regs(format.has_rb()) {
+                            for &imm in &imms {
+                                let insn = Insn::from_fields(opcode, rd, ra, rb, imm);
+                                insns.push(insn.expect("extremes are in range"));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        insns
+    }
+}
 
 impl Opcode {
     /// This opcode's row. Every arm is the variant's declaration position,
@@ -225,10 +299,7 @@ impl Opcode {
         static BY_MNEMONIC: OnceLock<HashMap<String, Opcode>> = OnceLock::new();
         BY_MNEMONIC
             .get_or_init(|| {
-                let opcodes = TABLE.iter().flat_map(|row| match row.opcode.cond() {
-                    Some(_) => C::ALL.map(|cond| row.opcode.with_cond(cond)).to_vec(),
-                    None => vec![row.opcode],
-                });
+                let opcodes = TABLE.iter().flat_map(Row::opcodes);
                 opcodes.map(|opcode| (opcode.mnemonic(), opcode)).collect()
             })
             .get(mnemonic)
@@ -247,6 +318,12 @@ impl Opcode {
 }
 
 impl Format {
+    /// Whether the immediate is the second data-path operand (see
+    /// [`Opcode::imm_is_operand_b`]).
+    pub(crate) fn imm_is_operand_b(self) -> bool {
+        matches!(self, Dai(_) | Dk(_) | Ai(_) | Load(_) | Store(_))
+    }
+
     pub(crate) fn has_rd(self) -> bool {
         matches!(self, Dab | Da | Dai(_) | Dk(_) | Load(_))
     }
@@ -294,14 +371,18 @@ impl Imm {
         }
     }
 
+    /// The smallest and largest value the field takes.
+    pub(crate) fn range(self) -> (i64, i64) {
+        match self.width() {
+            (bits, true) => (-(1 << (bits - 1)), (1 << (bits - 1)) - 1),
+            (bits, false) => (0, (1 << bits) - 1),
+        }
+    }
+
     /// Accepts `value` if it fits, naming `mnemonic` otherwise.
     pub(crate) fn check(self, mnemonic: &'static str, value: i64) -> Result<i32, IsaError> {
         let (bits, signed) = self.width();
-        let (min, max) = if signed {
-            (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
-        } else {
-            (0, (1 << bits) - 1)
-        };
+        let (min, max) = self.range();
         if (min..=max).contains(&value) {
             Ok(value as i32)
         } else {
@@ -345,7 +426,6 @@ mod tests {
     use super::*;
     use crate::asm::Assembler;
     use crate::disasm::format_insn;
-    use crate::{Insn, Reg};
 
     #[test]
     fn each_row_is_its_opcodes_row_and_no_two_rows_share_a_word() {
@@ -420,23 +500,16 @@ mod tests {
     }
 
     /// Every row, every set-flag condition, registers r0 and r31 in each
-    /// field and immediates at min, -1, 0, 1 and max: the typed constructor,
-    /// `encode`, `decode`, `format_insn` and the assembler agree, the
-    /// constructor rejects one past either end of the range, and the
-    /// mnemonic is the opcode's own name.
+    /// field and immediates at min, -1, 0, 1 and max
+    /// ([`Insn::field_extremes`]): the typed constructor, `encode`,
+    /// `decode`, `format_insn` and the assembler agree, the constructor
+    /// rejects one past either end of the range, and the mnemonic is the
+    /// opcode's own name.
     #[test]
     fn every_row_round_trips_at_its_field_extremes() {
+        let insns = Insn::field_extremes();
         for row in &TABLE {
-            let opcodes: Vec<Opcode> = match row.opcode.cond() {
-                Some(_) => C::ALL.map(|c| row.opcode.with_cond(c)).to_vec(),
-                None => vec![row.opcode],
-            };
-            let format = row.format;
-            let (min, max) = format.imm().map_or((0, 0), |kind| match kind.width() {
-                (bits, true) => (-(1i64 << (bits - 1)), (1i64 << (bits - 1)) - 1),
-                (bits, false) => (0, (1i64 << bits) - 1),
-            });
-            for opcode in opcodes {
+            for opcode in row.opcodes() {
                 let name = match opcode.cond() {
                     Some(cond) => {
                         let form = if matches!(opcode, O::Sfi(_)) { "i" } else { "" };
@@ -446,36 +519,30 @@ mod tests {
                 };
                 assert_eq!(opcode.mnemonic(), name);
                 assert_eq!(Opcode::from_mnemonic(&name), Some(opcode));
-                for regs in 0..8u32 {
-                    let [d, a, b] = [regs & 1, regs & 2, regs & 4]
-                        .map(|bit| Reg::r(if bit == 0 { 0 } else { 31 }));
-                    for imm in [min, -1, 0, 1, max] {
-                        if !(min..=max).contains(&imm) {
-                            continue;
+                assert!(insns.iter().any(|insn| insn.opcode() == opcode), "{name}");
+            }
+        }
+        for insn in insns {
+            let opcode = insn.opcode();
+            let row = opcode.row();
+            let field = |reg: Option<Reg>| reg.unwrap_or(Reg::r(0));
+            let (d, a, b) = (field(insn.rd()), field(insn.ra()), field(insn.rb()));
+            let imm = insn.imm().map_or(0, i64::from);
+            assert_eq!(typed(opcode, d, a, b, imm), Ok(insn));
+            let word = insn.encode();
+            assert_eq!((word ^ row.bits) & row.mask, 0, "{insn} left its row");
+            assert_eq!(Insn::decode(word), Ok(insn), "{insn} = {word:#010x}");
+            let text = format_insn(&insn);
+            let program = Assembler::new().assemble(&text).unwrap();
+            assert_eq!(program.insns(), &[insn], "`{text}`");
+            if let Some(kind) = row.format.imm().filter(|_| opcode != O::Nop) {
+                let (min, max) = kind.range();
+                for imm in [min - 1, max + 1] {
+                    match typed(opcode, d, a, b, imm) {
+                        Err(IsaError::ImmediateOutOfRange { mnemonic, .. }) => {
+                            assert_eq!(mnemonic, row.mnemonic);
                         }
-                        let insn = typed(opcode, d, a, b, imm).unwrap();
-                        assert_eq!(insn.opcode(), opcode);
-                        assert_eq!(insn.rd(), format.has_rd().then_some(d), "{insn}");
-                        assert_eq!(insn.ra(), format.has_ra().then_some(a), "{insn}");
-                        assert_eq!(insn.rb(), format.has_rb().then_some(b), "{insn}");
-                        let expect_imm = format.imm().map(|_| imm as i32);
-                        assert_eq!(insn.imm(), expect_imm, "{insn}");
-                        let word = insn.encode();
-                        assert_eq!((word ^ row.bits) & row.mask, 0, "{insn} left its row");
-                        assert_eq!(Insn::decode(word), Ok(insn), "{insn} = {word:#010x}");
-                        let text = format_insn(&insn);
-                        let program = Assembler::new().assemble(&text).unwrap();
-                        assert_eq!(program.insns(), &[insn], "`{text}`");
-                    }
-                    if format.imm().is_some() && opcode != O::Nop {
-                        for imm in [min - 1, max + 1] {
-                            match typed(opcode, d, a, b, imm) {
-                                Err(IsaError::ImmediateOutOfRange { mnemonic, .. }) => {
-                                    assert_eq!(mnemonic, row.mnemonic);
-                                }
-                                other => panic!("{opcode} accepted {imm}: {other:?}"),
-                            }
-                        }
+                        other => panic!("{opcode} accepted {imm}: {other:?}"),
                     }
                 }
             }

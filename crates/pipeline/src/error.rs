@@ -42,6 +42,17 @@ pub enum PipelineError {
         /// Byte address of the read-only register.
         address: u32,
     },
+    /// The timer re-entered the interrupt handler in lockstep with its
+    /// return: two timer-raised entries in a row at the same saved PC and
+    /// timer count with no user instruction retired in between, so the run
+    /// would burn its cycle budget without progress (see
+    /// [`crate::InterruptController::accept`]).
+    InterruptLivelock {
+        /// The saved PC both entries would return to.
+        pc: u32,
+        /// The cycle of the entry that repeated the previous one.
+        cycle: u64,
+    },
 }
 
 impl fmt::Display for PipelineError {
@@ -67,6 +78,11 @@ impl fmt::Display for PipelineError {
             PipelineError::MmioReadOnly { address } => {
                 write!(f, "store to read-only MMIO register at {address:#010x}")
             }
+            PipelineError::InterruptLivelock { pc, cycle } => write!(
+                f,
+                "interrupt livelock at cycle {cycle}: the timer re-entered the handler at \
+                 saved PC {pc:#010x} with no user instruction retired since the previous entry"
+            ),
         }
     }
 }

@@ -3,16 +3,19 @@
 //! The interpreter executes programs sequentially (with correct OpenRISC
 //! delay-slot semantics) and is used by the test-suite to cross-check the
 //! architectural state produced by the cycle-accurate pipeline simulator
-//! (differential testing). It shares the instruction semantics of the
-//! pipeline's execute stage through [`alu`].
+//! (differential testing). It runs on the lowered micro-op table, through
+//! the same [`exec_alu`] dispatch as the predecoded simulator. The
+//! per-opcode [`alu`] semantics are the oracle of the simulator's reference
+//! loop and of the lowering tests.
 
-use crate::predecode::{exec_alu, CtlKind, MemKind, PredecodedProgram};
+use crate::predecode::{exec_alu, PredecodedProgram};
 use crate::{Memory, PipelineError, RegisterFile};
-use idca_isa::{Program, Reg, INSN_BYTES};
+use idca_isa::{CtlKind, MemKind, Program, Reg, INSN_BYTES};
 
 pub(crate) mod alu {
-    //! Shared instruction semantics used by both the interpreter and the
-    //! pipeline simulator's execute stage.
+    //! Per-opcode instruction semantics: the execute stage of the
+    //! simulator's reference loop, and the oracle the lowered micro-op
+    //! dispatch is pinned against.
 
     use idca_isa::{Insn, Opcode, SetFlagCond};
 

@@ -187,7 +187,10 @@ impl InterruptSpec {
     /// rejected because it livelocks every program: the line is pending
     /// again on the cycle `l.rfe` returns, while fetch and decode hold only
     /// flush bubbles, so the controller re-enters before any user
-    /// instruction is fetched and the run burns its whole cycle budget.
+    /// instruction is fetched and the run burns its whole cycle budget. A
+    /// timer whose period divides the handler round trip livelocks the same
+    /// way; no static rule covers every vector and penalty, so
+    /// [`InterruptController::accept`] catches it at run time.
     ///
     /// # Errors
     ///
@@ -401,6 +404,11 @@ pub struct InterruptController {
     timer_count: u32,
     cycle: u64,
     returned_this_cycle: bool,
+    /// The engine's fetch count when `l.rfe` last returned.
+    fetched_at_return: Option<u64>,
+    /// Saved PC and timer count of the previous entry, when it was a
+    /// timer-raised re-entry with nothing fetched since the return before it.
+    last_repeat: Option<(u32, u32)>,
     events: Vec<DigestEvent>,
 }
 
@@ -422,6 +430,8 @@ impl InterruptController {
             timer_count: 0,
             cycle: 0,
             returned_this_cycle: false,
+            fetched_at_return: None,
+            last_repeat: None,
             events: Vec::new(),
         }
     }
@@ -459,17 +469,38 @@ impl InterruptController {
     /// line: saves `epcr`, enters the handler and starts the entry flush.
     /// The caller redirects fetch to [`InterruptController::vector`] and
     /// injects `penalty` entry-bubble cycles (this one plus
-    /// [`InterruptController::entry_pending`] further ones).
-    pub fn accept(&mut self, epcr: u32) {
+    /// [`InterruptController::entry_pending`] further ones). `fetched` is
+    /// the engine's count of instructions fetched so far.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::InterruptLivelock`] when the run is provably
+    /// periodic: the timer raised this entry and the previous one at the
+    /// same saved PC and timer count, and no instruction was fetched
+    /// between either entry and the return before it, so no user
+    /// instruction retired in between and none ever will. A timer whose
+    /// period divides the handler round trip does this. Storm-raised
+    /// entries are hash-driven, never periodic, and never trip the test.
+    pub fn accept(&mut self, epcr: u32, fetched: u64) -> Result<(), PipelineError> {
         debug_assert!(self.takeable());
-        let line = (self.pending & !self.mask).trailing_zeros() as u8;
+        let line = (self.pending & !self.mask).trailing_zeros();
+        let repeat = (line == LINE_TIMER && self.fetched_at_return == Some(fetched))
+            .then_some((epcr, self.timer_count));
+        if repeat.is_some() && repeat == self.last_repeat {
+            return Err(PipelineError::InterruptLivelock {
+                pc: epcr,
+                cycle: self.cycle,
+            });
+        }
+        self.last_repeat = repeat;
         self.in_handler = true;
         self.epcr = epcr;
         self.entry_left = self.penalty - 1;
         self.events.push(DigestEvent {
             cycle: self.cycle,
-            kind: DigestEventKind::IrqEntry { line },
+            kind: DigestEventKind::IrqEntry { line: line as u8 },
         });
+        Ok(())
     }
 
     /// `true` while entry-flush bubble cycles remain to be injected.
@@ -487,11 +518,13 @@ impl InterruptController {
     /// Resolves `l.rfe` in the execute stage: leaves the handler and
     /// returns the saved PC to redirect to. A stray `l.rfe` outside an
     /// active handler is a no-op (`None`) — identically in every engine.
-    pub fn rfe_retire(&mut self) -> Option<u32> {
+    /// `fetched` is the engine's count of instructions fetched so far.
+    pub fn rfe_retire(&mut self, fetched: u64) -> Option<u32> {
         if !self.in_handler {
             return None;
         }
         self.in_handler = false;
+        self.fetched_at_return = Some(fetched);
         self.returned_this_cycle = true;
         self.events.push(DigestEvent {
             cycle: self.cycle,
@@ -722,7 +755,7 @@ mod tests {
         let mut ctl = InterruptController::new(&plan);
         ctl.begin_cycle(0);
         assert!(ctl.takeable());
-        ctl.accept(0x40);
+        ctl.accept(0x40, 0).unwrap();
         assert!(ctl.in_handler());
         assert!(ctl.entry_pending());
         ctl.entry_tick();
@@ -734,11 +767,65 @@ mod tests {
         assert_ne!(pending & (1 << LINE_TIMER), 0);
         ctl.mmio_store(MMIO_IRQ_ACK, pending).unwrap();
         assert_eq!(ctl.mmio_load(MMIO_IRQ_PENDING).unwrap(), 0);
-        assert_eq!(ctl.rfe_retire(), Some(0x40));
+        assert_eq!(ctl.rfe_retire(0), Some(0x40));
         assert!(ctl.returned_this_cycle());
         assert!(!ctl.in_handler());
         // Stray rfe outside a handler is a no-op.
-        assert_eq!(ctl.rfe_retire(), None);
+        assert_eq!(ctl.rfe_retire(0), None);
+    }
+
+    /// One entry/return round: ticks until a line is takeable, accepts it
+    /// at the same saved PC with `fetched` instructions fetched so far,
+    /// acknowledges everything pending and returns after five more fetches.
+    fn round(
+        ctl: &mut InterruptController,
+        cycle: &mut u64,
+        fetched: u64,
+    ) -> Result<(), PipelineError> {
+        loop {
+            ctl.begin_cycle(*cycle);
+            *cycle += 1;
+            if ctl.takeable() {
+                break;
+            }
+        }
+        ctl.accept(0x40, fetched)?;
+        let pending = ctl.mmio_load(MMIO_IRQ_PENDING).unwrap();
+        ctl.mmio_store(MMIO_IRQ_ACK, pending).unwrap();
+        assert_eq!(ctl.rfe_retire(fetched + 5), Some(0x40));
+        Ok(())
+    }
+
+    #[test]
+    fn only_a_repeated_timer_entry_without_progress_is_a_livelock() {
+        let controller = |spec: &str| {
+            let spec = InterruptSpec::parse(spec).unwrap();
+            let (_, plan) = InterruptPlan::attach(&ProgramBuilder::named("t").build(), &spec);
+            InterruptController::new(&plan)
+        };
+        // The timer raises every entry at count 0. The first entry has no
+        // return before it; the second repeats nothing yet; the third
+        // repeats the second with nothing fetched since either return.
+        let (mut ctl, mut cycle) = (controller("timer=4"), 0);
+        round(&mut ctl, &mut cycle, 10).unwrap();
+        round(&mut ctl, &mut cycle, 15).unwrap();
+        assert_eq!(
+            round(&mut ctl, &mut cycle, 20),
+            Err(PipelineError::InterruptLivelock {
+                pc: 0x40,
+                cycle: 11
+            })
+        );
+        // One fetch between the return and the next entry is progress.
+        let (mut ctl, mut cycle) = (controller("timer=4"), 0);
+        for fetched in [10, 15, 21, 26] {
+            round(&mut ctl, &mut cycle, fetched).unwrap();
+        }
+        // A dense storm re-enters just as often, but never trips the test.
+        let (mut ctl, mut cycle) = (controller("rate=0.9,seed=3"), 0);
+        for fetched in (0..64).map(|n| 10 + 5 * n) {
+            round(&mut ctl, &mut cycle, fetched).unwrap();
+        }
     }
 
     #[test]
@@ -785,9 +872,9 @@ mod tests {
             b.begin_cycle(cycle);
             assert_eq!(a.takeable(), b.takeable(), "cycle {cycle}");
             if a.takeable() {
-                a.accept(0);
-                b.accept(0);
-                assert_eq!(a.rfe_retire(), b.rfe_retire());
+                a.accept(0, cycle).unwrap();
+                b.accept(0, cycle).unwrap();
+                assert_eq!(a.rfe_retire(cycle), b.rfe_retire(cycle));
             }
         }
     }

@@ -79,7 +79,7 @@ pub use irq::{
 };
 pub use memory::Memory;
 pub use observer::{CycleObserver, RunSummary};
-pub use predecode::{AdderKind, AluKind, CtlKind, MemKind, MicroOp, PredecodedProgram};
+pub use predecode::{AdderKind, MicroOp, PredecodedProgram};
 pub use regfile::RegisterFile;
 pub use simulator::{ArchState, ObservedRun, SimBuffers, SimConfig, SimResult, Simulator};
 pub use stage::Stage;

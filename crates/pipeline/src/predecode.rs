@@ -3,14 +3,16 @@
 //! The per-cycle engines ([`crate::Simulator`] and [`crate::Interpreter`])
 //! used to re-derive the same static facts from [`Insn`] accessors on every
 //! cycle an instruction spent in a stage: which operand registers it reads,
-//! whether the second operand is an immediate (and which masking the opcode
-//! applies to it), which ALU operation it performs, whether it is a load or
-//! a store and of which width, whether it redirects control flow and where
-//! its PC-relative target lies, whether it is the `l.nop 1` exit marker, and
-//! which adder/multiplier/shifter activity it excites. All of that is a pure
-//! function of the instruction word, so [`PredecodedProgram::lower`] computes
-//! it **once per program** into a flat [`MicroOp`] table the engines index by
-//! instruction word offset.
+//! whether the second operand is an immediate, which ALU operation it
+//! performs, whether it is a load or a store and of which width, whether it
+//! redirects control flow and where its PC-relative target lies, whether it
+//! is the `l.nop 1` exit marker, and which adder/multiplier/shifter activity
+//! it excites. All of that is a pure function of the instruction word, so
+//! [`PredecodedProgram::lower`] computes it **once per program** into a flat
+//! [`MicroOp`] table the engines index by instruction word offset. The
+//! lowering has no per-opcode match: the data-path, control-flow and memory
+//! tags are columns of the instruction's table row in `idca_isa`, and the
+//! rest derives from them.
 //!
 //! On top of the table the lowering derives, for the simulator's fast path,
 //! a per-index *runway* ([`PredecodedProgram::runway`]) — the number of
@@ -20,135 +22,18 @@
 //! specialized loop with the per-cycle `Slot`/`Option` unwrapping and
 //! per-opcode matching hoisted out.
 //!
-//! Lowering is semantics-preserving by construction and pinned by tests: a
-//! proptest asserts that every decodable instruction round-trips (the
-//! micro-op fields agree with the `Insn`/`Opcode` accessors and
-//! [`exec_alu`] agrees with the reference ALU on random operands), and the
-//! differential suite pins the predecoded simulator loop bit-identical to
-//! the retained per-cycle reference loop.
+//! Lowering is semantics-preserving and pinned by tests: a proptest lowers
+//! every table row and set-flag condition at its field extremes and checks
+//! the micro-op fields against the `Insn` accessors and per-opcode
+//! references, and [`exec_alu`] against the reference ALU on random
+//! operands; the differential suite pins the predecoded simulator loop
+//! bit-identical to the retained per-cycle reference loop.
 
 use crate::digest::DigestHints;
 use crate::interp::alu::{self, AluOutcome};
 use crate::{PipelineError, NOP_EXIT};
-use idca_isa::{Insn, Opcode, Program, Reg, SetFlagCond, TimingClass, INSN_BYTES};
+use idca_isa::{AluKind, CtlKind, Insn, MemKind, Program, Reg, TimingClass, INSN_BYTES};
 use std::sync::Arc;
-
-/// The data-path operation a micro-op performs in the execute stage — a
-/// dense, pre-classified mirror of the per-opcode `match` in the shared ALU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AluKind {
-    /// 32-bit addition with carry-out (`l.add`, `l.addi`).
-    Add,
-    /// Addition with carry-in and carry-out (`l.addc`, `l.addic`).
-    AddCarry,
-    /// Subtraction with borrow-out (`l.sub`).
-    Sub,
-    /// Bitwise AND (`l.and`, `l.andi`).
-    And,
-    /// Bitwise OR (`l.or`, `l.ori`).
-    Or,
-    /// Bitwise XOR (`l.xor`, `l.xori`).
-    Xor,
-    /// Signed 32×32→32 multiply (`l.mul`, `l.muli`).
-    MulSigned,
-    /// Unsigned multiply (`l.mulu`).
-    MulUnsigned,
-    /// Shift left logical (`l.sll`, `l.slli`).
-    ShiftLeft,
-    /// Shift right logical (`l.srl`, `l.srli`).
-    ShiftRightLogical,
-    /// Shift right arithmetic (`l.sra`, `l.srai`).
-    ShiftRightArith,
-    /// Rotate right (`l.ror`, `l.rori`).
-    RotateRight,
-    /// Conditional move on the compare flag (`l.cmov`).
-    Cmov,
-    /// Sign-extend byte (`l.extbs`).
-    ExtendByte,
-    /// Sign-extend half-word (`l.exths`).
-    ExtendHalf,
-    /// Load immediate into the upper half-word (`l.movhi`).
-    MoveHigh,
-    /// Set-flag comparison (`l.sf*`, `l.sf*i`).
-    SetFlag(SetFlagCond),
-    /// Effective-address computation of loads/stores.
-    MemAddr,
-    /// No data-path result (jumps, branches, `l.nop`).
-    None,
-}
-
-/// Control-flow behaviour of a micro-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CtlKind {
-    /// Straight-line instruction: never redirects fetch.
-    None,
-    /// The `l.nop 1` exit marker: sets the halting state in execute.
-    Exit,
-    /// PC-relative jump resolved in decode (`l.j`, `l.jal`); `link` writes
-    /// `r9 = pc + 8` in execute.
-    Jump {
-        /// `true` for `l.jal`.
-        link: bool,
-    },
-    /// Conditional branch taken when the flag is set (`l.bf`).
-    BranchIfFlag,
-    /// Conditional branch taken when the flag is clear (`l.bnf`).
-    BranchIfNotFlag,
-    /// Register-indirect jump resolved in execute (`l.jr`, `l.jalr`).
-    JumpReg {
-        /// `true` for `l.jalr`.
-        link: bool,
-    },
-    /// `l.rfe`: return from exception, resolved in execute like a register
-    /// jump but targeting the interrupt controller's saved PC.
-    Rfe,
-}
-
-/// Memory access performed by the control stage, pre-classified so the hot
-/// loop dispatches on a dense enum instead of re-matching the opcode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemKind {
-    /// Not a memory instruction.
-    None,
-    /// `l.lwz` / `l.lws` (identical on a 32-bit core).
-    LoadWord,
-    /// `l.lhz` / `l.lhs`.
-    LoadHalf {
-        /// `true` sign-extends the half-word (`l.lhs`).
-        signed: bool,
-    },
-    /// `l.lbz` / `l.lbs`.
-    LoadByte {
-        /// `true` sign-extends the byte (`l.lbs`).
-        signed: bool,
-    },
-    /// `l.sw`.
-    StoreWord,
-    /// `l.sh`.
-    StoreHalf,
-    /// `l.sb`.
-    StoreByte,
-}
-
-impl MemKind {
-    /// `true` for the load variants.
-    #[must_use]
-    pub fn is_load(self) -> bool {
-        matches!(
-            self,
-            MemKind::LoadWord | MemKind::LoadHalf { .. } | MemKind::LoadByte { .. }
-        )
-    }
-
-    /// `true` for the store variants.
-    #[must_use]
-    pub fn is_store(self) -> bool {
-        matches!(
-            self,
-            MemKind::StoreWord | MemKind::StoreHalf | MemKind::StoreByte
-        )
-    }
-}
 
 /// How the main adder is excited by a micro-op (drives the carry-chain
 /// proxy of the timing model).
@@ -179,8 +64,8 @@ pub struct MicroOp {
     /// Effective architectural destination ([`Insn::dest_reg`]); the link
     /// register of `l.jal`/`l.jalr` is applied via [`MicroOp::ctl`] instead.
     pub rd: Option<Reg>,
-    /// Pre-extracted immediate second operand (with the opcode's masking /
-    /// sign-extension applied); `None` selects the `rB` register value.
+    /// Pre-extracted immediate second operand, sign-extended where the
+    /// row's immediate is signed; `None` selects the `rB` register value.
     pub op_b_imm: Option<u32>,
     /// Data-path operation kind.
     pub alu: AluKind,
@@ -203,102 +88,47 @@ pub struct MicroOp {
 }
 
 impl MicroOp {
-    /// Lowers one instruction into its micro-op form.
+    /// Lowers one instruction into its micro-op form: the dispatch tags and
+    /// the timing class come from the instruction's table row, `Exit` from
+    /// the `l.nop` immediate, and the rest is derived from them.
     #[must_use]
     pub fn lower(insn: &Insn) -> MicroOp {
         let opcode = insn.opcode();
+        let class = opcode.timing_class();
         let (ra, rb) = insn.source_regs();
         let imm = insn.imm();
-        let op_b_imm = match opcode {
-            Opcode::Andi | Opcode::Ori => Some((imm.unwrap_or(0) as u32) & 0xFFFF),
-            Opcode::Addi
-            | Opcode::Addic
-            | Opcode::Xori
-            | Opcode::Muli
-            | Opcode::Sfi(_)
-            | Opcode::Lwz
-            | Opcode::Lws
-            | Opcode::Lhz
-            | Opcode::Lhs
-            | Opcode::Lbz
-            | Opcode::Lbs
-            | Opcode::Sw
-            | Opcode::Sh
-            | Opcode::Sb => Some(imm.unwrap_or(0) as u32),
-            Opcode::Slli | Opcode::Srli | Opcode::Srai | Opcode::Rori => {
-                Some((imm.unwrap_or(0) as u32) & 0x1F)
-            }
-            Opcode::Movhi => Some((imm.unwrap_or(0) as u32) & 0xFFFF),
-            _ => None,
-        };
-        let alu = match opcode {
-            Opcode::Add | Opcode::Addi => AluKind::Add,
-            Opcode::Addc | Opcode::Addic => AluKind::AddCarry,
-            Opcode::Sub => AluKind::Sub,
-            Opcode::And | Opcode::Andi => AluKind::And,
-            Opcode::Or | Opcode::Ori => AluKind::Or,
-            Opcode::Xor | Opcode::Xori => AluKind::Xor,
-            Opcode::Mul | Opcode::Muli => AluKind::MulSigned,
-            Opcode::Mulu => AluKind::MulUnsigned,
-            Opcode::Sll | Opcode::Slli => AluKind::ShiftLeft,
-            Opcode::Srl | Opcode::Srli => AluKind::ShiftRightLogical,
-            Opcode::Sra | Opcode::Srai => AluKind::ShiftRightArith,
-            Opcode::Ror | Opcode::Rori => AluKind::RotateRight,
-            Opcode::Cmov => AluKind::Cmov,
-            Opcode::Extbs => AluKind::ExtendByte,
-            Opcode::Exths => AluKind::ExtendHalf,
-            Opcode::Movhi => AluKind::MoveHigh,
-            Opcode::Sf(cond) | Opcode::Sfi(cond) => AluKind::SetFlag(cond),
-            op if op.is_mem() => AluKind::MemAddr,
-            _ => AluKind::None,
-        };
-        let ctl = if opcode == Opcode::Nop && imm == Some(i32::from(NOP_EXIT)) {
+        let alu = opcode.alu_kind();
+        let ctl = if class == TimingClass::Nop && imm == Some(i32::from(NOP_EXIT)) {
             CtlKind::Exit
         } else {
-            match opcode {
-                Opcode::J => CtlKind::Jump { link: false },
-                Opcode::Jal => CtlKind::Jump { link: true },
-                Opcode::Jr => CtlKind::JumpReg { link: false },
-                Opcode::Jalr => CtlKind::JumpReg { link: true },
-                Opcode::Bf => CtlKind::BranchIfFlag,
-                Opcode::Bnf => CtlKind::BranchIfNotFlag,
-                Opcode::Rfe => CtlKind::Rfe,
-                _ => CtlKind::None,
-            }
+            opcode.ctl_kind()
         };
-        let mem = match opcode {
-            Opcode::Lwz | Opcode::Lws => MemKind::LoadWord,
-            Opcode::Lhz => MemKind::LoadHalf { signed: false },
-            Opcode::Lhs => MemKind::LoadHalf { signed: true },
-            Opcode::Lbz => MemKind::LoadByte { signed: false },
-            Opcode::Lbs => MemKind::LoadByte { signed: true },
-            Opcode::Sw => MemKind::StoreWord,
-            Opcode::Sh => MemKind::StoreHalf,
-            Opcode::Sb => MemKind::StoreByte,
-            _ => MemKind::None,
-        };
-        let adder = match opcode {
-            Opcode::Add | Opcode::Addi => AdderKind::Plain,
-            Opcode::Addc | Opcode::Addic => AdderKind::WithCarry,
-            Opcode::Sub | Opcode::Sf(_) | Opcode::Sfi(_) => AdderKind::SubBorrow,
-            op if op.is_mem() => AdderKind::Plain,
+        let mem = opcode.mem_kind();
+        let adder = match alu {
+            AluKind::Add | AluKind::MemAddr => AdderKind::Plain,
+            AluKind::AddCarry => AdderKind::WithCarry,
+            AluKind::Sub | AluKind::SetFlag(_) => AdderKind::SubBorrow,
             _ => AdderKind::None,
         };
         MicroOp {
             insn: *insn,
-            class: opcode.timing_class(),
+            class,
             ra,
             rb,
             rd: insn.dest_reg(),
-            op_b_imm,
+            // Every `Insn` satisfies its row's range check, so the operand
+            // needs no masking.
+            op_b_imm: imm
+                .filter(|_| opcode.imm_is_operand_b())
+                .map(|imm| imm as u32),
             alu,
             ctl,
             branch_disp: (imm.unwrap_or(0) as u32).wrapping_mul(4),
             mem,
-            mem_width: opcode.mem_width().unwrap_or(4),
+            mem_width: mem.width().unwrap_or(4),
             adder,
-            is_mul: matches!(opcode, Opcode::Mul | Opcode::Mulu | Opcode::Muli),
-            is_shift: opcode.timing_class() == TimingClass::Shift,
+            is_mul: class == TimingClass::Mul,
+            is_shift: class == TimingClass::Shift,
         }
     }
 
@@ -538,97 +368,111 @@ mod tests {
 #[cfg(test)]
 mod lowering_proptests {
     use super::*;
+    use idca_isa::{Opcode, SetFlagCond};
     use proptest::prelude::*;
-
-    /// The whole decodable instruction space: random operand bits combined
-    /// with a scan over primary-opcode slots until a word decodes. Sampling
-    /// encodings (rather than typed constructors) means every reachable
-    /// opcode *and* operand encoding is on the table, including ones the
-    /// program generator never emits.
-    fn decodable_insn() -> impl Strategy<Value = Insn> {
-        (any::<u32>(), 0u32..64).prop_map(|(operand_bits, start)| {
-            let base = operand_bits & 0x03FF_FFFF;
-            (0..64u32)
-                .map(|i| (((start + i) & 63) << 26) | base)
-                .find_map(|word| Insn::decode(word).ok())
-                .expect("some primary opcode accepts any operand bits")
-        })
-    }
+    use std::collections::HashSet;
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(1024))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Micro-op lowering round-trips every decodable instruction: the
-        /// pre-resolved fields agree with the `Insn`/`Opcode` accessors, and
-        /// the dense [`exec_alu`]/[`adder_chain`] dispatch is bit-identical
-        /// to the reference opcode-matched ALU on arbitrary operands.
+        /// Micro-op lowering round-trips every row of the instruction table,
+        /// with each set-flag condition, at its field extremes
+        /// ([`Insn::field_extremes`]), on random operand values: the
+        /// pre-resolved fields agree with the `Insn` accessors and with the
+        /// per-opcode references below, and the dense
+        /// [`exec_alu`]/[`adder_chain`] dispatch is bit-identical to the
+        /// reference opcode-matched ALU.
         #[test]
         fn lowering_roundtrips_every_decodable_insn(
-            insn in decodable_insn(),
             a in any::<u32>(),
             rb_value in any::<u32>(),
             flag in any::<bool>(),
             carry in any::<bool>(),
         ) {
-            let op = MicroOp::lower(&insn);
-            let opcode = insn.opcode();
+            let mut reached = HashSet::new();
+            for insn in Insn::field_extremes() {
+                let op = MicroOp::lower(&insn);
+                let opcode = insn.opcode();
+                reached.insert(opcode);
 
-            // Static fields mirror the `Insn` accessors.
-            prop_assert_eq!(op.insn, insn);
-            prop_assert_eq!(op.class, insn.timing_class());
-            prop_assert_eq!((op.ra, op.rb), insn.source_regs());
-            prop_assert_eq!(op.rd, insn.dest_reg());
-            prop_assert_eq!(op.mem == MemKind::None, !opcode.is_mem());
-            prop_assert_eq!(op.mem_width, opcode.mem_width().unwrap_or(4));
-            prop_assert_eq!(
-                op.is_mul,
-                matches!(opcode, Opcode::Mul | Opcode::Mulu | Opcode::Muli)
-            );
-            prop_assert_eq!(op.is_shift, insn.timing_class() == TimingClass::Shift);
-
-            // `is_plain` is exactly "cannot redirect fetch or halt".
-            let is_control = matches!(
-                opcode,
-                Opcode::J
-                    | Opcode::Jal
-                    | Opcode::Jr
-                    | Opcode::Jalr
-                    | Opcode::Bf
-                    | Opcode::Bnf
-                    | Opcode::Rfe
-            ) || (opcode == Opcode::Nop && insn.imm() == Some(i32::from(NOP_EXIT)));
-            prop_assert_eq!(op.is_plain(), !is_control);
-
-            // Operand selection: the pre-resolved immediate (when present)
-            // equals the reference `operand_b`, and register forms fall
-            // through to the register value.
-            let b = op.op_b_imm.unwrap_or(rb_value);
-            prop_assert_eq!(b, alu::operand_b(&insn, rb_value));
-
-            // Data path: dense `AluKind` dispatch == reference ALU.
-            prop_assert_eq!(
-                exec_alu(op.alu, a, b, flag, carry),
-                alu::execute(&insn, a, b, flag, carry)
-            );
-
-            // Adder excitation: `AdderKind` reproduces the reference
-            // per-opcode carry-chain selection.
-            let reference_chain = match opcode {
-                Opcode::Add | Opcode::Addi => alu::carry_chain(a, b, false),
-                Opcode::Addc | Opcode::Addic => alu::carry_chain(a, b, carry),
-                Opcode::Sub | Opcode::Sf(_) | Opcode::Sfi(_) => alu::carry_chain(a, !b, true),
-                op if op.is_mem() => alu::carry_chain(a, b, false),
-                _ => 0,
-            };
-            prop_assert_eq!(adder_chain(op.adder, a, b, carry), reference_chain);
-
-            // Branch displacement is the encoded word offset scaled to bytes.
-            if matches!(opcode, Opcode::J | Opcode::Jal | Opcode::Bf | Opcode::Bnf) {
+                // Static fields mirror the `Insn` accessors.
+                prop_assert_eq!(op.insn, insn);
+                prop_assert_eq!(op.class, insn.timing_class());
+                prop_assert_eq!((op.ra, op.rb), insn.source_regs());
+                prop_assert_eq!(op.rd, insn.dest_reg());
                 prop_assert_eq!(
-                    op.branch_disp,
-                    (insn.imm().unwrap_or(0) as u32).wrapping_mul(4)
+                    op.is_mul,
+                    matches!(opcode, Opcode::Mul | Opcode::Mulu | Opcode::Muli)
                 );
+                prop_assert_eq!(op.is_shift, insn.timing_class() == TimingClass::Shift);
+
+                // Control flow: `is_plain` is exactly "cannot redirect
+                // fetch or halt".
+                let ctl = match opcode {
+                    Opcode::J => CtlKind::Jump { link: false },
+                    Opcode::Jal => CtlKind::Jump { link: true },
+                    Opcode::Jr => CtlKind::JumpReg { link: false },
+                    Opcode::Jalr => CtlKind::JumpReg { link: true },
+                    Opcode::Bf => CtlKind::BranchIfFlag,
+                    Opcode::Bnf => CtlKind::BranchIfNotFlag,
+                    Opcode::Rfe => CtlKind::Rfe,
+                    Opcode::Nop if insn.imm() == Some(i32::from(NOP_EXIT)) => CtlKind::Exit,
+                    _ => CtlKind::None,
+                };
+                prop_assert_eq!(op.ctl, ctl, "{}", insn);
+                prop_assert_eq!(op.is_plain(), ctl == CtlKind::None);
+
+                // Memory access: kind, sign and width.
+                let (mem, width) = match opcode {
+                    Opcode::Lwz | Opcode::Lws => (MemKind::LoadWord, 4),
+                    Opcode::Lhz => (MemKind::LoadHalf { signed: false }, 2),
+                    Opcode::Lhs => (MemKind::LoadHalf { signed: true }, 2),
+                    Opcode::Lbz => (MemKind::LoadByte { signed: false }, 1),
+                    Opcode::Lbs => (MemKind::LoadByte { signed: true }, 1),
+                    Opcode::Sw => (MemKind::StoreWord, 4),
+                    Opcode::Sh => (MemKind::StoreHalf, 2),
+                    Opcode::Sb => (MemKind::StoreByte, 1),
+                    _ => (MemKind::None, 4),
+                };
+                prop_assert_eq!((op.mem, op.mem_width), (mem, width), "{}", insn);
+
+                // Operand selection: the pre-resolved immediate (when
+                // present) equals the reference `operand_b`, and register
+                // forms fall through to the register value.
+                let b = op.op_b_imm.unwrap_or(rb_value);
+                prop_assert_eq!(b, alu::operand_b(&insn, rb_value), "{}", insn);
+
+                // Data path: dense `AluKind` dispatch == reference ALU.
+                prop_assert_eq!(
+                    exec_alu(op.alu, a, b, flag, carry),
+                    alu::execute(&insn, a, b, flag, carry),
+                    "{}",
+                    insn
+                );
+
+                // Adder excitation: `AdderKind` reproduces the reference
+                // per-opcode carry-chain selection.
+                let reference_chain = match opcode {
+                    Opcode::Add | Opcode::Addi => alu::carry_chain(a, b, false),
+                    Opcode::Addc | Opcode::Addic => alu::carry_chain(a, b, carry),
+                    Opcode::Sub | Opcode::Sf(_) | Opcode::Sfi(_) => alu::carry_chain(a, !b, true),
+                    op if op.is_mem() => alu::carry_chain(a, b, false),
+                    _ => 0,
+                };
+                prop_assert_eq!(adder_chain(op.adder, a, b, carry), reference_chain);
+
+                // Branch displacement is the encoded word offset scaled to
+                // bytes.
+                if matches!(opcode, Opcode::J | Opcode::Jal | Opcode::Bf | Opcode::Bnf) {
+                    prop_assert_eq!(
+                        op.branch_disp,
+                        (insn.imm().unwrap_or(0) as u32).wrapping_mul(4)
+                    );
+                }
             }
+            // Every row was lowered: 45 rows, of which the two set-flag rows
+            // stand for ten conditions each.
+            prop_assert_eq!(reached.len(), 45 - 2 + 2 * SetFlagCond::ALL.len());
         }
     }
 }

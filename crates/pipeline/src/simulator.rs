@@ -22,13 +22,13 @@
 use crate::digest::FastCycleFacts;
 use crate::interp::alu;
 use crate::irq::{is_mmio, InterruptController, InterruptPlan};
-use crate::predecode::{self, CtlKind, MicroOp, PredecodedProgram};
+use crate::predecode::{self, MicroOp, PredecodedProgram};
 use crate::{
     BranchActivity, BubbleKind, CycleObserver, CycleRecord, DigestObserver, ExecActivity,
     ForwardSource, IrqPhase, MemRequest, Memory, Occupant, PipelineError, PipelineTrace,
     RegisterFile, RunSummary, Stage, WbActivity, NOP_EXIT,
 };
-use idca_isa::{Insn, Opcode, Program, Reg, INSN_BYTES};
+use idca_isa::{CtlKind, Insn, MemKind, Opcode, Program, Reg, INSN_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the pipeline simulator.
@@ -610,7 +610,7 @@ impl Simulator {
                             // with no interrupt scenario attached) is a
                             // no-op, identically in every engine.
                             if let Some(target) =
-                                irq.as_mut().and_then(InterruptController::rfe_retire)
+                                irq.as_mut().and_then(|ctl| ctl.rfe_retire(seq_counter))
                             {
                                 ex_redirect = Some(target);
                                 branch = Some(BranchActivity {
@@ -735,7 +735,7 @@ impl Simulator {
                     && slot_plain(&fe)
                     && slot_plain(&dc_out)
                 {
-                    ctl.accept(effective_fetch);
+                    ctl.accept(effective_fetch, seq_counter)?;
                     irq_entry_cycle = true;
                     fetch_address = ctl.vector();
                     fetch_redirected = true;
@@ -1272,7 +1272,7 @@ impl Simulator {
                             // arm: resolve to the saved PC, or no-op when
                             // no handler is active.
                             if let Some(target) =
-                                irq.as_mut().and_then(InterruptController::rfe_retire)
+                                irq.as_mut().and_then(|ctl| ctl.rfe_retire(seq_counter))
                             {
                                 ex_redirect = Some(target);
                                 branch = Some(BranchActivity {
@@ -1358,7 +1358,7 @@ impl Simulator {
                     && slot_plain_op(ops, &fe)
                     && slot_plain_op(ops, &dc_out)
                 {
-                    ctl.accept(effective_fetch);
+                    ctl.accept(effective_fetch, seq_counter)?;
                     irq_entry_cycle = true;
                     fetch_address = ctl.vector();
                     fetch_redirected = true;
@@ -1713,7 +1713,6 @@ fn load_pre(
     op: &MicroOp,
     address: u32,
 ) -> Result<u32, PipelineError> {
-    use crate::predecode::MemKind;
     // Only aligned *word* accesses route to the MMIO window; sub-word and
     // unaligned accesses inside it fall through to the data memory, whose
     // bounds checks reject them with the usual structured errors.
@@ -1739,7 +1738,6 @@ fn store_pre(
     address: u32,
     value: u32,
 ) -> Result<(), PipelineError> {
-    use crate::predecode::MemKind;
     if let Some(ctl) = irq {
         if op.mem == MemKind::StoreWord && is_mmio(address) {
             return ctl.mmio_store(address, value);

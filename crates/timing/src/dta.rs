@@ -4,22 +4,21 @@
 //! and, per cycle, relates the last data arrival of every endpoint to the
 //! next capturing clock edge, yielding the *dynamic* slack that static
 //! timing analysis cannot see (it has no notion of path activation
-//! probability). Endpoints are then grouped by pipeline stage, and the
+//! probability). It then groups the endpoints by pipeline stage, and the
 //! per-stage per-cycle maxima are combined with the program trace to obtain
 //! per-instruction-class worst-case delays — the content of the delay
-//! prediction LUT — plus the distributions shown in Figs. 5–7.
+//! prediction LUT — plus the distributions shown in Figs. 5–7. Here the
+//! [`TimingModel`] computes those per-stage maxima directly.
 //!
 //! The analysis is a single-pass accumulator: [`DtaObserver`] implements
 //! [`CycleObserver`] and folds every [`CycleRecord`] into the statistics as
 //! the simulator produces it, so characterizing a workload needs neither a
 //! materialized trace nor a separate replay.
 //! [`DynamicTimingAnalysis::run`] wraps the same accumulation for callers
-//! that do hold a [`PipelineTrace`];
-//! [`DynamicTimingAnalysis::from_event_log`] consumes a pre-recorded
-//! [`EventLog`] instead (equivalent results, mirroring the paper's
-//! file-based tool chain).
+//! that do hold a [`PipelineTrace`], and
+//! [`DynamicTimingAnalysis::replay_digest`] for a captured [`TimingDigest`].
 
-use crate::{EventLog, Histogram, Ps, TimingModel};
+use crate::{Histogram, Ps, TimingModel};
 use idca_isa::TimingClass;
 use idca_pipeline::{CycleObserver, CycleRecord, DigestCycle, PipelineTrace, Stage, TimingDigest};
 use serde::{Deserialize, Serialize};
@@ -107,39 +106,6 @@ impl DynamicTimingAnalysis {
     fn observe_digest_cycle(&mut self, model: &TimingModel, cycle: u64, dc: &DigestCycle) {
         let timing = model.digest_cycle_timing(cycle, dc);
         self.accumulate_cycle(&timing.stage_delay_ps, &dc.classes);
-    }
-
-    /// Runs the analysis from a pre-recorded endpoint event log plus the
-    /// trace used to generate it (needed to attribute delays to instruction
-    /// classes, like the paper's "PC trace" input).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the event log references an endpoint it does not describe.
-    #[must_use]
-    pub fn from_event_log(log: &EventLog, trace: &PipelineTrace, static_period_ps: Ps) -> Self {
-        let mut dta = Self::empty(static_period_ps);
-        let mut per_cycle = vec![[0.0f64; Stage::COUNT]; trace.cycles().len()];
-        for event in log.events() {
-            let endpoint = log
-                .endpoint(event.endpoint)
-                .expect("event references a described endpoint");
-            let delay = event.effective_delay_ps(endpoint);
-            if let Some(entry) = per_cycle.get_mut(event.cycle as usize) {
-                let slot = &mut entry[endpoint.stage.index()];
-                if delay > *slot {
-                    *slot = delay;
-                }
-            }
-        }
-        for (record, delays) in trace.cycles().iter().zip(&per_cycle) {
-            let mut classes = [TimingClass::Bubble; Stage::COUNT];
-            for stage in Stage::ALL {
-                classes[stage.index()] = record.timing_class(stage);
-            }
-            dta.accumulate_cycle(delays, &classes);
-        }
-        dta
     }
 
     fn accumulate_cycle(&mut self, delays: &[Ps; Stage::COUNT], classes: &[TimingClass]) {
@@ -376,24 +342,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn event_log_path_matches_direct_path() {
-        let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let t = mixed_trace();
-        let direct = DynamicTimingAnalysis::run(&model, &t);
-        let log = model.event_log(&t);
-        let via_log = DynamicTimingAnalysis::from_event_log(&log, &t, model.static_period_ps());
-        // The event log carries per-endpoint arrivals whose per-stage maxima
-        // equal the model's stage delays, so both paths must agree on the
-        // aggregate statistics.
-        assert!((direct.mean_cycle_delay_ps() - via_log.mean_cycle_delay_ps()).abs() < 1.0);
-        assert_eq!(direct.cycles(), via_log.cycles());
-        assert_eq!(
-            direct.limiting_counts()[Stage::Execute.index()],
-            via_log.limiting_counts()[Stage::Execute.index()]
-        );
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! sequential endpoint, a dynamic-timing-analysis (DTA) tool turns that log
 //! into per-stage, per-cycle and per-instruction delay statistics, and a
 //! characterized cell library provides voltage/frequency/power trade-offs.
+//! Only the per-stage delays of that log feed the DTA, so this crate
+//! computes them directly and keeps no endpoint log.
 //!
 //! None of those proprietary inputs (RTL, EDA tools, foundry libraries) are
 //! available, so this crate provides a **synthetic but structurally faithful
@@ -21,14 +23,13 @@
 //!   implementation) and [`ProfileKind::Conventional`] (the "timing wall"
 //!   baseline). Worst-case per-class delays reproduce Tables I and II.
 //! * [`TimingModel`] — the gate-level-simulation substitute: given one
-//!   [`CycleRecord`](idca_pipeline::CycleRecord) from the pipeline simulator
-//!   it computes the data-arrival time of every modelled endpoint
+//!   digested cycle ([`DigestCycle`](idca_pipeline::DigestCycle)) of the
+//!   pipeline simulator it computes the dynamic delay of every stage
 //!   (data-dependent: carry chains, multiplier activity, memory accesses,
-//!   forwarding, branch-target redirects) and can emit an [`EventLog`].
-//! * [`dta`] — the dynamic timing analysis: per-endpoint slack, per-stage
-//!   per-cycle maxima, limiting-stage statistics, per-instruction-class
-//!   worst-case delays and delay histograms (the data behind Figs. 5–7 and
-//!   Table II).
+//!   forwarding, branch-target redirects).
+//! * [`dta`] — the dynamic timing analysis: per-stage per-cycle maxima,
+//!   limiting-stage statistics, per-instruction-class worst-case delays and
+//!   delay histograms (the data behind Figs. 5–7 and Table II).
 //! * [`PowerModel`] — activity-based energy per cycle and µW/MHz at any
 //!   operating point, calibrated to the paper's 13.7 µW/MHz conventional
 //!   baseline at 0.70 V.
@@ -81,7 +82,6 @@
 
 mod bank;
 pub mod dta;
-mod eventlog;
 mod fault;
 mod histogram;
 mod irq;
@@ -93,12 +93,11 @@ mod variation;
 
 pub use bank::{BankEvaluator, CornerBank, CycleLanes, LaneIsa, LANE_WIDTH};
 pub use dta::{DtaObserver, DynamicTimingAnalysis};
-pub use eventlog::{Endpoint, EndpointEvent, EndpointId, EventLog};
 pub use fault::{FaultPlan, FaultSpec, FaultSpecError, DROOP_WINDOW_CYCLES, SHIFT_ONSET_HORIZON};
 pub use histogram::{Histogram, HistogramMergeError};
 pub use irq::{surged, IrqCursor, IrqTimeline, Perturbation};
 pub use library::{CellLibrary, LibraryError, OperatingPoint};
-pub use model::{CycleTiming, EventLogObserver, TimingModel};
+pub use model::{CycleTiming, TimingModel};
 pub use power::{ActivityObserver, ActivitySummary, PowerModel, PowerReport};
 pub use profile::{ProfileKind, StageClassDelays, TimingProfile};
 pub use variation::{PvtCorner, VariationModel, NOMINAL_TEMPERATURE_C};

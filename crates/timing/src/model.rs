@@ -2,8 +2,9 @@
 //!
 //! [`TimingModel`] combines a [`TimingProfile`] (which paths exist and how
 //! long they are in the worst case) with a [`CellLibrary`] operating point
-//! (how delays scale with supply voltage) and evaluates, for every cycle of
-//! a [`PipelineTrace`], the data-arrival times of the modelled endpoints.
+//! (how delays scale with supply voltage) and evaluates the dynamic delay of
+//! every pipeline stage in each cycle: the per-stage maxima that the paper's
+//! DTA tool reads off the gate-level endpoint event log, computed directly.
 //! The data-dependent part of each delay is driven by the activity
 //! descriptors recorded by the pipeline simulator: carry-chain length in the
 //! adder, operand width at the multiplier, shift distance, operand toggling
@@ -12,12 +13,9 @@
 //! per-stage excitation coefficients ([`DigestCycle`]), and every cycle is
 //! evaluated from its digest, live or replayed.
 
-use crate::{
-    CellLibrary, Endpoint, EndpointEvent, EndpointId, EventLog, LibraryError, OperatingPoint,
-    ProfileKind, Ps, TimingProfile,
-};
+use crate::{CellLibrary, LibraryError, OperatingPoint, ProfileKind, Ps, TimingProfile};
 use idca_isa::TimingClass;
-use idca_pipeline::{CycleObserver, CycleRecord, DigestCycle, PipelineTrace, Stage};
+use idca_pipeline::{DigestCycle, Stage};
 
 /// The dynamic delay of every pipeline stage in one cycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,7 +44,6 @@ pub struct TimingModel {
     profile: TimingProfile,
     library: CellLibrary,
     point: OperatingPoint,
-    endpoints: Vec<Endpoint>,
 }
 
 impl TimingModel {
@@ -66,7 +63,6 @@ impl TimingModel {
             profile,
             library,
             point,
-            endpoints: default_endpoints(),
         })
     }
 
@@ -123,12 +119,6 @@ impl TimingModel {
         self.profile.worst_case(stage, class) * self.point.delay_scale
     }
 
-    /// The modelled sequential endpoints (flip-flop groups and SRAM pins).
-    #[must_use]
-    pub fn endpoints(&self) -> &[Endpoint] {
-        &self.endpoints
-    }
-
     /// Dynamic delay of one stage of a digested cycle. A live record is
     /// digested first ([`DigestCycle::of_record`]); the dither comes from
     /// the `(cycle, stage, fetch_address)` salt, so a live cycle and its
@@ -174,121 +164,6 @@ impl TimingModel {
         let spread = self.profile.spread(stage, class);
         let delay = base - spread * (1.0 - excitation);
         delay.max(base * 0.35) * self.point.delay_scale
-    }
-
-    /// Appends the endpoint events of one cycle to an [`EventLog`].
-    pub fn append_events(&self, record: &CycleRecord, log: &mut EventLog) {
-        let digest_cycle = DigestCycle::of_record(record);
-        let timing = self.digest_cycle_timing(record.cycle, &digest_cycle);
-        for endpoint in &self.endpoints {
-            let stage_delay = timing.stage(endpoint.stage);
-            let class = digest_cycle.classes[endpoint.stage.index()];
-            let share = self.endpoint_share(endpoint, class, record.cycle);
-            if share <= 0.0 {
-                continue;
-            }
-            let effective = stage_delay * share;
-            let arrival = (effective - endpoint.setup_ps + endpoint.clock_skew_ps).max(0.0);
-            log.push(EndpointEvent {
-                cycle: record.cycle,
-                endpoint: endpoint.id,
-                data_arrival_ps: arrival,
-            });
-        }
-    }
-
-    /// Creates a streaming observer that records endpoint events cycle by
-    /// cycle as the simulator runs — the single-pass equivalent of
-    /// [`TimingModel::event_log`].
-    #[must_use]
-    pub fn event_log_observer(&self) -> EventLogObserver<'_> {
-        // The characterization simulation runs at a comfortably slow clock
-        // (10 % above the static limit) so no violation can occur.
-        EventLogObserver {
-            log: EventLog::new(self.endpoints.clone(), self.static_period_ps() * 1.1),
-            model: self,
-        }
-    }
-
-    /// Builds a complete event log for a trace (the characterization
-    /// "gate-level simulation" step of the paper's flow). Replays a
-    /// materialized trace through the same recording as
-    /// [`EventLogObserver`].
-    #[must_use]
-    pub fn event_log(&self, trace: &PipelineTrace) -> EventLog {
-        let mut observer = self.event_log_observer();
-        for record in trace.cycles() {
-            observer.observe_cycle(record);
-        }
-        observer.into_log()
-    }
-
-    /// Fraction of the stage delay attributed to a given endpoint for the
-    /// class currently occupying the stage. The *principal* endpoint of the
-    /// excited path group receives the full stage delay; secondary endpoints
-    /// receive shorter arrivals; irrelevant endpoints receive none.
-    fn endpoint_share(&self, endpoint: &Endpoint, class: TimingClass, cycle: u64) -> f64 {
-        let dither = 0.85 + 0.10 * hash01(cycle, u64::from(endpoint.id.0), 17);
-        match (endpoint.stage, endpoint.name.as_str()) {
-            (Stage::Address, "u_fetch/imem_addr_pins") => 1.0,
-            (Stage::Address, _) => 0.80 * dither,
-            (Stage::Fetch, "u_fetch/insn_reg") => 1.0,
-            (Stage::Fetch, _) => 0.75 * dither,
-            (Stage::Decode, "u_decode/ctrl_reg") => 1.0,
-            (Stage::Decode, _) => 0.85 * dither,
-            (Stage::Execute, name) => match class {
-                TimingClass::Mul if name == "u_exec/mul_result_reg" => 1.0,
-                TimingClass::Mul => 0.55 * dither,
-                TimingClass::Load | TimingClass::Store if name == "u_lsu/dmem_addr_pins" => 1.0,
-                TimingClass::Load | TimingClass::Store if name == "u_lsu/dmem_wdata_pins" => {
-                    0.9 * dither
-                }
-                TimingClass::SetFlag | TimingClass::BranchCond if name == "u_exec/flag_reg" => 1.0,
-                _ if name == "u_exec/result_reg" => 1.0,
-                _ if name == "u_exec/mul_result_reg" => {
-                    // The shielded multiplier's inputs do not toggle for
-                    // non-multiply instructions (operand isolation), so its
-                    // result register sees no late events.
-                    0.0
-                }
-                _ => 0.7 * dither,
-            },
-            (Stage::Control, name) => match class {
-                TimingClass::Load if name == "u_ctrl/lsu_align_reg" => 1.0,
-                _ if name == "u_ctrl/result_reg" => 1.0,
-                _ => 0.75 * dither,
-            },
-            (Stage::Writeback, _) => 1.0,
-        }
-    }
-}
-
-/// Streaming event-log recorder: a [`CycleObserver`] that appends the
-/// endpoint events of every cycle to an [`EventLog`] as the simulation runs.
-/// Created by [`TimingModel::event_log_observer`].
-#[derive(Debug, Clone)]
-pub struct EventLogObserver<'m> {
-    model: &'m TimingModel,
-    log: EventLog,
-}
-
-impl EventLogObserver<'_> {
-    /// The log recorded so far.
-    #[must_use]
-    pub fn log(&self) -> &EventLog {
-        &self.log
-    }
-
-    /// Consumes the observer and returns the finished log.
-    #[must_use]
-    pub fn into_log(self) -> EventLog {
-        self.log
-    }
-}
-
-impl CycleObserver for EventLogObserver<'_> {
-    fn observe_cycle(&mut self, record: &CycleRecord) {
-        self.model.append_events(record, &mut self.log);
     }
 }
 
@@ -388,45 +263,11 @@ fn unit_interval(mixed: u64) -> f64 {
     (mixed >> 11) as f64 / (1u64 << 53) as f64
 }
 
-fn default_endpoints() -> Vec<Endpoint> {
-    let mut endpoints = Vec::new();
-    let mut id = 0u16;
-    let mut push = |name: &str, stage: Stage, skew: Ps, setup: Ps, is_macro: bool| {
-        endpoints.push(Endpoint {
-            id: EndpointId(id),
-            name: name.to_string(),
-            stage,
-            clock_skew_ps: skew,
-            setup_ps: setup,
-            is_macro,
-        });
-        id += 1;
-    };
-    push("u_fetch/pc_reg", Stage::Address, 12.0, 35.0, false);
-    push("u_fetch/imem_addr_pins", Stage::Address, 5.0, 120.0, true);
-    push("u_fetch/insn_reg", Stage::Fetch, 10.0, 35.0, false);
-    push("u_fetch/fetch_pc_reg", Stage::Fetch, 10.0, 35.0, false);
-    push("u_decode/ctrl_reg", Stage::Decode, 8.0, 35.0, false);
-    push("u_decode/operand_a_reg", Stage::Decode, 14.0, 35.0, false);
-    push("u_decode/operand_b_reg", Stage::Decode, 14.0, 35.0, false);
-    push("u_exec/result_reg", Stage::Execute, 18.0, 35.0, false);
-    push("u_exec/mul_result_reg", Stage::Execute, 22.0, 35.0, false);
-    push("u_exec/flag_reg", Stage::Execute, 10.0, 35.0, false);
-    push("u_lsu/dmem_addr_pins", Stage::Execute, 6.0, 120.0, true);
-    push("u_lsu/dmem_wdata_pins", Stage::Execute, 6.0, 120.0, true);
-    push("u_lsu/ctrl_reg", Stage::Execute, 12.0, 35.0, false);
-    push("u_ctrl/result_reg", Stage::Control, 16.0, 35.0, false);
-    push("u_ctrl/lsu_align_reg", Stage::Control, 12.0, 35.0, false);
-    push("u_ctrl/wb_mux_reg", Stage::Control, 10.0, 35.0, false);
-    push("u_rf/write_port", Stage::Writeback, 8.0, 60.0, false);
-    endpoints
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use idca_isa::asm::Assembler;
-    use idca_pipeline::{SimConfig, Simulator};
+    use idca_pipeline::{CycleRecord, PipelineTrace, SimConfig, Simulator};
 
     fn trace(src: &str) -> PipelineTrace {
         let program = Assembler::new().assemble(src).expect("assembles");
@@ -516,36 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn event_log_reconstructs_stage_delays() {
-        let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let t = trace("l.addi r3, r0, 5\n l.mul r4, r3, r3\n l.sw 0(r0), r4\n l.nop 1\n");
-        let log = model.event_log(&t);
-        assert!(!log.is_empty());
-        // Every event must have non-negative slack at the characterization
-        // period (the simulation clock is slower than the static limit).
-        assert!(log.worst_slack_ps().unwrap() >= 0.0);
-        // The effective delay of the principal execute endpoint in the
-        // multiply cycle must match the model's stage delay.
-        let mul_cycle = t
-            .cycles()
-            .iter()
-            .find(|c| c.timing_class(Stage::Execute) == TimingClass::Mul)
-            .unwrap();
-        let expected = live_timing(&model, mul_cycle).stage(Stage::Execute);
-        let mul_ep = log
-            .endpoints()
-            .iter()
-            .find(|e| e.name == "u_exec/mul_result_reg")
-            .unwrap();
-        let ev = log
-            .events()
-            .iter()
-            .find(|e| e.cycle == mul_cycle.cycle && e.endpoint == mul_ep.id)
-            .unwrap();
-        assert!((ev.effective_delay_ps(mul_ep) - expected).abs() < 1e-6);
-    }
-
-    #[test]
     fn batched_dithers_match_the_per_stage_hash() {
         // The batched kernel hoists the stage-invariant hash terms; wrapping
         // arithmetic is associative, so every lane must equal the scalar
@@ -596,22 +407,5 @@ mod tests {
                 live_timing(&model, b).max_delay_ps
             );
         }
-    }
-
-    #[test]
-    fn shielded_multiplier_has_no_events_for_non_multiply_instructions() {
-        let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let t = trace("l.addi r3, r0, 3\n l.add r4, r3, r3\n l.nop 1\n");
-        let log = model.event_log(&t);
-        let mul_ep = log
-            .endpoints()
-            .iter()
-            .find(|e| e.name == "u_exec/mul_result_reg")
-            .unwrap()
-            .id;
-        assert!(
-            log.events().iter().all(|e| e.endpoint != mul_ep),
-            "multiplier endpoint should stay quiet without multiplications"
-        );
     }
 }

@@ -173,30 +173,16 @@ pub struct PowerReport {
 pub struct PowerModel {
     library: CellLibrary,
     coefficients: PowerCoefficients,
-    /// Extra dynamic power fraction charged for the tunable clock generator
-    /// when dynamic clock adjustment is active (0.0 disables it).
-    clock_generator_overhead: f64,
 }
 
 impl PowerModel {
-    /// Creates a power model with the default coefficients and no
-    /// clock-generator overhead.
+    /// Creates a power model with the default coefficients.
     #[must_use]
     pub fn new(library: CellLibrary) -> Self {
         PowerModel {
             library,
             coefficients: PowerCoefficients::default(),
-            clock_generator_overhead: 0.0,
         }
-    }
-
-    /// Charges an extra fraction of dynamic power for the tunable clock
-    /// generator (the paper notes the CG "requires special care"; the
-    /// ablation benches use this knob).
-    #[must_use]
-    pub fn with_clock_generator_overhead(mut self, fraction: f64) -> Self {
-        self.clock_generator_overhead = fraction.max(0.0);
-        self
     }
 
     /// The cell library used for voltage scaling.
@@ -226,7 +212,7 @@ impl PowerModel {
             + c.lsu_access_pj * mem_frac
             + c.lsu_idle_pj * (1.0 - mem_frac)
             + c.ctrl_wb_pj;
-        nominal * (1.0 + self.clock_generator_overhead) * point.energy_scale
+        nominal * point.energy_scale
     }
 
     /// Full power report for a run executed with average clock period
@@ -323,16 +309,6 @@ mod tests {
         assert!(
             model.energy_per_cycle_pj(&busy, &point) > model.energy_per_cycle_pj(&quiet, &point)
         );
-    }
-
-    #[test]
-    fn clock_generator_overhead_increases_power() {
-        let lib = CellLibrary::fdsoi28();
-        let point = lib.operating_point(700).unwrap();
-        let base = PowerModel::new(lib.clone());
-        let with_cg = PowerModel::new(lib).with_clock_generator_overhead(0.05);
-        let a = typical_activity();
-        assert!(with_cg.energy_per_cycle_pj(&a, &point) > base.energy_per_cycle_pj(&a, &point));
     }
 
     #[test]

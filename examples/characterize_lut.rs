@@ -1,7 +1,7 @@
-//! Reproduces the paper's characterization flow end to end: run the directed
-//! plus semi-random characterization workload through the gate-level
-//! simulation substitute, perform dynamic timing analysis, extract the delay
-//! LUT (Table II) and export it as JSON.
+//! Reproduces the paper's characterization flow end to end: stream the
+//! directed plus semi-random characterization workload through dynamic
+//! timing analysis as it simulates, extract the delay LUT (Table II) and
+//! export it as JSON. `repro --table2` runs the same analysis.
 //!
 //! Run with: `cargo run --release --example characterize_lut`
 
@@ -11,24 +11,16 @@ use idca::timing::Histogram;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
     let characterization = characterization_workload(0xC0DE);
-    let trace = Simulator::new(SimConfig::default())
-        .run(&characterization.program)?
-        .trace;
+    // Gate-level-simulation substitute and DTA in one pass.
+    let mut observer = DynamicTimingAnalysis::streaming(&model);
+    let summary = Simulator::new(SimConfig::default())
+        .run_observed(&characterization.program, &mut [&mut observer])?
+        .summary;
     println!(
         "characterization: {} cycles, {} retired instructions",
-        trace.cycle_count(),
-        trace.retired()
+        summary.cycles, summary.retired
     );
-
-    // Gate-level-simulation substitute -> endpoint event log -> DTA.
-    let event_log = model.event_log(&trace);
-    println!(
-        "event log: {} events over {} endpoints, worst slack {:.0} ps",
-        event_log.len(),
-        event_log.endpoints().len(),
-        event_log.worst_slack_ps().unwrap_or(f64::NAN)
-    );
-    let dta = DynamicTimingAnalysis::from_event_log(&event_log, &trace, model.static_period_ps());
+    let dta = observer.into_analysis();
 
     println!(
         "\nper-cycle dynamic delay: mean {:.0} ps vs static {:.0} ps  (genie speedup {:.0} %)",

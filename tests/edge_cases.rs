@@ -162,7 +162,7 @@ fn interrupt_raised_during_exception_entry_stays_pending_and_never_nests() {
     let mut ctl = InterruptController::new(&plan);
     ctl.begin_cycle(0);
     assert!(ctl.takeable());
-    ctl.accept(0x100);
+    ctl.accept(0x100, 0).unwrap();
     assert!(ctl.in_handler() && ctl.entry_pending());
     ctl.begin_cycle(1); // fires mid-entry
     assert!(!ctl.takeable(), "nested entry during entry flush");
@@ -179,7 +179,7 @@ fn interrupt_raised_during_exception_entry_stays_pending_and_never_nests() {
         "mid-entry raise went pending"
     );
     ctl.mmio_store(MMIO_IRQ_ACK, pending).unwrap();
-    assert_eq!(ctl.rfe_retire(), Some(0x100));
+    assert_eq!(ctl.rfe_retire(0), Some(0x100));
     // After the return the next raise is a *fresh* entry, not a nested one.
     ctl.begin_cycle(3);
     assert!(ctl.takeable());
@@ -270,6 +270,65 @@ fn timer_fire_on_the_final_cycle_before_the_limit_stops_with_a_structured_error(
             .unwrap_err(),
         expected
     );
+}
+
+/// A timer whose period divides the canonical handler's round trip
+/// (`penalty + 7` cycles) re-enters in lockstep with `l.rfe`, so the
+/// program never retires another user instruction. Every engine (the
+/// reference loop, the predecoded loop and its fused burst capture) stops
+/// with the same structured livelock error within a few entries instead of
+/// burning the cycle budget, and periods that do not divide the round trip
+/// run to completion.
+#[test]
+fn timer_in_lockstep_with_the_handler_is_a_livelock_error_on_every_engine() {
+    use idca::pipeline::{
+        DigestObserver, InterruptPlan, InterruptSpec, PipelineError, PredecodedProgram,
+    };
+
+    let program = generate_program(nth_seed(7, 0), &GenConfig::default());
+    let livelocks = [
+        "timer=11",
+        "timer=64,penalty=57",
+        "timer=3,penalty=2",
+        "timer=2,penalty=3",
+        "timer=2,penalty=5",
+        "timer=5,penalty=3",
+        "timer=4,penalty=5",
+        "timer=10,penalty=3",
+    ];
+    let completes = [
+        "timer=64,penalty=56",
+        "timer=4,penalty=4",
+        "timer=2,penalty=4",
+        "timer=150,penalty=4",
+    ];
+    for spec in livelocks.into_iter().chain(completes) {
+        let (attached, plan) =
+            InterruptPlan::attach(&program, &InterruptSpec::parse(spec).unwrap());
+        let simulator = Simulator::new(SimConfig::default()).with_interrupts(plan);
+        let reference = simulator
+            .run_observed_reference(&attached, &mut [])
+            .map(|run| run.summary);
+        let live = simulator
+            .run_observed(&attached, &mut [])
+            .map(|run| run.summary);
+        let pre = PredecodedProgram::lower(&attached);
+        let mut digest = DigestObserver::with_hints(pre.digest_hints());
+        let fused = simulator
+            .run_observed_predecoded(&pre, &mut [&mut digest])
+            .map(|run| run.summary);
+        assert_eq!(live, reference, "{spec}");
+        assert_eq!(fused, reference, "{spec}");
+        if livelocks.contains(&spec) {
+            assert!(
+                matches!(reference, Err(PipelineError::InterruptLivelock { cycle, .. })
+                    if cycle < 1_000),
+                "{spec}: {reference:?}"
+            );
+        } else {
+            assert!(reference.is_ok(), "{spec}: {reference:?}");
+        }
+    }
 }
 
 /// A store to a read-only MMIO register is the structured
