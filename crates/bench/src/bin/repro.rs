@@ -50,7 +50,8 @@ fn print_help() {
     println!("                   [--faults SPEC] [--interrupts SPEC] [--shard K/N --out PATH]");
     println!("       repro merge OUT.sweep PARTIAL.sweep...");
     println!("       repro serve --corpus DIR [--digest-cache DIR]");
-    println!("       repro bench [--seeds N] [--corners M] [--seed S] [--runs K] [--json] [--out PATH] [--digest-cache DIR]\n");
+    println!("       repro bench [--seeds N] [--corners M] [--seed S] [--faults SPEC] [--interrupts SPEC]");
+    println!("                   [--runs K] [--json] [--out PATH] [--digest-cache DIR]\n");
     println!("With no flags, every experiment is reproduced. Flags:");
     for (flag, description) in FLAGS {
         println!("  {flag:<16} {description}");
@@ -96,6 +97,11 @@ fn print_bench_help() {
         "  {:<16} sweep size, like the sweep subcommand (defaults 100 x 8, seed 7)",
         "--seeds/..."
     );
+    println!(
+        "  {:<16} scenario, like the sweep subcommand; both specs are recorded",
+        "--faults/..."
+    );
+    println!("  {:<16} in the output (null when absent)", "");
     println!(
         "  {:<16} timed repetitions; the median run by total wall is reported,",
         "--runs K"
@@ -647,10 +653,19 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
     // cycle·corner count the replay phase pushed through its SIMD lanes.
     let replay_cycle_corners_per_sec = evaluated_cycles as f64 / timing.replay.as_secs_f64();
 
-    println!("bench.schema=5");
+    // The scenario, as the canonical spec strings: a faulted or
+    // interrupted run must not read like a clean one.
+    let faults = config.faults.as_ref().map(FaultSpec::describe);
+    let interrupts = config.interrupts.as_ref().map(InterruptSpec::describe);
+    println!("bench.schema=6");
     println!("bench.seeds={}", config.seeds);
     println!("bench.corners={}", config.corners);
     println!("bench.master_seed={}", config.master_seed);
+    println!("bench.faults={}", faults.as_deref().unwrap_or("null"));
+    println!(
+        "bench.interrupts={}",
+        interrupts.as_deref().unwrap_or("null")
+    );
     println!("bench.jobs={jobs}");
     println!("bench.evaluated_cycles={evaluated_cycles}");
     println!("bench.runs={runs}");
@@ -668,8 +683,13 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
     println!("bench.replay_cycle_corners_per_sec={replay_cycle_corners_per_sec:.0}");
 
     if write_json {
+        // The spec strings hold only `[a-z0-9=,.-]`, so quoting needs no
+        // escapes.
+        let json_string =
+            |spec: Option<String>| spec.map_or("null".to_string(), |s| format!("\"{s}\""));
         let json = format!(
-            "{{\n  \"schema\": 5,\n  \"seeds\": {},\n  \"corners\": {},\n  \"master_seed\": {},\n  \
+            "{{\n  \"schema\": 6,\n  \"seeds\": {},\n  \"corners\": {},\n  \"master_seed\": {},\n  \
+             \"faults\": {},\n  \"interrupts\": {},\n  \
              \"jobs\": {},\n  \"evaluated_cycles\": {},\n  \"runs\": {},\n  \"wall_ms\": {:.3},\n  \
              \"wall_ms_min\": {:.3},\n  \"wall_ms_max\": {:.3},\n  \
              \"simulate_ms\": {:.3},\n  \"predecode_ms\": {:.3},\n  \"replay_ms\": {:.3},\n  \
@@ -679,6 +699,8 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
             config.seeds,
             config.corners,
             config.master_seed,
+            json_string(faults),
+            json_string(interrupts),
             jobs,
             evaluated_cycles,
             runs,

@@ -1437,24 +1437,21 @@ pub fn pvt_sweep_seed_range_timed_with_cache(
         faults: plan.as_ref(),
         surge_factor: irq_spec.as_ref().map_or(1.0, |spec| 1.0 + spec.surge),
     };
-    // The interrupt scenario replays from the digests' own event streams:
-    // one timeline per seed, shared by every corner of that seed.
-    let timelines: Vec<Option<IrqTimeline>> = digests
-        .iter()
-        .map(|(digest, _, _)| {
-            irq_spec
-                .as_ref()
-                .map(|spec| IrqTimeline::from_events(digest.events(), spec.penalty))
-        })
-        .collect();
     let positions: Vec<usize> = (0..seed_indices.len()).collect();
     let timed_jobs: Vec<(Vec<SweepJobOutcome>, Duration)> = par_map(&positions, |&p| {
         let job_start = Instant::now();
+        let digest = &digests[p].0;
+        // The interrupt scenario replays from the digest's own event
+        // stream: one timeline per seed, built inside its job and shared by
+        // every corner of that seed.
+        let timeline = irq_spec
+            .as_ref()
+            .map(|spec| IrqTimeline::from_events(digest.events(), spec.penalty));
         let rows = replay_seed_banked(
-            &digests[p].0,
+            digest,
             &setup,
             perturbation,
-            timelines[p].as_ref(),
+            timeline.as_ref(),
             seed_indices[p],
         );
         (rows, job_start.elapsed())

@@ -397,8 +397,13 @@ fn table_index(stage: Stage, class: TimingClass) -> usize {
 /// each `(stage, class)` entry once per cycle (the classes come from the
 /// corner-invariant digest) and folds all `M` lanes of that entry
 /// contiguously — predict, realize, observe, adapt — in lane-friendly loops
-/// padded to [`LANE_WIDTH`]. A bank of at least 32 padded lanes on a CPU
-/// with AVX2 runs them in their AVX2 copy ([`LaneIsa`]).
+/// padded to [`LANE_WIDTH`]. They run in the copy the bank's width selects
+/// ([`LaneIsa::for_lanes`]): the one-chunk copy at 1–4 corners, the AVX2
+/// copy from 32 padded lanes on a CPU with AVX2, the baseline otherwise.
+/// Every pass runs over all padded lanes, so a one-chunk bank has no
+/// runtime trip count at all. Padding lanes are inert: they request 0, see
+/// 0 and never violate, and [`AdaptiveBank::finish`] reads only the corner
+/// lanes.
 ///
 /// State that cannot differ between corners is held once. Every corner
 /// sees the same classes, so an entry's observation count is the same in
@@ -428,6 +433,8 @@ pub struct AdaptiveBank<'a> {
     /// lanes (indexed by `table_index`).
     observations: Vec<u64>,
     faults: Option<FaultPlan>,
+    // Run accumulators, `padded` long; the padding lanes are never read
+    // back.
     total_time: Vec<f64>,
     penalty_time: Vec<f64>,
     violations: Vec<u64>,
@@ -443,7 +450,7 @@ pub struct AdaptiveBank<'a> {
     requested: Vec<Ps>,
     // Per-cycle scratch (`padded` long): the realized period of violated
     // lanes, `+inf` otherwise, so the backoff test is one `f64` compare.
-    // Padding lanes stay `+inf` forever.
+    // Padding lanes never violate, so theirs is always `+inf`.
     violation_limit: Vec<Ps>,
     outcomes: Option<Vec<AdaptiveOutcome>>,
     // The copy of the lanes kernel this bank runs.
@@ -503,13 +510,13 @@ impl<'a> AdaptiveBank<'a> {
             learned: vec![0.0; table_len * padded],
             observations: vec![0; table_len],
             faults: None,
-            total_time: vec![0.0; corners],
-            penalty_time: vec![0.0; corners],
-            violations: vec![0; corners],
-            entry_violations: vec![0; corners],
-            recovered_cycles: vec![0; corners],
-            replay_penalty_cycles: vec![0; corners],
-            silent_risk_cycles: vec![0; corners],
+            total_time: vec![0.0; padded],
+            penalty_time: vec![0.0; padded],
+            violations: vec![0; padded],
+            entry_violations: vec![0; padded],
+            recovered_cycles: vec![0; padded],
+            replay_penalty_cycles: vec![0; padded],
+            silent_risk_cycles: vec![0; padded],
             warmup_cycles: 0,
             requested: vec![0.0; padded],
             violation_limit: vec![Ps::INFINITY; padded],
@@ -520,8 +527,9 @@ impl<'a> AdaptiveBank<'a> {
         bank
     }
 
-    /// Pins the copy of the lanes kernel, past the width gate of
-    /// [`LaneIsa::for_lanes`], so tests run both copies at any width.
+    /// Pins the copy of the lanes kernel, past the selection of
+    /// [`LaneIsa::for_lanes`], so tests run every copy a bank of this width
+    /// can run (the one-chunk copy only at one chunk).
     #[cfg(test)]
     pub(crate) fn with_isa(mut self, isa: LaneIsa) -> Self {
         self.isa = isa;
@@ -642,11 +650,18 @@ impl<'a> AdaptiveBank<'a> {
     /// # Panics
     ///
     /// Panics if the lanes' padded width differs from the bank's.
-    // `inline(never)` is load-bearing: letting this body inline into the
-    // sweep's replay loop (alongside the evaluator and the three policy
-    // banks) doubles the replay time at 100×8 — the merged loop spills
-    // registers across every pass. Keeping it a call leaves each kernel
-    // small enough to vectorize cleanly.
+    // `inline(never)` keeps each kernel a call of its own, small enough to
+    // vectorize cleanly, and a symbol CI's codegen check can disassemble.
+    // When first measured, inlining this body into the sweep's replay loop
+    // (beside the evaluator and the three policy banks) doubled the replay
+    // time at 100×8: the merged loop spilled registers across every pass.
+    // Re-measured with the one-chunk copies (`repro bench`, one thread, 14
+    // alternating rounds, min / median replay ms): at 200 seeds × 2 corners
+    // with the fleet's faults and interrupts, 25.7 / 43.1 as a call, 26.9 /
+    // 40.0 with this body `#[inline]`, 29.4 / 46.4 with the two
+    // `PolicyBank` entry points inlined too; at 100×8, 18.8 / 27.8, 19.7 /
+    // 27.2 and 17.7 / 30.0. No variant separates from the host's drift, so
+    // the attribute stays.
     #[inline(never)]
     pub fn observe_cycle_lanes_phased(
         &mut self,
@@ -655,20 +670,27 @@ impl<'a> AdaptiveBank<'a> {
         lanes: &CycleLanes,
         entry: bool,
     ) {
+        assert_eq!(lanes.padded_lanes(), self.padded, "lane widths must match");
         self.isa.run(
+            self.padded,
             #[inline(always)]
-            || self.observe_lanes(cycle, dc, lanes, entry),
+            |padded| self.observe_lanes(cycle, dc, lanes, entry, padded),
         );
     }
 
     /// The body of [`AdaptiveBank::observe_cycle_lanes_phased`], compiled
-    /// into both copies of [`LaneIsa::run`].
+    /// into every copy of [`LaneIsa::run`]; `padded` is the bank's padded
+    /// width.
     #[inline(always)]
-    fn observe_lanes(&mut self, cycle: u64, dc: &DigestCycle, lanes: &CycleLanes, entry: bool) {
-        let padded = self.padded;
-        assert_eq!(lanes.padded_lanes(), padded, "lane widths must match");
-        let corners = self.corners;
-        if corners == 0 {
+    fn observe_lanes(
+        &mut self,
+        cycle: u64,
+        dc: &DigestCycle,
+        lanes: &CycleLanes,
+        entry: bool,
+        padded: usize,
+    ) {
+        if padded == 0 {
             return;
         }
 
@@ -716,19 +738,20 @@ impl<'a> AdaptiveBank<'a> {
                 };
             }
         }
-        self.generator.realize_lanes(&mut requested[..corners]);
+        self.generator.realize_lanes(requested);
 
         // 2. Observe: the scalar observer's violation check and run time,
         //    with the same arithmetic, over length-bound slices so the
-        //    per-lane indexing stays check-free.
+        //    per-lane indexing stays check-free. A padding lane's actual
+        //    delay is 0, so it never violates.
         let drift_factor = self.drift.factor(cycle);
-        let realized_lanes = &requested[..corners];
-        let actual_lanes = &lanes.max_lanes()[..corners];
-        let violations = &mut self.violations[..corners];
-        let total_time = &mut self.total_time[..corners];
-        let violation_limit = &mut self.violation_limit[..corners];
+        let realized_lanes = &requested[..padded];
+        let actual_lanes = &lanes.max_lanes()[..padded];
+        let violations = &mut self.violations[..padded];
+        let total_time = &mut self.total_time[..padded];
+        let violation_limit = &mut self.violation_limit[..padded];
         let mut any_violated = false;
-        for lane in 0..corners {
+        for lane in 0..padded {
             let realized = realized_lanes[lane];
             let violated = realized + 1e-9 < actual_lanes[lane] * drift_factor;
             violations[lane] += u64::from(violated);
@@ -752,12 +775,12 @@ impl<'a> AdaptiveBank<'a> {
             )
         });
         if any_violated && (entry || recovery.is_some()) {
-            let entry_violations = &mut self.entry_violations[..corners];
-            let recovered = &mut self.recovered_cycles[..corners];
-            let replayed = &mut self.replay_penalty_cycles[..corners];
-            let silent = &mut self.silent_risk_cycles[..corners];
-            let penalty_time = &mut self.penalty_time[..corners];
-            for lane in 0..corners {
+            let entry_violations = &mut self.entry_violations[..padded];
+            let recovered = &mut self.recovered_cycles[..padded];
+            let replayed = &mut self.replay_penalty_cycles[..padded];
+            let silent = &mut self.silent_risk_cycles[..padded];
+            let penalty_time = &mut self.penalty_time[..padded];
+            for lane in 0..padded {
                 let realized = realized_lanes[lane];
                 let actual_max = actual_lanes[lane] * drift_factor;
                 let violated = realized + 1e-9 < actual_max;
@@ -1135,15 +1158,30 @@ mod tests {
     fn adaptive_bank_is_bit_identical_to_scalar_observers() {
         let digest = TimingDigest::from_trace(&long_trace());
         let config = AdaptiveConfig::default();
+        // Every generator: padding lanes enter the observe pass, and the
+        // quantized and discrete generators realize their 0 ps request as a
+        // nonzero period.
+        let generators = [
+            ClockGenerator::Ideal,
+            ClockGenerator::quantized_50ps(),
+            ClockGenerator::discrete(8, 900.0, 2100.0),
+        ];
         // Corner counts straddling the lane width and one past the wide-copy
-        // gate (37 corners pad to 40 lanes), through both copies of the
-        // kernel, plus both seeding modes and a non-trivial drift (which
-        // exercises the backoff path).
+        // gate (37 corners pad to 40 lanes), through every copy of the
+        // kernel a bank of that width can run (the one-chunk copy at 1–4
+        // corners; repeats are harmless), plus both seeding modes and a
+        // non-trivial drift (which exercises the backoff path).
         let mut drift_violations = 0;
-        for isa in [LaneIsa::BASELINE, LaneIsa::detected()] {
-            for corners in [1usize, 3, 4, 5, 8, 37] {
-                let models = varied_models(corners as u32, 0xADA7);
-                let seed = DelayLut::from_model(&models[0]);
+        for corners in [1usize, 2, 3, 4, 5, 8, 37] {
+            let models = varied_models(corners as u32, 0xADA7);
+            let seed = DelayLut::from_model(&models[0]);
+            let corner_bank = CornerBank::from_models(&models);
+            let copies = [
+                LaneIsa::BASELINE,
+                LaneIsa::detected(),
+                LaneIsa::for_lanes(corner_bank.padded_lanes()),
+            ];
+            for generator in &generators {
                 for (seed_lut, drift) in [
                     (None, Drift::None),
                     (
@@ -1153,44 +1191,34 @@ mod tests {
                         },
                     ),
                 ] {
-                    // `replay_adaptive_digest_banked` with the copy pinned.
-                    let corner_bank = CornerBank::from_models(&models);
-                    let mut evaluator = corner_bank.evaluator();
-                    let mut bank = AdaptiveBank::new(
-                        &models,
-                        &config,
-                        &ClockGenerator::Ideal,
-                        seed_lut,
-                        drift,
-                    )
-                    .with_isa(isa);
-                    digest.for_each_cycle(|cycle, dc| {
-                        bank.observe_cycle_lanes_phased(
-                            cycle,
-                            dc,
-                            evaluator.cycle_lanes(cycle, dc),
-                            false,
-                        );
-                    });
-                    bank.finish(&digest.summary());
-                    let banked = bank.into_outcomes();
-                    assert_eq!(banked.len(), corners);
-                    for (corner, model) in models.iter().enumerate() {
-                        let scalar = replay_adaptive_digest(
-                            model,
-                            &digest,
-                            &config,
-                            &ClockGenerator::Ideal,
-                            seed_lut,
-                            drift,
-                        );
-                        assert_eq!(
-                            banked[corner], scalar,
-                            "{isa:?} corners {corners} lane {corner}"
-                        );
-                    }
-                    if seed_lut.is_some() {
-                        drift_violations += banked.iter().map(|o| o.violations).sum::<u64>();
+                    let scalar: Vec<AdaptiveOutcome> = models
+                        .iter()
+                        .map(|model| {
+                            replay_adaptive_digest(
+                                model, &digest, &config, generator, seed_lut, drift,
+                            )
+                        })
+                        .collect();
+                    for isa in copies {
+                        // `replay_adaptive_digest_banked` with the copy pinned.
+                        let mut evaluator = corner_bank.evaluator();
+                        let mut bank =
+                            AdaptiveBank::new(&models, &config, generator, seed_lut, drift)
+                                .with_isa(isa);
+                        digest.for_each_cycle(|cycle, dc| {
+                            bank.observe_cycle_lanes_phased(
+                                cycle,
+                                dc,
+                                evaluator.cycle_lanes(cycle, dc),
+                                false,
+                            );
+                        });
+                        bank.finish(&digest.summary());
+                        let banked = bank.into_outcomes();
+                        assert_eq!(banked, scalar, "{isa:?} {generator:?} corners {corners}");
+                        if seed_lut.is_some() {
+                            drift_violations += banked.iter().map(|o| o.violations).sum::<u64>();
+                        }
                     }
                 }
             }

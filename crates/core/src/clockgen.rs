@@ -79,6 +79,7 @@ impl ClockGenerator {
     /// request exceeds the generator's range, in which case the longest
     /// available period is produced — the caller's violation check will
     /// flag the consequences).
+    #[inline]
     #[must_use]
     pub fn realize(&self, requested_ps: Ps) -> Ps {
         match self {

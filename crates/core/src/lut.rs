@@ -64,6 +64,7 @@ pub struct DelayLut {
     min_observations: u64,
 }
 
+#[inline]
 fn index(stage: Stage, class: TimingClass) -> usize {
     stage.index() * TimingClass::COUNT + class.index()
 }
@@ -133,6 +134,7 @@ impl DelayLut {
     }
 
     /// The delay entry for one `(stage, class)` pair.
+    #[inline]
     #[must_use]
     pub fn delay_ps(&self, stage: Stage, class: TimingClass) -> Ps {
         self.entries[index(stage, class)]
@@ -147,6 +149,7 @@ impl DelayLut {
     /// The clock period required for one cycle given the classes currently
     /// in flight in every stage: the maximum of the corresponding entries
     /// (equation (2) of the paper, evaluated at LUT granularity).
+    #[inline]
     #[must_use]
     pub fn period_for(&self, classes: &[TimingClass; Stage::COUNT]) -> Ps {
         Stage::ALL

@@ -110,6 +110,7 @@ impl ClockPolicy for InstructionBased {
         "instruction-based"
     }
 
+    #[inline]
     fn digest_period_ps(&self, _cycle: u64, digest_cycle: &DigestCycle) -> Ps {
         self.lut.period_for(&digest_cycle.classes)
     }
@@ -154,6 +155,7 @@ impl ClockPolicy for ExecuteOnly {
         "execute-only"
     }
 
+    #[inline]
     fn digest_period_ps(&self, _cycle: u64, digest_cycle: &DigestCycle) -> Ps {
         let class = digest_cycle.classes[Stage::Execute.index()];
         self.lut.delay_ps(Stage::Execute, class).max(self.guard_ps)

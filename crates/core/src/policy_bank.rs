@@ -30,9 +30,10 @@
 //! Per cycle, [`PolicyBank::observe_actuals`] does the remaining per-lane
 //! work: the violation compare-and-count, plus the recovery classification
 //! and penalty time under a fault plan, plus the entry count on
-//! exception-entry cycles ([`PolicyBank::observe_actuals_entry`]). A bank of
-//! at least 32 padded lanes on a CPU with AVX2 runs that loop in its AVX2
-//! copy ([`LaneIsa`]).
+//! exception-entry cycles ([`PolicyBank::observe_actuals_entry`]). That
+//! loop runs in the copy the bank's width selects ([`LaneIsa::for_lanes`]):
+//! the one-chunk copy at 1–4 corners, the AVX2 copy from 32 padded lanes
+//! on a CPU with AVX2, the baseline otherwise.
 //!
 //! Every fold replicates [`PolicyObserver`](crate::PolicyObserver)'s
 //! arithmetic operation for operation (same order, same constants), so
@@ -115,6 +116,7 @@ struct Realized<T> {
 impl Realized<Ps> {
     /// Derives the limits of `period`; without a fault plan the detection
     /// limit and the penalty step are never read.
+    #[inline]
     fn of(period: Ps, faults: Option<&FaultPlan>) -> Self {
         let spec = faults.map_or_else(FaultSpec::default, |plan| *plan.spec());
         Realized {
@@ -144,12 +146,14 @@ trait Lane: Copy {
 }
 
 impl Lane for Ps {
+    #[inline(always)]
     fn at(self, _lane: usize) -> Ps {
         self
     }
 }
 
 impl Lane for &[Ps] {
+    #[inline(always)]
     fn at(self, lane: usize) -> Ps {
         self[lane]
     }
@@ -214,6 +218,7 @@ impl LaneTally {
 }
 
 /// Adds each lane's violation, `threshold < actual`, into `counts`.
+#[inline(always)]
 fn count(counts: &mut [u64], threshold: impl Lane, actuals: &[Ps]) {
     for (lane, (count, &actual)) in counts.iter_mut().zip(actuals).enumerate() {
         *count += u64::from(threshold.at(lane) < actual);
@@ -262,8 +267,9 @@ impl<'a> PolicyBank<'a> {
         bank
     }
 
-    /// Pins the copy of the observe kernel, past the width gate of
-    /// [`LaneIsa::for_lanes`], so tests run both copies at any width.
+    /// Pins the copy of the observe kernel, past the selection of
+    /// [`LaneIsa::for_lanes`], so tests run every copy a bank of this width
+    /// can run (the one-chunk copy only at one chunk).
     #[cfg(test)]
     pub(crate) fn with_isa(mut self, isa: LaneIsa) -> Self {
         self.isa = isa;
@@ -321,6 +327,7 @@ impl<'a> PolicyBank<'a> {
     /// Fixes the walk's request kind on its first `begin_*` call and
     /// returns whether an earlier call already had (so the last request is
     /// valid).
+    #[inline]
     fn fix_kind(&mut self, kind: Requests) -> bool {
         let fixed = self.kind.replace(kind);
         assert_eq!(fixed.unwrap_or(kind), kind, "one request kind per walk");
@@ -395,8 +402,9 @@ impl<'a> PolicyBank<'a> {
     #[inline(never)]
     pub fn observe_actuals(&mut self, actuals: &[Ps]) {
         self.isa.run(
+            self.padded,
             #[inline(always)]
-            || self.observe(actuals, false),
+            |lanes| self.observe(actuals, lanes, false),
         );
     }
 
@@ -413,18 +421,19 @@ impl<'a> PolicyBank<'a> {
     #[inline(never)]
     pub fn observe_actuals_entry(&mut self, actuals: &[Ps]) {
         self.isa.run(
+            self.padded,
             #[inline(always)]
-            || self.observe(actuals, true),
+            |lanes| self.observe(actuals, lanes, true),
         );
     }
 
-    /// The one observe kernel behind both entry points, inlined into both
-    /// copies of each (see [`LaneIsa::run`]) so the `entry` pass folds away
-    /// on ordinary cycles.
+    /// The one observe kernel behind both entry points, inlined into every
+    /// copy of each (see [`LaneIsa::run`]) so the `entry` pass folds away
+    /// on ordinary cycles; `lanes` is the bank's padded width.
     #[inline(always)]
-    fn observe(&mut self, actuals: &[Ps], entry: bool) {
-        let lanes = actuals.len();
-        assert_eq!(lanes, self.padded, "lane-packed actual delays");
+    fn observe(&mut self, actuals: &[Ps], lanes: usize, entry: bool) {
+        assert_eq!(actuals.len(), lanes, "lane-packed actual delays");
+        let actuals = &actuals[..lanes];
         match self.kind {
             Some(Requests::Uniform) => {
                 self.total_time_ps += self.uniform.period;
@@ -608,12 +617,23 @@ mod tests {
         }
     }
 
-    // Both copies of the kernel, below and past the wide-copy gate (37
-    // corners pad to 40 lanes).
+    /// Every copy `with_isa` can force on a bank of `corners` corners: the
+    /// baseline and the detected copy at any width, plus the copy the width
+    /// selects (the one-chunk copy at 1–4 corners). Repeats are harmless.
+    fn copies(corners: u32) -> [LaneIsa; 3] {
+        [
+            LaneIsa::BASELINE,
+            LaneIsa::detected(),
+            LaneIsa::for_lanes((corners as usize).next_multiple_of(LANE_WIDTH)),
+        ]
+    }
+
+    // Every copy of the kernel at one chunk (1–4 corners), below and past
+    // the wide-copy gate (37 corners pad to 40 lanes).
     #[test]
     fn bank_matches_scalar_observers_without_faults() {
-        for isa in [LaneIsa::BASELINE, LaneIsa::detected()] {
-            for corners in [5, 37] {
+        for corners in [1, 2, 3, 4, 5, 37] {
+            for isa in copies(corners) {
                 assert_bank_matches_scalar(&corner_models(corners), None, isa);
             }
         }
@@ -624,8 +644,8 @@ mod tests {
         let spec = FaultSpec::parse("seed=3,droop-rate=0.4,droop-mag=0.5,spike-rate=0.05,spike-mag=0.9,penalty=5,detect-window=0.3")
             .unwrap();
         let plan = FaultPlan::new(&spec);
-        for isa in [LaneIsa::BASELINE, LaneIsa::detected()] {
-            for corners in [6, 37] {
+        for corners in [1, 2, 3, 4, 6, 37] {
+            for isa in copies(corners) {
                 assert_bank_matches_scalar(&corner_models(corners), Some(plan), isa);
             }
         }

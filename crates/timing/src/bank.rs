@@ -20,14 +20,17 @@
 //! runs over all corners at once, one auto-vectorized loop per stage, while
 //! the dither and the blended excitation are computed once per cycle and
 //! broadcast. The fold is compiled for the build target (128-bit SSE2 on the
-//! default x86-64 target) and once more with 256-bit AVX2, which wide banks
-//! select at run time (see [`LaneIsa`]). Every lane performs **exactly** the
+//! default x86-64 target), once more for banks of exactly one
+//! [`LANE_WIDTH`] chunk with the lane count a compile-time constant, and
+//! once more with 256-bit AVX2, which wide banks select at run time (see
+//! [`LaneIsa`]). Every lane performs **exactly** the
 //! scalar arithmetic of [`TimingModel::digest_cycle_timing`] (the parameters
 //! are read from the already-varied models, the operations are in the same
-//! order, neither copy enables FMA, and Rust never contracts float
-//! expressions), so both copies are bit-identical to the scalar path —
-//! pinned by the unit tests here, which run both, and by the
-//! workspace-level banked-replay property tests.
+//! order, no copy enables FMA, and Rust never contracts float
+//! expressions), so every copy is bit-identical to the scalar path —
+//! pinned by the unit tests here, which run each copy a bank of the tested
+//! width can select, and by the workspace-level banked-replay property
+//! tests.
 
 use crate::model::{blend_excitation, stage_dithers};
 use crate::{FaultPlan, Ps, TimingModel};
@@ -40,15 +43,23 @@ use idca_pipeline::{DigestCycle, Stage};
 /// target (SSE2), one 256-bit operation in the AVX2 copy of a kernel (see
 /// [`LaneIsa`]).
 ///
-/// Only the `AdaptiveBank`'s predict and adapt folds are written in
-/// fixed-trip chunks of this width. [`BankEvaluator::cycle_lanes`], the
-/// `PolicyBank` loops and the adaptive observe pass run `0..padded` (or
-/// `0..corners`), a runtime trip. LLVM's AVX2 copy of such a loop steps 8
-/// or 16 lanes per iteration (two or four 256-bit registers) and leaves the
-/// rest to remainder code, so a narrow bank pays the wide loop's set-up
-/// without filling it. An A/B of the two copies measured the AVX2 copy
-/// slower or no faster up to 16 lanes and faster from 24 on, so a bank
-/// runs it from 32 padded lanes ([`LaneIsa::for_lanes`]).
+/// A lane kernel receives its lane count from [`LaneIsa::run`], and the
+/// width of a bank decides which compiled copy runs it
+/// ([`LaneIsa::for_lanes`]):
+///
+/// - *One chunk* (1–4 corners, `padded == LANE_WIDTH`): a copy in which the
+///   lane count is this constant. Its loops compile to straight-line
+///   chunk operations. With a runtime trip count LLVM emits loop set-up
+///   and remainder code, and fills scratch with a `memset` call, which at
+///   one chunk costs more than the lanes themselves.
+/// - *Baseline* (5–28 corners): the runtime trip `0..padded`, built for the
+///   compilation target.
+/// - *AVX2* (from 29 corners, 32 padded lanes, on a CPU that has AVX2): the
+///   same runtime trip with 256-bit registers. LLVM's AVX2 copy of such a
+///   loop steps 8 or 16 lanes per iteration and leaves the rest to
+///   remainder code, so a narrow bank pays the wide loop's set-up without
+///   filling it. An A/B of the two copies measured the AVX2 copy slower or
+///   no faster up to 16 lanes and faster from 24 on.
 pub const LANE_WIDTH: usize = 4;
 
 /// The narrowest bank, in padded lanes, that runs the AVX2 copy of the lane
@@ -56,15 +67,18 @@ pub const LANE_WIDTH: usize = 4;
 const AVX2_MIN_LANES: usize = 8 * LANE_WIDTH;
 
 /// Which compiled copy of the lane kernels a bank runs: the baseline copy,
-/// built for the compilation target (SSE2 on the default x86-64 target), or
-/// on x86-64 a second copy of the same source built with AVX2 enabled.
+/// built for the compilation target (SSE2 on the default x86-64 target);
+/// the one-chunk copy, the same source with the lane count fixed at
+/// [`LANE_WIDTH`]; or on x86-64 a copy of the same source built with AVX2
+/// enabled.
 ///
 /// The binary needs no build flag and still runs on a CPU without AVX2:
 /// the field is private, so the AVX2 value comes only out of
-/// [`LaneIsa::detected`], after the CPU was checked. Each bank picks its copy
-/// once, at construction, with [`LaneIsa::for_lanes`].
+/// [`LaneIsa::detected`], after the CPU was checked, and the one-chunk
+/// value only out of [`LaneIsa::for_lanes`] for a one-chunk bank. Each bank
+/// picks its copy once, at construction, with [`LaneIsa::for_lanes`].
 ///
-/// Both copies are bit-identical. The AVX2 copy enables no FMA and the
+/// Every copy is bit-identical. The AVX2 copy enables no FMA and the
 /// kernels call no `mul_add`, and Rust never contracts `a * b + c`, so every
 /// lane performs the same IEEE operations in the same order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +87,7 @@ pub struct LaneIsa(Isa);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Isa {
     Baseline,
+    OneChunk,
     #[cfg(target_arch = "x86_64")]
     Avx2,
 }
@@ -93,24 +108,34 @@ impl LaneIsa {
         LaneIsa::BASELINE
     }
 
-    /// The copy a bank of `padded_lanes` lanes runs: [`LaneIsa::detected`]
-    /// from 32 padded lanes on, the baseline below.
+    /// The copy a bank of `padded_lanes` lanes runs: the one-chunk copy at
+    /// exactly [`LANE_WIDTH`] lanes, [`LaneIsa::detected`] from 32 padded
+    /// lanes on, the baseline in between.
     #[must_use]
     pub fn for_lanes(padded_lanes: usize) -> LaneIsa {
-        if padded_lanes >= AVX2_MIN_LANES {
+        if padded_lanes == LANE_WIDTH {
+            LaneIsa(Isa::OneChunk)
+        } else if padded_lanes >= AVX2_MIN_LANES {
             LaneIsa::detected()
         } else {
             LaneIsa::BASELINE
         }
     }
 
-    /// Runs `kernel` in this copy. Pass an `#[inline(always)]` closure: its
-    /// body then compiles once into the caller (the baseline copy) and once
-    /// into the AVX2 trampoline, with 256-bit registers.
+    /// Runs `kernel` in this copy over a bank of `lanes` padded lanes,
+    /// passing it the lane count: `lanes` itself, or the literal
+    /// [`LANE_WIDTH`] in the one-chunk copy. Pass an `#[inline(always)]`
+    /// closure: its body then compiles into the caller twice (the baseline
+    /// and the one-chunk copy) and once into the AVX2 trampoline, with
+    /// 256-bit registers.
     #[inline(always)]
-    pub fn run<R>(self, kernel: impl FnOnce() -> R) -> R {
+    pub fn run<R>(self, lanes: usize, kernel: impl FnOnce(usize) -> R) -> R {
         match self.0 {
-            Isa::Baseline => kernel(),
+            Isa::Baseline => kernel(lanes),
+            Isa::OneChunk => {
+                debug_assert_eq!(lanes, LANE_WIDTH, "the one-chunk copy runs one chunk");
+                kernel(LANE_WIDTH)
+            }
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => {
                 // SAFETY: calling an `avx2` target-feature function requires
@@ -119,7 +144,7 @@ impl LaneIsa {
                 // `is_x86_feature_detected!("avx2")` found the feature.
                 #[allow(unsafe_code)]
                 unsafe {
-                    avx2(kernel)
+                    avx2(lanes, kernel)
                 }
             }
         }
@@ -130,8 +155,8 @@ impl LaneIsa {
 /// into this body with AVX2 (and no FMA) enabled.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn avx2<R>(kernel: impl FnOnce() -> R) -> R {
-    kernel()
+fn avx2<R>(lanes: usize, kernel: impl FnOnce(usize) -> R) -> R {
+    kernel(lanes)
 }
 
 /// The per-`(stage, class)` delay parameters of `M` timing-model corners in
@@ -195,8 +220,10 @@ impl CornerBank {
         }
     }
 
-    /// Pins the copy of the fold, past the width gate of
-    /// [`LaneIsa::for_lanes`], so tests run both copies at any width.
+    /// Pins the copy of the fold and of the lane perturbations, past the
+    /// selection of [`LaneIsa::for_lanes`], so tests run every copy a bank
+    /// of this width can run: the baseline and the detected copy at any
+    /// width, the one-chunk copy at one chunk.
     #[cfg(test)]
     pub(crate) fn with_isa(mut self, isa: LaneIsa) -> CornerBank {
         self.isa = isa;
@@ -235,7 +262,7 @@ impl CornerBank {
     pub fn evaluator(&self) -> BankEvaluator<'_> {
         BankEvaluator {
             bank: self,
-            cycle: CycleLanes::new(self.padded),
+            cycle: CycleLanes::new(self.padded, self.isa),
         }
     }
 }
@@ -248,6 +275,13 @@ impl CornerBank {
 ///
 /// Lane `i` of every slice is corner `i`; padding lanes evaluate inert
 /// zero parameters and hold `0.0`.
+///
+/// The lanes are the evaluator's per-walk scratch, so they also carry the
+/// walk's droop cache: the droop activation and the six per-stage droop
+/// weights of a [`FaultPlan`] are constant within a
+/// [`DROOP_WINDOW_CYCLES`](crate::DROOP_WINDOW_CYCLES)-cycle window, so
+/// [`CycleLanes::apply_fault`] hashes them once per window instead of once
+/// per cycle.
 #[derive(Debug, Clone)]
 pub struct CycleLanes {
     padded: usize,
@@ -259,14 +293,30 @@ pub struct CycleLanes {
     /// folded in stage order with the same strict-`>` reduction as the
     /// scalar path.
     max_delay_ps: Vec<Ps>,
+    /// The copy of the perturbation kernel these lanes run (the bank's).
+    isa: LaneIsa,
+    /// The droop weights of the last window [`CycleLanes::apply_fault`]
+    /// saw, keyed on the plan's value and the window number.
+    droop: Option<DroopWindow>,
+}
+
+/// One cached droop window: [`FaultPlan::droop_weights`] of `window` under
+/// `plan`.
+#[derive(Debug, Clone, Copy)]
+struct DroopWindow {
+    plan: FaultPlan,
+    window: u64,
+    weights: Option<[f64; Stage::COUNT]>,
 }
 
 impl CycleLanes {
-    fn new(padded: usize) -> CycleLanes {
+    fn new(padded: usize, isa: LaneIsa) -> CycleLanes {
         CycleLanes {
             padded,
             stage_delay_ps: vec![0.0; Stage::COUNT * padded],
             max_delay_ps: vec![0.0; padded],
+            isa,
+            droop: None,
         }
     }
 
@@ -301,24 +351,28 @@ impl CycleLanes {
     /// which fixes its order relative to the entry surge.
     #[inline]
     pub fn apply_fault(&mut self, plan: &FaultPlan, cycle: u64) {
-        let factors = plan.stage_factors(cycle);
+        let factors = self.fault_factors(plan, cycle);
         if factors.iter().all(|&f| f == 1.0) {
             return;
         }
-        let padded = self.padded;
-        self.max_delay_ps.fill(0.0);
-        for stage in Stage::ALL {
-            let factor = factors[stage.index()];
-            let lanes = &mut self.stage_delay_ps[stage.index() * padded..][..padded];
-            let max = &mut self.max_delay_ps[..padded];
-            for (delay, max) in lanes.iter_mut().zip(max) {
-                let faulted = *delay * factor;
-                *delay = faulted;
-                if faulted > *max {
-                    *max = faulted;
-                }
-            }
-        }
+        self.rescale(&factors);
+    }
+
+    /// [`FaultPlan::stage_factors`] of `cycle`, with the droop weights of
+    /// its window from the cache: the same values, bit for bit, since the
+    /// cached weights are the ones `stage_factors` computes.
+    #[inline]
+    fn fault_factors(&mut self, plan: &FaultPlan, cycle: u64) -> [f64; Stage::COUNT] {
+        let window = cycle / crate::DROOP_WINDOW_CYCLES;
+        let cached = match self.droop {
+            Some(droop) if droop.window == window && droop.plan == *plan => droop,
+            _ => *self.droop.insert(DroopWindow {
+                plan: *plan,
+                window,
+                weights: plan.droop_weights(window),
+            }),
+        };
+        plan.factors_with(cycle, cached.weights.as_ref())
     }
 
     /// Applies the exception-entry delay surge in place — the lane form of
@@ -335,19 +389,31 @@ impl CycleLanes {
         if factor == 1.0 {
             return;
         }
-        let padded = self.padded;
-        self.max_delay_ps.fill(0.0);
-        for stage in Stage::ALL {
-            let lanes = &mut self.stage_delay_ps[stage.index() * padded..][..padded];
-            let max = &mut self.max_delay_ps[..padded];
-            for (delay, max) in lanes.iter_mut().zip(max) {
-                let surged = *delay * factor;
-                *delay = surged;
-                if surged > *max {
-                    *max = surged;
+        self.rescale(&[factor; Stage::COUNT]);
+    }
+
+    /// The kernel of both perturbations: rescales each stage's lanes by
+    /// that stage's factor and re-folds the maximum lanes.
+    fn rescale(&mut self, factors: &[f64; Stage::COUNT]) {
+        self.isa.run(
+            self.padded,
+            #[inline(always)]
+            |lanes| {
+                let max = &mut self.max_delay_ps[..lanes];
+                max.fill(0.0);
+                for stage in Stage::ALL {
+                    let factor = factors[stage.index()];
+                    let delays = &mut self.stage_delay_ps[stage.index() * lanes..][..lanes];
+                    for (delay, max) in delays.iter_mut().zip(&mut *max) {
+                        let scaled = *delay * factor;
+                        *delay = scaled;
+                        if scaled > *max {
+                            *max = scaled;
+                        }
+                    }
                 }
-            }
-        }
+            },
+        );
     }
 }
 
@@ -373,18 +439,18 @@ impl BankEvaluator<'_> {
     /// place; the next call recomputes every lane from scratch.
     pub fn cycle_lanes(&mut self, cycle: u64, dc: &DigestCycle) -> &mut CycleLanes {
         self.bank.isa.run(
+            self.bank.padded,
             #[inline(always)]
-            || self.fold(cycle, dc),
+            |lanes| self.fold(cycle, dc, lanes),
         );
         &mut self.cycle
     }
 
-    /// The body of [`BankEvaluator::cycle_lanes`], compiled into both copies
-    /// of [`LaneIsa::run`].
+    /// The body of [`BankEvaluator::cycle_lanes`], compiled into every copy
+    /// of [`LaneIsa::run`]; `padded` is the bank's padded width.
     #[inline(always)]
-    fn fold(&mut self, cycle: u64, dc: &DigestCycle) {
+    fn fold(&mut self, cycle: u64, dc: &DigestCycle, padded: usize) {
         let bank = self.bank;
-        let padded = bank.padded;
         // Corner-invariant per-cycle terms, computed once and broadcast: all
         // six stage dithers come out of one batched hash kernel (shared with
         // the scalar `digest_cycle_timing`, so both paths stay bit-identical
@@ -444,9 +510,23 @@ fn lane_offset(padded: usize, stage: Stage, class: TimingClass) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CycleTiming, ProfileKind, VariationModel};
+    use crate::{
+        CycleTiming, FaultSpec, ProfileKind, VariationModel, DROOP_WINDOW_CYCLES,
+        SHIFT_ONSET_HORIZON,
+    };
     use idca_isa::asm::Assembler;
     use idca_pipeline::{SimConfig, Simulator, TimingDigest};
+
+    /// Every copy `with_isa` can force on a bank of `corners` corners: the
+    /// baseline and the detected copy at any width, plus the copy the width
+    /// selects (the one-chunk copy at 1–4 corners). Repeats are harmless.
+    fn copies(corners: usize) -> [LaneIsa; 3] {
+        [
+            LaneIsa::BASELINE,
+            LaneIsa::detected(),
+            LaneIsa::for_lanes(corners.next_multiple_of(LANE_WIDTH)),
+        ]
+    }
 
     fn digest(src: &str) -> TimingDigest {
         let program = Assembler::new().assemble(src).expect("assembles");
@@ -510,9 +590,9 @@ mod tests {
         let d = mixed_digest();
         // Corner counts straddling the lane width, including non-multiples,
         // and one past the wide-copy gate (37 corners pad to 40 lanes), each
-        // through both copies of the fold.
-        for isa in [LaneIsa::BASELINE, LaneIsa::detected()] {
-            for corners in [1, 2, 3, 4, 5, 7, 8, 9, 37] {
+        // through every copy of the fold a bank of that width can run.
+        for corners in [1, 2, 3, 4, 5, 7, 8, 9, 37] {
+            for isa in copies(corners as usize) {
                 let models = varied_models(corners, 0xBA2C);
                 let bank = CornerBank::from_models(&models).with_isa(isa);
                 assert_eq!(bank.corners(), corners as usize);
@@ -532,12 +612,16 @@ mod tests {
 
     #[test]
     fn only_banks_of_32_lanes_or_more_run_the_detected_copy() {
-        assert_eq!(LaneIsa::for_lanes(4), LaneIsa::BASELINE);
+        // One chunk runs the one-chunk copy, whatever the CPU.
+        let one_chunk = LaneIsa(Isa::OneChunk);
+        assert_eq!(LaneIsa::for_lanes(4), one_chunk);
+        assert_eq!(LaneIsa::for_lanes(8), LaneIsa::BASELINE);
         assert_eq!(LaneIsa::for_lanes(28), LaneIsa::BASELINE);
         assert_eq!(LaneIsa::for_lanes(32), LaneIsa::detected());
         assert_eq!(LaneIsa::for_lanes(256), LaneIsa::detected());
+        assert_eq!(CornerBank::from_models(&varied_models(1, 5)).isa, one_chunk);
         assert_eq!(
-            CornerBank::from_models(&varied_models(1, 5)).isa,
+            CornerBank::from_models(&varied_models(5, 5)).isa,
             LaneIsa::BASELINE
         );
         assert_eq!(
@@ -548,11 +632,58 @@ mod tests {
 
     #[test]
     fn lane_surge_is_bit_identical_to_scalar_surge() {
-        for isa in [LaneIsa::BASELINE, LaneIsa::detected()] {
-            for corners in [5, 37] {
+        for corners in [1, 2, 3, 4, 5, 37] {
+            for isa in copies(corners as usize) {
                 assert_lane_surge_matches_scalar(&varied_models(corners, 0x51AB), isa);
             }
         }
+    }
+
+    #[test]
+    fn droop_cache_equals_stage_factors_bit_for_bit() {
+        let bits = |factors: [f64; Stage::COUNT]| factors.map(f64::to_bits);
+        let spec = FaultSpec::parse(
+            "seed=5,droop-rate=0.5,droop-mag=0.3,spike-rate=0.02,spike-mag=0.4,shift-mag=0.05",
+        )
+        .unwrap();
+        let plan = FaultPlan::new(&spec);
+        let other = FaultPlan::new(&FaultSpec { seed: 6, ..spec });
+        let mut lanes = CycleLanes::new(LANE_WIDTH, LaneIsa::BASELINE);
+        // A walk across many window boundaries and past the shift onset,
+        // then a restart at cycle 0 on the same lanes, as the next job does.
+        let horizon = SHIFT_ONSET_HORIZON + 2 * DROOP_WINDOW_CYCLES;
+        let mut drooping_windows = 0;
+        for walk in 0..2 {
+            for cycle in 0..horizon {
+                assert_eq!(
+                    bits(lanes.fault_factors(&plan, cycle)),
+                    bits(plan.stage_factors(cycle)),
+                    "walk {walk} cycle {cycle}"
+                );
+                if cycle % DROOP_WINDOW_CYCLES == 0 {
+                    drooping_windows +=
+                        u32::from(plan.droop_weights(cycle / DROOP_WINDOW_CYCLES).is_some());
+                }
+            }
+        }
+        assert!(drooping_windows > 10, "{drooping_windows} drooping windows");
+        assert!(plan.shift_onset() < horizon);
+        // A second plan on the same lanes, inside the window the first plan
+        // just cached and then alternating with it cycle by cycle: the cache
+        // must never serve one plan's weights to the other.
+        let mut differ = 0;
+        for cycle in (horizon - DROOP_WINDOW_CYCLES..horizon).chain(0..8 * DROOP_WINDOW_CYCLES) {
+            for p in [&other, &plan] {
+                assert_eq!(
+                    bits(lanes.fault_factors(p, cycle)),
+                    bits(p.stage_factors(cycle)),
+                    "seed {} cycle {cycle}",
+                    p.spec().seed
+                );
+            }
+            differ += u32::from(plan.stage_factors(cycle) != other.stage_factors(cycle));
+        }
+        assert!(differ > 0, "the two plans never differ");
     }
 
     fn assert_lane_surge_matches_scalar(models: &[TimingModel], isa: LaneIsa) {

@@ -328,27 +328,51 @@ impl FaultPlan {
     /// droop × spike × shift per stage.
     #[must_use]
     pub fn stage_factors(&self, cycle: u64) -> [f64; Stage::COUNT] {
+        let weights = self.droop_weights(cycle / DROOP_WINDOW_CYCLES);
+        self.factors_with(cycle, weights.as_ref())
+    }
+
+    /// The droop of one [`DROOP_WINDOW_CYCLES`]-cycle window: `None` when
+    /// the window carries no droop, otherwise each stage's hash-weighted
+    /// share of it — droops hit the long execute paths harder or softer run
+    /// by run. Constant within the window, so the lane path
+    /// ([`CycleLanes::apply_fault`](crate::CycleLanes::apply_fault)) caches
+    /// it per window.
+    pub(crate) fn droop_weights(&self, window: u64) -> Option<[f64; Stage::COUNT]> {
+        let spec = &self.spec;
+        let droops = spec.droop_rate > 0.0
+            && spec.droop_mag > 0.0
+            && hash01(spec.seed, window, DROOP_SALT) < spec.droop_rate;
+        droops.then(|| {
+            std::array::from_fn(|index| {
+                0.5 + 0.5
+                    * hash01(
+                        spec.seed.wrapping_add(window),
+                        index as u64,
+                        DROOP_STAGE_SALT,
+                    )
+            })
+        })
+    }
+
+    /// [`FaultPlan::stage_factors`] of `cycle` given its window's
+    /// [`FaultPlan::droop_weights`].
+    #[inline]
+    pub(crate) fn factors_with(
+        &self,
+        cycle: u64,
+        droop_weights: Option<&[f64; Stage::COUNT]>,
+    ) -> [f64; Stage::COUNT] {
         let mut factors = [1.0; Stage::COUNT];
         let spec = &self.spec;
 
         // Voltage droop: decided per window, ramping triangularly inside it
-        // (peak mid-window) with a hash-weighted per-stage share — droops
-        // hit the long execute paths harder or softer run by run.
-        if spec.droop_rate > 0.0 && spec.droop_mag > 0.0 {
-            let window = cycle / DROOP_WINDOW_CYCLES;
-            if hash01(spec.seed, window, DROOP_SALT) < spec.droop_rate {
-                let position = (cycle % DROOP_WINDOW_CYCLES) as f64 / DROOP_WINDOW_CYCLES as f64;
-                let shape = 1.0 - (2.0 * position - 1.0).abs();
-                for (index, factor) in factors.iter_mut().enumerate() {
-                    let weight = 0.5
-                        + 0.5
-                            * hash01(
-                                spec.seed.wrapping_add(window),
-                                index as u64,
-                                DROOP_STAGE_SALT,
-                            );
-                    *factor *= 1.0 + spec.droop_mag * shape * weight;
-                }
+        // (peak mid-window) with the window's per-stage weights.
+        if let Some(weights) = droop_weights {
+            let position = (cycle % DROOP_WINDOW_CYCLES) as f64 / DROOP_WINDOW_CYCLES as f64;
+            let shape = 1.0 - (2.0 * position - 1.0).abs();
+            for (factor, weight) in factors.iter_mut().zip(weights) {
+                *factor *= 1.0 + spec.droop_mag * shape * weight;
             }
         }
 

@@ -132,6 +132,7 @@ impl IrqTimeline {
     }
 }
 
+#[inline]
 fn span_phase(span: &IrqSpan, cycle: u64) -> IrqPhase {
     if cycle < span.entry || cycle >= span.end {
         IrqPhase::None
@@ -153,6 +154,7 @@ pub struct IrqCursor<'a> {
 
 impl IrqCursor<'_> {
     /// Phase of `cycle`. Cycles must be queried in nondecreasing order.
+    #[inline]
     pub fn phase(&mut self, cycle: u64) -> IrqPhase {
         let spans = &self.timeline.spans;
         while self.idx + 1 < spans.len() && spans[self.idx + 1].entry <= cycle {

@@ -44,10 +44,12 @@
 //!   to the scalar path. The six per-cycle stage dithers it broadcasts come
 //!   out of one batched hash kernel shared with the scalar evaluation paths.
 //! * [`LaneIsa`] — which compiled copy of a lane kernel a bank runs: the
-//!   baseline copy (128-bit SSE2 on the default x86-64 target), or an AVX2
-//!   copy of the same source that banks of at least 32 padded lanes select
-//!   at run time on a CPU that has AVX2, with no build flag. Its AVX2
-//!   trampoline holds this workspace's only `unsafe` block.
+//!   baseline copy (128-bit SSE2 on the default x86-64 target), a
+//!   one-chunk copy with the lane count fixed at [`LANE_WIDTH`] for banks
+//!   of 1–4 corners, or an AVX2 copy of the same source that banks of at
+//!   least 32 padded lanes select at run time on a CPU that has AVX2, with
+//!   no build flag. Its AVX2 trampoline holds this workspace's only
+//!   `unsafe` block.
 //! * [`FaultPlan`] / [`FaultSpec`] — deterministic fault injection:
 //!   voltage-droop windows, one-shot delay spikes and a persistent mid-run
 //!   corner shift, all sampled hash-deterministically from
@@ -56,7 +58,7 @@
 //!   violation-recovery parameters (replay penalty, detection window).
 //!   [`Perturbation`] composes the fault factors with the interrupt entry
 //!   surge in the one canonical order, on a [`CycleTiming`] or on
-//!   [`CycleLanes`].
+//!   [`CycleLanes`], which cache each droop window's weights.
 //!
 //! # Example
 //!

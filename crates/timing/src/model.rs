@@ -236,6 +236,7 @@ const HASH_SALT_C: u64 = 0x94D0_49BB_1331_11EB;
 /// index and a couple of salts (split-mix style mixing). Keeping this
 /// hash-based rather than RNG-based makes every simulation bit-reproducible.
 /// Shared with the PVT [`crate::VariationModel`] corner sampler.
+#[inline]
 pub(crate) fn hash01(a: u64, b: u64, c: u64) -> f64 {
     unit_interval(hash(a, b, c))
 }
