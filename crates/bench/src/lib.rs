@@ -27,7 +27,7 @@ use idca_core::{
     ClockGenerator, ClockPolicy, DelayLut,
 };
 use idca_isa::TimingClass;
-use idca_pipeline::{DigestObserver, RunSummary, SimConfig, Simulator, Stage, TimingDigest};
+use idca_pipeline::{RunSummary, SimConfig, Simulator, Stage, TimingDigest};
 use idca_timing::{
     dta::DynamicTimingAnalysis, CellLibrary, Histogram, PowerModel, ProfileKind, TimingModel,
     TimingProfile,
@@ -193,14 +193,14 @@ pub struct Experiments {
     /// The activity-based power model.
     pub power: PowerModel,
     /// Run totals (cycles, retired instructions) of the characterization
-    /// workload. The per-cycle records stream straight into the DTA; no
-    /// trace is materialized.
+    /// workload, as its digest records them.
     pub characterization: RunSummary,
-    /// DTA of the characterization run on the optimized core.
+    /// DTA of the characterization run on the optimized core: a replay of
+    /// [`Experiments::characterization_digest`].
     pub dta: DynamicTimingAnalysis,
-    /// Timing digest of the characterization run, captured on the same
-    /// streaming pass as the DTA. Re-characterizing against a different
-    /// model (profile, voltage, corner) replays this digest through
+    /// Timing digest of the characterization run. The DTA above replays it,
+    /// and re-characterizing against a different model (profile, voltage,
+    /// corner, a truncated run) replays it through
     /// [`DynamicTimingAnalysis::replay_digest`] instead of re-simulating.
     pub characterization_digest: TimingDigest,
     /// Timing digests of the Fig. 8 suite, one per [`Experiments::suite`]
@@ -221,41 +221,30 @@ pub struct Experiments {
 impl Experiments {
     /// Runs the characterization flow once and prepares everything the
     /// individual experiments need. Every workload — the characterization
-    /// stimulus and each suite benchmark — is simulated exactly once, here:
-    /// the characterization pass streams into the dynamic timing analysis
-    /// with a [`DigestObserver`] riding along, and each benchmark's digest
-    /// is captured in parallel, so the experiments themselves (Fig. 8 and
-    /// every ablation) are pure digest replays. No `Vec<CycleRecord>` is
-    /// allocated anywhere in this function.
+    /// stimulus and each suite benchmark, in parallel — is simulated exactly
+    /// once, here, through the sweep's fused digest capture, and nothing is
+    /// evaluated live: the DTA replays the characterization digest, and the
+    /// experiments themselves (Fig. 8 and every ablation) replay the suite
+    /// digests. No `CycleRecord` is built for a basic-block interior.
     #[must_use]
     pub fn prepare() -> Self {
         let library = CellLibrary::fdsoi28();
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
         let conventional = TimingModel::at_nominal(ProfileKind::Conventional);
         let power = PowerModel::new(library.clone());
-        let workload = characterization_workload(CHARACTERIZATION_SEED);
-        let mut dta_observer = DynamicTimingAnalysis::streaming(&model);
-        let mut digest_observer = DigestObserver::new();
-        let characterization = Simulator::new(SimConfig::default())
-            .run_observed(
-                &workload.program,
-                &mut [&mut dta_observer, &mut digest_observer],
-            )
-            .expect("characterization workload runs")
-            .summary;
-        let dta = dta_observer.into_analysis();
-        let characterization_digest = digest_observer.into_digest();
+        let simulator = Simulator::new(SimConfig::default());
+        let capture = |workload: &Workload| {
+            sweep::digest_program(&simulator, &workload.program)
+                .unwrap_or_else(|e| panic!("{} runs: {e}", workload.name))
+                .0
+        };
+        let characterization_digest = capture(&characterization_workload(CHARACTERIZATION_SEED));
+        let characterization = characterization_digest.summary();
+        let dta = DynamicTimingAnalysis::replay_digest(&model, &characterization_digest);
         let raw_lut = DelayLut::from_dta(&dta, 8);
         let lut = raw_lut.with_guardband(0.015);
         let suite = benchmark_suite();
-        let simulator = Simulator::new(SimConfig::default());
-        let suite_digests = suite::par_map(&suite, |workload| {
-            let mut observer = DigestObserver::new();
-            simulator
-                .run_observed(&workload.program, &mut [&mut observer])
-                .expect("benchmark runs");
-            observer.into_digest()
-        });
+        let suite_digests = suite::par_map(&suite, capture);
         Experiments {
             model,
             conventional,
@@ -508,6 +497,67 @@ mod tests {
         let fig6 = exp.fig6();
         let total: f64 = fig6.iter().map(|r| r.percent).sum();
         assert!((total - 100.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn prepare_equals_a_live_reference_pass() {
+        use idca_pipeline::DigestObserver;
+        let exp = Experiments::prepare();
+        let simulator = Simulator::new(SimConfig::default());
+
+        // The DTA and run totals: a streaming DTA riding the reference loop.
+        let workload = characterization_workload(CHARACTERIZATION_SEED);
+        let mut live = DynamicTimingAnalysis::streaming(&exp.model);
+        let mut digest = DigestObserver::new();
+        let run = simulator
+            .run_observed_reference(&workload.program, &mut [&mut live, &mut digest])
+            .expect("characterization runs");
+        assert_eq!(exp.characterization, run.summary);
+        assert_eq!(
+            exp.characterization_digest.to_bytes(),
+            digest.into_digest().to_bytes()
+        );
+        let (live, dta) = (live.into_analysis(), &exp.dta);
+        assert_eq!(dta.cycles(), live.cycles());
+        assert_eq!(dta.mean_cycle_delay_ps(), live.mean_cycle_delay_ps());
+        assert_eq!(dta.max_cycle_delay_ps(), live.max_cycle_delay_ps());
+        assert_eq!(dta.limiting_counts(), live.limiting_counts());
+        assert_eq!(dta.cycle_histogram(), live.cycle_histogram());
+        for stage in Stage::ALL {
+            for class in TimingClass::ALL {
+                let at = format!("{stage}/{class}");
+                assert_eq!(
+                    dta.observed_worst_ps(stage, class),
+                    live.observed_worst_ps(stage, class),
+                    "{at}"
+                );
+                assert_eq!(
+                    dta.observations(stage, class),
+                    live.observations(stage, class),
+                    "{at}"
+                );
+                assert_eq!(
+                    dta.stage_histogram(stage, class),
+                    live.stage_histogram(stage, class),
+                    "{at}"
+                );
+            }
+        }
+
+        // Every suite digest: an unhinted capture on the reference loop.
+        let reference = suite::par_map(&exp.suite, |workload| {
+            let mut digest = DigestObserver::new();
+            simulator
+                .run_observed_reference(&workload.program, &mut [&mut digest])
+                .expect("benchmark runs");
+            digest.into_digest().to_bytes()
+        });
+        assert_eq!(exp.suite_digests.len(), reference.len());
+        for ((workload, digest), reference) in
+            exp.suite.iter().zip(&exp.suite_digests).zip(reference)
+        {
+            assert_eq!(digest.to_bytes(), reference, "{}", workload.name);
+        }
     }
 
     #[test]

@@ -702,10 +702,12 @@ pub fn merge_reports(reports: Vec<SweepReport>) -> Result<SweepReport, MergeErro
         merged.merge(part);
     }
 
-    // `SweepReport::merge` restored canonical order; one linear scan now
-    // rejects overlaps and finds the first coverage gap.
-    let mut expected_iter =
-        (0..merged.seeds).flat_map(|s| (0..merged.corners).map(move |c| (s, c)));
+    // `SweepReport::merge` restored canonical order, but no merge sorted a
+    // lone report (sorting sorted rows is one pass). One linear scan then
+    // rejects overlaps, and a second finds the first coverage gap.
+    merged
+        .jobs
+        .sort_by_key(|job| (job.seed_index, job.corner_index));
     for pair in merged.jobs.windows(2) {
         if (pair[0].seed_index, pair[0].corner_index) == (pair[1].seed_index, pair[1].corner_index)
         {
@@ -718,13 +720,18 @@ pub fn merge_reports(reports: Vec<SweepReport>) -> Result<SweepReport, MergeErro
     let expected = u64::from(merged.seeds) * u64::from(merged.corners);
     let actual = merged.jobs.len() as u64;
     if actual != expected {
-        let first_missing = expected_iter
-            .by_ref()
-            .find(|&(s, c)| {
-                !merged
-                    .jobs
-                    .iter()
-                    .any(|j| (j.seed_index, j.corner_index) == (s, c))
+        // Walk the expected grid and the sorted rows side by side: the first
+        // grid job the rows step over is the first missing one.
+        let mut rows = merged
+            .jobs
+            .iter()
+            .map(|j| (j.seed_index, j.corner_index))
+            .peekable();
+        let first_missing = (0..merged.seeds)
+            .flat_map(|s| (0..merged.corners).map(move |c| (s, c)))
+            .find(|&job| {
+                while rows.next_if(|&row| row < job).is_some() {}
+                rows.next_if_eq(&job).is_none()
             })
             .unwrap_or((merged.seeds, merged.corners));
         return Err(MergeError::MissingJobs {
@@ -911,6 +918,20 @@ mod tests {
                 first_missing: (2, 0)
             })
         );
+        // A lone report in any row order is checked and returned in
+        // canonical order: a duplicate that does not sit next to its twin
+        // is still an overlap.
+        let mut shuffled = full.clone();
+        shuffled.jobs.reverse();
+        assert_eq!(merge_reports(vec![shuffled.clone()]), Ok(full.clone()));
+        shuffled.jobs[0] = full.jobs[0].clone();
+        assert_eq!(
+            merge_reports(vec![shuffled]),
+            Err(MergeError::OverlappingJobs {
+                seed_index: 0,
+                corner_index: 0
+            })
+        );
         // Identity mismatch.
         let foreign = SweepReport {
             master_seed: full.master_seed + 1,
@@ -920,6 +941,49 @@ mod tests {
             merge_reports(vec![first, foreign]),
             Err(MergeError::ConfigMismatch {
                 field: "master seed"
+            })
+        );
+
+        // An in-memory grid of 40 000 seeds x 2 corners in four shards,
+        // with no simulation: finding the first missing job stays linear in
+        // the grid.
+        let seeds = 40_000;
+        let shard = |range: Range<u32>| SweepReport {
+            seeds,
+            jobs: range
+                .flat_map(|seed_index| {
+                    let row = &full.jobs[0];
+                    (0..full.corners).map(move |corner_index| SweepJobOutcome {
+                        seed_index,
+                        corner_index,
+                        ..row.clone()
+                    })
+                })
+                .collect(),
+            ..full.clone()
+        };
+        let mut shards: Vec<SweepReport> = (0..4)
+            .map(|k| shard(k * seeds / 4..(k + 1) * seeds / 4))
+            .collect();
+        let last = shards.pop().expect("four shards");
+        assert_eq!(
+            merge_reports(shards.clone()),
+            Err(MergeError::MissingJobs {
+                expected: 80_000,
+                actual: 60_000,
+                first_missing: (30_000, 0)
+            })
+        );
+        shards.push(last);
+        shards[1]
+            .jobs
+            .retain(|j| (j.seed_index, j.corner_index) != (12_345, 1));
+        assert_eq!(
+            merge_reports(shards),
+            Err(MergeError::MissingJobs {
+                expected: 80_000,
+                actual: 79_999,
+                first_missing: (12_345, 1)
             })
         );
     }

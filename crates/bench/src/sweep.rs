@@ -679,7 +679,7 @@ fn with_worker_buffers<R>(simulator: &Simulator, f: impl FnOnce(&mut SimBuffers)
 ///
 /// Propagates the simulation's [`PipelineError`] (e.g. a cycle-limit
 /// overrun on a pathological program) instead of panicking the worker.
-fn digest_program(
+pub(crate) fn digest_program(
     simulator: &Simulator,
     program: &Program,
 ) -> Result<(TimingDigest, Duration), PipelineError> {

@@ -20,8 +20,7 @@ use crate::tally::{frequencies, ViolationTally};
 use crate::{ClockGenerator, DelayLut};
 use idca_isa::TimingClass;
 use idca_pipeline::{
-    CycleObserver, CycleRecord, DigestCycle, IrqPhase, PipelineTrace, RunSummary, Stage,
-    TimingDigest,
+    CycleObserver, CycleRecord, DigestCycle, IrqPhase, RunSummary, Stage, TimingDigest,
 };
 use idca_timing::{
     CornerBank, CycleLanes, CycleTiming, FaultPlan, IrqCursor, IrqTimeline, LaneIsa, Perturbation,
@@ -116,7 +115,8 @@ impl Drift {
 /// Streaming online-adaptive clock controller: a [`CycleObserver`] that
 /// replays the adaptive prediction/observation/update loop on every cycle as
 /// the pipeline simulator produces it. Created by [`AdaptiveObserver::new`];
-/// [`run_adaptive`] drives the same accumulation from a materialized trace.
+/// [`replay_adaptive_digest`] drives the same accumulation from a captured
+/// digest.
 pub struct AdaptiveObserver<'a> {
     model: &'a TimingModel,
     config: AdaptiveConfig,
@@ -916,41 +916,18 @@ impl<'a> AdaptiveBank<'a> {
     }
 }
 
-/// Replays `trace` under an online-adaptive delay table.
+/// Replays a [`TimingDigest`] under an online-adaptive delay table — the
+/// simulate-once / evaluate-many entry point: one digested simulation can
+/// train and evaluate the controller against any number of (e.g.
+/// PVT-varied) timing models without re-simulating.
 ///
 /// Every cycle the controller requests the maximum table entry of the
 /// classes in flight (exactly like the instruction-based policy), realizes
 /// it through `generator`, and then uses the observed actual delay of the
 /// cycle (scaled by `drift`) to update the table: tighten unexcited entries
 /// toward `observed × (1 + margin)`, back off entries that proved too
-/// optimistic. Drives the same accumulation as [`AdaptiveObserver`], so a
-/// materialized trace and a streaming run produce identical outcomes.
-#[must_use]
-pub fn run_adaptive(
-    model: &TimingModel,
-    trace: &PipelineTrace,
-    config: &AdaptiveConfig,
-    generator: &ClockGenerator,
-    seed_lut: Option<&DelayLut>,
-    drift: Drift,
-) -> AdaptiveOutcome {
-    let mut observer = AdaptiveObserver::new(model, config, generator, seed_lut, drift);
-    for record in trace.cycles() {
-        observer.observe_cycle(record);
-    }
-    observer.finish(&RunSummary {
-        cycles: trace.cycle_count(),
-        retired: trace.retired(),
-    });
-    observer.into_outcome()
-}
-
-/// Replays a [`TimingDigest`] under the online-adaptive delay table — the
-/// simulate-once / evaluate-many counterpart of [`run_adaptive`]: one
-/// digested simulation can train and evaluate the controller against any
-/// number of (e.g. PVT-varied) timing models without re-simulating. Drives
-/// the same accumulation as [`AdaptiveObserver`] on the live pass, so the
-/// outcome and the learned table are bit-identical.
+/// optimistic. Drives the same accumulation as [`AdaptiveObserver`] on the
+/// live pass, so the outcome and the learned table are bit-identical.
 #[must_use]
 pub fn replay_adaptive_digest(
     model: &TimingModel,
@@ -998,12 +975,12 @@ pub fn replay_adaptive_digest_banked(
 mod tests {
     use super::*;
     use crate::policy::InstructionBased;
-    use crate::run_with_policy;
+    use crate::replay_digest;
     use idca_isa::asm::Assembler;
-    use idca_pipeline::{SimConfig, Simulator};
+    use idca_pipeline::{DigestObserver, SimConfig, Simulator};
     use idca_timing::ProfileKind;
 
-    fn long_trace() -> PipelineTrace {
+    fn long_digest() -> TimingDigest {
         let program = Assembler::new()
             .assemble(
                 "        l.addi r1, r0, 0x200
@@ -1021,19 +998,20 @@ mod tests {
                          l.nop  1",
             )
             .unwrap();
+        let mut capture = DigestObserver::new();
         Simulator::new(SimConfig::default())
-            .run(&program)
-            .unwrap()
-            .trace
+            .run_observed(&program, &mut [&mut capture])
+            .unwrap();
+        capture.into_digest()
     }
 
     #[test]
     fn adaptive_table_learns_a_speedup_from_scratch() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let trace = long_trace();
-        let outcome = run_adaptive(
+        let digest = long_digest();
+        let outcome = replay_adaptive_digest(
             &model,
-            &trace,
+            &digest,
             &AdaptiveConfig::default(),
             &ClockGenerator::Ideal,
             None,
@@ -1054,18 +1032,18 @@ mod tests {
     #[test]
     fn adaptive_approaches_the_precharacterized_policy() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let trace = long_trace();
-        let adaptive = run_adaptive(
+        let digest = long_digest();
+        let adaptive = replay_adaptive_digest(
             &model,
-            &trace,
+            &digest,
             &AdaptiveConfig::default(),
             &ClockGenerator::Ideal,
             None,
             Drift::None,
         );
-        let characterized = run_with_policy(
+        let characterized = replay_digest(
             &model,
-            &trace,
+            &digest,
             &InstructionBased::from_model(&model),
             &ClockGenerator::Ideal,
         );
@@ -1079,11 +1057,11 @@ mod tests {
     #[test]
     fn seeded_table_starts_fast_and_stays_safe() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let trace = long_trace();
+        let digest = long_digest();
         let seed = DelayLut::from_model(&model);
-        let outcome = run_adaptive(
+        let outcome = replay_adaptive_digest(
             &model,
-            &trace,
+            &digest,
             &AdaptiveConfig::default(),
             &ClockGenerator::Ideal,
             Some(&seed),
@@ -1096,7 +1074,7 @@ mod tests {
     #[test]
     fn adaptation_tracks_environmental_drift() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let trace = long_trace();
+        let digest = long_digest();
         // 1 % slowdown per 1000 cycles: by the end of the run every path is
         // several percent slower than the characterization assumed.
         let drift = Drift::LinearSlowdown {
@@ -1108,18 +1086,14 @@ mod tests {
         let frozen = {
             let policy = InstructionBased::new(frozen_lut.clone());
             let mut violations = 0;
-            for record in trace.cycles() {
-                let digest_cycle = DigestCycle::of_record(record);
-                let requested =
-                    crate::ClockPolicy::digest_period_ps(&policy, record.cycle, &digest_cycle);
-                let actual = model
-                    .digest_cycle_timing(record.cycle, &digest_cycle)
-                    .max_delay_ps
-                    * drift.factor(record.cycle);
+            digest.for_each_cycle(|cycle, digest_cycle| {
+                let requested = crate::ClockPolicy::digest_period_ps(&policy, cycle, digest_cycle);
+                let actual = model.digest_cycle_timing(cycle, digest_cycle).max_delay_ps
+                    * drift.factor(cycle);
                 if requested + 1e-9 < actual {
                     violations += 1;
                 }
-            }
+            });
             violations
         };
         assert!(
@@ -1129,9 +1103,9 @@ mod tests {
 
         // The adaptive table backs off as soon as the monitor reports
         // trouble and keeps the violation count dramatically lower.
-        let adaptive = run_adaptive(
+        let adaptive = replay_adaptive_digest(
             &model,
-            &trace,
+            &digest,
             &AdaptiveConfig::default(),
             &ClockGenerator::Ideal,
             Some(&frozen_lut),
@@ -1156,7 +1130,7 @@ mod tests {
 
     #[test]
     fn adaptive_bank_is_bit_identical_to_scalar_observers() {
-        let digest = TimingDigest::from_trace(&long_trace());
+        let digest = long_digest();
         let config = AdaptiveConfig::default();
         // Every generator: padding lanes enter the observe pass, and the
         // quantized and discrete generators realize their 0 ps request as a
@@ -1230,7 +1204,7 @@ mod tests {
 
     #[test]
     fn adaptive_bank_learned_tables_match_the_scalar_observer() {
-        let digest = TimingDigest::from_trace(&long_trace());
+        let digest = long_digest();
         let models = varied_models(3, 7);
         let config = AdaptiveConfig::default();
         let corner_bank = idca_timing::CornerBank::from_models(&models);
@@ -1275,7 +1249,7 @@ mod tests {
 
     #[test]
     fn empty_adaptive_bank_is_inert() {
-        let digest = TimingDigest::from_trace(&long_trace());
+        let digest = long_digest();
         let outcomes = replay_adaptive_digest_banked(
             &[],
             &digest,
@@ -1290,10 +1264,9 @@ mod tests {
     #[test]
     fn empty_trace_is_neutral() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let empty = PipelineTrace::from_parts(vec![], 0);
-        let outcome = run_adaptive(
+        let outcome = replay_adaptive_digest(
             &model,
-            &empty,
+            &TimingDigest::default(),
             &AdaptiveConfig::default(),
             &ClockGenerator::Ideal,
             None,

@@ -1,19 +1,15 @@
 //! Evaluation helpers: per-benchmark policy comparisons and suite-level
 //! aggregation (the data behind Fig. 8 and the headline 38 % result).
 //!
-//! [`compare_program`] is the single-pass entry point: it simulates a
-//! benchmark **once**, with the static-baseline and dynamic-policy
-//! [`PolicyObserver`]s riding on the same [`Simulator::run_observed`] pass,
-//! so the Fig. 8 evaluation neither materializes traces nor re-simulates per
-//! policy. [`compare`] is the trace-replay equivalent for callers that
-//! already hold a [`PipelineTrace`], and [`compare_digest_policies`]
-//! evaluates any number of policies in one walk of a captured
-//! [`TimingDigest`].
+//! Every comparison replays a captured [`TimingDigest`]: each benchmark is
+//! simulated **once**, into its digest, and [`compare_digest_policies`]
+//! evaluates any number of policies against the static baseline in one
+//! walk of it, with one model evaluation per cycle shared by every
+//! policy's [`PolicyObserver`]. [`compare_digest`] is its one-policy call.
 
 use crate::sim::PolicyObserver;
-use crate::{run_with_policy, ClockGenerator, ClockPolicy, RunOutcome, StaticClock};
-use idca_isa::Program;
-use idca_pipeline::{CycleObserver, PipelineError, PipelineTrace, Simulator, TimingDigest};
+use crate::{ClockGenerator, ClockPolicy, RunOutcome, StaticClock};
+use idca_pipeline::{CycleObserver, TimingDigest};
 use idca_timing::TimingModel;
 use serde::{Deserialize, Serialize};
 
@@ -44,64 +40,12 @@ impl PolicyComparison {
 }
 
 /// Compares a dynamic clock-adjustment policy against conventional static
-/// clocking on one benchmark trace.
-#[must_use]
-pub fn compare(
-    model: &TimingModel,
-    benchmark: impl Into<String>,
-    trace: &PipelineTrace,
-    policy: &dyn ClockPolicy,
-    generator: &ClockGenerator,
-) -> PolicyComparison {
-    let baseline = run_with_policy(
-        model,
-        trace,
-        &StaticClock::of_model(model),
-        &ClockGenerator::Ideal,
-    );
-    let dynamic = run_with_policy(model, trace, policy, generator);
-    PolicyComparison {
-        benchmark: benchmark.into(),
-        baseline,
-        dynamic,
-    }
-}
-
-/// Compares a dynamic clock-adjustment policy against conventional static
-/// clocking by simulating `program` **once**: both policies observe the same
-/// streaming pass, no per-cycle storage is allocated, and the outcomes are
-/// identical to replaying a materialized trace through [`compare`].
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] if the benchmark itself fails to simulate.
-pub fn compare_program(
-    model: &TimingModel,
-    benchmark: impl Into<String>,
-    simulator: &Simulator,
-    program: &Program,
-    policy: &dyn ClockPolicy,
-    generator: &ClockGenerator,
-) -> Result<PolicyComparison, PipelineError> {
-    let static_policy = StaticClock::of_model(model);
-    let mut baseline = PolicyObserver::new(model, &static_policy, &ClockGenerator::Ideal);
-    let mut dynamic = PolicyObserver::new(model, policy, generator);
-    simulator.run_observed(program, &mut [&mut baseline, &mut dynamic])?;
-    Ok(PolicyComparison {
-        benchmark: benchmark.into(),
-        baseline: baseline.into_outcome(),
-        dynamic: dynamic.into_outcome(),
-    })
-}
-
-/// Compares a dynamic clock-adjustment policy against conventional static
-/// clocking by replaying a pre-captured [`TimingDigest`] — the
-/// simulate-once / evaluate-many counterpart of [`compare_program`]: one
-/// digested simulation serves any number of `(model, policy, generator)`
+/// clocking by replaying a pre-captured [`TimingDigest`]: one digested
+/// simulation serves any number of `(model, policy, generator)`
 /// evaluations with no simulator in the loop. This is the one-policy call
-/// of [`compare_digest_policies`], and bit-identical to
-/// [`compare_program`] on the originating program (the digest replay is the
-/// same arithmetic).
+/// of [`compare_digest_policies`], and bit-identical to a static-baseline
+/// and a dynamic [`PolicyObserver`] riding the originating simulation (the
+/// digest replay is the same arithmetic).
 #[must_use]
 pub fn compare_digest(
     model: &TimingModel,
@@ -275,19 +219,12 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 mod tests {
     use super::*;
     use crate::policy::InstructionBased;
-    use idca_isa::asm::Assembler;
+    use idca_isa::{asm::Assembler, Program};
+    use idca_pipeline::{DigestObserver, SimConfig, Simulator};
     use idca_timing::ProfileKind;
 
-    fn trace(src: &str) -> PipelineTrace {
-        let program = Assembler::new().assemble(src).unwrap();
-        idca_pipeline::Simulator::new(idca_pipeline::SimConfig::default())
-            .run(&program)
-            .unwrap()
-            .trace
-    }
-
-    fn loop_trace(body: &str) -> PipelineTrace {
-        trace(&format!(
+    fn loop_program(body: &str) -> Program {
+        let src = format!(
             "        l.addi r3, r0, 40
              loop:   {body}
                      l.addi r3, r3, -1
@@ -295,15 +232,24 @@ mod tests {
                      l.bf   loop
                      l.nop  0
                      l.nop  1"
-        ))
+        );
+        Assembler::new().assemble(&src).unwrap()
+    }
+
+    fn loop_digest(body: &str) -> TimingDigest {
+        let mut capture = DigestObserver::new();
+        Simulator::new(SimConfig::default())
+            .run_observed(&loop_program(body), &mut [&mut capture])
+            .unwrap();
+        capture.into_digest()
     }
 
     #[test]
     fn comparison_reports_positive_speedup() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
         let policy = InstructionBased::from_model(&model);
-        let t = loop_trace("l.add r4, r4, r3\n l.xor r5, r4, r3");
-        let cmp = compare(&model, "alu-loop", &t, &policy, &ClockGenerator::Ideal);
+        let t = loop_digest("l.add r4, r4, r3\n l.xor r5, r4, r3");
+        let cmp = compare_digest(&model, "alu-loop", &t, &policy, &ClockGenerator::Ideal);
         assert_eq!(cmp.benchmark, "alu-loop");
         assert!(cmp.speedup() > 1.2);
         assert!(cmp.frequency_gain_mhz() > 50.0);
@@ -320,8 +266,14 @@ mod tests {
             ("mul", "l.mul r4, r3, r3\n l.mul r5, r4, r3"),
             ("mem", "l.sw 0(r0), r4\n l.lwz r5, 0(r0)"),
         ] {
-            let t = loop_trace(body);
-            suite.push(compare(&model, name, &t, &policy, &ClockGenerator::Ideal));
+            let t = loop_digest(body);
+            suite.push(compare_digest(
+                &model,
+                name,
+                &t,
+                &policy,
+                &ClockGenerator::Ideal,
+            ));
         }
         assert_eq!(suite.len(), 3);
         assert!(suite.mean_speedup() > 1.1);
@@ -339,13 +291,26 @@ mod tests {
 
     #[test]
     fn digest_comparison_matches_trace_comparison() {
+        // The static baseline and the policy observing the live pass, against
+        // a replay of the digest captured on that same pass.
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
         let policy = InstructionBased::from_model(&model);
-        let t = loop_trace("l.mul r4, r3, r3\n l.sw 0(r0), r4\n l.lwz r5, 0(r0)");
-        let digest = TimingDigest::from_trace(&t);
-        let via_trace = compare(&model, "kernel", &t, &policy, &ClockGenerator::Ideal);
+        let static_policy = StaticClock::of_model(&model);
+        let mut baseline = PolicyObserver::new(&model, &static_policy, &ClockGenerator::Ideal);
+        let mut dynamic = PolicyObserver::new(&model, &policy, &ClockGenerator::Ideal);
+        let mut capture = DigestObserver::new();
+        let program = loop_program("l.mul r4, r3, r3\n l.sw 0(r0), r4\n l.lwz r5, 0(r0)");
+        Simulator::new(SimConfig::default())
+            .run_observed(&program, &mut [&mut baseline, &mut dynamic, &mut capture])
+            .unwrap();
+        let live = PolicyComparison {
+            benchmark: "kernel".to_string(),
+            baseline: baseline.into_outcome(),
+            dynamic: dynamic.into_outcome(),
+        };
+        let digest = capture.into_digest();
         let via_digest = compare_digest(&model, "kernel", &digest, &policy, &ClockGenerator::Ideal);
-        assert_eq!(via_trace, via_digest);
+        assert_eq!(live, via_digest);
     }
 
     #[test]
@@ -359,15 +324,27 @@ mod tests {
         ];
         let mut full = SuiteSummary::new();
         for (name, body) in kernels {
-            let t = loop_trace(body);
-            full.push(compare(&model, name, &t, &policy, &ClockGenerator::Ideal));
+            let t = loop_digest(body);
+            full.push(compare_digest(
+                &model,
+                name,
+                &t,
+                &policy,
+                &ClockGenerator::Ideal,
+            ));
         }
         // Shard the suite in the "wrong" order and merge.
         let mut merged = SuiteSummary::new();
         for (name, body) in [kernels[2], kernels[0], kernels[1]] {
             let mut shard = SuiteSummary::new();
-            let t = loop_trace(body);
-            shard.push(compare(&model, name, &t, &policy, &ClockGenerator::Ideal));
+            let t = loop_digest(body);
+            shard.push(compare_digest(
+                &model,
+                name,
+                &t,
+                &policy,
+                &ClockGenerator::Ideal,
+            ));
             merged.merge(shard);
         }
         assert_eq!(merged, full);

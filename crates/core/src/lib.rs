@@ -17,41 +17,46 @@
 //!   adjustment ([`InstructionBased`]), the simplified execute-stage-only
 //!   monitor discussed in §IV-A ([`ExecuteOnly`]) and the genie-aided oracle
 //!   upper bound ([`GenieOracle`]).
-//! * [`run_with_policy`] — the dynamic-clock simulation driver: replays a
-//!   pipeline trace under a policy, accumulates execution time, checks the
-//!   *no-timing-violation* invariant against the actual dynamic delays and
-//!   reports the effective clock frequency. [`replay_digest`] and
-//!   [`replay_digest_banked`] drive the same accumulation from a captured
-//!   [`TimingDigest`](idca_pipeline::TimingDigest) — the latter against
-//!   `M` corner-varied models in a single digest walk.
+//! * [`replay_digest`] — the dynamic-clock simulation driver: replays a
+//!   captured [`TimingDigest`](idca_pipeline::TimingDigest) under a policy,
+//!   accumulates execution time, checks the *no-timing-violation* invariant
+//!   against the actual dynamic delays and reports the effective clock
+//!   frequency. [`replay_digest_banked`] drives the same accumulation
+//!   against `M` corner-varied models in a single digest walk, and the
+//!   streaming [`PolicyObserver`] riding a live simulation is the oracle
+//!   both are pinned against.
 //! * [`adaptive`] — the paper's online-updating outlook: a streaming
 //!   [`AdaptiveObserver`] that learns the delay table in the field, and
 //!   the corner-batched [`AdaptiveBank`] that trains `M` such controllers
 //!   at once in structure-of-arrays folds.
-//! * [`eval`] — speedup comparisons between policies and suite-level
-//!   aggregation (Fig. 8 of the paper).
+//! * [`eval`] — speedup comparisons between policies by digest replay and
+//!   suite-level aggregation (Fig. 8 of the paper).
 //! * [`vfs`] — voltage-frequency scaling: converts the frequency gain into a
 //!   supply-voltage reduction at iso-throughput and reports the energy
 //!   efficiency improvement (the paper's 24 % / 13.7 → 11.0 µW/MHz result).
 //!
 //! # Example
 //!
+//! Simulate once into a digest, then evaluate each policy by replay:
+//!
 //! ```
-//! use idca_core::{policy::{InstructionBased, StaticClock}, run_with_policy, ClockGenerator, DelayLut};
+//! use idca_core::{policy::{InstructionBased, StaticClock}, replay_digest, ClockGenerator, DelayLut};
 //! use idca_isa::asm::Assembler;
-//! use idca_pipeline::{SimConfig, Simulator};
+//! use idca_pipeline::{DigestObserver, SimConfig, Simulator};
 //! use idca_timing::{ProfileKind, TimingModel};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let program = Assembler::new().assemble(
 //!     "l.addi r3, r0, 50\nloop: l.addi r3, r3, -1\n l.sfne r3, r0\n l.bf loop\n l.nop 0\n l.nop 1\n",
 //! )?;
-//! let trace = Simulator::new(SimConfig::default()).run(&program)?.trace;
+//! let mut capture = DigestObserver::new();
+//! Simulator::new(SimConfig::default()).run_observed(&program, &mut [&mut capture])?;
+//! let digest = capture.into_digest();
 //! let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
 //! let lut = DelayLut::from_model(&model);
 //!
-//! let baseline = run_with_policy(&model, &trace, &StaticClock::of_model(&model), &ClockGenerator::Ideal);
-//! let dynamic = run_with_policy(&model, &trace, &InstructionBased::new(lut), &ClockGenerator::Ideal);
+//! let baseline = replay_digest(&model, &digest, &StaticClock::of_model(&model), &ClockGenerator::Ideal);
+//! let dynamic = replay_digest(&model, &digest, &InstructionBased::new(lut), &ClockGenerator::Ideal);
 //! assert!(dynamic.effective_frequency_mhz > baseline.effective_frequency_mhz);
 //! assert_eq!(dynamic.violations, 0);
 //! # Ok(())
@@ -73,12 +78,12 @@ mod tally;
 pub mod vfs;
 
 pub use adaptive::{
-    replay_adaptive_digest, replay_adaptive_digest_banked, run_adaptive, AdaptiveBank,
-    AdaptiveConfig, AdaptiveObserver, AdaptiveOutcome, Drift,
+    replay_adaptive_digest, replay_adaptive_digest_banked, AdaptiveBank, AdaptiveConfig,
+    AdaptiveObserver, AdaptiveOutcome, Drift,
 };
 pub use clockgen::ClockGenerator;
 pub use error::{CoreError, LutFormatError};
 pub use lut::{DelayLut, LutSource, Table2Row};
 pub use policy::{ClockPolicy, ExecuteOnly, GenieOracle, InstructionBased, StaticClock};
 pub use policy_bank::PolicyBank;
-pub use sim::{replay_digest, replay_digest_banked, run_with_policy, PolicyObserver, RunOutcome};
+pub use sim::{replay_digest, replay_digest_banked, PolicyObserver, RunOutcome};

@@ -482,7 +482,7 @@ mod json {
 mod tests {
     use super::*;
     use idca_isa::asm::Assembler;
-    use idca_pipeline::{SimConfig, Simulator};
+    use idca_pipeline::{DigestObserver, SimConfig, Simulator};
     use idca_timing::ProfileKind;
 
     fn model() -> TimingModel {
@@ -509,11 +509,11 @@ mod tests {
                          l.nop  1",
             )
             .unwrap();
-        let trace = Simulator::new(SimConfig::default())
-            .run(&program)
-            .unwrap()
-            .trace;
-        DynamicTimingAnalysis::run(&model(), &trace)
+        let mut capture = DigestObserver::new();
+        Simulator::new(SimConfig::default())
+            .run_observed(&program, &mut [&mut capture])
+            .unwrap();
+        DynamicTimingAnalysis::replay_digest(&model(), &capture.into_digest())
     }
 
     #[test]

@@ -45,8 +45,8 @@
 use crate::sim::RunOutcome;
 use crate::tally::frequencies;
 use crate::ClockGenerator;
-use idca_pipeline::{CycleObserver, RunSummary};
-use idca_timing::{ActivityObserver, FaultPlan, FaultSpec, LaneIsa, Ps, LANE_WIDTH};
+use idca_pipeline::{RunSummary, TraceStats};
+use idca_timing::{ActivitySummary, FaultPlan, FaultSpec, LaneIsa, Ps, LANE_WIDTH};
 
 /// Per-corner accumulators of one clock policy evaluated against `M` PVT
 /// corners — see the [module docs](self).
@@ -457,9 +457,7 @@ impl<'a> PolicyBank<'a> {
     /// activity once, outside the bank); callers that replay activity
     /// assign it onto the outcomes afterwards.
     pub fn finish(&mut self, summary: &RunSummary) {
-        let mut activity = ActivityObserver::new();
-        activity.finish(summary);
-        let activity = activity.summary();
+        let activity = ActivitySummary::from_stats(&TraceStats::default());
         let cycles = summary.cycles;
         // A `begin_block` walk held its run time and min/max once; every
         // corner reports them.
@@ -533,7 +531,7 @@ mod tests {
     use super::*;
     use crate::policy::StaticClock;
     use crate::PolicyObserver;
-    use idca_pipeline::{SimConfig, Simulator, TimingDigest};
+    use idca_pipeline::{CycleObserver, SimConfig, Simulator, TimingDigest};
     use idca_timing::{CornerBank, FaultSpec, ProfileKind, TimingModel, VariationModel};
 
     fn digest() -> TimingDigest {

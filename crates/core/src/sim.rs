@@ -7,20 +7,22 @@
 //! the *frequency-over-scaling without timing errors* invariant by comparing
 //! every realized period against the actual dynamic delay of that cycle.
 //!
-//! The driver is a streaming accumulator: [`PolicyObserver`] implements
-//! [`CycleObserver`] and evaluates each cycle as the pipeline simulator
-//! produces it, so several policies can be compared in one simulation pass
-//! (see [`crate::eval`]). [`run_with_policy`] replays a materialized
-//! [`PipelineTrace`] through the same accumulation.
+//! The driver is a streaming accumulator over digested cycles:
+//! [`replay_digest`] replays a captured [`TimingDigest`] through a
+//! [`PolicyObserver`], and [`replay_digest_banked`] replays it against many
+//! corner-varied models in one walk (see also [`crate::eval`]). The
+//! observer also implements [`CycleObserver`] and evaluates each live
+//! record through the same per-cycle body: it is the live oracle the
+//! replays are pinned against.
 
 use crate::tally::{frequencies, ViolationTally};
 use crate::{ClockGenerator, ClockPolicy};
 use idca_pipeline::{
-    CycleObserver, CycleRecord, DigestCycle, IrqPhase, PipelineTrace, RunSummary, TimingDigest,
+    CycleObserver, CycleRecord, DigestCycle, IrqPhase, RunSummary, TimingDigest, TraceStats,
 };
 use idca_timing::{
-    ActivityObserver, ActivitySummary, CornerBank, CycleTiming, FaultPlan, IrqCursor, IrqTimeline,
-    Perturbation, Ps, TimingModel,
+    ActivitySummary, CornerBank, CycleTiming, FaultPlan, IrqCursor, IrqTimeline, Perturbation, Ps,
+    TimingModel,
 };
 use serde::{Deserialize, Serialize};
 
@@ -92,13 +94,12 @@ impl RunOutcome {
 /// [`ClockPolicy`] to every cycle as the pipeline simulator produces it,
 /// realizes the requested period through a [`ClockGenerator`], checks the
 /// no-timing-violation invariant against `model` and accumulates the
-/// switching activity — everything [`run_with_policy`] reports, with no
-/// materialized trace.
+/// switching activity, with no materialized trace.
 ///
 /// Several `PolicyObserver`s can ride on the same
-/// [`run_observed`](idca_pipeline::Simulator::run_observed) pass, which is
-/// how [`crate::eval::compare_program`] evaluates the static baseline and a
-/// dynamic policy with a single simulation of each benchmark.
+/// [`run_observed`](idca_pipeline::Simulator::run_observed) pass (the live
+/// oracle of [`replay_digest`]) or the same digest walk
+/// ([`crate::eval::compare_digest_policies`]).
 pub struct PolicyObserver<'a> {
     model: &'a TimingModel,
     policy: &'a dyn ClockPolicy,
@@ -108,7 +109,7 @@ pub struct PolicyObserver<'a> {
     tally: ViolationTally,
     min_period_ps: Ps,
     max_period_ps: Ps,
-    activity: ActivityObserver,
+    activity: TraceStats,
     outcome: Option<RunOutcome>,
 }
 
@@ -130,7 +131,7 @@ impl<'a> PolicyObserver<'a> {
             tally: ViolationTally::default(),
             min_period_ps: Ps::INFINITY,
             max_period_ps: 0.0,
-            activity: ActivityObserver::new(),
+            activity: TraceStats::default(),
             outcome: None,
         }
     }
@@ -250,7 +251,6 @@ impl CycleObserver for PolicyObserver<'_> {
     }
 
     fn finish(&mut self, summary: &RunSummary) {
-        self.activity.finish(summary);
         let cycles = summary.cycles;
         let tally = self.tally;
         let (avg_period_ps, effective_frequency_mhz, recovery_frequency_mhz) =
@@ -276,37 +276,9 @@ impl CycleObserver for PolicyObserver<'_> {
             replay_penalty_cycles: tally.replay_penalty_cycles,
             silent_risk_cycles: tally.silent_risk_cycles,
             recovery_frequency_mhz,
-            activity: self.activity.summary(),
+            activity: ActivitySummary::from_stats(&self.activity),
         });
     }
-}
-
-/// Replays `trace` under `policy`, realizing every requested period through
-/// `generator`, and checks each cycle against the actual dynamic delays of
-/// `model`. This drives the same accumulation as [`PolicyObserver`], so a
-/// materialized trace and a streaming run produce identical outcomes.
-///
-/// The returned [`RunOutcome::violations`] counts the cycles whose realized
-/// period undercut the true dynamic delay; with a LUT built from the
-/// analytic worst-case profile this is zero by construction, and with a
-/// characterization-derived LUT it measures how representative the
-/// characterization workload was.
-#[must_use]
-pub fn run_with_policy(
-    model: &TimingModel,
-    trace: &PipelineTrace,
-    policy: &dyn ClockPolicy,
-    generator: &ClockGenerator,
-) -> RunOutcome {
-    let mut observer = PolicyObserver::new(model, policy, generator);
-    for record in trace.cycles() {
-        observer.observe_cycle(record);
-    }
-    observer.finish(&RunSummary {
-        cycles: trace.cycle_count(),
-        retired: trace.retired(),
-    });
-    observer.into_outcome()
 }
 
 /// Replays a [`TimingDigest`] under `policy` — the simulate-once /
@@ -315,7 +287,7 @@ pub fn run_with_policy(
 /// simulator in the loop. Drives the same accumulation as
 /// [`PolicyObserver`] on the live pass, so the outcome — violations,
 /// realized periods, effective frequency, activity — is bit-identical to
-/// [`run_with_policy`] on the originating execution.
+/// that observer riding the originating execution.
 #[must_use]
 pub fn replay_digest(
     model: &TimingModel,
@@ -379,7 +351,7 @@ pub fn replay_digest_banked(
     let bank = CornerBank::from_models(models);
     let mut pbank = crate::PolicyBank::new(policy.name(), models.len(), generator);
     let mut evaluator = bank.evaluator();
-    let mut activity = ActivityObserver::new();
+    let mut activity = TraceStats::default();
     digest.for_each_run(|start, len, dc| {
         for cycle in start..start + u64::from(len) {
             // The policy sees only the digest, never the model, so its
@@ -397,10 +369,8 @@ pub fn replay_digest_banked(
             activity.observe_digest(dc);
         }
     });
-    let summary = digest.summary();
-    pbank.finish(&summary);
-    activity.finish(&summary);
-    let activity = activity.summary();
+    pbank.finish(&digest.summary());
+    let activity = ActivitySummary::from_stats(&activity);
     let mut outcomes = pbank.into_outcomes();
     for outcome in &mut outcomes {
         outcome.activity = activity;
@@ -414,19 +384,20 @@ mod tests {
     use crate::policy::{GenieOracle, InstructionBased, StaticClock};
     use crate::DelayLut;
     use idca_isa::asm::Assembler;
-    use idca_pipeline::{SimConfig, Simulator};
+    use idca_pipeline::{DigestObserver, SimConfig, Simulator};
     use idca_timing::ProfileKind;
 
-    fn trace(src: &str) -> PipelineTrace {
+    fn digest(src: &str) -> TimingDigest {
         let program = Assembler::new().assemble(src).unwrap();
+        let mut capture = DigestObserver::new();
         Simulator::new(SimConfig::default())
-            .run(&program)
-            .unwrap()
-            .trace
+            .run_observed(&program, &mut [&mut capture])
+            .unwrap();
+        capture.into_digest()
     }
 
-    fn mixed_trace() -> PipelineTrace {
-        trace(
+    fn mixed_digest() -> TimingDigest {
+        digest(
             "        l.addi r1, r0, 0x100
                      l.addi r3, r0, 50
              loop:   l.mul  r5, r3, r3
@@ -445,9 +416,9 @@ mod tests {
     #[test]
     fn static_clock_matches_sta_frequency() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let outcome = run_with_policy(
+        let outcome = replay_digest(
             &model,
-            &mixed_trace(),
+            &mixed_digest(),
             &StaticClock::of_model(&model),
             &ClockGenerator::Ideal,
         );
@@ -459,14 +430,14 @@ mod tests {
     #[test]
     fn instruction_based_is_faster_without_violations() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let t = mixed_trace();
-        let baseline = run_with_policy(
+        let t = mixed_digest();
+        let baseline = replay_digest(
             &model,
             &t,
             &StaticClock::of_model(&model),
             &ClockGenerator::Ideal,
         );
-        let dynamic = run_with_policy(
+        let dynamic = replay_digest(
             &model,
             &t,
             &InstructionBased::from_model(&model),
@@ -481,14 +452,14 @@ mod tests {
     #[test]
     fn genie_oracle_bounds_the_lut_policy() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let t = mixed_trace();
-        let lut = run_with_policy(
+        let t = mixed_digest();
+        let lut = replay_digest(
             &model,
             &t,
             &InstructionBased::from_model(&model),
             &ClockGenerator::Ideal,
         );
-        let genie = run_with_policy(
+        let genie = replay_digest(
             &model,
             &t,
             &GenieOracle::new(model.clone()),
@@ -501,13 +472,13 @@ mod tests {
     #[test]
     fn quantized_generator_reduces_but_preserves_gain() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let t = mixed_trace();
+        let t = mixed_digest();
         let policy = InstructionBased::from_model(&model);
-        let ideal = run_with_policy(&model, &t, &policy, &ClockGenerator::Ideal);
-        let quantized = run_with_policy(&model, &t, &policy, &ClockGenerator::quantized_50ps());
+        let ideal = replay_digest(&model, &t, &policy, &ClockGenerator::Ideal);
+        let quantized = replay_digest(&model, &t, &policy, &ClockGenerator::quantized_50ps());
         assert!(quantized.effective_frequency_mhz <= ideal.effective_frequency_mhz);
         assert_eq!(quantized.violations, 0);
-        let baseline = run_with_policy(
+        let baseline = replay_digest(
             &model,
             &t,
             &StaticClock::of_model(&model),
@@ -519,20 +490,20 @@ mod tests {
     #[test]
     fn undersized_static_clock_is_flagged_as_violating() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let t = mixed_trace();
+        let t = mixed_digest();
         // Clock the core at half the static period: plenty of violations.
         let reckless = StaticClock::new(model.static_period_ps() / 2.0);
-        let outcome = run_with_policy(&model, &t, &reckless, &ClockGenerator::Ideal);
+        let outcome = replay_digest(&model, &t, &reckless, &ClockGenerator::Ideal);
         assert!(outcome.violations > 0);
     }
 
     #[test]
     fn characterized_lut_replayed_on_same_workload_has_no_violations() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let t = mixed_trace();
-        let dta = idca_timing::dta::DynamicTimingAnalysis::run(&model, &t);
+        let t = mixed_digest();
+        let dta = idca_timing::dta::DynamicTimingAnalysis::replay_digest(&model, &t);
         let lut = DelayLut::from_dta(&dta, 1);
-        let outcome = run_with_policy(
+        let outcome = replay_digest(
             &model,
             &t,
             &InstructionBased::new(lut),
@@ -549,7 +520,7 @@ mod tests {
         let models: Vec<TimingModel> = (0..5)
             .map(|i| vm.apply(&nominal, &vm.sample_corner(0xBA2C, i)))
             .collect();
-        let digest = idca_pipeline::TimingDigest::from_trace(&mixed_trace());
+        let digest = mixed_digest();
         let policy = InstructionBased::from_model(&nominal);
         let banked = replay_digest_banked(&models, &digest, &policy, &ClockGenerator::Ideal);
         assert_eq!(banked.len(), models.len());
@@ -564,8 +535,8 @@ mod tests {
     #[test]
     fn empty_trace_produces_neutral_outcome() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let empty = PipelineTrace::from_parts(vec![], 0);
-        let outcome = run_with_policy(
+        let empty = TimingDigest::default();
+        let outcome = replay_digest(
             &model,
             &empty,
             &StaticClock::of_model(&model),

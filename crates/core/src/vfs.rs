@@ -10,9 +10,9 @@
 //! throughput, then compares energy efficiency at the two points.
 
 use crate::{
-    replay_digest, run_with_policy, ClockGenerator, ClockPolicy, CoreError, RunOutcome, StaticClock,
+    replay_digest, ClockGenerator, ClockPolicy, CoreError, PolicyObserver, RunOutcome, StaticClock,
 };
-use idca_pipeline::{PipelineTrace, TimingDigest};
+use idca_pipeline::{CycleObserver, PipelineTrace, RunSummary, TimingDigest};
 use idca_timing::{
     CellLibrary, PowerModel, PowerReport, ProfileKind, TimingModel, NOMINAL_VOLTAGE_MV,
 };
@@ -72,10 +72,10 @@ impl VoltageScalingResult {
 /// nominal-voltage throughput on `trace`, and reports the resulting
 /// energy-efficiency gain.
 ///
-/// Every candidate operating point runs the materialized trace through
-/// [`run_with_policy`], walking downward from nominal and stopping at the
-/// first infeasible point. This is the live-record reference oracle of
-/// [`scale_for_iso_throughput_digest`], which scans a captured digest
+/// Every candidate operating point feeds the materialized trace's records
+/// to a live [`PolicyObserver`], walking downward from nominal and stopping
+/// at the first infeasible point. This is the live-record reference oracle
+/// of [`scale_for_iso_throughput_digest`], which scans a captured digest
 /// instead and returns the identical result.
 ///
 /// * `policy_factory` builds the dynamic-clock policy for a given timing
@@ -102,14 +102,24 @@ pub fn scale_for_iso_throughput(
         power,
         policy_factory,
         generator,
-        &|model, policy, generator| run_with_policy(model, trace, policy, generator),
+        &|model, policy, generator| {
+            let mut observer = PolicyObserver::new(model, policy, generator);
+            for record in trace.cycles() {
+                observer.observe_cycle(record);
+            }
+            observer.finish(&RunSummary {
+                cycles: trace.cycle_count(),
+                retired: trace.retired(),
+            });
+            observer.into_outcome()
+        },
     )
 }
 
 /// [`scale_for_iso_throughput`] over a captured [`TimingDigest`]: each
 /// candidate operating point is one [`replay_digest`], bit-identical to
-/// running the trace of the originating execution, so both return the same
-/// result without a simulator in the loop. The scan stops at the first
+/// observing the records of the originating execution, so both return the
+/// same result without a simulator in the loop. The scan stops at the first
 /// infeasible voltage, so it replays only the candidates down to there.
 ///
 /// # Errors

@@ -1601,9 +1601,10 @@ mod tests {
     #[test]
     fn fused_burst_capture_is_bit_identical_to_record_capture() {
         // A lone hinted observer takes the compact fast-path delivery
-        // (`observe_fast_cycle`); adding any second observer forces the
-        // burst to materialize full records instead. Both captures must
-        // produce byte-identical digests.
+        // (`observe_fast_cycle`); adding any second observer sends every
+        // cycle down the reference-structured path, which materializes full
+        // records instead. Both captures must produce byte-identical
+        // digests.
         let src = "        l.addi r1, r0, 0x200
                            l.addi r3, r0, 25
                    loop:   l.mul  r4, r3, r3

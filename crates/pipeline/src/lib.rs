@@ -18,9 +18,14 @@
 //! Records are delivered through the streaming [`CycleObserver`] interface
 //! ([`Simulator::run_observed`]): downstream analyses consume each cycle as
 //! it is produced, so one simulation pass feeds them all and nothing is
-//! materialized on the hot path. A full [`PipelineTrace`] is just one
-//! possible observer (kept for tests, serialization and file-based replay),
-//! produced by the convenience wrapper [`Simulator::run`].
+//! materialized on the hot path. The production observer is the
+//! [`DigestObserver`], which captures the run's [`TimingDigest`]: every
+//! evaluation downstream replays the digest. Hinted with the program's
+//! [`PredecodedProgram::digest_hints`] and run as the only observer, it
+//! takes the simulator's basic-block burst path, which folds compact
+//! per-cycle facts into the digest instead of building records. A full
+//! [`PipelineTrace`] is test materialization, produced by the convenience
+//! wrapper [`Simulator::run`].
 //!
 //! # Example
 //!

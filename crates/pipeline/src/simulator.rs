@@ -24,9 +24,9 @@ use crate::interp::alu;
 use crate::irq::{is_mmio, InterruptController, InterruptPlan};
 use crate::predecode::{self, MicroOp, PredecodedProgram};
 use crate::{
-    BranchActivity, BubbleKind, CycleObserver, CycleRecord, DigestObserver, ExecActivity,
-    ForwardSource, IrqPhase, MemRequest, Memory, Occupant, PipelineError, PipelineTrace,
-    RegisterFile, RunSummary, Stage, WbActivity, NOP_EXIT,
+    BranchActivity, BubbleKind, CycleObserver, CycleRecord, ExecActivity, ForwardSource, IrqPhase,
+    MemRequest, Memory, Occupant, PipelineError, PipelineTrace, RegisterFile, RunSummary, Stage,
+    WbActivity, NOP_EXIT,
 };
 use idca_isa::{CtlKind, Insn, MemKind, Opcode, Program, Reg, INSN_BYTES};
 use serde::{Deserialize, Serialize};
@@ -249,18 +249,6 @@ impl<T> Slot<T> {
     fn is_bubble(&self) -> bool {
         matches!(self, Slot::Bubble(_))
     }
-}
-
-/// Where a basic-block burst delivers its per-cycle observations: either a
-/// lone hinted [`DigestObserver`] consuming compact [`FastCycleFacts`]
-/// directly, or the generic observer slice consuming full, freshly
-/// materialized [`CycleRecord`]s. Both deliveries are bit-identical from
-/// the digest's point of view (pinned by the differential suite); the
-/// compact one exists because record materialization dominates phase-1
-/// digest capture.
-enum BurstSink<'a, 'b> {
-    Digest(&'a mut DigestObserver),
-    Records(&'a mut [&'b mut dyn CycleObserver]),
 }
 
 impl Simulator {
@@ -891,11 +879,13 @@ impl Simulator {
     /// The predecoded simulation loop: structurally the same cycle as
     /// [`Simulator::run_core`], but every per-cycle fact comes from the
     /// [`MicroOp`] table instead of being re-derived from the instruction
-    /// word, and hazard-free basic-block interiors are dispatched on a fast
-    /// path with the `Slot`/`Option` unwrapping and control-flow checks
-    /// hoisted out of the loop. Bit-identical to the reference loop — same
-    /// [`CycleRecord`] stream, same errors — pinned by the differential
-    /// suite.
+    /// word. When a hinted [`DigestObserver`](crate::DigestObserver) is the
+    /// only observer (the fused capture), hazard-free basic-block interiors
+    /// run as bursts with the `Slot`/`Option` unwrapping and control-flow
+    /// checks hoisted out of the loop, folding compact [`FastCycleFacts`]
+    /// into the digest instead of materializing a [`CycleRecord`] per
+    /// cycle. Bit-identical to the reference loop — same [`CycleRecord`]
+    /// stream, digests and errors — pinned by the differential suite.
     #[allow(clippy::too_many_lines)]
     fn run_core_pre(
         &self,
@@ -928,8 +918,8 @@ impl Simulator {
         let mut retired: u64 = 0;
         let mut cycle_count: u64 = 0;
         let mut irq = self.interrupts.as_ref().map(InterruptController::new);
-        // A lone hinted digest observer opts bursts into compact delivery
-        // (no per-cycle `CycleRecord`); see `BurstSink`.
+        // Only a lone hinted digest capture takes the burst path; every
+        // other observer set runs the reference-structured cycle below.
         let fused_digest = observers.len() == 1 && observers[0].as_hinted_digest().is_some();
 
         while cycle_count < self.config.max_cycles {
@@ -940,7 +930,7 @@ impl Simulator {
             // per-cycle dispatch reduces to table walks. The window holds
             // [execute, decode, fetch] oldest-first.
             // -------------------------------------------------------------
-            if !halting {
+            if fused_digest && !halting {
                 if let (Slot::Insn(xe), Slot::Insn(xd), Slot::Insn(xf)) = (&ex, &dc, &fe) {
                     if ops[xe.idx as usize].is_plain()
                         && ops[xd.idx as usize].is_plain()
@@ -965,21 +955,8 @@ impl Simulator {
                             k = k.min(ctl.burst_allowance(cycle_count, k));
                         }
                         if k >= 4 {
-                            // No accept and no `l.rfe` can occur inside a
-                            // burst, so the interrupt phase is constant
-                            // across it.
-                            let burst_phase = match irq.as_ref() {
-                                Some(ctl) if ctl.in_handler() => IrqPhase::Handler,
-                                _ => IrqPhase::None,
-                            };
+                            let digest = observers[0].as_hinted_digest().expect("checked at entry");
                             let mut window = [*xe, *xd, *xf];
-                            let mut sink = if fused_digest {
-                                BurstSink::Digest(
-                                    observers[0].as_hinted_digest().expect("checked at entry"),
-                                )
-                            } else {
-                                BurstSink::Records(&mut *observers)
-                            };
                             for j in 0..k {
                                 let fetch_idx = fi + j as u32;
                                 let fetch_addr = base + fetch_idx * INSN_BYTES;
@@ -987,14 +964,11 @@ impl Simulator {
                                     ctl.begin_cycle(cycle_count);
                                 }
 
-                                let mut writeback_activity = None;
+                                let mut wb_value = None;
                                 if let Slot::Insn(entry) = &wb {
                                     if let Some(rd) = entry.rd {
                                         regs.write(rd, entry.value);
-                                        writeback_activity = Some(WbActivity {
-                                            rd,
-                                            value: entry.value,
-                                        });
+                                        wb_value = Some(entry.value);
                                     }
                                     retired += 1;
                                 }
@@ -1041,9 +1015,6 @@ impl Simulator {
                                 }
                                 let value = outcome.result;
                                 let mem = mem_op_for(op, &outcome, rb_value);
-                                let carry_chain = predecode::adder_chain(op.adder, a, b, carry);
-                                let mul_bits = mul_bits_pre(op.is_mul, a, b);
-                                let shift_amount = if op.is_shift { (b & 0x1F) as u8 } else { 0 };
                                 let next_ctrl = Slot::Insn(CtrlOp {
                                     pc: exe.pc,
                                     idx: exe.idx,
@@ -1056,90 +1027,33 @@ impl Simulator {
                                 let seq = seq_counter;
                                 seq_counter += 1;
 
-                                match &mut sink {
-                                    BurstSink::Digest(digest) => {
-                                        digest.observe_fast_cycle(&FastCycleFacts {
-                                            fetch_address: fetch_addr,
-                                            adr_idx: fetch_idx,
-                                            fe_idx: window[2].idx,
-                                            dc_idx: window[1].idx,
-                                            ex_idx: exe.idx,
-                                            ctrl_idx: ctrl_entry.as_ref().map(|e| e.idx),
-                                            wb_idx: wb.as_ref().map(|e| e.idx),
-                                            mem_return,
-                                            wb_value: writeback_activity.map(|w| w.value),
-                                            op_a: a,
-                                            op_b: b,
-                                            result: value,
-                                            carry_chain,
-                                            mul_bits,
-                                            shift_amount,
-                                            mem_address: mem.map(|m| match m {
-                                                MemOp::Load { address }
-                                                | MemOp::Store { address, .. } => address,
-                                            }),
-                                            mul_active: op.is_mul,
-                                            forwarded: fwd_a.is_some() || fwd_b.is_some(),
-                                        });
-                                    }
-                                    BurstSink::Records(obs) => {
-                                        let exec_activity = Some(ExecActivity {
-                                            pc: exe.pc,
-                                            insn: op.insn,
-                                            op_a: a,
-                                            op_b: b,
-                                            result: value,
-                                            carry_chain,
-                                            mul_active: op.is_mul,
-                                            mul_bits,
-                                            shift_amount,
-                                            forward_a: fwd_a,
-                                            forward_b: fwd_b,
-                                            flag_written: outcome.flag,
-                                            branch: None,
-                                            mem_request: mem.map(|m| mem_request_for(op, m)),
-                                        });
-                                        let record = CycleRecord {
-                                            cycle: cycle_count,
-                                            stages: [
-                                                Occupant::Insn {
-                                                    pc: fetch_addr,
-                                                    insn: ops[fetch_idx as usize].insn,
-                                                    seq: seq_counter,
-                                                },
-                                                fetched_op_occupant(ops, &window[2]),
-                                                fetched_op_occupant(ops, &window[1]),
-                                                fetched_op_occupant(ops, &window[0]),
-                                                ctrl_op_occupant(ops, &ctrl_entry),
-                                                wb_op_occupant(ops, &wb),
-                                            ],
-                                            exec: exec_activity,
-                                            mem_return,
-                                            writeback: writeback_activity,
-                                            fetch_address: fetch_addr,
-                                            fetch_redirected: false,
-                                            stalled: false,
-                                            irq_phase: burst_phase,
-                                        };
-                                        for observer in obs.iter_mut() {
-                                            observer.observe_cycle(&record);
+                                digest.observe_fast_cycle(&FastCycleFacts {
+                                    fetch_address: fetch_addr,
+                                    adr_idx: fetch_idx,
+                                    fe_idx: window[2].idx,
+                                    dc_idx: window[1].idx,
+                                    ex_idx: exe.idx,
+                                    ctrl_idx: ctrl_entry.as_ref().map(|e| e.idx),
+                                    wb_idx: wb.as_ref().map(|e| e.idx),
+                                    mem_return,
+                                    wb_value,
+                                    op_a: a,
+                                    op_b: b,
+                                    result: value,
+                                    carry_chain: predecode::adder_chain(op.adder, a, b, carry),
+                                    mul_bits: mul_bits_pre(op.is_mul, a, b),
+                                    shift_amount: if op.is_shift { (b & 0x1F) as u8 } else { 0 },
+                                    mem_address: mem.map(|m| match m {
+                                        MemOp::Load { address } | MemOp::Store { address, .. } => {
+                                            address
                                         }
-                                    }
-                                }
+                                    }),
+                                    mul_active: op.is_mul,
+                                    forwarded: fwd_a.is_some() || fwd_b.is_some(),
+                                });
                                 if let Some(ctl) = irq.as_mut() {
-                                    let drained = ctl.cycle_events().len();
-                                    for i in 0..drained {
-                                        let event = ctl.cycle_events()[i];
-                                        match &mut sink {
-                                            BurstSink::Digest(digest) => {
-                                                digest.observe_event(&event);
-                                            }
-                                            BurstSink::Records(obs) => {
-                                                for observer in obs.iter_mut() {
-                                                    observer.observe_event(&event);
-                                                }
-                                            }
-                                        }
+                                    for event in ctl.cycle_events() {
+                                        digest.observe_event(event);
                                     }
                                     ctl.clear_cycle_events();
                                 }
@@ -1846,7 +1760,7 @@ fn store(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Interpreter;
+    use crate::{DigestObserver, Interpreter};
     use idca_isa::asm::Assembler;
 
     fn assemble(src: &str) -> Program {

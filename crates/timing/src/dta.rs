@@ -10,17 +10,16 @@
 //! prediction LUT — plus the distributions shown in Figs. 5–7. Here the
 //! [`TimingModel`] computes those per-stage maxima directly.
 //!
-//! The analysis is a single-pass accumulator: [`DtaObserver`] implements
-//! [`CycleObserver`] and folds every [`CycleRecord`] into the statistics as
-//! the simulator produces it, so characterizing a workload needs neither a
-//! materialized trace nor a separate replay.
-//! [`DynamicTimingAnalysis::run`] wraps the same accumulation for callers
-//! that do hold a [`PipelineTrace`], and
-//! [`DynamicTimingAnalysis::replay_digest`] for a captured [`TimingDigest`].
+//! The analysis is a single-pass accumulator over digested cycles:
+//! [`DynamicTimingAnalysis::replay_digest`] folds a captured
+//! [`TimingDigest`], the production route (characterize once, replay
+//! against any model). [`DtaObserver`] is its live oracle: it implements
+//! [`CycleObserver`] and folds every [`CycleRecord`] through the same
+//! per-cycle body as the simulator produces it.
 
 use crate::{Histogram, Ps, TimingModel};
 use idca_isa::TimingClass;
-use idca_pipeline::{CycleObserver, CycleRecord, DigestCycle, PipelineTrace, Stage, TimingDigest};
+use idca_pipeline::{CycleObserver, CycleRecord, DigestCycle, Stage, TimingDigest};
 use serde::{Deserialize, Serialize};
 
 /// Result of a dynamic timing analysis over one execution trace.
@@ -60,8 +59,8 @@ impl DynamicTimingAnalysis {
     }
 
     /// Creates a streaming observer that performs the analysis cycle by
-    /// cycle as the simulator runs — the single-pass equivalent of
-    /// [`DynamicTimingAnalysis::run`].
+    /// cycle as the simulator runs — the live oracle of
+    /// [`DynamicTimingAnalysis::replay_digest`].
     #[must_use]
     pub fn streaming(model: &TimingModel) -> DtaObserver<'_> {
         DtaObserver {
@@ -70,31 +69,12 @@ impl DynamicTimingAnalysis {
         }
     }
 
-    /// Folds one cycle record into the analysis, evaluating its dynamic
-    /// stage delays against `model`: the record is digested and takes the
-    /// per-cycle fold of [`DynamicTimingAnalysis::replay_digest`].
-    pub fn observe(&mut self, model: &TimingModel, record: &CycleRecord) {
-        self.observe_digest_cycle(model, record.cycle, &DigestCycle::of_record(record));
-    }
-
-    /// Runs the analysis directly from the timing model and a pipeline trace
-    /// (gate-level simulation substitute and DTA in one step). Replays a
-    /// materialized trace through the same accumulation as [`DtaObserver`].
-    #[must_use]
-    pub fn run(model: &TimingModel, trace: &PipelineTrace) -> Self {
-        let mut dta = Self::empty(model.static_period_ps());
-        for record in trace.cycles() {
-            dta.observe(model, record);
-        }
-        dta
-    }
-
     /// Replays a [`TimingDigest`] against `model` — the simulate-once /
     /// evaluate-many entry point. The digest carries the per-stage classes
     /// and excitation coefficients of every cycle, so the analysis is
-    /// bit-identical to [`DynamicTimingAnalysis::run`] on the originating
-    /// execution while skipping the pipeline simulation entirely (one
-    /// digested run can be characterized against any number of models).
+    /// bit-identical to a [`DtaObserver`] riding the originating execution
+    /// while skipping the pipeline simulation entirely (one digested run can
+    /// be characterized against any number of models).
     #[must_use]
     pub fn replay_digest(model: &TimingModel, digest: &TimingDigest) -> Self {
         let mut dta = Self::empty(model.static_period_ps());
@@ -259,8 +239,11 @@ impl DtaObserver<'_> {
 }
 
 impl CycleObserver for DtaObserver<'_> {
+    /// Digests the record and takes the per-cycle fold of
+    /// [`DynamicTimingAnalysis::replay_digest`].
     fn observe_cycle(&mut self, record: &CycleRecord) {
-        self.dta.observe(self.model, record);
+        self.dta
+            .observe_digest_cycle(self.model, record.cycle, &DigestCycle::of_record(record));
     }
 }
 
@@ -269,19 +252,13 @@ mod tests {
     use super::*;
     use crate::ProfileKind;
     use idca_isa::asm::Assembler;
-    use idca_pipeline::{SimConfig, Simulator};
+    use idca_isa::Program;
+    use idca_pipeline::{DigestObserver, SimConfig, Simulator};
 
-    fn trace(src: &str) -> PipelineTrace {
-        let program = Assembler::new().assemble(src).expect("assembles");
-        Simulator::new(SimConfig::default())
-            .run(&program)
-            .expect("runs")
-            .trace
-    }
-
-    fn mixed_trace() -> PipelineTrace {
-        trace(
-            "        l.addi r1, r0, 0x200
+    fn mixed_program() -> Program {
+        Assembler::new()
+            .assemble(
+                "        l.addi r1, r0, 0x200
                      l.addi r3, r0, 64
                      l.addi r4, r0, 0
              loop:   l.mul  r5, r3, r3
@@ -295,13 +272,23 @@ mod tests {
                      l.bf   loop
                      l.addi r1, r1, 4
                      l.nop  1",
-        )
+            )
+            .expect("assembles")
+    }
+
+    /// The mixed program's DTA, by replay of its captured digest.
+    fn mixed_dta(model: &TimingModel) -> DynamicTimingAnalysis {
+        let mut digest = DigestObserver::new();
+        Simulator::new(SimConfig::default())
+            .run_observed(&mixed_program(), &mut [&mut digest])
+            .expect("runs");
+        DynamicTimingAnalysis::replay_digest(model, &digest.into_digest())
     }
 
     #[test]
     fn dynamic_margins_exist_below_static_period() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let dta = DynamicTimingAnalysis::run(&model, &mixed_trace());
+        let dta = mixed_dta(&model);
         assert!(dta.cycles() > 100);
         assert!(dta.mean_cycle_delay_ps() < model.static_period_ps());
         assert!(dta.genie_speedup() > 1.1);
@@ -312,7 +299,7 @@ mod tests {
     #[test]
     fn execute_stage_dominates_limiting_cycles() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let dta = DynamicTimingAnalysis::run(&model, &mixed_trace());
+        let dta = mixed_dta(&model);
         let ex = dta.limiting_fraction(Stage::Execute);
         assert!(ex > 0.5, "execute stage should dominate, got {ex}");
         let total: f64 = Stage::ALL.iter().map(|s| dta.limiting_fraction(*s)).sum();
@@ -322,7 +309,7 @@ mod tests {
     #[test]
     fn mul_observed_worst_exceeds_add() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let dta = DynamicTimingAnalysis::run(&model, &mixed_trace());
+        let dta = mixed_dta(&model);
         let (mul_stage, mul_worst) = dta.class_worst_case(TimingClass::Mul);
         let (_, add_worst) = dta.class_worst_case(TimingClass::Add);
         assert_eq!(mul_stage, Stage::Execute);
@@ -333,7 +320,7 @@ mod tests {
     #[test]
     fn observed_worst_never_exceeds_profile_worst() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let dta = DynamicTimingAnalysis::run(&model, &mixed_trace());
+        let dta = mixed_dta(&model);
         for stage in Stage::ALL {
             for class in TimingClass::ALL {
                 assert!(
@@ -347,7 +334,7 @@ mod tests {
     #[test]
     fn mul_stage_histograms_show_execute_concentration() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let dta = DynamicTimingAnalysis::run(&model, &mixed_trace());
+        let dta = mixed_dta(&model);
         let ex_hist = dta.stage_histogram(Stage::Execute, TimingClass::Mul);
         let wb_hist = dta.stage_histogram(Stage::Writeback, TimingClass::Mul);
         assert!(ex_hist.count() > 0);
@@ -358,8 +345,7 @@ mod tests {
     #[test]
     fn empty_trace_is_handled() {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let empty = PipelineTrace::from_parts(vec![], 0);
-        let dta = DynamicTimingAnalysis::run(&model, &empty);
+        let dta = DynamicTimingAnalysis::replay_digest(&model, &TimingDigest::default());
         assert_eq!(dta.cycles(), 0);
         assert_eq!(dta.mean_cycle_delay_ps(), 0.0);
         assert_eq!(dta.genie_speedup(), 1.0);
@@ -367,14 +353,16 @@ mod tests {
 
     #[test]
     fn streaming_observer_is_bit_identical_to_trace_replay() {
+        // The live observer against a replay of the digest captured on the
+        // same pass.
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let t = mixed_trace();
-        let replayed = DynamicTimingAnalysis::run(&model, &t);
         let mut observer = DynamicTimingAnalysis::streaming(&model);
-        for record in t.cycles() {
-            observer.observe_cycle(record);
-        }
+        let mut digest = DigestObserver::new();
+        Simulator::new(SimConfig::default())
+            .run_observed(&mixed_program(), &mut [&mut observer, &mut digest])
+            .expect("runs");
         let streamed = observer.into_analysis();
+        let replayed = DynamicTimingAnalysis::replay_digest(&model, &digest.into_digest());
         assert_eq!(streamed.cycles(), replayed.cycles());
         assert_eq!(
             streamed.mean_cycle_delay_ps(),
@@ -382,6 +370,7 @@ mod tests {
         );
         assert_eq!(streamed.max_cycle_delay_ps(), replayed.max_cycle_delay_ps());
         assert_eq!(streamed.limiting_counts(), replayed.limiting_counts());
+        assert_eq!(streamed.cycle_histogram(), replayed.cycle_histogram());
         for stage in Stage::ALL {
             for class in TimingClass::ALL {
                 assert_eq!(

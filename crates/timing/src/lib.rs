@@ -29,7 +29,8 @@
 //!   forwarding, branch-target redirects).
 //! * [`dta`] — the dynamic timing analysis: per-stage per-cycle maxima,
 //!   limiting-stage statistics, per-instruction-class worst-case delays and
-//!   delay histograms (the data behind Figs. 5–7 and Table II).
+//!   delay histograms (the data behind Figs. 5–7 and Table II), replayed
+//!   from a captured [`TimingDigest`](idca_pipeline::TimingDigest).
 //! * [`PowerModel`] — activity-based energy per cycle and µW/MHz at any
 //!   operating point, calibrated to the paper's 13.7 µW/MHz conventional
 //!   baseline at 0.70 V.
@@ -62,8 +63,10 @@
 //!
 //! # Example
 //!
+//! Simulate once into a digest, then characterize it by replay:
+//!
 //! ```
-//! use idca_pipeline::{SimConfig, Simulator};
+//! use idca_pipeline::{DigestObserver, SimConfig, Simulator};
 //! use idca_timing::{ProfileKind, TimingModel, dta::DynamicTimingAnalysis};
 //! use idca_isa::asm::Assembler;
 //!
@@ -71,9 +74,10 @@
 //! let program = Assembler::new().assemble(
 //!     "l.addi r3, r0, 100\nloop: l.addi r3, r3, -1\n l.sfne r3, r0\n l.bf loop\n l.nop 0\n l.nop 1\n",
 //! )?;
-//! let result = Simulator::new(SimConfig::default()).run(&program)?;
+//! let mut capture = DigestObserver::new();
+//! Simulator::new(SimConfig::default()).run_observed(&program, &mut [&mut capture])?;
 //! let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-//! let analysis = DynamicTimingAnalysis::run(&model, &result.trace);
+//! let analysis = DynamicTimingAnalysis::replay_digest(&model, &capture.into_digest());
 //! assert!(analysis.mean_cycle_delay_ps() < model.static_period_ps());
 //! # Ok(())
 //! # }
@@ -100,7 +104,7 @@ pub use histogram::{Histogram, HistogramMergeError};
 pub use irq::{surged, IrqCursor, IrqTimeline, Perturbation};
 pub use library::{CellLibrary, LibraryError, OperatingPoint};
 pub use model::{CycleTiming, TimingModel};
-pub use power::{ActivityObserver, ActivitySummary, PowerModel, PowerReport};
+pub use power::{ActivitySummary, PowerModel, PowerReport};
 pub use profile::{ProfileKind, StageClassDelays, TimingProfile};
 pub use variation::{PvtCorner, VariationModel, NOMINAL_TEMPERATURE_C};
 

@@ -10,7 +10,7 @@
 //! 13.7 µW/MHz.
 
 use crate::{CellLibrary, OperatingPoint, Ps};
-use idca_pipeline::{CycleObserver, CycleRecord, PipelineTrace, RunSummary, TraceStats};
+use idca_pipeline::TraceStats;
 use serde::{Deserialize, Serialize};
 
 /// Per-unit dynamic energy coefficients in picojoules per cycle at the
@@ -53,8 +53,8 @@ impl Default for PowerCoefficients {
     }
 }
 
-/// Switching-activity summary of one execution, extracted from the pipeline
-/// trace (the VCD substitute).
+/// Switching-activity summary of one execution (the VCD substitute),
+/// derived from the run's [`TraceStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ActivitySummary {
     /// Total simulated cycles.
@@ -68,13 +68,10 @@ pub struct ActivitySummary {
 }
 
 impl ActivitySummary {
-    /// Extracts the activity summary from a pipeline trace.
-    #[must_use]
-    pub fn from_trace(trace: &PipelineTrace) -> Self {
-        Self::from_stats(&trace.stats())
-    }
-
-    /// Extracts the activity summary from pre-computed trace statistics.
+    /// Extracts the activity summary from accumulated occupancy statistics:
+    /// a [`TraceStats`] observer riding a live pass, folding a digest's
+    /// cycles ([`TraceStats::observe_digest`]) or built by
+    /// [`PipelineTrace::stats`](idca_pipeline::PipelineTrace::stats).
     #[must_use]
     pub fn from_stats(stats: &TraceStats) -> Self {
         ActivitySummary {
@@ -83,51 +80,6 @@ impl ActivitySummary {
             memory_accesses: stats.memory_accesses,
             multiplications: stats.multiplications,
         }
-    }
-}
-
-/// Streaming switching-activity accumulator: a [`CycleObserver`] that counts
-/// the per-unit activity of every cycle as the simulation runs, yielding the
-/// same [`ActivitySummary`] a materialized trace would — without the trace.
-#[derive(Debug, Clone, Default)]
-pub struct ActivityObserver {
-    stats: TraceStats,
-}
-
-impl ActivityObserver {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The activity accumulated so far.
-    #[must_use]
-    pub fn summary(&self) -> ActivitySummary {
-        ActivitySummary::from_stats(&self.stats)
-    }
-
-    /// The underlying occupancy statistics.
-    #[must_use]
-    pub fn stats(&self) -> &TraceStats {
-        &self.stats
-    }
-
-    /// Accumulates one digested cycle — the digest-replay counterpart of
-    /// [`CycleObserver::observe_cycle`], yielding the identical activity
-    /// statistics without the live record.
-    pub fn observe_digest(&mut self, digest_cycle: &idca_pipeline::DigestCycle) {
-        self.stats.observe_digest(digest_cycle);
-    }
-}
-
-impl CycleObserver for ActivityObserver {
-    fn observe_cycle(&mut self, record: &CycleRecord) {
-        self.stats.observe(record);
-    }
-
-    fn finish(&mut self, summary: &RunSummary) {
-        self.stats.retired = summary.retired;
     }
 }
 

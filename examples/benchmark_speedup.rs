@@ -1,22 +1,31 @@
 //! Per-benchmark effective clock frequency under conventional clocking and
 //! under instruction-based dynamic clock adjustment — the experiment behind
-//! Fig. 8 of the paper, on the CoreMark-like and BEEBS-like suites.
+//! Fig. 8 of the paper, on the CoreMark-like and BEEBS-like suites. Every
+//! workload is simulated once into its timing digest, and every evaluation
+//! replays a digest; `repro --fig8` prints the same rows.
 //!
 //! Run with: `cargo run --release --example benchmark_speedup`
 
+use idca::pipeline::PipelineError;
 use idca::prelude::*;
+
+/// Simulates `program` once, capturing its timing digest.
+fn capture(simulator: &Simulator, program: &Program) -> Result<TimingDigest, PipelineError> {
+    let mut digest = DigestObserver::new();
+    simulator.run_observed(program, &mut [&mut digest])?;
+    Ok(digest.into_digest())
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
+    let simulator = Simulator::new(SimConfig::default());
 
     // Build the delay LUT the way the paper does: characterize the core with
     // the directed + semi-random workload, run dynamic timing analysis and
     // extract the per-instruction worst-case delays.
     let characterization = characterization_workload(0xC0DE);
-    let char_trace = Simulator::new(SimConfig::default())
-        .run(&characterization.program)?
-        .trace;
-    let dta = DynamicTimingAnalysis::run(&model, &char_trace);
+    let char_digest = capture(&simulator, &characterization.program)?;
+    let dta = DynamicTimingAnalysis::replay_digest(&model, &char_digest);
     // Raw observed worst-cases plus a 1.5 % guardband for data conditions
     // the characterization stimuli did not produce (see
     // `DelayLut::with_guardband`).
@@ -28,13 +37,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "benchmark", "static MHz", "dynamic MHz", "speedup", "violations"
     );
     let mut summary = eval::SuiteSummary::new();
-    let simulator = Simulator::new(SimConfig::default());
     for workload in benchmark_suite() {
-        let trace = simulator.run(&workload.program)?.trace;
-        let comparison = eval::compare(
+        let digest = capture(&simulator, &workload.program)?;
+        let comparison = eval::compare_digest(
             &model,
             workload.name.clone(),
-            &trace,
+            &digest,
             &policy,
             &ClockGenerator::Ideal,
         );

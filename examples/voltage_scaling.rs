@@ -13,18 +13,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into_iter()
         .find(|w| w.name == "beebs_dijkstra")
         .expect("the Dijkstra kernel is part of the suite");
-    let trace = Simulator::new(SimConfig::default())
-        .run(&workload.program)?
-        .trace;
+    // Simulate once into a timing digest: every candidate operating point
+    // of the scan replays it.
+    let mut capture = DigestObserver::new();
+    Simulator::new(SimConfig::default()).run_observed(&workload.program, &mut [&mut capture])?;
+    let digest = capture.into_digest();
 
     let library = CellLibrary::fdsoi28();
     let power = PowerModel::new(library.clone());
 
-    let result = vfs::scale_for_iso_throughput(
+    let result = vfs::scale_for_iso_throughput_digest(
         ProfileKind::CriticalRangeOptimized,
         &library,
         &power,
-        &trace,
+        &digest,
         &|model| Box::new(InstructionBased::from_model(model)),
         &ClockGenerator::Ideal,
     )?;

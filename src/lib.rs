@@ -20,11 +20,13 @@
 //!
 //! # Quickstart
 //!
-//! The single-pass entry point is `Simulator::run_observed`: the program is
-//! simulated **once**, and every analysis — here the static-clocking
-//! baseline and the paper's instruction-based adjustment — rides along as a
-//! streaming [`CycleObserver`](idca_pipeline::CycleObserver) on the same
-//! pass, with no per-cycle trace materialized.
+//! The program is simulated **once**, into a
+//! [`TimingDigest`](idca_pipeline::TimingDigest): a
+//! [`DigestObserver`](idca_pipeline::DigestObserver) rides
+//! `Simulator::run_observed` and keeps the compact per-cycle timing view,
+//! with no per-cycle trace materialized. Every evaluation — here the
+//! static-clocking baseline against the paper's instruction-based
+//! adjustment — then replays that digest.
 //!
 //! ```
 //! use idca::prelude::*;
@@ -35,19 +37,18 @@
 //!     "l.addi r3, r0, 100\nloop: l.addi r3, r3, -1\n l.sfne r3, r0\n l.bf loop\n l.nop 0\n l.nop 1\n",
 //! )?;
 //!
-//! // 2. Evaluate conventional vs instruction-based dynamic clocking in one
-//! //    fused simulation pass.
-//! let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-//! let static_policy = StaticClock::of_model(&model);
-//! let dynamic_policy = InstructionBased::from_model(&model);
-//! let mut baseline = PolicyObserver::new(&model, &static_policy, &ClockGenerator::Ideal);
-//! let mut dynamic = PolicyObserver::new(&model, &dynamic_policy, &ClockGenerator::Ideal);
-//! Simulator::new(SimConfig::default())
-//!     .run_observed(&program, &mut [&mut baseline, &mut dynamic])?;
+//! // 2. Simulate once, capturing the run's timing digest.
+//! let mut capture = DigestObserver::new();
+//! Simulator::new(SimConfig::default()).run_observed(&program, &mut [&mut capture])?;
+//! let digest = capture.into_digest();
 //!
-//! let (baseline, dynamic) = (baseline.into_outcome(), dynamic.into_outcome());
-//! assert!(dynamic.speedup_over(&baseline) > 1.0);
-//! assert_eq!(dynamic.violations, 0);
+//! // 3. Evaluate conventional vs instruction-based dynamic clocking by
+//! //    replaying the digest.
+//! let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
+//! let policy = InstructionBased::from_model(&model);
+//! let comparison = eval::compare_digest(&model, "loop", &digest, &policy, &ClockGenerator::Ideal);
+//! assert!(comparison.speedup() > 1.0);
+//! assert_eq!(comparison.dynamic.violations, 0);
 //! # Ok(())
 //! # }
 //! ```
@@ -66,18 +67,18 @@ pub use idca_workloads as workloads;
 pub mod prelude {
     pub use idca_core::{
         eval, policy::ExecuteOnly, policy::GenieOracle, policy::InstructionBased,
-        policy::StaticClock, run_with_policy, vfs, ClockGenerator, ClockPolicy, DelayLut,
+        policy::StaticClock, replay_digest, vfs, ClockGenerator, ClockPolicy, DelayLut,
         PolicyObserver, RunOutcome,
     };
     pub use idca_gen::{generate_program, nth_seed, ClassMix, GenConfig};
     pub use idca_isa::{asm::Assembler, Insn, Opcode, Program, ProgramBuilder, Reg, TimingClass};
     pub use idca_pipeline::{
-        CycleObserver, ObservedRun, PipelineTrace, RunSummary, SimConfig, SimResult, Simulator,
-        Stage,
+        CycleObserver, DigestObserver, ObservedRun, PipelineTrace, RunSummary, SimConfig,
+        SimResult, Simulator, Stage, TimingDigest,
     };
     pub use idca_timing::{
-        dta::DynamicTimingAnalysis, ActivityObserver, ActivitySummary, CellLibrary, CornerBank,
-        PowerModel, ProfileKind, PvtCorner, TimingModel, TimingProfile, VariationModel,
+        dta::DynamicTimingAnalysis, ActivitySummary, CellLibrary, CornerBank, PowerModel,
+        ProfileKind, PvtCorner, TimingModel, TimingProfile, VariationModel,
     };
     pub use idca_workloads::{
         benchmark_suite, suite::characterization_workload, synthetic_suite, synthetic_workload,

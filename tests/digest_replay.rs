@@ -11,10 +11,8 @@
 //! capture against per-record digests, and the cycle index replay
 //! reconstructs from stream position.
 
-use idca::core::{
-    replay_adaptive_digest, replay_digest, run_adaptive, AdaptiveConfig, AdaptiveObserver, Drift,
-};
-use idca::pipeline::{DigestCycle, DigestObserver, TimingDigest};
+use idca::core::{replay_adaptive_digest, AdaptiveConfig, AdaptiveObserver, Drift};
+use idca::pipeline::DigestCycle;
 use idca::prelude::*;
 use proptest::prelude::*;
 
@@ -22,15 +20,24 @@ fn model() -> TimingModel {
     TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized)
 }
 
+/// Simulates `program` once with the `live` observers riding the pass
+/// beside a digest capture, and returns the captured digest.
+fn digest_beside(program: &Program, live: &mut [&mut dyn CycleObserver]) -> TimingDigest {
+    let mut digest = DigestObserver::new();
+    let mut observers: Vec<&mut dyn CycleObserver> = vec![&mut digest];
+    observers.extend(live.iter_mut().map(|o| o as &mut dyn CycleObserver));
+    Simulator::new(SimConfig::default())
+        .run_observed(program, &mut observers)
+        .expect("generated programs terminate");
+    digest.into_digest()
+}
+
 /// Simulates one generated program, capturing the digest and the
 /// materialized trace from the same pass.
 fn digest_and_trace(program: &Program) -> (TimingDigest, PipelineTrace) {
-    let mut digest = DigestObserver::new();
     let mut trace = PipelineTrace::default();
-    Simulator::new(SimConfig::default())
-        .run_observed(program, &mut [&mut digest, &mut trace])
-        .expect("generated programs terminate");
-    (digest.into_digest(), trace)
+    let digest = digest_beside(program, &mut [&mut trace]);
+    (digest, trace)
 }
 
 #[test]
@@ -55,13 +62,15 @@ fn rle_round_trip_reproduces_every_cycle() {
 fn dta_replay_is_bit_identical_to_streaming() {
     let m = model();
     let program = generate_program(nth_seed(0xD16E57, 5), &GenConfig::default());
-    let (digest, trace) = digest_and_trace(&program);
-    let direct = DynamicTimingAnalysis::run(&m, &trace);
+    let mut live = DynamicTimingAnalysis::streaming(&m);
+    let digest = digest_beside(&program, &mut [&mut live]);
+    let direct = live.into_analysis();
     let replayed = DynamicTimingAnalysis::replay_digest(&m, &digest);
     assert_eq!(direct.cycles(), replayed.cycles());
     assert_eq!(direct.mean_cycle_delay_ps(), replayed.mean_cycle_delay_ps());
     assert_eq!(direct.max_cycle_delay_ps(), replayed.max_cycle_delay_ps());
     assert_eq!(direct.limiting_counts(), replayed.limiting_counts());
+    assert_eq!(direct.cycle_histogram(), replayed.cycle_histogram());
     for stage in Stage::ALL {
         for class in TimingClass::ALL {
             assert_eq!(
@@ -81,11 +90,7 @@ fn dta_replay_is_bit_identical_to_streaming() {
 /// summary) must equal the live outcome field for field — replayed alone,
 /// and side by side with every other pair in one multi-policy walk, whose
 /// comparisons all carry the live static baseline.
-fn assert_policies_replay_identically(
-    m: &TimingModel,
-    digest: &TimingDigest,
-    trace: &PipelineTrace,
-) {
+fn assert_policies_replay_identically(m: &TimingModel, program: &Program) {
     let static_policy = StaticClock::of_model(m);
     let lut_policy = InstructionBased::from_model(m);
     let exec_policy = ExecuteOnly::new(DelayLut::from_model(m));
@@ -100,16 +105,27 @@ fn assert_policies_replay_identically(
         .iter()
         .flat_map(|g| policies.iter().map(move |p| (*p, g)))
         .collect();
-    let baseline = run_with_policy(m, trace, &static_policy, &ClockGenerator::Ideal);
-    let fused = eval::compare_digest_policies(m, "fused", digest, &pairs);
+    // Every pair observes one live pass; the first pair is the static
+    // baseline itself.
+    let mut live: Vec<PolicyObserver> = pairs
+        .iter()
+        .map(|&(policy, generator)| PolicyObserver::new(m, policy, generator))
+        .collect();
+    let mut observers: Vec<&mut dyn CycleObserver> = live
+        .iter_mut()
+        .map(|o| o as &mut dyn CycleObserver)
+        .collect();
+    let digest = digest_beside(program, &mut observers);
+    let live: Vec<RunOutcome> = live.into_iter().map(PolicyObserver::into_outcome).collect();
+    let baseline = &live[0];
+    let fused = eval::compare_digest_policies(m, "fused", &digest, &pairs);
     assert_eq!(fused.len(), pairs.len());
-    for (&(policy, generator), comparison) in pairs.iter().zip(&fused) {
+    for ((&(policy, generator), comparison), direct) in pairs.iter().zip(&fused).zip(&live) {
         let label = format!("policy {} via {generator:?}", policy.name());
-        let direct = run_with_policy(m, trace, policy, generator);
-        let replayed = replay_digest(m, digest, policy, generator);
-        assert_eq!(direct, replayed, "{label}");
-        assert_eq!(comparison.dynamic, direct, "fused {label}");
-        assert_eq!(comparison.baseline, baseline, "fused baseline, {label}");
+        let replayed = replay_digest(m, &digest, policy, generator);
+        assert_eq!(*direct, replayed, "{label}");
+        assert_eq!(comparison.dynamic, *direct, "fused {label}");
+        assert_eq!(comparison.baseline, *baseline, "fused baseline, {label}");
     }
 }
 
@@ -117,15 +133,13 @@ fn assert_policies_replay_identically(
 fn policy_replay_is_bit_identical_at_nominal() {
     let m = model();
     let program = generate_program(nth_seed(0xD16E57, 7), &GenConfig::default());
-    let (digest, trace) = digest_and_trace(&program);
-    assert_policies_replay_identically(&m, &digest, &trace);
+    assert_policies_replay_identically(&m, &program);
 }
 
 #[test]
 fn adaptive_replay_is_bit_identical_including_learned_table() {
     let m = model();
     let program = generate_program(nth_seed(0xD16E57, 11), &GenConfig::default());
-    let (digest, trace) = digest_and_trace(&program);
     let config = AdaptiveConfig::default();
     for drift in [
         Drift::None,
@@ -133,15 +147,11 @@ fn adaptive_replay_is_bit_identical_including_learned_table() {
             fraction_per_kilocycle: 0.01,
         },
     ] {
-        let direct = run_adaptive(&m, &trace, &config, &ClockGenerator::Ideal, None, drift);
+        let mut live = AdaptiveObserver::new(&m, &config, &ClockGenerator::Ideal, None, drift);
+        let digest = digest_beside(&program, &mut [&mut live]);
         let replayed =
             replay_adaptive_digest(&m, &digest, &config, &ClockGenerator::Ideal, None, drift);
-        assert_eq!(direct, replayed, "drift {drift:?}");
         // The learned tables themselves must agree entry for entry.
-        let mut live = AdaptiveObserver::new(&m, &config, &ClockGenerator::Ideal, None, drift);
-        for record in trace.cycles() {
-            live.observe_cycle(record);
-        }
         let mut replay = AdaptiveObserver::new(&m, &config, &ClockGenerator::Ideal, None, drift);
         digest.for_each_cycle(|cycle, dc| replay.observe_digest(cycle, dc));
         for stage in Stage::ALL {
@@ -156,6 +166,7 @@ fn adaptive_replay_is_bit_identical_including_learned_table() {
                 );
             }
         }
+        assert_eq!(live.into_outcome(), replayed, "drift {drift:?}");
     }
 }
 
@@ -177,16 +188,18 @@ proptest! {
         let varied = variation.apply(&nominal, &corner);
 
         let program = generate_program(seed, &GenConfig::default());
-        let (digest, trace) = digest_and_trace(&program);
-
         let lut_policy = InstructionBased::from_model(&varied);
-        let direct = run_with_policy(&varied, &trace, &lut_policy, &ClockGenerator::Ideal);
+        let config = AdaptiveConfig::default();
+        let mut live = PolicyObserver::new(&varied, &lut_policy, &ClockGenerator::Ideal);
+        let mut live_adaptive =
+            AdaptiveObserver::new(&varied, &config, &ClockGenerator::Ideal, None, Drift::None);
+        let digest = digest_beside(&program, &mut [&mut live, &mut live_adaptive]);
+
+        let direct = live.into_outcome();
         let replayed = replay_digest(&varied, &digest, &lut_policy, &ClockGenerator::Ideal);
         prop_assert_eq!(&direct, &replayed);
 
-        let config = AdaptiveConfig::default();
-        let direct_adaptive =
-            run_adaptive(&varied, &trace, &config, &ClockGenerator::Ideal, None, Drift::None);
+        let direct_adaptive = live_adaptive.into_outcome();
         let replayed_adaptive = replay_adaptive_digest(
             &varied, &digest, &config, &ClockGenerator::Ideal, None, Drift::None,
         );

@@ -40,9 +40,9 @@ fn histogram_percentile_tolerates_degenerate_quantiles() {
 #[test]
 fn speedup_on_zero_cycle_trace_is_neutral() {
     let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-    let empty = PipelineTrace::from_parts(vec![], 0);
+    let empty = TimingDigest::default();
     let policy = InstructionBased::from_model(&model);
-    let comparison = eval::compare(&model, "empty", &empty, &policy, &ClockGenerator::Ideal);
+    let comparison = eval::compare_digest(&model, "empty", &empty, &policy, &ClockGenerator::Ideal);
     // Both outcomes have zero cycles and zero frequency; the speedup must be
     // the neutral 1.0, not a 0/0 panic or NaN.
     assert_eq!(comparison.baseline.cycles, 0);
@@ -58,15 +58,13 @@ fn empty_program_evaluates_to_a_defined_comparison() {
     let program = ProgramBuilder::named("empty").build();
     let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
     let policy = InstructionBased::from_model(&model);
-    let comparison = eval::compare_program(
-        &model,
-        "empty",
-        &Simulator::new(SimConfig::default()),
-        &program,
-        &policy,
-        &ClockGenerator::Ideal,
-    )
-    .expect("empty program simulates");
+    let mut capture = DigestObserver::new();
+    Simulator::new(SimConfig::default())
+        .run_observed(&program, &mut [&mut capture])
+        .expect("empty program simulates");
+    let digest = capture.into_digest();
+    let comparison =
+        eval::compare_digest(&model, "empty", &digest, &policy, &ClockGenerator::Ideal);
     assert!(comparison.speedup().is_finite());
     assert_eq!(comparison.dynamic.violations, 0);
 
@@ -78,12 +76,11 @@ fn empty_program_evaluates_to_a_defined_comparison() {
 
 #[test]
 fn adaptive_run_on_zero_cycle_trace_is_neutral() {
-    use idca::core::{run_adaptive, AdaptiveConfig, Drift};
+    use idca::core::{replay_adaptive_digest, AdaptiveConfig, Drift};
     let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-    let empty = PipelineTrace::from_parts(vec![], 0);
-    let outcome = run_adaptive(
+    let outcome = replay_adaptive_digest(
         &model,
-        &empty,
+        &TimingDigest::default(),
         &AdaptiveConfig::default(),
         &ClockGenerator::Ideal,
         None,

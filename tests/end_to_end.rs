@@ -3,6 +3,15 @@
 
 use idca::prelude::*;
 
+/// Simulates `program` once, capturing its timing digest.
+fn capture(simulator: &Simulator, program: &Program) -> TimingDigest {
+    let mut digest = DigestObserver::new();
+    simulator
+        .run_observed(program, &mut [&mut digest])
+        .expect("program runs");
+    digest.into_digest()
+}
+
 /// Runs the complete flow once and checks the structural relationships the
 /// paper's evaluation relies on.
 #[test]
@@ -12,10 +21,8 @@ fn full_flow_characterize_then_evaluate() {
 
     // 1. Characterization: directed + semi-random workload, DTA, delay LUT.
     let characterization = characterization_workload(2025);
-    let char_trace = simulator
-        .run(&characterization.program)
-        .expect("characterization runs");
-    let dta = DynamicTimingAnalysis::run(&model, &char_trace.trace);
+    let char_digest = capture(&simulator, &characterization.program);
+    let dta = DynamicTimingAnalysis::replay_digest(&model, &char_digest);
     assert!(dta.cycles() > 5_000);
     assert!(dta.mean_cycle_delay_ps() < dta.static_period_ps());
 
@@ -33,13 +40,10 @@ fn full_flow_characterize_then_evaluate() {
 
     let mut summary = eval::SuiteSummary::new();
     for workload in benchmark_suite().into_iter().take(6) {
-        let trace = simulator
-            .run(&workload.program)
-            .expect("benchmark runs")
-            .trace;
-        let baseline = run_with_policy(&model, &trace, &baseline_policy, &ClockGenerator::Ideal);
-        let dynamic = run_with_policy(&model, &trace, &policy, &ClockGenerator::Ideal);
-        let oracle = run_with_policy(&model, &trace, &genie, &ClockGenerator::Ideal);
+        let digest = capture(&simulator, &workload.program);
+        let baseline = replay_digest(&model, &digest, &baseline_policy, &ClockGenerator::Ideal);
+        let dynamic = replay_digest(&model, &digest, &policy, &ClockGenerator::Ideal);
+        let oracle = replay_digest(&model, &digest, &genie, &ClockGenerator::Ideal);
 
         // Ordering: static <= instruction-based <= genie (in frequency).
         assert!(
@@ -69,11 +73,8 @@ fn profile_lut_guarantees_zero_violations_on_every_benchmark() {
     let policy = InstructionBased::from_model(&model);
     let simulator = Simulator::new(SimConfig::default());
     for workload in benchmark_suite() {
-        let trace = simulator
-            .run(&workload.program)
-            .expect("benchmark runs")
-            .trace;
-        let outcome = run_with_policy(&model, &trace, &policy, &ClockGenerator::Ideal);
+        let digest = capture(&simulator, &workload.program);
+        let outcome = replay_digest(&model, &digest, &policy, &ClockGenerator::Ideal);
         assert_eq!(
             outcome.violations, 0,
             "{} suffered timing violations under the worst-case LUT",
@@ -91,19 +92,19 @@ fn quantized_clock_generator_preserves_correctness_and_most_of_the_gain() {
         .into_iter()
         .find(|w| w.name == "core_crc16")
         .expect("crc16 exists");
-    let trace = simulator.run(&workload.program).unwrap().trace;
+    let digest = capture(&simulator, &workload.program);
 
-    let baseline = run_with_policy(
+    let baseline = replay_digest(
         &model,
-        &trace,
+        &digest,
         &StaticClock::of_model(&model),
         &ClockGenerator::Ideal,
     );
-    let ideal = run_with_policy(&model, &trace, &policy, &ClockGenerator::Ideal);
-    let quantized = run_with_policy(&model, &trace, &policy, &ClockGenerator::quantized_50ps());
-    let discrete = run_with_policy(
+    let ideal = replay_digest(&model, &digest, &policy, &ClockGenerator::Ideal);
+    let quantized = replay_digest(&model, &digest, &policy, &ClockGenerator::quantized_50ps());
+    let discrete = replay_digest(
         &model,
-        &trace,
+        &digest,
         &policy,
         &ClockGenerator::discrete(8, 900.0, 2100.0),
     );
@@ -127,9 +128,9 @@ fn execute_only_controller_loses_little_versus_full_monitoring() {
     let mut full_total = 0.0;
     let mut simplified_total = 0.0;
     for workload in benchmark_suite().into_iter().take(5) {
-        let trace = simulator.run(&workload.program).unwrap().trace;
-        let a = run_with_policy(&model, &trace, &full, &ClockGenerator::Ideal);
-        let b = run_with_policy(&model, &trace, &simplified, &ClockGenerator::Ideal);
+        let digest = capture(&simulator, &workload.program);
+        let a = replay_digest(&model, &digest, &full, &ClockGenerator::Ideal);
+        let b = replay_digest(&model, &digest, &simplified, &ClockGenerator::Ideal);
         assert_eq!(b.violations, 0, "{}", workload.name);
         full_total += a.total_time_ps;
         simplified_total += b.total_time_ps;

@@ -1,11 +1,13 @@
 //! Differential tests for the streaming observer architecture: every
 //! analysis that rides on `Simulator::run_observed` (dynamic timing
 //! analysis, clock-policy evaluation, switching-activity accumulation, the
-//! adaptive controller) must be **bit-identical** to replaying a
-//! materialized `PipelineTrace` through the corresponding trace-based entry
-//! point. Checked on several workloads spanning all three suite categories.
+//! adaptive controller) is the live oracle of a digest replay, and must be
+//! **bit-identical** to replaying the `TimingDigest` captured on the same
+//! pass through the corresponding replay entry point. Checked on several
+//! workloads spanning all three suite categories.
 
-use idca::core::{run_adaptive, AdaptiveConfig, AdaptiveObserver, Drift};
+use idca::core::{replay_adaptive_digest, AdaptiveConfig, AdaptiveObserver, Drift};
+use idca::pipeline::TraceStats;
 use idca::prelude::*;
 
 /// The workloads the equivalence is checked on: two CoreMark-like kernels,
@@ -23,9 +25,11 @@ fn workloads() -> Vec<Workload> {
 }
 
 /// Runs one workload once with every streaming observer attached and
-/// returns the materialized trace alongside the streamed results.
+/// returns the materialized trace and the captured digest alongside the
+/// streamed results.
 struct Streamed {
     trace: PipelineTrace,
+    digest: TimingDigest,
     dta: DynamicTimingAnalysis,
     baseline: RunOutcome,
     dynamic: RunOutcome,
@@ -37,15 +41,17 @@ fn stream(model: &TimingModel, workload: &Workload) -> Streamed {
     let static_policy = StaticClock::of_model(model);
     let dynamic_policy = InstructionBased::from_model(model);
     let mut trace = PipelineTrace::default();
+    let mut digest = DigestObserver::new();
     let mut dta = DynamicTimingAnalysis::streaming(model);
     let mut baseline = PolicyObserver::new(model, &static_policy, &ClockGenerator::Ideal);
     let mut dynamic = PolicyObserver::new(model, &dynamic_policy, &ClockGenerator::Ideal);
-    let mut activity = ActivityObserver::new();
+    let mut activity = TraceStats::default();
     let run = Simulator::new(SimConfig::default())
         .run_observed(
             &workload.program,
             &mut [
                 &mut trace,
+                &mut digest,
                 &mut dta,
                 &mut baseline,
                 &mut dynamic,
@@ -55,10 +61,11 @@ fn stream(model: &TimingModel, workload: &Workload) -> Streamed {
         .unwrap_or_else(|e| panic!("{} failed to simulate: {e}", workload.name));
     Streamed {
         trace,
+        digest: digest.into_digest(),
         dta: dta.into_analysis(),
         baseline: baseline.into_outcome(),
         dynamic: dynamic.into_outcome(),
-        activity: activity.summary(),
+        activity: ActivitySummary::from_stats(&activity),
         summary: run.summary,
     }
 }
@@ -86,7 +93,7 @@ fn streaming_dta_is_bit_identical_to_trace_replay() {
     let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
     for workload in workloads() {
         let streamed = stream(&model, &workload);
-        let replayed = DynamicTimingAnalysis::run(&model, &streamed.trace);
+        let replayed = DynamicTimingAnalysis::replay_digest(&model, &streamed.digest);
         let name = &workload.name;
         assert_eq!(streamed.dta.cycles(), replayed.cycles(), "{name}");
         assert_eq!(
@@ -138,15 +145,15 @@ fn streaming_policy_outcomes_are_bit_identical_to_trace_replay() {
         let streamed = stream(&model, &workload);
         let static_policy = StaticClock::of_model(&model);
         let dynamic_policy = InstructionBased::from_model(&model);
-        let baseline_replay = run_with_policy(
+        let baseline_replay = replay_digest(
             &model,
-            &streamed.trace,
+            &streamed.digest,
             &static_policy,
             &ClockGenerator::Ideal,
         );
-        let dynamic_replay = run_with_policy(
+        let dynamic_replay = replay_digest(
             &model,
-            &streamed.trace,
+            &streamed.digest,
             &dynamic_policy,
             &ClockGenerator::Ideal,
         );
@@ -163,13 +170,17 @@ fn streaming_activity_matches_trace_stats() {
     let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
     for workload in workloads() {
         let streamed = stream(&model, &workload);
-        let from_trace = ActivitySummary::from_trace(&streamed.trace);
-        assert_eq!(streamed.activity, from_trace, "{}", workload.name);
+        let mut stats = TraceStats::default();
+        streamed
+            .digest
+            .for_each_cycle(|_, dc| stats.observe_digest(dc));
+        let replayed = ActivitySummary::from_stats(&stats);
+        assert_eq!(streamed.activity, replayed, "{}", workload.name);
         // And the power model consequently reports identical numbers.
         let power = PowerModel::new(CellLibrary::fdsoi28());
         let point = power.library().operating_point(700).unwrap();
         let streamed_report = power.report(&streamed.activity, &point, 2026.0);
-        let replayed_report = power.report(&from_trace, &point, 2026.0);
+        let replayed_report = power.report(&replayed, &point, 2026.0);
         assert_eq!(streamed_report, replayed_report, "{}", workload.name);
     }
 }
@@ -184,12 +195,20 @@ fn streaming_adaptive_controller_matches_trace_replay() {
     for workload in workloads() {
         let mut observer =
             AdaptiveObserver::new(&model, &config, &ClockGenerator::Ideal, None, drift);
-        let mut trace = PipelineTrace::default();
+        let mut digest = DigestObserver::new();
         Simulator::new(SimConfig::default())
-            .run_observed(&workload.program, &mut [&mut observer, &mut trace])
+            .run_observed(&workload.program, &mut [&mut observer, &mut digest])
             .unwrap_or_else(|e| panic!("{} failed to simulate: {e}", workload.name));
         let streamed = observer.into_outcome();
-        let replayed = run_adaptive(&model, &trace, &config, &ClockGenerator::Ideal, None, drift);
+        let digest = digest.into_digest();
+        let replayed = replay_adaptive_digest(
+            &model,
+            &digest,
+            &config,
+            &ClockGenerator::Ideal,
+            None,
+            drift,
+        );
         assert_eq!(streamed, replayed, "{}", workload.name);
     }
 }

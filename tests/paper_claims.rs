@@ -9,13 +9,18 @@ fn nominal_model() -> TimingModel {
     TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized)
 }
 
+/// Simulates `program` once, capturing its timing digest.
+fn capture(program: &Program) -> TimingDigest {
+    let mut digest = DigestObserver::new();
+    Simulator::new(SimConfig::default())
+        .run_observed(program, &mut [&mut digest])
+        .expect("program runs");
+    digest.into_digest()
+}
+
 fn characterization_dta(model: &TimingModel) -> DynamicTimingAnalysis {
     let workload = characterization_workload(0xC0DE);
-    let trace = Simulator::new(SimConfig::default())
-        .run(&workload.program)
-        .expect("characterization runs")
-        .trace;
-    DynamicTimingAnalysis::run(model, &trace)
+    DynamicTimingAnalysis::replay_digest(model, &capture(&workload.program))
 }
 
 /// The static timing limit of the optimized core is 2026 ps / 494 MHz at
@@ -138,15 +143,14 @@ fn fig8_suite_speedup_within_band() {
     // zero-violation property on workloads the LUT has never seen.
     let lut = DelayLut::from_dta(&dta, 8).with_guardband(0.015);
     let policy = InstructionBased::new(lut);
-    let simulator = Simulator::new(SimConfig::default());
 
     let mut summary = eval::SuiteSummary::new();
     for workload in benchmark_suite() {
-        let trace = simulator.run(&workload.program).unwrap().trace;
-        summary.push(eval::compare(
+        let digest = capture(&workload.program);
+        summary.push(eval::compare_digest(
             &model,
             workload.name,
-            &trace,
+            &digest,
             &policy,
             &ClockGenerator::Ideal,
         ));
@@ -177,16 +181,13 @@ fn power_voltage_scaling_band() {
         .into_iter()
         .find(|w| w.name == "beebs_dijkstra")
         .unwrap();
-    let trace = Simulator::new(SimConfig::default())
-        .run(&workload.program)
-        .unwrap()
-        .trace;
+    let digest = capture(&workload.program);
 
-    let result = vfs::scale_for_iso_throughput(
+    let result = vfs::scale_for_iso_throughput_digest(
         ProfileKind::CriticalRangeOptimized,
         &library,
         &power,
-        &trace,
+        &digest,
         &|m| {
             Box::new(InstructionBased::new(
                 lut.scaled(m.operating_point().delay_scale),

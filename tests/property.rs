@@ -158,16 +158,18 @@ proptest! {
     #[test]
     fn worst_case_lut_never_violates_timing(program in straight_line_program()) {
         let model = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
-        let trace = Simulator::new(SimConfig::default()).run(&program).expect("runs").trace;
-        let outcome = run_with_policy(
+        let mut capture = DigestObserver::new();
+        Simulator::new(SimConfig::default()).run_observed(&program, &mut [&mut capture]).expect("runs");
+        let digest = capture.into_digest();
+        let outcome = replay_digest(
             &model,
-            &trace,
+            &digest,
             &InstructionBased::from_model(&model),
             &ClockGenerator::Ideal,
         );
         prop_assert_eq!(outcome.violations, 0);
         // And the genie oracle can never be slower than the LUT policy.
-        let genie = run_with_policy(&model, &trace, &GenieOracle::new(model.clone()), &ClockGenerator::Ideal);
+        let genie = replay_digest(&model, &digest, &GenieOracle::new(model.clone()), &ClockGenerator::Ideal);
         prop_assert!(genie.total_time_ps <= outcome.total_time_ps + 1e-6);
     }
 }
