@@ -9,7 +9,9 @@
 //!    `UPDATE_GOLDEN=1 cargo test -p idca-bench --test golden_output`.
 //! 2. **Thread-count invariance** — the sweep report must be byte-identical
 //!    under `RAYON_NUM_THREADS=1` and `=4` (the merge order is canonical,
-//!    not scheduling-dependent).
+//!    not scheduling-dependent), and the paper run's reports under `=1`,
+//!    `=2` and `=4` (one worker runs `Experiments::prepare`'s tasks in
+//!    order).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -69,25 +71,30 @@ fn sweep_report_is_byte_identical_across_thread_counts_and_matches_golden() {
     assert_matches_golden("sweep_s4_c2_seed7.txt", &single);
 }
 
+/// Runs `repro` with `args` at 1, 2 and 4 workers, asserts the three
+/// stdouts are equal and returns the 2-worker one.
+fn thread_invariant_stdout(args: &[&str]) -> String {
+    let two = repro_stdout(args, "2");
+    for threads in ["1", "4"] {
+        assert_eq!(
+            repro_stdout(args, threads),
+            two,
+            "repro {args:?} differs between RAYON_NUM_THREADS=2 and ={threads}"
+        );
+    }
+    two
+}
+
 #[test]
 fn summary_report_matches_golden() {
-    let single = repro_stdout(&["--summary"], "2");
-    let four = repro_stdout(&["--summary"], "4");
-    assert_eq!(
-        single, four,
-        "--summary output differs between thread counts"
-    );
-    assert_matches_golden("summary.txt", &single);
+    assert_matches_golden("summary.txt", &thread_invariant_stdout(&["--summary"]));
 }
 
 /// The full default report: Figs. 5–8, Tables I/II, §IV-B and the
 /// ablations. `--summary` pins only the headline.
 #[test]
 fn default_report_matches_golden() {
-    let two = repro_stdout(&[], "2");
-    let four = repro_stdout(&[], "4");
-    assert_eq!(two, four, "default output differs between thread counts");
-    assert_matches_golden("repro_default.txt", &two);
+    assert_matches_golden("repro_default.txt", &thread_invariant_stdout(&[]));
 }
 
 #[test]
