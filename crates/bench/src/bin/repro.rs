@@ -17,9 +17,9 @@
 
 use idca_bench::sweep::pvt_sweep_timed_with_cache;
 use idca_bench::{
-    merge_reports, paper, pvt_sweep_seed_range_timed_with_cache, Corpus, DigestCacheStats,
-    Experiments, FaultSpec, InterruptSpec, QueryError, ServeSession, SweepConfig, SweepReport,
-    SweepShard, SweepTiming,
+    merge_reports, paper, pvt_sweep_seed_range_timed_with_cache, write_atomic, Corpus,
+    DigestCacheStats, Experiments, FaultSpec, InterruptSpec, QueryError, ServeSession, SweepConfig,
+    SweepReport, SweepShard, SweepTiming,
 };
 use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
@@ -298,31 +298,12 @@ fn parse_corpus_dir(value: &str) -> Result<PathBuf, String> {
     Ok(dir)
 }
 
-/// Writes a binary sweep report atomically (stage + rename), mirroring the
-/// digest cache: a crashed or interrupted shard leaves either the complete
-/// report or nothing — never a truncated file for `repro merge` to trip
-/// over.
-fn write_report_atomic(path: &Path, report: &SweepReport) -> Result<(), String> {
-    let bytes = report.to_bytes();
-    let dir = match path.parent() {
-        Some(parent) if !parent.as_os_str().is_empty() => parent,
-        _ => Path::new("."),
-    };
-    let name = path
-        .file_name()
-        .ok_or_else(|| format!("{} is not a file path", path.display()))?;
-    let staged = dir.join(format!(
-        ".{}.{}.tmp",
-        name.to_string_lossy(),
-        std::process::id()
-    ));
-    let write = std::fs::write(&staged, &bytes)
-        .and_then(|()| std::fs::rename(&staged, path))
-        .map_err(|error| format!("cannot write {}: {error}", path.display()));
-    if write.is_err() {
-        std::fs::remove_file(&staged).ok();
-    }
-    write
+/// Writes a binary sweep report atomically: a crashed or interrupted shard
+/// leaves either the complete report or nothing — never a truncated file
+/// for `repro merge` to trip over.
+fn write_report(path: &Path, report: &SweepReport) -> Result<(), String> {
+    write_atomic(path, &report.to_bytes())
+        .map_err(|error| format!("cannot write {}: {error}", path.display()))
 }
 
 /// Parses and runs the `sweep` subcommand.
@@ -384,7 +365,7 @@ fn run_sweep(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     if let Some(path) = &out {
-        write_report_atomic(path, &report)?;
+        write_report(path, &report)?;
         eprintln!("wrote {} ({} jobs)", path.display(), report.jobs.len());
     }
     // A partial report's aggregate statistics are meaningless until merged,
@@ -414,7 +395,7 @@ fn run_merge(args: &[String]) -> Result<ExitCode, String> {
         parts.push(SweepReport::from_bytes(&bytes).map_err(|error| format!("{input}: {error}"))?);
     }
     let merged = merge_reports(parts).map_err(|error| error.to_string())?;
-    write_report_atomic(Path::new(out), &merged)?;
+    write_report(Path::new(out), &merged)?;
     eprintln!(
         "merged {} partials into {out} ({} jobs)",
         inputs.len(),

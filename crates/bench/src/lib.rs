@@ -38,13 +38,13 @@ pub mod serve;
 pub mod shard;
 pub mod sweep;
 
-pub use idca_pipeline::{InterruptSpec, InterruptSpecError};
+pub use idca_pipeline::{FormatError, InterruptSpec, InterruptSpecError};
 pub use idca_timing::{FaultPlan, FaultSpec, FaultSpecError};
 pub use serve::{Corpus, CorpusError, DigestCacheStats, QueryError, ServeSession};
-pub use shard::{merge_reports, MergeError, ReportFormatError, ShardSpecError, SweepShard};
+pub use shard::{merge_reports, MergeError, ShardSpecError, SweepShard};
 pub use sweep::{
-    pvt_sweep, pvt_sweep_seed_range_timed_with_cache, SweepConfig, SweepError, SweepReport,
-    SweepTiming,
+    pvt_sweep, pvt_sweep_seed_range_timed_with_cache, write_atomic, SweepConfig, SweepError,
+    SweepReport, SweepTiming,
 };
 
 /// Seed used for the characterization workload throughout the harness.

@@ -323,7 +323,7 @@ impl DigestCacheStats {
             let entry = entry?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            if name.starts_with("digest-") && name.ends_with(".bin") {
+            if crate::sweep::is_cache_entry_name(&name) {
                 stats.entries += 1;
                 stats.bytes += entry.metadata()?.len();
             }

@@ -11,12 +11,12 @@
 //!   simulates per seed and phase 2 replays per seed against all corners —
 //!   a seed split across shards would be simulated twice.
 //! * [`SweepReport::to_bytes`] / [`SweepReport::from_bytes`] — a versioned,
-//!   checksummed binary codec mirroring the [`TimingDigest`] codec: FNV-1a
-//!   body checksum, bounds-checked reads, every structural invariant
-//!   re-validated. Any single corrupted byte of a stored report is rejected
-//!   with a [`ReportFormatError`], never a panic. Effective frequencies are
-//!   stored as raw `f64` bit patterns, so a report that went to disk and
-//!   back renders byte-identically.
+//!   checksummed binary codec in the same [`frame`] as the [`TimingDigest`]
+//!   codec, with every structural invariant re-validated. Any single
+//!   corrupted byte of a stored report is rejected with a [`FormatError`],
+//!   never a panic. Effective frequencies are stored as raw `f64` bit
+//!   patterns, so a report that went to disk and back renders
+//!   byte-identically.
 //! * [`merge_reports`] — folds partial reports into the canonical full
 //!   report. Mismatched sweep identities, overlapping shards and missing
 //!   jobs are structured [`MergeError`]s, never silent double-counts; a
@@ -26,6 +26,7 @@
 //! [`TimingDigest`]: idca_pipeline::TimingDigest
 
 use crate::sweep::{PolicyJobOutcome, SweepJobOutcome, SweepReport, SWEEP_POLICIES};
+use idca_pipeline::frame::{self, FormatError};
 use idca_pipeline::InterruptSpec;
 use idca_timing::{FaultSpec, PvtCorner};
 use std::ops::Range;
@@ -140,17 +141,19 @@ impl std::fmt::Display for ShardSpecError {
 
 impl std::error::Error for ShardSpecError {}
 
-/// Byte-level constants of the partial-report binary format.
+/// Body layout of the partial-report binary format.
 mod codec {
+    use idca_pipeline::frame::{FormatError, Reader};
+
     /// File magic of the sweep-report format.
-    pub(super) const MAGIC: &[u8] = b"IDCASWRP";
+    pub(super) const MAGIC: &[u8; 8] = b"IDCASWRP";
     /// Current format version. Version 2 added the fault-spec block to the
     /// body header and the recovery columns to every policy entry; version 3
     /// added the interrupt-spec block, the per-job interrupt columns
     /// (entries, handler cycles) and the per-policy entry-violation column.
     /// Version-1 and version-2 files are rejected with
-    /// [`super::ReportFormatError::UnsupportedVersion`] (re-run the shards —
-    /// a sweep is cheaper than a format bridge).
+    /// [`super::FormatError::UnsupportedVersion`] (re-run the shards — a
+    /// sweep is cheaper than a format bridge).
     pub(super) const VERSION: u32 = 3;
     /// Fixed-size fault-spec block inside the body header: present flag +
     /// fault seed + six f64 parameters (droop rate/mag, spike rate/mag,
@@ -160,8 +163,8 @@ mod codec {
     /// flag, storm seed, rate f64-bits, timer, vector, penalty and surge
     /// f64-bits. All-zero when absent.
     pub(super) const IRQ_BLOCK_BYTES: usize = 4 + 8 + 8 + 4 + 4 + 4 + 8;
-    /// Checksummed body header: seeds + corners + master_seed + margin +
-    /// fault block + interrupt block + corner_count + job_count.
+    /// Body header: seeds + corners + master_seed + margin + fault block +
+    /// interrupt block + corner_count + job_count.
     pub(super) const BODY_HEADER_BYTES: usize =
         4 + 4 + 8 + 8 + FAULT_BLOCK_BYTES + IRQ_BLOCK_BYTES + 4 + 4;
     /// Serialized size of one corner sample: index + sigma + droop + temp +
@@ -173,73 +176,31 @@ mod codec {
     /// tuples.
     pub(super) const JOB_ENTRY_BYTES: usize = 4 + 4 + 8 + 8 + 8 + super::SWEEP_POLICIES.len() * 64;
 
-    /// 64-bit FNV-1a over a byte slice (the header's payload checksum).
-    pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for &byte in bytes {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    /// Reads a spec block of `block_bytes`: its present flag, then a reader
+    /// over its fields. An absent block must be all zero, as `to_bytes`
+    /// writes it, so every report that decodes re-encodes to its own bytes.
+    pub(super) fn spec_block<'a>(
+        r: &mut Reader<'a>,
+        block_bytes: usize,
+    ) -> Result<Option<Reader<'a>>, FormatError> {
+        let present = r.u32()?;
+        let fields = r.bytes_exact(block_bytes - 4)?;
+        match present {
+            1 => Ok(Some(Reader::new(fields))),
+            0 if fields.iter().all(|&byte| byte == 0) => Ok(None),
+            0 => Err(FormatError::Malformed("absent spec block is not all zero")),
+            _ => Err(FormatError::Malformed("spec flag must be 0 or 1")),
         }
-        hash
-    }
-}
-
-/// Bounds-checked little-endian reader over a report byte stream.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    /// The unread tail (used to checksum the payload before parsing it).
-    fn remaining(&self) -> &'a [u8] {
-        &self.bytes[self.pos..]
-    }
-
-    fn bytes_exact(&mut self, len: usize) -> Result<&'a [u8], ReportFormatError> {
-        let end = self
-            .pos
-            .checked_add(len)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or(ReportFormatError::Truncated {
-                expected: len,
-                actual: self.bytes.len() - self.pos,
-            })?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, ReportFormatError> {
-        Ok(u32::from_le_bytes(
-            self.bytes_exact(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, ReportFormatError> {
-        Ok(u64::from_le_bytes(
-            self.bytes_exact(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64_bits(&mut self) -> Result<f64, ReportFormatError> {
-        Ok(f64::from_bits(self.u64()?))
     }
 }
 
 impl SweepReport {
     /// Serializes the (partial or full) report to the compact versioned
-    /// binary format — the unit that ships between shard processes.
-    ///
-    /// Layout (all integers little-endian):
+    /// binary format — the unit that ships between shard processes: a
+    /// [`frame`] under magic `IDCASWRP`, whose body is
     ///
     /// ```text
-    /// magic "IDCASWRP" | version u32 | body_checksum u64 (FNV-1a)
-    /// | seeds u32 | corners u32 | master_seed u64 | margin f64-bits
+    /// seeds u32 | corners u32 | master_seed u64 | margin f64-bits
     /// | fault block (present u32, fault seed u64, droop rate/mag,
     ///   spike rate/mag, shift mag, detect window f64-bits, penalty u32)
     /// | interrupt block (present u32, storm seed u64, rate f64-bits,
@@ -248,8 +209,9 @@ impl SweepReport {
     /// | corner entries | job entries
     /// ```
     ///
-    /// The checksum covers everything after itself, so any single corrupted
-    /// byte of a stored report is detected. All `f64` fields (margin, fault
+    /// (all integers little-endian). The frame checksum covers the whole
+    /// body, so any single corrupted byte of a stored report is detected.
+    /// All `f64` fields (margin, fault
     /// parameters, corner coordinates, effective frequencies) are stored as
     /// raw bit patterns: merging deserialized shards must reproduce the
     /// single-process report **byte-identically**, so the float round-trip
@@ -332,13 +294,7 @@ impl SweepReport {
                 body.extend_from_slice(&policy.recovery_mhz.to_bits().to_le_bytes());
             }
         }
-
-        let mut bytes = Vec::with_capacity(codec::MAGIC.len() + 4 + 8 + body.len());
-        bytes.extend_from_slice(codec::MAGIC);
-        bytes.extend_from_slice(&codec::VERSION.to_le_bytes());
-        bytes.extend_from_slice(&codec::fnv1a(&body).to_le_bytes());
-        bytes.extend_from_slice(&body);
-        bytes
+        frame::seal(codec::MAGIC, codec::VERSION, &body)
     }
 
     /// Deserializes a report produced by [`SweepReport::to_bytes`].
@@ -347,106 +303,66 @@ impl SweepReport {
     /// magic, unknown version, truncation, trailing garbage, a flipped
     /// payload bit, out-of-range or out-of-order job coordinates,
     /// inconsistent corner tables and fault or interrupt specs the CLI
-    /// parsers would reject are all reported as a
-    /// [`ReportFormatError`] — no input can panic this parser or yield a
-    /// structurally inconsistent report.
+    /// parsers would reject are all reported as a [`FormatError`] — no
+    /// input can panic this parser or yield a structurally inconsistent
+    /// report.
     ///
     /// # Errors
     ///
-    /// Returns [`ReportFormatError`] describing the first violation found.
-    pub fn from_bytes(bytes: &[u8]) -> Result<SweepReport, ReportFormatError> {
-        let mut r = Reader::new(bytes);
-        if r.bytes_exact(codec::MAGIC.len())? != codec::MAGIC {
-            return Err(ReportFormatError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != codec::VERSION {
-            return Err(ReportFormatError::UnsupportedVersion(version));
-        }
-        let checksum = r.u64()?;
-        let body = r.remaining();
-
+    /// Returns [`FormatError`] describing the first violation found.
+    pub fn from_bytes(bytes: &[u8]) -> Result<SweepReport, FormatError> {
+        let mut r = frame::open(bytes, codec::MAGIC, codec::VERSION)?;
         let seeds = r.u32()?;
         let corners = r.u32()?;
         let master_seed = r.u64()?;
         let margin = r.f64_bits()?;
-        let fault_flag = r.u32()?;
-        if fault_flag > 1 {
-            return Err(ReportFormatError::Malformed("fault flag must be 0 or 1"));
-        }
-        let fault_seed = r.u64()?;
-        let droop_rate = r.f64_bits()?;
-        let droop_mag = r.f64_bits()?;
-        let spike_rate = r.f64_bits()?;
-        let spike_mag = r.f64_bits()?;
-        let shift_mag = r.f64_bits()?;
-        let detect_window = r.f64_bits()?;
-        let replay_penalty = r.u32()?;
-        let faults = (fault_flag == 1).then_some(FaultSpec {
-            seed: fault_seed,
-            droop_rate,
-            droop_mag,
-            spike_rate,
-            spike_mag,
-            shift_mag,
-            replay_penalty,
-            detect_window,
-        });
-        let irq_flag = r.u32()?;
-        if irq_flag > 1 {
-            return Err(ReportFormatError::Malformed(
-                "interrupt flag must be 0 or 1",
-            ));
-        }
-        let irq_seed = r.u64()?;
-        let irq_rate = r.f64_bits()?;
-        let irq_timer = r.u32()?;
-        let irq_vector = r.u32()?;
-        let irq_penalty = r.u32()?;
-        let irq_surge = r.f64_bits()?;
-        let interrupts = (irq_flag == 1).then_some(InterruptSpec {
-            seed: irq_seed,
-            rate: irq_rate,
-            timer: irq_timer,
-            vector: irq_vector,
-            penalty: irq_penalty,
-            surge: irq_surge,
-        });
+        // Struct fields are evaluated in the order written: wire order.
+        let faults = match codec::spec_block(&mut r, codec::FAULT_BLOCK_BYTES)? {
+            None => None,
+            Some(mut b) => Some(FaultSpec {
+                seed: b.u64()?,
+                droop_rate: b.f64_bits()?,
+                droop_mag: b.f64_bits()?,
+                spike_rate: b.f64_bits()?,
+                spike_mag: b.f64_bits()?,
+                shift_mag: b.f64_bits()?,
+                detect_window: b.f64_bits()?,
+                replay_penalty: b.u32()?,
+            }),
+        };
+        let interrupts = match codec::spec_block(&mut r, codec::IRQ_BLOCK_BYTES)? {
+            None => None,
+            Some(mut b) => Some(InterruptSpec {
+                seed: b.u64()?,
+                rate: b.f64_bits()?,
+                timer: b.u32()?,
+                vector: b.u32()?,
+                penalty: b.u32()?,
+                surge: b.f64_bits()?,
+            }),
+        };
         let corner_count = r.u32()? as usize;
         let job_count = r.u32()? as usize;
-        let payload_len = r.remaining().len();
-        let expected = corner_count
-            .checked_mul(codec::CORNER_ENTRY_BYTES)
-            .and_then(|c| job_count.checked_mul(codec::JOB_ENTRY_BYTES).map(|j| c + j))
-            .ok_or(ReportFormatError::Malformed("table sizes overflow"))?;
-        if payload_len < expected {
-            return Err(ReportFormatError::Truncated {
-                expected,
-                actual: payload_len,
-            });
-        }
-        if payload_len > expected {
-            return Err(ReportFormatError::Malformed("trailing bytes after tables"));
-        }
-        if codec::fnv1a(body) != checksum {
-            return Err(ReportFormatError::ChecksumMismatch);
-        }
+        r.expect_tables(&[
+            (corner_count, codec::CORNER_ENTRY_BYTES),
+            (job_count, codec::JOB_ENTRY_BYTES),
+        ])?;
         // A matching checksum proves only that the bytes are the ones
         // written: the specs must also pass the checks the CLI parsers run.
         if faults.is_some_and(|spec| spec.validate().is_err()) {
-            return Err(ReportFormatError::Malformed("fault spec out of range"));
+            return Err(FormatError::Malformed("fault spec out of range"));
         }
         if interrupts.is_some_and(|spec| spec.validate().is_err()) {
-            return Err(ReportFormatError::Malformed("interrupt spec out of range"));
+            return Err(FormatError::Malformed("interrupt spec out of range"));
         }
         if corner_count != corners as usize {
-            return Err(ReportFormatError::Malformed(
+            return Err(FormatError::Malformed(
                 "corner table disagrees with header corner count",
             ));
         }
         let max_jobs = (u64::from(seeds) * u64::from(corners)) as usize;
         if job_count > max_jobs {
-            return Err(ReportFormatError::Malformed(
+            return Err(FormatError::Malformed(
                 "more jobs than the seeds x corners grid",
             ));
         }
@@ -455,7 +371,7 @@ impl SweepReport {
         for position in 0..corner_count {
             let index = r.u32()?;
             if index as usize != position {
-                return Err(ReportFormatError::Malformed(
+                return Err(FormatError::Malformed(
                     "corner indices must be dense and in order",
                 ));
             }
@@ -477,7 +393,7 @@ impl SweepReport {
             let seed_index = r.u32()?;
             let corner_index = r.u32()?;
             if seed_index >= seeds || corner_index >= corners {
-                return Err(ReportFormatError::Malformed(
+                return Err(FormatError::Malformed(
                     "job coordinates outside the sweep grid",
                 ));
             }
@@ -485,7 +401,7 @@ impl SweepReport {
                 // Canonical (seed, corner) order, strictly: rejects both
                 // disorder and duplicate rows inside one report.
                 if (last.seed_index, last.corner_index) >= (seed_index, corner_index) {
-                    return Err(ReportFormatError::Malformed(
+                    return Err(FormatError::Malformed(
                         "job rows not in strictly ascending (seed, corner) order",
                     ));
                 }
@@ -535,57 +451,6 @@ impl SweepReport {
         })
     }
 }
-
-/// Errors reported by [`SweepReport::from_bytes`]. A report file on disk is
-/// untrusted input: every variant here is a rejected file, never a panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ReportFormatError {
-    /// The file does not start with the sweep-report magic.
-    BadMagic,
-    /// The format version is newer (or older) than this reader supports.
-    UnsupportedVersion(
-        /// The version found in the header.
-        u32,
-    ),
-    /// The file ends early: a read needed more bytes than remain.
-    Truncated {
-        /// Bytes the failing read needed.
-        expected: usize,
-        /// Bytes actually available at that point.
-        actual: usize,
-    },
-    /// The payload does not hash to the header checksum (bit rot or a
-    /// partial write).
-    ChecksumMismatch,
-    /// A structural invariant is violated (job outside the grid, rows out
-    /// of canonical order, inconsistent corner table, trailing bytes, ...).
-    Malformed(
-        /// Which invariant failed.
-        &'static str,
-    ),
-}
-
-impl std::fmt::Display for ReportFormatError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReportFormatError::BadMagic => write!(f, "not a sweep-report file (bad magic)"),
-            ReportFormatError::UnsupportedVersion(v) => {
-                write!(f, "unsupported sweep-report format version {v}")
-            }
-            ReportFormatError::Truncated { expected, actual } => write!(
-                f,
-                "truncated sweep report: needs {expected} bytes, {actual} available"
-            ),
-            ReportFormatError::ChecksumMismatch => {
-                write!(f, "sweep-report payload checksum mismatch")
-            }
-            ReportFormatError::Malformed(what) => write!(f, "malformed sweep report: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ReportFormatError {}
 
 /// Errors of [`merge_reports`]: the partial reports do not form a clean
 /// partition of one sweep's job grid.
@@ -854,7 +719,7 @@ mod tests {
         };
         assert_eq!(
             SweepReport::from_bytes(&nan_droop.to_bytes()),
-            Err(ReportFormatError::Malformed("fault spec out of range"))
+            Err(FormatError::Malformed("fault spec out of range"))
         );
         let overfull_storm = SweepReport {
             interrupts: Some(InterruptSpec {
@@ -865,7 +730,7 @@ mod tests {
         };
         assert_eq!(
             SweepReport::from_bytes(&overfull_storm.to_bytes()),
-            Err(ReportFormatError::Malformed("interrupt spec out of range"))
+            Err(FormatError::Malformed("interrupt spec out of range"))
         );
         // A timer that fires on every cycle livelocks every program.
         let livelocked_timer = SweepReport {
@@ -877,8 +742,25 @@ mod tests {
         };
         assert_eq!(
             SweepReport::from_bytes(&livelocked_timer.to_bytes()),
-            Err(ReportFormatError::Malformed("interrupt spec out of range"))
+            Err(FormatError::Malformed("interrupt spec out of range"))
         );
+    }
+
+    #[test]
+    fn absent_spec_blocks_must_be_zero_despite_a_valid_checksum() {
+        // `to_bytes` zeroes an absent block; a nonzero one would decode but
+        // not re-encode to its own bytes.
+        let bytes = small_report().to_bytes();
+        // The first byte after each block's present flag: the spec's seed.
+        for at in [28, 28 + codec::FAULT_BLOCK_BYTES] {
+            let mut body = bytes[frame::PREFIX_BYTES..].to_vec();
+            body[at] = 1;
+            assert_eq!(
+                SweepReport::from_bytes(&frame::seal(codec::MAGIC, codec::VERSION, &body)),
+                Err(FormatError::Malformed("absent spec block is not all zero")),
+                "byte {at}"
+            );
+        }
     }
 
     #[test]
@@ -998,7 +880,7 @@ mod tests {
             bytes[codec::MAGIC.len()..codec::MAGIC.len() + 4].copy_from_slice(&old.to_le_bytes());
             assert_eq!(
                 SweepReport::from_bytes(&bytes),
-                Err(ReportFormatError::UnsupportedVersion(old))
+                Err(FormatError::UnsupportedVersion(old))
             );
         }
     }

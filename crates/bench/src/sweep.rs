@@ -50,6 +50,7 @@ use idca_core::{
 };
 use idca_gen::{generate_program, nth_seed, GenConfig};
 use idca_isa::Program;
+use idca_pipeline::frame::{FormatError, Reader};
 use idca_pipeline::{
     CycleObserver, CycleRecord, DigestObserver, InterruptPlan, InterruptSpec, IrqPhase,
     PipelineError, PredecodedProgram, SimBuffers, SimConfig, Simulator, TimingDigest,
@@ -925,9 +926,7 @@ fn with_replay_scratch<R>(
 /// per-corner requests are fixed for the whole job, so its bank is primed
 /// once, before the walk.
 ///
-/// The sweep keeps only violations and frequencies per row, so no
-/// switching activity is folded here — [`SweepJobOutcome`] never carries
-/// it. Produces the same rows, bit for bit, as [`run_job`] simulating each
+/// Produces the same rows, bit for bit, as [`run_job`] simulating each
 /// `(seed, corner)` pair live (pinned by the sweep tests): one decode, one
 /// dither batch, `M` corner outcomes. `timeline` is the seed's interrupt
 /// phase timeline (`None` without an interrupt scenario).
@@ -1173,8 +1172,34 @@ fn finish_report(
     report
 }
 
-/// Magic of one digest-cache entry file (a small key header wrapping the
-/// [`TimingDigest`] binary format).
+/// Writes `bytes` to `path` atomically: they are staged in the same
+/// directory under the target's own name plus this process's id
+/// (`.<name>.<pid>.tmp`) and renamed into place, so a reader in this or any
+/// concurrent process sees the complete file or none. The staged file is
+/// removed whenever the write or the rename fails. `repro` writes its sweep
+/// reports through it, and the digest cache its entries.
+///
+/// # Errors
+///
+/// The I/O error of the write or the rename, or
+/// [`std::io::ErrorKind::InvalidInput`] when `path` names no file.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let name = path
+        .file_name()
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "not a file path"))?;
+    let mut staged = std::ffi::OsString::from(".");
+    staged.push(name);
+    staged.push(format!(".{}.tmp", std::process::id()));
+    let staged = path.with_file_name(staged);
+    let written = std::fs::write(&staged, bytes).and_then(|()| std::fs::rename(&staged, path));
+    if written.is_err() {
+        std::fs::remove_file(&staged).ok();
+    }
+    written
+}
+
+/// Magic of one digest-cache entry file: a key header in front of the
+/// [`TimingDigest`] frame.
 const CACHE_MAGIC: &[u8; 8] = b"IDCACHE1";
 /// Cache entry header: magic + program seed + generator-config hash +
 /// simulator version + interrupt-scenario fingerprint. Interrupts (unlike
@@ -1182,6 +1207,9 @@ const CACHE_MAGIC: &[u8; 8] = b"IDCACHE1";
 /// simulated image — so the scenario fingerprint is part of the cache key;
 /// interrupt-free sweeps key on fingerprint 0.
 const CACHE_HEADER_BYTES: usize = 8 + 8 + 8 + 4 + 8;
+/// Every cache entry is named `digest-<key>.bin`; see [`cache_entry_path`].
+const CACHE_ENTRY_PREFIX: &str = "digest-";
+const CACHE_ENTRY_SUFFIX: &str = ".bin";
 
 /// The on-disk location of one cached digest. The full cache key is in the
 /// file name, so sweeps over different generator configurations, interrupt
@@ -1196,53 +1224,50 @@ fn cache_entry_path(dir: &Path, program_seed: u64, config_hash: u64, irq_fp: u64
         format!("-irq{irq_fp:016x}")
     };
     dir.join(format!(
-        "digest-{program_seed:016x}-{config_hash:016x}{irq_part}-v{SIMULATOR_VERSION}.bin"
+        "{CACHE_ENTRY_PREFIX}{program_seed:016x}-{config_hash:016x}{irq_part}\
+         -v{SIMULATOR_VERSION}{CACHE_ENTRY_SUFFIX}"
     ))
+}
+
+/// Whether a file name in a cache directory is a digest-cache entry. Staged
+/// writes (`.digest-*.tmp`) and the `quarantine/` directory are not.
+pub(crate) fn is_cache_entry_name(name: &str) -> bool {
+    name.starts_with(CACHE_ENTRY_PREFIX) && name.ends_with(CACHE_ENTRY_SUFFIX)
 }
 
 /// Decodes one cache entry's bytes against its expected key, naming the
 /// exact reason an entry cannot be trusted (for the quarantine warning).
+/// Each header field must equal the key the file name was built from; the
+/// payload is a checksummed digest frame.
 fn decode_cache_entry(
     bytes: &[u8],
     program_seed: u64,
     config_hash: u64,
     irq_fp: u64,
 ) -> Result<TimingDigest, String> {
-    if bytes.len() < CACHE_HEADER_BYTES {
-        return Err(format!(
-            "header truncated ({} of {CACHE_HEADER_BYTES} bytes)",
-            bytes.len()
-        ));
-    }
-    if &bytes[..8] != CACHE_MAGIC {
+    let header = |error: FormatError| format!("entry header {error}");
+    let key = |what: &str, found: u64, expected: u64| {
+        if found == expected {
+            Ok(())
+        } else {
+            Err(format!(
+                "stale key: embedded {what} {found:#018x} != expected {expected:#018x}"
+            ))
+        }
+    };
+    let mut r = Reader::new(bytes);
+    if r.bytes_exact(CACHE_MAGIC.len()).map_err(header)? != CACHE_MAGIC {
         return Err("bad entry magic".to_string());
     }
-    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-    if word(8) != program_seed {
-        return Err(format!(
-            "stale key: embedded program seed {:#018x} != expected {program_seed:#018x}",
-            word(8)
-        ));
-    }
-    if word(16) != config_hash {
-        return Err(format!(
-            "stale key: embedded config hash {:#018x} != expected {config_hash:#018x}",
-            word(16)
-        ));
-    }
-    let version = u32::from_le_bytes(bytes[24..28].try_into().expect("4 bytes"));
-    if version != SIMULATOR_VERSION {
-        return Err(format!(
-            "stale simulator version {version} (expected {SIMULATOR_VERSION})"
-        ));
-    }
-    if word(28) != irq_fp {
-        return Err(format!(
-            "stale key: embedded interrupt fingerprint {:#018x} != expected {irq_fp:#018x}",
-            word(28)
-        ));
-    }
-    TimingDigest::from_bytes(&bytes[CACHE_HEADER_BYTES..])
+    key("program seed", r.u64().map_err(header)?, program_seed)?;
+    key("config hash", r.u64().map_err(header)?, config_hash)?;
+    key(
+        "simulator version",
+        u64::from(r.u32().map_err(header)?),
+        u64::from(SIMULATOR_VERSION),
+    )?;
+    key("interrupt fingerprint", r.u64().map_err(header)?, irq_fp)?;
+    TimingDigest::from_bytes(r.remaining())
         .map_err(|error| format!("digest payload rejected: {error}"))
 }
 
@@ -1296,12 +1321,11 @@ fn load_cached_digest(
     }
 }
 
-/// Writes one digest-cache entry. Best-effort: the entry is staged to a
-/// process-unique temp file and renamed into place, so a reader in this or
-/// any concurrent process never sees a torn entry (and even a torn write
-/// from an unclean shutdown is demoted to a miss by the digest checksum);
-/// any I/O failure leaves the sweep result untouched — the cache is an
-/// accelerator, never a correctness dependency.
+/// Writes one digest-cache entry through [`write_atomic`], so a reader in
+/// this or any concurrent process never sees a torn entry (and even a torn
+/// write from an unclean shutdown is demoted to a miss by the digest
+/// checksum). Best-effort: an I/O failure leaves the sweep result
+/// untouched — the cache is an accelerator, never a correctness dependency.
 fn store_cached_digest(
     dir: &Path,
     program_seed: u64,
@@ -1317,16 +1341,11 @@ fn store_cached_digest(
     bytes.extend_from_slice(&SIMULATOR_VERSION.to_le_bytes());
     bytes.extend_from_slice(&irq_fp.to_le_bytes());
     bytes.extend_from_slice(&payload);
-    let staged = dir.join(format!(
-        ".digest-{program_seed:016x}-{irq_fp:x}-{:x}.tmp",
-        std::process::id()
-    ));
-    if std::fs::write(&staged, &bytes).is_ok() {
-        let _ = std::fs::rename(
-            &staged,
-            cache_entry_path(dir, program_seed, config_hash, irq_fp),
-        );
-    }
+    write_atomic(
+        &cache_entry_path(dir, program_seed, config_hash, irq_fp),
+        &bytes,
+    )
+    .ok();
 }
 
 /// Runs the full sweep: phase 1 acquires each seed's [`TimingDigest`]
@@ -1700,6 +1719,39 @@ mod tests {
         let (_, rewarm_timing) =
             pvt_sweep_timed_with_cache(&config, Some(&dir)).expect("sweep runs");
         assert_eq!(rewarm_timing.digest_cache_hits, config.seeds);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_cache_write_leaves_no_staged_file_and_the_report_unchanged() {
+        let dir = std::env::temp_dir().join(format!(
+            "idca-digest-cache-write-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = small_config();
+        // A non-empty directory squats on one entry's final path, so that
+        // entry's rename fails after its staged write succeeded.
+        let seed0 = nth_seed(config.master_seed, 0);
+        let squatter = cache_entry_path(&dir, seed0, config.gen.content_hash(), 0);
+        std::fs::create_dir_all(squatter.join("occupied")).expect("squatter is creatable");
+
+        let (report, timing) = pvt_sweep_timed_with_cache(&config, Some(&dir)).expect("sweep runs");
+        assert_eq!(timing.simulated_programs, config.seeds);
+        assert_eq!(report.to_bytes(), pvt_sweep(&config).unwrap().to_bytes());
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("cache dir readable")
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert!(
+            names.iter().all(|name| !name.ends_with(".tmp")),
+            "staged files left behind: {names:?}"
+        );
+        // The other seeds' entries landed; the squatter is untouched.
+        assert_eq!(names.len(), config.seeds as usize);
+        assert!(squatter.join("occupied").is_dir());
 
         let _ = std::fs::remove_dir_all(&dir);
     }

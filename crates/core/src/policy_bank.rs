@@ -45,8 +45,8 @@
 use crate::sim::RunOutcome;
 use crate::tally::frequencies;
 use crate::ClockGenerator;
-use idca_pipeline::{RunSummary, TraceStats};
-use idca_timing::{ActivitySummary, FaultPlan, FaultSpec, LaneIsa, Ps, LANE_WIDTH};
+use idca_pipeline::RunSummary;
+use idca_timing::{FaultPlan, FaultSpec, LaneIsa, Ps, LANE_WIDTH};
 
 /// Per-corner accumulators of one clock policy evaluated against `M` PVT
 /// corners — see the [module docs](self).
@@ -452,12 +452,8 @@ impl<'a> PolicyBank<'a> {
 
     /// Derives the per-corner [`RunOutcome`]s from the accumulated state —
     /// field-for-field the arithmetic of
-    /// [`PolicyObserver`](crate::PolicyObserver)'s `finish`. The activity
-    /// summary is the empty-finished default (the banked paths fold
-    /// activity once, outside the bank); callers that replay activity
-    /// assign it onto the outcomes afterwards.
+    /// [`PolicyObserver`](crate::PolicyObserver)'s `finish`.
     pub fn finish(&mut self, summary: &RunSummary) {
-        let activity = ActivitySummary::from_stats(&TraceStats::default());
         let cycles = summary.cycles;
         // A `begin_block` walk held its run time and min/max once; every
         // corner reports them.
@@ -493,7 +489,6 @@ impl<'a> PolicyBank<'a> {
                     replay_penalty_cycles: tally.replay_penalty_cycles[lane],
                     silent_risk_cycles: tally.silent_risk_cycles[lane],
                     recovery_frequency_mhz,
-                    activity,
                 }
             })
             .collect();
@@ -565,8 +560,7 @@ mod tests {
     }
 
     /// Drives a bank running the `isa` copy of its kernel and the scalar
-    /// reference over the same digest and asserts bit-identical outcomes
-    /// (modulo the activity fold, which the bank leaves empty-finished).
+    /// reference over the same digest and asserts bit-identical outcomes.
     fn assert_bank_matches_scalar(models: &[TimingModel], faults: Option<FaultPlan>, isa: LaneIsa) {
         let digest = digest();
         let generator = ClockGenerator::quantized_50ps();
@@ -609,9 +603,7 @@ mod tests {
                 observer.observe_digest_timed(cycle, dc, &timing);
             });
             observer.finish(&digest.summary());
-            let mut scalar = observer.into_outcome();
-            scalar.activity = expected.activity;
-            assert_eq!(*expected, scalar, "corner {corner}");
+            assert_eq!(*expected, observer.into_outcome(), "corner {corner}");
         }
     }
 

@@ -17,12 +17,9 @@
 
 use crate::tally::{frequencies, ViolationTally};
 use crate::{ClockGenerator, ClockPolicy};
-use idca_pipeline::{
-    CycleObserver, CycleRecord, DigestCycle, IrqPhase, RunSummary, TimingDigest, TraceStats,
-};
+use idca_pipeline::{CycleObserver, CycleRecord, DigestCycle, IrqPhase, RunSummary, TimingDigest};
 use idca_timing::{
-    ActivitySummary, CornerBank, CycleTiming, FaultPlan, IrqCursor, IrqTimeline, Perturbation, Ps,
-    TimingModel,
+    CornerBank, CycleTiming, FaultPlan, IrqCursor, IrqTimeline, Perturbation, Ps, TimingModel,
 };
 use serde::{Deserialize, Serialize};
 
@@ -73,8 +70,6 @@ pub struct RunOutcome {
     /// throughput-under-recovery score. Bit-equal to
     /// [`RunOutcome::effective_frequency_mhz`] when nothing was recovered.
     pub recovery_frequency_mhz: f64,
-    /// Switching-activity summary of the trace (for the power model).
-    pub activity: ActivitySummary,
 }
 
 impl RunOutcome {
@@ -92,9 +87,10 @@ impl RunOutcome {
 
 /// Streaming dynamic-clock evaluation: a [`CycleObserver`] that applies a
 /// [`ClockPolicy`] to every cycle as the pipeline simulator produces it,
-/// realizes the requested period through a [`ClockGenerator`], checks the
-/// no-timing-violation invariant against `model` and accumulates the
-/// switching activity, with no materialized trace.
+/// realizes the requested period through a [`ClockGenerator`] and checks the
+/// no-timing-violation invariant against `model`, with no materialized
+/// trace. Switching activity is a property of the run, not of the policy:
+/// the power model folds it once per run from the digest or the trace.
 ///
 /// Several `PolicyObserver`s can ride on the same
 /// [`run_observed`](idca_pipeline::Simulator::run_observed) pass (the live
@@ -109,7 +105,6 @@ pub struct PolicyObserver<'a> {
     tally: ViolationTally,
     min_period_ps: Ps,
     max_period_ps: Ps,
-    activity: TraceStats,
     outcome: Option<RunOutcome>,
 }
 
@@ -131,7 +126,6 @@ impl<'a> PolicyObserver<'a> {
             tally: ViolationTally::default(),
             min_period_ps: Ps::INFINITY,
             max_period_ps: 0.0,
-            activity: TraceStats::default(),
             outcome: None,
         }
     }
@@ -231,8 +225,7 @@ impl<'a> PolicyObserver<'a> {
     /// The per-cycle accumulation shared by every entry point: the policy
     /// decides from the digest's classes, the realized period is accounted
     /// against the actual dynamic delay ([`ViolationTally::record`]) and
-    /// folded into the min/max period, and the activity statistics fold the
-    /// digest's occupancy bits.
+    /// folded into the min/max period.
     fn step(&mut self, cycle: u64, digest_cycle: &DigestCycle, actual: Ps, entry: bool) {
         let requested = self.policy.digest_period_ps(cycle, digest_cycle);
         let realized = self.generator.realize(requested);
@@ -240,7 +233,6 @@ impl<'a> PolicyObserver<'a> {
             .record(realized, actual, entry, self.perturbation.faults);
         self.min_period_ps = self.min_period_ps.min(realized);
         self.max_period_ps = self.max_period_ps.max(realized);
-        self.activity.observe_digest(digest_cycle);
     }
 }
 
@@ -276,7 +268,6 @@ impl CycleObserver for PolicyObserver<'_> {
             replay_penalty_cycles: tally.replay_penalty_cycles,
             silent_risk_cycles: tally.silent_risk_cycles,
             recovery_frequency_mhz,
-            activity: ActivitySummary::from_stats(&self.activity),
         });
     }
 }
@@ -286,8 +277,8 @@ impl CycleObserver for PolicyObserver<'_> {
 /// against any number of (e.g. PVT-varied) timing models without a
 /// simulator in the loop. Drives the same accumulation as
 /// [`PolicyObserver`] on the live pass, so the outcome — violations,
-/// realized periods, effective frequency, activity — is bit-identical to
-/// that observer riding the originating execution.
+/// realized periods, effective frequency — is bit-identical to that
+/// observer riding the originating execution.
 #[must_use]
 pub fn replay_digest(
     model: &TimingModel,
@@ -351,7 +342,6 @@ pub fn replay_digest_banked(
     let bank = CornerBank::from_models(models);
     let mut pbank = crate::PolicyBank::new(policy.name(), models.len(), generator);
     let mut evaluator = bank.evaluator();
-    let mut activity = TraceStats::default();
     digest.for_each_run(|start, len, dc| {
         for cycle in start..start + u64::from(len) {
             // The policy sees only the digest, never the model, so its
@@ -363,19 +353,10 @@ pub fn replay_digest_banked(
             // The evaluated cycle stays in structure-of-arrays form: the
             // bank folds the contiguous max-delay lanes directly.
             pbank.observe_actuals(evaluator.cycle_lanes(cycle, dc).max_lanes());
-            // The activity fold reads only the digest cycle —
-            // corner-invariant — so one shared fold replaces the
-            // per-corner copies.
-            activity.observe_digest(dc);
         }
     });
     pbank.finish(&digest.summary());
-    let activity = ActivitySummary::from_stats(&activity);
-    let mut outcomes = pbank.into_outcomes();
-    for outcome in &mut outcomes {
-        outcome.activity = activity;
-    }
-    outcomes
+    pbank.into_outcomes()
 }
 
 #[cfg(test)]

@@ -12,9 +12,10 @@
 use crate::{
     replay_digest, ClockGenerator, ClockPolicy, CoreError, PolicyObserver, RunOutcome, StaticClock,
 };
-use idca_pipeline::{CycleObserver, PipelineTrace, RunSummary, TimingDigest};
+use idca_pipeline::{CycleObserver, PipelineTrace, RunSummary, TimingDigest, TraceStats};
 use idca_timing::{
-    CellLibrary, PowerModel, PowerReport, ProfileKind, TimingModel, NOMINAL_VOLTAGE_MV,
+    ActivitySummary, CellLibrary, PowerModel, PowerReport, ProfileKind, TimingModel,
+    NOMINAL_VOLTAGE_MV,
 };
 use serde::{Deserialize, Serialize};
 
@@ -74,9 +75,10 @@ impl VoltageScalingResult {
 ///
 /// Every candidate operating point feeds the materialized trace's records
 /// to a live [`PolicyObserver`], walking downward from nominal and stopping
-/// at the first infeasible point. This is the live-record reference oracle
-/// of [`scale_for_iso_throughput_digest`], which scans a captured digest
-/// instead and returns the identical result.
+/// at the first infeasible point. The power model reads the switching
+/// activity of [`PipelineTrace::stats`], counted once. This is the
+/// live-record reference oracle of [`scale_for_iso_throughput_digest`],
+/// which scans a captured digest instead and returns the identical result.
 ///
 /// * `policy_factory` builds the dynamic-clock policy for a given timing
 ///   model (the model changes with voltage because every path stretches).
@@ -100,6 +102,7 @@ pub fn scale_for_iso_throughput(
         profile,
         library,
         power,
+        &ActivitySummary::from_stats(&trace.stats()),
         policy_factory,
         generator,
         &|model, policy, generator| {
@@ -120,7 +123,9 @@ pub fn scale_for_iso_throughput(
 /// candidate operating point is one [`replay_digest`], bit-identical to
 /// observing the records of the originating execution, so both return the
 /// same result without a simulator in the loop. The scan stops at the first
-/// infeasible voltage, so it replays only the candidates down to there.
+/// infeasible voltage, so it replays only the candidates down to there. The
+/// switching activity is one [`TraceStats::observe_digest`] fold of the
+/// digest.
 ///
 /// # Errors
 ///
@@ -133,22 +138,27 @@ pub fn scale_for_iso_throughput_digest(
     policy_factory: &dyn Fn(&TimingModel) -> Box<dyn ClockPolicy>,
     generator: &ClockGenerator,
 ) -> Result<VoltageScalingResult, CoreError> {
+    let mut activity = TraceStats::default();
+    digest.for_each_cycle(|_, dc| activity.observe_digest(dc));
     scan_for_iso_throughput(
         profile,
         library,
         power,
+        &ActivitySummary::from_stats(&activity),
         policy_factory,
         generator,
         &|model, policy, generator| replay_digest(model, digest, policy, generator),
     )
 }
 
-/// The downward voltage scan behind both entry points; `run` evaluates one
-/// policy on the workload under one timing model.
+/// The downward voltage scan behind both entry points: `activity` is the
+/// workload's switching activity, and `run` evaluates one policy on the
+/// workload under one timing model.
 fn scan_for_iso_throughput(
     profile: ProfileKind,
     library: &CellLibrary,
     power: &PowerModel,
+    activity: &ActivitySummary,
     policy_factory: &dyn Fn(&TimingModel) -> Box<dyn ClockPolicy>,
     generator: &ClockGenerator,
     run: &dyn Fn(&TimingModel, &dyn ClockPolicy, &ClockGenerator) -> RunOutcome,
@@ -168,9 +178,8 @@ fn scan_for_iso_throughput(
         &StaticClock::of_model(&nominal_model),
         &ClockGenerator::Ideal,
     );
-    let activity = baseline_outcome.activity;
     let nominal_point = library.operating_point(NOMINAL_VOLTAGE_MV)?;
-    let baseline_report = power.report(&activity, &nominal_point, baseline_outcome.avg_period_ps);
+    let baseline_report = power.report(activity, &nominal_point, baseline_outcome.avg_period_ps);
     let required_mhz = baseline_outcome.effective_frequency_mhz;
 
     // Scan downwards from the nominal voltage for the lowest feasible point.
@@ -193,7 +202,7 @@ fn scan_for_iso_throughput(
     let (scaled_mv, scaled_period) =
         best.ok_or(CoreError::NoFeasibleOperatingPoint { required_mhz })?;
     let scaled_point = library.operating_point(scaled_mv)?;
-    let scaled_report = power.report(&activity, &scaled_point, scaled_period);
+    let scaled_report = power.report(activity, &scaled_point, scaled_period);
 
     let baseline = OperatingSummary::from_report(&baseline_report);
     let scaled = OperatingSummary::from_report(&scaled_report);

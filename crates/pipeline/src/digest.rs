@@ -11,7 +11,7 @@
 //!   multiplier widths, popcounts, forwarding, redirects),
 //! * the fetch address (salt of the per-cycle residual-variation dither),
 //! * and a handful of **activity bits** (execute occupancy, memory access,
-//!   multiplier use, branches, forwarding, stalls) for the power model.
+//!   multiplier use, branches, forwarding) for the power model.
 //!
 //! [`DigestCycle`] records exactly that, [`DigestObserver`] captures it in
 //! the same streaming pass as every other [`CycleObserver`], and
@@ -51,7 +51,8 @@
 //! cycle index (a prerequisite for run-length encoding).
 
 use crate::{
-    CycleObserver, CycleRecord, CycleRecordFlags, DigestEvent, Occupant, RunSummary, Stage,
+    frame, CycleObserver, CycleRecord, CycleRecordFlags, DigestEvent, FormatError, Occupant,
+    RunSummary, Stage,
 };
 use idca_isa::{Insn, TimingClass, INSN_BYTES};
 use std::sync::Arc;
@@ -544,25 +545,23 @@ impl TimingDigest {
         out
     }
 
-    /// Serializes the digest to the compact versioned binary format.
-    ///
-    /// Layout (all integers little-endian):
+    /// Serializes the digest to the compact versioned binary format: a
+    /// [`frame`] under magic `IDCADGST`, whose body is
     ///
     /// ```text
-    /// magic "IDCADGST" | version u32 | body_checksum u64 (FNV-1a)
-    /// | cycles u64 | retired u64 | pool_len u32 | runs_len u32 | events_len u32
+    /// cycles u64 | retired u64 | pool_len u32 | runs_len u32 | events_len u32
     /// | pool entries | run entries | event entries
     /// ```
     ///
-    /// The checksum covers everything after itself (run totals and tables
-    /// alike), so any single corrupted byte of a stored digest is detected.
-    /// Each pool entry stores the six stage classes (one byte each), the six
-    /// excitation coefficient pairs as raw `f64` bit patterns (replay must be
-    /// bit-exact, so the float round-trip is by bits, never by text), the
-    /// fetch address and the activity flags; each run entry is a
-    /// `(cycle_id, len)` pair; each event entry (new in v3) is a
-    /// `(cycle u64, kind u8, payload u32)` triple of the asynchronous-event
-    /// stream. [`TimingDigest::from_bytes`] re-validates
+    /// (all integers little-endian). The frame checksum covers the whole
+    /// body, run totals and tables alike, so any single corrupted byte of a
+    /// stored digest is detected. Each pool entry stores the six stage
+    /// classes (one byte each), the six excitation coefficient pairs as raw
+    /// `f64` bit patterns (replay must be bit-exact, so the float round-trip
+    /// is by bits, never by text), the fetch address and the activity
+    /// flags; each run entry is a `(cycle_id, len)` pair; each event entry
+    /// (new in v3) is a `(cycle u64, kind u8, payload u32)` triple of the
+    /// asynchronous-event stream. [`TimingDigest::from_bytes`] re-validates
     /// every structural invariant, so a digest loaded from disk is as
     /// trustworthy as a freshly captured one.
     #[must_use]
@@ -597,13 +596,7 @@ impl TimingDigest {
             body.push(kind);
             body.extend_from_slice(&payload.to_le_bytes());
         }
-
-        let mut bytes = Vec::with_capacity(codec::PREFIX_BYTES + body.len());
-        bytes.extend_from_slice(codec::MAGIC);
-        bytes.extend_from_slice(&codec::VERSION.to_le_bytes());
-        bytes.extend_from_slice(&codec::fnv1a(&body).to_le_bytes());
-        bytes.extend_from_slice(&body);
-        bytes
+        frame::seal(codec::MAGIC, codec::VERSION, &body)
     }
 
     /// Deserializes a digest produced by [`TimingDigest::to_bytes`].
@@ -612,51 +605,24 @@ impl TimingDigest {
     /// version, truncation, trailing garbage, a flipped payload bit, classes
     /// or run ids out of range, excitation coefficients outside `[0, 1]`,
     /// run lengths that do not add up to the header cycle count — is
-    /// reported as a [`DigestFormatError`]; no input can panic this parser
-    /// or yield a structurally inconsistent digest.
+    /// reported as a [`FormatError`]; no input can panic this parser or
+    /// yield a structurally inconsistent digest.
     ///
     /// # Errors
     ///
-    /// Returns [`DigestFormatError`] describing the first violation found.
-    pub fn from_bytes(bytes: &[u8]) -> Result<TimingDigest, DigestFormatError> {
-        let mut r = codec::Reader::new(bytes);
-        if r.bytes_exact(codec::MAGIC.len())? != codec::MAGIC {
-            return Err(DigestFormatError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != codec::VERSION {
-            return Err(DigestFormatError::UnsupportedVersion(version));
-        }
-        let checksum = r.u64()?;
-        let body = r.remaining();
-
+    /// Returns [`FormatError`] describing the first violation found.
+    pub fn from_bytes(bytes: &[u8]) -> Result<TimingDigest, FormatError> {
+        let mut r = frame::open(bytes, codec::MAGIC, codec::VERSION)?;
         let cycles = r.u64()?;
         let retired = r.u64()?;
         let pool_len = r.u32()? as usize;
         let runs_len = r.u32()? as usize;
         let events_len = r.u32()? as usize;
-        let payload_len = r.remaining().len();
-        let expected = pool_len
-            .checked_mul(codec::POOL_ENTRY_BYTES)
-            .and_then(|p| runs_len.checked_mul(codec::RUN_ENTRY_BYTES).map(|r| p + r))
-            .and_then(|t| {
-                events_len
-                    .checked_mul(codec::EVENT_ENTRY_BYTES)
-                    .map(|e| t + e)
-            })
-            .ok_or(DigestFormatError::Malformed("table sizes overflow"))?;
-        if payload_len < expected {
-            return Err(DigestFormatError::Truncated {
-                expected,
-                actual: payload_len,
-            });
-        }
-        if payload_len > expected {
-            return Err(DigestFormatError::Malformed("trailing bytes after tables"));
-        }
-        if codec::fnv1a(body) != checksum {
-            return Err(DigestFormatError::ChecksumMismatch);
-        }
+        r.expect_tables(&[
+            (pool_len, codec::POOL_ENTRY_BYTES),
+            (runs_len, codec::RUN_ENTRY_BYTES),
+            (events_len, codec::EVENT_ENTRY_BYTES),
+        ])?;
 
         let mut pool = Vec::with_capacity(pool_len);
         for _ in 0..pool_len {
@@ -665,26 +631,26 @@ impl TimingDigest {
                 let index = r.u8()? as usize;
                 *slot = *TimingClass::ALL
                     .get(index)
-                    .ok_or(DigestFormatError::Malformed("timing class out of range"))?;
+                    .ok_or(FormatError::Malformed("timing class out of range"))?;
             }
             let mut excitation = [StageExcitation {
                 base: 0.0,
                 dither_gain: 0.0,
             }; Stage::COUNT];
             for slot in &mut excitation {
-                slot.base = f64::from_bits(r.u64()?);
-                slot.dither_gain = f64::from_bits(r.u64()?);
+                slot.base = r.f64_bits()?;
+                slot.dither_gain = r.f64_bits()?;
                 // The checksum detects corruption but does not
                 // authenticate: range-check what the model can produce.
                 if !(0.0..=1.0).contains(&slot.base) || !(0.0..=1.0).contains(&slot.dither_gain) {
-                    return Err(DigestFormatError::Malformed(
+                    return Err(FormatError::Malformed(
                         "excitation coefficient outside [0, 1]",
                     ));
                 }
             }
             let fetch_address = r.u32()?;
             let flags = CycleRecordFlags::from_bits(r.u8()?)
-                .ok_or(DigestFormatError::Malformed("undefined activity flag bits"))?;
+                .ok_or(FormatError::Malformed("undefined activity flag bits"))?;
             pool.push(DigestCycle {
                 classes,
                 excitation,
@@ -699,27 +665,23 @@ impl TimingDigest {
             let cycle_id = r.u32()?;
             let len = r.u32()?;
             if cycle_id as usize >= pool_len {
-                return Err(DigestFormatError::Malformed(
-                    "run references missing pool id",
-                ));
+                return Err(FormatError::Malformed("run references missing pool id"));
             }
             if len == 0 {
-                return Err(DigestFormatError::Malformed("empty run"));
+                return Err(FormatError::Malformed("empty run"));
             }
             total += u64::from(len);
             runs.push(DigestRun { cycle_id, len });
         }
         if total != cycles {
-            return Err(DigestFormatError::Malformed(
+            return Err(FormatError::Malformed(
                 "run lengths disagree with header cycle count",
             ));
         }
         if retired > cycles {
             // A pipeline cannot retire more instructions than it ran cycles;
             // live capture and `truncated` both guarantee this.
-            return Err(DigestFormatError::Malformed(
-                "retired count exceeds cycle count",
-            ));
+            return Err(FormatError::Malformed("retired count exceeds cycle count"));
         }
 
         let mut events = Vec::with_capacity(events_len);
@@ -730,14 +692,12 @@ impl TimingDigest {
             let payload = r.u32()?;
             let kind = codec::decode_event_kind(kind_byte, payload)?;
             if cycle >= cycles {
-                return Err(DigestFormatError::Malformed(
+                return Err(FormatError::Malformed(
                     "event cycle beyond header cycle count",
                 ));
             }
             if cycle < last_event_cycle {
-                return Err(DigestFormatError::Malformed(
-                    "event cycles not nondecreasing",
-                ));
+                return Err(FormatError::Malformed("event cycles not nondecreasing"));
             }
             last_event_cycle = cycle;
             events.push(DigestEvent { cycle, kind });
@@ -753,77 +713,19 @@ impl TimingDigest {
     }
 }
 
-/// Errors reported by [`TimingDigest::from_bytes`]. A digest file on disk is
-/// untrusted input: every variant here is a rejected file, never a panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum DigestFormatError {
-    /// The file does not start with the digest magic.
-    BadMagic,
-    /// The format version is newer (or older) than this reader supports.
-    UnsupportedVersion(
-        /// The version found in the header.
-        u32,
-    ),
-    /// The file ends early: a read needed more bytes than remain (whether
-    /// in the fixed prefix, the body header, or the tables the header
-    /// announced).
-    Truncated {
-        /// Bytes the failing read needed.
-        expected: usize,
-        /// Bytes actually available at that point.
-        actual: usize,
-    },
-    /// The payload does not hash to the header checksum (bit rot or a
-    /// partial write).
-    ChecksumMismatch,
-    /// A structural invariant is violated (out-of-range class or excitation
-    /// coefficient, dangling run id, inconsistent cycle totals, trailing
-    /// bytes, ...).
-    Malformed(
-        /// Which invariant failed.
-        &'static str,
-    ),
-}
-
-impl std::fmt::Display for DigestFormatError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DigestFormatError::BadMagic => write!(f, "not a timing-digest file (bad magic)"),
-            DigestFormatError::UnsupportedVersion(v) => {
-                write!(f, "unsupported timing-digest format version {v}")
-            }
-            DigestFormatError::Truncated { expected, actual } => write!(
-                f,
-                "truncated timing digest: needs {expected} bytes, {actual} available"
-            ),
-            DigestFormatError::ChecksumMismatch => {
-                write!(f, "timing-digest payload checksum mismatch")
-            }
-            DigestFormatError::Malformed(what) => write!(f, "malformed timing digest: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for DigestFormatError {}
-
-/// Byte-level helpers of the digest binary format.
+/// Body layout constants and event-kind mapping of the digest format.
 mod codec {
-    use super::DigestFormatError;
-    use crate::{DigestEventKind, Stage};
+    use crate::{DigestEventKind, FormatError, Stage};
 
     /// File magic of the digest format.
-    pub(super) const MAGIC: &[u8] = b"IDCADGST";
+    pub(super) const MAGIC: &[u8; 8] = b"IDCADGST";
     /// Current format version. v3 added the asynchronous-event table
     /// (`events_len` in the body header plus event entries after the run
     /// table); v1/v2 files are rejected with
-    /// [`DigestFormatError::UnsupportedVersion`] rather than silently read
+    /// [`FormatError::UnsupportedVersion`] rather than silently read
     /// without their event stream.
     pub(super) const VERSION: u32 = 3;
-    /// Unchecksummed prefix: magic + version + checksum.
-    pub(super) const PREFIX_BYTES: usize = 8 + 4 + 8;
-    /// Checksummed body header: cycles + retired + pool_len + runs_len +
-    /// events_len.
+    /// Body header: cycles + retired + pool_len + runs_len + events_len.
     pub(super) const BODY_HEADER_BYTES: usize = 8 + 8 + 4 + 4 + 4;
     /// Serialized size of one pool entry: classes + excitation coefficient
     /// pairs + fetch address + flags.
@@ -850,16 +752,16 @@ mod codec {
     pub(super) fn decode_event_kind(
         kind: u8,
         payload: u32,
-    ) -> Result<DigestEventKind, DigestFormatError> {
+    ) -> Result<DigestEventKind, FormatError> {
         match kind {
             0 => {
                 let line = u8::try_from(payload)
-                    .map_err(|_| DigestFormatError::Malformed("interrupt line out of range"))?;
+                    .map_err(|_| FormatError::Malformed("interrupt line out of range"))?;
                 Ok(DigestEventKind::IrqEntry { line })
             }
             1 | 2 => {
                 if payload != 0 {
-                    return Err(DigestFormatError::Malformed(
+                    return Err(FormatError::Malformed(
                         "nonzero payload on payloadless event",
                     ));
                 }
@@ -871,65 +773,7 @@ mod codec {
             }
             3 => Ok(DigestEventKind::MmioLoad { address: payload }),
             4 => Ok(DigestEventKind::MmioStore { address: payload }),
-            _ => Err(DigestFormatError::Malformed("undefined event kind")),
-        }
-    }
-
-    /// 64-bit FNV-1a over a byte slice (the header's payload checksum).
-    pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for &byte in bytes {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash
-    }
-
-    /// Bounds-checked little-endian reader: every primitive read reports
-    /// [`DigestFormatError::Truncated`] instead of slicing out of range.
-    pub(super) struct Reader<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        pub(super) fn new(bytes: &'a [u8]) -> Self {
-            Reader { bytes, pos: 0 }
-        }
-
-        /// The unread tail (used to checksum the payload before parsing it).
-        pub(super) fn remaining(&self) -> &'a [u8] {
-            &self.bytes[self.pos..]
-        }
-
-        pub(super) fn bytes_exact(&mut self, len: usize) -> Result<&'a [u8], DigestFormatError> {
-            let end = self
-                .pos
-                .checked_add(len)
-                .filter(|&end| end <= self.bytes.len())
-                .ok_or(DigestFormatError::Truncated {
-                    expected: len,
-                    actual: self.bytes.len() - self.pos,
-                })?;
-            let slice = &self.bytes[self.pos..end];
-            self.pos = end;
-            Ok(slice)
-        }
-
-        pub(super) fn u8(&mut self) -> Result<u8, DigestFormatError> {
-            Ok(self.bytes_exact(1)?[0])
-        }
-
-        pub(super) fn u32(&mut self) -> Result<u32, DigestFormatError> {
-            Ok(u32::from_le_bytes(
-                self.bytes_exact(4)?.try_into().expect("4 bytes"),
-            ))
-        }
-
-        pub(super) fn u64(&mut self) -> Result<u64, DigestFormatError> {
-            Ok(u64::from_le_bytes(
-                self.bytes_exact(8)?.try_into().expect("8 bytes"),
-            ))
+            _ => Err(FormatError::Malformed("undefined event kind")),
         }
     }
 }
@@ -1106,9 +950,9 @@ impl DigestObserver {
     /// indexes the same micro-op table the facts' indices point into.
     ///
     /// It gathers the same [`Activity`] the hinted record capture gathers
-    /// for a burst cycle — an un-redirected, un-stalled cycle whose front
-    /// four stages hold plain table ops with an exec-activity record and no
-    /// branch resolution — and runs the one excitation model on it. The
+    /// for a burst cycle — an un-redirected cycle whose front four stages
+    /// hold plain table ops with an exec-activity record and no branch
+    /// resolution — and runs the one excitation model on it. The
     /// differential suite pins the resulting digests against full-record
     /// capture on the reference engine.
     pub(crate) fn observe_fast_cycle(&mut self, fc: &FastCycleFacts) {
@@ -1366,17 +1210,14 @@ mod tests {
         // Wrong magic.
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
-        assert_eq!(
-            TimingDigest::from_bytes(&bad),
-            Err(DigestFormatError::BadMagic)
-        );
+        assert_eq!(TimingDigest::from_bytes(&bad), Err(FormatError::BadMagic));
 
         // Unknown version.
         let mut bad = bytes.clone();
         bad[8] = 0xEE;
         assert!(matches!(
             TimingDigest::from_bytes(&bad),
-            Err(DigestFormatError::UnsupportedVersion(_))
+            Err(FormatError::UnsupportedVersion(_))
         ));
 
         // Every possible truncation length parses to an error, never a panic.
@@ -1398,7 +1239,7 @@ mod tests {
         bad[last] ^= 0x01;
         assert_eq!(
             TimingDigest::from_bytes(&bad),
-            Err(DigestFormatError::ChecksumMismatch)
+            Err(FormatError::ChecksumMismatch)
         );
 
         // In fact *any* single corrupted byte — header counters included —
@@ -1410,7 +1251,7 @@ mod tests {
         }
 
         // Errors render a human-readable description.
-        assert!(DigestFormatError::ChecksumMismatch
+        assert!(FormatError::ChecksumMismatch
             .to_string()
             .contains("checksum"));
     }
@@ -1430,13 +1271,29 @@ mod tests {
                 set(&mut d.pool[0].excitation[Stage::Execute.index()], bad);
                 assert_eq!(
                     TimingDigest::from_bytes(&d.to_bytes()),
-                    Err(DigestFormatError::Malformed(
+                    Err(FormatError::Malformed(
                         "excitation coefficient outside [0, 1]"
                     )),
                     "coefficient {bad}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn flag_bit_six_is_undefined_even_under_a_valid_checksum() {
+        // Bit 6 once meant "stalled", which no simulator ever set: it is a
+        // spare bit like the others now.
+        let t = trace("l.addi r3, r0, 5\n l.mul r4, r3, r3\n l.nop 1\n");
+        let bytes = TimingDigest::from_trace(&t).to_bytes();
+        let mut body = bytes[frame::PREFIX_BYTES..].to_vec();
+        assert_eq!(frame::seal(codec::MAGIC, codec::VERSION, &body), bytes);
+        // The flag byte ends the first pool entry.
+        body[codec::BODY_HEADER_BYTES + codec::POOL_ENTRY_BYTES - 1] |= 1 << 6;
+        assert_eq!(
+            TimingDigest::from_bytes(&frame::seal(codec::MAGIC, codec::VERSION, &body)),
+            Err(FormatError::Malformed("undefined activity flag bits"))
+        );
     }
 
     /// Builds a digest carrying a populated asynchronous-event stream by
@@ -1515,7 +1372,7 @@ mod tests {
             bad[8] = old;
             assert_eq!(
                 TimingDigest::from_bytes(&bad),
-                Err(DigestFormatError::UnsupportedVersion(u32::from(old)))
+                Err(FormatError::UnsupportedVersion(u32::from(old)))
             );
         }
     }
@@ -1551,14 +1408,12 @@ mod tests {
         let misordered = rebuild(&|d| d.events.swap(0, 4));
         assert_eq!(
             TimingDigest::from_bytes(&misordered),
-            Err(DigestFormatError::Malformed(
-                "event cycles not nondecreasing"
-            ))
+            Err(FormatError::Malformed("event cycles not nondecreasing"))
         );
         let beyond = rebuild(&|d| d.events.last_mut().expect("events").cycle = d.cycles);
         assert_eq!(
             TimingDigest::from_bytes(&beyond),
-            Err(DigestFormatError::Malformed(
+            Err(FormatError::Malformed(
                 "event cycle beyond header cycle count"
             ))
         );

@@ -226,8 +226,6 @@ pub struct CycleRecord {
     /// `true` when the fetch address was redirected by a branch or jump
     /// resolved during this cycle.
     pub fetch_redirected: bool,
-    /// `true` when the pipeline was stalled this cycle (front stages held).
-    pub stalled: bool,
     /// Interrupt phase of this cycle (ground truth for the replay-derived
     /// timeline; `IrqPhase::None` for interrupt-free runs).
     #[serde(default)]
@@ -269,8 +267,6 @@ impl CycleRecordFlags {
     pub const BRANCH_TAKEN: u8 = 1 << 4;
     /// At least one execute operand was forwarded.
     pub const FORWARDED: u8 = 1 << 5;
-    /// The pipeline was stalled this cycle.
-    pub const STALLED: u8 = 1 << 6;
 
     /// Extracts the flags of one cycle record.
     #[must_use]
@@ -296,9 +292,6 @@ impl CycleRecordFlags {
                 bits |= Self::FORWARDED;
             }
         }
-        if record.stalled {
-            bits |= Self::STALLED;
-        }
         CycleRecordFlags(bits)
     }
 
@@ -318,8 +311,7 @@ impl CycleRecordFlags {
             | CycleRecordFlags::MUL_ACTIVE
             | CycleRecordFlags::BRANCH
             | CycleRecordFlags::BRANCH_TAKEN
-            | CycleRecordFlags::FORWARDED
-            | CycleRecordFlags::STALLED;
+            | CycleRecordFlags::FORWARDED;
         (bits & !ALL == 0).then_some(CycleRecordFlags(bits))
     }
 
@@ -359,7 +351,6 @@ mod tests {
             writeback: None,
             fetch_address: 0x40,
             fetch_redirected: false,
-            stalled: false,
             irq_phase: IrqPhase::None,
         };
         assert_eq!(record.timing_class(Stage::Execute), TimingClass::Bubble);

@@ -58,6 +58,7 @@
 mod digest;
 mod error;
 mod event;
+pub mod frame;
 mod interp;
 mod irq;
 mod memory;
@@ -68,14 +69,13 @@ mod simulator;
 mod stage;
 mod trace;
 
-pub use digest::{
-    DigestCycle, DigestFormatError, DigestHints, DigestObserver, StageExcitation, TimingDigest,
-};
+pub use digest::{DigestCycle, DigestHints, DigestObserver, StageExcitation, TimingDigest};
 pub use error::PipelineError;
 pub use event::{
     BranchActivity, BubbleKind, CycleRecord, CycleRecordFlags, DigestEvent, DigestEventKind,
     ExecActivity, ForwardSource, IrqPhase, MemRequest, Occupant, WbActivity,
 };
+pub use frame::FormatError;
 pub use interp::{Interpreter, InterpreterResult};
 pub use irq::{
     is_mmio, InterruptController, InterruptPlan, InterruptSpec, InterruptSpecError, LINE_STORM,

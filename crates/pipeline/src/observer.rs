@@ -106,7 +106,6 @@ mod tests {
             writeback: None,
             fetch_address: 0,
             fetch_redirected: false,
-            stalled: false,
             irq_phase: crate::IrqPhase::None,
         }
     }

@@ -786,7 +786,6 @@ impl Simulator {
                 writeback: writeback_activity,
                 fetch_address,
                 fetch_redirected,
-                stalled: false,
                 irq_phase: irq_phase_of(irq.as_ref(), irq_entry_cycle),
             };
             cycle_count += 1;
@@ -1334,7 +1333,6 @@ impl Simulator {
                 writeback: writeback_activity,
                 fetch_address,
                 fetch_redirected,
-                stalled: false,
                 irq_phase: irq_phase_of(irq.as_ref(), irq_entry_cycle),
             };
             cycle_count += 1;

@@ -113,8 +113,6 @@ pub struct TraceStats {
     pub multiplications: u64,
     /// Cycles in which at least one operand was forwarded.
     pub forwarded_cycles: u64,
-    /// Cycles lost to stalls.
-    pub stall_cycles: u64,
 }
 
 impl TraceStats {
@@ -162,9 +160,6 @@ impl TraceStats {
         if flags.contains(F::FORWARDED) {
             self.forwarded_cycles += 1;
         }
-        if flags.contains(F::STALLED) {
-            self.stall_cycles += 1;
-        }
     }
 
     /// Number of execute-stage cycles occupied by a given timing class.
@@ -208,7 +203,6 @@ mod tests {
             writeback: None,
             fetch_address: 0,
             fetch_redirected: false,
-            stalled: false,
             irq_phase: crate::IrqPhase::None,
         }
     }

@@ -65,9 +65,8 @@ proptest! {
             for (model, outcome) in models.iter().zip(&banked) {
                 let scalar = replay_digest(model, &digest, policy, &ClockGenerator::Ideal);
                 // Field-for-field f64 equality, not tolerance: the banked
-                // lanes perform the identical arithmetic, so violations,
-                // realized periods and the activity statistics must match
-                // to the last bit.
+                // lanes perform the identical arithmetic, so violations and
+                // realized periods must match to the last bit.
                 prop_assert_eq!(outcome, &scalar, "policy {}", policy.name());
             }
         }
@@ -216,16 +215,10 @@ proptest! {
                 ob_adaptive.finish(&summary);
                 // Field-for-field f64 equality, not tolerance — including
                 // the learned tables and warmup counts of the adaptive
-                // outcome. The activity summary is the one documented
-                // exception: the banks leave it empty-finished (the sweep
-                // folds activity once, outside the banks, and its rows never
-                // carry it), so align it before the whole-struct compare.
-                let mut scalar_static = ob_static.into_outcome();
-                let mut scalar_lut = ob_lut.into_outcome();
-                let mut scalar_exec = ob_exec.into_outcome();
-                scalar_static.activity = out_static[corner].activity;
-                scalar_lut.activity = out_lut[corner].activity;
-                scalar_exec.activity = out_exec[corner].activity;
+                // outcome.
+                let scalar_static = ob_static.into_outcome();
+                let scalar_lut = ob_lut.into_outcome();
+                let scalar_exec = ob_exec.into_outcome();
                 prop_assert_eq!(&out_static[corner], &scalar_static, "corner {}", corner);
                 prop_assert_eq!(&out_lut[corner], &scalar_lut, "corner {}", corner);
                 prop_assert_eq!(&out_exec[corner], &scalar_exec, "corner {}", corner);

@@ -158,8 +158,8 @@ fn streaming_policy_outcomes_are_bit_identical_to_trace_replay() {
             &ClockGenerator::Ideal,
         );
         // `RunOutcome` derives `PartialEq`, so this compares every field —
-        // accumulated times, periods, violation counts and the embedded
-        // activity summary — with exact (bit-level) float equality.
+        // accumulated times, periods and violation counts — with exact
+        // (bit-level) float equality.
         assert_eq!(streamed.baseline, baseline_replay, "{}", workload.name);
         assert_eq!(streamed.dynamic, dynamic_replay, "{}", workload.name);
     }
