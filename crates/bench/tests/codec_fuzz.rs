@@ -5,13 +5,13 @@
 //! The mutation fuzz draws multi-byte overwrites, splices, truncations,
 //! extensions and header-field rewrites from one seeded stream. The
 //! rewrites set the table counts (pool, run, event, corner and job) to huge
-//! values among others. The budget is bounded (200 seeds by default) and
-//! overridable via `IDCA_FUZZ_SEEDS`, like `tests/differential.rs`; a
-//! failure names its seed.
+//! values among others. The fuzz is a property of the shared case runner
+//! (`idca_cases`): 200 cases at the default budget, scaled by
+//! `IDCA_FUZZ_SEEDS`, and a failure prints its seed and a rerun command.
 
 use idca_bench::sweep::pvt_sweep_timed_with_cache;
 use idca_bench::{FaultSpec, FormatError, InterruptSpec, SweepConfig, SweepReport};
-use idca_gen::nth_seed;
+use idca_cases::{property, Case};
 use idca_pipeline::frame::{fnv1a, PREFIX_BYTES};
 use idca_pipeline::TimingDigest;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -80,13 +80,17 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The fixture sweep's scenario.
+const FIXTURE_FAULTS: &str = "seed=9,droop-rate=0.3,droop-mag=0.5,penalty=4";
+const FIXTURE_INTERRUPTS: &str = "seed=5,rate=0.003,timer=173,penalty=5";
+
 fn fixture(cache_dir: &Path) -> Fixture {
     let config = SweepConfig {
         seeds: 2,
         corners: 2,
         master_seed: 7,
-        faults: Some(FaultSpec::parse("seed=9,droop-rate=0.3,droop-mag=0.5,penalty=4").unwrap()),
-        interrupts: Some(InterruptSpec::parse("seed=5,rate=0.003,timer=173,penalty=5").unwrap()),
+        faults: Some(FaultSpec::parse(FIXTURE_FAULTS).unwrap()),
+        interrupts: Some(InterruptSpec::parse(FIXTURE_INTERRUPTS).unwrap()),
         ..SweepConfig::default()
     };
     let (report, _) = pvt_sweep_timed_with_cache(&config, Some(cache_dir)).expect("sweep runs");
@@ -122,25 +126,24 @@ fn encoded_bytes_are_pinned() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A seeded stream of draws.
-struct Draws {
-    seed: u64,
-    index: u64,
+/// Pins the spec fingerprints: the interrupt fingerprint is part of every
+/// digest-cache key, and both ride in every sweep report.
+#[test]
+fn spec_fingerprints_are_pinned() {
+    let faults = FaultSpec::parse(FIXTURE_FAULTS).unwrap();
+    let interrupts = InterruptSpec::parse(FIXTURE_INTERRUPTS).unwrap();
+    assert_eq!(FaultSpec::default().fingerprint(), 0xb1d2_79de_b7bb_3065);
+    assert_eq!(faults.fingerprint(), 0x22cc_f9b4_3803_c82b);
+    assert_eq!(
+        InterruptSpec::default().fingerprint(),
+        0xd9b1_00c7_3ba0_1e60
+    );
+    assert_eq!(interrupts.fingerprint(), 0x20f8_e53f_8725_872e);
 }
 
-impl Draws {
-    fn next(&mut self) -> u64 {
-        self.index += 1;
-        nth_seed(self.seed, self.index)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn bytes(&mut self, n: usize) -> Vec<u8> {
-        (0..n).map(|_| self.next() as u8).collect()
-    }
+/// `n` drawn bytes.
+fn bytes(case: &mut Case, n: usize) -> Vec<u8> {
+    (0..n).map(|_| case.u64() as u8).collect()
 }
 
 /// A little-endian header field of a codec: its offset and width in bytes,
@@ -210,47 +213,47 @@ enum Mutation {
 }
 
 impl Mutation {
-    fn draw(draws: &mut Draws, len: usize, fields: &[Field]) -> Mutation {
-        match draws.below(4 + usize::from(!fields.is_empty())) {
+    fn draw(case: &mut Case, len: usize, fields: &[Field]) -> Mutation {
+        match case.int(0..4 + usize::from(!fields.is_empty())) {
             0 => {
-                let at = draws.below(len);
-                let n = 1 + draws.below(8.min(len - at));
+                let at = case.int(0..len);
+                let n = 1 + case.int(0..8.min(len - at));
                 Mutation::Overwrite {
                     at,
-                    bytes: draws.bytes(n),
+                    bytes: bytes(case, n),
                 }
             }
             1 => {
-                let n = 2 + draws.below(15);
+                let n = 2 + case.int(0..15);
                 Mutation::Splice {
-                    from: draws.below(len - n),
-                    to: draws.below(len - n),
+                    from: case.int(0..len - n),
+                    to: case.int(0..len - n),
                     len: n,
                 }
             }
             2 => Mutation::Truncate {
-                len: draws.below(len),
+                len: case.int(0..len),
             },
             3 => {
-                let n = 1 + draws.below(16);
+                let n = 1 + case.int(0..16);
                 Mutation::Extend {
-                    bytes: draws.bytes(n),
+                    bytes: bytes(case, n),
                 }
             }
             _ => {
-                let field = fields[draws.below(fields.len())];
+                let field = *case.pick(fields);
                 let max = if field.width == 4 {
                     u64::from(u32::MAX)
                 } else {
                     u64::MAX
                 };
-                let value = match draws.below(6) {
+                let value = match case.int(0..6) {
                     0 => 0,
                     1 => 1,
                     2 => max,
                     3 => max / 2,
                     4 => 1 << 24,
-                    _ => draws.next() & max,
+                    _ => case.u64() & max,
                 };
                 Mutation::Field { field, value }
             }
@@ -284,9 +287,9 @@ impl Mutation {
 }
 
 /// Draws a mutation that changes `original`.
-fn mutate(draws: &mut Draws, original: &[u8], fields: &[Field]) -> (Mutation, Vec<u8>) {
+fn mutate(case: &mut Case, original: &[u8], fields: &[Field]) -> (Mutation, Vec<u8>) {
     loop {
-        let mutation = Mutation::draw(draws, original.len(), fields);
+        let mutation = Mutation::draw(case, original.len(), fields);
         let bytes = mutation.apply(original);
         if bytes != original {
             return (mutation, bytes);
@@ -330,8 +333,8 @@ fn decode(codec: &Codec, mutant: &[u8]) -> Result<(Option<FormatError>, u64), St
 }
 
 /// Checks one drawn mutant of `original`, as written and resealed.
-fn check_codec(codec: &Codec, draws: &mut Draws, original: &[u8]) -> Result<(), String> {
-    let (mutation, mutant) = mutate(draws, original, codec.fields);
+fn check_codec(codec: &Codec, case: &mut Case, original: &[u8]) -> Result<(), String> {
+    let (mutation, mutant) = mutate(case, original, codec.fields);
     let context = |what: String| format!("{} {mutation:?}: {what}", codec.name);
     if decode(codec, &mutant).map_err(context)?.0.is_none() {
         return Err(context("accepted without a valid checksum".into()));
@@ -350,10 +353,10 @@ fn check_codec(codec: &Codec, draws: &mut Draws, original: &[u8]) -> Result<(), 
 
 /// Writes a mutated cache entry over the fixture's and reruns the sweep: the
 /// entry must be quarantined and re-simulated, and the report unchanged.
-fn check_cache_entry(f: &Fixture, dir: &Path, draws: &mut Draws) -> Result<(), String> {
+fn check_cache_entry(f: &Fixture, dir: &Path, case: &mut Case) -> Result<(), String> {
     // Half the mutants forge the embedded digest's table counts under a
     // valid payload checksum; the rest are corrupt bytes anywhere.
-    let (mutation, mutant) = if draws.below(2) == 0 {
+    let (mutation, mutant) = if case.int(0..2) == 0 {
         let counts: Vec<Field> = DIGEST_FIELDS
             .iter()
             .filter(|f| f.count)
@@ -362,17 +365,17 @@ fn check_cache_entry(f: &Fixture, dir: &Path, draws: &mut Draws) -> Result<(), S
                 ..*f
             })
             .collect();
-        let field = counts[draws.below(counts.len())];
+        let field = *case.pick(&counts);
         let mutation = Mutation::Field {
             field,
-            value: field.read(&f.entry) + 1 + draws.below(1 << 20) as u64,
+            value: field.read(&f.entry) + 1 + case.int(0..1u64 << 20),
         };
         let mut mutant = mutation.apply(&f.entry);
         let payload = reseal(mutant.split_off(ENTRY_HEADER_BYTES));
         mutant.extend_from_slice(&payload);
         (mutation, mutant)
     } else {
-        mutate(draws, &f.entry, &[])
+        mutate(case, &f.entry, &[])
     };
     let context = |what: &str| format!("cache entry {mutation:?}: {what}");
     let path = dir.join(&f.entry_name);
@@ -397,11 +400,6 @@ fn check_cache_entry(f: &Fixture, dir: &Path, draws: &mut Draws) -> Result<(), S
 
 #[test]
 fn codec_mutation_fuzz() {
-    let budget: u64 = std::env::var("IDCA_FUZZ_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    const MASTER_SEED: u64 = 0xC0DEC;
     let dir = scratch_dir("fuzz");
     let f = fixture(&dir);
     let digest_bytes = f.digest.to_bytes();
@@ -433,18 +431,16 @@ fn codec_mutation_fuzz() {
         fields: &REPORT_FIELDS,
         round_trip: |bytes| SweepReport::from_bytes(bytes).map(|r| r.to_bytes()),
     };
-    for index in 0..budget {
-        let seed = nth_seed(MASTER_SEED, index);
-        let mut draws = Draws { seed, index: 0 };
-        let mut checked = check_codec(&digest, &mut draws, &digest_bytes)
-            .and_then(|()| check_codec(&report, &mut draws, &report_bytes));
+    property!(codec_mutation_fuzz, master = 0xC0DEC, cases = 200).run(|case| {
+        let mut checked = check_codec(&digest, case, &digest_bytes)
+            .and_then(|()| check_codec(&report, case, &report_bytes));
         // A cache mutant reruns the sweep: an eighth of the budget.
-        if index % 8 == 0 {
-            checked = checked.and_then(|()| check_cache_entry(&f, &dir, &mut draws));
+        if case.index() % 8 == 0 {
+            checked = checked.and_then(|()| check_cache_entry(&f, &dir, case));
         }
         if let Err(failure) = checked {
-            panic!("codec fuzz failure at seed {seed:#018x} (index {index}): {failure}");
+            panic!("codec fuzz failure: {failure}");
         }
-    }
+    });
     std::fs::remove_dir_all(&dir).ok();
 }

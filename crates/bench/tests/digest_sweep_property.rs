@@ -8,17 +8,19 @@
 
 use idca_bench::sweep::{pvt_sweep, pvt_sweep_direct};
 use idca_bench::SweepConfig;
-use proptest::prelude::*;
+use idca_cases::property;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn two_phase_rows_are_bit_identical_to_direct(
-        seeds in 1u32..6,
-        corners in 1u32..5,
-        master_seed in any::<u64>(),
-    ) {
+#[test]
+fn two_phase_rows_are_bit_identical_to_direct() {
+    property!(
+        two_phase_rows_are_bit_identical_to_direct,
+        master = 0xCA5E_0018,
+        cases = 12
+    )
+    .run(|case| {
+        let seeds = case.int(1u32..6);
+        let corners = case.int(1u32..5);
+        let master_seed = case.u64();
         let config = SweepConfig {
             seeds,
             corners,
@@ -27,12 +29,12 @@ proptest! {
         };
         let two_phase = pvt_sweep(&config).expect("two-phase sweep runs");
         let direct = pvt_sweep_direct(&config).expect("direct sweep runs");
-        prop_assert_eq!(two_phase.jobs.len(), (seeds * corners) as usize);
+        assert_eq!(two_phase.jobs.len(), (seeds * corners) as usize);
         for (a, b) in two_phase.jobs.iter().zip(&direct.jobs) {
             // Field-for-field f64 equality, not tolerance: the replay is
             // the same arithmetic, so the rows must match to the last bit.
-            prop_assert_eq!(a, b);
+            assert_eq!(a, b);
         }
-        prop_assert_eq!(two_phase.render(), direct.render());
-    }
+        assert_eq!(two_phase.render(), direct.render());
+    });
 }

@@ -779,6 +779,30 @@ fn sweep_rejects_malformed_flags() {
             "--interrupts {bad} error is unstructured"
         );
     }
+    // A well-formed vector outside the program image fails the first job,
+    // naming its seed; an in-image vector runs the sweep to completion.
+    let sweep = |interrupts: &str| {
+        run(&[
+            "sweep",
+            "--seeds",
+            "2",
+            "--corners",
+            "2",
+            "--seed",
+            "7",
+            "--interrupts",
+            interrupts,
+        ])
+    };
+    let output = sweep("seed=1,rate=0.01,vector=4096");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("seed index 0")
+            && stderr.contains("0x00001000 is outside the program image"),
+        "{stderr}"
+    );
+    assert!(sweep("seed=1,rate=0.01,vector=8").status.success());
     // serve validates --corpus in the same shared place.
     assert!(!run(&["serve"]).status.success());
     assert!(!run(&["serve", "--corpus", "/nonexistent-idca-corpus"])

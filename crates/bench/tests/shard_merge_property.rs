@@ -9,7 +9,7 @@ use idca_bench::{
     merge_reports, pvt_sweep, pvt_sweep_seed_range_timed_with_cache, MergeError, SweepConfig,
     SweepReport, SweepShard,
 };
-use proptest::prelude::*;
+use idca_cases::property;
 
 /// Runs one shard through the seed-range engine and round-trips its partial
 /// report through the binary codec (exactly what `repro sweep --shard` plus
@@ -21,17 +21,19 @@ fn shard_partial(config: &SweepConfig, shard: SweepShard) -> SweepReport {
     SweepReport::from_bytes(&partial.to_bytes()).expect("partial report round-trips")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    #[test]
-    fn any_shard_partition_merges_to_the_byte_identical_report(
-        seeds in 1u32..7,
-        corners in 1u32..4,
-        master_seed in any::<u64>(),
-        shard_count in 1u32..=8,
-        merge_order_seed in any::<u64>(),
-    ) {
+#[test]
+fn any_shard_partition_merges_to_the_byte_identical_report() {
+    property!(
+        any_shard_partition_merges_to_the_byte_identical_report,
+        master = 0xCA5E_0016,
+        cases = 10
+    )
+    .run(|case| {
+        let seeds = case.int(1u32..7);
+        let corners = case.int(1u32..4);
+        let master_seed = case.u64();
+        let shard_count = case.int(1u32..=8);
+        let merge_order_seed = case.u64();
         let config = SweepConfig {
             seeds,
             corners,
@@ -42,8 +44,8 @@ proptest! {
 
         let mut partials: Vec<SweepReport> = (1..=shard_count)
             .map(|index| {
-                let shard = SweepShard::parse(&format!("{index}/{shard_count}"))
-                    .expect("valid shard spec");
+                let shard =
+                    SweepShard::parse(&format!("{index}/{shard_count}")).expect("valid shard spec");
                 shard_partial(&config, shard)
             })
             .collect();
@@ -55,16 +57,22 @@ proptest! {
         }
 
         let merged = merge_reports(partials).expect("clean partition merges");
-        prop_assert_eq!(&merged, &full);
-        prop_assert_eq!(merged.render(), full.render());
-        prop_assert_eq!(merged.to_bytes(), full.to_bytes());
-    }
+        assert_eq!(&merged, &full);
+        assert_eq!(merged.render(), full.render());
+        assert_eq!(merged.to_bytes(), full.to_bytes());
+    });
+}
 
-    #[test]
-    fn duplicate_and_missing_shards_are_structured_errors(
-        seeds in 2u32..6,
-        master_seed in any::<u64>(),
-    ) {
+#[test]
+fn duplicate_and_missing_shards_are_structured_errors() {
+    property!(
+        duplicate_and_missing_shards_are_structured_errors,
+        master = 0xCA5E_0017,
+        cases = 10
+    )
+    .run(|case| {
+        let seeds = case.int(2u32..6);
+        let master_seed = case.u64();
         let config = SweepConfig {
             seeds,
             corners: 2,
@@ -79,21 +87,27 @@ proptest! {
         // coverage; never silently double-counted.
         let twice = merge_reports(vec![first.clone(), first.clone(), second.clone()]);
         if first.jobs.is_empty() {
-            prop_assert!(matches!(twice, Err(MergeError::MissingJobs { .. })), "{twice:?}");
+            assert!(
+                matches!(twice, Err(MergeError::MissingJobs { .. })),
+                "{twice:?}"
+            );
         } else {
-            prop_assert!(matches!(twice, Err(MergeError::OverlappingJobs { .. })), "{twice:?}");
+            assert!(
+                matches!(twice, Err(MergeError::OverlappingJobs { .. })),
+                "{twice:?}"
+            );
         }
 
         // A missing shard: rejected with the coverage gap named, unless the
         // present shard happens to cover everything (empty partner shard).
         let missing = merge_reports(vec![first.clone()]);
         if second.jobs.is_empty() {
-            prop_assert!(missing.is_ok());
+            assert!(missing.is_ok());
         } else {
-            prop_assert!(
+            assert!(
                 matches!(missing, Err(MergeError::MissingJobs { .. })),
                 "{missing:?}"
             );
         }
-    }
+    });
 }

@@ -16,8 +16,6 @@ use serde::{Deserialize, Serialize};
 pub enum BubbleKind {
     /// Pipeline not yet filled after reset.
     Reset,
-    /// Bubble inserted by a hazard-induced stall.
-    Stall,
     /// Instruction squashed by a control-flow redirect.
     Flush,
     /// Pipeline draining after the exit marker.
@@ -329,7 +327,7 @@ mod tests {
 
     #[test]
     fn occupant_timing_class_for_bubble_and_insn() {
-        let bubble = Occupant::Bubble(BubbleKind::Stall);
+        let bubble = Occupant::Bubble(BubbleKind::Flush);
         assert_eq!(bubble.timing_class(), TimingClass::Bubble);
         assert!(!bubble.is_insn());
         let insn = Occupant::Insn {

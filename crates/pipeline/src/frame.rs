@@ -17,13 +17,28 @@
 /// Length of the frame prefix: magic + version + body checksum.
 pub const PREFIX_BYTES: usize = 8 + 4 + 8;
 
+const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 /// 64-bit FNV-1a over a byte slice (the frame's body checksum).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut hash = FNV_OFFSET_BASIS;
     for &byte in bytes {
         hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// The FNV-1a fold over whole 64-bit words, one multiply per word (the
+/// fingerprint of a fault or interrupt spec over its field bits).
+#[must_use]
+pub fn fnv1a_words(words: &[u64]) -> u64 {
+    let mut hash = FNV_OFFSET_BASIS;
+    for &word in words {
+        hash ^= word;
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
 }

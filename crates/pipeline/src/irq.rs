@@ -231,18 +231,14 @@ impl InterruptSpec {
     /// field is bit-identical).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut fold = |word: u64| {
-            hash ^= word;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        fold(self.seed);
-        fold(self.rate.to_bits());
-        fold(u64::from(self.timer));
-        fold(u64::from(self.vector));
-        fold(u64::from(self.penalty));
-        fold(self.surge.to_bits());
-        hash
+        crate::frame::fnv1a_words(&[
+            self.seed,
+            self.rate.to_bits(),
+            u64::from(self.timer),
+            u64::from(self.vector),
+            u64::from(self.penalty),
+            self.surge.to_bits(),
+        ])
     }
 
     /// Whether the scenario can raise an interrupt at all.
@@ -322,9 +318,10 @@ impl InterruptPlan {
     /// so the micro-op table, runway hints and fetch index cover it — which
     /// is why this augmentation runs at plan-construction time, not inside
     /// the simulator. `spec.vector == 0` resolves to the appended handler's
-    /// address; a nonzero vector is honored verbatim (the handler is still
-    /// appended, and pointing the vector elsewhere is the caller's
-    /// responsibility).
+    /// address; a nonzero vector is kept as given (the handler is still
+    /// appended). It must lie inside the returned program image: a run
+    /// whose vector lies outside it fails at once with
+    /// [`PipelineError::PcOutOfRange`] naming the vector.
     #[must_use]
     pub fn attach(program: &Program, spec: &InterruptSpec) -> (Program, InterruptPlan) {
         let mut builder = ProgramBuilder::named(program.name());

@@ -22,7 +22,7 @@
 //! specialized loop with the per-cycle `Slot`/`Option` unwrapping and
 //! per-opcode matching hoisted out.
 //!
-//! Lowering is semantics-preserving and pinned by tests: a proptest lowers
+//! Lowering is semantics-preserving and pinned by tests: a property lowers
 //! every table row and set-flag condition at its field extremes and checks
 //! the micro-op fields against the `Insn` accessors and per-opcode
 //! references, and [`exec_alu`] against the reference ALU on random
@@ -142,7 +142,7 @@ impl MicroOp {
 
 /// Executes the data-path portion of a predecoded micro-op: the dense
 /// dispatch twin of the reference ALU (`alu::execute`), pinned equivalent by
-/// the lowering round-trip proptest.
+/// the lowering round-trip property.
 #[inline]
 pub(crate) fn exec_alu(kind: AluKind, a: u32, b: u32, flag: bool, carry: bool) -> AluOutcome {
     let mut out = AluOutcome {
@@ -366,29 +366,31 @@ mod tests {
 }
 
 #[cfg(test)]
-mod lowering_proptests {
+mod lowering_properties {
     use super::*;
+    use idca_cases::property;
     use idca_isa::{Opcode, SetFlagCond};
-    use proptest::prelude::*;
     use std::collections::HashSet;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Micro-op lowering round-trips every row of the instruction table,
-        /// with each set-flag condition, at its field extremes
-        /// ([`Insn::field_extremes`]), on random operand values: the
-        /// pre-resolved fields agree with the `Insn` accessors and with the
-        /// per-opcode references below, and the dense
-        /// [`exec_alu`]/[`adder_chain`] dispatch is bit-identical to the
-        /// reference opcode-matched ALU.
-        #[test]
-        fn lowering_roundtrips_every_decodable_insn(
-            a in any::<u32>(),
-            rb_value in any::<u32>(),
-            flag in any::<bool>(),
-            carry in any::<bool>(),
-        ) {
+    /// Micro-op lowering round-trips every row of the instruction table,
+    /// with each set-flag condition, at its field extremes
+    /// ([`Insn::field_extremes`]), on random operand values: the
+    /// pre-resolved fields agree with the `Insn` accessors and with the
+    /// per-opcode references below, and the dense
+    /// [`exec_alu`]/[`adder_chain`] dispatch is bit-identical to the
+    /// reference opcode-matched ALU.
+    #[test]
+    fn lowering_roundtrips_every_decodable_insn() {
+        property!(
+            lowering_roundtrips_every_decodable_insn,
+            master = 0xCA5E_0019,
+            cases = 64
+        )
+        .run(|case| {
+            let a = case.int(0..=u32::MAX);
+            let rb_value = case.int(0..=u32::MAX);
+            let flag = case.bool();
+            let carry = case.bool();
             let mut reached = HashSet::new();
             for insn in Insn::field_extremes() {
                 let op = MicroOp::lower(&insn);
@@ -396,15 +398,15 @@ mod lowering_proptests {
                 reached.insert(opcode);
 
                 // Static fields mirror the `Insn` accessors.
-                prop_assert_eq!(op.insn, insn);
-                prop_assert_eq!(op.class, insn.timing_class());
-                prop_assert_eq!((op.ra, op.rb), insn.source_regs());
-                prop_assert_eq!(op.rd, insn.dest_reg());
-                prop_assert_eq!(
+                assert_eq!(op.insn, insn);
+                assert_eq!(op.class, insn.timing_class());
+                assert_eq!((op.ra, op.rb), insn.source_regs());
+                assert_eq!(op.rd, insn.dest_reg());
+                assert_eq!(
                     op.is_mul,
                     matches!(opcode, Opcode::Mul | Opcode::Mulu | Opcode::Muli)
                 );
-                prop_assert_eq!(op.is_shift, insn.timing_class() == TimingClass::Shift);
+                assert_eq!(op.is_shift, insn.timing_class() == TimingClass::Shift);
 
                 // Control flow: `is_plain` is exactly "cannot redirect
                 // fetch or halt".
@@ -419,8 +421,8 @@ mod lowering_proptests {
                     Opcode::Nop if insn.imm() == Some(i32::from(NOP_EXIT)) => CtlKind::Exit,
                     _ => CtlKind::None,
                 };
-                prop_assert_eq!(op.ctl, ctl, "{}", insn);
-                prop_assert_eq!(op.is_plain(), ctl == CtlKind::None);
+                assert_eq!(op.ctl, ctl, "{}", insn);
+                assert_eq!(op.is_plain(), ctl == CtlKind::None);
 
                 // Memory access: kind, sign and width.
                 let (mem, width) = match opcode {
@@ -434,16 +436,16 @@ mod lowering_proptests {
                     Opcode::Sb => (MemKind::StoreByte, 1),
                     _ => (MemKind::None, 4),
                 };
-                prop_assert_eq!((op.mem, op.mem_width), (mem, width), "{}", insn);
+                assert_eq!((op.mem, op.mem_width), (mem, width), "{}", insn);
 
                 // Operand selection: the pre-resolved immediate (when
                 // present) equals the reference `operand_b`, and register
                 // forms fall through to the register value.
                 let b = op.op_b_imm.unwrap_or(rb_value);
-                prop_assert_eq!(b, alu::operand_b(&insn, rb_value), "{}", insn);
+                assert_eq!(b, alu::operand_b(&insn, rb_value), "{}", insn);
 
                 // Data path: dense `AluKind` dispatch == reference ALU.
-                prop_assert_eq!(
+                assert_eq!(
                     exec_alu(op.alu, a, b, flag, carry),
                     alu::execute(&insn, a, b, flag, carry),
                     "{}",
@@ -459,12 +461,12 @@ mod lowering_proptests {
                     op if op.is_mem() => alu::carry_chain(a, b, false),
                     _ => 0,
                 };
-                prop_assert_eq!(adder_chain(op.adder, a, b, carry), reference_chain);
+                assert_eq!(adder_chain(op.adder, a, b, carry), reference_chain);
 
                 // Branch displacement is the encoded word offset scaled to
                 // bytes.
                 if matches!(opcode, Opcode::J | Opcode::Jal | Opcode::Bf | Opcode::Bnf) {
-                    prop_assert_eq!(
+                    assert_eq!(
                         op.branch_disp,
                         (insn.imm().unwrap_or(0) as u32).wrapping_mul(4)
                     );
@@ -472,7 +474,7 @@ mod lowering_proptests {
             }
             // Every row was lowered: 45 rows, of which the two set-flag rows
             // stand for ten conditions each.
-            prop_assert_eq!(reached.len(), 45 - 2 + 2 * SetFlagCond::ALL.len());
-        }
+            assert_eq!(reached.len(), 45 - 2 + 2 * SetFlagCond::ALL.len());
+        });
     }
 }

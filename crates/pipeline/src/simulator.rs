@@ -455,6 +455,18 @@ impl Simulator {
         self.run_core_pre(pre, observers, buffers)
     }
 
+    /// An attached plan must vector into the program image `[base, end)`:
+    /// an entry outside it would drain the run at its first interrupt and
+    /// score the run as complete.
+    fn check_vector(&self, base: u32, end: u32) -> Result<(), PipelineError> {
+        match self.interrupts {
+            Some(plan) if !(base..end).contains(&plan.vector()) => {
+                Err(PipelineError::PcOutOfRange { pc: plan.vector() })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// The simulation loop shared by [`Simulator::run_observed`] and
     /// [`Simulator::run_observed_with_buffers`]. Expects `buffers` in the
     /// architectural reset state.
@@ -472,6 +484,7 @@ impl Simulator {
 
         let base = program.base_address();
         let end = program.end_address();
+        self.check_vector(base, end)?;
         let in_range = |pc: u32| pc >= base && pc < end;
         // Hardened fetch: a register jump can put any value in the PC, so a
         // misaligned in-range address must become a structured error, never
@@ -900,6 +913,7 @@ impl Simulator {
 
         let base = pre.base_address();
         let end = pre.end_address();
+        self.check_vector(base, end)?;
         let ops = pre.ops();
         let n_ops = ops.len() as u32;
         let in_range = |pc: u32| pc >= base && pc < end;

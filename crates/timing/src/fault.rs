@@ -210,20 +210,16 @@ impl FaultSpec {
     /// only if every field is bit-identical).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut fold = |word: u64| {
-            hash ^= word;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        fold(self.seed);
-        fold(self.droop_rate.to_bits());
-        fold(self.droop_mag.to_bits());
-        fold(self.spike_rate.to_bits());
-        fold(self.spike_mag.to_bits());
-        fold(self.shift_mag.to_bits());
-        fold(u64::from(self.replay_penalty));
-        fold(self.detect_window.to_bits());
-        hash
+        idca_pipeline::frame::fnv1a_words(&[
+            self.seed,
+            self.droop_rate.to_bits(),
+            self.droop_mag.to_bits(),
+            self.spike_rate.to_bits(),
+            self.spike_mag.to_bits(),
+            self.shift_mag.to_bits(),
+            u64::from(self.replay_penalty),
+            self.detect_window.to_bits(),
+        ])
     }
 
     /// Whether the spec perturbs delays at all (a pure-recovery spec with

@@ -16,7 +16,7 @@ use idca::core::{
 };
 use idca::pipeline::{DigestObserver, TimingDigest};
 use idca::prelude::*;
-use proptest::prelude::*;
+use idca_cases::property;
 
 fn nominal() -> TimingModel {
     TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized)
@@ -42,14 +42,16 @@ fn varied_models(corners: u32, master_seed: u64) -> Vec<TimingModel> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn banked_replay_is_bit_identical_to_lane_by_lane(
-        corners in 1u32..=9,
-        master_seed in any::<u64>(),
-    ) {
+#[test]
+fn banked_replay_is_bit_identical_to_lane_by_lane() {
+    property!(
+        banked_replay_is_bit_identical_to_lane_by_lane,
+        master = 0xCA5E_0009,
+        cases = 8
+    )
+    .run(|case| {
+        let corners = case.int(1u32..=9);
+        let master_seed = case.u64();
         let digest = digest_of(master_seed);
         let models = varied_models(corners, master_seed);
         let base = nominal();
@@ -59,26 +61,31 @@ proptest! {
             &ExecuteOnly::new(DelayLut::from_model(&base)),
         ];
         for policy in policies {
-            let banked =
-                replay_digest_banked(&models, &digest, policy, &ClockGenerator::Ideal);
-            prop_assert_eq!(banked.len(), models.len());
+            let banked = replay_digest_banked(&models, &digest, policy, &ClockGenerator::Ideal);
+            assert_eq!(banked.len(), models.len());
             for (model, outcome) in models.iter().zip(&banked) {
                 let scalar = replay_digest(model, &digest, policy, &ClockGenerator::Ideal);
                 // Field-for-field f64 equality, not tolerance: the banked
                 // lanes perform the identical arithmetic, so violations and
                 // realized periods must match to the last bit.
-                prop_assert_eq!(outcome, &scalar, "policy {}", policy.name());
+                assert_eq!(outcome, &scalar, "policy {}", policy.name());
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn banked_adaptive_replay_is_bit_identical_to_scalar_observers(
-        corners in 1u32..=9,
-        master_seed in any::<u64>(),
-        seeded in any::<bool>(),
-        drift_centikilo in 0u32..=3,
-    ) {
+#[test]
+fn banked_adaptive_replay_is_bit_identical_to_scalar_observers() {
+    property!(
+        banked_adaptive_replay_is_bit_identical_to_scalar_observers,
+        master = 0xCA5E_000A,
+        cases = 8
+    )
+    .run(|case| {
+        let corners = case.int(1u32..=9);
+        let master_seed = case.u64();
+        let seeded = case.bool();
+        let drift_centikilo = case.int(0u32..=3);
         let digest = digest_of(master_seed);
         let models = varied_models(corners, master_seed);
         let config = AdaptiveConfig::default();
@@ -102,7 +109,7 @@ proptest! {
             seed_lut,
             drift,
         );
-        prop_assert_eq!(banked.len(), models.len());
+        assert_eq!(banked.len(), models.len());
         for (model, outcome) in models.iter().zip(&banked) {
             let scalar = replay_adaptive_digest(
                 model,
@@ -116,17 +123,23 @@ proptest! {
             // the identical predict/realize/observe/adapt arithmetic per
             // lane, so learned periods, violations and warmup counts must
             // match to the last bit.
-            prop_assert_eq!(outcome, &scalar, "corners {}", corners);
+            assert_eq!(outcome, &scalar, "corners {}", corners);
         }
-    }
+    });
+}
 
-    #[test]
-    fn soa_lanes_kernel_is_bit_identical_to_scalar_observers(
-        corners in 1u32..=9,
-        master_seed in any::<u64>(),
-        seeded in any::<bool>(),
-        drifting in any::<bool>(),
-    ) {
+#[test]
+fn soa_lanes_kernel_is_bit_identical_to_scalar_observers() {
+    property!(
+        soa_lanes_kernel_is_bit_identical_to_scalar_observers,
+        master = 0xCA5E_000B,
+        cases = 8
+    )
+    .run(|case| {
+        let corners = case.int(1u32..=9);
+        let master_seed = case.u64();
+        let seeded = case.bool();
+        let drifting = case.bool();
         // Pins the sweep's actual phase-2 loop: the [`CycleLanes`]
         // structure-of-arrays evaluation feeding the three [`PolicyBank`]s
         // (one block decision, one contiguous compare per cycle) and the
@@ -139,7 +152,9 @@ proptest! {
         let seed_lut = DelayLut::from_model(&base);
         let seed_lut = seeded.then_some(&seed_lut);
         let drift = if drifting {
-            Drift::LinearSlowdown { fraction_per_kilocycle: 0.02 }
+            Drift::LinearSlowdown {
+                fraction_per_kilocycle: 0.02,
+            }
         } else {
             Drift::None
         };
@@ -219,20 +234,26 @@ proptest! {
                 let scalar_static = ob_static.into_outcome();
                 let scalar_lut = ob_lut.into_outcome();
                 let scalar_exec = ob_exec.into_outcome();
-                prop_assert_eq!(&out_static[corner], &scalar_static, "corner {}", corner);
-                prop_assert_eq!(&out_lut[corner], &scalar_lut, "corner {}", corner);
-                prop_assert_eq!(&out_exec[corner], &scalar_exec, "corner {}", corner);
+                assert_eq!(&out_static[corner], &scalar_static, "corner {}", corner);
+                assert_eq!(&out_lut[corner], &scalar_lut, "corner {}", corner);
+                assert_eq!(&out_exec[corner], &scalar_exec, "corner {}", corner);
                 let scalar_adaptive = ob_adaptive.into_outcome();
-                prop_assert_eq!(&out_adaptive[corner], &scalar_adaptive, "corner {}", corner);
+                assert_eq!(&out_adaptive[corner], &scalar_adaptive, "corner {}", corner);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn banked_cycle_timings_match_the_scalar_model(
-        corners in 1u32..=9,
-        master_seed in any::<u64>(),
-    ) {
+#[test]
+fn banked_cycle_timings_match_the_scalar_model() {
+    property!(
+        banked_cycle_timings_match_the_scalar_model,
+        master = 0xCA5E_000C,
+        cases = 8
+    )
+    .run(|case| {
+        let corners = case.int(1u32..=9);
+        let master_seed = case.u64();
         let digest = digest_of(master_seed);
         let models = varied_models(corners, master_seed);
         let bank = CornerBank::from_models(&models);
@@ -252,41 +273,53 @@ proptest! {
                 mismatches += u64::from(!(stages_match && max_matches));
             }
         });
-        prop_assert_eq!(mismatches, 0);
-    }
+        assert_eq!(mismatches, 0);
+    });
+}
 
-    #[test]
-    fn digest_binary_round_trip_is_byte_exact_and_replay_identical(
-        master_seed in any::<u64>(),
-    ) {
+#[test]
+fn digest_binary_round_trip_is_byte_exact_and_replay_identical() {
+    property!(
+        digest_binary_round_trip_is_byte_exact_and_replay_identical,
+        master = 0xCA5E_000D,
+        cases = 8
+    )
+    .run(|case| {
+        let master_seed = case.u64();
         let digest = digest_of(master_seed);
         let bytes = digest.to_bytes();
         let back = TimingDigest::from_bytes(&bytes).expect("round-trips");
-        prop_assert_eq!(&back, &digest);
-        prop_assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(&back, &digest);
+        assert_eq!(back.to_bytes(), bytes);
         // A reloaded digest replays to the identical outcome.
         let model = nominal();
         let policy = InstructionBased::from_model(&model);
-        prop_assert_eq!(
+        assert_eq!(
             replay_digest(&model, &back, &policy, &ClockGenerator::Ideal),
             replay_digest(&model, &digest, &policy, &ClockGenerator::Ideal)
         );
-    }
+    });
+}
 
-    #[test]
-    fn corrupted_digest_bytes_error_without_panicking(
-        master_seed in any::<u64>(),
-        position in any::<u64>(),
-        mask in 1u8..=255u8,
-    ) {
+#[test]
+fn corrupted_digest_bytes_error_without_panicking() {
+    property!(
+        corrupted_digest_bytes_error_without_panicking,
+        master = 0xCA5E_000E,
+        cases = 8
+    )
+    .run(|case| {
+        let master_seed = case.u64();
+        let position = case.u64();
+        let mask = case.int(1u8..=255u8);
         let bytes = digest_of(master_seed).to_bytes();
         // Single-byte corruption anywhere is rejected (checksummed), and
         // truncation to any length errors instead of panicking.
         let at = (position % bytes.len() as u64) as usize;
         let mut bad = bytes.clone();
         bad[at] ^= mask;
-        prop_assert!(TimingDigest::from_bytes(&bad).is_err(), "flip at {}", at);
+        assert!(TimingDigest::from_bytes(&bad).is_err(), "flip at {}", at);
         let cut = at; // reuse the position as an arbitrary truncation point
-        prop_assert!(TimingDigest::from_bytes(&bytes[..cut]).is_err());
-    }
+        assert!(TimingDigest::from_bytes(&bytes[..cut]).is_err());
+    });
 }

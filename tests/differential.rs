@@ -1,14 +1,16 @@
 //! Differential testing: the cycle-accurate pipeline simulator must produce
 //! exactly the same architectural results as the sequential reference
-//! interpreter — on every benchmark workload, and on a fuzzed population of
-//! seed-generated programs (`idca_gen`). The fuzz budget is bounded (200
-//! seeds by default) and overridable via `IDCA_FUZZ_SEEDS`, so CI runtime
-//! stays predictable; a failing seed is shrunk to a minimal configuration
-//! before it is reported.
+//! interpreter — on every benchmark workload, and on fuzzed populations of
+//! seed-generated programs (`idca_gen`). Each population is a property of
+//! the shared case runner (`idca_cases`): case `i` simulates the program
+//! seeded `nth_seed(master, i)`, and `IDCA_FUZZ_SEEDS` scales the program
+//! count. A failing seed is shrunk to a minimal configuration before it is
+//! reported.
 
 use idca::gen::ClassMix;
 use idca::pipeline::{Interpreter, SimConfig, Simulator};
 use idca::prelude::*;
+use idca_cases::property;
 
 #[test]
 fn pipeline_matches_interpreter_on_every_benchmark() {
@@ -179,50 +181,40 @@ fn shrink(seed: u64, config: &GenConfig) -> (GenConfig, String) {
     }
 }
 
-/// The bounded differential fuzz: every generated seed must leave the
-/// pipeline and the reference interpreter in identical architectural state
-/// (registers, flag, retirement count and data memory). Mismatches are
-/// shrunk to a minimal failing configuration and reported with the seed so
-/// the failure is a one-liner to reproduce.
-#[test]
-fn generated_programs_match_the_reference_interpreter() {
-    let budget: u64 = std::env::var("IDCA_FUZZ_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    const MASTER_SEED: u64 = 0xD1FF;
-    let config = GenConfig::default();
-    let mut checked = 0u64;
-    for index in 0..budget {
-        let seed = nth_seed(MASTER_SEED, index);
-        if let Some(message) = divergence(seed, &config) {
-            let (minimal, minimal_message) = shrink(seed, &config);
-            panic!(
-                "differential fuzz failure at seed {seed:#018x} (index {index}): {message}\n\
-                 shrunk to {minimal:?}\n\
-                 minimal divergence: {minimal_message}\n\
-                 reproduce with: generate_program({seed:#x}, &config)"
-            );
-        }
-        checked += 1;
+/// Panics, with the divergence shrunk to a minimal failing configuration,
+/// unless the pipeline and the reference interpreter agree on the program
+/// `seed` generates under `config`.
+fn assert_agrees(seed: u64, config: &GenConfig) {
+    if let Some(message) = divergence(seed, config) {
+        let (minimal, minimal_message) = shrink(seed, config);
+        panic!(
+            "differential fuzz failure at seed {seed:#018x}: {message}\n\
+             shrunk to {minimal:?}\n\
+             minimal divergence: {minimal_message}\n\
+             reproduce with: generate_program({seed:#x}, &{config:?})"
+        );
     }
-    assert_eq!(checked, budget, "every budgeted seed must be exercised");
 }
 
-/// A second fuzz population with a deliberately hostile mix: dense control
-/// flow and memory traffic, the constructs most likely to expose
-/// forwarding/flush bugs in the pipeline.
+/// The bounded differential fuzz: every generated seed must leave the
+/// pipeline and the reference interpreter in identical architectural state
+/// (registers, flag, retirement count and data memory).
 #[test]
-fn control_and_memory_heavy_programs_match_the_reference_interpreter() {
-    // A quarter of the main fuzz budget (at least one seed), so
-    // IDCA_FUZZ_SEEDS scales both populations together.
-    let budget: u64 = (std::env::var("IDCA_FUZZ_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200)
-        / 4)
-    .max(1);
-    let config = GenConfig {
+fn generated_programs_match_the_reference_interpreter() {
+    let config = GenConfig::default();
+    property!(
+        generated_programs_match_the_reference_interpreter,
+        master = 0xD1FF,
+        cases = 200
+    )
+    .run(|case| assert_agrees(case.seed(), &config));
+}
+
+/// A deliberately hostile generator mix: dense control flow and memory
+/// traffic, the constructs most likely to expose forwarding/flush bugs in
+/// the pipeline, with nested short loops so bursts stay short.
+fn hostile_mix() -> GenConfig {
+    GenConfig {
         blocks: 4,
         block_len: 10,
         max_loop_depth: 3,
@@ -240,17 +232,19 @@ fn control_and_memory_heavy_programs_match_the_reference_interpreter() {
             branch: 14,
             jump: 6,
         },
-    };
-    for index in 0..budget {
-        let seed = nth_seed(0xB00B5, index);
-        if let Some(message) = divergence(seed, &config) {
-            let (minimal, minimal_message) = shrink(seed, &config);
-            panic!(
-                "hostile-mix fuzz failure at seed {seed:#018x} (index {index}): {message}\n\
-                 shrunk to {minimal:?}\nminimal divergence: {minimal_message}"
-            );
-        }
     }
+}
+
+/// A second fuzz population on the hostile mix.
+#[test]
+fn control_and_memory_heavy_programs_match_the_reference_interpreter() {
+    let config = hostile_mix();
+    property!(
+        control_and_memory_heavy_programs_match_the_reference_interpreter,
+        master = 0xB00B5,
+        cases = 50
+    )
+    .run(|case| assert_agrees(case.seed(), &config));
 }
 
 #[test]
@@ -278,36 +272,22 @@ fn retired_instruction_counts_match_between_models() {
 /// the fused burst→digest path, which a lone hinted observer takes, and the
 /// record path, which it takes beside another observer).
 ///
-/// The population is a deliberately hostile mix — branch/jump and
-/// load/store heavy with nested short loops — so bursts stay short and
-/// every fast-path entry/exit edge (hazard bail-out, control handoff,
-/// drain) is crossed many times per program.
+/// The population is the hostile mix, whose short bursts cross every
+/// fast-path entry/exit edge (hazard bail-out, control handoff, drain) many
+/// times per program.
 #[test]
 fn predecoded_engine_is_bit_identical_to_reference_loop_on_hostile_mix() {
     use idca::pipeline::{DigestObserver, PipelineTrace, PredecodedProgram};
 
-    let config = GenConfig {
-        blocks: 4,
-        block_len: 10,
-        max_loop_depth: 3,
-        max_loop_iters: 4,
-        mem_window_words: 32,
-        mix: ClassMix {
-            alu: 8,
-            logic: 4,
-            shift: 2,
-            mul: 2,
-            set_flag: 10,
-            mov: 4,
-            load: 16,
-            store: 16,
-            branch: 14,
-            jump: 6,
-        },
-    };
+    let config = hostile_mix();
     let simulator = Simulator::new(SimConfig::default());
-    for index in 0..40u64 {
-        let seed = nth_seed(0xB00B5, index);
+    property!(
+        predecoded_engine_is_bit_identical_to_reference_loop_on_hostile_mix,
+        master = 0xB00B5,
+        cases = 40
+    )
+    .run(|case| {
+        let seed = case.seed();
         let program = generate_program(seed, &config);
         let pre = PredecodedProgram::lower(&program);
 
@@ -361,5 +341,5 @@ fn predecoded_engine_is_bit_identical_to_reference_loop_on_hostile_mix() {
             ref_bytes,
             "seed {seed:#x}: hinted record-path digest bytes diverge"
         );
-    }
+    });
 }

@@ -14,7 +14,7 @@
 use idca::core::{replay_adaptive_digest, AdaptiveConfig, AdaptiveObserver, Drift};
 use idca::pipeline::DigestCycle;
 use idca::prelude::*;
-use proptest::prelude::*;
+use idca_cases::property;
 
 fn model() -> TimingModel {
     TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized)
@@ -170,18 +170,20 @@ fn adaptive_replay_is_bit_identical_including_learned_table() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// For random generated programs and random PVT corners, replaying the
-    /// digest against the corner-varied model is bit-identical to live
-    /// observation of a fresh simulation — policies and adaptive alike.
-    #[test]
-    fn digest_replay_matches_direct_across_corners(
-        seed in any::<u64>(),
-        corner_index in 0u32..32,
-        corner_seed in any::<u64>(),
-    ) {
+/// For random generated programs and random PVT corners, replaying the
+/// digest against the corner-varied model is bit-identical to live
+/// observation of a fresh simulation — policies and adaptive alike.
+#[test]
+fn digest_replay_matches_direct_across_corners() {
+    property!(
+        digest_replay_matches_direct_across_corners,
+        master = 0xCA5E_0014,
+        cases = 24
+    )
+    .run(|case| {
+        let seed = case.u64();
+        let corner_index = case.int(0u32..32);
+        let corner_seed = case.u64();
         let nominal = model();
         let variation = VariationModel::default();
         let corner = variation.sample_corner(corner_seed, corner_index);
@@ -197,12 +199,17 @@ proptest! {
 
         let direct = live.into_outcome();
         let replayed = replay_digest(&varied, &digest, &lut_policy, &ClockGenerator::Ideal);
-        prop_assert_eq!(&direct, &replayed);
+        assert_eq!(&direct, &replayed);
 
         let direct_adaptive = live_adaptive.into_outcome();
         let replayed_adaptive = replay_adaptive_digest(
-            &varied, &digest, &config, &ClockGenerator::Ideal, None, Drift::None,
+            &varied,
+            &digest,
+            &config,
+            &ClockGenerator::Ideal,
+            None,
+            Drift::None,
         );
-        prop_assert_eq!(&direct_adaptive, &replayed_adaptive);
-    }
+        assert_eq!(&direct_adaptive, &replayed_adaptive);
+    });
 }

@@ -328,6 +328,46 @@ fn timer_in_lockstep_with_the_handler_is_a_livelock_error_on_every_engine() {
     }
 }
 
+/// An interrupt vector outside the program image is the structured
+/// [`PipelineError::PcOutOfRange`] naming the vector, before the first
+/// cycle, identically on every engine (the reference loop, the predecoded
+/// loop and its fused burst capture), so no run drains at its first
+/// interrupt and is scored as complete. A vector inside the image keeps
+/// running.
+#[test]
+fn interrupt_vector_outside_the_image_is_a_structured_error_on_every_engine() {
+    use idca::pipeline::{
+        DigestObserver, InterruptPlan, InterruptSpec, PipelineError, PredecodedProgram,
+    };
+
+    let program = generate_program(nth_seed(7, 0), &GenConfig::default());
+    let storm = InterruptSpec::parse("seed=1,rate=0.01").unwrap();
+    let end = InterruptPlan::attach(&program, &storm).0.end_address();
+    for vector in [8, end, 0xFFFF_FFFC] {
+        let spec = InterruptSpec { vector, ..storm };
+        let (attached, plan) = InterruptPlan::attach(&program, &spec);
+        let simulator = Simulator::new(SimConfig::default()).with_interrupts(plan);
+        let reference = simulator
+            .run_observed_reference(&attached, &mut [])
+            .map(|run| run.summary);
+        let live = simulator
+            .run_observed(&attached, &mut [])
+            .map(|run| run.summary);
+        let pre = PredecodedProgram::lower(&attached);
+        let mut digest = DigestObserver::with_hints(pre.digest_hints());
+        let fused = simulator
+            .run_observed_predecoded(&pre, &mut [&mut digest])
+            .map(|run| run.summary);
+        assert_eq!(live, reference, "vector {vector:#x}");
+        assert_eq!(fused, reference, "vector {vector:#x}");
+        if vector < end {
+            assert!(reference.is_ok(), "vector {vector:#x}: {reference:?}");
+        } else {
+            assert_eq!(reference, Err(PipelineError::PcOutOfRange { pc: vector }));
+        }
+    }
+}
+
 /// A store to a read-only MMIO register is the structured
 /// [`PipelineError::MmioReadOnly`] on both pipeline engines — never a
 /// panic — and without an interrupt controller attached the same word

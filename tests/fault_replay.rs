@@ -13,7 +13,7 @@ use idca::core::{
 use idca::pipeline::{DigestObserver, TimingDigest};
 use idca::prelude::*;
 use idca::timing::{FaultPlan, FaultSpec};
-use proptest::prelude::*;
+use idca_cases::property;
 
 fn model() -> TimingModel {
     TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized)
@@ -66,17 +66,19 @@ fn live_outcomes(
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn faulted_outcomes_are_bit_identical_live_vs_digest_vs_prepared(
-        master_seed in any::<u64>(),
-        fault_seed in any::<u64>(),
-        droop_rate_pct in 0u32..=100,
-        spike_rate_pm in 0u32..=50,
-        replay_penalty in 0u32..=16,
-    ) {
+#[test]
+fn faulted_outcomes_are_bit_identical_live_vs_digest_vs_prepared() {
+    property!(
+        faulted_outcomes_are_bit_identical_live_vs_digest_vs_prepared,
+        master = 0xCA5E_000F,
+        cases = 8
+    )
+    .run(|case| {
+        let master_seed = case.u64();
+        let fault_seed = case.u64();
+        let droop_rate_pct = case.int(0u32..=100);
+        let spike_rate_pm = case.int(0u32..=50);
+        let replay_penalty = case.int(0u32..=16);
         let m = model();
         let spec = FaultSpec {
             seed: fault_seed,
@@ -98,8 +100,7 @@ proptest! {
         // Digest replay, letting each observer recompute-and-perturb.
         let mut replay: Vec<RunOutcome> = Vec::new();
         for policy in policies {
-            let mut ob =
-                PolicyObserver::new(&m, policy, &ClockGenerator::Ideal).with_faults(&plan);
+            let mut ob = PolicyObserver::new(&m, policy, &ClockGenerator::Ideal).with_faults(&plan);
             digest.for_each_cycle(|cycle, dc| ob.observe_digest(cycle, dc));
             ob.finish(&digest.summary());
             replay.push(ob.into_outcome());
@@ -153,35 +154,41 @@ proptest! {
         for ((live, replayed), shared) in live.iter().zip(&replay).zip(&prepared) {
             // Field-for-field f64 equality, not tolerance: every path runs
             // the identical perturbed arithmetic.
-            prop_assert_eq!(live, replayed);
-            prop_assert_eq!(live, shared);
+            assert_eq!(live, replayed);
+            assert_eq!(live, shared);
         }
-        prop_assert_eq!(&live_adaptive, &replay_adaptive);
-        prop_assert_eq!(&live_adaptive, &prepared_adaptive);
+        assert_eq!(&live_adaptive, &replay_adaptive);
+        assert_eq!(&live_adaptive, &prepared_adaptive);
 
         // Recovery bookkeeping is conserved on every outcome.
         for outcome in &live {
-            prop_assert_eq!(
+            assert_eq!(
                 outcome.recovered_cycles + outcome.silent_risk_cycles,
                 outcome.violations
             );
-            prop_assert_eq!(
+            assert_eq!(
                 outcome.replay_penalty_cycles,
                 outcome.recovered_cycles * u64::from(replay_penalty)
             );
-            prop_assert!(outcome.recovery_frequency_mhz <= outcome.effective_frequency_mhz);
+            assert!(outcome.recovery_frequency_mhz <= outcome.effective_frequency_mhz);
         }
-    }
+    });
+}
 
-    #[test]
-    fn faulted_soa_lanes_kernel_is_bit_identical_to_prepared_observers(
-        corners in 1u32..=9,
-        master_seed in any::<u64>(),
-        fault_seed in any::<u64>(),
-        droop_rate_pct in 0u32..=100,
-        replay_penalty in 0u32..=16,
-        drifting in any::<bool>(),
-    ) {
+#[test]
+fn faulted_soa_lanes_kernel_is_bit_identical_to_prepared_observers() {
+    property!(
+        faulted_soa_lanes_kernel_is_bit_identical_to_prepared_observers,
+        master = 0xCA5E_0010,
+        cases = 8
+    )
+    .run(|case| {
+        let corners = case.int(1u32..=9);
+        let master_seed = case.u64();
+        let fault_seed = case.u64();
+        let droop_rate_pct = case.int(0u32..=100);
+        let replay_penalty = case.int(0u32..=16);
+        let drifting = case.bool();
         // The faulted counterpart of the lanes-kernel pin in
         // `banked_replay.rs`: the in-lane [`CycleLanes::apply_fault`]
         // perturbation plus the banks' recovery classification must match
@@ -208,7 +215,9 @@ proptest! {
         let digest = digest_ob.into_digest();
         let config = AdaptiveConfig::default();
         let drift = if drifting {
-            Drift::LinearSlowdown { fraction_per_kilocycle: 0.02 }
+            Drift::LinearSlowdown {
+                fraction_per_kilocycle: 0.02,
+            }
         } else {
             Drift::None
         };
@@ -232,13 +241,12 @@ proptest! {
             let bank = CornerBank::from_models(&models);
             let mut bank_static =
                 PolicyBank::new("static", models.len(), &generator).with_faults(plan);
-            let mut bank_lut = PolicyBank::new("instruction-based", models.len(), &generator)
-                .with_faults(plan);
-            let mut bank_exec = PolicyBank::new("execute-only", models.len(), &generator)
-                .with_faults(plan);
+            let mut bank_lut =
+                PolicyBank::new("instruction-based", models.len(), &generator).with_faults(plan);
+            let mut bank_exec =
+                PolicyBank::new("execute-only", models.len(), &generator).with_faults(plan);
             let mut adaptive =
-                AdaptiveBank::new(&models, &config, &generator, None, drift)
-                    .with_faults(plan);
+                AdaptiveBank::new(&models, &config, &generator, None, drift).with_faults(plan);
             let mut evaluator = bank.evaluator();
             digest.for_each_run(|start, len, dc| {
                 bank_lut.begin_block(lut_policy.digest_period_ps(start, dc));
@@ -267,12 +275,11 @@ proptest! {
             for (corner, varied) in models.iter().enumerate() {
                 let static_policy = StaticClock::new(static_requests[corner]);
                 let mut ob_static =
-                    PolicyObserver::new(varied, &static_policy, &generator)
-                        .with_faults(&plan);
-                let mut ob_lut = PolicyObserver::new(varied, &lut_policy, &generator)
-                    .with_faults(&plan);
-                let mut ob_exec = PolicyObserver::new(varied, &exec_policy, &generator)
-                    .with_faults(&plan);
+                    PolicyObserver::new(varied, &static_policy, &generator).with_faults(&plan);
+                let mut ob_lut =
+                    PolicyObserver::new(varied, &lut_policy, &generator).with_faults(&plan);
+                let mut ob_exec =
+                    PolicyObserver::new(varied, &exec_policy, &generator).with_faults(&plan);
                 let mut ob_adaptive =
                     AdaptiveObserver::new(varied, &config, &generator, None, drift)
                         .with_faults(&plan);
@@ -292,19 +299,30 @@ proptest! {
                 let scalar_static = ob_static.into_outcome();
                 let scalar_lut = ob_lut.into_outcome();
                 let scalar_exec = ob_exec.into_outcome();
-                prop_assert_eq!(&out_static[corner], &scalar_static, "corner {}", corner);
-                prop_assert_eq!(&out_lut[corner], &scalar_lut, "corner {}", corner);
-                prop_assert_eq!(&out_exec[corner], &scalar_exec, "corner {}", corner);
-                prop_assert_eq!(&out_adaptive[corner], &ob_adaptive.into_outcome(), "corner {}", corner);
+                assert_eq!(&out_static[corner], &scalar_static, "corner {}", corner);
+                assert_eq!(&out_lut[corner], &scalar_lut, "corner {}", corner);
+                assert_eq!(&out_exec[corner], &scalar_exec, "corner {}", corner);
+                assert_eq!(
+                    &out_adaptive[corner],
+                    &ob_adaptive.into_outcome(),
+                    "corner {}",
+                    corner
+                );
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn a_quiet_fault_plan_is_bit_identical_to_no_plan(
-        master_seed in any::<u64>(),
-        fault_seed in any::<u64>(),
-    ) {
+#[test]
+fn a_quiet_fault_plan_is_bit_identical_to_no_plan() {
+    property!(
+        a_quiet_fault_plan_is_bit_identical_to_no_plan,
+        master = 0xCA5E_0011,
+        cases = 8
+    )
+    .run(|case| {
+        let master_seed = case.u64();
+        let fault_seed = case.u64();
         // All event rates zero: the plan must not change a single bit of
         // the outcome relative to running without one.
         let m = model();
@@ -328,16 +346,16 @@ proptest! {
             .expect("generated programs terminate");
         let quiet = quiet.into_outcome();
         let bare = bare.into_outcome();
-        prop_assert_eq!(quiet.violations, bare.violations);
-        prop_assert_eq!(
+        assert_eq!(quiet.violations, bare.violations);
+        assert_eq!(
             quiet.effective_frequency_mhz.to_bits(),
             bare.effective_frequency_mhz.to_bits()
         );
         // With zero penalties charged, the recovery-adjusted clock equals
         // the effective clock bit-exactly.
-        prop_assert_eq!(
+        assert_eq!(
             quiet.recovery_frequency_mhz.to_bits(),
             quiet.effective_frequency_mhz.to_bits()
         );
-    }
+    });
 }

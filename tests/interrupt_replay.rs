@@ -17,7 +17,7 @@ use idca::core::{
 use idca::pipeline::{DigestObserver, InterruptPlan, InterruptSpec, IrqPhase, TimingDigest};
 use idca::prelude::*;
 use idca::timing::{surged, FaultPlan, FaultSpec, IrqTimeline};
-use proptest::prelude::*;
+use idca_cases::property;
 
 fn model() -> TimingModel {
     TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized)
@@ -146,19 +146,21 @@ fn live_outcomes(
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn interrupt_outcomes_are_bit_identical_live_vs_digest_vs_prepared(
-        master_seed in any::<u64>(),
-        irq_seed in any::<u64>(),
-        rate_pm in 0u32..=8,
-        timer in prop_oneof![Just(0u32), 97u32..=301],
-        penalty in 1u32..=8,
-        with_faults in any::<bool>(),
-        fault_seed in any::<u64>(),
-    ) {
+#[test]
+fn interrupt_outcomes_are_bit_identical_live_vs_digest_vs_prepared() {
+    property!(
+        interrupt_outcomes_are_bit_identical_live_vs_digest_vs_prepared,
+        master = 0xCA5E_0012,
+        cases = 8
+    )
+    .run(|case| {
+        let master_seed = case.u64();
+        let irq_seed = case.u64();
+        let rate_pm = case.int(0u32..=8);
+        let timer = if case.bool() { 0 } else { case.int(97..=301) };
+        let penalty = case.int(1u32..=8);
+        let with_faults = case.bool();
+        let fault_seed = case.u64();
         let m = model();
         let spec = spec_of(irq_seed, rate_pm, timer, penalty);
         let surge_factor = 1.0 + spec.surge;
@@ -180,7 +182,7 @@ proptest! {
         // timeline is empty and every cycle replays as steady state.
         let timeline = IrqTimeline::from_events(digest.events(), spec.penalty);
         if spec.active() && timeline.entries() > 0 {
-            prop_assert!(timeline.handler_cycles(digest.summary().cycles) > 0);
+            assert!(timeline.handler_cycles(digest.summary().cycles) > 0);
         }
 
         let static_policy = StaticClock::of_model(&m);
@@ -274,12 +276,12 @@ proptest! {
             // Field-for-field f64 equality, not tolerance — and the
             // entry-violation column rides inside the outcome, so the
             // live-vs-timeline phase agreement is pinned bit-exactly too.
-            prop_assert_eq!(live, replayed);
-            prop_assert_eq!(live, shared);
-            prop_assert!(live.entry_violations <= live.violations);
+            assert_eq!(live, replayed);
+            assert_eq!(live, shared);
+            assert!(live.entry_violations <= live.violations);
         }
-        prop_assert_eq!(&live_adaptive, &replay_adaptive);
-        prop_assert_eq!(&live_adaptive, &prepared_adaptive);
+        assert_eq!(&live_adaptive, &replay_adaptive);
+        assert_eq!(&live_adaptive, &prepared_adaptive);
 
         // An inactive scenario must stay bit-identical to never having
         // heard of interrupts at all.
@@ -290,19 +292,25 @@ proptest! {
             }
             digest.for_each_cycle(|cycle, dc| bare.observe_digest(cycle, dc));
             bare.finish(&summary);
-            prop_assert_eq!(&live[1], &bare.into_outcome());
+            assert_eq!(&live[1], &bare.into_outcome());
         }
-    }
+    });
+}
 
-    #[test]
-    fn interrupt_soa_lanes_kernel_is_bit_identical_to_prepared_observers(
-        corners in 1u32..=9,
-        master_seed in any::<u64>(),
-        irq_seed in any::<u64>(),
-        rate_pm in 1u32..=8,
-        penalty in 1u32..=8,
-        with_faults in any::<bool>(),
-    ) {
+#[test]
+fn interrupt_soa_lanes_kernel_is_bit_identical_to_prepared_observers() {
+    property!(
+        interrupt_soa_lanes_kernel_is_bit_identical_to_prepared_observers,
+        master = 0xCA5E_0013,
+        cases = 8
+    )
+    .run(|case| {
+        let corners = case.int(1u32..=9);
+        let master_seed = case.u64();
+        let irq_seed = case.u64();
+        let rate_pm = case.int(1u32..=8);
+        let penalty = case.int(1u32..=8);
+        let with_faults = case.bool();
         // The interrupt counterpart of the faulted lanes-kernel pin: the
         // in-lane fault-then-surge perturbation plus the banks' per-call
         // entry flags must match scalar observers fed caller-perturbed
@@ -363,8 +371,7 @@ proptest! {
                 PolicyBank::new("execute-only", models.len(), &generator),
                 plan.as_ref(),
             );
-            let mut adaptive =
-                AdaptiveBank::new(&models, &config, &generator, None, Drift::None);
+            let mut adaptive = AdaptiveBank::new(&models, &config, &generator, None, Drift::None);
             if let Some(plan) = plan.as_ref() {
                 adaptive = adaptive.with_faults(*plan);
             }
@@ -457,10 +464,10 @@ proptest! {
                 let scalar_static = ob_static.into_outcome();
                 let scalar_lut = ob_lut.into_outcome();
                 let scalar_exec = ob_exec.into_outcome();
-                prop_assert_eq!(&out_static[corner], &scalar_static, "corner {}", corner);
-                prop_assert_eq!(&out_lut[corner], &scalar_lut, "corner {}", corner);
-                prop_assert_eq!(&out_exec[corner], &scalar_exec, "corner {}", corner);
-                prop_assert_eq!(
+                assert_eq!(&out_static[corner], &scalar_static, "corner {}", corner);
+                assert_eq!(&out_lut[corner], &scalar_lut, "corner {}", corner);
+                assert_eq!(&out_exec[corner], &scalar_exec, "corner {}", corner);
+                assert_eq!(
                     &out_adaptive[corner],
                     &ob_adaptive.into_outcome(),
                     "corner {}",
@@ -468,5 +475,5 @@ proptest! {
                 );
             }
         }
-    }
+    });
 }
