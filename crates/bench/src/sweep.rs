@@ -1097,9 +1097,10 @@ fn run_job(
     // Like the two-phase engine's phase 1, the honest single-phase baseline
     // simulates in worker-local scratch: the comparison between the engines
     // should measure evaluation strategy, not per-job allocation noise.
+    let pre = PredecodedProgram::lower(program);
     let summary = with_worker_buffers(simulator, |buffers| {
-        simulator.run_observed_with_buffers(
-            program,
+        simulator.run_observed_predecoded_with_buffers(
+            &pre,
             &mut [
                 &mut ob_static,
                 &mut ob_lut,

@@ -8,10 +8,18 @@
 //! render the identical bytes. Faults perturb the *timing evaluation*, not
 //! the digested execution, so the digest-replay equivalence must survive
 //! any fault scenario.
+//!
+//! About half the cases also draw an interrupt scenario, so the entry surge
+//! composes with the fault factors: both engines must apply the faults
+//! first and the surge second (`Perturbation`'s order) to stay identical.
 
 use idca_bench::sweep::{pvt_sweep, pvt_sweep_direct};
-use idca_bench::{FaultSpec, SweepConfig};
+use idca_bench::{FaultSpec, InterruptSpec, SweepConfig};
 use idca_cases::property;
+
+/// Timer periods the interrupt draws pick from: off, or long enough that
+/// the canonical handler never runs in lockstep with the timer.
+const TIMER_PERIODS: [u32; 5] = [0, 97, 113, 131, 151];
 
 #[test]
 fn faulted_rows_are_bit_identical_across_engines() {
@@ -37,6 +45,16 @@ fn faulted_rows_are_bit_identical_across_engines() {
         let spike_rate = f64::from(spike_rate_pm) / 1000.0;
         let shift_mag = f64::from(shift_mag_pm) / 1000.0;
         let detect_window = f64::from(detect_window_pm) / 1000.0;
+        // Drawn after the faults, so the fault draws above keep their
+        // values.
+        let interrupts = case.bool().then(|| InterruptSpec {
+            seed: case.u64(),
+            rate: f64::from(case.int(0u32..=20)) / 1000.0,
+            timer: *case.pick(&TIMER_PERIODS),
+            penalty: case.int(1u32..=8),
+            surge: f64::from(case.int(0u32..=100)) / 100.0,
+            ..InterruptSpec::default()
+        });
         let config = SweepConfig {
             seeds,
             corners,
@@ -50,6 +68,7 @@ fn faulted_rows_are_bit_identical_across_engines() {
                 detect_window,
                 ..FaultSpec::default()
             }),
+            interrupts,
             ..SweepConfig::default()
         };
         let banked = pvt_sweep(&config).expect("banked sweep runs");
@@ -78,6 +97,8 @@ fn faulted_rows_are_bit_identical_across_engines() {
                 );
                 // Paying a replay penalty can only slow the effective clock.
                 assert!(policy.recovery_mhz <= policy.mhz);
+                // Entry violations are a subset of all violations.
+                assert!(policy.entry_violations <= policy.violations);
             }
         }
 

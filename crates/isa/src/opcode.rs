@@ -449,17 +449,6 @@ impl MemKind {
             MemKind::StoreWord | MemKind::StoreHalf | MemKind::StoreByte
         )
     }
-
-    /// Access width in bytes, `None` for [`MemKind::None`].
-    #[must_use]
-    pub fn width(self) -> Option<u32> {
-        match self {
-            MemKind::None => None,
-            MemKind::LoadWord | MemKind::StoreWord => Some(4),
-            MemKind::LoadHalf { .. } | MemKind::StoreHalf => Some(2),
-            MemKind::LoadByte { .. } | MemKind::StoreByte => Some(1),
-        }
-    }
 }
 
 impl Opcode {
@@ -515,12 +504,6 @@ impl Opcode {
     #[must_use]
     pub fn reads_rb(self) -> bool {
         self.row().format.has_rb()
-    }
-
-    /// Memory access width in bytes for loads/stores, `None` otherwise.
-    #[must_use]
-    pub fn mem_width(self) -> Option<u32> {
-        self.mem_kind().width()
     }
 
     /// `true` when the immediate, if the instruction has one, is the second
@@ -626,14 +609,6 @@ mod tests {
         assert!(Opcode::Jal.writes_rd());
         assert!(!Opcode::Bf.reads_ra());
         assert!(!Opcode::Nop.writes_rd());
-    }
-
-    #[test]
-    fn mem_widths() {
-        assert_eq!(Opcode::Lwz.mem_width(), Some(4));
-        assert_eq!(Opcode::Sh.mem_width(), Some(2));
-        assert_eq!(Opcode::Lbs.mem_width(), Some(1));
-        assert_eq!(Opcode::Add.mem_width(), None);
     }
 
     #[test]

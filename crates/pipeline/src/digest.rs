@@ -51,8 +51,8 @@
 //! cycle index (a prerequisite for run-length encoding).
 
 use crate::{
-    frame, CycleObserver, CycleRecord, CycleRecordFlags, DigestEvent, FormatError, Occupant,
-    RunSummary, Stage,
+    frame, CycleObserver, CycleRecord, CycleRecordFlags, DigestEvent, ExecActivity, FormatError,
+    Occupant, RunSummary, Stage,
 };
 use idca_isa::{Insn, TimingClass, INSN_BYTES};
 use std::sync::Arc;
@@ -93,27 +93,12 @@ struct Activity {
     fetch_base: Option<f64>,
     /// The decode occupant's [`decode_base`] (`None` for a bubble).
     decode_base: Option<f64>,
-    /// The execute-stage facts (`None` when nothing executes).
-    exec: Option<ExecFacts>,
+    /// The execute-stage activity (`None` when nothing executes).
+    exec: Option<ExecActivity>,
     /// Load data returned by the control stage, if any.
     mem_return: Option<u32>,
     /// Value written to the register file, if any.
     wb_value: Option<u32>,
-}
-
-/// The execute-stage operand activity the excitation model reads.
-#[derive(Clone, Copy)]
-struct ExecFacts {
-    carry_chain: u8,
-    mul_bits: u8,
-    shift_amount: u8,
-    /// Operand toggling at the logic unit (`op_a ^ op_b`).
-    operand_toggle: u32,
-    result: u32,
-    /// Data-memory address issued (0 without a request).
-    mem_address: u32,
-    branch_taken: bool,
-    forwarded: bool,
 }
 
 /// The activity → excitation model (the paper's "which paths does this
@@ -146,7 +131,8 @@ fn excitation(
                 TimingClass::Mul => f64::from(exec.mul_bits) / 32.0,
                 TimingClass::Shift => f64::from(exec.shift_amount) / 31.0,
                 TimingClass::And | TimingClass::Or | TimingClass::Xor | TimingClass::Move => {
-                    popcount_frac(exec.operand_toggle)
+                    // Operand toggling at the logic unit.
+                    popcount_frac(exec.op_a ^ exec.op_b)
                 }
                 TimingClass::Load | TimingClass::Store => {
                     // The LSU path (address adder → SRAM address/write
@@ -154,11 +140,12 @@ fn excitation(
                     // and by how many address bits toggle at the macro
                     // inputs; the address space is 16 bits wide, so
                     // toggling is normalized to it.
-                    let addr_toggle = f64::from((exec.mem_address & 0xFFFF).count_ones()) / 16.0;
+                    let address = exec.mem_address.unwrap_or(0);
+                    let addr_toggle = f64::from((address & 0xFFFF).count_ones()) / 16.0;
                     let drive = (f64::from(exec.carry_chain) / 32.0).max(addr_toggle);
                     0.45 + 0.55 * drive
                 }
-                TimingClass::BranchCond if exec.branch_taken => 0.85,
+                TimingClass::BranchCond if exec.branch_taken == Some(true) => 0.85,
                 TimingClass::BranchCond => 0.45,
                 TimingClass::Jump => 0.55,
                 TimingClass::JumpReg => popcount_frac(exec.result).max(0.5),
@@ -283,7 +270,7 @@ fn classify<'h>(
             Some(entry) => (entry.class, Some(entry)),
             None => (insn.timing_class(), None),
         },
-        Occupant::Bubble(_) => (TimingClass::Bubble, None),
+        Occupant::Bubble => (TimingClass::Bubble, None),
     }
 }
 
@@ -311,24 +298,15 @@ fn capture(record: &CycleRecord, hints: Option<&DigestHints>) -> DigestCycle {
         decode_base: decode
             .insn()
             .map(|insn| dc_hint.map_or_else(|| decode_base(insn), |h| h.decode_base)),
-        exec: record.exec.as_ref().map(|exec| ExecFacts {
-            carry_chain: exec.carry_chain,
-            mul_bits: exec.mul_bits,
-            shift_amount: exec.shift_amount,
-            operand_toggle: exec.op_a ^ exec.op_b,
-            result: exec.result,
-            mem_address: exec.mem_request.map_or(0, |m| m.address),
-            branch_taken: exec.branch.is_some_and(|b| b.taken),
-            forwarded: exec.forward_a.is_some() || exec.forward_b.is_some(),
-        }),
+        exec: record.exec,
         mem_return: record.mem_return,
-        wb_value: record.writeback.map(|wb| wb.value),
+        wb_value: record.writeback,
     };
     DigestCycle {
         classes,
         excitation: excitation(&classes, &activity),
         fetch_address: record.fetch_address,
-        flags: CycleRecordFlags::of_record(record),
+        flags: CycleRecordFlags::of_exec(record.exec.as_ref()),
     }
 }
 
@@ -860,10 +838,11 @@ impl DedupIndex {
 /// predecoded engine's basic-block burst loop: per-stage micro-op table
 /// indices (the address/fetch/decode/execute stages always hold table ops
 /// during a burst; control and writeback may still carry pre-burst bubbles)
-/// plus the data-dependent execute/control/writeback activity. Everything
-/// [`DigestObserver::observe_fast_cycle`] needs to reproduce — bit-exactly —
-/// the [`DigestCycle`] that hinted record capture would extract from the
-/// equivalent [`CycleRecord`], without that record ever being materialized.
+/// plus the execute stage's [`ExecActivity`] and the control and writeback
+/// values. Everything [`DigestObserver::observe_fast_cycle`] needs to
+/// reproduce — bit-exactly — the [`DigestCycle`] that hinted record capture
+/// would extract from the equivalent [`CycleRecord`], without that record
+/// ever being materialized.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FastCycleFacts {
     /// Instruction-memory address presented this cycle (dither salt).
@@ -884,24 +863,8 @@ pub(crate) struct FastCycleFacts {
     pub mem_return: Option<u32>,
     /// Value written to the register file this cycle, if any.
     pub wb_value: Option<u32>,
-    /// Execute-stage operand A.
-    pub op_a: u32,
-    /// Execute-stage operand B (after immediate selection).
-    pub op_b: u32,
-    /// Execute-stage result.
-    pub result: u32,
-    /// Adder carry-chain length of the execute op.
-    pub carry_chain: u8,
-    /// Multiplier operand width (0 for non-multiplies).
-    pub mul_bits: u8,
-    /// Shift amount (0 for non-shifts).
-    pub shift_amount: u8,
-    /// Data-memory address issued by the execute op, if any.
-    pub mem_address: Option<u32>,
-    /// The shielded multiplier toggled this cycle.
-    pub mul_active: bool,
-    /// At least one execute operand was forwarded.
-    pub forwarded: bool,
+    /// The execute op's activity (a plain op: no branch resolves).
+    pub exec: ExecActivity,
 }
 
 /// Streaming digest capture: a [`CycleObserver`] that folds every
@@ -951,10 +914,10 @@ impl DigestObserver {
     ///
     /// It gathers the same [`Activity`] the hinted record capture gathers
     /// for a burst cycle — an un-redirected cycle whose front four stages
-    /// hold plain table ops with an exec-activity record and no branch
-    /// resolution — and runs the one excitation model on it. The
-    /// differential suite pins the resulting digests against full-record
-    /// capture on the reference engine.
+    /// hold plain table ops — and runs the one excitation model and the one
+    /// [`CycleRecordFlags::of_exec`] on it. The differential suite pins the
+    /// resulting digests against full-record capture on the reference
+    /// engine.
     pub(crate) fn observe_fast_cycle(&mut self, fc: &FastCycleFacts) {
         let hints = self.hints.as_ref().expect("fast-path capture is hinted");
         let entry = |idx: u32| &hints.entries[idx as usize];
@@ -972,36 +935,15 @@ impl DigestObserver {
             fetch_redirected: false,
             fetch_base: Some(fetch.fetch_base),
             decode_base: Some(decode.decode_base),
-            exec: Some(ExecFacts {
-                carry_chain: fc.carry_chain,
-                mul_bits: fc.mul_bits,
-                shift_amount: fc.shift_amount,
-                operand_toggle: fc.op_a ^ fc.op_b,
-                result: fc.result,
-                mem_address: fc.mem_address.unwrap_or(0),
-                branch_taken: false,
-                forwarded: fc.forwarded,
-            }),
+            exec: Some(fc.exec),
             mem_return: fc.mem_return,
             wb_value: fc.wb_value,
         };
-
-        let mut bits = CycleRecordFlags::EXECUTE_INSN;
-        if fc.mem_address.is_some() {
-            bits |= CycleRecordFlags::MEM_ACCESS;
-        }
-        if fc.mul_active {
-            bits |= CycleRecordFlags::MUL_ACTIVE;
-        }
-        if fc.forwarded {
-            bits |= CycleRecordFlags::FORWARDED;
-        }
-
         self.push(DigestCycle {
             classes,
             excitation: excitation(&classes, &activity),
             fetch_address: fc.fetch_address,
-            flags: CycleRecordFlags::from_bits(bits).expect("burst flags are defined bits"),
+            flags: CycleRecordFlags::of_exec(Some(&fc.exec)),
         });
     }
 

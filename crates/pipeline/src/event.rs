@@ -1,29 +1,17 @@
 //! Per-cycle activity descriptors recorded by the pipeline simulator.
 //!
 //! These descriptors are the interface between the micro-architectural
-//! simulation and the timing model: they carry exactly the information the
-//! paper's gate-level simulation exposes to its dynamic timing analysis —
-//! which instruction is in flight in which stage and which data-dependent
-//! conditions (operand values, carry chains, multiplier activity, memory
-//! requests, forwarding) it excites.
+//! simulation and the timing model: they carry what the paper's dynamic
+//! timing analysis reads of a gate-level simulation — which instruction is
+//! in flight in which stage, and which data-dependent conditions it excites
+//! (operand values, carry chains, multiplier activity, the data-memory
+//! address, forwarding, a resolved branch, the load and writeback values).
+//! Nothing else is recorded: a [`CycleRecord`] carries no field that the
+//! digest capture or the live oracles do not read.
 
 use crate::Stage;
 use idca_isa::{Insn, TimingClass};
 use serde::{Deserialize, Serialize};
-
-/// Why a stage holds no instruction in a given cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum BubbleKind {
-    /// Pipeline not yet filled after reset.
-    Reset,
-    /// Instruction squashed by a control-flow redirect.
-    Flush,
-    /// Pipeline draining after the exit marker.
-    Drain,
-    /// Fetch slot killed by the modeled exception-entry flush: the cycles
-    /// between an interrupt being accepted and the first handler fetch.
-    IrqEntry,
-}
 
 /// Which part of an interrupt episode a cycle belongs to.
 ///
@@ -93,11 +81,9 @@ pub enum Occupant {
         pc: u32,
         /// The instruction itself.
         insn: Insn,
-        /// Dynamic sequence number (retirement order).
-        seq: u64,
     },
     /// No instruction (bubble).
-    Bubble(BubbleKind),
+    Bubble,
 }
 
 impl Occupant {
@@ -106,7 +92,7 @@ impl Occupant {
     pub fn timing_class(&self) -> TimingClass {
         match self {
             Occupant::Insn { insn, .. } => insn.timing_class(),
-            Occupant::Bubble(_) => TimingClass::Bubble,
+            Occupant::Bubble => TimingClass::Bubble,
         }
     }
 
@@ -115,58 +101,15 @@ impl Occupant {
     pub fn insn(&self) -> Option<&Insn> {
         match self {
             Occupant::Insn { insn, .. } => Some(insn),
-            Occupant::Bubble(_) => None,
+            Occupant::Bubble => None,
         }
     }
-
-    /// `true` when the stage holds a real instruction.
-    #[must_use]
-    pub fn is_insn(&self) -> bool {
-        matches!(self, Occupant::Insn { .. })
-    }
 }
 
-/// Where a forwarded operand came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ForwardSource {
-    /// Result forwarded from the instruction currently in the control stage.
-    Control,
-    /// Result forwarded from the instruction currently in writeback.
-    Writeback,
-}
-
-/// A data-memory request issued by the execute stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MemRequest {
-    /// Byte address of the access.
-    pub address: u32,
-    /// Access width in bytes (1, 2 or 4).
-    pub width: u32,
-    /// `true` for stores, `false` for loads.
-    pub is_store: bool,
-    /// The value written (stores) or returned (loads).
-    pub value: u32,
-}
-
-/// Control-flow activity of the instruction in the execute or decode stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BranchActivity {
-    /// `true` if the branch/jump redirected the fetch address.
-    pub taken: bool,
-    /// Target byte address when taken.
-    pub target: u32,
-    /// Stage in which the control transfer was resolved
-    /// (`Decode` for immediate jumps/branches, `Execute` for register jumps).
-    pub resolved_in: Stage,
-}
-
-/// Detailed activity of the instruction occupying the execute stage.
+/// Operand activity of the instruction occupying the execute stage: what
+/// the excitation model and the activity flags read of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecActivity {
-    /// Byte address of the executing instruction.
-    pub pc: u32,
-    /// The executing instruction.
-    pub insn: Insn,
     /// Resolved first operand (after forwarding).
     pub op_a: u32,
     /// Resolved second operand (after forwarding / immediate selection).
@@ -184,25 +127,14 @@ pub struct ExecActivity {
     pub mul_bits: u8,
     /// Shift amount applied by the barrel shifter (0 when idle).
     pub shift_amount: u8,
-    /// Forwarding source used for operand A, if any.
-    pub forward_a: Option<ForwardSource>,
-    /// Forwarding source used for operand B, if any.
-    pub forward_b: Option<ForwardSource>,
-    /// New flag value if the instruction writes the compare flag.
-    pub flag_written: Option<bool>,
-    /// Control-flow activity, if the instruction is a branch or jump.
-    pub branch: Option<BranchActivity>,
-    /// Data-memory request issued this cycle, if any.
-    pub mem_request: Option<MemRequest>,
-}
-
-/// Activity of the writeback stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WbActivity {
-    /// Destination register being written.
-    pub rd: idca_isa::Reg,
-    /// Value written to the register file.
-    pub value: u32,
+    /// At least one operand came through the forwarding network.
+    pub forwarded: bool,
+    /// `Some(taken)` when a branch or jump resolved this cycle: in decode
+    /// for PC-relative transfers (reported when the instruction reaches
+    /// execute), in execute for register jumps and `l.rfe`.
+    pub branch_taken: Option<bool>,
+    /// Byte address of the data-memory request issued this cycle, if any.
+    pub mem_address: Option<u32>,
 }
 
 /// Everything the simulator observed during one clock cycle.
@@ -212,13 +144,13 @@ pub struct CycleRecord {
     pub cycle: u64,
     /// Stage occupancy in pipeline order (`[Stage::Address]` ... `[Stage::Writeback]`).
     pub stages: [Occupant; Stage::COUNT],
-    /// Execute-stage activity (present when the execute stage holds an
-    /// instruction).
+    /// Execute-stage activity, present exactly when the execute stage holds
+    /// an instruction.
     pub exec: Option<ExecActivity>,
     /// Load data returned by the control stage this cycle, if any.
     pub mem_return: Option<u32>,
-    /// Writeback activity, if a register is written this cycle.
-    pub writeback: Option<WbActivity>,
+    /// Value written to the register file this cycle, if any.
+    pub writeback: Option<u32>,
     /// Instruction-memory address presented by the address stage.
     pub fetch_address: u32,
     /// `true` when the fetch address was redirected by a branch or jump
@@ -266,29 +198,28 @@ impl CycleRecordFlags {
     /// At least one execute operand was forwarded.
     pub const FORWARDED: u8 = 1 << 5;
 
-    /// Extracts the flags of one cycle record.
+    /// The flags of one cycle, from its execute-stage activity (`None`
+    /// when the execute stage holds a bubble).
     #[must_use]
-    pub fn of_record(record: &CycleRecord) -> CycleRecordFlags {
-        let mut bits = 0u8;
-        if record.occupant(Stage::Execute).is_insn() {
-            bits |= Self::EXECUTE_INSN;
+    pub fn of_exec(exec: Option<&ExecActivity>) -> CycleRecordFlags {
+        let Some(exec) = exec else {
+            return CycleRecordFlags(0);
+        };
+        let mut bits = Self::EXECUTE_INSN;
+        if exec.mem_address.is_some() {
+            bits |= Self::MEM_ACCESS;
         }
-        if let Some(exec) = &record.exec {
-            if exec.mem_request.is_some() {
-                bits |= Self::MEM_ACCESS;
+        if exec.mul_active {
+            bits |= Self::MUL_ACTIVE;
+        }
+        if let Some(taken) = exec.branch_taken {
+            bits |= Self::BRANCH;
+            if taken {
+                bits |= Self::BRANCH_TAKEN;
             }
-            if exec.mul_active {
-                bits |= Self::MUL_ACTIVE;
-            }
-            if let Some(branch) = &exec.branch {
-                bits |= Self::BRANCH;
-                if branch.taken {
-                    bits |= Self::BRANCH_TAKEN;
-                }
-            }
-            if exec.forward_a.is_some() || exec.forward_b.is_some() {
-                bits |= Self::FORWARDED;
-            }
+        }
+        if exec.forwarded {
+            bits |= Self::FORWARDED;
         }
         CycleRecordFlags(bits)
     }
@@ -327,23 +258,20 @@ mod tests {
 
     #[test]
     fn occupant_timing_class_for_bubble_and_insn() {
-        let bubble = Occupant::Bubble(BubbleKind::Flush);
+        let bubble = Occupant::Bubble;
         assert_eq!(bubble.timing_class(), TimingClass::Bubble);
-        assert!(!bubble.is_insn());
-        let insn = Occupant::Insn {
-            pc: 0,
-            insn: Insn::add(Reg::r(1), Reg::r(2), Reg::r(3)),
-            seq: 0,
-        };
+        assert_eq!(bubble.insn(), None);
+        let add = Insn::add(Reg::r(1), Reg::r(2), Reg::r(3));
+        let insn = Occupant::Insn { pc: 0, insn: add };
         assert_eq!(insn.timing_class(), TimingClass::Add);
-        assert!(insn.is_insn());
+        assert_eq!(insn.insn(), Some(&add));
     }
 
     #[test]
     fn cycle_record_stage_lookup() {
         let record = CycleRecord {
             cycle: 7,
-            stages: [Occupant::Bubble(BubbleKind::Reset); Stage::COUNT],
+            stages: [Occupant::Bubble; Stage::COUNT],
             exec: None,
             mem_return: None,
             writeback: None,

@@ -9,11 +9,13 @@
 //! (operand isolation) exactly as described in §III-A of the paper.
 //!
 //! Besides architecturally-correct execution the simulator emits, for every
-//! cycle, a [`CycleRecord`]: the instruction occupying each stage plus
-//! detailed *activity descriptors* (operand values, carry-chain length,
-//! multiplier activity, memory requests, forwarding sources, branch
-//! decisions). The `idca-timing` crate turns this activity into dynamic path
-//! delays — the equivalent of the paper's post-layout gate-level simulation.
+//! cycle, a [`CycleRecord`]: the instruction occupying each stage plus the
+//! execute stage's [`ExecActivity`] (operand values, carry-chain length,
+//! multiplier activity, the data-memory address, whether an operand was
+//! forwarded and whether a resolved branch was taken), the load and
+//! writeback values and the fetch address. The `idca-timing` crate turns
+//! this activity into dynamic path delays — the equivalent of the paper's
+//! post-layout gate-level simulation.
 //!
 //! Records are delivered through the streaming [`CycleObserver`] interface
 //! ([`Simulator::run_observed`]): downstream analyses consume each cycle as
@@ -72,8 +74,7 @@ mod trace;
 pub use digest::{DigestCycle, DigestHints, DigestObserver, StageExcitation, TimingDigest};
 pub use error::PipelineError;
 pub use event::{
-    BranchActivity, BubbleKind, CycleRecord, CycleRecordFlags, DigestEvent, DigestEventKind,
-    ExecActivity, ForwardSource, IrqPhase, MemRequest, Occupant, WbActivity,
+    CycleRecord, CycleRecordFlags, DigestEvent, DigestEventKind, ExecActivity, IrqPhase, Occupant,
 };
 pub use frame::FormatError;
 pub use interp::{Interpreter, InterpreterResult};
@@ -95,8 +96,9 @@ pub use trace::{PipelineTrace, TraceStats};
 pub const NOP_EXIT: u16 = 1;
 
 /// Version of the simulator's observable behaviour: bump whenever a change
-/// can alter the [`CycleRecord`]s (and therefore the [`TimingDigest`]) a
-/// program produces. Persistent digest caches key on this so digests
-/// captured by an older simulator are re-simulated instead of trusted.
-/// Version 2 added the asynchronous-event layer (interrupts, timer, MMIO).
+/// can alter the [`TimingDigest`] a program produces. A change to the shape
+/// of [`CycleRecord`] that leaves every digest byte alone needs no bump.
+/// Persistent digest caches key on this so digests captured by an older
+/// simulator are re-simulated instead of trusted. Version 2 added the
+/// asynchronous-event layer (interrupts, timer, MMIO).
 pub const SIMULATOR_VERSION: u32 = 2;

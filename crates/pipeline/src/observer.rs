@@ -79,7 +79,7 @@ impl<O: CycleObserver + ?Sized> CycleObserver for &mut O {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BubbleKind, Occupant, Stage};
+    use crate::{Occupant, Stage};
 
     #[derive(Default)]
     struct Counting {
@@ -100,7 +100,7 @@ mod tests {
     fn record(cycle: u64) -> CycleRecord {
         CycleRecord {
             cycle,
-            stages: [Occupant::Bubble(BubbleKind::Reset); Stage::COUNT],
+            stages: [Occupant::Bubble; Stage::COUNT],
             exec: None,
             mem_return: None,
             writeback: None,

@@ -19,8 +19,8 @@
 //! consecutive plain (non-control, non-exit) micro-ops starting at an index.
 //! While the pipeline is executing inside a runway nothing can redirect the
 //! fetch address, so the simulator dispatches those block interiors on a
-//! specialized loop with the per-cycle `Slot`/`Option` unwrapping and
-//! per-opcode matching hoisted out.
+//! specialized loop with the per-cycle latch unwrapping and per-opcode
+//! matching hoisted out.
 //!
 //! Lowering is semantics-preserving and pinned by tests: a property lowers
 //! every table row and set-flag condition at its field extremes and checks
@@ -76,9 +76,6 @@ pub struct MicroOp {
     pub branch_disp: u32,
     /// Memory access kind.
     pub mem: MemKind,
-    /// Memory access width in bytes (4 for non-memory ops, matching the
-    /// activity-record convention).
-    pub mem_width: u32,
     /// Adder excitation kind.
     pub adder: AdderKind,
     /// `true` for the multiply instructions (operand-isolated multiplier).
@@ -125,7 +122,6 @@ impl MicroOp {
             ctl,
             branch_disp: (imm.unwrap_or(0) as u32).wrapping_mul(4),
             mem,
-            mem_width: mem.width().unwrap_or(4),
             adder,
             is_mul: class == TimingClass::Mul,
             is_shift: class == TimingClass::Shift,
@@ -424,19 +420,19 @@ mod lowering_properties {
                 assert_eq!(op.ctl, ctl, "{}", insn);
                 assert_eq!(op.is_plain(), ctl == CtlKind::None);
 
-                // Memory access: kind, sign and width.
-                let (mem, width) = match opcode {
-                    Opcode::Lwz | Opcode::Lws => (MemKind::LoadWord, 4),
-                    Opcode::Lhz => (MemKind::LoadHalf { signed: false }, 2),
-                    Opcode::Lhs => (MemKind::LoadHalf { signed: true }, 2),
-                    Opcode::Lbz => (MemKind::LoadByte { signed: false }, 1),
-                    Opcode::Lbs => (MemKind::LoadByte { signed: true }, 1),
-                    Opcode::Sw => (MemKind::StoreWord, 4),
-                    Opcode::Sh => (MemKind::StoreHalf, 2),
-                    Opcode::Sb => (MemKind::StoreByte, 1),
-                    _ => (MemKind::None, 4),
+                // Memory access: kind and sign.
+                let mem = match opcode {
+                    Opcode::Lwz | Opcode::Lws => MemKind::LoadWord,
+                    Opcode::Lhz => MemKind::LoadHalf { signed: false },
+                    Opcode::Lhs => MemKind::LoadHalf { signed: true },
+                    Opcode::Lbz => MemKind::LoadByte { signed: false },
+                    Opcode::Lbs => MemKind::LoadByte { signed: true },
+                    Opcode::Sw => MemKind::StoreWord,
+                    Opcode::Sh => MemKind::StoreHalf,
+                    Opcode::Sb => MemKind::StoreByte,
+                    _ => MemKind::None,
                 };
-                assert_eq!((op.mem, op.mem_width), (mem, width), "{}", insn);
+                assert_eq!(op.mem, mem, "{}", insn);
 
                 // Operand selection: the pre-resolved immediate (when
                 // present) equals the reference `operand_b`, and register

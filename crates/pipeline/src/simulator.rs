@@ -24,9 +24,8 @@ use crate::interp::alu;
 use crate::irq::{is_mmio, InterruptController, InterruptPlan};
 use crate::predecode::{self, MicroOp, PredecodedProgram};
 use crate::{
-    BranchActivity, BubbleKind, CycleObserver, CycleRecord, ExecActivity, ForwardSource, IrqPhase,
-    MemRequest, Memory, Occupant, PipelineError, PipelineTrace, RegisterFile, RunSummary, Stage,
-    WbActivity, NOP_EXIT,
+    CycleObserver, CycleRecord, ExecActivity, IrqPhase, Memory, Occupant, PipelineError,
+    PipelineTrace, RegisterFile, RunSummary, NOP_EXIT,
 };
 use idca_isa::{CtlKind, Insn, MemKind, Opcode, Program, Reg, INSN_BYTES};
 use serde::{Deserialize, Serialize};
@@ -93,7 +92,8 @@ pub struct ObservedRun {
 /// memory image. Constructing these — in particular the 64 KiB memory —
 /// from scratch for every simulated program is pure allocation churn on
 /// sweep workers; a worker allocates one `SimBuffers` and passes it to
-/// [`Simulator::run_observed_with_buffers`] for every job instead.
+/// [`Simulator::run_observed_predecoded_with_buffers`] for every job
+/// instead.
 #[derive(Debug, Clone)]
 pub struct SimBuffers {
     regs: RegisterFile,
@@ -139,10 +139,10 @@ impl SimBuffers {
     }
 
     /// The compare flag after the most recent **successful** run. When
-    /// [`Simulator::run_observed_with_buffers`] returns an error the
-    /// accessors are not a consistent architectural snapshot: registers and
-    /// memory reflect the partial execution while the flags stay at their
-    /// reset values.
+    /// [`Simulator::run_observed_predecoded_with_buffers`] returns an error
+    /// the accessors are not a consistent architectural snapshot: registers
+    /// and memory reflect the partial execution while the flags stay at
+    /// their reset values.
     #[must_use]
     pub fn flag(&self) -> bool {
         self.flag
@@ -165,14 +165,17 @@ pub struct Simulator {
     interrupts: Option<InterruptPlan>,
 }
 
+/// An instruction in the fetch, decode or execute latch. `op` is the
+/// instruction word in the reference loop and its micro-op table index in
+/// the predecoded loop, which recovers the word from the table only when it
+/// builds a [`CycleRecord`].
 #[derive(Debug, Clone, Copy)]
-struct Fetched {
+struct Fetched<I> {
     pc: u32,
-    insn: Insn,
-    seq: u64,
-    /// Branch resolution attached while the instruction was in decode, so
-    /// that the execute-stage activity record can report it.
-    resolution: Option<BranchActivity>,
+    op: I,
+    /// `Some(taken)` once decode resolved the instruction as a PC-relative
+    /// jump or branch, so that the execute-stage activity can report it.
+    branch_taken: Option<bool>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -181,74 +184,23 @@ enum MemOp {
     Store { address: u32, value: u32 },
 }
 
-#[derive(Debug, Clone, Copy)]
-struct CtrlEntry {
-    pc: u32,
-    insn: Insn,
-    seq: u64,
-    rd: Option<Reg>,
-    value: u32,
-    mem: Option<MemOp>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct WbEntry {
-    pc: u32,
-    insn: Insn,
-    seq: u64,
-    rd: Option<Reg>,
-    value: u32,
-}
-
-/// Predecoded-engine twin of [`Fetched`]: stages carry the micro-op table
-/// index instead of the instruction word (the word is recovered from the
-/// table only when a [`CycleRecord`] is materialized).
-#[derive(Debug, Clone, Copy)]
-struct FetchedOp {
-    pc: u32,
-    idx: u32,
-    seq: u64,
-    resolution: Option<BranchActivity>,
-}
-
-/// Predecoded-engine twin of [`CtrlEntry`].
-#[derive(Debug, Clone, Copy)]
-struct CtrlOp {
-    pc: u32,
-    idx: u32,
-    seq: u64,
-    rd: Option<Reg>,
-    value: u32,
-    mem: Option<MemOp>,
-}
-
-/// Predecoded-engine twin of [`WbEntry`].
-#[derive(Debug, Clone, Copy)]
-struct WbOp {
-    pc: u32,
-    idx: u32,
-    seq: u64,
-    rd: Option<Reg>,
-    value: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Slot<T> {
-    Insn(T),
-    Bubble(BubbleKind),
-}
-
-impl<T> Slot<T> {
-    fn as_ref(&self) -> Option<&T> {
+impl MemOp {
+    fn address(self) -> u32 {
         match self {
-            Slot::Insn(t) => Some(t),
-            Slot::Bubble(_) => None,
+            MemOp::Load { address } | MemOp::Store { address, .. } => address,
         }
     }
+}
 
-    fn is_bubble(&self) -> bool {
-        matches!(self, Slot::Bubble(_))
-    }
+/// An instruction past execute: the control latch, and one cycle later the
+/// same entry as the writeback latch. `op` is as in [`Fetched`].
+#[derive(Debug, Clone, Copy)]
+struct Executed<I> {
+    pc: u32,
+    op: I,
+    rd: Option<Reg>,
+    value: u32,
+    mem: Option<MemOp>,
 }
 
 impl Simulator {
@@ -374,17 +326,7 @@ impl Simulator {
         pre: &PredecodedProgram,
         observers: &mut [&mut dyn CycleObserver],
     ) -> Result<ObservedRun, PipelineError> {
-        let mut buffers = SimBuffers::for_config(&self.config);
-        let summary = self.run_core_pre(pre, observers, &mut buffers)?;
-        Ok(ObservedRun {
-            state: ArchState {
-                regs: buffers.regs,
-                memory: buffers.memory,
-                flag: buffers.flag,
-                carry: buffers.carry,
-            },
-            summary,
-        })
+        self.run_fresh(|buffers| self.run_core_pre(pre, observers, buffers))
     }
 
     /// [`Simulator::run_observed`] on the retained per-cycle reference loop:
@@ -402,45 +344,15 @@ impl Simulator {
         program: &Program,
         observers: &mut [&mut dyn CycleObserver],
     ) -> Result<ObservedRun, PipelineError> {
-        let mut buffers = SimBuffers::for_config(&self.config);
-        let summary = self.run_core(program, observers, &mut buffers)?;
-        Ok(ObservedRun {
-            state: ArchState {
-                regs: buffers.regs,
-                memory: buffers.memory,
-                flag: buffers.flag,
-                carry: buffers.carry,
-            },
-            summary,
-        })
+        self.run_fresh(|buffers| self.run_core(program, observers, buffers))
     }
 
-    /// [`Simulator::run_observed`] with caller-owned scratch state: the
-    /// register file and memory image in `buffers` are reset and reused
-    /// instead of being allocated per run, which removes the dominant
+    /// [`Simulator::run_observed_predecoded`] with caller-owned scratch
+    /// state: the register file and memory image in `buffers` are reset and
+    /// reused instead of being allocated per run, which removes the dominant
     /// allocation churn from workers that simulate many programs (e.g. the
     /// PVT-sweep digest phase). The final architectural state stays
     /// readable through the [`SimBuffers`] accessors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError`] for invalid memory accesses or when
-    /// [`SimConfig::max_cycles`] is exceeded, like [`Simulator::run_observed`].
-    pub fn run_observed_with_buffers(
-        &self,
-        program: &Program,
-        observers: &mut [&mut dyn CycleObserver],
-        buffers: &mut SimBuffers,
-    ) -> Result<RunSummary, PipelineError> {
-        self.run_observed_predecoded_with_buffers(
-            &PredecodedProgram::lower(program),
-            observers,
-            buffers,
-        )
-    }
-
-    /// [`Simulator::run_observed_with_buffers`] for an already-lowered
-    /// program: caller-owned scratch state *and* a reusable micro-op table.
     ///
     /// # Errors
     ///
@@ -455,6 +367,25 @@ impl Simulator {
         self.run_core_pre(pre, observers, buffers)
     }
 
+    /// Runs one engine loop on freshly allocated buffers and returns their
+    /// final state with the run totals.
+    fn run_fresh(
+        &self,
+        run: impl FnOnce(&mut SimBuffers) -> Result<RunSummary, PipelineError>,
+    ) -> Result<ObservedRun, PipelineError> {
+        let mut buffers = SimBuffers::for_config(&self.config);
+        let summary = run(&mut buffers)?;
+        Ok(ObservedRun {
+            state: ArchState {
+                regs: buffers.regs,
+                memory: buffers.memory,
+                flag: buffers.flag,
+                carry: buffers.carry,
+            },
+            summary,
+        })
+    }
+
     /// An attached plan must vector into the program image `[base, end)`:
     /// an entry outside it would drain the run at its first interrupt and
     /// score the run as complete.
@@ -467,8 +398,8 @@ impl Simulator {
         }
     }
 
-    /// The simulation loop shared by [`Simulator::run_observed`] and
-    /// [`Simulator::run_observed_with_buffers`]. Expects `buffers` in the
+    /// The per-cycle reference loop behind
+    /// [`Simulator::run_observed_reference`]. Expects `buffers` in the
     /// architectural reset state.
     fn run_core(
         &self,
@@ -498,14 +429,13 @@ impl Simulator {
         };
 
         let mut fetch_pc = base;
-        let mut fe: Slot<Fetched> = Slot::Bubble(BubbleKind::Reset);
-        let mut dc: Slot<Fetched> = Slot::Bubble(BubbleKind::Reset);
-        let mut ex: Slot<Fetched> = Slot::Bubble(BubbleKind::Reset);
-        let mut ctrl: Slot<CtrlEntry> = Slot::Bubble(BubbleKind::Reset);
-        let mut wb: Slot<WbEntry> = Slot::Bubble(BubbleKind::Reset);
+        let mut fe: Option<Fetched<Insn>> = None;
+        let mut dc: Option<Fetched<Insn>> = None;
+        let mut ex: Option<Fetched<Insn>> = None;
+        let mut ctrl: Option<Executed<Insn>> = None;
+        let mut wb: Option<Executed<Insn>> = None;
 
         let mut halting = false;
-        let mut exit_seq: Option<u64> = None;
         let mut seq_counter: u64 = 0;
         let mut retired: u64 = 0;
         let mut cycle_count: u64 = 0;
@@ -517,22 +447,20 @@ impl Simulator {
             }
 
             // -------------------------------------------------------------
-            // Writeback stage: commit the oldest instruction.
+            // Writeback stage: commit the oldest instruction. Every slot
+            // younger than the exit marker drains behind it, so the only
+            // exit marker that reaches writeback is the one that halted
+            // the pipeline.
             // -------------------------------------------------------------
-            let mut writeback_activity = None;
+            let mut writeback = None;
             let mut finished = false;
-            if let Some(entry) = wb.as_ref() {
+            if let Some(entry) = wb {
                 if let Some(rd) = entry.rd {
                     regs.write(rd, entry.value);
-                    writeback_activity = Some(WbActivity {
-                        rd,
-                        value: entry.value,
-                    });
+                    writeback = Some(entry.value);
                 }
                 retired += 1;
-                if exit_seq == Some(entry.seq) {
-                    finished = true;
-                }
+                finished = is_exit(&entry.op);
             }
 
             // -------------------------------------------------------------
@@ -542,13 +470,13 @@ impl Simulator {
             // -------------------------------------------------------------
             let mut mem_return = None;
             let mut ctrl_entry = ctrl;
-            if let Slot::Insn(entry) = &mut ctrl_entry {
+            if let Some(entry) = &mut ctrl_entry {
                 match entry.mem {
                     Some(MemOp::Store { address, value }) => {
-                        store(memory, irq.as_mut(), entry.insn.opcode(), address, value)?;
+                        store(memory, irq.as_mut(), entry.op.opcode(), address, value)?;
                     }
                     Some(MemOp::Load { address }) => {
-                        let value = load(memory, irq.as_mut(), entry.insn.opcode(), address)?;
+                        let value = load(memory, irq.as_mut(), entry.op.opcode(), address)?;
                         entry.value = value;
                         mem_return = Some(value);
                     }
@@ -561,15 +489,14 @@ impl Simulator {
             // -------------------------------------------------------------
             let mut exec_activity = None;
             let mut ex_redirect: Option<u32> = None;
-            let mut next_ctrl: Slot<CtrlEntry> = match ex {
-                Slot::Bubble(kind) => Slot::Bubble(kind),
-                Slot::Insn(fetched) => {
-                    let insn = fetched.insn;
+            let next_ctrl = match ex {
+                None => None,
+                Some(fetched) => {
+                    let insn = fetched.op;
                     let opcode = insn.opcode();
 
-                    if opcode == Opcode::Nop && insn.imm() == Some(i32::from(NOP_EXIT)) {
+                    if is_exit(&insn) {
                         halting = true;
-                        exit_seq = Some(fetched.seq);
                     }
 
                     let (a, fwd_a) = resolve_operand(insn.ra(), &ctrl_entry, &wb, regs);
@@ -586,7 +513,7 @@ impl Simulator {
 
                     let mut value = outcome.result;
                     let mut rd = if opcode.writes_rd() { insn.rd() } else { None };
-                    let mut branch = fetched.resolution;
+                    let mut branch_taken = fetched.branch_taken;
                     match opcode {
                         Opcode::Jal => {
                             rd = Some(Reg::LINK);
@@ -598,11 +525,7 @@ impl Simulator {
                                 value = fetched.pc.wrapping_add(8);
                             }
                             ex_redirect = Some(rb_value);
-                            branch = Some(BranchActivity {
-                                taken: true,
-                                target: rb_value,
-                                resolved_in: Stage::Execute,
-                            });
+                            branch_taken = Some(true);
                         }
                         Opcode::Rfe => {
                             // Return-from-exception resolves in execute like
@@ -614,11 +537,7 @@ impl Simulator {
                                 irq.as_mut().and_then(|ctl| ctl.rfe_retire(seq_counter))
                             {
                                 ex_redirect = Some(target);
-                                branch = Some(BranchActivity {
-                                    taken: true,
-                                    target,
-                                    resolved_in: Stage::Execute,
-                                });
+                                branch_taken = Some(true);
                             }
                         }
                         _ => {}
@@ -635,24 +554,7 @@ impl Simulator {
                         _ => None,
                     };
 
-                    let mem_request = mem.map(|m| match m {
-                        MemOp::Load { address } => MemRequest {
-                            address,
-                            width: opcode.mem_width().unwrap_or(4),
-                            is_store: false,
-                            value: 0,
-                        },
-                        MemOp::Store { address, value } => MemRequest {
-                            address,
-                            width: opcode.mem_width().unwrap_or(4),
-                            is_store: true,
-                            value,
-                        },
-                    });
-
                     exec_activity = Some(ExecActivity {
-                        pc: fetched.pc,
-                        insn,
                         op_a: a,
                         op_b: b,
                         result: value,
@@ -660,17 +562,14 @@ impl Simulator {
                         mul_active: matches!(opcode, Opcode::Mul | Opcode::Mulu | Opcode::Muli),
                         mul_bits: mul_bits(opcode, a, b),
                         shift_amount: shift_amount(opcode, b),
-                        forward_a: fwd_a,
-                        forward_b: fwd_b,
-                        flag_written: outcome.flag,
-                        branch,
-                        mem_request,
+                        forwarded: fwd_a || fwd_b,
+                        branch_taken,
+                        mem_address: mem.map(MemOp::address),
                     });
 
-                    Slot::Insn(CtrlEntry {
+                    Some(Executed {
                         pc: fetched.pc,
-                        insn,
-                        seq: fetched.seq,
+                        op: insn,
                         rd,
                         value,
                         mem,
@@ -686,9 +585,8 @@ impl Simulator {
             // -------------------------------------------------------------
             let mut dc_redirect: Option<u32> = None;
             let mut dc_out = dc;
-            if let Slot::Insn(fetched) = &mut dc_out {
-                let opcode = fetched.insn.opcode();
-                let taken = match opcode {
+            if let Some(fetched) = &mut dc_out {
+                let taken = match fetched.op.opcode() {
                     Opcode::J | Opcode::Jal => Some(true),
                     Opcode::Bf => Some(flag),
                     Opcode::Bnf => Some(!flag),
@@ -697,12 +595,8 @@ impl Simulator {
                 if let Some(taken) = taken {
                     let target = fetched
                         .pc
-                        .wrapping_add((fetched.insn.imm().unwrap_or(0) as u32).wrapping_mul(4));
-                    fetched.resolution = Some(BranchActivity {
-                        taken,
-                        target,
-                        resolved_in: Stage::Decode,
-                    });
+                        .wrapping_add((fetched.op.imm().unwrap_or(0) as u32).wrapping_mul(4));
+                    fetched.branch_taken = Some(taken);
                     if taken {
                         dc_redirect = Some(target);
                     }
@@ -733,8 +627,8 @@ impl Simulator {
                     && ex_redirect.is_none()
                     && ctl.takeable()
                     && in_range(effective_fetch)
-                    && slot_plain(&fe)
-                    && slot_plain(&dc_out)
+                    && slot_plain(fe.as_ref())
+                    && slot_plain(dc_out.as_ref())
                 {
                     ctl.accept(effective_fetch, seq_counter)?;
                     irq_entry_cycle = true;
@@ -743,60 +637,50 @@ impl Simulator {
                 }
             }
 
-            let new_fe: Slot<Fetched> = if irq_entry_cycle {
-                Slot::Bubble(BubbleKind::IrqEntry)
-            } else if halting {
-                Slot::Bubble(BubbleKind::Drain)
-            } else if ex_redirect.is_some() {
-                Slot::Bubble(BubbleKind::Flush)
-            } else if in_range(effective_fetch) {
-                let seq = seq_counter;
-                seq_counter += 1;
-                Slot::Insn(Fetched {
-                    pc: effective_fetch,
-                    insn: fetch_insn(effective_fetch)?,
-                    seq,
-                    resolution: None,
-                })
+            let new_fe = if irq_entry_cycle
+                || halting
+                || ex_redirect.is_some()
+                || !in_range(effective_fetch)
+            {
+                None
             } else {
-                Slot::Bubble(BubbleKind::Drain)
+                seq_counter += 1;
+                Some(Fetched {
+                    pc: effective_fetch,
+                    op: fetch_insn(effective_fetch)?,
+                    branch_taken: None,
+                })
             };
 
             // -------------------------------------------------------------
             // Record this cycle.
             // -------------------------------------------------------------
-            let adr_occupant = if irq_entry_cycle {
-                Occupant::Bubble(BubbleKind::IrqEntry)
-            } else if let Some(redirecting) = redirect_source(&dc_out, dc_redirect) {
+            let adr = if irq_entry_cycle {
+                None
+            } else if dc_redirect.is_some() {
                 // The control-flow instruction drives the long branch-target
                 // path into the instruction-memory address register this
                 // cycle, so it owns the address-stage endpoint group.
-                redirecting
-            } else if halting {
-                Occupant::Bubble(BubbleKind::Drain)
-            } else if in_range(effective_fetch) {
-                Occupant::Insn {
-                    pc: effective_fetch,
-                    insn: fetch_insn(effective_fetch)?,
-                    seq: seq_counter,
-                }
+                dc_out.map(|f| (f.pc, f.op))
+            } else if !halting && in_range(effective_fetch) {
+                Some((effective_fetch, fetch_insn(effective_fetch)?))
             } else {
-                Occupant::Bubble(BubbleKind::Drain)
+                None
             };
 
             let record = CycleRecord {
                 cycle,
                 stages: [
-                    adr_occupant,
-                    slot_occupant(&fe),
-                    slot_occupant_fetched(&dc_out),
-                    slot_occupant_fetched(&ex),
-                    slot_occupant_ctrl(&ctrl_entry),
-                    slot_occupant_wb(&wb),
+                    occupant(adr),
+                    occupant(fe.map(|f| (f.pc, f.op))),
+                    occupant(dc_out.map(|f| (f.pc, f.op))),
+                    occupant(ex.map(|f| (f.pc, f.op))),
+                    occupant(ctrl_entry.map(|e| (e.pc, e.op))),
+                    occupant(wb.map(|e| (e.pc, e.op))),
                 ],
                 exec: exec_activity,
                 mem_return,
-                writeback: writeback_activity,
+                writeback,
                 fetch_address,
                 fetch_redirected,
                 irq_phase: irq_phase_of(irq.as_ref(), irq_entry_cycle),
@@ -814,31 +698,18 @@ impl Simulator {
             // -------------------------------------------------------------
             // Latch update.
             // -------------------------------------------------------------
-            wb = match ctrl_entry {
-                Slot::Insn(e) => Slot::Insn(WbEntry {
-                    pc: e.pc,
-                    insn: e.insn,
-                    seq: e.seq,
-                    rd: e.rd,
-                    value: e.value,
-                }),
-                Slot::Bubble(kind) => Slot::Bubble(kind),
-            };
+            wb = ctrl_entry;
             ctrl = next_ctrl;
             if halting {
                 // Instructions younger than the exit marker never execute
                 // (they are architecturally after the end of the program),
                 // matching the reference interpreter.
-                ex = Slot::Bubble(BubbleKind::Drain);
-                dc = Slot::Bubble(BubbleKind::Drain);
-                fe = Slot::Bubble(BubbleKind::Drain);
+                ex = None;
+                dc = None;
+                fe = None;
             } else {
                 ex = dc_out;
-                dc = if ex_redirect.is_some() {
-                    Slot::Bubble(BubbleKind::Flush)
-                } else {
-                    fe
-                };
+                dc = if ex_redirect.is_some() { None } else { fe };
                 fe = new_fe;
             }
 
@@ -858,16 +729,14 @@ impl Simulator {
             // the pipeline is now empty.
             if !halting
                 && !in_range(fetch_pc)
-                && fe.is_bubble()
-                && dc.is_bubble()
-                && ex.is_bubble()
-                && ctrl.is_bubble()
-                && wb.is_bubble()
+                && fe.is_none()
+                && dc.is_none()
+                && ex.is_none()
+                && ctrl.is_none()
+                && wb.is_none()
             {
                 break;
             }
-            // Avoid re-borrowing issues for the unused variable warning.
-            let _ = &mut next_ctrl;
         }
 
         if cycle_count >= self.config.max_cycles {
@@ -893,11 +762,11 @@ impl Simulator {
     /// [`MicroOp`] table instead of being re-derived from the instruction
     /// word. When a hinted [`DigestObserver`](crate::DigestObserver) is the
     /// only observer (the fused capture), hazard-free basic-block interiors
-    /// run as bursts with the `Slot`/`Option` unwrapping and control-flow
-    /// checks hoisted out of the loop, folding compact [`FastCycleFacts`]
-    /// into the digest instead of materializing a [`CycleRecord`] per
-    /// cycle. Bit-identical to the reference loop — same [`CycleRecord`]
-    /// stream, digests and errors — pinned by the differential suite.
+    /// run as bursts with the latch unwrapping and control-flow checks
+    /// hoisted out of the loop, folding compact [`FastCycleFacts`] into the
+    /// digest instead of materializing a [`CycleRecord`] per cycle.
+    /// Bit-identical to the reference loop — same [`CycleRecord`] stream,
+    /// digests and errors — pinned by the differential suite.
     #[allow(clippy::too_many_lines)]
     fn run_core_pre(
         &self,
@@ -917,16 +786,17 @@ impl Simulator {
         let ops = pre.ops();
         let n_ops = ops.len() as u32;
         let in_range = |pc: u32| pc >= base && pc < end;
+        let occupant_at =
+            |at: Option<(u32, u32)>| occupant(at.map(|(pc, idx)| (pc, ops[idx as usize].insn)));
 
         let mut fetch_pc = base;
-        let mut fe: Slot<FetchedOp> = Slot::Bubble(BubbleKind::Reset);
-        let mut dc: Slot<FetchedOp> = Slot::Bubble(BubbleKind::Reset);
-        let mut ex: Slot<FetchedOp> = Slot::Bubble(BubbleKind::Reset);
-        let mut ctrl: Slot<CtrlOp> = Slot::Bubble(BubbleKind::Reset);
-        let mut wb: Slot<WbOp> = Slot::Bubble(BubbleKind::Reset);
+        let mut fe: Option<Fetched<u32>> = None;
+        let mut dc: Option<Fetched<u32>> = None;
+        let mut ex: Option<Fetched<u32>> = None;
+        let mut ctrl: Option<Executed<u32>> = None;
+        let mut wb: Option<Executed<u32>> = None;
 
         let mut halting = false;
-        let mut exit_seq: Option<u64> = None;
         let mut seq_counter: u64 = 0;
         let mut retired: u64 = 0;
         let mut cycle_count: u64 = 0;
@@ -944,10 +814,10 @@ impl Simulator {
             // [execute, decode, fetch] oldest-first.
             // -------------------------------------------------------------
             if fused_digest && !halting {
-                if let (Slot::Insn(xe), Slot::Insn(xd), Slot::Insn(xf)) = (&ex, &dc, &fe) {
-                    if ops[xe.idx as usize].is_plain()
-                        && ops[xd.idx as usize].is_plain()
-                        && ops[xf.idx as usize].is_plain()
+                if let (Some(xe), Some(xd), Some(xf)) = (&ex, &dc, &fe) {
+                    if ops[xe.op as usize].is_plain()
+                        && ops[xd.op as usize].is_plain()
+                        && ops[xf.op as usize].is_plain()
                         && in_range(fetch_pc)
                         && (fetch_pc - base).is_multiple_of(INSN_BYTES)
                     {
@@ -978,7 +848,7 @@ impl Simulator {
                                 }
 
                                 let mut wb_value = None;
-                                if let Slot::Insn(entry) = &wb {
+                                if let Some(entry) = &wb {
                                     if let Some(rd) = entry.rd {
                                         regs.write(rd, entry.value);
                                         wb_value = Some(entry.value);
@@ -988,13 +858,13 @@ impl Simulator {
 
                                 let mut mem_return = None;
                                 let mut ctrl_entry = ctrl;
-                                if let Slot::Insn(entry) = &mut ctrl_entry {
+                                if let Some(entry) = &mut ctrl_entry {
                                     match entry.mem {
                                         Some(MemOp::Store { address, value }) => {
                                             store_pre(
                                                 memory,
                                                 irq.as_mut(),
-                                                &ops[entry.idx as usize],
+                                                &ops[entry.op as usize],
                                                 address,
                                                 value,
                                             )?;
@@ -1003,7 +873,7 @@ impl Simulator {
                                             let value = load_pre(
                                                 memory,
                                                 irq.as_mut(),
-                                                &ops[entry.idx as usize],
+                                                &ops[entry.op as usize],
                                                 address,
                                             )?;
                                             entry.value = value;
@@ -1014,10 +884,10 @@ impl Simulator {
                                 }
 
                                 let exe = window[0];
-                                let op = &ops[exe.idx as usize];
-                                let (a, fwd_a) = resolve_operand_pre(op.ra, &ctrl_entry, &wb, regs);
+                                let op = &ops[exe.op as usize];
+                                let (a, fwd_a) = resolve_operand(op.ra, &ctrl_entry, &wb, regs);
                                 let (rb_value, fwd_b) =
-                                    resolve_operand_pre(op.rb, &ctrl_entry, &wb, regs);
+                                    resolve_operand(op.rb, &ctrl_entry, &wb, regs);
                                 let b = op.op_b_imm.unwrap_or(rb_value);
                                 let outcome = predecode::exec_alu(op.alu, a, b, flag, carry);
                                 if let Some(new_flag) = outcome.flag {
@@ -1028,41 +898,35 @@ impl Simulator {
                                 }
                                 let value = outcome.result;
                                 let mem = mem_op_for(op, &outcome, rb_value);
-                                let next_ctrl = Slot::Insn(CtrlOp {
+                                let next_ctrl = Some(Executed {
                                     pc: exe.pc,
-                                    idx: exe.idx,
-                                    seq: exe.seq,
+                                    op: exe.op,
                                     rd: op.rd,
                                     value,
                                     mem,
                                 });
 
-                                let seq = seq_counter;
                                 seq_counter += 1;
 
                                 digest.observe_fast_cycle(&FastCycleFacts {
                                     fetch_address: fetch_addr,
                                     adr_idx: fetch_idx,
-                                    fe_idx: window[2].idx,
-                                    dc_idx: window[1].idx,
-                                    ex_idx: exe.idx,
-                                    ctrl_idx: ctrl_entry.as_ref().map(|e| e.idx),
-                                    wb_idx: wb.as_ref().map(|e| e.idx),
+                                    fe_idx: window[2].op,
+                                    dc_idx: window[1].op,
+                                    ex_idx: exe.op,
+                                    ctrl_idx: ctrl_entry.map(|e| e.op),
+                                    wb_idx: wb.map(|e| e.op),
                                     mem_return,
                                     wb_value,
-                                    op_a: a,
-                                    op_b: b,
-                                    result: value,
-                                    carry_chain: predecode::adder_chain(op.adder, a, b, carry),
-                                    mul_bits: mul_bits_pre(op.is_mul, a, b),
-                                    shift_amount: if op.is_shift { (b & 0x1F) as u8 } else { 0 },
-                                    mem_address: mem.map(|m| match m {
-                                        MemOp::Load { address } | MemOp::Store { address, .. } => {
-                                            address
-                                        }
-                                    }),
-                                    mul_active: op.is_mul,
-                                    forwarded: fwd_a.is_some() || fwd_b.is_some(),
+                                    exec: exec_activity_pre(
+                                        op,
+                                        a,
+                                        b,
+                                        value,
+                                        carry,
+                                        fwd_a || fwd_b,
+                                        mem,
+                                    ),
                                 });
                                 if let Some(ctl) = irq.as_mut() {
                                     for event in ctl.cycle_events() {
@@ -1072,29 +936,19 @@ impl Simulator {
                                 }
                                 cycle_count += 1;
 
-                                wb = match ctrl_entry {
-                                    Slot::Insn(e) => Slot::Insn(WbOp {
-                                        pc: e.pc,
-                                        idx: e.idx,
-                                        seq: e.seq,
-                                        rd: e.rd,
-                                        value: e.value,
-                                    }),
-                                    Slot::Bubble(kind) => Slot::Bubble(kind),
-                                };
+                                wb = ctrl_entry;
                                 ctrl = next_ctrl;
                                 window[0] = window[1];
                                 window[1] = window[2];
-                                window[2] = FetchedOp {
+                                window[2] = Fetched {
                                     pc: fetch_addr,
-                                    idx: fetch_idx,
-                                    seq,
-                                    resolution: None,
+                                    op: fetch_idx,
+                                    branch_taken: None,
                                 };
                             }
-                            ex = Slot::Insn(window[0]);
-                            dc = Slot::Insn(window[1]);
-                            fe = Slot::Insn(window[2]);
+                            ex = Some(window[0]);
+                            dc = Some(window[1]);
+                            fe = Some(window[2]);
                             fetch_pc = base + (fi + k as u32) * INSN_BYTES;
                             continue;
                         }
@@ -1111,38 +965,33 @@ impl Simulator {
                 // controller per burst cycle and `continue`d.
                 ctl.begin_cycle(cycle_count);
             }
-            let mut writeback_activity = None;
+            let mut writeback = None;
             let mut finished = false;
-            if let Some(entry) = wb.as_ref() {
+            if let Some(entry) = wb {
                 if let Some(rd) = entry.rd {
                     regs.write(rd, entry.value);
-                    writeback_activity = Some(WbActivity {
-                        rd,
-                        value: entry.value,
-                    });
+                    writeback = Some(entry.value);
                 }
                 retired += 1;
-                if exit_seq == Some(entry.seq) {
-                    finished = true;
-                }
+                finished = ops[entry.op as usize].ctl == CtlKind::Exit;
             }
 
             let mut mem_return = None;
             let mut ctrl_entry = ctrl;
-            if let Slot::Insn(entry) = &mut ctrl_entry {
+            if let Some(entry) = &mut ctrl_entry {
                 match entry.mem {
                     Some(MemOp::Store { address, value }) => {
                         store_pre(
                             memory,
                             irq.as_mut(),
-                            &ops[entry.idx as usize],
+                            &ops[entry.op as usize],
                             address,
                             value,
                         )?;
                     }
                     Some(MemOp::Load { address }) => {
                         let value =
-                            load_pre(memory, irq.as_mut(), &ops[entry.idx as usize], address)?;
+                            load_pre(memory, irq.as_mut(), &ops[entry.op as usize], address)?;
                         entry.value = value;
                         mem_return = Some(value);
                     }
@@ -1152,18 +1001,17 @@ impl Simulator {
 
             let mut exec_activity = None;
             let mut ex_redirect: Option<u32> = None;
-            let next_ctrl: Slot<CtrlOp> = match ex {
-                Slot::Bubble(kind) => Slot::Bubble(kind),
-                Slot::Insn(fetched) => {
-                    let op = &ops[fetched.idx as usize];
+            let next_ctrl = match ex {
+                None => None,
+                Some(fetched) => {
+                    let op = &ops[fetched.op as usize];
 
                     if op.ctl == CtlKind::Exit {
                         halting = true;
-                        exit_seq = Some(fetched.seq);
                     }
 
-                    let (a, fwd_a) = resolve_operand_pre(op.ra, &ctrl_entry, &wb, regs);
-                    let (rb_value, fwd_b) = resolve_operand_pre(op.rb, &ctrl_entry, &wb, regs);
+                    let (a, fwd_a) = resolve_operand(op.ra, &ctrl_entry, &wb, regs);
+                    let (rb_value, fwd_b) = resolve_operand(op.rb, &ctrl_entry, &wb, regs);
                     let b = op.op_b_imm.unwrap_or(rb_value);
                     let outcome = predecode::exec_alu(op.alu, a, b, flag, carry);
 
@@ -1176,7 +1024,7 @@ impl Simulator {
 
                     let mut value = outcome.result;
                     let mut rd = op.rd;
-                    let mut branch = fetched.resolution;
+                    let mut branch_taken = fetched.branch_taken;
                     match op.ctl {
                         CtlKind::Jump { link: true } => {
                             rd = Some(Reg::LINK);
@@ -1188,11 +1036,7 @@ impl Simulator {
                                 value = fetched.pc.wrapping_add(8);
                             }
                             ex_redirect = Some(rb_value);
-                            branch = Some(BranchActivity {
-                                taken: true,
-                                target: rb_value,
-                                resolved_in: Stage::Execute,
-                            });
+                            branch_taken = Some(true);
                         }
                         CtlKind::Rfe => {
                             // Twin of the reference loop's `Opcode::Rfe`
@@ -1202,40 +1046,21 @@ impl Simulator {
                                 irq.as_mut().and_then(|ctl| ctl.rfe_retire(seq_counter))
                             {
                                 ex_redirect = Some(target);
-                                branch = Some(BranchActivity {
-                                    taken: true,
-                                    target,
-                                    resolved_in: Stage::Execute,
-                                });
+                                branch_taken = Some(true);
                             }
                         }
                         _ => {}
                     }
 
                     let mem = mem_op_for(op, &outcome, rb_value);
-                    let mem_request = mem.map(|m| mem_request_for(op, m));
-
                     exec_activity = Some(ExecActivity {
-                        pc: fetched.pc,
-                        insn: op.insn,
-                        op_a: a,
-                        op_b: b,
-                        result: value,
-                        carry_chain: predecode::adder_chain(op.adder, a, b, carry),
-                        mul_active: op.is_mul,
-                        mul_bits: mul_bits_pre(op.is_mul, a, b),
-                        shift_amount: if op.is_shift { (b & 0x1F) as u8 } else { 0 },
-                        forward_a: fwd_a,
-                        forward_b: fwd_b,
-                        flag_written: outcome.flag,
-                        branch,
-                        mem_request,
+                        branch_taken,
+                        ..exec_activity_pre(op, a, b, value, carry, fwd_a || fwd_b, mem)
                     });
 
-                    Slot::Insn(CtrlOp {
+                    Some(Executed {
                         pc: fetched.pc,
-                        idx: fetched.idx,
-                        seq: fetched.seq,
+                        op: fetched.op,
                         rd,
                         value,
                         mem,
@@ -1245,8 +1070,8 @@ impl Simulator {
 
             let mut dc_redirect: Option<u32> = None;
             let mut dc_out = dc;
-            if let Slot::Insn(fetched) = &mut dc_out {
-                let op = &ops[fetched.idx as usize];
+            if let Some(fetched) = &mut dc_out {
+                let op = &ops[fetched.op as usize];
                 let taken = match op.ctl {
                     CtlKind::Jump { .. } => Some(true),
                     CtlKind::BranchIfFlag => Some(flag),
@@ -1254,14 +1079,9 @@ impl Simulator {
                     _ => None,
                 };
                 if let Some(taken) = taken {
-                    let target = fetched.pc.wrapping_add(op.branch_disp);
-                    fetched.resolution = Some(BranchActivity {
-                        taken,
-                        target,
-                        resolved_in: Stage::Decode,
-                    });
+                    fetched.branch_taken = Some(taken);
                     if taken {
-                        dc_redirect = Some(target);
+                        dc_redirect = Some(fetched.pc.wrapping_add(op.branch_disp));
                     }
                 }
             }
@@ -1282,8 +1102,8 @@ impl Simulator {
                     && ex_redirect.is_none()
                     && ctl.takeable()
                     && in_range(effective_fetch)
-                    && slot_plain_op(ops, &fe)
-                    && slot_plain_op(ops, &dc_out)
+                    && slot_plain_op(ops, fe.as_ref())
+                    && slot_plain_op(ops, dc_out.as_ref())
                 {
                     ctl.accept(effective_fetch, seq_counter)?;
                     irq_entry_cycle = true;
@@ -1292,59 +1112,45 @@ impl Simulator {
                 }
             }
 
-            let new_fe: Slot<FetchedOp> = if irq_entry_cycle {
-                Slot::Bubble(BubbleKind::IrqEntry)
-            } else if halting {
-                Slot::Bubble(BubbleKind::Drain)
-            } else if ex_redirect.is_some() {
-                Slot::Bubble(BubbleKind::Flush)
-            } else if in_range(effective_fetch) {
-                let idx = pre.fetch_index(effective_fetch)?;
-                let seq = seq_counter;
-                seq_counter += 1;
-                Slot::Insn(FetchedOp {
-                    pc: effective_fetch,
-                    idx,
-                    seq,
-                    resolution: None,
-                })
+            let new_fe = if irq_entry_cycle
+                || halting
+                || ex_redirect.is_some()
+                || !in_range(effective_fetch)
+            {
+                None
             } else {
-                Slot::Bubble(BubbleKind::Drain)
+                let idx = pre.fetch_index(effective_fetch)?;
+                seq_counter += 1;
+                Some(Fetched {
+                    pc: effective_fetch,
+                    op: idx,
+                    branch_taken: None,
+                })
             };
 
-            let adr_occupant = if irq_entry_cycle {
-                Occupant::Bubble(BubbleKind::IrqEntry)
-            } else if let (Some(_), Slot::Insn(f)) = (dc_redirect, &dc_out) {
-                Occupant::Insn {
-                    pc: f.pc,
-                    insn: ops[f.idx as usize].insn,
-                    seq: f.seq,
-                }
-            } else if halting {
-                Occupant::Bubble(BubbleKind::Drain)
-            } else if in_range(effective_fetch) {
-                Occupant::Insn {
-                    pc: effective_fetch,
-                    insn: ops[pre.fetch_index(effective_fetch)? as usize].insn,
-                    seq: seq_counter,
-                }
+            let adr = if irq_entry_cycle {
+                None
+            } else if dc_redirect.is_some() {
+                dc_out.map(|f| (f.pc, f.op))
+            } else if !halting && in_range(effective_fetch) {
+                Some((effective_fetch, pre.fetch_index(effective_fetch)?))
             } else {
-                Occupant::Bubble(BubbleKind::Drain)
+                None
             };
 
             let record = CycleRecord {
                 cycle: cycle_count,
                 stages: [
-                    adr_occupant,
-                    fetched_op_slot_occupant(ops, &fe),
-                    fetched_op_slot_occupant(ops, &dc_out),
-                    fetched_op_slot_occupant(ops, &ex),
-                    ctrl_op_occupant(ops, &ctrl_entry),
-                    wb_op_occupant(ops, &wb),
+                    occupant_at(adr),
+                    occupant_at(fe.map(|f| (f.pc, f.op))),
+                    occupant_at(dc_out.map(|f| (f.pc, f.op))),
+                    occupant_at(ex.map(|f| (f.pc, f.op))),
+                    occupant_at(ctrl_entry.map(|e| (e.pc, e.op))),
+                    occupant_at(wb.map(|e| (e.pc, e.op))),
                 ],
                 exec: exec_activity,
                 mem_return,
-                writeback: writeback_activity,
+                writeback,
                 fetch_address,
                 fetch_redirected,
                 irq_phase: irq_phase_of(irq.as_ref(), irq_entry_cycle),
@@ -1359,28 +1165,15 @@ impl Simulator {
                 break;
             }
 
-            wb = match ctrl_entry {
-                Slot::Insn(e) => Slot::Insn(WbOp {
-                    pc: e.pc,
-                    idx: e.idx,
-                    seq: e.seq,
-                    rd: e.rd,
-                    value: e.value,
-                }),
-                Slot::Bubble(kind) => Slot::Bubble(kind),
-            };
+            wb = ctrl_entry;
             ctrl = next_ctrl;
             if halting {
-                ex = Slot::Bubble(BubbleKind::Drain);
-                dc = Slot::Bubble(BubbleKind::Drain);
-                fe = Slot::Bubble(BubbleKind::Drain);
+                ex = None;
+                dc = None;
+                fe = None;
             } else {
                 ex = dc_out;
-                dc = if ex_redirect.is_some() {
-                    Slot::Bubble(BubbleKind::Flush)
-                } else {
-                    fe
-                };
+                dc = if ex_redirect.is_some() { None } else { fe };
                 fe = new_fe;
             }
 
@@ -1396,11 +1189,11 @@ impl Simulator {
 
             if !halting
                 && !in_range(fetch_pc)
-                && fe.is_bubble()
-                && dc.is_bubble()
-                && ex.is_bubble()
-                && ctrl.is_bubble()
-                && wb.is_bubble()
+                && fe.is_none()
+                && dc.is_none()
+                && ex.is_none()
+                && ctrl.is_none()
+                && wb.is_none()
             {
                 break;
             }
@@ -1425,37 +1218,36 @@ impl Simulator {
     }
 }
 
+/// `true` for the `l.nop 1` exit marker (the reference loop's twin of
+/// [`CtlKind::Exit`]).
+fn is_exit(insn: &Insn) -> bool {
+    insn.opcode() == Opcode::Nop && insn.imm() == Some(i32::from(NOP_EXIT))
+}
+
 /// `true` when the reference-engine slot holds a bubble or a *plain*
 /// instruction — no control flow, not the exit marker. The interrupt-accept
 /// guard requires plain-or-bubble fetch/decode slots so that nothing
 /// in flight can redirect or halt during the entry flush; this is the
 /// reference-engine twin of [`MicroOp::is_plain`] (pinned equivalent by the
 /// differential suite).
-fn slot_plain(slot: &Slot<Fetched>) -> bool {
-    match slot {
-        Slot::Bubble(_) => true,
-        Slot::Insn(f) => {
-            let opcode = f.insn.opcode();
-            !(matches!(
-                opcode,
-                Opcode::J
-                    | Opcode::Jal
-                    | Opcode::Jr
-                    | Opcode::Jalr
-                    | Opcode::Bf
-                    | Opcode::Bnf
-                    | Opcode::Rfe
-            ) || (opcode == Opcode::Nop && f.insn.imm() == Some(i32::from(NOP_EXIT))))
-        }
-    }
+fn slot_plain(slot: Option<&Fetched<Insn>>) -> bool {
+    slot.is_none_or(|f| {
+        !(matches!(
+            f.op.opcode(),
+            Opcode::J
+                | Opcode::Jal
+                | Opcode::Jr
+                | Opcode::Jalr
+                | Opcode::Bf
+                | Opcode::Bnf
+                | Opcode::Rfe
+        ) || is_exit(&f.op))
+    })
 }
 
 /// Predecoded-engine twin of [`slot_plain`].
-fn slot_plain_op(ops: &[MicroOp], slot: &Slot<FetchedOp>) -> bool {
-    match slot {
-        Slot::Bubble(_) => true,
-        Slot::Insn(f) => ops[f.idx as usize].is_plain(),
-    }
+fn slot_plain_op(ops: &[MicroOp], slot: Option<&Fetched<u32>>) -> bool {
+    slot.is_none_or(|f| ops[f.op as usize].is_plain())
 }
 
 /// The live interrupt phase of the cycle being recorded: entry-flush cycles
@@ -1483,112 +1275,39 @@ fn drain_events(irq: Option<&mut InterruptController>, observers: &mut [&mut dyn
     ctl.clear_cycle_events();
 }
 
-fn redirect_source(dc_out: &Slot<Fetched>, dc_redirect: Option<u32>) -> Option<Occupant> {
-    let target = dc_redirect?;
-    let fetched = dc_out.as_ref()?;
-    let _ = target;
-    Some(Occupant::Insn {
-        pc: fetched.pc,
-        insn: fetched.insn,
-        seq: fetched.seq,
-    })
-}
-
-fn slot_occupant(slot: &Slot<Fetched>) -> Occupant {
-    slot_occupant_fetched(slot)
-}
-
-fn slot_occupant_fetched(slot: &Slot<Fetched>) -> Occupant {
-    match slot {
-        Slot::Insn(f) => Occupant::Insn {
-            pc: f.pc,
-            insn: f.insn,
-            seq: f.seq,
-        },
-        Slot::Bubble(kind) => Occupant::Bubble(*kind),
+/// The record occupant of a stage holding the instruction `insn` at `pc`,
+/// or a bubble.
+fn occupant(at: Option<(u32, Insn)>) -> Occupant {
+    match at {
+        Some((pc, insn)) => Occupant::Insn { pc, insn },
+        None => Occupant::Bubble,
     }
 }
 
-fn slot_occupant_ctrl(slot: &Slot<CtrlEntry>) -> Occupant {
-    match slot {
-        Slot::Insn(e) => Occupant::Insn {
-            pc: e.pc,
-            insn: e.insn,
-            seq: e.seq,
-        },
-        Slot::Bubble(kind) => Occupant::Bubble(*kind),
-    }
-}
-
-fn slot_occupant_wb(slot: &Slot<WbEntry>) -> Occupant {
-    match slot {
-        Slot::Insn(e) => Occupant::Insn {
-            pc: e.pc,
-            insn: e.insn,
-            seq: e.seq,
-        },
-        Slot::Bubble(kind) => Occupant::Bubble(*kind),
-    }
-}
-
-fn fetched_op_occupant(ops: &[MicroOp], f: &FetchedOp) -> Occupant {
-    Occupant::Insn {
-        pc: f.pc,
-        insn: ops[f.idx as usize].insn,
-        seq: f.seq,
-    }
-}
-
-fn fetched_op_slot_occupant(ops: &[MicroOp], slot: &Slot<FetchedOp>) -> Occupant {
-    match slot {
-        Slot::Insn(f) => fetched_op_occupant(ops, f),
-        Slot::Bubble(kind) => Occupant::Bubble(*kind),
-    }
-}
-
-fn ctrl_op_occupant(ops: &[MicroOp], slot: &Slot<CtrlOp>) -> Occupant {
-    match slot {
-        Slot::Insn(e) => Occupant::Insn {
-            pc: e.pc,
-            insn: ops[e.idx as usize].insn,
-            seq: e.seq,
-        },
-        Slot::Bubble(kind) => Occupant::Bubble(*kind),
-    }
-}
-
-fn wb_op_occupant(ops: &[MicroOp], slot: &Slot<WbOp>) -> Occupant {
-    match slot {
-        Slot::Insn(e) => Occupant::Insn {
-            pc: e.pc,
-            insn: ops[e.idx as usize].insn,
-            seq: e.seq,
-        },
-        Slot::Bubble(kind) => Occupant::Bubble(*kind),
-    }
-}
-
-fn resolve_operand_pre(
+/// The execute stage's view of source register `reg`: the value forwarded
+/// from the control latch, else from the writeback latch, else the register
+/// file, and whether it was forwarded.
+fn resolve_operand<I>(
     reg: Option<Reg>,
-    ctrl: &Slot<CtrlOp>,
-    wb: &Slot<WbOp>,
+    ctrl: &Option<Executed<I>>,
+    wb: &Option<Executed<I>>,
     regs: &RegisterFile,
-) -> (u32, Option<ForwardSource>) {
-    let Some(reg) = reg else { return (0, None) };
+) -> (u32, bool) {
+    let Some(reg) = reg else { return (0, false) };
     if reg.is_zero() {
-        return (0, None);
+        return (0, false);
     }
-    if let Some(entry) = ctrl.as_ref() {
+    if let Some(entry) = ctrl {
         if entry.rd == Some(reg) {
-            return (entry.value, Some(ForwardSource::Control));
+            return (entry.value, true);
         }
     }
-    if let Some(entry) = wb.as_ref() {
+    if let Some(entry) = wb {
         if entry.rd == Some(reg) {
-            return (entry.value, Some(ForwardSource::Writeback));
+            return (entry.value, true);
         }
     }
-    (regs.read(reg), None)
+    (regs.read(reg), false)
 }
 
 fn mem_op_for(op: &MicroOp, outcome: &alu::AluOutcome, rb_value: u32) -> Option<MemOp> {
@@ -1606,20 +1325,31 @@ fn mem_op_for(op: &MicroOp, outcome: &alu::AluOutcome, rb_value: u32) -> Option<
     }
 }
 
-fn mem_request_for(op: &MicroOp, mem: MemOp) -> MemRequest {
-    match mem {
-        MemOp::Load { address } => MemRequest {
-            address,
-            width: op.mem_width,
-            is_store: false,
-            value: 0,
-        },
-        MemOp::Store { address, value } => MemRequest {
-            address,
-            width: op.mem_width,
-            is_store: true,
-            value,
-        },
+/// The execute-stage activity of micro-op `op` on operands `a` and `b`,
+/// latching `result`, with no branch resolved: the one builder of the burst
+/// and the per-cycle predecoded path. `carry` is the carry flag after `op`
+/// executed, as the reference loop's `adder_chain` reads it.
+#[inline(always)]
+fn exec_activity_pre(
+    op: &MicroOp,
+    a: u32,
+    b: u32,
+    result: u32,
+    carry: bool,
+    forwarded: bool,
+    mem: Option<MemOp>,
+) -> ExecActivity {
+    ExecActivity {
+        op_a: a,
+        op_b: b,
+        result,
+        carry_chain: predecode::adder_chain(op.adder, a, b, carry),
+        mul_active: op.is_mul,
+        mul_bits: mul_bits_pre(op.is_mul, a, b),
+        shift_amount: if op.is_shift { (b & 0x1F) as u8 } else { 0 },
+        forwarded,
+        branch_taken: None,
+        mem_address: mem.map(MemOp::address),
     }
 }
 
@@ -1675,29 +1405,6 @@ fn store_pre(
         MemKind::StoreByte => memory.store_byte(address, value as u8),
         _ => Ok(()),
     }
-}
-
-fn resolve_operand(
-    reg: Option<Reg>,
-    ctrl: &Slot<CtrlEntry>,
-    wb: &Slot<WbEntry>,
-    regs: &RegisterFile,
-) -> (u32, Option<ForwardSource>) {
-    let Some(reg) = reg else { return (0, None) };
-    if reg.is_zero() {
-        return (0, None);
-    }
-    if let Some(entry) = ctrl.as_ref() {
-        if entry.rd == Some(reg) {
-            return (entry.value, Some(ForwardSource::Control));
-        }
-    }
-    if let Some(entry) = wb.as_ref() {
-        if entry.rd == Some(reg) {
-            return (entry.value, Some(ForwardSource::Writeback));
-        }
-    }
-    (regs.read(reg), None)
 }
 
 fn adder_chain(opcode: Opcode, a: u32, b: u32, carry: bool) -> u8 {
@@ -1772,7 +1479,7 @@ fn store(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DigestObserver, Interpreter};
+    use crate::{DigestObserver, Interpreter, Stage};
     use idca_isa::asm::Assembler;
 
     fn assemble(src: &str) -> Program {
@@ -1917,21 +1624,29 @@ mod tests {
 
     #[test]
     fn branch_activity_reports_decode_resolution() {
+        // Each resolved branch or jump reports its direction once, in the
+        // cycle it occupies execute: a taken and a not-taken branch and an
+        // `l.jal`, all resolved in decode, then an `l.jr` resolved in
+        // execute.
         let sim = run("        l.sfeq r0, r0
                      l.bf   target
                      l.nop  0
                      l.addi r3, r0, 9
              target: l.addi r4, r0, 7
-                     l.nop  1");
-        let branch = sim
+                     l.bnf  target
+                     l.nop  0
+                     l.jal  func
+                     l.nop  0
+                     l.nop  1
+             func:   l.jr   r9
+                     l.nop  0");
+        let resolved: Vec<bool> = sim
             .trace
             .cycles()
             .iter()
-            .filter_map(|c| c.exec.as_ref())
-            .find_map(|e| e.branch)
-            .expect("branch recorded");
-        assert!(branch.taken);
-        assert_eq!(branch.resolved_in, Stage::Decode);
+            .filter_map(|c| c.exec.as_ref()?.branch_taken)
+            .collect();
+        assert_eq!(resolved, [true, false, true, true]);
         // The skipped instruction must not have executed.
         assert_eq!(sim.state.reg(Reg::r(3)), 0);
         assert_eq!(sim.state.reg(Reg::r(4)), 7);
@@ -2058,10 +1773,7 @@ mod tests {
             let record = &cycles[first_entry + offset];
             assert_eq!(record.irq_phase, IrqPhase::Entry, "offset {offset}");
             assert_eq!(record.fetch_address, plan.vector());
-            assert!(matches!(
-                record.stages[Stage::Address as usize],
-                Occupant::Bubble(BubbleKind::IrqEntry)
-            ));
+            assert_eq!(record.stages[Stage::Address as usize], Occupant::Bubble);
         }
         assert_eq!(cycles[first_entry + 4].irq_phase, IrqPhase::Handler);
         // The handler runs and returns: phases go back to None afterwards.

@@ -123,7 +123,7 @@ impl TraceStats {
     pub fn observe(&mut self, record: &CycleRecord) {
         self.count(
             record.timing_class(Stage::Execute),
-            CycleRecordFlags::of_record(record),
+            CycleRecordFlags::of_exec(record.exec.as_ref()),
         );
     }
 
@@ -192,12 +192,12 @@ impl CycleObserver for TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BubbleKind, Occupant};
+    use crate::Occupant;
 
     fn empty_record(cycle: u64) -> CycleRecord {
         CycleRecord {
             cycle,
-            stages: [Occupant::Bubble(BubbleKind::Reset); Stage::COUNT],
+            stages: [Occupant::Bubble; Stage::COUNT],
             exec: None,
             mem_return: None,
             writeback: None,
