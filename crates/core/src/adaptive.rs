@@ -400,7 +400,7 @@ fn table_index(stage: Stage, class: TimingClass) -> usize {
 /// padded to [`LANE_WIDTH`]. They run in the copy the bank's width selects
 /// ([`LaneIsa::for_lanes`]): the one-chunk copy at 1–4 corners, the AVX2
 /// copy from 32 padded lanes on a CPU with AVX2, the baseline otherwise.
-/// Every pass runs over all padded lanes, so a one-chunk bank has no
+/// Every pass that runs covers all padded lanes, so a one-chunk bank has no
 /// runtime trip count at all. Padding lanes are inert: they request 0, see
 /// 0 and never violate, and [`AdaptiveBank::finish`] reads only the corner
 /// lanes.
@@ -411,6 +411,20 @@ fn table_index(stage: Stage, class: TimingClass) -> usize {
 /// the per-cycle bump all touch the lanes of an entry together — and so is
 /// the number of cycles spent warming up. Each is one scalar, not a lane
 /// vector.
+///
+/// The bank skips the grow passes that cannot move a lane. An unperturbed
+/// cycle's stage lanes are non-increasing in the stage's corner-invariant
+/// shortfall `1 - excitation` ([`CycleLanes::pure_shortfalls`]), and
+/// without drift so is the grow target `delay × (1 + margin)`. Once an
+/// entry's grow pass ran at shortfall `x₀`, a later unperturbed,
+/// violation-free cycle at `x ≥ x₀` cannot raise any of its lanes, so each
+/// entry keeps one scalar floor, the least shortfall its pass ran at, and
+/// skips exactly those passes. A violated cycle's backoff can lower a lane
+/// (to twice its static period), so it clears the floors of the entries it
+/// touches; [`AdaptiveBank::reset`] and lanes from another corner bank
+/// clear them all. A bank of one chunk (1–4 corners) runs every pass: its
+/// grow pass is a single chunk, which costs less than the floor test and
+/// its hard-to-predict branch.
 ///
 /// Every lane performs **exactly** the scalar arithmetic of
 /// [`AdaptiveObserver`] in the same order, so outcome `i` is bit-identical
@@ -455,6 +469,21 @@ pub struct AdaptiveBank<'a> {
     outcomes: Option<Vec<AdaptiveOutcome>>,
     // The copy of the lanes kernel this bank runs.
     isa: LaneIsa,
+    /// Whether the floors may skip grow passes, fixed at construction: the
+    /// bank has no drift and its margin factor is positive and finite, so
+    /// the grow target is non-increasing in the lanes. Only banks wider
+    /// than one chunk use them.
+    skips: bool,
+    /// The shortfall floor of each `(stage, class)` entry (indexed by
+    /// `table_index`): a pure cycle of the corner bank keyed `floor_key` at
+    /// a shortfall at or above it cannot raise the entry's lanes. `+inf`
+    /// until a pass runs.
+    floor: Vec<f64>,
+    /// The key of the corner bank the floors hold for.
+    floor_key: u64,
+    /// Grow passes skipped so far, for the tests' coverage check.
+    #[cfg(test)]
+    skipped_passes: u64,
 }
 
 impl<'a> AdaptiveBank<'a> {
@@ -500,6 +529,7 @@ impl<'a> AdaptiveBank<'a> {
         // read back.
         static_periods.resize(padded, 0.0);
         let table_len = Stage::COUNT * TimingClass::COUNT;
+        let margin_factor = 1.0 + config.margin;
         let mut bank = AdaptiveBank {
             config: *config,
             generator,
@@ -522,6 +552,11 @@ impl<'a> AdaptiveBank<'a> {
             violation_limit: vec![Ps::INFINITY; padded],
             outcomes: None,
             isa: LaneIsa::for_lanes(padded),
+            skips: drift == Drift::None && margin_factor > 0.0 && margin_factor.is_finite(),
+            floor: vec![Ps::INFINITY; table_len],
+            floor_key: 0,
+            #[cfg(test)]
+            skipped_passes: 0,
         };
         bank.reset(seed_lut);
         bank
@@ -533,6 +568,14 @@ impl<'a> AdaptiveBank<'a> {
     #[cfg(test)]
     pub(crate) fn with_isa(mut self, isa: LaneIsa) -> Self {
         self.isa = isa;
+        self
+    }
+
+    /// Runs every grow pass, past the floors, so tests can compare the
+    /// skipping bank against one that skips nothing.
+    #[cfg(test)]
+    pub(crate) fn with_every_pass(mut self) -> Self {
+        self.skips = false;
         self
     }
 
@@ -555,6 +598,7 @@ impl<'a> AdaptiveBank<'a> {
     pub fn reset(&mut self, seed_lut: Option<&DelayLut>) {
         self.learned.fill(0.0);
         self.observations.fill(0);
+        self.floor.fill(Ps::INFINITY);
         if let Some(lut) = seed_lut {
             for stage in Stage::ALL {
                 for class in TimingClass::ALL {
@@ -638,7 +682,11 @@ impl<'a> AdaptiveBank<'a> {
     /// flag per cycle, the generator's variant is dispatched once per
     /// cycle, and the violation classification and the backoff fold run
     /// only on cycles where some lane violated — otherwise the adapt pass
-    /// is a grow-only running maximum.
+    /// is a grow-only running maximum. On unperturbed lanes
+    /// ([`CycleLanes::pure_shortfalls`]) of a bank wider than one chunk
+    /// and without drift, that grow pass is skipped for every entry whose
+    /// shortfall floor rules out a change (see [`AdaptiveBank`]); purity,
+    /// drift and the bank key are tested once per cycle.
     ///
     /// `entry` is the cycle's interrupt-entry classification — the bank
     /// lives in `'static` worker scratch, so it cannot hold a borrowed
@@ -805,11 +853,40 @@ impl<'a> AdaptiveBank<'a> {
         //    chunks (compile-time trip count, packed compare-and-blend).
         //    Padding lanes carry a 0 delay, a 0 static period and a `+inf`
         //    violation limit; their learned entries are never read back.
+        //    On a pure, violation-free cycle of a bank that skips, an entry
+        //    whose floor is at or below its stage's shortfall skips the
+        //    grow pass, which could not raise a lane. A bank of one chunk
+        //    runs every pass: the test is constant there in the one-chunk
+        //    copy, which drops the floor code.
         let margin_factor = 1.0 + self.config.margin;
         let backoff_factor = 1.0 + self.config.violation_backoff;
+        let floors = self.skips && padded > LANE_WIDTH;
+        let pure = if floors && !any_violated {
+            lanes.pure_shortfalls()
+        } else {
+            None
+        };
+        let shortfalls = pure.map(|(key, shortfalls)| {
+            if key != self.floor_key {
+                self.floor.fill(Ps::INFINITY);
+                self.floor_key = key;
+            }
+            shortfalls
+        });
         for stage in Stage::ALL {
             let entry = table_index(stage, dc.classes[stage.index()]);
             self.observations[entry] += 1;
+            if let Some(shortfalls) = shortfalls {
+                let shortfall = shortfalls[stage.index()];
+                if shortfall >= self.floor[entry] {
+                    #[cfg(test)]
+                    {
+                        self.skipped_passes += 1;
+                    }
+                    continue;
+                }
+                self.floor[entry] = shortfall;
+            }
             let at = entry * padded;
             let learned = &mut self.learned[at..at + padded];
             let observed_lanes = &lanes.stage_lanes(stage)[..padded];
@@ -841,6 +918,10 @@ impl<'a> AdaptiveBank<'a> {
                         let backoff = observed + 1e-9 > limit4[l];
                         learned4[l] = if backoff { backed } else { grown };
                     }
+                }
+                // The backoff's cap can take a lane below its grown value.
+                if floors {
+                    self.floor[entry] = Ps::INFINITY;
                 }
             } else {
                 // Grow-only: every violation limit is `+inf`, so the fold
@@ -1231,6 +1312,276 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The scenarios [`floors_never_change_a_result`] cycles through.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Scenario {
+        Clean,
+        Faults,
+        Surges,
+        Drifting,
+        SeedLut,
+        Quantized,
+        Discrete,
+        /// Static periods scaled by 0.30–0.35, so backoffs hit the 2× cap:
+        /// it lies below the grown value of the slowest entries, and a
+        /// backoff lowers them.
+        ScaledStatic,
+        /// Lanes of a slower bank of the same width from a drawn cycle on,
+        /// without a reset.
+        BankSwitch,
+    }
+
+    /// Learned periods (as bits) and observation counts, entry by entry.
+    type Table = Vec<(u64, u64)>;
+
+    /// Every table entry of every corner, corner-major.
+    fn learned_bits(bank: &AdaptiveBank<'_>) -> Table {
+        (0..bank.corners())
+            .flat_map(|corner| {
+                Stage::ALL.into_iter().flat_map(move |stage| {
+                    TimingClass::ALL.into_iter().map(move |class| {
+                        (
+                            bank.learned_ps(corner, stage, class).to_bits(),
+                            bank.observation_count(corner, stage, class),
+                        )
+                    })
+                })
+            })
+            .collect()
+    }
+
+    /// The shortfall floors skip grow passes without changing a result: a
+    /// bank with floors equals the same bank running every grow pass (its
+    /// outcomes, learned tables and observation counts) in every copy of
+    /// the kernel, and equals one scalar observer per corner wherever its
+    /// static periods are the models' own. A clean walk of a bank wider
+    /// than one chunk skips more than three quarters of its entry updates;
+    /// a bank of one chunk skips none.
+    #[test]
+    fn floors_never_change_a_result() {
+        use idca_cases::property;
+        use idca_gen::{generate_program, nth_seed, GenConfig};
+        use idca_pipeline::{InterruptPlan, InterruptSpec};
+        use idca_timing::{FaultSpec, VariationModel};
+        use Scenario::*;
+        const SCENARIOS: [Scenario; 9] = [
+            Clean,
+            Faults,
+            Surges,
+            Drifting,
+            SeedLut,
+            Quantized,
+            Discrete,
+            ScaledStatic,
+            BankSwitch,
+        ];
+        // Every scenario meets a multi-chunk width past the AVX2 gate and
+        // `sweep-fleet`'s one-chunk width first, where the bank runs every
+        // pass, then the rest of 1–5 corners.
+        const CORNERS: [u32; 6] = [37, 2, 5, 1, 4, 3];
+        property!(
+            floors_never_change_a_result,
+            master = 0xCA5E_001A,
+            cases = 18
+        )
+        .run(|case| {
+            let index = case.index() as usize;
+            let scenario = SCENARIOS[index % SCENARIOS.len()];
+            let corners = CORNERS[index / SCENARIOS.len() % CORNERS.len()];
+            let seed = case.u64();
+            let config = AdaptiveConfig::default();
+            let nominal = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
+            let models = varied_models(corners, seed);
+
+            let program = generate_program(nth_seed(seed, 0), &GenConfig::default());
+            let irq = (scenario == Surges).then(|| InterruptSpec {
+                seed: case.u64(),
+                rate: f64::from(case.int(1u32..=20)) / 1000.0,
+                penalty: case.int(1u32..=8),
+                surge: case.f64(0.05..0.5),
+                ..InterruptSpec::default()
+            });
+            let mut capture = DigestObserver::new();
+            match &irq {
+                Some(spec) => {
+                    let (attached, plan) = InterruptPlan::attach(&program, spec);
+                    Simulator::new(SimConfig::default())
+                        .with_interrupts(plan)
+                        .run_observed(&attached, &mut [&mut capture])
+                }
+                None => {
+                    Simulator::new(SimConfig::default()).run_observed(&program, &mut [&mut capture])
+                }
+            }
+            .expect("generated programs terminate");
+            let digest = capture.into_digest();
+            let timeline = irq.map(|spec| IrqTimeline::from_events(digest.events(), spec.penalty));
+            let surge_factor = irq.map_or(1.0, |spec| 1.0 + spec.surge);
+
+            let plan = (scenario == Faults).then(|| {
+                FaultPlan::new(&FaultSpec {
+                    seed: case.u64(),
+                    droop_rate: case.f64(0.0..0.5),
+                    droop_mag: case.f64(0.0..0.4),
+                    spike_rate: case.f64(0.0..0.05),
+                    spike_mag: case.f64(0.0..0.5),
+                    shift_mag: case.f64(0.0..0.1),
+                    replay_penalty: case.int(1u32..=8),
+                    ..FaultSpec::default()
+                })
+            });
+            let drift = if scenario == Drifting {
+                Drift::LinearSlowdown {
+                    fraction_per_kilocycle: case.f64(0.005..0.03),
+                }
+            } else {
+                Drift::None
+            };
+            let seed_table = DelayLut::from_model(&nominal);
+            let seed_lut = (scenario == SeedLut).then_some(&seed_table);
+            let generator = match scenario {
+                Quantized => ClockGenerator::quantized_50ps(),
+                Discrete => ClockGenerator::discrete(8, 900.0, 2100.0),
+                _ => ClockGenerator::Ideal,
+            };
+            let static_scale = if scenario == ScaledStatic {
+                case.f64(0.3..0.35)
+            } else {
+                1.0
+            };
+            let static_periods: Vec<Ps> = models
+                .iter()
+                .map(|m| m.static_period_ps() * static_scale)
+                .collect();
+            // The second bank runs at a lower supply voltage, so its lanes
+            // are slower and a floor carried over from the first would skip
+            // passes that raise them.
+            let (second_models, switch_at) = if scenario == BankSwitch {
+                let slow = TimingModel::with_voltage(ProfileKind::CriticalRangeOptimized, 600)
+                    .expect("600 mV is characterized");
+                let vm = VariationModel::default();
+                let slow_models = (0..corners)
+                    .map(|i| vm.apply(&slow, &vm.sample_corner(seed, i)))
+                    .collect();
+                (slow_models, case.int(0..=digest.cycles()))
+            } else {
+                (models.clone(), u64::MAX)
+            };
+
+            let first = CornerBank::from_models(&models);
+            let second = CornerBank::from_models(&second_models);
+            let copies = [
+                LaneIsa::BASELINE,
+                LaneIsa::detected(),
+                LaneIsa::for_lanes(first.padded_lanes()),
+            ];
+            let new_bank = |isa| {
+                let bank = AdaptiveBank::from_static_periods(
+                    static_periods.clone(),
+                    &config,
+                    &generator,
+                    seed_lut,
+                    drift,
+                )
+                .with_isa(isa);
+                match plan {
+                    Some(plan) => bank.with_faults(plan),
+                    None => bank,
+                }
+            };
+            let mut floored: Vec<AdaptiveBank<'_>> = copies.map(new_bank).into();
+            let mut every: Vec<AdaptiveBank<'_>> =
+                copies.map(|isa| new_bank(isa).with_every_pass()).into();
+            let perturbation = Perturbation {
+                faults: plan.as_ref(),
+                surge_factor,
+            };
+            let mut evaluators = [first.evaluator(), second.evaluator()];
+            let mut cursor = timeline.as_ref().map(IrqTimeline::cursor);
+            digest.for_each_cycle(|cycle, dc| {
+                let entry = cursor
+                    .as_mut()
+                    .is_some_and(|cursor| cursor.phase(cycle) == IrqPhase::Entry);
+                let lanes = evaluators[usize::from(cycle >= switch_at)].cycle_lanes(cycle, dc);
+                perturbation.lanes(cycle, lanes, entry);
+                for bank in floored.iter_mut().chain(&mut every) {
+                    bank.observe_cycle_lanes_phased(cycle, dc, lanes, entry);
+                }
+            });
+            let summary = digest.summary();
+
+            // One scalar observer per corner, where the bank's static
+            // periods and lanes are its model's.
+            let scalar: Option<Vec<(Table, AdaptiveOutcome)>> =
+                (static_scale == 1.0 && switch_at == u64::MAX).then(|| {
+                    models
+                        .iter()
+                        .map(|model| {
+                            let mut observer =
+                                AdaptiveObserver::new(model, &config, &generator, seed_lut, drift)
+                                    .with_interrupts(timeline.as_ref(), surge_factor);
+                            if let Some(plan) = plan.as_ref() {
+                                observer = observer.with_faults(plan);
+                            }
+                            digest.for_each_cycle(|cycle, dc| observer.observe_digest(cycle, dc));
+                            observer.finish(&summary);
+                            let table = Stage::ALL
+                                .into_iter()
+                                .flat_map(|stage| TimingClass::ALL.map(|class| (stage, class)))
+                                .map(|(stage, class)| {
+                                    (
+                                        observer.learned_ps(stage, class).to_bits(),
+                                        observer.observation_count(stage, class),
+                                    )
+                                })
+                                .collect();
+                            (table, observer.into_outcome())
+                        })
+                        .collect()
+                });
+
+            let updates = digest.cycles() * Stage::COUNT as u64;
+            for (isa, (mut floored, mut every)) in
+                copies.into_iter().zip(floored.into_iter().zip(every))
+            {
+                let what = format!("{scenario:?} {isa:?} corners {corners}");
+                assert_eq!(every.skipped_passes, 0, "{what}");
+                if corners as usize <= LANE_WIDTH {
+                    assert_eq!(
+                        floored.skipped_passes, 0,
+                        "{what}: one chunk runs every pass"
+                    );
+                } else if scenario == Clean {
+                    // The multi-chunk clean cases at IDCA_FUZZ_SEEDS=2000
+                    // skipped 83.4–96.3 % of their entry updates (median
+                    // 92.9 %).
+                    assert!(
+                        floored.skipped_passes * 4 > updates * 3,
+                        "{what}: skipped {} of {updates} entry updates",
+                        floored.skipped_passes
+                    );
+                }
+                let table = learned_bits(&floored);
+                assert_eq!(table, learned_bits(&every), "{what}");
+                floored.finish(&summary);
+                every.finish(&summary);
+                let outcomes = floored.into_outcomes();
+                assert_eq!(outcomes, every.into_outcomes(), "{what}");
+                if let Some(scalar) = &scalar {
+                    for (corner, (scalar_table, scalar_outcome)) in scalar.iter().enumerate() {
+                        let at = corner * scalar_table.len();
+                        assert_eq!(
+                            &table[at..][..scalar_table.len()],
+                            &scalar_table[..],
+                            "{what}"
+                        );
+                        assert_eq!(&outcomes[corner], scalar_outcome, "{what} corner {corner}");
+                    }
+                }
+            }
+        });
     }
 
     #[test]

@@ -637,19 +637,28 @@ impl Simulator {
                 }
             }
 
-            let new_fe = if irq_entry_cycle
-                || halting
-                || ex_redirect.is_some()
-                || !in_range(effective_fetch)
+            // One lookup of the fetched word serves the new fetch latch
+            // (unless execute redirects) and the address-stage occupant
+            // (unless decode redirects).
+            let fetched = if !irq_entry_cycle
+                && !halting
+                && in_range(effective_fetch)
+                && (ex_redirect.is_none() || dc_redirect.is_none())
             {
-                None
+                Some(fetch_insn(effective_fetch)?)
             } else {
-                seq_counter += 1;
-                Some(Fetched {
-                    pc: effective_fetch,
-                    op: fetch_insn(effective_fetch)?,
-                    branch_taken: None,
-                })
+                None
+            };
+            let new_fe = match fetched {
+                Some(op) if ex_redirect.is_none() => {
+                    seq_counter += 1;
+                    Some(Fetched {
+                        pc: effective_fetch,
+                        op,
+                        branch_taken: None,
+                    })
+                }
+                _ => None,
             };
 
             // -------------------------------------------------------------
@@ -662,10 +671,8 @@ impl Simulator {
                 // path into the instruction-memory address register this
                 // cycle, so it owns the address-stage endpoint group.
                 dc_out.map(|f| (f.pc, f.op))
-            } else if !halting && in_range(effective_fetch) {
-                Some((effective_fetch, fetch_insn(effective_fetch)?))
             } else {
-                None
+                fetched.map(|op| (effective_fetch, op))
             };
 
             let record = CycleRecord {
@@ -1112,30 +1119,34 @@ impl Simulator {
                 }
             }
 
-            let new_fe = if irq_entry_cycle
-                || halting
-                || ex_redirect.is_some()
-                || !in_range(effective_fetch)
+            // One lookup, under the reference loop's union of guards.
+            let fetched = if !irq_entry_cycle
+                && !halting
+                && in_range(effective_fetch)
+                && (ex_redirect.is_none() || dc_redirect.is_none())
             {
-                None
+                Some(pre.fetch_index(effective_fetch)?)
             } else {
-                let idx = pre.fetch_index(effective_fetch)?;
-                seq_counter += 1;
-                Some(Fetched {
-                    pc: effective_fetch,
-                    op: idx,
-                    branch_taken: None,
-                })
+                None
+            };
+            let new_fe = match fetched {
+                Some(idx) if ex_redirect.is_none() => {
+                    seq_counter += 1;
+                    Some(Fetched {
+                        pc: effective_fetch,
+                        op: idx,
+                        branch_taken: None,
+                    })
+                }
+                _ => None,
             };
 
             let adr = if irq_entry_cycle {
                 None
             } else if dc_redirect.is_some() {
                 dc_out.map(|f| (f.pc, f.op))
-            } else if !halting && in_range(effective_fetch) {
-                Some((effective_fetch, pre.fetch_index(effective_fetch)?))
             } else {
-                None
+                fetched.map(|idx| (effective_fetch, idx))
             };
 
             let record = CycleRecord {

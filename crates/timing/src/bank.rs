@@ -182,6 +182,9 @@ pub struct CornerBank {
     static_period_ps: Vec<Ps>,
     /// The copy of the evaluator's fold this bank runs.
     isa: LaneIsa,
+    /// The key of a bank whose every lane is non-increasing in the stage
+    /// shortfalls (see [`CycleLanes::pure_shortfalls`]), `None` otherwise.
+    monotone_key: Option<u64>,
 }
 
 impl CornerBank {
@@ -209,6 +212,25 @@ impl CornerBank {
             scale[lane] = model.operating_point().delay_scale;
         }
         let static_period_ps = models.iter().map(TimingModel::static_period_ps).collect();
+        // Every lane is `max(base - spread·x, 0.35·base)·scale` of its
+        // stage's shortfall `x` in [0, 1]. With finite parameters and
+        // non-negative spread and scale no step yields NaN and each IEEE
+        // step is monotone, so every lane is non-increasing in `x`. The key
+        // fingerprints every lane parameter, so lanes of a bank with other
+        // delays carry another key.
+        let monotone = base.iter().all(|lane| lane.is_finite())
+            && spread
+                .iter()
+                .chain(&scale)
+                .all(|lane| (0.0..f64::INFINITY).contains(lane));
+        let monotone_key = monotone.then(|| {
+            let words: Vec<u64> = [&base, &spread, &scale]
+                .into_iter()
+                .flatten()
+                .map(|lane| lane.to_bits())
+                .collect();
+            idca_pipeline::frame::fnv1a_words(&words)
+        });
         CornerBank {
             corners,
             padded,
@@ -217,6 +239,7 @@ impl CornerBank {
             scale,
             static_period_ps,
             isa: LaneIsa::for_lanes(padded),
+            monotone_key,
         }
     }
 
@@ -282,6 +305,13 @@ impl CornerBank {
 /// [`DROOP_WINDOW_CYCLES`](crate::DROOP_WINDOW_CYCLES)-cycle window, so
 /// [`CycleLanes::apply_fault`] hashes them once per window instead of once
 /// per cycle.
+///
+/// The lanes also carry the cycle's six stage shortfalls `1 - excitation`,
+/// the one corner-invariant input of each stage's fold, and whether they are
+/// *pure*: exactly the fold's output, not yet rescaled by
+/// [`CycleLanes::apply_fault`] or [`CycleLanes::apply_surge`].
+/// [`CycleLanes::pure_shortfalls`] hands both to the adaptive bank, with
+/// the key of the bank they came from.
 #[derive(Debug, Clone)]
 pub struct CycleLanes {
     padded: usize,
@@ -298,6 +328,11 @@ pub struct CycleLanes {
     /// The droop weights of the last window [`CycleLanes::apply_fault`]
     /// saw, keyed on the plan's value and the window number.
     droop: Option<DroopWindow>,
+    /// Stage `s`'s shortfall `1 - excitation` in the last folded cycle.
+    shortfall: [f64; Stage::COUNT],
+    /// The bank's `monotone_key` while the lanes are the last fold's
+    /// output, unperturbed; `None` once a perturbation rescaled them.
+    pure_key: Option<u64>,
 }
 
 /// One cached droop window: [`FaultPlan::droop_weights`] of `window` under
@@ -317,6 +352,8 @@ impl CycleLanes {
             max_delay_ps: vec![0.0; padded],
             isa,
             droop: None,
+            shortfall: [0.0; Stage::COUNT],
+            pure_key: None,
         }
     }
 
@@ -339,6 +376,22 @@ impl CycleLanes {
     #[must_use]
     pub fn max_lanes(&self) -> &[Ps] {
         &self.max_delay_ps
+    }
+
+    /// The bank's key and the six stage shortfalls `1 - excitation` of
+    /// this cycle, when the lanes are unperturbed and come from a bank whose
+    /// lane parameters are finite with non-negative spread and scale;
+    /// `None` otherwise.
+    ///
+    /// Every stage lane is then non-increasing in its stage's shortfall: an
+    /// entry's lanes at a larger shortfall are no larger, lane by lane, than
+    /// the lanes the same bank gave it at a smaller one. Two banks share a
+    /// key only when their lane parameters are equal, bit for bit, or on a
+    /// 64-bit FNV-1a collision.
+    #[inline]
+    #[must_use]
+    pub fn pure_shortfalls(&self) -> Option<(u64, &[f64; Stage::COUNT])> {
+        self.pure_key.map(|key| (key, &self.shortfall))
     }
 
     /// Applies one cycle's fault factors in place — the lane form of
@@ -393,8 +446,10 @@ impl CycleLanes {
     }
 
     /// The kernel of both perturbations: rescales each stage's lanes by
-    /// that stage's factor and re-folds the maximum lanes.
+    /// that stage's factor and re-folds the maximum lanes. The lanes are no
+    /// longer pure.
     fn rescale(&mut self, factors: &[f64; Stage::COUNT]) {
+        self.pure_key = None;
         self.isa.run(
             self.padded,
             #[inline(always)]
@@ -456,6 +511,10 @@ impl BankEvaluator<'_> {
         // the scalar `digest_cycle_timing`, so both paths stay bit-identical
         // by construction).
         let dithers = stage_dithers(cycle, dc.fetch_address);
+        let shortfalls: [f64; Stage::COUNT] = std::array::from_fn(|stage| {
+            let dither = dithers[stage];
+            1.0 - blend_excitation(dc.excitation[stage].raw(dither), dither)
+        });
         let scale = &bank.scale[..padded];
         // One fused pass per stage: the delay expression is exactly the
         // scalar `delay_from_excitation` and the select-form running max keeps
@@ -467,9 +526,7 @@ impl BankEvaluator<'_> {
         // `delay > 0.0` fold picks the same value either way.
         let mut first = true;
         for stage in Stage::ALL {
-            let dither = dithers[stage.index()];
-            let excitation = blend_excitation(dc.excitation[stage.index()].raw(dither), dither);
-            let shortfall = 1.0 - excitation;
+            let shortfall = shortfalls[stage.index()];
             let at = lane_offset(padded, stage, dc.classes[stage.index()]);
             let base = &bank.base[at..at + padded];
             let spread = &bank.spread[at..at + padded];
@@ -499,6 +556,10 @@ impl BankEvaluator<'_> {
                 }
             }
         }
+        // Stored once, after the lane loops, so no store through `self`
+        // sits between them.
+        self.cycle.shortfall = shortfalls;
+        self.cycle.pure_key = bank.monotone_key;
     }
 }
 
