@@ -523,7 +523,7 @@ mod tests {
         let exp = Experiments::prepare();
         let simulator = Simulator::new(SimConfig::default());
 
-        // The DTA and run totals: a streaming DTA riding the reference loop.
+        // The DTA and run totals: a streaming DTA riding the reference view.
         let workload = characterization_workload(CHARACTERIZATION_SEED);
         let mut live = DynamicTimingAnalysis::streaming(&exp.model);
         let mut digest = DigestObserver::new();
@@ -562,7 +562,7 @@ mod tests {
             }
         }
 
-        // Every suite digest: an unhinted capture on the reference loop.
+        // Every suite digest: an unhinted capture on the reference view.
         let reference = suite::par_map(&exp.suite, |workload| {
             let mut digest = DigestObserver::new();
             simulator

@@ -5,8 +5,8 @@
 //! architectural state produced by the cycle-accurate pipeline simulator
 //! (differential testing). It runs on the lowered micro-op table, through
 //! the same [`exec_alu`] dispatch as the predecoded simulator. The
-//! per-opcode [`alu`] semantics are the oracle of the simulator's reference
-//! loop and of the lowering tests.
+//! per-opcode [`alu`] semantics are the data path of the simulator's
+//! reference view and the oracle of the lowering tests.
 
 use crate::predecode::{exec_alu, PredecodedProgram};
 use crate::{Memory, PipelineError, RegisterFile};
@@ -14,7 +14,7 @@ use idca_isa::{CtlKind, MemKind, Program, Reg, INSN_BYTES};
 
 pub(crate) mod alu {
     //! Per-opcode instruction semantics: the execute stage of the
-    //! simulator's reference loop, and the oracle the lowered micro-op
+    //! simulator's reference view, and the oracle the lowered micro-op
     //! dispatch is pinned against.
 
     use idca_isa::{Insn, Opcode, SetFlagCond};
@@ -63,7 +63,7 @@ pub(crate) mod alu {
     /// by the operands.
     ///
     /// Bit-parallel form of the per-bit recurrence (retained below as the
-    /// test oracle [`carry_chain_reference`]): in the 33-bit sum
+    /// test oracle `carry_chain_reference`): in the 33-bit sum
     /// `x = a + b + cin`, the vector `x ^ a ^ b` holds the carry *into*
     /// every bit position, and the per-bit run condition
     /// `generate | (propagate & carry_in)` is exactly the carry *out* of
@@ -276,15 +276,17 @@ impl Interpreter {
         let mut pending_target: Option<u32> = None;
 
         loop {
-            if retired >= self.max_instructions {
-                return Err(PipelineError::CycleLimitExceeded {
-                    limit: self.max_instructions,
-                });
-            }
             if pc < base || pc >= end {
                 // Falling off the end of the image terminates execution,
                 // mirroring the pipeline simulator's drain behaviour.
                 break;
+            }
+            // Checked after the end of the image, so that a program that
+            // retires its last instruction within the budget completes.
+            if retired >= self.max_instructions {
+                return Err(PipelineError::CycleLimitExceeded {
+                    limit: self.max_instructions,
+                });
             }
             // In range but misaligned (a register jump can produce such a
             // PC): a structured error, matching the simulator's hardened

@@ -11,8 +11,9 @@
 //! * Every interrupt raise is a pure function of `(interrupt seed, cycle)`
 //!   (storm line) or of the cycle index alone (timer line), sampled with
 //!   the same split-mix hash family as the timing model's dithers. There
-//!   is no RNG state, so the reference loop, the predecoded/burst engine
-//!   and the digest-replay path all reconstruct the **identical** schedule.
+//!   is no RNG state, so the simulator's reference and predecoded views,
+//!   its burst fast path and the digest-replay path all reconstruct the
+//!   **identical** schedule.
 //! * Unlike fault factors (which leave the digest untouched), interrupts
 //!   change the executed cycle stream itself — so a digest captured under
 //!   an [`InterruptSpec`] is *scenario-variant* and carries the spec's
@@ -384,8 +385,9 @@ impl InterruptPlan {
 /// one per run, driven by the simulator.
 ///
 /// All state transitions are pure functions of the cycle index and the MMIO
-/// traffic the pipeline itself issues, so the reference loop and the
-/// predecoded/burst engine march it through identical states.
+/// traffic the pipeline itself issues, so the simulator's reference and
+/// predecoded views and its burst fast path march it through identical
+/// states.
 #[derive(Debug, Clone)]
 pub struct InterruptController {
     seed: u64,
@@ -606,7 +608,7 @@ impl InterruptController {
     /// How many of the next `want` cycles starting at `start_cycle` the
     /// burst fast path may execute without an interrupt acceptance becoming
     /// possible. Conservative: a capped burst merely falls back to the
-    /// reference-structured cycle, which makes the identical decision —
+    /// simulator's per-cycle step, which makes the identical decision —
     /// the cap only has to guarantee no acceptance point lands *inside* a
     /// burst. Inside a handler bursts are always safe (no nested entry).
     #[must_use]

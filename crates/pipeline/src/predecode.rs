@@ -18,16 +18,17 @@
 //! a per-index *runway* ([`PredecodedProgram::runway`]) — the number of
 //! consecutive plain (non-control, non-exit) micro-ops starting at an index.
 //! While the pipeline is executing inside a runway nothing can redirect the
-//! fetch address, so the simulator dispatches those block interiors on a
-//! specialized loop with the per-cycle latch unwrapping and per-opcode
-//! matching hoisted out.
+//! fetch address, so the simulator's burst fast path dispatches those block
+//! interiors with the per-cycle latch unwrapping and control-flow checks
+//! hoisted out.
 //!
 //! Lowering is semantics-preserving and pinned by tests: a property lowers
 //! every table row and set-flag condition at its field extremes and checks
 //! the micro-op fields against the `Insn` accessors and per-opcode
 //! references, and [`exec_alu`] against the reference ALU on random
-//! operands; the differential suite pins the predecoded simulator loop
-//! bit-identical to the retained per-cycle reference loop.
+//! operands; the differential suite pins the simulator's predecoded view
+//! bit-identical to its per-opcode reference view, which runs the same cycle
+//! body.
 
 use crate::digest::DigestHints;
 use crate::interp::alu::{self, AluOutcome};
@@ -137,7 +138,7 @@ impl MicroOp {
 }
 
 /// Executes the data-path portion of a predecoded micro-op: the dense
-/// dispatch twin of the reference ALU (`alu::execute`), pinned equivalent by
+/// dispatch form of the reference ALU (`alu::execute`), pinned equivalent by
 /// the lowering round-trip property.
 #[inline]
 pub(crate) fn exec_alu(kind: AluKind, a: u32, b: u32, flag: bool, carry: bool) -> AluOutcome {
@@ -184,8 +185,9 @@ pub(crate) fn exec_alu(kind: AluKind, a: u32, b: u32, flag: bool, carry: bool) -
     out
 }
 
-/// The carry-chain proxy for a micro-op's adder excitation — the dense twin
-/// of the reference `adder_chain` (same [`alu::carry_chain`] underneath).
+/// The carry-chain proxy for a micro-op's adder excitation — the dense form
+/// of the reference view's per-opcode carry-chain selection (same
+/// [`alu::carry_chain`] underneath).
 #[inline]
 pub(crate) fn adder_chain(adder: AdderKind, a: u32, b: u32, carry: bool) -> u8 {
     match adder {

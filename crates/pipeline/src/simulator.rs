@@ -18,16 +18,23 @@
 //!   execute stage and squash the two youngest fetch stages.
 //! * The multiplier is shielded by operand-isolation registers: its inputs
 //!   only toggle for multiply instructions.
+//!
+//! The cycle is written once, as `Core::step`, over two views of the
+//! program: the per-opcode reference view re-derives every fact from the
+//! instruction word, and the [`PredecodedProgram`] view reads its micro-op
+//! table. When a hinted digest capture is a run's only observer, the
+//! predecoded view also runs hazard-free block interiors on a burst fast
+//! path over the same pipeline state.
 
 use crate::digest::FastCycleFacts;
-use crate::interp::alu;
+use crate::interp::alu::{self, AluOutcome};
 use crate::irq::{is_mmio, InterruptController, InterruptPlan};
-use crate::predecode::{self, MicroOp, PredecodedProgram};
+use crate::predecode::{self, PredecodedProgram};
 use crate::{
     CycleObserver, CycleRecord, ExecActivity, IrqPhase, Memory, Occupant, PipelineError,
     PipelineTrace, RegisterFile, RunSummary, NOP_EXIT,
 };
-use idca_isa::{CtlKind, Insn, MemKind, Opcode, Program, Reg, INSN_BYTES};
+use idca_isa::{CtlKind, Insn, MemKind, Opcode, Program, Reg, TimingClass, INSN_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the pipeline simulator.
@@ -122,38 +129,6 @@ impl SimBuffers {
         self.flag = false;
         self.carry = false;
     }
-
-    /// The register file after the most recent **successful** run. After an
-    /// erroring run the buffers hold the partially-executed state (see
-    /// [`SimBuffers::flag`]).
-    #[must_use]
-    pub fn regs(&self) -> &RegisterFile {
-        &self.regs
-    }
-
-    /// The data memory after the most recent **successful** run (partial
-    /// state after an error, see [`SimBuffers::flag`]).
-    #[must_use]
-    pub fn memory(&self) -> &Memory {
-        &self.memory
-    }
-
-    /// The compare flag after the most recent **successful** run. When
-    /// [`Simulator::run_observed_predecoded_with_buffers`] returns an error
-    /// the accessors are not a consistent architectural snapshot: registers
-    /// and memory reflect the partial execution while the flags stay at
-    /// their reset values.
-    #[must_use]
-    pub fn flag(&self) -> bool {
-        self.flag
-    }
-
-    /// The carry flag after the most recent **successful** run (see
-    /// [`SimBuffers::flag`] for the error-path caveat).
-    #[must_use]
-    pub fn carry(&self) -> bool {
-        self.carry
-    }
 }
 
 /// The cycle-accurate pipeline simulator.
@@ -166,13 +141,14 @@ pub struct Simulator {
 }
 
 /// An instruction in the fetch, decode or execute latch. `op` is the
-/// instruction word in the reference loop and its micro-op table index in
-/// the predecoded loop, which recovers the word from the table only when it
-/// builds a [`CycleRecord`].
+/// instruction as its [`InsnView`] carries it: the word in the
+/// [`Reference`] view, the micro-op table index in the predecoded view,
+/// which recovers the word from the table only when it builds a
+/// [`CycleRecord`].
 #[derive(Debug, Clone, Copy)]
-struct Fetched<I> {
+struct Fetched<Op> {
     pc: u32,
-    op: I,
+    op: Op,
     /// `Some(taken)` once decode resolved the instruction as a PC-relative
     /// jump or branch, so that the execute-stage activity can report it.
     branch_taken: Option<bool>,
@@ -185,6 +161,22 @@ enum MemOp {
 }
 
 impl MemOp {
+    /// The access of a load or a store to the effective address of
+    /// `outcome`, storing `rb_value`; `None` for any other instruction.
+    fn of(load: bool, store: bool, outcome: &AluOutcome, rb_value: u32) -> Option<MemOp> {
+        let address = outcome.address.unwrap_or(0);
+        if load {
+            Some(MemOp::Load { address })
+        } else if store {
+            Some(MemOp::Store {
+                address,
+                value: rb_value,
+            })
+        } else {
+            None
+        }
+    }
+
     fn address(self) -> u32 {
         match self {
             MemOp::Load { address } | MemOp::Store { address, .. } => address,
@@ -195,12 +187,94 @@ impl MemOp {
 /// An instruction past execute: the control latch, and one cycle later the
 /// same entry as the writeback latch. `op` is as in [`Fetched`].
 #[derive(Debug, Clone, Copy)]
-struct Executed<I> {
+struct Executed<Op> {
     pc: u32,
-    op: I,
+    op: Op,
     rd: Option<Reg>,
     value: u32,
     mem: Option<MemOp>,
+}
+
+/// The execute stage's data path for one instruction, before any link
+/// write or branch resolution.
+struct Execution {
+    /// The ALU outcome, with its flag and carry updates.
+    outcome: AluOutcome,
+    /// The destination register, before any link write.
+    rd: Option<Reg>,
+    /// The access the control stage performs.
+    mem: Option<MemOp>,
+    /// The execute-stage activity, with no branch resolved.
+    activity: ExecActivity,
+}
+
+/// How the one cycle body, [`Core::step`], reads the program. The
+/// per-opcode [`Reference`] view re-derives every fact from the
+/// instruction word each cycle; the [`PredecodedProgram`] view reads its
+/// micro-op table. The latches, the forwarding network, branch resolution,
+/// interrupts, fetch and the cycle record belong to the body and are
+/// written once.
+trait InsnView {
+    /// An instruction as the latches carry it.
+    type Op: Copy;
+
+    /// The image bounds `[base, end)` and the initialized data words.
+    fn image(&self) -> (u32, u32, &[(u32, u32)]);
+
+    /// The instruction at `pc`. Hardened fetch: a register jump can put any
+    /// value in the program counter, so a misaligned in-range address is
+    /// [`PipelineError::PcOutOfRange`], never a silently truncated index
+    /// (out-of-range addresses drain the pipeline before reaching it).
+    fn fetch(&self, pc: u32) -> Result<Self::Op, PipelineError>;
+
+    /// The instruction word of `op`, for the cycle record.
+    fn insn(&self, op: Self::Op) -> Insn;
+
+    /// The control-flow behaviour of `op`.
+    fn ctl(&self, op: Self::Op) -> CtlKind;
+
+    /// The byte displacement of `op` as a decode-resolved jump or branch.
+    fn branch_disp(&self, op: Self::Op) -> u32;
+
+    /// The source registers the forwarding network resolves for `op`.
+    fn sources(&self, op: Self::Op) -> (Option<Reg>, Option<Reg>);
+
+    /// The data path of `op` on the resolved `rA` value `a` and `rB` value
+    /// `rb_value`, at the flag and carry before it; `forwarded` tells the
+    /// activity whether an operand came from the forwarding network.
+    fn execute(
+        &self,
+        op: Self::Op,
+        a: u32,
+        rb_value: u32,
+        flag: bool,
+        carry: bool,
+        forwarded: bool,
+    ) -> Execution;
+
+    /// Performs `op`'s data-memory access `mem`, routing aligned word
+    /// accesses inside the MMIO window to the interrupt controller when
+    /// one is attached, and returns the loaded value (`None` for a store).
+    fn access(
+        &self,
+        op: Self::Op,
+        memory: &mut Memory,
+        irq: Option<&mut InterruptController>,
+        mem: MemOp,
+    ) -> Result<Option<u32>, PipelineError>;
+
+    /// A fast path for a lone hinted digest capture, run before each
+    /// [`Core::step`]: it may advance `core` any number of cycles within
+    /// `max_cycles`, bit-identically to stepping them. None by default.
+    fn burst(
+        &self,
+        core: &mut Core<'_, Self::Op>,
+        observers: &mut [&mut dyn CycleObserver],
+        max_cycles: u64,
+    ) -> Result<(), PipelineError> {
+        let _ = (core, observers, max_cycles);
+        Ok(())
+    }
 }
 
 impl Simulator {
@@ -254,8 +328,8 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError`] for invalid memory accesses or when
-    /// [`SimConfig::max_cycles`] is exceeded.
+    /// Returns [`PipelineError`] for invalid memory accesses or when the
+    /// run does not end within [`SimConfig::max_cycles`] cycles.
     pub fn run(&self, program: &Program) -> Result<SimResult, PipelineError> {
         let mut trace = PipelineTrace::default();
         let run = self.run_observed(program, &mut [&mut trace])?;
@@ -301,10 +375,10 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError`] for invalid memory accesses or when
-    /// [`SimConfig::max_cycles`] is exceeded. Observers may have consumed an
-    /// arbitrary prefix of the run when an error is returned; `finish` is
-    /// not called in that case.
+    /// Returns [`PipelineError`] for invalid memory accesses or when the
+    /// run does not end within [`SimConfig::max_cycles`] cycles. Observers
+    /// may have consumed an arbitrary prefix of the run when an error is
+    /// returned; `finish` is not called in that case.
     pub fn run_observed(
         &self,
         program: &Program,
@@ -326,15 +400,16 @@ impl Simulator {
         pre: &PredecodedProgram,
         observers: &mut [&mut dyn CycleObserver],
     ) -> Result<ObservedRun, PipelineError> {
-        self.run_fresh(|buffers| self.run_core_pre(pre, observers, buffers))
+        self.run_fresh(|buffers| self.run_core(pre, observers, buffers))
     }
 
-    /// [`Simulator::run_observed`] on the retained per-cycle reference loop:
-    /// every stage re-derives its facts from the instruction word each cycle
-    /// instead of dispatching from the predecoded micro-op table. Exists so
-    /// differential tests can pin the predecoded engine bit-identical
-    /// (same [`CycleRecord`] stream, digests and summaries) against the
-    /// original formulation.
+    /// [`Simulator::run_observed`] through the per-opcode reference view:
+    /// the same cycle body, but every stage re-derives its facts from the
+    /// instruction word each cycle instead of reading the predecoded
+    /// micro-op table, and no cycle takes the burst fast path. Exists so
+    /// differential tests can pin the predecoded view bit-identical (same
+    /// [`CycleRecord`] stream, digests and summaries) against the
+    /// per-opcode formulation.
     ///
     /// # Errors
     ///
@@ -344,15 +419,14 @@ impl Simulator {
         program: &Program,
         observers: &mut [&mut dyn CycleObserver],
     ) -> Result<ObservedRun, PipelineError> {
-        self.run_fresh(|buffers| self.run_core(program, observers, buffers))
+        self.run_fresh(|buffers| self.run_core(&Reference(program), observers, buffers))
     }
 
     /// [`Simulator::run_observed_predecoded`] with caller-owned scratch
     /// state: the register file and memory image in `buffers` are reset and
     /// reused instead of being allocated per run, which removes the dominant
     /// allocation churn from workers that simulate many programs (e.g. the
-    /// PVT-sweep digest phase). The final architectural state stays
-    /// readable through the [`SimBuffers`] accessors.
+    /// PVT-sweep digest phase).
     ///
     /// # Errors
     ///
@@ -364,7 +438,7 @@ impl Simulator {
         buffers: &mut SimBuffers,
     ) -> Result<RunSummary, PipelineError> {
         buffers.reset_for(&self.config);
-        self.run_core_pre(pre, observers, buffers)
+        self.run_core(pre, observers, buffers)
     }
 
     /// Runs one engine loop on freshly allocated buffers and returns their
@@ -398,867 +472,779 @@ impl Simulator {
         }
     }
 
-    /// The per-cycle reference loop behind
-    /// [`Simulator::run_observed_reference`]. Expects `buffers` in the
-    /// architectural reset state.
-    fn run_core(
+    /// Runs `view`'s program on `buffers`, which must be in the
+    /// architectural reset state: loads the data image, checks the
+    /// interrupt vector, then advances [`Core::step`] until the run ends,
+    /// letting a lone hinted digest capture take the view's
+    /// [`InsnView::burst`] before each step. A run that ends on its last
+    /// allowed cycle is within [`SimConfig::max_cycles`].
+    fn run_core<V: InsnView>(
         &self,
-        program: &Program,
+        view: &V,
         observers: &mut [&mut dyn CycleObserver],
         buffers: &mut SimBuffers,
     ) -> Result<RunSummary, PipelineError> {
-        let regs = &mut buffers.regs;
-        let memory = &mut buffers.memory;
-        memory.load_image(program.data())?;
-        let mut flag = false;
-        let mut carry = false;
-
-        let base = program.base_address();
-        let end = program.end_address();
+        let (base, end, data) = view.image();
+        buffers.memory.load_image(data)?;
         self.check_vector(base, end)?;
-        let in_range = |pc: u32| pc >= base && pc < end;
-        // Hardened fetch: a register jump can put any value in the PC, so a
-        // misaligned in-range address must become a structured error, never
-        // a silently-truncated index (out-of-range addresses drain the
-        // pipeline before reaching this accessor).
-        let fetch_insn = |pc: u32| -> Result<Insn, PipelineError> {
-            let index = program
-                .insn_index(pc)
-                .ok_or(PipelineError::PcOutOfRange { pc })?;
-            Ok(program.insns()[index])
+        let max_cycles = self.config.max_cycles;
+        let mut core = Core {
+            regs: &mut buffers.regs,
+            memory: &mut buffers.memory,
+            flag: false,
+            carry: false,
+            base,
+            end,
+            fetch_pc: base,
+            fe: None,
+            dc: None,
+            ex: None,
+            ctrl: None,
+            wb: None,
+            halting: false,
+            seq_counter: 0,
+            retired: 0,
+            cycle_count: 0,
+            irq: self.interrupts.as_ref().map(InterruptController::new),
         };
-
-        let mut fetch_pc = base;
-        let mut fe: Option<Fetched<Insn>> = None;
-        let mut dc: Option<Fetched<Insn>> = None;
-        let mut ex: Option<Fetched<Insn>> = None;
-        let mut ctrl: Option<Executed<Insn>> = None;
-        let mut wb: Option<Executed<Insn>> = None;
-
-        let mut halting = false;
-        let mut seq_counter: u64 = 0;
-        let mut retired: u64 = 0;
-        let mut cycle_count: u64 = 0;
-        let mut irq = self.interrupts.as_ref().map(InterruptController::new);
-
-        for cycle in 0..self.config.max_cycles {
-            if let Some(ctl) = irq.as_mut() {
-                ctl.begin_cycle(cycle);
+        let fused = observers.len() == 1 && observers[0].as_hinted_digest().is_some();
+        loop {
+            if fused {
+                view.burst(&mut core, observers, max_cycles)?;
             }
-
-            // -------------------------------------------------------------
-            // Writeback stage: commit the oldest instruction. Every slot
-            // younger than the exit marker drains behind it, so the only
-            // exit marker that reaches writeback is the one that halted
-            // the pipeline.
-            // -------------------------------------------------------------
-            let mut writeback = None;
-            let mut finished = false;
-            if let Some(entry) = wb {
-                if let Some(rd) = entry.rd {
-                    regs.write(rd, entry.value);
-                    writeback = Some(entry.value);
-                }
-                retired += 1;
-                finished = is_exit(&entry.op);
+            if core.cycle_count >= max_cycles {
+                return Err(PipelineError::CycleLimitExceeded { limit: max_cycles });
             }
-
-            // -------------------------------------------------------------
-            // Mem/Control stage: perform the data-memory access in program
-            // order; load data becomes available here and is forwarded to
-            // the execute stage within the same cycle.
-            // -------------------------------------------------------------
-            let mut mem_return = None;
-            let mut ctrl_entry = ctrl;
-            if let Some(entry) = &mut ctrl_entry {
-                match entry.mem {
-                    Some(MemOp::Store { address, value }) => {
-                        store(memory, irq.as_mut(), entry.op.opcode(), address, value)?;
-                    }
-                    Some(MemOp::Load { address }) => {
-                        let value = load(memory, irq.as_mut(), entry.op.opcode(), address)?;
-                        entry.value = value;
-                        mem_return = Some(value);
-                    }
-                    None => {}
-                }
-            }
-
-            // -------------------------------------------------------------
-            // Execute stage.
-            // -------------------------------------------------------------
-            let mut exec_activity = None;
-            let mut ex_redirect: Option<u32> = None;
-            let next_ctrl = match ex {
-                None => None,
-                Some(fetched) => {
-                    let insn = fetched.op;
-                    let opcode = insn.opcode();
-
-                    if is_exit(&insn) {
-                        halting = true;
-                    }
-
-                    let (a, fwd_a) = resolve_operand(insn.ra(), &ctrl_entry, &wb, regs);
-                    let (rb_value, fwd_b) = resolve_operand(insn.rb(), &ctrl_entry, &wb, regs);
-                    let b = alu::operand_b(&insn, rb_value);
-                    let outcome = alu::execute(&insn, a, b, flag, carry);
-
-                    if let Some(new_flag) = outcome.flag {
-                        flag = new_flag;
-                    }
-                    if let Some(new_carry) = outcome.carry {
-                        carry = new_carry;
-                    }
-
-                    let mut value = outcome.result;
-                    let mut rd = if opcode.writes_rd() { insn.rd() } else { None };
-                    let mut branch_taken = fetched.branch_taken;
-                    match opcode {
-                        Opcode::Jal => {
-                            rd = Some(Reg::LINK);
-                            value = fetched.pc.wrapping_add(8);
-                        }
-                        Opcode::Jalr | Opcode::Jr => {
-                            if opcode == Opcode::Jalr {
-                                rd = Some(Reg::LINK);
-                                value = fetched.pc.wrapping_add(8);
-                            }
-                            ex_redirect = Some(rb_value);
-                            branch_taken = Some(true);
-                        }
-                        Opcode::Rfe => {
-                            // Return-from-exception resolves in execute like
-                            // a register jump targeting the saved PC. A
-                            // stray `l.rfe` outside an active handler (or
-                            // with no interrupt scenario attached) is a
-                            // no-op, identically in every engine.
-                            if let Some(target) =
-                                irq.as_mut().and_then(|ctl| ctl.rfe_retire(seq_counter))
-                            {
-                                ex_redirect = Some(target);
-                                branch_taken = Some(true);
-                            }
-                        }
-                        _ => {}
-                    }
-
-                    let mem = match opcode {
-                        op if op.is_load() => Some(MemOp::Load {
-                            address: outcome.address.unwrap_or(0),
-                        }),
-                        op if op.is_store() => Some(MemOp::Store {
-                            address: outcome.address.unwrap_or(0),
-                            value: rb_value,
-                        }),
-                        _ => None,
-                    };
-
-                    exec_activity = Some(ExecActivity {
-                        op_a: a,
-                        op_b: b,
-                        result: value,
-                        carry_chain: adder_chain(opcode, a, b, carry),
-                        mul_active: matches!(opcode, Opcode::Mul | Opcode::Mulu | Opcode::Muli),
-                        mul_bits: mul_bits(opcode, a, b),
-                        shift_amount: shift_amount(opcode, b),
-                        forwarded: fwd_a || fwd_b,
-                        branch_taken,
-                        mem_address: mem.map(MemOp::address),
-                    });
-
-                    Some(Executed {
-                        pc: fetched.pc,
-                        op: insn,
-                        rd,
-                        value,
-                        mem,
-                    })
-                }
-            };
-
-            // -------------------------------------------------------------
-            // Decode stage: resolve PC-relative jumps and conditional
-            // branches (the flag produced by the execute stage this cycle is
-            // already visible, modelling the forwarding path into the branch
-            // logic).
-            // -------------------------------------------------------------
-            let mut dc_redirect: Option<u32> = None;
-            let mut dc_out = dc;
-            if let Some(fetched) = &mut dc_out {
-                let taken = match fetched.op.opcode() {
-                    Opcode::J | Opcode::Jal => Some(true),
-                    Opcode::Bf => Some(flag),
-                    Opcode::Bnf => Some(!flag),
-                    _ => None,
-                };
-                if let Some(taken) = taken {
-                    let target = fetched
-                        .pc
-                        .wrapping_add((fetched.op.imm().unwrap_or(0) as u32).wrapping_mul(4));
-                    fetched.branch_taken = Some(taken);
-                    if taken {
-                        dc_redirect = Some(target);
-                    }
-                }
-            }
-
-            // -------------------------------------------------------------
-            // Fetch / address stage: present the instruction-memory address
-            // (possibly redirected by the decode stage this very cycle) and
-            // capture the fetched word for the next cycle.
-            // -------------------------------------------------------------
-            let effective_fetch = dc_redirect.unwrap_or(fetch_pc);
-            let mut fetch_redirected = dc_redirect.is_some() || ex_redirect.is_some();
-            let mut fetch_address = effective_fetch;
-
-            // Exception entry: accept a pending interrupt at the fetch
-            // boundary (the in-flight plain instructions retire normally;
-            // the not-yet-fetched one becomes the saved PC), or keep
-            // injecting the remaining entry-flush bubble cycles.
-            let mut irq_entry_cycle = false;
-            if let Some(ctl) = irq.as_mut() {
-                if ctl.entry_pending() {
-                    ctl.entry_tick();
-                    irq_entry_cycle = true;
-                    fetch_address = ctl.vector();
-                } else if !halting
-                    && dc_redirect.is_none()
-                    && ex_redirect.is_none()
-                    && ctl.takeable()
-                    && in_range(effective_fetch)
-                    && slot_plain(fe.as_ref())
-                    && slot_plain(dc_out.as_ref())
-                {
-                    ctl.accept(effective_fetch, seq_counter)?;
-                    irq_entry_cycle = true;
-                    fetch_address = ctl.vector();
-                    fetch_redirected = true;
-                }
-            }
-
-            // One lookup of the fetched word serves the new fetch latch
-            // (unless execute redirects) and the address-stage occupant
-            // (unless decode redirects).
-            let fetched = if !irq_entry_cycle
-                && !halting
-                && in_range(effective_fetch)
-                && (ex_redirect.is_none() || dc_redirect.is_none())
-            {
-                Some(fetch_insn(effective_fetch)?)
-            } else {
-                None
-            };
-            let new_fe = match fetched {
-                Some(op) if ex_redirect.is_none() => {
-                    seq_counter += 1;
-                    Some(Fetched {
-                        pc: effective_fetch,
-                        op,
-                        branch_taken: None,
-                    })
-                }
-                _ => None,
-            };
-
-            // -------------------------------------------------------------
-            // Record this cycle.
-            // -------------------------------------------------------------
-            let adr = if irq_entry_cycle {
-                None
-            } else if dc_redirect.is_some() {
-                // The control-flow instruction drives the long branch-target
-                // path into the instruction-memory address register this
-                // cycle, so it owns the address-stage endpoint group.
-                dc_out.map(|f| (f.pc, f.op))
-            } else {
-                fetched.map(|op| (effective_fetch, op))
-            };
-
-            let record = CycleRecord {
-                cycle,
-                stages: [
-                    occupant(adr),
-                    occupant(fe.map(|f| (f.pc, f.op))),
-                    occupant(dc_out.map(|f| (f.pc, f.op))),
-                    occupant(ex.map(|f| (f.pc, f.op))),
-                    occupant(ctrl_entry.map(|e| (e.pc, e.op))),
-                    occupant(wb.map(|e| (e.pc, e.op))),
-                ],
-                exec: exec_activity,
-                mem_return,
-                writeback,
-                fetch_address,
-                fetch_redirected,
-                irq_phase: irq_phase_of(irq.as_ref(), irq_entry_cycle),
-            };
-            cycle_count += 1;
-            for observer in observers.iter_mut() {
-                observer.observe_cycle(&record);
-            }
-            drain_events(irq.as_mut(), observers);
-
-            if finished {
+            if core.step(view, observers)? {
                 break;
             }
-
-            // -------------------------------------------------------------
-            // Latch update.
-            // -------------------------------------------------------------
-            wb = ctrl_entry;
-            ctrl = next_ctrl;
-            if halting {
-                // Instructions younger than the exit marker never execute
-                // (they are architecturally after the end of the program),
-                // matching the reference interpreter.
-                ex = None;
-                dc = None;
-                fe = None;
-            } else {
-                ex = dc_out;
-                dc = if ex_redirect.is_some() { None } else { fe };
-                fe = new_fe;
-            }
-
-            if irq_entry_cycle {
-                // Fetch parks on the handler vector for the whole entry
-                // flush; the first post-entry cycle fetches the handler.
-                fetch_pc = fetch_address;
-            } else if let Some(target) = ex_redirect {
-                fetch_pc = target;
-            } else if let Some(target) = dc_redirect {
-                fetch_pc = target.wrapping_add(INSN_BYTES);
-            } else if !halting && in_range(effective_fetch) {
-                fetch_pc = effective_fetch.wrapping_add(INSN_BYTES);
-            }
-
-            // Natural drain: the program ran past its last instruction and
-            // the pipeline is now empty.
-            if !halting
-                && !in_range(fetch_pc)
-                && fe.is_none()
-                && dc.is_none()
-                && ex.is_none()
-                && ctrl.is_none()
-                && wb.is_none()
-            {
-                break;
-            }
-        }
-
-        if cycle_count >= self.config.max_cycles {
-            return Err(PipelineError::CycleLimitExceeded {
-                limit: self.config.max_cycles,
-            });
         }
 
         let summary = RunSummary {
-            cycles: cycle_count,
-            retired,
+            cycles: core.cycle_count,
+            retired: core.retired,
         };
         for observer in observers.iter_mut() {
             observer.finish(&summary);
         }
-        buffers.flag = flag;
-        buffers.carry = carry;
+        buffers.flag = core.flag;
+        buffers.carry = core.carry;
         Ok(summary)
     }
+}
 
-    /// The predecoded simulation loop: structurally the same cycle as
-    /// [`Simulator::run_core`], but every per-cycle fact comes from the
-    /// [`MicroOp`] table instead of being re-derived from the instruction
-    /// word. When a hinted [`DigestObserver`](crate::DigestObserver) is the
-    /// only observer (the fused capture), hazard-free basic-block interiors
-    /// run as bursts with the latch unwrapping and control-flow checks
-    /// hoisted out of the loop, folding compact [`FastCycleFacts`] into the
-    /// digest instead of materializing a [`CycleRecord`] per cycle.
-    /// Bit-identical to the reference loop — same [`CycleRecord`] stream,
-    /// digests and errors — pinned by the differential suite.
-    #[allow(clippy::too_many_lines)]
-    fn run_core_pre(
-        &self,
-        pre: &PredecodedProgram,
+/// The state one run advances: the architectural registers, memory and
+/// flags, the fetch address, the five stage latches, the retirement and
+/// cycle counters and the interrupt controller.
+struct Core<'b, Op> {
+    regs: &'b mut RegisterFile,
+    memory: &'b mut Memory,
+    flag: bool,
+    carry: bool,
+    /// The program image is `[base, end)`.
+    base: u32,
+    end: u32,
+    /// The next sequential fetch address.
+    fetch_pc: u32,
+    fe: Option<Fetched<Op>>,
+    dc: Option<Fetched<Op>>,
+    ex: Option<Fetched<Op>>,
+    ctrl: Option<Executed<Op>>,
+    wb: Option<Executed<Op>>,
+    /// Set when the exit marker executes: nothing younger executes or is
+    /// fetched after it.
+    halting: bool,
+    /// Instructions fetched into the pipeline (the interrupt controller's
+    /// progress count).
+    seq_counter: u64,
+    retired: u64,
+    cycle_count: u64,
+    irq: Option<InterruptController>,
+}
+
+impl<Op: Copy> Core<'_, Op> {
+    fn in_range(&self, pc: u32) -> bool {
+        pc >= self.base && pc < self.end
+    }
+
+    /// Writeback stage: commits the oldest instruction and returns the
+    /// value it wrote to the register file, if any.
+    #[inline(always)]
+    fn writeback(&mut self) -> Option<u32> {
+        let entry = self.wb.as_ref()?;
+        self.retired += 1;
+        let rd = entry.rd?;
+        self.regs.write(rd, entry.value);
+        Some(entry.value)
+    }
+
+    /// Mem/Control stage: performs the control latch's data-memory access
+    /// in program order. Returns the latch as it leaves the stage, holding
+    /// any load data, which is forwarded to the execute stage within the
+    /// same cycle, and the load data itself.
+    #[inline(always)]
+    fn mem_control<V: InsnView<Op = Op>>(
+        &mut self,
+        view: &V,
+    ) -> Result<(Option<Executed<Op>>, Option<u32>), PipelineError> {
+        let mut ctrl = self.ctrl;
+        let mut mem_return = None;
+        if let Some(entry) = &mut ctrl {
+            if let Some(mem) = entry.mem {
+                mem_return = view.access(entry.op, self.memory, self.irq.as_mut(), mem)?;
+                if let Some(value) = mem_return {
+                    entry.value = value;
+                }
+            }
+        }
+        Ok((ctrl, mem_return))
+    }
+
+    /// Execute stage data path of `op`: resolves its operands through the
+    /// forwarding network (the control latch `ctrl` as it left its stage,
+    /// then the writeback latch, then the register file), runs the view's
+    /// data path and commits its flag and carry updates. Also returns the
+    /// `rB` value, a register jump's target.
+    #[inline(always)]
+    fn execute<V: InsnView<Op = Op>>(
+        &mut self,
+        view: &V,
+        op: Op,
+        ctrl: &Option<Executed<Op>>,
+    ) -> (Execution, u32) {
+        let (ra, rb) = view.sources(op);
+        let (a, fwd_a) = resolve_operand(ra, ctrl, &self.wb, self.regs);
+        let (rb_value, fwd_b) = resolve_operand(rb, ctrl, &self.wb, self.regs);
+        let x = view.execute(op, a, rb_value, self.flag, self.carry, fwd_a || fwd_b);
+        if let Some(flag) = x.outcome.flag {
+            self.flag = flag;
+        }
+        if let Some(carry) = x.outcome.carry {
+            self.carry = carry;
+        }
+        (x, rb_value)
+    }
+
+    /// One pipeline cycle: writeback and mem/control; execute, with the
+    /// link write, register jumps and `l.rfe`; decode-stage branch
+    /// resolution; interrupt acceptance and the entry flush; the one fetch
+    /// lookup and the cycle record; then the latch and fetch-address
+    /// update. Returns `true` when the run ended this cycle: the exit marker
+    /// retired, or the pipeline drained after fetch left the image.
+    fn step<V: InsnView<Op = Op>>(
+        &mut self,
+        view: &V,
         observers: &mut [&mut dyn CycleObserver],
-        buffers: &mut SimBuffers,
-    ) -> Result<RunSummary, PipelineError> {
-        let regs = &mut buffers.regs;
-        let memory = &mut buffers.memory;
-        memory.load_image(pre.data())?;
-        let mut flag = false;
-        let mut carry = false;
+    ) -> Result<bool, PipelineError> {
+        let cycle = self.cycle_count;
+        if let Some(ctl) = self.irq.as_mut() {
+            ctl.begin_cycle(cycle);
+        }
 
-        let base = pre.base_address();
-        let end = pre.end_address();
-        self.check_vector(base, end)?;
-        let ops = pre.ops();
-        let n_ops = ops.len() as u32;
-        let in_range = |pc: u32| pc >= base && pc < end;
-        let occupant_at =
-            |at: Option<(u32, u32)>| occupant(at.map(|(pc, idx)| (pc, ops[idx as usize].insn)));
+        // Every slot younger than the exit marker drains behind it, so the
+        // only exit marker that reaches writeback is the one that halted
+        // the pipeline.
+        let finished = self
+            .wb
+            .is_some_and(|entry| view.ctl(entry.op) == CtlKind::Exit);
+        let writeback = self.writeback();
+        let (ctrl, mem_return) = self.mem_control(view)?;
 
-        let mut fetch_pc = base;
-        let mut fe: Option<Fetched<u32>> = None;
-        let mut dc: Option<Fetched<u32>> = None;
-        let mut ex: Option<Fetched<u32>> = None;
-        let mut ctrl: Option<Executed<u32>> = None;
-        let mut wb: Option<Executed<u32>> = None;
-
-        let mut halting = false;
-        let mut seq_counter: u64 = 0;
-        let mut retired: u64 = 0;
-        let mut cycle_count: u64 = 0;
-        let mut irq = self.interrupts.as_ref().map(InterruptController::new);
-        // Only a lone hinted digest capture takes the burst path; every
-        // other observer set runs the reference-structured cycle below.
-        let fused_digest = observers.len() == 1 && observers[0].as_hinted_digest().is_some();
-
-        while cycle_count < self.config.max_cycles {
-            // -------------------------------------------------------------
-            // Basic-block fast path: while the three youngest stages hold
-            // plain (non-control, non-exit) micro-ops and fetch runs inside
-            // a runway of plain ops, nothing can redirect or halt, so the
-            // per-cycle dispatch reduces to table walks. The window holds
-            // [execute, decode, fetch] oldest-first.
-            // -------------------------------------------------------------
-            if fused_digest && !halting {
-                if let (Some(xe), Some(xd), Some(xf)) = (&ex, &dc, &fe) {
-                    if ops[xe.op as usize].is_plain()
-                        && ops[xd.op as usize].is_plain()
-                        && ops[xf.op as usize].is_plain()
-                        && in_range(fetch_pc)
-                        && (fetch_pc - base).is_multiple_of(INSN_BYTES)
-                    {
-                        let fi = (fetch_pc - base) / INSN_BYTES;
-                        // k cycles are hazard-free when the k-2 ops fetched
-                        // behind the current window (those that reach decode
-                        // within the window) are plain, fetch stays in the
-                        // image, and the cycle budget allows it.
-                        let mut k = u64::from(pre.runway(fi).saturating_add(2))
-                            .min(u64::from(n_ops - fi))
-                            .min(self.config.max_cycles - cycle_count);
-                        if let Some(ctl) = irq.as_ref() {
-                            // Burst-abort on pending interrupt: cap the
-                            // burst so no acceptance point can land inside
-                            // it (capped cycles fall back to the
-                            // reference-structured cycle, which makes the
-                            // identical accept decision).
-                            k = k.min(ctl.burst_allowance(cycle_count, k));
-                        }
-                        if k >= 4 {
-                            let digest = observers[0].as_hinted_digest().expect("checked at entry");
-                            let mut window = [*xe, *xd, *xf];
-                            for j in 0..k {
-                                let fetch_idx = fi + j as u32;
-                                let fetch_addr = base + fetch_idx * INSN_BYTES;
-                                if let Some(ctl) = irq.as_mut() {
-                                    ctl.begin_cycle(cycle_count);
-                                }
-
-                                let mut wb_value = None;
-                                if let Some(entry) = &wb {
-                                    if let Some(rd) = entry.rd {
-                                        regs.write(rd, entry.value);
-                                        wb_value = Some(entry.value);
-                                    }
-                                    retired += 1;
-                                }
-
-                                let mut mem_return = None;
-                                let mut ctrl_entry = ctrl;
-                                if let Some(entry) = &mut ctrl_entry {
-                                    match entry.mem {
-                                        Some(MemOp::Store { address, value }) => {
-                                            store_pre(
-                                                memory,
-                                                irq.as_mut(),
-                                                &ops[entry.op as usize],
-                                                address,
-                                                value,
-                                            )?;
-                                        }
-                                        Some(MemOp::Load { address }) => {
-                                            let value = load_pre(
-                                                memory,
-                                                irq.as_mut(),
-                                                &ops[entry.op as usize],
-                                                address,
-                                            )?;
-                                            entry.value = value;
-                                            mem_return = Some(value);
-                                        }
-                                        None => {}
-                                    }
-                                }
-
-                                let exe = window[0];
-                                let op = &ops[exe.op as usize];
-                                let (a, fwd_a) = resolve_operand(op.ra, &ctrl_entry, &wb, regs);
-                                let (rb_value, fwd_b) =
-                                    resolve_operand(op.rb, &ctrl_entry, &wb, regs);
-                                let b = op.op_b_imm.unwrap_or(rb_value);
-                                let outcome = predecode::exec_alu(op.alu, a, b, flag, carry);
-                                if let Some(new_flag) = outcome.flag {
-                                    flag = new_flag;
-                                }
-                                if let Some(new_carry) = outcome.carry {
-                                    carry = new_carry;
-                                }
-                                let value = outcome.result;
-                                let mem = mem_op_for(op, &outcome, rb_value);
-                                let next_ctrl = Some(Executed {
-                                    pc: exe.pc,
-                                    op: exe.op,
-                                    rd: op.rd,
-                                    value,
-                                    mem,
-                                });
-
-                                seq_counter += 1;
-
-                                digest.observe_fast_cycle(&FastCycleFacts {
-                                    fetch_address: fetch_addr,
-                                    adr_idx: fetch_idx,
-                                    fe_idx: window[2].op,
-                                    dc_idx: window[1].op,
-                                    ex_idx: exe.op,
-                                    ctrl_idx: ctrl_entry.map(|e| e.op),
-                                    wb_idx: wb.map(|e| e.op),
-                                    mem_return,
-                                    wb_value,
-                                    exec: exec_activity_pre(
-                                        op,
-                                        a,
-                                        b,
-                                        value,
-                                        carry,
-                                        fwd_a || fwd_b,
-                                        mem,
-                                    ),
-                                });
-                                if let Some(ctl) = irq.as_mut() {
-                                    for event in ctl.cycle_events() {
-                                        digest.observe_event(event);
-                                    }
-                                    ctl.clear_cycle_events();
-                                }
-                                cycle_count += 1;
-
-                                wb = ctrl_entry;
-                                ctrl = next_ctrl;
-                                window[0] = window[1];
-                                window[1] = window[2];
-                                window[2] = Fetched {
-                                    pc: fetch_addr,
-                                    op: fetch_idx,
-                                    branch_taken: None,
-                                };
-                            }
-                            ex = Some(window[0]);
-                            dc = Some(window[1]);
-                            fe = Some(window[2]);
-                            fetch_pc = base + (fi + k as u32) * INSN_BYTES;
-                            continue;
-                        }
-                    }
+        // -----------------------------------------------------------------
+        // Execute stage.
+        // -----------------------------------------------------------------
+        let mut exec = None;
+        let mut ex_redirect: Option<u32> = None;
+        let next_ctrl = match self.ex {
+            None => None,
+            Some(fetched) => {
+                let ctl = view.ctl(fetched.op);
+                if ctl == CtlKind::Exit {
+                    self.halting = true;
                 }
-            }
-
-            // -------------------------------------------------------------
-            // Reference-structured cycle (block boundaries, redirects,
-            // drains, halts) — micro-op-driven twin of `run_core`'s body.
-            // -------------------------------------------------------------
-            if let Some(ctl) = irq.as_mut() {
-                // Exactly once per cycle: the burst path above ticked the
-                // controller per burst cycle and `continue`d.
-                ctl.begin_cycle(cycle_count);
-            }
-            let mut writeback = None;
-            let mut finished = false;
-            if let Some(entry) = wb {
-                if let Some(rd) = entry.rd {
-                    regs.write(rd, entry.value);
-                    writeback = Some(entry.value);
-                }
-                retired += 1;
-                finished = ops[entry.op as usize].ctl == CtlKind::Exit;
-            }
-
-            let mut mem_return = None;
-            let mut ctrl_entry = ctrl;
-            if let Some(entry) = &mut ctrl_entry {
-                match entry.mem {
-                    Some(MemOp::Store { address, value }) => {
-                        store_pre(
-                            memory,
-                            irq.as_mut(),
-                            &ops[entry.op as usize],
-                            address,
-                            value,
-                        )?;
+                let (x, rb_value) = self.execute(view, fetched.op, &ctrl);
+                let mut value = x.outcome.result;
+                let mut rd = x.rd;
+                let mut branch_taken = fetched.branch_taken;
+                match ctl {
+                    CtlKind::Jump { link: true } => {
+                        rd = Some(Reg::LINK);
+                        value = fetched.pc.wrapping_add(8);
                     }
-                    Some(MemOp::Load { address }) => {
-                        let value =
-                            load_pre(memory, irq.as_mut(), &ops[entry.op as usize], address)?;
-                        entry.value = value;
-                        mem_return = Some(value);
-                    }
-                    None => {}
-                }
-            }
-
-            let mut exec_activity = None;
-            let mut ex_redirect: Option<u32> = None;
-            let next_ctrl = match ex {
-                None => None,
-                Some(fetched) => {
-                    let op = &ops[fetched.op as usize];
-
-                    if op.ctl == CtlKind::Exit {
-                        halting = true;
-                    }
-
-                    let (a, fwd_a) = resolve_operand(op.ra, &ctrl_entry, &wb, regs);
-                    let (rb_value, fwd_b) = resolve_operand(op.rb, &ctrl_entry, &wb, regs);
-                    let b = op.op_b_imm.unwrap_or(rb_value);
-                    let outcome = predecode::exec_alu(op.alu, a, b, flag, carry);
-
-                    if let Some(new_flag) = outcome.flag {
-                        flag = new_flag;
-                    }
-                    if let Some(new_carry) = outcome.carry {
-                        carry = new_carry;
-                    }
-
-                    let mut value = outcome.result;
-                    let mut rd = op.rd;
-                    let mut branch_taken = fetched.branch_taken;
-                    match op.ctl {
-                        CtlKind::Jump { link: true } => {
+                    CtlKind::JumpReg { link } => {
+                        if link {
                             rd = Some(Reg::LINK);
                             value = fetched.pc.wrapping_add(8);
                         }
-                        CtlKind::JumpReg { link } => {
-                            if link {
-                                rd = Some(Reg::LINK);
-                                value = fetched.pc.wrapping_add(8);
-                            }
-                            ex_redirect = Some(rb_value);
+                        ex_redirect = Some(rb_value);
+                        branch_taken = Some(true);
+                    }
+                    CtlKind::Rfe => {
+                        // Return-from-exception resolves in execute like a
+                        // register jump targeting the saved PC. A stray
+                        // `l.rfe` outside an active handler (or with no
+                        // interrupt scenario attached) is a no-op.
+                        let fetched_count = self.seq_counter;
+                        if let Some(target) = self
+                            .irq
+                            .as_mut()
+                            .and_then(|ctl| ctl.rfe_retire(fetched_count))
+                        {
+                            ex_redirect = Some(target);
                             branch_taken = Some(true);
                         }
-                        CtlKind::Rfe => {
-                            // Twin of the reference loop's `Opcode::Rfe`
-                            // arm: resolve to the saved PC, or no-op when
-                            // no handler is active.
-                            if let Some(target) =
-                                irq.as_mut().and_then(|ctl| ctl.rfe_retire(seq_counter))
-                            {
-                                ex_redirect = Some(target);
-                                branch_taken = Some(true);
-                            }
-                        }
-                        _ => {}
                     }
-
-                    let mem = mem_op_for(op, &outcome, rb_value);
-                    exec_activity = Some(ExecActivity {
-                        branch_taken,
-                        ..exec_activity_pre(op, a, b, value, carry, fwd_a || fwd_b, mem)
-                    });
-
-                    Some(Executed {
-                        pc: fetched.pc,
-                        op: fetched.op,
-                        rd,
-                        value,
-                        mem,
-                    })
+                    _ => {}
                 }
-            };
-
-            let mut dc_redirect: Option<u32> = None;
-            let mut dc_out = dc;
-            if let Some(fetched) = &mut dc_out {
-                let op = &ops[fetched.op as usize];
-                let taken = match op.ctl {
-                    CtlKind::Jump { .. } => Some(true),
-                    CtlKind::BranchIfFlag => Some(flag),
-                    CtlKind::BranchIfNotFlag => Some(!flag),
-                    _ => None,
-                };
-                if let Some(taken) = taken {
-                    fetched.branch_taken = Some(taken);
-                    if taken {
-                        dc_redirect = Some(fetched.pc.wrapping_add(op.branch_disp));
-                    }
-                }
+                exec = Some(ExecActivity {
+                    result: value,
+                    branch_taken,
+                    ..x.activity
+                });
+                Some(Executed {
+                    pc: fetched.pc,
+                    op: fetched.op,
+                    rd,
+                    value,
+                    mem: x.mem,
+                })
             }
+        };
 
-            let effective_fetch = dc_redirect.unwrap_or(fetch_pc);
-            let mut fetch_redirected = dc_redirect.is_some() || ex_redirect.is_some();
-            let mut fetch_address = effective_fetch;
-
-            // Exception entry — twin of the reference loop's accept logic.
-            let mut irq_entry_cycle = false;
-            if let Some(ctl) = irq.as_mut() {
-                if ctl.entry_pending() {
-                    ctl.entry_tick();
-                    irq_entry_cycle = true;
-                    fetch_address = ctl.vector();
-                } else if !halting
-                    && dc_redirect.is_none()
-                    && ex_redirect.is_none()
-                    && ctl.takeable()
-                    && in_range(effective_fetch)
-                    && slot_plain_op(ops, fe.as_ref())
-                    && slot_plain_op(ops, dc_out.as_ref())
-                {
-                    ctl.accept(effective_fetch, seq_counter)?;
-                    irq_entry_cycle = true;
-                    fetch_address = ctl.vector();
-                    fetch_redirected = true;
-                }
-            }
-
-            // One lookup, under the reference loop's union of guards.
-            let fetched = if !irq_entry_cycle
-                && !halting
-                && in_range(effective_fetch)
-                && (ex_redirect.is_none() || dc_redirect.is_none())
-            {
-                Some(pre.fetch_index(effective_fetch)?)
-            } else {
-                None
-            };
-            let new_fe = match fetched {
-                Some(idx) if ex_redirect.is_none() => {
-                    seq_counter += 1;
-                    Some(Fetched {
-                        pc: effective_fetch,
-                        op: idx,
-                        branch_taken: None,
-                    })
-                }
+        // -----------------------------------------------------------------
+        // Decode stage: resolve PC-relative jumps and conditional branches
+        // (the flag produced by the execute stage this cycle is already
+        // visible, modelling the forwarding path into the branch logic).
+        // -----------------------------------------------------------------
+        let mut dc_redirect: Option<u32> = None;
+        let mut dc_out = self.dc;
+        if let Some(fetched) = &mut dc_out {
+            let taken = match view.ctl(fetched.op) {
+                CtlKind::Jump { .. } => Some(true),
+                CtlKind::BranchIfFlag => Some(self.flag),
+                CtlKind::BranchIfNotFlag => Some(!self.flag),
                 _ => None,
             };
-
-            let adr = if irq_entry_cycle {
-                None
-            } else if dc_redirect.is_some() {
-                dc_out.map(|f| (f.pc, f.op))
-            } else {
-                fetched.map(|idx| (effective_fetch, idx))
-            };
-
-            let record = CycleRecord {
-                cycle: cycle_count,
-                stages: [
-                    occupant_at(adr),
-                    occupant_at(fe.map(|f| (f.pc, f.op))),
-                    occupant_at(dc_out.map(|f| (f.pc, f.op))),
-                    occupant_at(ex.map(|f| (f.pc, f.op))),
-                    occupant_at(ctrl_entry.map(|e| (e.pc, e.op))),
-                    occupant_at(wb.map(|e| (e.pc, e.op))),
-                ],
-                exec: exec_activity,
-                mem_return,
-                writeback,
-                fetch_address,
-                fetch_redirected,
-                irq_phase: irq_phase_of(irq.as_ref(), irq_entry_cycle),
-            };
-            cycle_count += 1;
-            for observer in observers.iter_mut() {
-                observer.observe_cycle(&record);
+            if let Some(taken) = taken {
+                fetched.branch_taken = Some(taken);
+                if taken {
+                    dc_redirect = Some(fetched.pc.wrapping_add(view.branch_disp(fetched.op)));
+                }
             }
-            drain_events(irq.as_mut(), observers);
+        }
 
-            if finished {
-                break;
-            }
+        // -----------------------------------------------------------------
+        // Fetch / address stage: present the instruction-memory address
+        // (possibly redirected by the decode stage this very cycle) and
+        // capture the fetched instruction for the next cycle.
+        // -----------------------------------------------------------------
+        let effective_fetch = dc_redirect.unwrap_or(self.fetch_pc);
+        let fetch_in_range = self.in_range(effective_fetch);
+        let mut fetch_redirected = dc_redirect.is_some() || ex_redirect.is_some();
+        let mut fetch_address = effective_fetch;
 
-            wb = ctrl_entry;
-            ctrl = next_ctrl;
-            if halting {
-                ex = None;
-                dc = None;
-                fe = None;
-            } else {
-                ex = dc_out;
-                dc = if ex_redirect.is_some() { None } else { fe };
-                fe = new_fe;
-            }
-
-            if irq_entry_cycle {
-                fetch_pc = fetch_address;
-            } else if let Some(target) = ex_redirect {
-                fetch_pc = target;
-            } else if let Some(target) = dc_redirect {
-                fetch_pc = target.wrapping_add(INSN_BYTES);
-            } else if !halting && in_range(effective_fetch) {
-                fetch_pc = effective_fetch.wrapping_add(INSN_BYTES);
-            }
-
-            if !halting
-                && !in_range(fetch_pc)
-                && fe.is_none()
-                && dc.is_none()
-                && ex.is_none()
-                && ctrl.is_none()
-                && wb.is_none()
+        // Exception entry: accept a pending interrupt at the fetch boundary
+        // (the in-flight plain instructions retire normally; the
+        // not-yet-fetched one becomes the saved PC), or keep injecting the
+        // remaining entry-flush bubble cycles. Acceptance requires bubbles
+        // or plain instructions in fetch and decode, so that nothing in
+        // flight can redirect or halt during the entry flush.
+        let plain =
+            |slot: Option<Fetched<Op>>| slot.is_none_or(|f| view.ctl(f.op) == CtlKind::None);
+        let mut irq_entry_cycle = false;
+        if let Some(ctl) = self.irq.as_mut() {
+            if ctl.entry_pending() {
+                ctl.entry_tick();
+                irq_entry_cycle = true;
+                fetch_address = ctl.vector();
+            } else if !self.halting
+                && dc_redirect.is_none()
+                && ex_redirect.is_none()
+                && ctl.takeable()
+                && fetch_in_range
+                && plain(self.fe)
+                && plain(dc_out)
             {
-                break;
+                ctl.accept(effective_fetch, self.seq_counter)?;
+                irq_entry_cycle = true;
+                fetch_address = ctl.vector();
+                fetch_redirected = true;
             }
         }
 
-        if cycle_count >= self.config.max_cycles {
-            return Err(PipelineError::CycleLimitExceeded {
-                limit: self.config.max_cycles,
-            });
+        // One lookup of the fetched instruction serves the new fetch latch
+        // (unless execute redirects) and the address-stage occupant (unless
+        // decode redirects).
+        let fetched = if !irq_entry_cycle
+            && !self.halting
+            && fetch_in_range
+            && (ex_redirect.is_none() || dc_redirect.is_none())
+        {
+            Some(view.fetch(effective_fetch)?)
+        } else {
+            None
+        };
+        let new_fe = match fetched {
+            Some(op) if ex_redirect.is_none() => {
+                self.seq_counter += 1;
+                Some(Fetched {
+                    pc: effective_fetch,
+                    op,
+                    branch_taken: None,
+                })
+            }
+            _ => None,
+        };
+
+        // -----------------------------------------------------------------
+        // Record this cycle.
+        // -----------------------------------------------------------------
+        let adr = if irq_entry_cycle {
+            None
+        } else if dc_redirect.is_some() {
+            // The control-flow instruction drives the long branch-target
+            // path into the instruction-memory address register this
+            // cycle, so it owns the address-stage endpoint group.
+            dc_out.map(|f| (f.pc, f.op))
+        } else {
+            fetched.map(|op| (effective_fetch, op))
+        };
+        let occupant = |at: Option<(u32, Op)>| match at {
+            Some((pc, op)) => Occupant::Insn {
+                pc,
+                insn: view.insn(op),
+            },
+            None => Occupant::Bubble,
+        };
+        let record = CycleRecord {
+            cycle,
+            stages: [
+                occupant(adr),
+                occupant(self.fe.map(|f| (f.pc, f.op))),
+                occupant(dc_out.map(|f| (f.pc, f.op))),
+                occupant(self.ex.map(|f| (f.pc, f.op))),
+                occupant(ctrl.map(|e| (e.pc, e.op))),
+                occupant(self.wb.map(|e| (e.pc, e.op))),
+            ],
+            exec,
+            mem_return,
+            writeback,
+            fetch_address,
+            fetch_redirected,
+            irq_phase: irq_phase_of(self.irq.as_ref(), irq_entry_cycle),
+        };
+        self.cycle_count += 1;
+        for observer in observers.iter_mut() {
+            observer.observe_cycle(&record);
+        }
+        drain_events(self.irq.as_mut(), observers);
+
+        if finished {
+            return Ok(true);
         }
 
-        let summary = RunSummary {
-            cycles: cycle_count,
-            retired,
-        };
-        for observer in observers.iter_mut() {
-            observer.finish(&summary);
+        // -----------------------------------------------------------------
+        // Latch update.
+        // -----------------------------------------------------------------
+        self.wb = ctrl;
+        self.ctrl = next_ctrl;
+        if self.halting {
+            // Instructions younger than the exit marker never execute (they
+            // are architecturally after the end of the program), matching
+            // the reference interpreter.
+            self.ex = None;
+            self.dc = None;
+            self.fe = None;
+        } else {
+            self.ex = dc_out;
+            self.dc = if ex_redirect.is_some() { None } else { self.fe };
+            self.fe = new_fe;
         }
-        buffers.flag = flag;
-        buffers.carry = carry;
-        Ok(summary)
+
+        if irq_entry_cycle {
+            // Fetch parks on the handler vector for the whole entry flush;
+            // the first post-entry cycle fetches the handler.
+            self.fetch_pc = fetch_address;
+        } else if let Some(target) = ex_redirect {
+            self.fetch_pc = target;
+        } else if let Some(target) = dc_redirect {
+            self.fetch_pc = target.wrapping_add(INSN_BYTES);
+        } else if !self.halting && fetch_in_range {
+            self.fetch_pc = effective_fetch.wrapping_add(INSN_BYTES);
+        }
+
+        // Natural drain: the program ran past its last instruction and the
+        // pipeline is now empty.
+        Ok(!self.halting
+            && !self.in_range(self.fetch_pc)
+            && self.fe.is_none()
+            && self.dc.is_none()
+            && self.ex.is_none()
+            && self.ctrl.is_none()
+            && self.wb.is_none())
     }
 }
 
-/// `true` for the `l.nop 1` exit marker (the reference loop's twin of
-/// [`CtlKind::Exit`]).
-fn is_exit(insn: &Insn) -> bool {
-    insn.opcode() == Opcode::Nop && insn.imm() == Some(i32::from(NOP_EXIT))
+/// The per-opcode reference view: every stage re-derives the facts it needs
+/// from the instruction word, through the original per-opcode matches and
+/// the reference ALU ([`alu::operand_b`], [`alu::execute`]). It is the
+/// oracle the table-driven [`PredecodedProgram`] view is pinned against.
+struct Reference<'p>(&'p Program);
+
+impl InsnView for Reference<'_> {
+    type Op = Insn;
+
+    fn image(&self) -> (u32, u32, &[(u32, u32)]) {
+        (self.0.base_address(), self.0.end_address(), self.0.data())
+    }
+
+    fn fetch(&self, pc: u32) -> Result<Insn, PipelineError> {
+        let index = self
+            .0
+            .insn_index(pc)
+            .ok_or(PipelineError::PcOutOfRange { pc })?;
+        Ok(self.0.insns()[index])
+    }
+
+    fn insn(&self, insn: Insn) -> Insn {
+        insn
+    }
+
+    fn ctl(&self, insn: Insn) -> CtlKind {
+        match insn.opcode() {
+            Opcode::J => CtlKind::Jump { link: false },
+            Opcode::Jal => CtlKind::Jump { link: true },
+            Opcode::Jr => CtlKind::JumpReg { link: false },
+            Opcode::Jalr => CtlKind::JumpReg { link: true },
+            Opcode::Bf => CtlKind::BranchIfFlag,
+            Opcode::Bnf => CtlKind::BranchIfNotFlag,
+            Opcode::Rfe => CtlKind::Rfe,
+            Opcode::Nop if insn.imm() == Some(i32::from(NOP_EXIT)) => CtlKind::Exit,
+            _ => CtlKind::None,
+        }
+    }
+
+    fn branch_disp(&self, insn: Insn) -> u32 {
+        (insn.imm().unwrap_or(0) as u32).wrapping_mul(4)
+    }
+
+    fn sources(&self, insn: Insn) -> (Option<Reg>, Option<Reg>) {
+        (insn.ra(), insn.rb())
+    }
+
+    fn execute(
+        &self,
+        insn: Insn,
+        a: u32,
+        rb_value: u32,
+        flag: bool,
+        carry: bool,
+        forwarded: bool,
+    ) -> Execution {
+        let opcode = insn.opcode();
+        let b = alu::operand_b(&insn, rb_value);
+        let outcome = alu::execute(&insn, a, b, flag, carry);
+        let mem = MemOp::of(opcode.is_load(), opcode.is_store(), &outcome, rb_value);
+        // The carry-chain proxy reads the carry flag as this instruction left it.
+        let carry = outcome.carry.unwrap_or(carry);
+        let mul_active = matches!(opcode, Opcode::Mul | Opcode::Mulu | Opcode::Muli);
+        Execution {
+            outcome,
+            rd: if opcode.writes_rd() { insn.rd() } else { None },
+            mem,
+            activity: ExecActivity {
+                op_a: a,
+                op_b: b,
+                result: outcome.result,
+                carry_chain: match opcode {
+                    Opcode::Add | Opcode::Addi => alu::carry_chain(a, b, false),
+                    Opcode::Addc | Opcode::Addic => alu::carry_chain(a, b, carry),
+                    Opcode::Sub | Opcode::Sf(_) | Opcode::Sfi(_) => alu::carry_chain(a, !b, true),
+                    op if op.is_mem() => alu::carry_chain(a, b, false),
+                    _ => 0,
+                },
+                mul_active,
+                mul_bits: if mul_active { operand_width(a, b) } else { 0 },
+                shift_amount: match opcode.timing_class() {
+                    TimingClass::Shift => (b & 0x1F) as u8,
+                    _ => 0,
+                },
+                forwarded,
+                branch_taken: None,
+                mem_address: mem.map(MemOp::address),
+            },
+        }
+    }
+
+    fn access(
+        &self,
+        insn: Insn,
+        memory: &mut Memory,
+        irq: Option<&mut InterruptController>,
+        mem: MemOp,
+    ) -> Result<Option<u32>, PipelineError> {
+        let opcode = insn.opcode();
+        match mem {
+            MemOp::Load { address } => {
+                if let Some(ctl) = irq {
+                    if matches!(opcode, Opcode::Lwz | Opcode::Lws) && is_mmio(address) {
+                        return ctl.mmio_load(address).map(Some);
+                    }
+                }
+                Ok(Some(match opcode {
+                    Opcode::Lwz | Opcode::Lws => memory.load_word(address)?,
+                    Opcode::Lhz => u32::from(memory.load_half(address)?),
+                    Opcode::Lhs => memory.load_half(address)? as i16 as i32 as u32,
+                    Opcode::Lbz => u32::from(memory.load_byte(address)?),
+                    Opcode::Lbs => memory.load_byte(address)? as i8 as i32 as u32,
+                    _ => 0,
+                }))
+            }
+            MemOp::Store { address, value } => {
+                if let Some(ctl) = irq {
+                    if opcode == Opcode::Sw && is_mmio(address) {
+                        return ctl.mmio_store(address, value).map(|()| None);
+                    }
+                }
+                match opcode {
+                    Opcode::Sw => memory.store_word(address, value)?,
+                    Opcode::Sh => memory.store_half(address, value as u16)?,
+                    Opcode::Sb => memory.store_byte(address, value as u8)?,
+                    _ => {}
+                }
+                Ok(None)
+            }
+        }
+    }
 }
 
-/// `true` when the reference-engine slot holds a bubble or a *plain*
-/// instruction — no control flow, not the exit marker. The interrupt-accept
-/// guard requires plain-or-bubble fetch/decode slots so that nothing
-/// in flight can redirect or halt during the entry flush; this is the
-/// reference-engine twin of [`MicroOp::is_plain`] (pinned equivalent by the
-/// differential suite).
-fn slot_plain(slot: Option<&Fetched<Insn>>) -> bool {
-    slot.is_none_or(|f| {
-        !(matches!(
-            f.op.opcode(),
-            Opcode::J
-                | Opcode::Jal
-                | Opcode::Jr
-                | Opcode::Jalr
-                | Opcode::Bf
-                | Opcode::Bnf
-                | Opcode::Rfe
-        ) || is_exit(&f.op))
-    })
+/// The predecoded view: every fact comes from the [`MicroOp`](crate::MicroOp) table
+/// (`Op` is the table index), and a lone hinted digest capture runs block
+/// interiors on the burst fast path.
+impl InsnView for PredecodedProgram {
+    type Op = u32;
+
+    fn image(&self) -> (u32, u32, &[(u32, u32)]) {
+        (self.base_address(), self.end_address(), self.data())
+    }
+
+    fn fetch(&self, pc: u32) -> Result<u32, PipelineError> {
+        self.fetch_index(pc)
+    }
+
+    fn insn(&self, idx: u32) -> Insn {
+        self.ops()[idx as usize].insn
+    }
+
+    fn ctl(&self, idx: u32) -> CtlKind {
+        self.ops()[idx as usize].ctl
+    }
+
+    fn branch_disp(&self, idx: u32) -> u32 {
+        self.ops()[idx as usize].branch_disp
+    }
+
+    fn sources(&self, idx: u32) -> (Option<Reg>, Option<Reg>) {
+        let op = &self.ops()[idx as usize];
+        (op.ra, op.rb)
+    }
+
+    #[inline(always)]
+    fn execute(
+        &self,
+        idx: u32,
+        a: u32,
+        rb_value: u32,
+        flag: bool,
+        carry: bool,
+        forwarded: bool,
+    ) -> Execution {
+        let op = &self.ops()[idx as usize];
+        let b = op.op_b_imm.unwrap_or(rb_value);
+        let outcome = predecode::exec_alu(op.alu, a, b, flag, carry);
+        let mem = MemOp::of(op.mem.is_load(), op.mem.is_store(), &outcome, rb_value);
+        let carry = outcome.carry.unwrap_or(carry);
+        Execution {
+            outcome,
+            rd: op.rd,
+            mem,
+            activity: ExecActivity {
+                op_a: a,
+                op_b: b,
+                result: outcome.result,
+                carry_chain: predecode::adder_chain(op.adder, a, b, carry),
+                mul_active: op.is_mul,
+                mul_bits: if op.is_mul { operand_width(a, b) } else { 0 },
+                shift_amount: if op.is_shift { (b & 0x1F) as u8 } else { 0 },
+                forwarded,
+                branch_taken: None,
+                mem_address: mem.map(MemOp::address),
+            },
+        }
+    }
+
+    #[inline(always)]
+    fn access(
+        &self,
+        idx: u32,
+        memory: &mut Memory,
+        irq: Option<&mut InterruptController>,
+        mem: MemOp,
+    ) -> Result<Option<u32>, PipelineError> {
+        let kind = self.ops()[idx as usize].mem;
+        match mem {
+            MemOp::Load { address } => {
+                // Only aligned *word* accesses route to the MMIO window;
+                // sub-word and unaligned accesses inside it fall through to
+                // the data memory, whose bounds checks reject them with the
+                // usual structured errors.
+                if let Some(ctl) = irq {
+                    if kind == MemKind::LoadWord && is_mmio(address) {
+                        return ctl.mmio_load(address).map(Some);
+                    }
+                }
+                Ok(Some(match kind {
+                    MemKind::LoadWord => memory.load_word(address)?,
+                    MemKind::LoadHalf { signed: false } => u32::from(memory.load_half(address)?),
+                    MemKind::LoadHalf { signed: true } => {
+                        memory.load_half(address)? as i16 as i32 as u32
+                    }
+                    MemKind::LoadByte { signed: false } => u32::from(memory.load_byte(address)?),
+                    MemKind::LoadByte { signed: true } => {
+                        memory.load_byte(address)? as i8 as i32 as u32
+                    }
+                    _ => 0,
+                }))
+            }
+            MemOp::Store { address, value } => {
+                if let Some(ctl) = irq {
+                    if kind == MemKind::StoreWord && is_mmio(address) {
+                        return ctl.mmio_store(address, value).map(|()| None);
+                    }
+                }
+                match kind {
+                    MemKind::StoreWord => memory.store_word(address, value)?,
+                    MemKind::StoreHalf => memory.store_half(address, value as u16)?,
+                    MemKind::StoreByte => memory.store_byte(address, value as u8)?,
+                    _ => {}
+                }
+                Ok(None)
+            }
+        }
+    }
+
+    /// The basic-block fast path. While the three youngest stages hold
+    /// plain (non-control, non-exit) micro-ops and fetch runs inside a
+    /// runway of plain ops, nothing can redirect, halt or end the run, so
+    /// `k ≥ 4` cycles reduce to table walks over a window holding
+    /// [execute, decode, fetch] oldest-first: the latch unwrapping and the
+    /// control-flow checks are hoisted out, writeback, the memory access
+    /// and execute run [`Core::step`]'s code, and each cycle folds compact
+    /// [`FastCycleFacts`] into the digest instead of materializing a
+    /// [`CycleRecord`].
+    fn burst(
+        &self,
+        core: &mut Core<'_, u32>,
+        observers: &mut [&mut dyn CycleObserver],
+        max_cycles: u64,
+    ) -> Result<(), PipelineError> {
+        let ops = self.ops();
+        let (Some(xe), Some(xd), Some(xf)) = (core.ex, core.dc, core.fe) else {
+            return Ok(());
+        };
+        let base = core.base;
+        if core.halting
+            || !ops[xe.op as usize].is_plain()
+            || !ops[xd.op as usize].is_plain()
+            || !ops[xf.op as usize].is_plain()
+            || !core.in_range(core.fetch_pc)
+            || !(core.fetch_pc - base).is_multiple_of(INSN_BYTES)
+        {
+            return Ok(());
+        }
+        let fi = (core.fetch_pc - base) / INSN_BYTES;
+        // k cycles are hazard-free when the k-2 ops fetched behind the
+        // current window (those that reach decode within the window) are
+        // plain, fetch stays in the image, and the cycle budget allows it.
+        let mut k = u64::from(self.runway(fi).saturating_add(2))
+            .min(u64::from(ops.len() as u32 - fi))
+            .min(max_cycles - core.cycle_count);
+        if let Some(ctl) = core.irq.as_ref() {
+            // Burst-abort on pending interrupt: cap the burst so no
+            // acceptance point can land inside it (the capped cycles run
+            // through `step`, which makes the identical accept decision).
+            k = k.min(ctl.burst_allowance(core.cycle_count, k));
+        }
+        if k < 4 {
+            return Ok(());
+        }
+        let digest = observers[0]
+            .as_hinted_digest()
+            .expect("the burst runs for a lone hinted digest capture");
+        let mut window = [xe, xd, xf];
+        for j in 0..k {
+            let fetch_idx = fi + j as u32;
+            let fetch_address = base + fetch_idx * INSN_BYTES;
+            if let Some(ctl) = core.irq.as_mut() {
+                ctl.begin_cycle(core.cycle_count);
+            }
+            let wb_value = core.writeback();
+            let (ctrl, mem_return) = core.mem_control(self)?;
+            let exe = window[0];
+            let (x, _) = core.execute(self, exe.op, &ctrl);
+            core.seq_counter += 1;
+
+            digest.observe_fast_cycle(&FastCycleFacts {
+                fetch_address,
+                adr_idx: fetch_idx,
+                fe_idx: window[2].op,
+                dc_idx: window[1].op,
+                ex_idx: exe.op,
+                ctrl_idx: ctrl.map(|e| e.op),
+                wb_idx: core.wb.map(|e| e.op),
+                mem_return,
+                wb_value,
+                exec: x.activity,
+            });
+            if let Some(ctl) = core.irq.as_mut() {
+                for event in ctl.cycle_events() {
+                    digest.observe_event(event);
+                }
+                ctl.clear_cycle_events();
+            }
+            core.cycle_count += 1;
+
+            core.wb = ctrl;
+            core.ctrl = Some(Executed {
+                pc: exe.pc,
+                op: exe.op,
+                rd: x.rd,
+                value: x.outcome.result,
+                mem: x.mem,
+            });
+            window = [
+                window[1],
+                window[2],
+                Fetched {
+                    pc: fetch_address,
+                    op: fetch_idx,
+                    branch_taken: None,
+                },
+            ];
+        }
+        core.ex = Some(window[0]);
+        core.dc = Some(window[1]);
+        core.fe = Some(window[2]);
+        core.fetch_pc = base + (fi + k as u32) * INSN_BYTES;
+        Ok(())
+    }
 }
 
-/// Predecoded-engine twin of [`slot_plain`].
-fn slot_plain_op(ops: &[MicroOp], slot: Option<&Fetched<u32>>) -> bool {
-    slot.is_none_or(|f| ops[f.op as usize].is_plain())
+/// The multiplier's operand width: significant bits of the wider operand.
+fn operand_width(a: u32, b: u32) -> u8 {
+    let bits_a = 32 - a.leading_zeros();
+    let bits_b = 32 - b.leading_zeros();
+    bits_a.max(bits_b) as u8
 }
 
 /// The live interrupt phase of the cycle being recorded: entry-flush cycles
@@ -1286,22 +1272,13 @@ fn drain_events(irq: Option<&mut InterruptController>, observers: &mut [&mut dyn
     ctl.clear_cycle_events();
 }
 
-/// The record occupant of a stage holding the instruction `insn` at `pc`,
-/// or a bubble.
-fn occupant(at: Option<(u32, Insn)>) -> Occupant {
-    match at {
-        Some((pc, insn)) => Occupant::Insn { pc, insn },
-        None => Occupant::Bubble,
-    }
-}
-
 /// The execute stage's view of source register `reg`: the value forwarded
 /// from the control latch, else from the writeback latch, else the register
 /// file, and whether it was forwarded.
-fn resolve_operand<I>(
+fn resolve_operand<Op>(
     reg: Option<Reg>,
-    ctrl: &Option<Executed<I>>,
-    wb: &Option<Executed<I>>,
+    ctrl: &Option<Executed<Op>>,
+    wb: &Option<Executed<Op>>,
     regs: &RegisterFile,
 ) -> (u32, bool) {
     let Some(reg) = reg else { return (0, false) };
@@ -1319,172 +1296,6 @@ fn resolve_operand<I>(
         }
     }
     (regs.read(reg), false)
-}
-
-fn mem_op_for(op: &MicroOp, outcome: &alu::AluOutcome, rb_value: u32) -> Option<MemOp> {
-    if op.mem.is_load() {
-        Some(MemOp::Load {
-            address: outcome.address.unwrap_or(0),
-        })
-    } else if op.mem.is_store() {
-        Some(MemOp::Store {
-            address: outcome.address.unwrap_or(0),
-            value: rb_value,
-        })
-    } else {
-        None
-    }
-}
-
-/// The execute-stage activity of micro-op `op` on operands `a` and `b`,
-/// latching `result`, with no branch resolved: the one builder of the burst
-/// and the per-cycle predecoded path. `carry` is the carry flag after `op`
-/// executed, as the reference loop's `adder_chain` reads it.
-#[inline(always)]
-fn exec_activity_pre(
-    op: &MicroOp,
-    a: u32,
-    b: u32,
-    result: u32,
-    carry: bool,
-    forwarded: bool,
-    mem: Option<MemOp>,
-) -> ExecActivity {
-    ExecActivity {
-        op_a: a,
-        op_b: b,
-        result,
-        carry_chain: predecode::adder_chain(op.adder, a, b, carry),
-        mul_active: op.is_mul,
-        mul_bits: mul_bits_pre(op.is_mul, a, b),
-        shift_amount: if op.is_shift { (b & 0x1F) as u8 } else { 0 },
-        forwarded,
-        branch_taken: None,
-        mem_address: mem.map(MemOp::address),
-    }
-}
-
-fn mul_bits_pre(is_mul: bool, a: u32, b: u32) -> u8 {
-    if is_mul {
-        let bits_a = 32 - a.leading_zeros();
-        let bits_b = 32 - b.leading_zeros();
-        bits_a.max(bits_b) as u8
-    } else {
-        0
-    }
-}
-
-fn load_pre(
-    memory: &Memory,
-    irq: Option<&mut InterruptController>,
-    op: &MicroOp,
-    address: u32,
-) -> Result<u32, PipelineError> {
-    // Only aligned *word* accesses route to the MMIO window; sub-word and
-    // unaligned accesses inside it fall through to the data memory, whose
-    // bounds checks reject them with the usual structured errors.
-    if let Some(ctl) = irq {
-        if op.mem == MemKind::LoadWord && is_mmio(address) {
-            return ctl.mmio_load(address);
-        }
-    }
-    Ok(match op.mem {
-        MemKind::LoadWord => memory.load_word(address)?,
-        MemKind::LoadHalf { signed: false } => u32::from(memory.load_half(address)?),
-        MemKind::LoadHalf { signed: true } => memory.load_half(address)? as i16 as i32 as u32,
-        MemKind::LoadByte { signed: false } => u32::from(memory.load_byte(address)?),
-        MemKind::LoadByte { signed: true } => memory.load_byte(address)? as i8 as i32 as u32,
-        _ => 0,
-    })
-}
-
-fn store_pre(
-    memory: &mut Memory,
-    irq: Option<&mut InterruptController>,
-    op: &MicroOp,
-    address: u32,
-    value: u32,
-) -> Result<(), PipelineError> {
-    if let Some(ctl) = irq {
-        if op.mem == MemKind::StoreWord && is_mmio(address) {
-            return ctl.mmio_store(address, value);
-        }
-    }
-    match op.mem {
-        MemKind::StoreWord => memory.store_word(address, value),
-        MemKind::StoreHalf => memory.store_half(address, value as u16),
-        MemKind::StoreByte => memory.store_byte(address, value as u8),
-        _ => Ok(()),
-    }
-}
-
-fn adder_chain(opcode: Opcode, a: u32, b: u32, carry: bool) -> u8 {
-    match opcode {
-        Opcode::Add | Opcode::Addi => alu::carry_chain(a, b, false),
-        Opcode::Addc | Opcode::Addic => alu::carry_chain(a, b, carry),
-        Opcode::Sub | Opcode::Sf(_) | Opcode::Sfi(_) => alu::carry_chain(a, !b, true),
-        op if op.is_mem() => alu::carry_chain(a, b, false),
-        _ => 0,
-    }
-}
-
-fn mul_bits(opcode: Opcode, a: u32, b: u32) -> u8 {
-    match opcode {
-        Opcode::Mul | Opcode::Mulu | Opcode::Muli => {
-            let bits_a = 32 - a.leading_zeros();
-            let bits_b = 32 - b.leading_zeros();
-            bits_a.max(bits_b) as u8
-        }
-        _ => 0,
-    }
-}
-
-fn shift_amount(opcode: Opcode, b: u32) -> u8 {
-    match opcode.timing_class() {
-        idca_isa::TimingClass::Shift => (b & 0x1F) as u8,
-        _ => 0,
-    }
-}
-
-fn load(
-    memory: &Memory,
-    irq: Option<&mut InterruptController>,
-    opcode: Opcode,
-    address: u32,
-) -> Result<u32, PipelineError> {
-    if let Some(ctl) = irq {
-        if matches!(opcode, Opcode::Lwz | Opcode::Lws) && is_mmio(address) {
-            return ctl.mmio_load(address);
-        }
-    }
-    Ok(match opcode {
-        Opcode::Lwz | Opcode::Lws => memory.load_word(address)?,
-        Opcode::Lhz => u32::from(memory.load_half(address)?),
-        Opcode::Lhs => memory.load_half(address)? as i16 as i32 as u32,
-        Opcode::Lbz => u32::from(memory.load_byte(address)?),
-        Opcode::Lbs => memory.load_byte(address)? as i8 as i32 as u32,
-        _ => 0,
-    })
-}
-
-fn store(
-    memory: &mut Memory,
-    irq: Option<&mut InterruptController>,
-    opcode: Opcode,
-    address: u32,
-    value: u32,
-) -> Result<(), PipelineError> {
-    if let Some(ctl) = irq {
-        if opcode == Opcode::Sw && is_mmio(address) {
-            return ctl.mmio_store(address, value);
-        }
-    }
-    match opcode {
-        Opcode::Sw => memory.store_word(address, value),
-        Opcode::Sh => memory.store_half(address, value as u16),
-        Opcode::Sb => memory.store_byte(address, value as u8),
-        _ => Ok(()),
-    }
 }
 
 #[cfg(test)]

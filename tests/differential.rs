@@ -8,7 +8,7 @@
 //! reported.
 
 use idca::gen::ClassMix;
-use idca::pipeline::{Interpreter, SimConfig, Simulator};
+use idca::pipeline::{Interpreter, InterruptPlan, InterruptSpec, SimConfig, Simulator};
 use idca::prelude::*;
 use idca_cases::property;
 
@@ -265,22 +265,38 @@ fn retired_instruction_counts_match_between_models() {
     }
 }
 
+/// `program` with the handler of `spec` attached, and a simulator driving
+/// that scenario; with no spec, the program and a plain simulator.
+fn with_interrupts(program: Program, spec: Option<&InterruptSpec>) -> (Program, Simulator) {
+    let simulator = Simulator::new(SimConfig::default());
+    match spec {
+        Some(spec) => {
+            let (attached, plan) = InterruptPlan::attach(&program, spec);
+            (attached, simulator.with_interrupts(plan))
+        }
+        None => (program, simulator),
+    }
+}
+
 /// The predecoded fast-path engine is pinned **bit-identical** to the
-/// retained per-cycle reference loop: same `RunSummary`, same architectural
-/// state, same `CycleRecord` stream, and same timing-digest bytes (unhinted
-/// capture on the reference loop vs both hinted captures on the fast path:
+/// per-opcode reference view: same `RunSummary`, same architectural state,
+/// same `CycleRecord` stream, and same timing-digest bytes (unhinted capture
+/// on the reference view vs both hinted captures on the predecoded view:
 /// the fused burst→digest path, which a lone hinted observer takes, and the
 /// record path, which it takes beside another observer).
 ///
 /// The population is the hostile mix, whose short bursts cross every
 /// fast-path entry/exit edge (hazard bail-out, control handoff, drain) many
-/// times per program.
+/// times per program. About half the cases run under an interrupt
+/// scenario, whose events the digest bytes carry: a storm of up to 0.01 per
+/// cycle beside a timer of at least 29 cycles, against an entry penalty of
+/// at most 12, so no timer runs in lockstep with the handler's
+/// `penalty + 7`-cycle round trip.
 #[test]
 fn predecoded_engine_is_bit_identical_to_reference_loop_on_hostile_mix() {
     use idca::pipeline::{DigestObserver, PipelineTrace, PredecodedProgram};
 
     let config = hostile_mix();
-    let simulator = Simulator::new(SimConfig::default());
     property!(
         predecoded_engine_is_bit_identical_to_reference_loop_on_hostile_mix,
         master = 0xB00B5,
@@ -288,7 +304,15 @@ fn predecoded_engine_is_bit_identical_to_reference_loop_on_hostile_mix() {
     )
     .run(|case| {
         let seed = case.seed();
-        let program = generate_program(seed, &config);
+        let interrupts = case.bool().then(|| InterruptSpec {
+            seed: case.u64(),
+            rate: f64::from(case.int(0u32..=100)) / 10_000.0,
+            timer: case.int(29u32..=300),
+            penalty: case.int(1u32..=12),
+            ..InterruptSpec::default()
+        });
+        let (program, simulator) =
+            with_interrupts(generate_program(seed, &config), interrupts.as_ref());
         let pre = PredecodedProgram::lower(&program);
 
         // Reference loop: unhinted digest capture plus a full trace.
@@ -342,4 +366,81 @@ fn predecoded_engine_is_bit_identical_to_reference_loop_on_hostile_mix() {
             "seed {seed:#x}: hinted record-path digest bytes diverge"
         );
     });
+}
+
+/// The interrupt scenario of the pinned runs: the codec fixture's spec
+/// (`crates/bench/tests/codec_fuzz.rs`), a slow storm beside a timer.
+const PINNED_INTERRUPTS: &str = "seed=5,rate=0.003,timer=173,penalty=5";
+
+/// The FNV-1a over every pinned run: 16 hostile-mix programs, each without
+/// and with [`PINNED_INTERRUPTS`], folding the run's `RunSummary`, its final
+/// registers and its digest bytes in that order.
+const PINNED_RUNS_FNV1A: u64 = 0x07a4_4f69_4db8_3ac3;
+
+/// An absolute pin of the pipeline's control: the cross-engine comparisons
+/// above hold any behaviour the engines share, and under interrupts the
+/// interpreter models none, so this fixes the bytes themselves. The folded
+/// constant was computed before the reference and predecoded engines came
+/// to share one cycle body. Every engine folds to it: the per-opcode
+/// reference view with an unhinted capture, the predecoded per-cycle path
+/// with an unhinted capture, and the fused burst capture.
+#[test]
+fn hostile_mix_runs_are_pinned_on_every_engine() {
+    use idca::pipeline::frame::fnv1a;
+    use idca::pipeline::{DigestEventKind, PredecodedProgram};
+
+    let spec = InterruptSpec::parse(PINNED_INTERRUPTS).expect("spec parses");
+    let fold = |bytes: &mut Vec<u8>, run: &ObservedRun, digest: TimingDigest| {
+        bytes.extend_from_slice(&run.summary.cycles.to_le_bytes());
+        bytes.extend_from_slice(&run.summary.retired.to_le_bytes());
+        for value in run.state.regs.as_array() {
+            bytes.extend_from_slice(&value.to_le_bytes());
+        }
+        bytes.extend_from_slice(&digest.to_bytes());
+    };
+    let mut folds = [Vec::new(), Vec::new(), Vec::new()];
+    let mut entries = 0;
+    for i in 0..16 {
+        let generated = generate_program(nth_seed(0x0B0D_0029, i), &hostile_mix());
+        for interrupts in [None, Some(&spec)] {
+            let (program, simulator) = with_interrupts(generated.clone(), interrupts);
+            let pre = PredecodedProgram::lower(&program);
+            let context = format!("program {i}, interrupts {interrupts:?}");
+
+            let mut digest = DigestObserver::new();
+            let run = simulator
+                .run_observed_reference(&program, &mut [&mut digest])
+                .unwrap_or_else(|e| panic!("{context}: reference view failed: {e}"));
+            let digest = digest.into_digest();
+            entries += digest
+                .events()
+                .iter()
+                .filter(|e| matches!(e.kind, DigestEventKind::IrqEntry { .. }))
+                .count();
+            fold(&mut folds[0], &run, digest);
+
+            let mut digest = DigestObserver::new();
+            let run = simulator
+                .run_observed_predecoded(&pre, &mut [&mut digest])
+                .unwrap_or_else(|e| panic!("{context}: predecoded per-cycle path failed: {e}"));
+            fold(&mut folds[1], &run, digest.into_digest());
+
+            let mut digest = DigestObserver::with_hints(pre.digest_hints());
+            let run = simulator
+                .run_observed_predecoded(&pre, &mut [&mut digest])
+                .unwrap_or_else(|e| panic!("{context}: fused capture failed: {e}"));
+            fold(&mut folds[2], &run, digest.into_digest());
+        }
+    }
+    assert!(entries >= 16, "the interrupt runs took {entries} entries");
+    for (engine, bytes) in [
+        "reference view",
+        "predecoded per-cycle path",
+        "fused capture",
+    ]
+    .iter()
+    .zip(&folds)
+    {
+        assert_eq!(fnv1a(bytes), PINNED_RUNS_FNV1A, "{engine}");
+    }
 }

@@ -93,9 +93,9 @@ fn adaptive_run_on_zero_cycle_trace_is_neutral() {
 
 /// A register jump that leaves the program image entirely must *drain* the
 /// pipeline (mirroring what real fetch hardware sees: no more instructions),
-/// not panic or error — and the predecoded fast-path engine, the per-cycle
-/// reference loop, and the sequential interpreter must all agree on the
-/// resulting architectural state.
+/// not panic or error — and the predecoded view, the per-opcode reference
+/// view, and the sequential interpreter must all agree on the resulting
+/// architectural state.
 #[test]
 fn register_jump_outside_the_image_drains_cleanly_on_every_engine() {
     use idca::pipeline::Interpreter;
@@ -269,10 +269,73 @@ fn timer_fire_on_the_final_cycle_before_the_limit_stops_with_a_structured_error(
     );
 }
 
+/// A run that ends on its last allowed cycle is within the limit: a program
+/// that completes in exactly `N` cycles returns `Ok(N)` at `max_cycles = N`
+/// and the structured [`PipelineError::CycleLimitExceeded`] at `N - 1`, on
+/// every engine (the reference view, the predecoded per-cycle path and the
+/// fused burst capture), whether the exit marker or the drain ends it. The
+/// interpreter's instruction budget has the same boundary at
+/// `max_instructions = retired`.
+#[test]
+fn a_run_that_ends_on_its_last_allowed_cycle_is_within_the_limit_on_every_engine() {
+    use idca::pipeline::{DigestObserver, Interpreter, PipelineError, PredecodedProgram};
+
+    let assemble = |src: &str| Assembler::new().assemble(src).expect("assembles");
+    let programs = [
+        assemble("l.addi r3, r0, 1\n l.nop 1\n"),
+        assemble("l.addi r3, r0, 4\n l.add r4, r3, r3\n"),
+        generate_program(nth_seed(11, 0), &GenConfig::default()),
+    ];
+    for (i, program) in programs.iter().enumerate() {
+        let pre = PredecodedProgram::lower(program);
+        let full = Simulator::new(SimConfig::default())
+            .run_observed(program, &mut [])
+            .expect("runs")
+            .summary;
+        let over = PipelineError::CycleLimitExceeded {
+            limit: full.cycles - 1,
+        };
+        for (max_cycles, expected) in [(full.cycles - 1, Err(over)), (full.cycles, Ok(full))] {
+            let simulator = Simulator::new(SimConfig {
+                max_cycles,
+                ..SimConfig::default()
+            });
+            let reference = simulator
+                .run_observed_reference(program, &mut [])
+                .map(|run| run.summary);
+            let per_cycle = simulator
+                .run_observed_predecoded(&pre, &mut [])
+                .map(|run| run.summary);
+            let mut digest = DigestObserver::with_hints(pre.digest_hints());
+            let fused = simulator
+                .run_observed_predecoded(&pre, &mut [&mut digest])
+                .map(|run| run.summary);
+            let context = format!("program {i}, max_cycles {max_cycles}");
+            assert_eq!(reference, expected, "{context}: reference view");
+            assert_eq!(per_cycle, expected, "{context}: predecoded per-cycle path");
+            assert_eq!(fused, expected, "{context}: fused capture");
+        }
+
+        let interpret = |limit| {
+            Interpreter::new()
+                .with_max_instructions(limit)
+                .run(program)
+                .map(|result| result.retired)
+        };
+        let retired = full.retired;
+        assert_eq!(
+            interpret(retired - 1),
+            Err(PipelineError::CycleLimitExceeded { limit: retired - 1 }),
+            "program {i}: interpreter"
+        );
+        assert_eq!(interpret(retired), Ok(retired), "program {i}: interpreter");
+    }
+}
+
 /// A timer whose period divides the canonical handler's round trip
 /// (`penalty + 7` cycles) re-enters in lockstep with `l.rfe`, so the
 /// program never retires another user instruction. Every engine (the
-/// reference loop, the predecoded loop and its fused burst capture) stops
+/// reference view, the predecoded view and its fused burst capture) stops
 /// with the same structured livelock error within a few entries instead of
 /// burning the cycle budget, and periods that do not divide the round trip
 /// run to completion.
@@ -330,8 +393,8 @@ fn timer_in_lockstep_with_the_handler_is_a_livelock_error_on_every_engine() {
 
 /// An interrupt vector outside the program image is the structured
 /// [`PipelineError::PcOutOfRange`] naming the vector, before the first
-/// cycle, identically on every engine (the reference loop, the predecoded
-/// loop and its fused burst capture), so no run drains at its first
+/// cycle, identically on every engine (the reference view, the predecoded
+/// view and its fused burst capture), so no run drains at its first
 /// interrupt and is scored as complete. A vector inside the image keeps
 /// running.
 #[test]
