@@ -466,6 +466,9 @@ pub struct AdaptiveBank<'a> {
     // lanes, `+inf` otherwise, so the backoff test is one `f64` compare.
     // Padding lanes never violate, so theirs is always `+inf`.
     violation_limit: Vec<Ps>,
+    // Per-pass scratch (`padded` long): a stage row the corner bank's fold
+    // skipped, evaluated for a grow pass that reads it.
+    row: Vec<Ps>,
     outcomes: Option<Vec<AdaptiveOutcome>>,
     // The copy of the lanes kernel this bank runs.
     isa: LaneIsa,
@@ -550,6 +553,7 @@ impl<'a> AdaptiveBank<'a> {
             warmup_cycles: 0,
             requested: vec![0.0; padded],
             violation_limit: vec![Ps::INFINITY; padded],
+            row: vec![0.0; padded],
             outcomes: None,
             isa: LaneIsa::for_lanes(padded),
             skips: drift == Drift::None && margin_factor > 0.0 && margin_factor.is_finite(),
@@ -686,7 +690,11 @@ impl<'a> AdaptiveBank<'a> {
     /// ([`CycleLanes::pure_shortfalls`]) of a bank wider than one chunk
     /// and without drift, that grow pass is skipped for every entry whose
     /// shortfall floor rules out a change (see [`AdaptiveBank`]); purity,
-    /// drift and the bank key are tested once per cycle.
+    /// drift and the bank key are tested once per cycle. A grow pass that
+    /// runs reads its stage's row through
+    /// [`CycleLanes::stage_lanes_with`]: a row the corner bank's fold
+    /// skipped (it could not set the maximum) is evaluated into the bank's
+    /// scratch, with the fold's expression, in this kernel's copy.
     ///
     /// `entry` is the cycle's interrupt-entry classification — the bank
     /// lives in `'static` worker scratch, so it cannot hold a borrowed
@@ -889,7 +897,7 @@ impl<'a> AdaptiveBank<'a> {
             }
             let at = entry * padded;
             let learned = &mut self.learned[at..at + padded];
-            let observed_lanes = &lanes.stage_lanes(stage)[..padded];
+            let observed_lanes = &lanes.stage_lanes_with(stage, &mut self.row)[..padded];
             let chunks = learned
                 .chunks_exact_mut(LANE_WIDTH)
                 .zip(observed_lanes.chunks_exact(LANE_WIDTH));
@@ -1333,6 +1341,74 @@ mod tests {
         BankSwitch,
     }
 
+    /// One drawn job's digest and perturbations: the interrupts of
+    /// [`Scenario::Surges`], the fault plan of [`Scenario::Faults`] and the
+    /// drift of [`Scenario::Drifting`], drawn in that order.
+    struct DrawnJob {
+        digest: TimingDigest,
+        timeline: Option<IrqTimeline>,
+        surge_factor: f64,
+        plan: Option<FaultPlan>,
+        drift: Drift,
+    }
+
+    impl DrawnJob {
+        fn draw(case: &mut idca_cases::Case, scenario: Scenario, seed: u64) -> DrawnJob {
+            use idca_gen::{generate_program, nth_seed, GenConfig};
+            use idca_pipeline::{InterruptPlan, InterruptSpec};
+            use idca_timing::FaultSpec;
+            let program = generate_program(nth_seed(seed, 0), &GenConfig::default());
+            let irq = (scenario == Scenario::Surges).then(|| InterruptSpec {
+                seed: case.u64(),
+                rate: f64::from(case.int(1u32..=20)) / 1000.0,
+                penalty: case.int(1u32..=8),
+                surge: case.f64(0.05..0.5),
+                ..InterruptSpec::default()
+            });
+            let mut capture = DigestObserver::new();
+            match &irq {
+                Some(spec) => {
+                    let (attached, plan) = InterruptPlan::attach(&program, spec);
+                    Simulator::new(SimConfig::default())
+                        .with_interrupts(plan)
+                        .run_observed(&attached, &mut [&mut capture])
+                }
+                None => {
+                    Simulator::new(SimConfig::default()).run_observed(&program, &mut [&mut capture])
+                }
+            }
+            .expect("generated programs terminate");
+            let digest = capture.into_digest();
+            let timeline = irq.map(|spec| IrqTimeline::from_events(digest.events(), spec.penalty));
+            let plan = (scenario == Scenario::Faults).then(|| {
+                FaultPlan::new(&FaultSpec {
+                    seed: case.u64(),
+                    droop_rate: case.f64(0.0..0.5),
+                    droop_mag: case.f64(0.0..0.4),
+                    spike_rate: case.f64(0.0..0.05),
+                    spike_mag: case.f64(0.0..0.5),
+                    shift_mag: case.f64(0.0..0.1),
+                    replay_penalty: case.int(1u32..=8),
+                    ..FaultSpec::default()
+                })
+            });
+            let drift = if scenario == Scenario::Drifting {
+                Drift::LinearSlowdown {
+                    fraction_per_kilocycle: case.f64(0.005..0.03),
+                }
+            } else {
+                Drift::None
+            };
+            DrawnJob {
+                digest,
+                timeline,
+                surge_factor: irq.map_or(1.0, |spec| 1.0 + spec.surge),
+                plan,
+                drift,
+            }
+        }
+    }
+
     /// Learned periods (as bits) and observation counts, entry by entry.
     type Table = Vec<(u64, u64)>;
 
@@ -1362,9 +1438,7 @@ mod tests {
     #[test]
     fn floors_never_change_a_result() {
         use idca_cases::property;
-        use idca_gen::{generate_program, nth_seed, GenConfig};
-        use idca_pipeline::{InterruptPlan, InterruptSpec};
-        use idca_timing::{FaultSpec, VariationModel};
+        use idca_timing::VariationModel;
         use Scenario::*;
         const SCENARIOS: [Scenario; 9] = [
             Clean,
@@ -1394,51 +1468,13 @@ mod tests {
             let config = AdaptiveConfig::default();
             let nominal = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
             let models = varied_models(corners, seed);
-
-            let program = generate_program(nth_seed(seed, 0), &GenConfig::default());
-            let irq = (scenario == Surges).then(|| InterruptSpec {
-                seed: case.u64(),
-                rate: f64::from(case.int(1u32..=20)) / 1000.0,
-                penalty: case.int(1u32..=8),
-                surge: case.f64(0.05..0.5),
-                ..InterruptSpec::default()
-            });
-            let mut capture = DigestObserver::new();
-            match &irq {
-                Some(spec) => {
-                    let (attached, plan) = InterruptPlan::attach(&program, spec);
-                    Simulator::new(SimConfig::default())
-                        .with_interrupts(plan)
-                        .run_observed(&attached, &mut [&mut capture])
-                }
-                None => {
-                    Simulator::new(SimConfig::default()).run_observed(&program, &mut [&mut capture])
-                }
-            }
-            .expect("generated programs terminate");
-            let digest = capture.into_digest();
-            let timeline = irq.map(|spec| IrqTimeline::from_events(digest.events(), spec.penalty));
-            let surge_factor = irq.map_or(1.0, |spec| 1.0 + spec.surge);
-
-            let plan = (scenario == Faults).then(|| {
-                FaultPlan::new(&FaultSpec {
-                    seed: case.u64(),
-                    droop_rate: case.f64(0.0..0.5),
-                    droop_mag: case.f64(0.0..0.4),
-                    spike_rate: case.f64(0.0..0.05),
-                    spike_mag: case.f64(0.0..0.5),
-                    shift_mag: case.f64(0.0..0.1),
-                    replay_penalty: case.int(1u32..=8),
-                    ..FaultSpec::default()
-                })
-            });
-            let drift = if scenario == Drifting {
-                Drift::LinearSlowdown {
-                    fraction_per_kilocycle: case.f64(0.005..0.03),
-                }
-            } else {
-                Drift::None
-            };
+            let DrawnJob {
+                digest,
+                timeline,
+                surge_factor,
+                plan,
+                drift,
+            } = DrawnJob::draw(case, scenario, seed);
             let seed_table = DelayLut::from_model(&nominal);
             let seed_lut = (scenario == SeedLut).then_some(&seed_table);
             let generator = match scenario {
@@ -1580,6 +1616,183 @@ mod tests {
                         assert_eq!(&outcomes[corner], scalar_outcome, "{what} corner {corner}");
                     }
                 }
+            }
+        });
+    }
+
+    /// The maximum of all six stage rows, folded in stage order with the
+    /// fold's strict `>`: the maximum lanes of a fold that keeps every
+    /// stage. Reading each row keeps it in the lanes.
+    fn refolded_max(lanes: &mut CycleLanes<'_>) -> Vec<Ps> {
+        let mut max = lanes.stage_lanes(Stage::ALL[0]).to_vec();
+        for stage in &Stage::ALL[1..] {
+            for (max, &delay) in max.iter_mut().zip(lanes.stage_lanes(*stage)) {
+                if delay > *max {
+                    *max = delay;
+                }
+            }
+        }
+        max
+    }
+
+    /// The three table-driven policy banks and the adaptive bank of one
+    /// job, all reading the same lanes.
+    struct JobBanks<'g> {
+        policies: [crate::PolicyBank<'g>; 3],
+        adaptive: AdaptiveBank<'g>,
+    }
+
+    /// The corner bank's pruned fold changes no result of the banks that
+    /// read its lanes. One set of banks reads the pruned lanes; another
+    /// reads the lanes of a second evaluator of the same bank with every
+    /// stage row kept, and the maximum refolded from all six rows. In every
+    /// copy a bank of the drawn width can run, the three `PolicyBank`s'
+    /// outcomes and the `AdaptiveBank`'s outcomes and learned tables must
+    /// be equal, and on every cycle the pruned maximum lanes must equal the
+    /// refolded ones, bit for bit.
+    #[test]
+    fn pruned_lanes_never_change_a_result() {
+        use crate::{ClockPolicy, ExecuteOnly, PolicyBank};
+        use idca_cases::property;
+        use Scenario::*;
+        const SCENARIOS: [Scenario; 5] = [Clean, Faults, Surges, Drifting, SeedLut];
+        // Coprime with the scenario count: consecutive cases walk every
+        // pairing of a scenario with a multi-chunk width (past the AVX2 gate
+        // and two baseline widths) or a one-chunk width.
+        const CORNERS: [u32; 7] = [37, 8, 5, 1, 2, 3, 4];
+        property!(
+            pruned_lanes_never_change_a_result,
+            master = 0xCA5E_001F,
+            cases = 14
+        )
+        .run(|case| {
+            let index = case.index() as usize;
+            let scenario = SCENARIOS[index % SCENARIOS.len()];
+            let corners = CORNERS[index % CORNERS.len()];
+            let seed = case.u64();
+            let config = AdaptiveConfig::default();
+            let nominal = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
+            let models = varied_models(corners, seed);
+            let DrawnJob {
+                digest,
+                timeline,
+                surge_factor,
+                plan,
+                drift,
+            } = DrawnJob::draw(case, scenario, seed);
+            let seed_table = DelayLut::from_model(&nominal);
+            let seed_lut = (scenario == SeedLut).then_some(&seed_table);
+            let lut_policy = InstructionBased::from_model(&nominal);
+            let exec_only = ExecuteOnly::new(DelayLut::from_model(&nominal));
+            let generator = ClockGenerator::Ideal;
+
+            let bank = CornerBank::from_models(&models);
+            let static_periods: Vec<Ps> =
+                models.iter().map(TimingModel::static_period_ps).collect();
+            let copies = [
+                LaneIsa::BASELINE,
+                LaneIsa::detected(),
+                LaneIsa::for_lanes(bank.padded_lanes()),
+            ];
+            let new_banks = |isa| {
+                let policy = |name| {
+                    let bank = PolicyBank::new(name, models.len(), &generator).with_isa(isa);
+                    match plan {
+                        Some(plan) => bank.with_faults(plan),
+                        None => bank,
+                    }
+                };
+                let adaptive =
+                    AdaptiveBank::new(&models, &config, &generator, seed_lut, drift).with_isa(isa);
+                JobBanks {
+                    policies: [policy("static"), policy("lut"), policy("exec")],
+                    adaptive: match plan {
+                        Some(plan) => adaptive.with_faults(plan),
+                        None => adaptive,
+                    },
+                }
+            };
+            // Per copy, the banks reading the pruned lanes, then those
+            // reading every stage.
+            let mut pruned_banks: Vec<JobBanks<'_>> = copies.map(new_banks).into();
+            let mut every_banks: Vec<JobBanks<'_>> = copies.map(new_banks).into();
+            let perturbation = Perturbation {
+                faults: plan.as_ref(),
+                surge_factor,
+            };
+            if digest.cycles() > 0 {
+                for banks in pruned_banks.iter_mut().chain(&mut every_banks) {
+                    banks.policies[0].begin_block_per_corner(&static_periods);
+                }
+            }
+            let (mut pruned, mut every) = (bank.evaluator(), bank.evaluator());
+            let mut cursor = timeline.as_ref().map(IrqTimeline::cursor);
+            digest.for_each_run(|start, len, dc| {
+                let lut = lut_policy.digest_period_ps(start, dc);
+                let exec = exec_only.digest_period_ps(start, dc);
+                for banks in pruned_banks.iter_mut().chain(&mut every_banks) {
+                    banks.policies[1].begin_block(lut);
+                    banks.policies[2].begin_block(exec);
+                }
+                for cycle in start..start + u64::from(len) {
+                    let entry = cursor
+                        .as_mut()
+                        .is_some_and(|cursor| cursor.phase(cycle) == IrqPhase::Entry);
+                    let lanes = pruned.cycle_lanes(cycle, dc);
+                    perturbation.lanes(cycle, lanes, entry);
+                    let oracle = every.cycle_lanes(cycle, dc);
+                    perturbation.lanes(cycle, oracle, entry);
+                    let max = refolded_max(oracle);
+                    assert_eq!(
+                        lanes
+                            .max_lanes()
+                            .iter()
+                            .map(|d| d.to_bits())
+                            .collect::<Vec<_>>(),
+                        max.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                        "{scenario:?} corners {corners}: cycle {cycle}"
+                    );
+                    let feeds = [
+                        (&mut pruned_banks, &*lanes, lanes.max_lanes()),
+                        (&mut every_banks, &*oracle, &max[..]),
+                    ];
+                    for (banks, lanes, max) in feeds {
+                        for banks in banks.iter_mut() {
+                            for policy in &mut banks.policies {
+                                if entry {
+                                    policy.observe_actuals_entry(max);
+                                } else {
+                                    policy.observe_actuals(max);
+                                }
+                            }
+                            banks
+                                .adaptive
+                                .observe_cycle_lanes_phased(cycle, dc, lanes, entry);
+                        }
+                    }
+                }
+            });
+
+            let summary = digest.summary();
+            for (isa, (pruned, every)) in copies
+                .into_iter()
+                .zip(pruned_banks.into_iter().zip(every_banks))
+            {
+                let what = format!("{scenario:?} {isa:?} corners {corners}");
+                assert_eq!(
+                    learned_bits(&pruned.adaptive),
+                    learned_bits(&every.adaptive),
+                    "{what}"
+                );
+                for (mut pruned, mut every) in pruned.policies.into_iter().zip(every.policies) {
+                    pruned.finish(&summary);
+                    every.finish(&summary);
+                    assert_eq!(pruned.into_outcomes(), every.into_outcomes(), "{what}");
+                }
+                let (mut pruned, mut every) = (pruned.adaptive, every.adaptive);
+                pruned.finish(&summary);
+                every.finish(&summary);
+                assert_eq!(pruned.into_outcomes(), every.into_outcomes(), "{what}");
             }
         });
     }

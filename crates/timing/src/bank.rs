@@ -31,6 +31,13 @@
 //! pinned by the unit tests here, which run each copy a bank of the tested
 //! width can select, and by the workspace-level banked-replay property
 //! tests.
+//!
+//! A bank wider than one chunk evaluates only the stage rows that can set
+//! a lane's maximum. Each entry's row lies, at any shortfall in [0, 1],
+//! between its values at shortfall 1 and 0, so an entry whose highest row
+//! is nowhere above another stage's lowest one can never exceed it (see
+//! [`CornerBank`]); the fold skips such rows and evaluates them only when a
+//! reader asks for them.
 
 use crate::model::{blend_excitation, stage_dithers};
 use crate::{FaultPlan, Ps, TimingModel};
@@ -159,12 +166,41 @@ fn avx2<R>(lanes: usize, kernel: impl FnOnce(usize) -> R) -> R {
     kernel(lanes)
 }
 
+/// Number of `(stage, class)` entries: the rows of a bank's parameter lane
+/// arrays, and the bits of one dominance mask.
+const ENTRIES: usize = Stage::COUNT * TimingClass::COUNT;
+const _: () = assert!(ENTRIES <= u128::BITS as usize, "one mask bit per entry");
+
+/// The row mask of a cycle that holds every stage row.
+const ALL_ROWS: u8 = (1 << Stage::COUNT) - 1;
+
 /// The per-`(stage, class)` delay parameters of `M` timing-model corners in
 /// structure-of-arrays layout, ready for batched evaluation.
 ///
 /// Built from the already-varied models with [`CornerBank::from_models`];
 /// evaluated per digested cycle through a [`BankEvaluator`] (which owns the
 /// reusable scratch).
+///
+/// A bank wider than one chunk also holds, for each entry, the mask of the
+/// other stages' entries that *dominate* it: entry `a` dominates entry `b`
+/// when, in every lane, `b`'s row at shortfall 0 is no larger than `a`'s
+/// row at shortfall 1, both at unit scale. A row is non-increasing in the
+/// shortfall, so for any two shortfalls in [0, 1] the most `b` can reach is
+/// then no more than the least `a` can reach, and the lane's shared scale
+/// keeps that order. When `a` is in flight, `b`'s row cannot raise the
+/// maximum, and the fold skips it. Of two entries that dominate each other,
+/// only the earlier stage prunes the later, so one of them always stays.
+///
+/// The masks hold only under conditions the bank and the fold check:
+///
+/// - every parameter is finite and sign-positive (no NaN, infinity,
+///   negative value or `-0.0`), so every delay is `+0.0` or positive and
+///   equal maxima are equal bit for bit; otherwise the bank has no masks;
+/// - every shortfall of the cycle lies in [0, 1] (the blend clamps the
+///   excitation, so only a NaN one leaves it); otherwise the fold keeps
+///   every row;
+/// - the bank is wider than one chunk: a one-chunk bank keeps every row,
+///   and its one-chunk copy compiles the test away.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CornerBank {
     corners: usize,
@@ -185,6 +221,10 @@ pub struct CornerBank {
     /// The key of a bank whose every lane is non-increasing in the stage
     /// shortfalls (see [`CycleLanes::pure_shortfalls`]), `None` otherwise.
     monotone_key: Option<u64>,
+    /// Entry `b`'s mask of the entries that prune it (bit `a` for entry
+    /// `a`, indexed like the lane arrays), `None` when the bank prunes
+    /// nothing.
+    dominators: Option<Box<[u128; ENTRIES]>>,
 }
 
 impl CornerBank {
@@ -194,13 +234,12 @@ impl CornerBank {
     /// applied to produce it is captured bit-for-bit.
     #[must_use]
     pub fn from_models(models: &[TimingModel]) -> CornerBank {
-        let corners = models.len();
-        let padded = corners.next_multiple_of(LANE_WIDTH);
-        let mut base = vec![0.0; Stage::COUNT * TimingClass::COUNT * padded];
-        let mut spread = vec![0.0; Stage::COUNT * TimingClass::COUNT * padded];
+        let padded = models.len().next_multiple_of(LANE_WIDTH);
+        let mut base = vec![0.0; ENTRIES * padded];
+        let mut spread = vec![0.0; ENTRIES * padded];
         for stage in Stage::ALL {
             for class in TimingClass::ALL {
-                let at = lane_offset(padded, stage, class);
+                let at = entry_index(stage, class) * padded;
                 for (lane, model) in models.iter().enumerate() {
                     base[at + lane] = model.profile().worst_case(stage, class);
                     spread[at + lane] = model.profile().spread(stage, class);
@@ -212,6 +251,18 @@ impl CornerBank {
             scale[lane] = model.operating_point().delay_scale;
         }
         let static_period_ps = models.iter().map(TimingModel::static_period_ps).collect();
+        CornerBank::from_lanes(base, spread, scale, static_period_ps)
+    }
+
+    /// A bank of the given parameter lanes (`scale` is `padded` long, the
+    /// others `ENTRIES * padded`) and one static period per corner.
+    fn from_lanes(
+        base: Vec<Ps>,
+        spread: Vec<Ps>,
+        scale: Vec<f64>,
+        static_period_ps: Vec<Ps>,
+    ) -> CornerBank {
+        let padded = scale.len();
         // Every lane is `max(base - spread·x, 0.35·base)·scale` of its
         // stage's shortfall `x` in [0, 1]. With finite parameters and
         // non-negative spread and scale no step yields NaN and each IEEE
@@ -231,8 +282,14 @@ impl CornerBank {
                 .collect();
             idca_pipeline::frame::fnv1a_words(&words)
         });
+        let prunes = padded > LANE_WIDTH
+            && [&base, &spread, &scale]
+                .into_iter()
+                .flatten()
+                .all(|lane| lane.is_sign_positive() && lane.is_finite());
+        let dominators = prunes.then(|| dominators(&base, &spread, padded));
         CornerBank {
-            corners,
+            corners: static_period_ps.len(),
             padded,
             base,
             spread,
@@ -240,6 +297,7 @@ impl CornerBank {
             static_period_ps,
             isa: LaneIsa::for_lanes(padded),
             monotone_key,
+            dominators,
         }
     }
 
@@ -250,6 +308,14 @@ impl CornerBank {
     #[cfg(test)]
     pub(crate) fn with_isa(mut self, isa: LaneIsa) -> CornerBank {
         self.isa = isa;
+        self
+    }
+
+    /// Drops the dominance masks, so the fold evaluates every stage row:
+    /// the oracle the tests compare the pruned fold against.
+    #[cfg(test)]
+    pub(crate) fn with_every_stage(mut self) -> CornerBank {
+        self.dominators = None;
         self
     }
 
@@ -284,10 +350,89 @@ impl CornerBank {
     #[must_use]
     pub fn evaluator(&self) -> BankEvaluator<'_> {
         BankEvaluator {
-            bank: self,
-            cycle: CycleLanes::new(self.padded, self.isa),
+            cycle: CycleLanes::new(self),
         }
     }
+
+    /// The mask of the stage rows a cycle with these in-flight entries and
+    /// shortfalls must evaluate: bit `s` for stage `s`. Every row without
+    /// masks or with a shortfall outside [0, 1]; otherwise the rows no
+    /// in-flight entry prunes.
+    #[inline(always)]
+    fn live_rows(&self, entries: &[usize; Stage::COUNT], shortfalls: &[f64; Stage::COUNT]) -> u8 {
+        let Some(dominators) = &self.dominators else {
+            return ALL_ROWS;
+        };
+        if !shortfalls.iter().all(|x| (0.0..=1.0).contains(x)) {
+            return ALL_ROWS;
+        }
+        let in_flight = entries.iter().fold(0u128, |set, &entry| set | 1 << entry);
+        entries.iter().enumerate().fold(0, |rows, (stage, &entry)| {
+            rows | u8::from(dominators[entry] & in_flight == 0) << stage
+        })
+    }
+
+    /// Writes the delay lanes of `entry` at `shortfall` into `out`, over
+    /// the first `lanes` lanes.
+    #[inline(always)]
+    fn row(&self, entry: usize, shortfall: f64, out: &mut [Ps], lanes: usize) {
+        let base = &self.base[entry * lanes..][..lanes];
+        let spread = &self.spread[entry * lanes..][..lanes];
+        let scale = &self.scale[..lanes];
+        for (lane, out) in out[..lanes].iter_mut().enumerate() {
+            *out = lane_delay(base[lane], spread[lane], shortfall, scale[lane]);
+        }
+    }
+}
+
+/// One lane's delay, `max(base - spread × shortfall, base × 0.35) × scale`:
+/// the scalar `delay_from_excitation` with its `f64::max` in
+/// compare-and-select form. The fold, a pruned row evaluated later and the
+/// dominance bound all compute this one expression.
+///
+/// The select form keeps the loops packed and picks the bit-identical
+/// value: the operands are finite (never NaN) and a same-valued pair is
+/// always bitwise equal (`a - b` of finite equals is `+0.0` in
+/// round-to-nearest). A NaN shortfall selects the floor, as `f64::max`
+/// does.
+#[inline(always)]
+fn lane_delay(base: Ps, spread: Ps, shortfall: f64, scale: f64) -> Ps {
+    let raw = base - spread * shortfall;
+    let floor = base * 0.35;
+    (if raw > floor { raw } else { floor }) * scale
+}
+
+/// Entry `b`'s mask of the entries that prune it, for every `b`: the
+/// entries `a` of other stages that dominate `b` (see [`CornerBank`]),
+/// except that of two entries dominating each other only the earlier stage
+/// prunes the later. The parameters must be finite and sign-positive.
+///
+/// Each row's value at any shortfall in [0, 1] lies between its values at
+/// 1 (the least) and at 0 (the most): `spread × shortfall` only grows with
+/// the shortfall, and every IEEE step of [`lane_delay`] is monotone. At a
+/// shared scale ≥ 0 the order of two rows survives the final product.
+fn dominators(base: &[Ps], spread: &[Ps], padded: usize) -> Box<[u128; ENTRIES]> {
+    let extreme = |entry: usize, shortfall: f64| -> Vec<Ps> {
+        let at = entry * padded;
+        (at..at + padded)
+            .map(|lane| lane_delay(base[lane], spread[lane], shortfall, 1.0))
+            .collect()
+    };
+    let least: Vec<Vec<Ps>> = (0..ENTRIES).map(|entry| extreme(entry, 1.0)).collect();
+    let most: Vec<Vec<Ps>> = (0..ENTRIES).map(|entry| extreme(entry, 0.0)).collect();
+    let dominates = |a: usize, b: usize| most[b].iter().zip(&least[a]).all(|(b, a)| b <= a);
+    let stage = |entry: usize| entry / TimingClass::COUNT;
+    let mut masks = Box::new([0; ENTRIES]);
+    for (b, mask) in masks.iter_mut().enumerate() {
+        for a in (0..ENTRIES).filter(|&a| stage(a) != stage(b)) {
+            // Entries are stage-major, so `a < b` puts `a` in the earlier
+            // stage.
+            if dominates(a, b) && (a < b || !dominates(b, a)) {
+                *mask |= 1 << a;
+            }
+        }
+    }
+    masks
 }
 
 /// One evaluated cycle of a [`CornerBank`] kept in structure-of-arrays
@@ -298,6 +443,16 @@ impl CornerBank {
 ///
 /// Lane `i` of every slice is corner `i`; padding lanes evaluate inert
 /// zero parameters and hold `0.0`.
+///
+/// The maximum lanes are always complete, but the lanes hold only the stage
+/// rows the fold evaluated, with a mask of them: a bank wider than one
+/// chunk skips the rows its dominance masks rule out of the maximum (see
+/// [`CornerBank`]). They borrow their bank so any row can still be had:
+/// [`CycleLanes::stage_lanes`] evaluates a missing row in place,
+/// [`CycleLanes::stage_lanes_with`] into the caller's scratch, and a
+/// perturbation evaluates every missing row before it rescales, since its
+/// factors can lift a skipped row above the maximum. Each evaluates the
+/// fold's own expression, so a row is the same bits however it was made.
 ///
 /// The lanes are the evaluator's per-walk scratch, so they also carry the
 /// walk's droop cache: the droop activation and the six per-stage droop
@@ -313,23 +468,27 @@ impl CornerBank {
 /// [`CycleLanes::pure_shortfalls`] hands both to the adaptive bank, with
 /// the key of the bank they came from.
 #[derive(Debug, Clone)]
-pub struct CycleLanes {
-    padded: usize,
+pub struct CycleLanes<'b> {
+    bank: &'b CornerBank,
     /// Stage-major delay lanes: entry `stage.index() * padded + lane` is
-    /// corner `lane`'s delay through that stage this cycle.
+    /// corner `lane`'s delay through that stage this cycle, for the stages
+    /// in `rows`.
     stage_delay_ps: Vec<Ps>,
     /// Per-corner maximum stage delay — the lane form of
     /// [`CycleTiming::max_delay_ps`](crate::CycleTiming::max_delay_ps),
     /// folded in stage order with the same strict-`>` reduction as the
     /// scalar path.
     max_delay_ps: Vec<Ps>,
-    /// The copy of the perturbation kernel these lanes run (the bank's).
-    isa: LaneIsa,
     /// The droop weights of the last window [`CycleLanes::apply_fault`]
     /// saw, keyed on the plan's value and the window number.
     droop: Option<DroopWindow>,
     /// Stage `s`'s shortfall `1 - excitation` in the last folded cycle.
     shortfall: [f64; Stage::COUNT],
+    /// Stage `s`'s in-flight `(stage, class)` entry in the last folded
+    /// cycle, indexed like the bank's lane arrays.
+    entries: [usize; Stage::COUNT],
+    /// Bit `s` is set when `stage_delay_ps` holds stage `s`'s row.
+    rows: u8,
     /// The bank's `monotone_key` while the lanes are the last fold's
     /// output, unperturbed; `None` once a perturbation rescaled them.
     pure_key: Option<u64>,
@@ -344,15 +503,16 @@ struct DroopWindow {
     weights: Option<[f64; Stage::COUNT]>,
 }
 
-impl CycleLanes {
-    fn new(padded: usize, isa: LaneIsa) -> CycleLanes {
+impl<'b> CycleLanes<'b> {
+    fn new(bank: &'b CornerBank) -> CycleLanes<'b> {
         CycleLanes {
-            padded,
-            stage_delay_ps: vec![0.0; Stage::COUNT * padded],
-            max_delay_ps: vec![0.0; padded],
-            isa,
+            bank,
+            stage_delay_ps: vec![0.0; Stage::COUNT * bank.padded],
+            max_delay_ps: vec![0.0; bank.padded],
             droop: None,
             shortfall: [0.0; Stage::COUNT],
+            entries: [0; Stage::COUNT],
+            rows: ALL_ROWS,
             pure_key: None,
         }
     }
@@ -360,14 +520,46 @@ impl CycleLanes {
     /// Lane count including padding.
     #[must_use]
     pub fn padded_lanes(&self) -> usize {
-        self.padded
+        self.bank.padded
     }
 
-    /// One stage's delay lanes (length [`CycleLanes::padded_lanes`]).
+    /// One stage's delay lanes (length [`CycleLanes::padded_lanes`]),
+    /// evaluated and kept first if the fold skipped the row.
     #[inline]
-    #[must_use]
-    pub fn stage_lanes(&self, stage: Stage) -> &[Ps] {
-        &self.stage_delay_ps[stage.index() * self.padded..][..self.padded]
+    pub fn stage_lanes(&mut self, stage: Stage) -> &[Ps] {
+        let padded = self.bank.padded;
+        self.fill(stage, padded);
+        &self.stage_delay_ps[stage.index() * padded..][..padded]
+    }
+
+    /// One stage's delay lanes through a shared reference: the held row,
+    /// or, when the fold skipped it, the row evaluated into `scratch` (at
+    /// least [`CycleLanes::padded_lanes`] long). Inlined, so the evaluation
+    /// runs in the caller's copy of its lane kernel.
+    #[inline(always)]
+    pub fn stage_lanes_with<'s>(&'s self, stage: Stage, scratch: &'s mut [Ps]) -> &'s [Ps] {
+        let padded = self.bank.padded;
+        let s = stage.index();
+        if self.rows & 1 << s != 0 {
+            return &self.stage_delay_ps[s * padded..][..padded];
+        }
+        self.bank
+            .row(self.entries[s], self.shortfall[s], scratch, padded);
+        &scratch[..padded]
+    }
+
+    /// Evaluates and keeps stage `stage`'s row if the lanes lack it.
+    /// `lanes` is the bank's padded width, passed by the copy of the kernel
+    /// that runs this.
+    #[inline(always)]
+    fn fill(&mut self, stage: Stage, lanes: usize) {
+        let s = stage.index();
+        if self.rows & 1 << s == 0 {
+            let out = &mut self.stage_delay_ps[s * lanes..][..lanes];
+            self.bank
+                .row(self.entries[s], self.shortfall[s], out, lanes);
+            self.rows |= 1 << s;
+        }
     }
 
     /// The per-corner maximum stage delays (length
@@ -445,15 +637,19 @@ impl CycleLanes {
         self.rescale(&[factor; Stage::COUNT]);
     }
 
-    /// The kernel of both perturbations: rescales each stage's lanes by
-    /// that stage's factor and re-folds the maximum lanes. The lanes are no
-    /// longer pure.
+    /// The kernel of both perturbations: evaluates the rows the fold
+    /// skipped, then rescales each stage's lanes by that stage's factor and
+    /// re-folds the maximum lanes. The lanes are no longer pure.
     fn rescale(&mut self, factors: &[f64; Stage::COUNT]) {
         self.pure_key = None;
-        self.isa.run(
-            self.padded,
+        let bank = self.bank;
+        bank.isa.run(
+            bank.padded,
             #[inline(always)]
             |lanes| {
+                for stage in Stage::ALL {
+                    self.fill(stage, lanes);
+                }
                 let max = &mut self.max_delay_ps[..lanes];
                 max.fill(0.0);
                 for stage in Stage::ALL {
@@ -477,24 +673,29 @@ impl CycleLanes {
 /// of cycles.
 #[derive(Debug, Clone)]
 pub struct BankEvaluator<'b> {
-    bank: &'b CornerBank,
-    cycle: CycleLanes,
+    cycle: CycleLanes<'b>,
 }
 
-impl BankEvaluator<'_> {
+impl<'b> BankEvaluator<'b> {
     /// Evaluates one digested cycle against every corner of the bank,
     /// returning the delay lanes in structure-of-arrays form — the
     /// corner-batched replay's only evaluation entry point. Lane `i`
     /// carries exactly the stage delays and maximum of
     /// `models[i].digest_cycle_timing(cycle, dc)` on the model the bank was
     /// built from (same dither, blend, delay and max-fold arithmetic),
-    /// minus the limiting-stage attribution no lane consumer reads. The
-    /// reference is mutable so a
-    /// [`Perturbation`](crate::Perturbation) can perturb the lanes in
-    /// place; the next call recomputes every lane from scratch.
-    pub fn cycle_lanes(&mut self, cycle: u64, dc: &DigestCycle) -> &mut CycleLanes {
-        self.bank.isa.run(
-            self.bank.padded,
+    /// minus the limiting-stage attribution no lane consumer reads.
+    ///
+    /// On a bank wider than one chunk the fold evaluates, stores and
+    /// max-folds only the stage rows that no in-flight stage dominates (see
+    /// [`CornerBank`]); the maximum lanes are the same bits either way, and
+    /// the skipped rows are evaluated when read (see [`CycleLanes`]). The
+    /// reference is mutable so a [`Perturbation`](crate::Perturbation) can
+    /// perturb the lanes in place; the next call recomputes every lane from
+    /// scratch.
+    pub fn cycle_lanes(&mut self, cycle: u64, dc: &DigestCycle) -> &mut CycleLanes<'b> {
+        let bank = self.cycle.bank;
+        bank.isa.run(
+            bank.padded,
             #[inline(always)]
             |lanes| self.fold(cycle, dc, lanes),
         );
@@ -505,7 +706,7 @@ impl BankEvaluator<'_> {
     /// of [`LaneIsa::run`]; `padded` is the bank's padded width.
     #[inline(always)]
     fn fold(&mut self, cycle: u64, dc: &DigestCycle, padded: usize) {
-        let bank = self.bank;
+        let bank = self.cycle.bank;
         // Corner-invariant per-cycle terms, computed once and broadcast: all
         // six stage dithers come out of one batched hash kernel (shared with
         // the scalar `digest_cycle_timing`, so both paths stay bit-identical
@@ -515,42 +716,47 @@ impl BankEvaluator<'_> {
             let dither = dithers[stage];
             1.0 - blend_excitation(dc.excitation[stage].raw(dither), dither)
         });
+        let entries: [usize; Stage::COUNT] =
+            std::array::from_fn(|stage| entry_index(Stage::ALL[stage], dc.classes[stage]));
+        // A bank of one chunk evaluates every row: its one-chunk copy, where
+        // `padded` is the constant `LANE_WIDTH`, compiles the test away.
+        let rows = if padded > LANE_WIDTH {
+            bank.live_rows(&entries, &shortfalls)
+        } else {
+            ALL_ROWS
+        };
         let scale = &bank.scale[..padded];
-        // One fused pass per stage: the delay expression is exactly the
-        // scalar `delay_from_excitation` and the select-form running max keeps
-        // each lane's comparison sequence in stage order with the scalar
-        // strict-`>` reduction, so both stay bit-identical to the
+        // One fused pass per evaluated stage: `lane_delay` is exactly the
+        // scalar `delay_from_excitation` and the select-form running max
+        // keeps each lane's comparison sequence in stage order with the
+        // scalar strict-`>` reduction, so both stay bit-identical to the
         // per-corner path while the loops vectorize branch-free. The first
-        // stage initializes the max lanes outright instead of folding
-        // against a zero fill: delays are non-negative, so the scalar
-        // `delay > 0.0` fold picks the same value either way.
+        // evaluated stage initializes the max lanes outright instead of
+        // folding against a zero fill: delays are non-negative, so the
+        // scalar `delay > 0.0` fold picks the same value either way. A
+        // skipped row is no larger than some evaluated one, and equal
+        // delays are equal bits, so the maximum is the same bits too.
         let mut first = true;
         for stage in Stage::ALL {
+            if rows & 1 << stage.index() == 0 {
+                continue;
+            }
             let shortfall = shortfalls[stage.index()];
-            let at = lane_offset(padded, stage, dc.classes[stage.index()]);
+            let at = entries[stage.index()] * padded;
             let base = &bank.base[at..at + padded];
             let spread = &bank.spread[at..at + padded];
             let out = &mut self.cycle.stage_delay_ps[stage.index() * padded..][..padded];
             let max = &mut self.cycle.max_delay_ps[..padded];
-            // The short-path floor is the `f64::max` of the scalar path in
-            // compare-and-select form: the operands are finite (never NaN)
-            // and a same-valued pair is always bitwise equal (`a - b` of
-            // finite equals is `+0.0` in round-to-nearest), so the selected
-            // value is bit-identical while the loop stays packed.
             if first {
                 for lane in 0..padded {
-                    let raw = base[lane] - spread[lane] * shortfall;
-                    let floor = base[lane] * 0.35;
-                    let delay = (if raw > floor { raw } else { floor }) * scale[lane];
+                    let delay = lane_delay(base[lane], spread[lane], shortfall, scale[lane]);
                     out[lane] = delay;
                     max[lane] = delay;
                 }
                 first = false;
             } else {
                 for lane in 0..padded {
-                    let raw = base[lane] - spread[lane] * shortfall;
-                    let floor = base[lane] * 0.35;
-                    let delay = (if raw > floor { raw } else { floor }) * scale[lane];
+                    let delay = lane_delay(base[lane], spread[lane], shortfall, scale[lane]);
                     out[lane] = delay;
                     max[lane] = if delay > max[lane] { delay } else { max[lane] };
                 }
@@ -559,13 +765,16 @@ impl BankEvaluator<'_> {
         // Stored once, after the lane loops, so no store through `self`
         // sits between them.
         self.cycle.shortfall = shortfalls;
+        self.cycle.entries = entries;
+        self.cycle.rows = rows;
         self.cycle.pure_key = bank.monotone_key;
     }
 }
 
-/// Start of the lane vector of one `(stage, class)` pair.
-fn lane_offset(padded: usize, stage: Stage, class: TimingClass) -> usize {
-    (stage.index() * TimingClass::COUNT + class.index()) * padded
+/// Index of one `(stage, class)` entry in a bank's lane arrays, in rows:
+/// its lanes start at `entry_index(stage, class) * padded`.
+fn entry_index(stage: Stage, class: TimingClass) -> usize {
+    stage.index() * TimingClass::COUNT + class.index()
 }
 
 #[cfg(test)]
@@ -576,7 +785,7 @@ mod tests {
         SHIFT_ONSET_HORIZON,
     };
     use idca_isa::asm::Assembler;
-    use idca_pipeline::{SimConfig, Simulator, TimingDigest};
+    use idca_pipeline::{CycleRecordFlags, SimConfig, Simulator, StageExcitation, TimingDigest};
 
     /// Every copy `with_isa` can force on a bank of `corners` corners: the
     /// baseline and the detected copy at any width, plus the copy the width
@@ -626,7 +835,7 @@ mod tests {
     /// Asserts that lane `corner` carries `expected`'s stage delays and
     /// maximum, bit for bit.
     fn assert_lane_matches(
-        lanes: &CycleLanes,
+        lanes: &mut CycleLanes<'_>,
         corner: usize,
         expected: &CycleTiming,
         cycle: u64,
@@ -709,7 +918,8 @@ mod tests {
         .unwrap();
         let plan = FaultPlan::new(&spec);
         let other = FaultPlan::new(&FaultSpec { seed: 6, ..spec });
-        let mut lanes = CycleLanes::new(LANE_WIDTH, LaneIsa::BASELINE);
+        let bank = CornerBank::from_models(&[]);
+        let mut lanes = CycleLanes::new(&bank);
         // A walk across many window boundaries and past the shift onset,
         // then a restart at cycle 0 on the same lanes, as the next job does.
         let horizon = SHIFT_ONSET_HORIZON + 2 * DROOP_WINDOW_CYCLES;
@@ -835,5 +1045,352 @@ mod tests {
             visited += 1;
         });
         assert!(visited > 0);
+    }
+
+    /// `true` when the two lane slices hold the same bits.
+    fn same_bits(a: &[Ps], b: &[Ps]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    /// The scenarios [`pruned_fold_equals_the_every_stage_fold`] cycles
+    /// through.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Scenario {
+        Clean,
+        Faulted,
+        Surged,
+    }
+
+    /// The pruned fold equals the fold that keeps every stage, bit for
+    /// bit, on every cycle and in every copy a bank of the drawn width can
+    /// run: the maximum lanes, and every stage row however it is read —
+    /// kept by the fold, evaluated by a perturbation before it rescales,
+    /// evaluated into scratch by `stage_lanes_with`, or filled in place by
+    /// `stage_lanes`. A clean walk of a bank wider than one chunk skips
+    /// more than half of its stage rows; a bank of one chunk skips none.
+    #[test]
+    fn pruned_fold_equals_the_every_stage_fold() {
+        use crate::{IrqTimeline, Perturbation};
+        use idca_cases::property;
+        use idca_gen::{generate_program, nth_seed, GenConfig};
+        use idca_pipeline::{DigestObserver, InterruptPlan, InterruptSpec, IrqPhase};
+        use Scenario::*;
+        const SCENARIOS: [Scenario; 3] = [Clean, Faulted, Surged];
+        // Coprime with the scenario count, so consecutive cases walk every
+        // pairing: past the AVX2 gate, two multi-chunk baseline widths,
+        // then every one-chunk width.
+        const CORNERS: [u32; 7] = [37, 8, 5, 1, 2, 3, 4];
+        property!(
+            pruned_fold_equals_the_every_stage_fold,
+            master = 0xCA5E_001E,
+            cases = 14
+        )
+        .run(|case| {
+            let index = case.index() as usize;
+            let scenario = SCENARIOS[index % SCENARIOS.len()];
+            let corners = CORNERS[index % CORNERS.len()];
+            let seed = case.u64();
+            let models = varied_models(corners, seed);
+            let program = generate_program(nth_seed(seed, 0), &GenConfig::default());
+            let irq = (scenario == Surged).then(|| InterruptSpec {
+                seed: case.u64(),
+                rate: f64::from(case.int(1u32..=20)) / 1000.0,
+                penalty: case.int(1u32..=8),
+                surge: case.f64(0.05..0.5),
+                ..InterruptSpec::default()
+            });
+            let mut capture = DigestObserver::new();
+            match &irq {
+                Some(spec) => {
+                    let (attached, plan) = InterruptPlan::attach(&program, spec);
+                    Simulator::new(SimConfig::default())
+                        .with_interrupts(plan)
+                        .run_observed(&attached, &mut [&mut capture])
+                }
+                None => {
+                    Simulator::new(SimConfig::default()).run_observed(&program, &mut [&mut capture])
+                }
+            }
+            .expect("generated programs terminate");
+            let digest = capture.into_digest();
+            let timeline = irq.map(|spec| IrqTimeline::from_events(digest.events(), spec.penalty));
+            let plan = (scenario == Faulted).then(|| {
+                FaultPlan::new(&FaultSpec {
+                    seed: case.u64(),
+                    droop_rate: case.f64(0.0..0.5),
+                    droop_mag: case.f64(0.0..0.4),
+                    spike_rate: case.f64(0.0..0.05),
+                    spike_mag: case.f64(0.0..0.5),
+                    shift_mag: case.f64(0.0..0.1),
+                    ..FaultSpec::default()
+                })
+            });
+            let perturbation = Perturbation {
+                faults: plan.as_ref(),
+                surge_factor: irq.map_or(1.0, |spec| 1.0 + spec.surge),
+            };
+
+            let bank = CornerBank::from_models(&models);
+            let mut scratch = vec![0.0; bank.padded_lanes()];
+            for isa in copies(corners as usize) {
+                let what = format!("{scenario:?} {isa:?} corners {corners}");
+                let pruned = bank.clone().with_isa(isa);
+                let every = bank.clone().with_isa(isa).with_every_stage();
+                let mut pruned = pruned.evaluator();
+                let mut every = every.evaluator();
+                let mut cursor = timeline.as_ref().map(IrqTimeline::cursor);
+                let mut skipped = 0;
+                digest.for_each_cycle(|cycle, dc| {
+                    let entry = cursor
+                        .as_mut()
+                        .is_some_and(|cursor| cursor.phase(cycle) == IrqPhase::Entry);
+                    let lanes = pruned.cycle_lanes(cycle, dc);
+                    skipped += Stage::COUNT - lanes.rows.count_ones() as usize;
+                    perturbation.lanes(cycle, lanes, entry);
+                    let oracle = every.cycle_lanes(cycle, dc);
+                    assert_eq!(oracle.rows, ALL_ROWS, "{what}");
+                    perturbation.lanes(cycle, oracle, entry);
+                    assert!(
+                        same_bits(lanes.max_lanes(), oracle.max_lanes()),
+                        "{what}: cycle {cycle} max lanes"
+                    );
+                    for stage in Stage::ALL {
+                        let expected = oracle.stage_lanes(stage);
+                        assert!(
+                            same_bits(lanes.stage_lanes_with(stage, &mut scratch), expected),
+                            "{what}: cycle {cycle} {stage:?} read through scratch"
+                        );
+                        assert!(
+                            same_bits(lanes.stage_lanes(stage), expected),
+                            "{what}: cycle {cycle} {stage:?} filled in place"
+                        );
+                    }
+                });
+                let rows = digest.cycles() as usize * Stage::COUNT;
+                if corners as usize <= LANE_WIDTH {
+                    assert_eq!(skipped, 0, "{what}: one chunk keeps every row");
+                } else if scenario == Clean {
+                    assert!(
+                        skipped * 2 > rows,
+                        "{what}: skipped {skipped} of {rows} rows"
+                    );
+                }
+            }
+        });
+    }
+
+    /// A cycle of the given classes whose stage `s` has the raw excitation
+    /// `excitation[s]` whatever the dither.
+    fn hand_cycle(
+        classes: [TimingClass; Stage::COUNT],
+        excitation: [f64; Stage::COUNT],
+    ) -> DigestCycle {
+        DigestCycle {
+            classes,
+            excitation: excitation.map(|base| StageExcitation {
+                base,
+                dither_gain: 0.0,
+            }),
+            fetch_address: 0x40,
+            flags: CycleRecordFlags::default(),
+        }
+    }
+
+    /// A bank of `corners` corners in which entry `e` has the parameters
+    /// `params(e)` in every corner lane and lane `l` the scale `scale(l)`.
+    fn hand_bank(
+        corners: usize,
+        params: impl Fn(usize) -> (Ps, Ps),
+        scale: impl Fn(usize) -> f64,
+    ) -> CornerBank {
+        let padded = corners.next_multiple_of(LANE_WIDTH);
+        let mut base = vec![0.0; ENTRIES * padded];
+        let mut spread = vec![0.0; ENTRIES * padded];
+        for entry in 0..ENTRIES {
+            let (entry_base, entry_spread) = params(entry);
+            base[entry * padded..][..corners].fill(entry_base);
+            spread[entry * padded..][..corners].fill(entry_spread);
+        }
+        let mut scales = vec![0.0; padded];
+        for (lane, lane_scale) in scales[..corners].iter_mut().enumerate() {
+            *lane_scale = scale(lane);
+        }
+        CornerBank::from_lanes(base, spread, scales, vec![2000.0; corners])
+    }
+
+    /// Folds one cycle through `bank` and through the same bank keeping
+    /// every stage, asserts that their maximum lanes and every row hold the
+    /// same bits, and returns the rows the pruned fold kept.
+    fn fold_both(bank: &CornerBank, cycle: u64, dc: &DigestCycle) -> u8 {
+        let every = bank.clone().with_every_stage();
+        let (mut pruned, mut every) = (bank.evaluator(), every.evaluator());
+        let lanes = pruned.cycle_lanes(cycle, dc);
+        let rows = lanes.rows;
+        let oracle = every.cycle_lanes(cycle, dc);
+        assert!(
+            same_bits(lanes.max_lanes(), oracle.max_lanes()),
+            "max lanes"
+        );
+        for stage in Stage::ALL {
+            assert!(
+                same_bits(lanes.stage_lanes(stage), oracle.stage_lanes(stage)),
+                "{stage:?}"
+            );
+        }
+        rows
+    }
+
+    #[test]
+    fn a_nan_excitation_keeps_every_stage() {
+        let models = varied_models(8, 0x0A0A);
+        let bank = CornerBank::from_models(&models);
+        assert!(bank.dominators.is_some());
+        let (mut clean_pruned, mut cycles) = (0, 0);
+        mixed_digest().for_each_cycle(|cycle, dc| {
+            clean_pruned += u32::from(fold_both(&bank, cycle, dc) != ALL_ROWS);
+            cycles += 1;
+            for stage in Stage::ALL {
+                let excitation = dc.excitation[stage.index()];
+                for nan in [
+                    StageExcitation {
+                        base: f64::NAN,
+                        ..excitation
+                    },
+                    StageExcitation {
+                        dither_gain: f64::NAN,
+                        ..excitation
+                    },
+                ] {
+                    let mut poisoned = *dc;
+                    poisoned.excitation[stage.index()] = nan;
+                    assert_eq!(fold_both(&bank, cycle, &poisoned), ALL_ROWS);
+                    let mut evaluator = bank.evaluator();
+                    let lanes = evaluator.cycle_lanes(cycle, &poisoned);
+                    for (corner, model) in models.iter().enumerate() {
+                        let scalar = model.digest_cycle_timing(cycle, &poisoned);
+                        assert_lane_matches(lanes, corner, &scalar, cycle, "NaN excitation");
+                    }
+                }
+            }
+        });
+        // The same cycles without the NaN do prune.
+        assert!(
+            clean_pruned * 2 > cycles,
+            "{clean_pruned} of {cycles} cycles pruned"
+        );
+        // The blend clamps every other excitation into [0, 1], so the fold
+        // meets no other shortfall outside it; the guard holds for any.
+        let entries = std::array::from_fn(|stage| entry_index(Stage::ALL[stage], TimingClass::Add));
+        assert_ne!(bank.live_rows(&entries, &[0.5; Stage::COUNT]), ALL_ROWS);
+        for stage in 0..Stage::COUNT {
+            for outside in [-0.25, 1.25, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut shortfalls = [0.5; Stage::COUNT];
+                shortfalls[stage] = outside;
+                assert_eq!(
+                    bank.live_rows(&entries, &shortfalls),
+                    ALL_ROWS,
+                    "stage {stage} {outside}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_bank_with_a_signed_zero_negative_nan_or_infinite_parameter_prunes_nothing() {
+        let clean = CornerBank::from_models(&varied_models(8, 0x5160));
+        assert!(clean.dominators.is_some());
+        // A bank of one chunk has no masks either.
+        assert!(CornerBank::from_models(&varied_models(4, 0x5160))
+            .dominators
+            .is_none());
+        let lane = 5;
+        let at = entry_index(Stage::Execute, TimingClass::Mul) * clean.padded + lane;
+        for bad in [-0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut base = clean.base.clone();
+            base[at] = bad;
+            let mut spread = clean.spread.clone();
+            spread[at] = bad;
+            let mut scale = clean.scale.clone();
+            scale[lane] = bad;
+            let banks = [
+                ("base", base, clean.spread.clone(), clean.scale.clone()),
+                ("spread", clean.base.clone(), spread, clean.scale.clone()),
+                ("scale", clean.base.clone(), clean.spread.clone(), scale),
+            ];
+            for (which, base, spread, scale) in banks {
+                let bank =
+                    CornerBank::from_lanes(base, spread, scale, clean.static_period_ps.clone());
+                assert!(bank.dominators.is_none(), "{which} {bad}");
+            }
+        }
+    }
+
+    #[test]
+    fn mutually_dominating_entries_keep_the_earlier_stage() {
+        let execute = entry_index(Stage::Execute, TimingClass::Add);
+        let control = entry_index(Stage::Control, TimingClass::Load);
+        // Equal bases and no spread: each of the two rows is one value at
+        // every shortfall, so they dominate each other. Every other entry
+        // lies below both.
+        let bank = hand_bank(
+            8,
+            |entry| {
+                if entry == execute || entry == control {
+                    (2000.0, 0.0)
+                } else {
+                    (100.0, 50.0)
+                }
+            },
+            |lane| 1.0 + lane as f64 / 8.0,
+        );
+        let dominators = bank.dominators.as_ref().expect("a clean bank has masks");
+        assert_ne!(dominators[control] & 1 << execute, 0);
+        assert_eq!(dominators[execute] & 1 << control, 0);
+        let mut classes = [TimingClass::Nop; Stage::COUNT];
+        classes[Stage::Execute.index()] = TimingClass::Add;
+        classes[Stage::Control.index()] = TimingClass::Load;
+        for excitation in [0.0, 0.3, 1.0] {
+            let dc = hand_cycle(classes, [excitation; Stage::COUNT]);
+            assert_eq!(fold_both(&bank, 3, &dc), 1 << Stage::Execute.index());
+        }
+    }
+
+    #[test]
+    fn a_pruned_row_tying_its_dominator_folds_the_same_bits() {
+        let decode = entry_index(Stage::Decode, TimingClass::Add);
+        let execute = entry_index(Stage::Execute, TimingClass::Mul);
+        // Decode's least, `1000 - 400`, is exactly Execute's most, `600`:
+        // Decode dominates Execute, not the other way round. Every other
+        // entry is zero.
+        let bank = hand_bank(
+            8,
+            |entry| match entry {
+                _ if entry == decode => (1000.0, 400.0),
+                _ if entry == execute => (600.0, 100.0),
+                _ => (0.0, 0.0),
+            },
+            |lane| [1.0, 1.1, 0.93, 1.37, 0.5, 2.0, 1.0, 0.77][lane],
+        );
+        let mut classes = [TimingClass::Bubble; Stage::COUNT];
+        classes[Stage::Decode.index()] = TimingClass::Add;
+        classes[Stage::Execute.index()] = TimingClass::Mul;
+        // Raw excitations far outside [0, 1] blend to exactly 0 (Decode's
+        // shortfall 1) and 1 (Execute's shortfall 0).
+        let mut excitation = [0.5; Stage::COUNT];
+        excitation[Stage::Decode.index()] = -10.0;
+        excitation[Stage::Execute.index()] = 10.0;
+        let dc = hand_cycle(classes, excitation);
+        let rows = fold_both(&bank, 9, &dc);
+        assert_ne!(rows & 1 << Stage::Decode.index(), 0);
+        assert_eq!(rows & 1 << Stage::Execute.index(), 0);
+        // The skipped row ties its dominator in every lane, and the maximum
+        // is that value.
+        let mut evaluator = bank.evaluator();
+        let lanes = evaluator.cycle_lanes(9, &dc);
+        let max = lanes.max_lanes().to_vec();
+        let decode_row = lanes.stage_lanes(Stage::Decode).to_vec();
+        assert!(same_bits(lanes.stage_lanes(Stage::Execute), &decode_row));
+        assert!(same_bits(&max, &decode_row));
+        assert!(max.iter().all(|&delay| delay > 0.0));
     }
 }
