@@ -967,23 +967,17 @@ fn replay_seed_banked(
                 let entry = cursor
                     .as_mut()
                     .is_some_and(|cursor| cursor.phase(cycle) == IrqPhase::Entry);
-                let lanes = evaluator.cycle_lanes(cycle, dc);
+                // A wide bank defers the fold of an unperturbed cycle: each
+                // bank reads the maximum lanes only if no certificate
+                // proves its compare would count nothing.
+                let lanes = evaluator.lazy_lanes(cycle, dc);
                 // The same fault-then-surge perturbation the scalar paths
                 // apply, so the lanes stay bit-identical to them.
                 perturbation.lanes(cycle, lanes, entry);
-                let lanes = &*lanes;
-                if entry {
-                    scratch.bank_static.observe_actuals_entry(lanes.max_lanes());
-                    scratch.bank_lut.observe_actuals_entry(lanes.max_lanes());
-                    scratch.bank_exec.observe_actuals_entry(lanes.max_lanes());
-                } else {
-                    scratch.bank_static.observe_actuals(lanes.max_lanes());
-                    scratch.bank_lut.observe_actuals(lanes.max_lanes());
-                    scratch.bank_exec.observe_actuals(lanes.max_lanes());
-                }
-                scratch
-                    .adaptive
-                    .observe_cycle_lanes_phased(cycle, dc, lanes, entry);
+                scratch.bank_static.observe_cycle(lanes, entry);
+                scratch.bank_lut.observe_cycle(lanes, entry);
+                scratch.bank_exec.observe_cycle(lanes, entry);
+                scratch.adaptive.observe_cycle(cycle, dc, lanes, entry);
             }
         });
 

@@ -426,6 +426,30 @@ fn table_index(stage: Stage, class: TimingClass) -> usize {
 /// grow pass is a single chunk, which costs less than the floor test and
 /// its hard-to-predict branch.
 ///
+/// A bank wider than one chunk also skips lane work by two scalar proofs:
+///
+/// - *The certificate.* On a cycle whose lanes carry a
+///   [`CycleLanes::bound`], with the ideal generator, no drift and a margin
+///   factor `1 + margin ≥ 1`, no lane can violate when an in-flight entry
+///   is cold and every static lane covers the corner bank's
+///   [`CycleLanes::ceiling`] (the request is at least the static period),
+///   or when every entry is warm, the lanes carry the floors' bank key and
+///   every in-flight shortfall is at or above its entry's floor (each
+///   learned row is then at least its row at the floor, which is at least
+///   its row now). Such a cycle skips the compare, keeps the run-time add,
+///   and leaves a deferred maximum unfolded. The floors need only a
+///   positive margin factor; this needs the learned row to cover the row
+///   itself, and a learned lane that is NaN covers nothing, so a NaN seed
+///   entry or static period turns the warm case off.
+/// - *Predict by dominance.* Each entry keeps the least and the largest
+///   lane of its learned row, updated by the passes that write the row
+///   (padding lanes included, which can only weaken the test). Predict
+///   keeps the warm in-flight row with the largest least lane, the earlier
+///   stage on a tie, and skips every other warm row whose largest lane is
+///   at most that value: it cannot raise the select-form maximum in any
+///   lane. A NaN lane makes its row's least lane NaN for good, so that row
+///   never dominates.
+///
 /// Every lane performs **exactly** the scalar arithmetic of
 /// [`AdaptiveObserver`] in the same order, so outcome `i` is bit-identical
 /// to running `AdaptiveObserver` against `models[i]` alone — pinned by the
@@ -484,9 +508,89 @@ pub struct AdaptiveBank<'a> {
     floor: Vec<f64>,
     /// The key of the corner bank the floors hold for.
     floor_key: u64,
+    /// Whether bounded cycles may skip the compare, fixed at construction:
+    /// the generator is ideal, the bank skips (no drift, finite margin
+    /// factor) and the margin factor is at least 1. Only the tests' oracle
+    /// turns it off, with `ranks`.
+    certifies: bool,
+    /// Whether every learned lane is a number, as the warm certificate
+    /// needs: no static period (the backoff cap) and no seed entry is NaN.
+    /// Set by [`AdaptiveBank::reset`].
+    rows_are_numbers: bool,
+    /// The cold certificate: the key of the corner bank the static periods
+    /// were checked against, and whether every lane covers its ceiling.
+    static_cover: Option<(u64, bool)>,
+    /// Whether predict skips dominated rows on a bank wider than one chunk.
+    ranks: bool,
+    /// The least lane of each entry's learned row (indexed by
+    /// `table_index`), NaN once a lane is; kept on banks wider than one
+    /// chunk.
+    least: Vec<Ps>,
+    /// The largest lane of each entry's learned row, like `least`.
+    most: Vec<Ps>,
     /// Grow passes skipped so far, for the tests' coverage check.
     #[cfg(test)]
     skipped_passes: u64,
+    /// Cycles whose compare a certificate skipped, for the tests' coverage
+    /// check.
+    #[cfg(test)]
+    certified_cycles: u64,
+    /// Warm rows predict folded, for the tests' coverage check.
+    #[cfg(test)]
+    predict_rows: u64,
+}
+
+/// The running least and largest of four lanes, one slot per lane of a
+/// chunk, over a row written chunk by chunk.
+#[derive(Clone, Copy)]
+struct Extremes {
+    least: [Ps; LANE_WIDTH],
+    most: [Ps; LANE_WIDTH],
+}
+
+impl Extremes {
+    const EMPTY: Extremes = Extremes {
+        least: [Ps::INFINITY; LANE_WIDTH],
+        most: [Ps::NEG_INFINITY; LANE_WIDTH],
+    };
+
+    /// Folds `value` into slot `lane`.
+    #[inline(always)]
+    fn push(&mut self, lane: usize, value: Ps) {
+        self.least[lane] = lower(self.least[lane], value);
+        self.most[lane] = raise(self.most[lane], value);
+    }
+
+    /// The least and the largest over the four slots.
+    #[inline(always)]
+    fn reduce(self) -> (Ps, Ps) {
+        (
+            self.least.into_iter().fold(Ps::INFINITY, lower),
+            self.most.into_iter().fold(Ps::NEG_INFINITY, raise),
+        )
+    }
+}
+
+/// The lesser of `least` and `value`, where a NaN on either side wins and
+/// stays: a row with a NaN lane must never pass for dominating another.
+#[inline(always)]
+fn lower(least: Ps, value: Ps) -> Ps {
+    if value < least || value.is_nan() {
+        value
+    } else {
+        least
+    }
+}
+
+/// The greater of `most` and `value`, ignoring a NaN `value` as predict's
+/// select-form maximum does.
+#[inline(always)]
+fn raise(most: Ps, value: Ps) -> Ps {
+    if value > most {
+        value
+    } else {
+        most
+    }
 }
 
 impl<'a> AdaptiveBank<'a> {
@@ -513,10 +617,9 @@ impl<'a> AdaptiveBank<'a> {
 
     /// [`AdaptiveBank::new`] from the corners' static periods alone — the
     /// only model parameter the controllers consume (the dynamic delays
-    /// arrive pre-evaluated through
-    /// [`AdaptiveBank::observe_cycle_lanes_phased`]), so callers that
-    /// already hold the periods (e.g. via [`CornerBank::static_period_ps`])
-    /// need not materialize a model slice.
+    /// arrive pre-evaluated through [`AdaptiveBank::observe_cycle`]), so
+    /// callers that already hold the periods (e.g. via
+    /// [`CornerBank::static_period_ps`]) need not materialize a model slice.
     #[must_use]
     pub fn from_static_periods(
         mut static_periods: Vec<Ps>,
@@ -533,6 +636,7 @@ impl<'a> AdaptiveBank<'a> {
         static_periods.resize(padded, 0.0);
         let table_len = Stage::COUNT * TimingClass::COUNT;
         let margin_factor = 1.0 + config.margin;
+        let skips = drift == Drift::None && margin_factor > 0.0 && margin_factor.is_finite();
         let mut bank = AdaptiveBank {
             config: *config,
             generator,
@@ -556,11 +660,21 @@ impl<'a> AdaptiveBank<'a> {
             row: vec![0.0; padded],
             outcomes: None,
             isa: LaneIsa::for_lanes(padded),
-            skips: drift == Drift::None && margin_factor > 0.0 && margin_factor.is_finite(),
+            skips,
             floor: vec![Ps::INFINITY; table_len],
             floor_key: 0,
+            certifies: skips && margin_factor >= 1.0 && matches!(generator, ClockGenerator::Ideal),
+            rows_are_numbers: true,
+            static_cover: None,
+            ranks: true,
+            least: vec![0.0; table_len],
+            most: vec![0.0; table_len],
             #[cfg(test)]
             skipped_passes: 0,
+            #[cfg(test)]
+            certified_cycles: 0,
+            #[cfg(test)]
+            predict_rows: 0,
         };
         bank.reset(seed_lut);
         bank
@@ -583,9 +697,19 @@ impl<'a> AdaptiveBank<'a> {
         self
     }
 
+    /// Runs the compare on every cycle and folds every warm row in
+    /// predict, past the certificates and the dominance test, so tests can
+    /// compare the bank against one that skips neither.
+    #[cfg(test)]
+    pub(crate) fn with_every_compare(mut self) -> Self {
+        self.certifies = false;
+        self.ranks = false;
+        self
+    }
+
     /// Attaches a [`FaultPlan`] for the recovery accounting. The
-    /// [`CycleLanes`] handed to [`AdaptiveBank::observe_cycle_lanes_phased`]
-    /// must already carry the plan's perturbation (apply it with
+    /// [`CycleLanes`] handed to [`AdaptiveBank::observe_cycle`] must
+    /// already carry the plan's perturbation (apply it with
     /// [`Perturbation::lanes`]) — the bank itself only classifies
     /// violations as recovered or silent risk, lane by lane, exactly like
     /// the scalar observer.
@@ -603,12 +727,22 @@ impl<'a> AdaptiveBank<'a> {
         self.learned.fill(0.0);
         self.observations.fill(0);
         self.floor.fill(Ps::INFINITY);
+        self.least.fill(0.0);
+        self.most.fill(0.0);
+        self.rows_are_numbers = !self.static_period.iter().any(|period| period.is_nan());
         if let Some(lut) = seed_lut {
             for stage in Stage::ALL {
                 for class in TimingClass::ALL {
                     let entry = table_index(stage, class);
                     let at = entry * self.padded;
-                    self.learned[at..at + self.corners].fill(lut.delay_ps(stage, class));
+                    let row = &mut self.learned[at..at + self.padded];
+                    row[..self.corners].fill(lut.delay_ps(stage, class));
+                    (self.least[entry], self.most[entry]) = row
+                        .iter()
+                        .fold((Ps::INFINITY, Ps::NEG_INFINITY), |(least, most), &value| {
+                            (lower(least, value), raise(most, value))
+                        });
+                    self.rows_are_numbers &= !lut.delay_ps(stage, class).is_nan();
                     self.observations[entry] = self.config.warmup_observations;
                 }
             }
@@ -689,12 +823,14 @@ impl<'a> AdaptiveBank<'a> {
     /// is a grow-only running maximum. On unperturbed lanes
     /// ([`CycleLanes::pure_shortfalls`]) of a bank wider than one chunk
     /// and without drift, that grow pass is skipped for every entry whose
-    /// shortfall floor rules out a change (see [`AdaptiveBank`]); purity,
-    /// drift and the bank key are tested once per cycle. A grow pass that
-    /// runs reads its stage's row through
+    /// shortfall floor rules out a change, and a certified cycle skips the
+    /// compare without folding a deferred maximum; predict skips the
+    /// learned rows another in-flight row dominates (see [`AdaptiveBank`]).
+    /// Purity, drift, the bank key and the certificate are tested once per
+    /// cycle. A grow pass that runs reads its stage's row through
     /// [`CycleLanes::stage_lanes_with`]: a row the corner bank's fold
-    /// skipped (it could not set the maximum) is evaluated into the bank's
-    /// scratch, with the fold's expression, in this kernel's copy.
+    /// skipped or deferred is evaluated into the bank's scratch, with the
+    /// fold's expression, in this kernel's copy.
     ///
     /// `entry` is the cycle's interrupt-entry classification — the bank
     /// lives in `'static` worker scratch, so it cannot hold a borrowed
@@ -719,6 +855,31 @@ impl<'a> AdaptiveBank<'a> {
     // 27.2 and 17.7 / 30.0. No variant separates from the host's drift, so
     // the attribute stays.
     #[inline(never)]
+    pub fn observe_cycle(
+        &mut self,
+        cycle: u64,
+        dc: &DigestCycle,
+        lanes: &mut CycleLanes<'_>,
+        entry: bool,
+    ) {
+        assert_eq!(lanes.padded_lanes(), self.padded, "lane widths must match");
+        let certified = self.certified(dc, lanes);
+        if !certified {
+            lanes.fold_max();
+        }
+        self.observe(cycle, dc, lanes, certified, entry);
+    }
+
+    /// [`AdaptiveBank::observe_cycle`] on lanes whose maximum is folded,
+    /// with no certificate: the same kernel body, always comparing. It
+    /// stays for the benchmark harness's traced walk until that walk reads
+    /// the library's own timings (ROADMAP item 3).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lanes' padded width differs from the bank's, or if
+    /// their fold is deferred ([`CycleLanes::max_lanes`]).
+    #[inline(never)]
     pub fn observe_cycle_lanes_phased(
         &mut self,
         cycle: u64,
@@ -727,22 +888,88 @@ impl<'a> AdaptiveBank<'a> {
         entry: bool,
     ) {
         assert_eq!(lanes.padded_lanes(), self.padded, "lane widths must match");
+        self.observe(cycle, dc, lanes, false, entry);
+    }
+
+    /// Whether a certificate proves that no lane violates this cycle (see
+    /// [`AdaptiveBank`]): the lanes have a bound and a key, and either an
+    /// in-flight entry is cold and every static lane covers the corner
+    /// bank's ceiling, or every entry is warm at or above its floor.
+    #[inline(always)]
+    fn certified(&mut self, dc: &DigestCycle, lanes: &CycleLanes<'_>) -> bool {
+        if !self.certifies || lanes.bound().is_none() {
+            return false;
+        }
+        let (Some((key, shortfalls)), Some((_, ceiling))) =
+            (lanes.pure_shortfalls(), lanes.ceiling())
+        else {
+            return false;
+        };
+        let warmup = self.config.warmup_observations;
+        let entries: [usize; Stage::COUNT] =
+            std::array::from_fn(|stage| table_index(Stage::ALL[stage], dc.classes[stage]));
+        let certified = if entries
+            .iter()
+            .any(|&entry| self.observations[entry] < warmup)
+        {
+            // Cold: the request is at least the static period in every
+            // lane.
+            match self.static_cover {
+                Some((checked, covers)) if checked == key => covers,
+                _ => {
+                    let covers = self
+                        .static_period
+                        .iter()
+                        .zip(ceiling)
+                        .all(|(period, ceiling)| period >= ceiling);
+                    self.static_cover = Some((key, covers));
+                    covers
+                }
+            }
+        } else {
+            // Warm: each learned row is at least its row at the floor.
+            self.rows_are_numbers
+                && key == self.floor_key
+                && entries
+                    .iter()
+                    .zip(shortfalls)
+                    .all(|(&entry, &shortfall)| shortfall >= self.floor[entry])
+        };
+        #[cfg(test)]
+        {
+            self.certified_cycles += u64::from(certified);
+        }
+        certified
+    }
+
+    /// The one kernel behind both entry points, run in the bank's copy (see
+    /// [`LaneIsa::run`]) and inlined into each.
+    #[inline(always)]
+    fn observe(
+        &mut self,
+        cycle: u64,
+        dc: &DigestCycle,
+        lanes: &CycleLanes,
+        certified: bool,
+        entry: bool,
+    ) {
         self.isa.run(
             self.padded,
             #[inline(always)]
-            |padded| self.observe_lanes(cycle, dc, lanes, entry, padded),
+            |padded| self.observe_lanes(cycle, dc, lanes, certified, entry, padded),
         );
     }
 
-    /// The body of [`AdaptiveBank::observe_cycle_lanes_phased`], compiled
-    /// into every copy of [`LaneIsa::run`]; `padded` is the bank's padded
-    /// width.
+    /// The body of [`AdaptiveBank::observe`], compiled into every copy of
+    /// [`LaneIsa::run`]; `padded` is the bank's padded width. A `certified`
+    /// cycle skips the compare and never reads the maximum lanes.
     #[inline(always)]
     fn observe_lanes(
         &mut self,
         cycle: u64,
         dc: &DigestCycle,
         lanes: &CycleLanes,
+        certified: bool,
         entry: bool,
         padded: usize,
     ) {
@@ -753,32 +980,57 @@ impl<'a> AdaptiveBank<'a> {
         // 1. Predict — identical to the scalar observer. Warmth is a
         //    per-entry scalar (the observation counts are lane-uniform), so
         //    the fold touches only `f64` lanes and the warm flag collapses
-        //    to one bool per cycle.
+        //    to one bool per cycle. A bank wider than one chunk keeps the
+        //    warm row with the largest least lane (the earlier stage on a
+        //    tie) and skips every other warm row whose largest lane is at
+        //    most that value: no lane of it can raise the maximum. A bank of
+        //    one chunk folds every warm row: the one-chunk copy drops the
+        //    test.
+        let warmup = self.config.warmup_observations;
+        let entries: [usize; Stage::COUNT] =
+            std::array::from_fn(|stage| table_index(Stage::ALL[stage], dc.classes[stage]));
+        let warm = entries.map(|entry| self.observations[entry] >= warmup);
+        let all_warm = warm.iter().all(|&warm| warm);
+        let ranks = self.ranks && padded > LANE_WIDTH;
+        let mut top: Option<(usize, Ps)> = None;
+        if ranks {
+            for (stage, &entry) in entries.iter().enumerate() {
+                let least = self.least[entry];
+                if warm[stage] && top.is_none_or(|(_, best)| least > best) {
+                    top = Some((stage, least));
+                }
+            }
+        }
         let requested = &mut self.requested[..padded];
         requested.fill(0.0);
-        let warmup = self.config.warmup_observations;
-        let mut all_warm = true;
-        for stage in Stage::ALL {
-            let entry = table_index(stage, dc.classes[stage.index()]);
-            if self.observations[entry] >= warmup {
-                let at = entry * padded;
-                let learned = &self.learned[at..at + padded];
-                // Comparison-select form of the scalar `f64::max` fold:
-                // learned periods are finite and non-negative (never NaN
-                // or -0.0), so the picked value is bit-identical — and the
-                // fixed-trip inner loop gives the vectorizer a compile-time
-                // width (a runtime trip of `padded` = 8 lanes stays scalar).
-                let chunks = requested
-                    .chunks_exact_mut(LANE_WIDTH)
-                    .zip(learned.chunks_exact(LANE_WIDTH));
-                for (req4, learned4) in chunks {
-                    for l in 0..LANE_WIDTH {
-                        let learned = learned4[l];
-                        req4[l] = if learned > req4[l] { learned } else { req4[l] };
-                    }
+        for (stage, &entry) in entries.iter().enumerate() {
+            if !warm[stage] {
+                continue;
+            }
+            if let Some((top, least)) = top {
+                if stage != top && self.most[entry] <= least {
+                    continue;
                 }
-            } else {
-                all_warm = false;
+            }
+            #[cfg(test)]
+            {
+                self.predict_rows += 1;
+            }
+            let at = entry * padded;
+            let learned = &self.learned[at..at + padded];
+            // Comparison-select form of the scalar `f64::max` fold:
+            // learned periods are finite and non-negative (never NaN
+            // or -0.0), so the picked value is bit-identical — and the
+            // fixed-trip inner loop gives the vectorizer a compile-time
+            // width (a runtime trip of `padded` = 8 lanes stays scalar).
+            let chunks = requested
+                .chunks_exact_mut(LANE_WIDTH)
+                .zip(learned.chunks_exact(LANE_WIDTH));
+            for (req4, learned4) in chunks {
+                for l in 0..LANE_WIDTH {
+                    let learned = learned4[l];
+                    req4[l] = if learned > req4[l] { learned } else { req4[l] };
+                }
             }
         }
         // An entry still warming up keeps the whole cycle at the
@@ -799,24 +1051,35 @@ impl<'a> AdaptiveBank<'a> {
         // 2. Observe: the scalar observer's violation check and run time,
         //    with the same arithmetic, over length-bound slices so the
         //    per-lane indexing stays check-free. A padding lane's actual
-        //    delay is 0, so it never violates.
+        //    delay is 0, so it never violates. A certified cycle cannot
+        //    violate, so it only adds the run time.
         let drift_factor = self.drift.factor(cycle);
+        // Only a bank wider than one chunk is ever certified: the one-chunk
+        // copy drops the test and keeps one observe loop.
+        let certified = certified && padded > LANE_WIDTH;
         let realized_lanes = &requested[..padded];
-        let actual_lanes = &lanes.max_lanes()[..padded];
-        let violations = &mut self.violations[..padded];
         let total_time = &mut self.total_time[..padded];
-        let violation_limit = &mut self.violation_limit[..padded];
         let mut any_violated = false;
-        for lane in 0..padded {
-            let realized = realized_lanes[lane];
-            let violated = realized + 1e-9 < actual_lanes[lane] * drift_factor;
-            violations[lane] += u64::from(violated);
-            total_time[lane] += realized;
-            // The adapt pass only asks "was this lane violated, and is the
-            // observed delay above its realized period" — encoding the
-            // non-violated case as `+inf` turns that into a single compare.
-            violation_limit[lane] = if violated { realized } else { Ps::INFINITY };
-            any_violated |= violated;
+        if certified {
+            for (total, &realized) in total_time.iter_mut().zip(realized_lanes) {
+                *total += realized;
+            }
+        } else {
+            let actual_lanes = &lanes.max_lanes()[..padded];
+            let violations = &mut self.violations[..padded];
+            let violation_limit = &mut self.violation_limit[..padded];
+            for lane in 0..padded {
+                let realized = realized_lanes[lane];
+                let violated = realized + 1e-9 < actual_lanes[lane] * drift_factor;
+                violations[lane] += u64::from(violated);
+                total_time[lane] += realized;
+                // The adapt pass only asks "was this lane violated, and is
+                // the observed delay above its realized period" — encoding
+                // the non-violated case as `+inf` turns that into a single
+                // compare.
+                violation_limit[lane] = if violated { realized } else { Ps::INFINITY };
+                any_violated |= violated;
+            }
         }
 
         // 3. Classify the violations: the entry-cycle tally and the fault
@@ -831,6 +1094,7 @@ impl<'a> AdaptiveBank<'a> {
             )
         });
         if any_violated && (entry || recovery.is_some()) {
+            let actual_lanes = &lanes.max_lanes()[..padded];
             let entry_violations = &mut self.entry_violations[..padded];
             let recovered = &mut self.recovered_cycles[..padded];
             let replayed = &mut self.replay_penalty_cycles[..padded];
@@ -865,7 +1129,8 @@ impl<'a> AdaptiveBank<'a> {
         //    whose floor is at or below its stage's shortfall skips the
         //    grow pass, which could not raise a lane. A bank of one chunk
         //    runs every pass: the test is constant there in the one-chunk
-        //    copy, which drops the floor code.
+        //    copy, which drops the floor code. A bank wider than one chunk
+        //    also refreshes the entry's least and largest lane in the pass.
         let margin_factor = 1.0 + self.config.margin;
         let backoff_factor = 1.0 + self.config.violation_backoff;
         let floors = self.skips && padded > LANE_WIDTH;
@@ -881,8 +1146,7 @@ impl<'a> AdaptiveBank<'a> {
             }
             shortfalls
         });
-        for stage in Stage::ALL {
-            let entry = table_index(stage, dc.classes[stage.index()]);
+        for (stage, &entry) in Stage::ALL.iter().zip(&entries) {
             self.observations[entry] += 1;
             if let Some(shortfalls) = shortfalls {
                 let shortfall = shortfalls[stage.index()];
@@ -897,10 +1161,11 @@ impl<'a> AdaptiveBank<'a> {
             }
             let at = entry * padded;
             let learned = &mut self.learned[at..at + padded];
-            let observed_lanes = &lanes.stage_lanes_with(stage, &mut self.row)[..padded];
+            let observed_lanes = &lanes.stage_lanes_with(*stage, &mut self.row)[..padded];
             let chunks = learned
                 .chunks_exact_mut(LANE_WIDTH)
                 .zip(observed_lanes.chunks_exact(LANE_WIDTH));
+            let mut extremes = Extremes::EMPTY;
             if any_violated {
                 let chunks = chunks
                     .zip(self.violation_limit.chunks_exact(LANE_WIDTH))
@@ -925,6 +1190,7 @@ impl<'a> AdaptiveBank<'a> {
                         let backed = if boosted < cap { boosted } else { cap };
                         let backoff = observed + 1e-9 > limit4[l];
                         learned4[l] = if backoff { backed } else { grown };
+                        extremes.push(l, learned4[l]);
                     }
                 }
                 // The backoff's cap can take a lane below its grown value.
@@ -942,8 +1208,12 @@ impl<'a> AdaptiveBank<'a> {
                         } else {
                             learned4[l]
                         };
+                        extremes.push(l, learned4[l]);
                     }
                 }
+            }
+            if ranks {
+                (self.least[entry], self.most[entry]) = extremes.reduce();
             }
         }
     }
@@ -1037,10 +1307,11 @@ pub fn replay_adaptive_digest(
 /// [`replay_adaptive_digest`]. The per-cycle dither/excitation evaluation
 /// runs once through a [`CornerBank`] and is broadcast across corners; the
 /// `M` controllers' tables live in one [`AdaptiveBank`] and are updated by
-/// the sweep's own lanes kernel
-/// ([`AdaptiveBank::observe_cycle_lanes_phased`]). Outcome `i` is
-/// bit-identical to `replay_adaptive_digest(&models[i], ...)` (pinned by
-/// the banked-replay property tests), at a fraction of the walk cost.
+/// the sweep's own per-cycle call ([`AdaptiveBank::observe_cycle`]) on
+/// [`BankEvaluator::lazy_lanes`](idca_timing::BankEvaluator::lazy_lanes).
+/// Outcome `i` is bit-identical to
+/// `replay_adaptive_digest(&models[i], ...)` (pinned by the banked-replay
+/// property tests), at a fraction of the walk cost.
 #[must_use]
 pub fn replay_adaptive_digest_banked(
     models: &[TimingModel],
@@ -1054,7 +1325,7 @@ pub fn replay_adaptive_digest_banked(
     let mut adaptive = AdaptiveBank::new(models, config, generator, seed_lut, drift);
     let mut evaluator = bank.evaluator();
     digest.for_each_cycle(|cycle, dc| {
-        adaptive.observe_cycle_lanes_phased(cycle, dc, evaluator.cycle_lanes(cycle, dc), false);
+        adaptive.observe_cycle(cycle, dc, evaluator.lazy_lanes(cycle, dc), false);
     });
     adaptive.finish(&digest.summary());
     adaptive.into_outcomes()
@@ -1339,6 +1610,10 @@ mod tests {
         /// Lanes of a slower bank of the same width from a drawn cycle on,
         /// without a reset.
         BankSwitch,
+        /// Requests and static periods scaled by 0.6–0.95, between the
+        /// rows' values at shortfall 1 and the actual delays, so some lanes
+        /// violate.
+        Tight,
     }
 
     /// One drawn job's digest and perturbations: the interrupts of
@@ -1795,6 +2070,465 @@ mod tests {
                 assert_eq!(pruned.into_outcomes(), every.into_outcomes(), "{what}");
             }
         });
+    }
+
+    /// One job a certifying set of banks and its oracle replay side by
+    /// side: the digest and its perturbations, the banks' configuration,
+    /// the per-cycle requests and the cycles whose excitation turns NaN.
+    struct OracleJob<'j> {
+        models: &'j [TimingModel],
+        job: &'j DrawnJob,
+        generator: &'j ClockGenerator,
+        config: AdaptiveConfig,
+        seed_lut: Option<&'j DelayLut>,
+        static_periods: Vec<Ps>,
+        /// The factor on the guarded LUT's requests.
+        tight: f64,
+        /// Every cycle divisible by it gets a NaN excitation in one stage.
+        nan_every: Option<u64>,
+    }
+
+    /// What the certifying banks of one copy skipped, and what they counted.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Coverage {
+        cycles: u64,
+        policy_certified: [u64; 3],
+        adaptive_certified: u64,
+        skipped_passes: u64,
+        /// Warm rows predict folded: the certifying bank's, the oracle's.
+        predict_rows: (u64, u64),
+        /// Violations over the three policy banks and the adaptive bank.
+        violations: u64,
+    }
+
+    /// Replays `job` through the certifying banks, reading
+    /// `BankEvaluator::lazy_lanes`, and through the oracle: the same banks
+    /// with the certificates, predict dominance and the floors switched
+    /// off, reading the eagerly folded `BankEvaluator::cycle_lanes`. In
+    /// every copy a
+    /// bank of the job's width can run, the maximum lanes and every stage
+    /// row must be the oracle's on every cycle, and the outcomes, learned
+    /// tables, observation counts and warmup cycles per job. Returns the
+    /// coverage, equal in every copy.
+    fn assert_matches_the_oracle(job: &OracleJob<'_>) -> Coverage {
+        use crate::{ClockPolicy, ExecuteOnly, PolicyBank};
+        use idca_pipeline::StageExcitation;
+        use idca_timing::VariationModel;
+        let nominal = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
+        let guarded =
+            DelayLut::from_model(&nominal).scaled(1.0 + VariationModel::default().margin());
+        let lut_policy = InstructionBased::new(guarded.clone());
+        let exec_only = ExecuteOnly::new(guarded);
+        let bank = CornerBank::from_models(job.models);
+        let copies = [
+            LaneIsa::BASELINE,
+            LaneIsa::detected(),
+            LaneIsa::for_lanes(bank.padded_lanes()),
+        ];
+        let new_banks = |isa, oracle: bool| {
+            let policy = |name| {
+                let bank = PolicyBank::new(name, job.models.len(), job.generator).with_isa(isa);
+                let bank = if oracle {
+                    bank.with_every_compare()
+                } else {
+                    bank
+                };
+                match job.job.plan {
+                    Some(plan) => bank.with_faults(plan),
+                    None => bank,
+                }
+            };
+            let adaptive = AdaptiveBank::from_static_periods(
+                job.static_periods.clone(),
+                &job.config,
+                job.generator,
+                job.seed_lut,
+                job.job.drift,
+            )
+            .with_isa(isa);
+            let adaptive = if oracle {
+                adaptive.with_every_compare().with_every_pass()
+            } else {
+                adaptive
+            };
+            JobBanks {
+                policies: [policy("static"), policy("lut"), policy("exec")],
+                adaptive: match job.job.plan {
+                    Some(plan) => adaptive.with_faults(plan),
+                    None => adaptive,
+                },
+            }
+        };
+        let mut banks: Vec<JobBanks<'_>> = copies.map(|isa| new_banks(isa, false)).into();
+        let mut oracles: Vec<JobBanks<'_>> = copies.map(|isa| new_banks(isa, true)).into();
+        let digest = &job.job.digest;
+        if digest.cycles() > 0 {
+            for banks in banks.iter_mut().chain(&mut oracles) {
+                banks.policies[0].begin_block_per_corner(&job.static_periods);
+            }
+        }
+        let perturbation = Perturbation {
+            faults: job.job.plan.as_ref(),
+            surge_factor: job.job.surge_factor,
+        };
+        let mut lazy: Vec<_> = copies.map(|_| bank.evaluator()).into();
+        let mut eager = bank.evaluator();
+        let mut cursor = job.job.timeline.as_ref().map(IrqTimeline::cursor);
+        let mut scratch = vec![0.0; bank.padded_lanes()];
+        let same = |a: &[Ps], b: &[Ps]| {
+            a.iter()
+                .map(|d| d.to_bits())
+                .eq(b.iter().map(|d| d.to_bits()))
+        };
+        digest.for_each_cycle(|cycle, dc| {
+            let mut dc = *dc;
+            if job.nan_every.is_some_and(|every| cycle % every == 0) {
+                dc.excitation[cycle as usize % Stage::COUNT] = StageExcitation {
+                    base: f64::NAN,
+                    dither_gain: 0.0,
+                };
+            }
+            let dc = &dc;
+            let entry = cursor
+                .as_mut()
+                .is_some_and(|cursor| cursor.phase(cycle) == IrqPhase::Entry);
+            let lut = lut_policy.digest_period_ps(cycle, dc) * job.tight;
+            let exec = exec_only.digest_period_ps(cycle, dc) * job.tight;
+            let oracle = eager.cycle_lanes(cycle, dc);
+            perturbation.lanes(cycle, oracle, entry);
+            for banks in banks.iter_mut().chain(&mut oracles) {
+                banks.policies[1].begin_block(lut);
+                banks.policies[2].begin_block(exec);
+            }
+            for banks in &mut oracles {
+                for policy in &mut banks.policies {
+                    policy.observe_cycle(oracle, entry);
+                }
+                banks.adaptive.observe_cycle(cycle, dc, oracle, entry);
+            }
+            for (banks, evaluator) in banks.iter_mut().zip(&mut lazy) {
+                let lanes = evaluator.lazy_lanes(cycle, dc);
+                perturbation.lanes(cycle, lanes, entry);
+                for policy in &mut banks.policies {
+                    policy.observe_cycle(lanes, entry);
+                }
+                banks.adaptive.observe_cycle(cycle, dc, lanes, entry);
+                // Whatever the banks left unfolded is the oracle's when read.
+                for stage in Stage::ALL {
+                    assert!(
+                        same(
+                            lanes.stage_lanes_with(stage, &mut scratch),
+                            oracle.stage_lanes(stage)
+                        ),
+                        "cycle {cycle} {stage:?}"
+                    );
+                }
+                assert!(
+                    same(lanes.fold_max(), oracle.max_lanes()),
+                    "cycle {cycle} maximum"
+                );
+            }
+        });
+
+        let summary = digest.summary();
+        let mut coverage = None;
+        for (isa, (banks, oracles)) in copies.into_iter().zip(banks.into_iter().zip(oracles)) {
+            let what = format!("{isa:?} corners {}", job.models.len());
+            assert_eq!(
+                learned_bits(&banks.adaptive),
+                learned_bits(&oracles.adaptive),
+                "{what}"
+            );
+            let mut copy = Coverage {
+                cycles: digest.cycles(),
+                policy_certified: banks.policies.each_ref().map(|bank| bank.certified_cycles),
+                adaptive_certified: banks.adaptive.certified_cycles,
+                skipped_passes: banks.adaptive.skipped_passes,
+                predict_rows: (banks.adaptive.predict_rows, oracles.adaptive.predict_rows),
+                violations: 0,
+            };
+            assert_eq!(oracles.adaptive.certified_cycles, 0, "{what}");
+            for (mut bank, mut oracle) in banks.policies.into_iter().zip(oracles.policies) {
+                assert_eq!(oracle.certified_cycles, 0, "{what}");
+                bank.finish(&summary);
+                oracle.finish(&summary);
+                let outcomes = bank.into_outcomes();
+                copy.violations += outcomes.iter().map(|o| o.violations).sum::<u64>();
+                assert_eq!(outcomes, oracle.into_outcomes(), "{what}");
+            }
+            let (mut bank, mut oracle) = (banks.adaptive, oracles.adaptive);
+            bank.finish(&summary);
+            oracle.finish(&summary);
+            let outcomes = bank.into_outcomes();
+            copy.violations += outcomes.iter().map(|o| o.violations).sum::<u64>();
+            assert_eq!(outcomes, oracle.into_outcomes(), "{what}");
+            match &coverage {
+                None => coverage = Some(copy),
+                Some(first) => assert_eq!(first, &copy, "{what}"),
+            }
+        }
+        coverage.expect("three copies")
+    }
+
+    /// The certificates, the deferred maximum and predict dominance change
+    /// no result: banks reading `lazy_lanes` equal the oracle banks reading
+    /// eager lanes with all three switched off, per cycle and per job (see
+    /// [`assert_matches_the_oracle`]), at 1–5, 8, 37 and 64 corners, on
+    /// clean, faulted, entry-surged, drifting, seeded-LUT, scaled-static and
+    /// tight walks, under the ideal, quantized and discrete generators. The
+    /// quantized generator's top period lies below the ceiling, so its
+    /// requests can realize below the rows they cover. A multi-chunk clean
+    /// walk under the ideal generator certifies every cycle for the policy
+    /// banks and most cycles for the adaptive bank; a one-chunk walk
+    /// certifies none.
+    #[test]
+    fn certificates_never_change_a_result() {
+        use idca_cases::property;
+        use Scenario::*;
+        const SCENARIOS: [Scenario; 7] = [
+            Clean,
+            Faults,
+            Surges,
+            Drifting,
+            SeedLut,
+            ScaledStatic,
+            Tight,
+        ];
+        // Coprime with the scenario count, so the cases pair every
+        // scenario with every width: past the AVX2 gate (37 corners pad to
+        // 40 lanes, 64 have no padding lane), two baseline widths and every
+        // one-chunk width. Case `i` takes width `i % 8` and scenario `i %
+        // 7`, so scenario `s` meets the widths at `s, s - 1, s - 2, ...`
+        // (mod 8); in this order each scenario's first three cases, the
+        // default budget, include a multi-chunk width.
+        const CORNERS: [u32; 8] = [37, 1, 2, 8, 3, 5, 64, 4];
+        property!(
+            certificates_never_change_a_result,
+            master = 0xCA5E_0020,
+            cases = 21
+        )
+        .run(|case| {
+            let index = case.index() as usize;
+            let scenario = SCENARIOS[index % SCENARIOS.len()];
+            let corners = CORNERS[index % CORNERS.len()];
+            let seed = case.u64();
+            let nominal = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
+            let models = varied_models(corners, seed);
+            let job = DrawnJob::draw(case, scenario, seed);
+            let (generator, ideal) = match index / SCENARIOS.len() % 3 {
+                0 => (ClockGenerator::Ideal, true),
+                1 => (
+                    ClockGenerator::Quantized {
+                        step_ps: 50.0,
+                        min_ps: 600.0,
+                        max_ps: case.f64(1200.0..1900.0),
+                    },
+                    false,
+                ),
+                _ => (ClockGenerator::discrete(8, 900.0, 2100.0), false),
+            };
+            let tight = if scenario == Tight {
+                case.f64(0.6..0.95)
+            } else {
+                1.0
+            };
+            let static_scale = match scenario {
+                ScaledStatic => case.f64(0.3..0.35),
+                _ => tight,
+            };
+            let seed_table = DelayLut::from_model(&nominal);
+            let coverage = assert_matches_the_oracle(&OracleJob {
+                models: &models,
+                job: &job,
+                generator: &generator,
+                config: AdaptiveConfig::default(),
+                seed_lut: (scenario == SeedLut).then_some(&seed_table),
+                static_periods: models
+                    .iter()
+                    .map(|model| model.static_period_ps() * static_scale)
+                    .collect(),
+                tight,
+                nan_every: None,
+            });
+            let what = format!("{scenario:?} {generator:?} corners {corners}: {coverage:?}");
+            if corners as usize <= LANE_WIDTH {
+                assert_eq!(coverage.policy_certified, [0; 3], "{what}");
+                assert_eq!(coverage.adaptive_certified, 0, "{what}");
+                assert_eq!(coverage.predict_rows.0, coverage.predict_rows.1, "{what}");
+            } else if scenario == Clean && ideal {
+                assert_eq!(coverage.policy_certified, [coverage.cycles; 3], "{what}");
+                // The six multi-chunk clean cases under the ideal
+                // generator at IDCA_FUZZ_SEEDS=2000 certified 86.7–94.6 %
+                // of their cycles for the adaptive bank.
+                assert!(
+                    coverage.adaptive_certified * 100 >= coverage.cycles * 85,
+                    "{what}"
+                );
+            }
+        });
+    }
+
+    /// A clean job over [`long_digest`]: no interrupts, faults or drift.
+    fn clean_job(drift: Drift) -> DrawnJob {
+        DrawnJob {
+            digest: long_digest(),
+            timeline: None,
+            surge_factor: 1.0,
+            plan: None,
+            drift,
+        }
+    }
+
+    /// An [`OracleJob`] of 8 corners (two chunks) over `job`, under the
+    /// ideal generator and the default configuration, with each corner's
+    /// own static period and the guarded LUT's requests.
+    fn wide_job<'j>(
+        models: &'j [TimingModel],
+        job: &'j DrawnJob,
+        generator: &'j ClockGenerator,
+    ) -> OracleJob<'j> {
+        OracleJob {
+            models,
+            job,
+            generator,
+            config: AdaptiveConfig::default(),
+            seed_lut: None,
+            static_periods: models.iter().map(TimingModel::static_period_ps).collect(),
+            tight: 1.0,
+            nan_every: None,
+        }
+    }
+
+    #[test]
+    fn a_nan_excitation_runs_the_compare() {
+        let models = varied_models(8, 0x0A0A);
+        let job = clean_job(Drift::None);
+        let clean = assert_matches_the_oracle(&OracleJob {
+            tight: 0.8,
+            ..wide_job(&models, &job, &ClockGenerator::Ideal)
+        });
+        let poisoned = assert_matches_the_oracle(&OracleJob {
+            tight: 0.8,
+            nan_every: Some(3),
+            ..wide_job(&models, &job, &ClockGenerator::Ideal)
+        });
+        // A NaN shortfall leaves the cycle without a bound, so no bank
+        // certifies it, and its violations are counted. The static bank
+        // certifies every other cycle.
+        let nan_cycles = clean.cycles.div_ceil(3);
+        assert_eq!(clean.policy_certified[0], clean.cycles, "{clean:?}");
+        assert_eq!(
+            poisoned.policy_certified[0],
+            poisoned.cycles - nan_cycles,
+            "{poisoned:?}"
+        );
+        for (poisoned, clean) in poisoned.policy_certified.iter().zip(clean.policy_certified) {
+            assert!(*poisoned <= clean);
+        }
+        assert!(poisoned.adaptive_certified <= clean.adaptive_certified);
+        assert!(poisoned.violations > 0, "{poisoned:?}");
+    }
+
+    #[test]
+    fn a_bank_with_an_infinite_parameter_runs_the_compare() {
+        // One corner's execute-stage `Mul` paths are infinitely slow: the
+        // bank is not monotone, so no cycle has a bound, and that lane
+        // violates whenever a multiply executes. The banks keep the corner's
+        // finite static period.
+        let mut models = varied_models(8, 0x1F1F);
+        let static_periods = models.iter().map(TimingModel::static_period_ps).collect();
+        let slow = models[5].profile().with_cell_variation(|stage, class| {
+            if (stage, class) == (Stage::Execute, TimingClass::Mul) {
+                f64::INFINITY
+            } else {
+                1.0
+            }
+        });
+        models[5] = TimingModel::new(slow, models[5].library().clone(), 700).unwrap();
+        let job = clean_job(Drift::None);
+        let coverage = assert_matches_the_oracle(&OracleJob {
+            static_periods,
+            ..wide_job(&models, &job, &ClockGenerator::Ideal)
+        });
+        assert_eq!(coverage.policy_certified, [0; 3], "{coverage:?}");
+        assert_eq!(coverage.adaptive_certified, 0, "{coverage:?}");
+        assert!(coverage.violations > 0, "{coverage:?}");
+    }
+
+    #[test]
+    fn a_quantized_generator_below_the_ceiling_runs_the_compare() {
+        // The top period, 1500 ps, lies below the slowest rows, so a warm
+        // request can realize below the row it covers.
+        let generator = ClockGenerator::Quantized {
+            step_ps: 50.0,
+            min_ps: 600.0,
+            max_ps: 1500.0,
+        };
+        let models = varied_models(8, 0x0B0B);
+        let job = clean_job(Drift::None);
+        let coverage = assert_matches_the_oracle(&wide_job(&models, &job, &generator));
+        assert_eq!(coverage.adaptive_certified, 0, "{coverage:?}");
+        assert!(coverage.violations > 0, "{coverage:?}");
+    }
+
+    #[test]
+    fn a_negative_margin_keeps_the_floors_and_drops_the_certificate() {
+        let models = varied_models(8, 0x0C0C);
+        let job = clean_job(Drift::None);
+        let coverage = assert_matches_the_oracle(&OracleJob {
+            config: AdaptiveConfig {
+                margin: -0.1,
+                ..AdaptiveConfig::default()
+            },
+            ..wide_job(&models, &job, &ClockGenerator::Ideal)
+        });
+        assert!(coverage.skipped_passes > 0, "{coverage:?}");
+        assert_eq!(coverage.adaptive_certified, 0, "{coverage:?}");
+        assert!(coverage.violations > 0, "{coverage:?}");
+    }
+
+    #[test]
+    fn drift_drops_the_adaptive_certificate() {
+        let models = varied_models(8, 0x0D0D);
+        let seed = DelayLut::from_model(&models[0]);
+        let job = clean_job(Drift::LinearSlowdown {
+            fraction_per_kilocycle: 0.02,
+        });
+        let coverage = assert_matches_the_oracle(&OracleJob {
+            seed_lut: Some(&seed),
+            ..wide_job(&models, &job, &ClockGenerator::Ideal)
+        });
+        // The policy banks read no drift and stay certified.
+        assert_eq!(
+            coverage.policy_certified, [coverage.cycles; 3],
+            "{coverage:?}"
+        );
+        assert_eq!(coverage.adaptive_certified, 0, "{coverage:?}");
+        assert!(coverage.violations > 0, "{coverage:?}");
+    }
+
+    #[test]
+    fn static_periods_below_the_ceiling_run_the_compare() {
+        let models = varied_models(8, 0x0E0E);
+        let job = clean_job(Drift::None);
+        let own = assert_matches_the_oracle(&wide_job(&models, &job, &ClockGenerator::Ideal));
+        let scaled = assert_matches_the_oracle(&OracleJob {
+            static_periods: models
+                .iter()
+                .map(|model| model.static_period_ps() * 0.7)
+                .collect(),
+            ..wide_job(&models, &job, &ClockGenerator::Ideal)
+        });
+        // The static bank and the adaptive bank's cold cycles lose their
+        // certificates; the warm ones keep theirs.
+        assert_eq!(own.policy_certified[0], own.cycles, "{own:?}");
+        assert_eq!(scaled.policy_certified[0], 0, "{scaled:?}");
+        assert!(
+            scaled.adaptive_certified < own.adaptive_certified,
+            "{scaled:?} {own:?}"
+        );
+        assert!(scaled.adaptive_certified > 0, "{scaled:?}");
+        assert!(scaled.violations > 0, "{scaled:?}");
     }
 
     #[test]

@@ -27,13 +27,22 @@
 //!   sweep primes them once per job; each cycle then adds the realized
 //!   lanes into the total-time lanes.
 //!
-//! Per cycle, [`PolicyBank::observe_actuals`] does the remaining per-lane
+//! Per cycle, [`PolicyBank::observe_cycle`] does the remaining per-lane
 //! work: the violation compare-and-count, plus the recovery classification
 //! and penalty time under a fault plan, plus the entry count on
-//! exception-entry cycles ([`PolicyBank::observe_actuals_entry`]). That
-//! loop runs in the copy the bank's width selects ([`LaneIsa::for_lanes`]):
-//! the one-chunk copy at 1–4 corners, the AVX2 copy from 32 padded lanes
-//! on a CPU with AVX2, the baseline otherwise.
+//! exception-entry cycles. That loop runs in the copy the bank's width
+//! selects ([`LaneIsa::for_lanes`]): the one-chunk copy at 1–4 corners, the
+//! AVX2 copy from 32 padded lanes on a CPU with AVX2, the baseline
+//! otherwise.
+//!
+//! A cycle whose lanes carry a [`CycleLanes::bound`] skips that loop when a
+//! scalar test proves it would count nothing: no lane's actual delay
+//! exceeds the bound, so a uniform threshold at or above it cannot be
+//! undercut, and per-lane thresholds at or above the bank's
+//! [`CycleLanes::ceiling`] cannot be either. The per-corner walk checks its
+//! thresholds against the ceiling once per priming and bank key. A skipped
+//! compare would have counted zero, and the cycle's maximum lanes are then
+//! never folded; the run time is still added.
 //!
 //! Every fold replicates [`PolicyObserver`](crate::PolicyObserver)'s
 //! arithmetic operation for operation (same order, same constants), so
@@ -46,7 +55,7 @@ use crate::sim::RunOutcome;
 use crate::tally::frequencies;
 use crate::ClockGenerator;
 use idca_pipeline::RunSummary;
-use idca_timing::{FaultPlan, FaultSpec, LaneIsa, Ps, LANE_WIDTH};
+use idca_timing::{CycleLanes, FaultPlan, FaultSpec, LaneIsa, Ps, LANE_WIDTH};
 
 /// Per-corner accumulators of one clock policy evaluated against `M` PVT
 /// corners — see the [module docs](self).
@@ -58,9 +67,8 @@ use idca_timing::{FaultPlan, FaultSpec, LaneIsa, Ps, LANE_WIDTH};
 /// [`PolicyBank::new`] or [`PolicyBank::reset`] fixes the walk's request
 /// kind. Call it again whenever the request may change — the sweep calls
 /// `begin_block` once per digest run-block and `begin_block_per_corner`
-/// once per job — and [`PolicyBank::observe_actuals`] (or
-/// [`PolicyBank::observe_actuals_entry`] on an exception-entry cycle) once
-/// per cycle with the lane-packed actual delays. After the walk,
+/// once per job — and [`PolicyBank::observe_cycle`] once per cycle with
+/// the cycle's lanes and its entry flag. After the walk,
 /// [`PolicyBank::finish`] with the run summary and
 /// [`PolicyBank::into_outcomes`] to take the per-corner [`RunOutcome`]s.
 #[derive(Debug, Clone)]
@@ -87,6 +95,17 @@ pub struct PolicyBank<'a> {
     outcomes: Option<Vec<RunOutcome>>,
     // The copy of the observe kernel this bank runs.
     isa: LaneIsa,
+    // Whether bounded cycles may skip the compare; only the tests' oracle
+    // turns it off.
+    certifies: bool,
+    // A `begin_block_per_corner` walk's certificate: the key of the corner
+    // bank its thresholds were checked against, and whether every lane's
+    // threshold covers that bank's ceiling. Cleared by each new priming.
+    lane_cover: Option<(u64, bool)>,
+    // Cycles whose compare a certificate skipped, for the tests' coverage
+    // check.
+    #[cfg(test)]
+    pub(crate) certified_cycles: u64,
 }
 
 /// Which `begin_*` call feeds a walk's requests.
@@ -262,6 +281,10 @@ impl<'a> PolicyBank<'a> {
             },
             outcomes: None,
             isa: LaneIsa::for_lanes(padded),
+            certifies: true,
+            lane_cover: None,
+            #[cfg(test)]
+            certified_cycles: 0,
         };
         bank.reset();
         bank
@@ -276,12 +299,20 @@ impl<'a> PolicyBank<'a> {
         self
     }
 
+    /// Runs the compare on every cycle, past the certificates, so tests can
+    /// compare the certifying bank against one that skips nothing.
+    #[cfg(test)]
+    pub(crate) fn with_every_compare(mut self) -> Self {
+        self.certifies = false;
+        self
+    }
+
     /// Attaches a [`FaultPlan`]: violations are classified through the
     /// plan's recovery model exactly as in
     /// [`PolicyObserver::with_faults`](crate::PolicyObserver::with_faults).
     /// The caller is expected to perturb the cycle lanes with
     /// [`Perturbation::lanes`](idca_timing::Perturbation::lanes) before
-    /// [`PolicyBank::observe_actuals`].
+    /// [`PolicyBank::observe_cycle`].
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.tally.faults = Some(faults);
@@ -295,8 +326,8 @@ impl<'a> PolicyBank<'a> {
     }
 
     /// Lane-buffer length: [`PolicyBank::corners`] rounded up to the next
-    /// [`LANE_WIDTH`] multiple — the expected length of the `actuals`
-    /// slice fed to [`PolicyBank::observe_actuals`].
+    /// [`LANE_WIDTH`] multiple — the padded width of the lanes fed to
+    /// [`PolicyBank::observe_cycle`].
     #[must_use]
     pub fn padded_lanes(&self) -> usize {
         self.padded
@@ -368,6 +399,7 @@ impl<'a> PolicyBank<'a> {
         if self.fix_kind(Requests::PerCorner) && self.lane_requests[..self.corners] == *requests {
             return;
         }
+        self.lane_cover = None;
         for lane in 0..self.padded {
             let requested = requests.get(lane).copied().unwrap_or(0.0);
             let realized = self.generator.realize(requested);
@@ -383,68 +415,152 @@ impl<'a> PolicyBank<'a> {
     }
 
     /// Accumulates one cycle: adds the realized period to the run time
-    /// and compares each lane's threshold against that lane's actual
-    /// delay, advancing the violation and recovery counters. `actuals`
-    /// must be [`PolicyBank::padded_lanes`] long (lane `i` = corner `i`'s
-    /// [`CycleTiming::max_delay_ps`](idca_timing::CycleTiming::max_delay_ps);
-    /// padding lanes zero).
+    /// and compares each lane's threshold against that lane's maximum
+    /// delay in `lanes`, advancing the violation and recovery counters, and
+    /// on an `entry` cycle the entry-violation counters. The lanes must
+    /// already carry the cycle's perturbation
+    /// ([`Perturbation::lanes`](idca_timing::Perturbation::lanes)).
+    ///
+    /// On a cycle with a [`CycleLanes::bound`] the bank first tries a
+    /// scalar certificate (see the [module docs](self)). A certified cycle
+    /// adds only its run time and leaves a deferred maximum unfolded;
+    /// otherwise the bank folds the maximum ([`CycleLanes::fold_max`]) and
+    /// runs the compare. The counts are the same either way.
     ///
     /// # Panics
     ///
-    /// Panics if `actuals.len() != self.padded_lanes()`, or if neither
-    /// [`PolicyBank::begin_block`] nor [`PolicyBank::begin_block_per_corner`]
-    /// was called since [`PolicyBank::new`] or [`PolicyBank::reset`].
+    /// Panics if the lanes' padded width differs from the bank's, or if
+    /// neither [`PolicyBank::begin_block`] nor
+    /// [`PolicyBank::begin_block_per_corner`] was called since
+    /// [`PolicyBank::new`] or [`PolicyBank::reset`].
     ///
     /// `inline(never)` keeps this kernel out of the sweep's replay loop:
     /// merged with the evaluator and the other banks it spills registers
     /// and roughly doubles the replay time (see `AdaptiveBank::
-    /// observe_cycle_lanes_phased` for the same finding).
+    /// observe_cycle` for the same finding).
+    #[inline(never)]
+    pub fn observe_cycle(&mut self, lanes: &mut CycleLanes<'_>, entry: bool) {
+        assert_eq!(lanes.padded_lanes(), self.padded, "lane widths must match");
+        if !self.certified(lanes) {
+            // One inlined copy per flag value, so the baseline and one-chunk
+            // copies drop the entry count on ordinary cycles.
+            let actuals = Some(lanes.fold_max());
+            if entry {
+                self.observe(actuals, true);
+            } else {
+                self.observe(actuals, false);
+            }
+        } else if self.kind == Some(Requests::Uniform) {
+            // A certified uniform walk has no lane work left.
+            self.total_time_ps += self.uniform.period;
+        } else {
+            self.observe(None, entry);
+        }
+    }
+
+    /// Whether a certificate proves that this cycle's compare counts no
+    /// violation in any lane: the lanes have a bound, and the walk's
+    /// threshold covers it (uniform requests) or every lane's threshold
+    /// covers the bank's ceiling (per-corner requests).
+    #[inline(always)]
+    fn certified(&mut self, lanes: &CycleLanes<'_>) -> bool {
+        let Some(bound) = lanes.bound().filter(|_| self.certifies) else {
+            return false;
+        };
+        let certified = match self.kind {
+            Some(Requests::Uniform) => self.uniform.threshold >= bound,
+            Some(Requests::PerCorner) => {
+                let Some((key, ceiling)) = lanes.ceiling() else {
+                    return false;
+                };
+                match self.lane_cover {
+                    Some((checked, covers)) if checked == key => covers,
+                    _ => {
+                        let covers = self
+                            .lanes
+                            .threshold
+                            .iter()
+                            .zip(ceiling)
+                            .all(|(threshold, ceiling)| threshold >= ceiling);
+                        self.lane_cover = Some((key, covers));
+                        covers
+                    }
+                }
+            }
+            None => false,
+        };
+        #[cfg(test)]
+        {
+            self.certified_cycles += u64::from(certified);
+        }
+        certified
+    }
+
+    /// [`PolicyBank::observe_cycle`] on a non-entry cycle whose lane-packed
+    /// maximum delays are `actuals` ([`PolicyBank::padded_lanes`] long;
+    /// lane `i` = corner `i`'s
+    /// [`CycleTiming::max_delay_ps`](idca_timing::CycleTiming::max_delay_ps),
+    /// padding lanes zero), with no certificate: the same kernel body,
+    /// always comparing. It stays for the benchmark harness's traced walk
+    /// until that walk reads the library's own timings (ROADMAP item 3).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `actuals.len() != self.padded_lanes()`, or as
+    /// [`PolicyBank::observe_cycle`] does.
     #[inline(never)]
     pub fn observe_actuals(&mut self, actuals: &[Ps]) {
-        self.isa.run(
-            self.padded,
-            #[inline(always)]
-            |lanes| self.observe(actuals, lanes, false),
-        );
+        self.observe(Some(actuals), false);
     }
 
     /// [`PolicyBank::observe_actuals`] for an exception-entry cycle: the
     /// same accumulation, plus each lane's violation is tallied into the
-    /// entry-violation counters. The caller is expected to have applied
-    /// the entry surge to `actuals` already
-    /// ([`Perturbation::lanes`](idca_timing::Perturbation::lanes)), like
-    /// the fault factors.
+    /// entry-violation counters. It stays, like `observe_actuals`, until
+    /// ROADMAP item 3.
     ///
     /// # Panics
     ///
     /// Panics as [`PolicyBank::observe_actuals`] does.
     #[inline(never)]
     pub fn observe_actuals_entry(&mut self, actuals: &[Ps]) {
+        self.observe(Some(actuals), true);
+    }
+
+    /// The one observe kernel behind every entry point, run in the bank's
+    /// copy (see [`LaneIsa::run`]) and inlined into each: the run-time
+    /// add, then, unless a certificate left `actuals` out, the compare.
+    #[inline(always)]
+    fn observe(&mut self, actuals: Option<&[Ps]>, entry: bool) {
         self.isa.run(
             self.padded,
             #[inline(always)]
-            |lanes| self.observe(actuals, lanes, true),
+            |lanes| self.observe_lanes(actuals, lanes, entry),
         );
     }
 
-    /// The one observe kernel behind both entry points, inlined into every
-    /// copy of each (see [`LaneIsa::run`]) so the `entry` pass folds away
-    /// on ordinary cycles; `lanes` is the bank's padded width.
+    /// The body of [`PolicyBank::observe`], compiled into every copy of
+    /// [`LaneIsa::run`]; `lanes` is the bank's padded width.
     #[inline(always)]
-    fn observe(&mut self, actuals: &[Ps], lanes: usize, entry: bool) {
-        assert_eq!(actuals.len(), lanes, "lane-packed actual delays");
-        let actuals = &actuals[..lanes];
+    fn observe_lanes(&mut self, actuals: Option<&[Ps]>, lanes: usize, entry: bool) {
+        let actuals = actuals.map(|actuals| {
+            assert_eq!(actuals.len(), lanes, "lane-packed actual delays");
+            &actuals[..lanes]
+        });
         match self.kind {
             Some(Requests::Uniform) => {
                 self.total_time_ps += self.uniform.period;
-                self.tally.record(actuals, self.uniform, entry);
+                if let Some(actuals) = actuals {
+                    self.tally.record(actuals, self.uniform, entry);
+                }
             }
             Some(Requests::PerCorner) => {
                 let limits = self.lanes.map(|lane| &lane[..lanes]);
                 for (total, &period) in self.lane_total_time_ps.iter_mut().zip(limits.period) {
                     *total += period;
                 }
-                self.tally.record(actuals, limits, entry);
+                if let Some(actuals) = actuals {
+                    self.tally.record(actuals, limits, entry);
+                }
             }
             None => panic!("PolicyBank observed a cycle before any begin_block call"),
         }

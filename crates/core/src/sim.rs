@@ -351,8 +351,9 @@ pub fn replay_digest_banked(
             // scalars, for every lane.
             pbank.begin_block(policy.digest_period_ps(cycle, dc));
             // The evaluated cycle stays in structure-of-arrays form: the
-            // bank folds the contiguous max-delay lanes directly.
-            pbank.observe_actuals(evaluator.cycle_lanes(cycle, dc).max_lanes());
+            // bank folds the contiguous max-delay lanes directly, or skips
+            // them when its threshold covers the cycle's bound.
+            pbank.observe_cycle(evaluator.lazy_lanes(cycle, dc), false);
         }
     });
     pbank.finish(&digest.summary());

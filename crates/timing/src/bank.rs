@@ -38,6 +38,13 @@
 //! is nowhere above another stage's lowest one can never exceed it (see
 //! [`CornerBank`]); the fold skips such rows and evaluates them only when a
 //! reader asks for them.
+//!
+//! The same order gives every unperturbed cycle of such a bank a scalar
+//! *bound*: no lane's maximum exceeds the largest lane of any in-flight
+//! entry's row at shortfall 0 ([`CycleLanes::bound`]). A consumer whose
+//! threshold covers the bound cannot count a violation, so
+//! [`BankEvaluator::lazy_lanes`] defers the whole fold of such a cycle
+//! until a consumer asks for the maximum ([`CycleLanes::fold_max`]).
 
 use crate::model::{blend_excitation, stage_dithers};
 use crate::{FaultPlan, Ps, TimingModel};
@@ -201,6 +208,14 @@ const ALL_ROWS: u8 = (1 << Stage::COUNT) - 1;
 ///   every row;
 /// - the bank is wider than one chunk: a one-chunk bank keeps every row,
 ///   and its one-chunk copy compiles the test away.
+///
+/// A bank wider than one chunk whose lanes are monotone in the shortfalls
+/// (finite bases, spreads and scales in `[0, ∞)`) also holds two extremes
+/// at shortfall 0, computed once with the fold's expression: `hi0`, the
+/// largest lane of each entry's row, and `ceiling`, each lane's largest
+/// row over every entry. They give the cycle's bound
+/// ([`CycleLanes::bound`]) and the per-lane certificate of fixed thresholds
+/// ([`CycleLanes::ceiling`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CornerBank {
     corners: usize,
@@ -225,6 +240,19 @@ pub struct CornerBank {
     /// `a`, indexed like the lane arrays), `None` when the bank prunes
     /// nothing.
     dominators: Option<Box<[u128; ENTRIES]>>,
+    /// The shortfall-0 extremes of a monotone bank wider than one chunk,
+    /// `None` otherwise.
+    bounds: Option<Box<Bounds>>,
+}
+
+/// The extremes of a monotone bank's rows at shortfall 0, where each row
+/// is largest (see [`CornerBank`]).
+#[derive(Debug, Clone, PartialEq)]
+struct Bounds {
+    /// The largest lane of each entry's row, indexed like the lane arrays.
+    hi0: [Ps; ENTRIES],
+    /// Each lane's largest row over every entry, `padded` long.
+    ceiling: Vec<Ps>,
 }
 
 impl CornerBank {
@@ -288,6 +316,19 @@ impl CornerBank {
                 .flatten()
                 .all(|lane| lane.is_sign_positive() && lane.is_finite());
         let dominators = prunes.then(|| dominators(&base, &spread, padded));
+        let bounds = (monotone && padded > LANE_WIDTH).then(|| {
+            let mut hi0 = [Ps::NEG_INFINITY; ENTRIES];
+            let mut ceiling = vec![Ps::NEG_INFINITY; padded];
+            for (entry, hi0) in hi0.iter_mut().enumerate() {
+                for (lane, ceiling) in ceiling.iter_mut().enumerate() {
+                    let at = entry * padded + lane;
+                    let most = lane_delay(base[at], spread[at], 0.0, scale[lane]);
+                    *hi0 = hi0.max(most);
+                    *ceiling = ceiling.max(most);
+                }
+            }
+            Box::new(Bounds { hi0, ceiling })
+        });
         CornerBank {
             corners: static_period_ps.len(),
             padded,
@@ -298,6 +339,7 @@ impl CornerBank {
             isa: LaneIsa::for_lanes(padded),
             monotone_key,
             dominators,
+            bounds,
         }
     }
 
@@ -363,12 +405,34 @@ impl CornerBank {
         let Some(dominators) = &self.dominators else {
             return ALL_ROWS;
         };
-        if !shortfalls.iter().all(|x| (0.0..=1.0).contains(x)) {
+        if !in_range(shortfalls) {
             return ALL_ROWS;
         }
         let in_flight = entries.iter().fold(0u128, |set, &entry| set | 1 << entry);
         entries.iter().enumerate().fold(0, |rows, (stage, &entry)| {
             rows | u8::from(dominators[entry] & in_flight == 0) << stage
+        })
+    }
+
+    /// The bound of a cycle with these in-flight entries and shortfalls:
+    /// the largest `hi0` of its entries, when the bank has bounds and every
+    /// shortfall lies in [0, 1].
+    #[inline(always)]
+    fn bound(
+        &self,
+        entries: &[usize; Stage::COUNT],
+        shortfalls: &[f64; Stage::COUNT],
+    ) -> Option<Ps> {
+        let bounds = self.bounds.as_ref()?;
+        in_range(shortfalls).then(|| {
+            entries.iter().fold(Ps::NEG_INFINITY, |bound, &entry| {
+                let hi0 = bounds.hi0[entry];
+                if hi0 > bound {
+                    hi0
+                } else {
+                    bound
+                }
+            })
         })
     }
 
@@ -383,6 +447,14 @@ impl CornerBank {
             *out = lane_delay(base[lane], spread[lane], shortfall, scale[lane]);
         }
     }
+}
+
+/// Whether every shortfall lies in [0, 1], where each row lies between its
+/// values at 1 and 0. The blend clamps the excitation, so only a NaN one
+/// falls outside.
+#[inline(always)]
+fn in_range(shortfalls: &[f64; Stage::COUNT]) -> bool {
+    shortfalls.iter().all(|x| (0.0..=1.0).contains(x))
 }
 
 /// One lane's delay, `max(base - spread × shortfall, base × 0.35) × scale`:
@@ -444,15 +516,23 @@ fn dominators(base: &[Ps], spread: &[Ps], padded: usize) -> Box<[u128; ENTRIES]>
 /// Lane `i` of every slice is corner `i`; padding lanes evaluate inert
 /// zero parameters and hold `0.0`.
 ///
-/// The maximum lanes are always complete, but the lanes hold only the stage
-/// rows the fold evaluated, with a mask of them: a bank wider than one
-/// chunk skips the rows its dominance masks rule out of the maximum (see
-/// [`CornerBank`]). They borrow their bank so any row can still be had:
-/// [`CycleLanes::stage_lanes`] evaluates a missing row in place,
-/// [`CycleLanes::stage_lanes_with`] into the caller's scratch, and a
-/// perturbation evaluates every missing row before it rescales, since its
-/// factors can lift a skipped row above the maximum. Each evaluates the
-/// fold's own expression, so a row is the same bits however it was made.
+/// The lanes hold only the stage rows the fold evaluated, with a mask of
+/// them: a bank wider than one chunk skips the rows its dominance masks
+/// rule out of the maximum (see [`CornerBank`]). They borrow their bank so
+/// any row can still be had: [`CycleLanes::stage_lanes`] evaluates a
+/// missing row in place, [`CycleLanes::stage_lanes_with`] into the
+/// caller's scratch, and a perturbation evaluates every missing row before
+/// it rescales, since its factors can lift a skipped row above the maximum.
+/// Each evaluates the fold's own expression, so a row is the same bits
+/// however it was made.
+///
+/// The maximum lanes are complete once the cycle is *folded*.
+/// [`BankEvaluator::cycle_lanes`] folds every cycle at once;
+/// [`BankEvaluator::lazy_lanes`] defers the fold of a cycle that has a
+/// [`CycleLanes::bound`] until [`CycleLanes::fold_max`] asks for the
+/// maximum or a perturbation rescales the lanes. Until then the lanes hold
+/// no row, and [`CycleLanes::max_lanes`] panics rather than return the
+/// previous cycle's maximum.
 ///
 /// The lanes are the evaluator's per-walk scratch, so they also carry the
 /// walk's droop cache: the droop activation and the six per-stage droop
@@ -482,16 +562,24 @@ pub struct CycleLanes<'b> {
     /// The droop weights of the last window [`CycleLanes::apply_fault`]
     /// saw, keyed on the plan's value and the window number.
     droop: Option<DroopWindow>,
-    /// Stage `s`'s shortfall `1 - excitation` in the last folded cycle.
+    /// Stage `s`'s shortfall `1 - excitation` in the last evaluated cycle.
     shortfall: [f64; Stage::COUNT],
-    /// Stage `s`'s in-flight `(stage, class)` entry in the last folded
+    /// Stage `s`'s in-flight `(stage, class)` entry in the last evaluated
     /// cycle, indexed like the bank's lane arrays.
     entries: [usize; Stage::COUNT],
     /// Bit `s` is set when `stage_delay_ps` holds stage `s`'s row.
     rows: u8,
+    /// The rows the fold evaluates: bit `s` for a stage no in-flight
+    /// entry prunes.
+    live: u8,
+    /// Whether `max_delay_ps` holds this cycle's maximum.
+    folded: bool,
     /// The bank's `monotone_key` while the lanes are the last fold's
     /// output, unperturbed; `None` once a perturbation rescaled them.
     pure_key: Option<u64>,
+    /// The cycle's bound while the lanes are unperturbed (see
+    /// [`CycleLanes::bound`]).
+    bound: Option<Ps>,
 }
 
 /// One cached droop window: [`FaultPlan::droop_weights`] of `window` under
@@ -513,7 +601,10 @@ impl<'b> CycleLanes<'b> {
             shortfall: [0.0; Stage::COUNT],
             entries: [0; Stage::COUNT],
             rows: ALL_ROWS,
+            live: ALL_ROWS,
+            folded: true,
             pure_key: None,
+            bound: None,
         }
     }
 
@@ -524,7 +615,7 @@ impl<'b> CycleLanes<'b> {
     }
 
     /// One stage's delay lanes (length [`CycleLanes::padded_lanes`]),
-    /// evaluated and kept first if the fold skipped the row.
+    /// evaluated and kept first if the fold skipped or deferred the row.
     #[inline]
     pub fn stage_lanes(&mut self, stage: Stage) -> &[Ps] {
         let padded = self.bank.padded;
@@ -533,9 +624,9 @@ impl<'b> CycleLanes<'b> {
     }
 
     /// One stage's delay lanes through a shared reference: the held row,
-    /// or, when the fold skipped it, the row evaluated into `scratch` (at
-    /// least [`CycleLanes::padded_lanes`] long). Inlined, so the evaluation
-    /// runs in the caller's copy of its lane kernel.
+    /// or, when the fold skipped or deferred it, the row evaluated into
+    /// `scratch` (at least [`CycleLanes::padded_lanes`] long). Inlined, so
+    /// the evaluation runs in the caller's copy of its lane kernel.
     #[inline(always)]
     pub fn stage_lanes_with<'s>(&'s self, stage: Stage, scratch: &'s mut [Ps]) -> &'s [Ps] {
         let padded = self.bank.padded;
@@ -563,11 +654,131 @@ impl<'b> CycleLanes<'b> {
     }
 
     /// The per-corner maximum stage delays (length
-    /// [`CycleLanes::padded_lanes`]).
+    /// [`CycleLanes::padded_lanes`]) of a folded cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cycle's fold is deferred: call
+    /// [`CycleLanes::fold_max`] instead.
     #[inline]
     #[must_use]
     pub fn max_lanes(&self) -> &[Ps] {
+        assert!(
+            self.folded,
+            "the maximum of a deferred cycle is read through fold_max"
+        );
         &self.max_delay_ps
+    }
+
+    /// The per-corner maximum stage delays, folded first if the cycle's
+    /// fold is deferred: the live rows are evaluated and max-folded exactly
+    /// as [`BankEvaluator::cycle_lanes`] does, in the bank's copy of the
+    /// fold.
+    #[inline]
+    pub fn fold_max(&mut self) -> &[Ps] {
+        if !self.folded {
+            self.fold_deferred();
+        }
+        &self.max_delay_ps
+    }
+
+    /// The deferred fold, a call of its own so the consumers that inline
+    /// [`CycleLanes::fold_max`] do not inline the fold's lane loops.
+    #[inline(never)]
+    fn fold_deferred(&mut self) {
+        let bank = self.bank;
+        bank.isa.run(
+            bank.padded,
+            #[inline(always)]
+            |lanes| {
+                let (shortfalls, entries, live) = (self.shortfall, self.entries, self.live);
+                self.fold(lanes, &shortfalls, &entries, live);
+            },
+        );
+    }
+
+    /// Evaluates the `live` rows of the cycle with these shortfalls and
+    /// in-flight entries, and folds them into the maximum lanes; `padded`
+    /// is the bank's padded width, passed by the copy of the kernel that
+    /// runs this.
+    #[inline(always)]
+    fn fold(
+        &mut self,
+        padded: usize,
+        shortfalls: &[f64; Stage::COUNT],
+        entries: &[usize; Stage::COUNT],
+        live: u8,
+    ) {
+        let bank = self.bank;
+        let scale = &bank.scale[..padded];
+        // One fused pass per evaluated stage: `lane_delay` is exactly the
+        // scalar `delay_from_excitation` and the select-form running max
+        // keeps each lane's comparison sequence in stage order with the
+        // scalar strict-`>` reduction, so both stay bit-identical to the
+        // per-corner path while the loops vectorize branch-free. The first
+        // evaluated stage initializes the max lanes outright instead of
+        // folding against a zero fill: delays are non-negative, so the
+        // scalar `delay > 0.0` fold picks the same value either way. A
+        // skipped row is no larger than some evaluated one, and equal
+        // delays are equal bits, so the maximum is the same bits too.
+        let mut first = true;
+        for stage in Stage::ALL {
+            if live & 1 << stage.index() == 0 {
+                continue;
+            }
+            let shortfall = shortfalls[stage.index()];
+            let at = entries[stage.index()] * padded;
+            let base = &bank.base[at..at + padded];
+            let spread = &bank.spread[at..at + padded];
+            let out = &mut self.stage_delay_ps[stage.index() * padded..][..padded];
+            let max = &mut self.max_delay_ps[..padded];
+            if first {
+                for lane in 0..padded {
+                    let delay = lane_delay(base[lane], spread[lane], shortfall, scale[lane]);
+                    out[lane] = delay;
+                    max[lane] = delay;
+                }
+                first = false;
+            } else {
+                for lane in 0..padded {
+                    let delay = lane_delay(base[lane], spread[lane], shortfall, scale[lane]);
+                    out[lane] = delay;
+                    max[lane] = if delay > max[lane] { delay } else { max[lane] };
+                }
+            }
+        }
+        self.rows |= live;
+        self.folded = true;
+    }
+
+    /// An upper bound on every lane's maximum this cycle, when the lanes
+    /// are unperturbed, the bank is wider than one chunk and monotone in
+    /// the shortfalls, and every shortfall lies in [0, 1]; `None`
+    /// otherwise.
+    ///
+    /// The bound is the largest lane of any in-flight entry's row at
+    /// shortfall 0. A row is non-increasing in its shortfall and every
+    /// IEEE step of the fold is monotone, so no lane of any in-flight row,
+    /// and so no maximum lane, exceeds it. A threshold at or above the
+    /// bound cannot fall below an actual delay in any lane. A perturbation
+    /// clears it.
+    #[inline]
+    #[must_use]
+    pub fn bound(&self) -> Option<Ps> {
+        self.bound
+    }
+
+    /// The bank's key (as in [`CycleLanes::pure_shortfalls`]) and its
+    /// *ceiling*: each lane's largest row at shortfall 0 over every entry,
+    /// [`CycleLanes::padded_lanes`] long; `None` when the bank has no
+    /// bound. On a cycle with a [`CycleLanes::bound`], no lane's maximum
+    /// exceeds its ceiling lane, so fixed per-lane thresholds at or above
+    /// the ceiling can be certified once per bank key.
+    #[inline]
+    #[must_use]
+    pub fn ceiling(&self) -> Option<(u64, &[Ps])> {
+        let bounds = self.bank.bounds.as_ref()?;
+        Some((self.bank.monotone_key?, &bounds.ceiling))
     }
 
     /// The bank's key and the six stage shortfalls `1 - excitation` of
@@ -638,10 +849,13 @@ impl<'b> CycleLanes<'b> {
     }
 
     /// The kernel of both perturbations: evaluates the rows the fold
-    /// skipped, then rescales each stage's lanes by that stage's factor and
-    /// re-folds the maximum lanes. The lanes are no longer pure.
+    /// skipped or deferred, then rescales each stage's lanes by that
+    /// stage's factor and re-folds the maximum lanes. The lanes are no
+    /// longer pure, and have no bound.
     fn rescale(&mut self, factors: &[f64; Stage::COUNT]) {
         self.pure_key = None;
+        self.bound = None;
+        self.folded = true;
         let bank = self.bank;
         bank.isa.run(
             bank.padded,
@@ -678,12 +892,15 @@ pub struct BankEvaluator<'b> {
 
 impl<'b> BankEvaluator<'b> {
     /// Evaluates one digested cycle against every corner of the bank,
-    /// returning the delay lanes in structure-of-arrays form — the
-    /// corner-batched replay's only evaluation entry point. Lane `i`
-    /// carries exactly the stage delays and maximum of
+    /// returning the delay lanes in structure-of-arrays form, folded: lane
+    /// `i` carries exactly the stage delays and maximum of
     /// `models[i].digest_cycle_timing(cycle, dc)` on the model the bank was
     /// built from (same dither, blend, delay and max-fold arithmetic),
-    /// minus the limiting-stage attribution no lane consumer reads.
+    /// minus the limiting-stage attribution no lane consumer reads. It is
+    /// [`BankEvaluator::lazy_lanes`] followed by [`CycleLanes::fold_max`],
+    /// and stays for the benchmark harness's traced walk, which reads the
+    /// maximum lanes of every cycle, until that walk reads the library's
+    /// own timings (ROADMAP item 3).
     ///
     /// On a bank wider than one chunk the fold evaluates, stores and
     /// max-folds only the stage rows that no in-flight stage dominates (see
@@ -693,19 +910,38 @@ impl<'b> BankEvaluator<'b> {
     /// perturb the lanes in place; the next call recomputes every lane from
     /// scratch.
     pub fn cycle_lanes(&mut self, cycle: u64, dc: &DigestCycle) -> &mut CycleLanes<'b> {
+        let lanes = self.lazy_lanes(cycle, dc);
+        lanes.fold_max();
+        lanes
+    }
+
+    /// [`BankEvaluator::cycle_lanes`] with the fold deferred where a bound
+    /// may make it redundant: the per-cycle entry point of the
+    /// corner-batched replay.
+    ///
+    /// It computes the cycle's corner-invariant part: the six stage
+    /// dithers, shortfalls and in-flight entries, the rows the fold would
+    /// evaluate and the cycle's [`CycleLanes::bound`]. A cycle with a bound
+    /// (an unperturbed cycle of a monotone bank wider than one chunk)
+    /// leaves its rows and maximum unevaluated until a consumer calls
+    /// [`CycleLanes::fold_max`] or reads a row, or a perturbation rescales
+    /// the lanes. Every other cycle, and every cycle of a one-chunk bank,
+    /// folds at once, in the same kernel. Either way every lane read is the
+    /// same bits as [`BankEvaluator::cycle_lanes`] gives.
+    pub fn lazy_lanes(&mut self, cycle: u64, dc: &DigestCycle) -> &mut CycleLanes<'b> {
         let bank = self.cycle.bank;
         bank.isa.run(
             bank.padded,
             #[inline(always)]
-            |lanes| self.fold(cycle, dc, lanes),
+            |lanes| self.evaluate(cycle, dc, lanes),
         );
         &mut self.cycle
     }
 
-    /// The body of [`BankEvaluator::cycle_lanes`], compiled into every copy
+    /// The body of [`BankEvaluator::lazy_lanes`], compiled into every copy
     /// of [`LaneIsa::run`]; `padded` is the bank's padded width.
     #[inline(always)]
-    fn fold(&mut self, cycle: u64, dc: &DigestCycle, padded: usize) {
+    fn evaluate(&mut self, cycle: u64, dc: &DigestCycle, padded: usize) {
         let bank = self.cycle.bank;
         // Corner-invariant per-cycle terms, computed once and broadcast: all
         // six stage dithers come out of one batched hash kernel (shared with
@@ -718,56 +954,30 @@ impl<'b> BankEvaluator<'b> {
         });
         let entries: [usize; Stage::COUNT] =
             std::array::from_fn(|stage| entry_index(Stage::ALL[stage], dc.classes[stage]));
-        // A bank of one chunk evaluates every row: its one-chunk copy, where
-        // `padded` is the constant `LANE_WIDTH`, compiles the test away.
-        let rows = if padded > LANE_WIDTH {
-            bank.live_rows(&entries, &shortfalls)
+        // A bank of one chunk evaluates every row at once and has no bound:
+        // its one-chunk copy, where `padded` is the constant `LANE_WIDTH`,
+        // compiles the tests away.
+        let (live, bound) = if padded > LANE_WIDTH {
+            (
+                bank.live_rows(&entries, &shortfalls),
+                bank.bound(&entries, &shortfalls),
+            )
         } else {
-            ALL_ROWS
+            (ALL_ROWS, None)
         };
-        let scale = &bank.scale[..padded];
-        // One fused pass per evaluated stage: `lane_delay` is exactly the
-        // scalar `delay_from_excitation` and the select-form running max
-        // keeps each lane's comparison sequence in stage order with the
-        // scalar strict-`>` reduction, so both stay bit-identical to the
-        // per-corner path while the loops vectorize branch-free. The first
-        // evaluated stage initializes the max lanes outright instead of
-        // folding against a zero fill: delays are non-negative, so the
-        // scalar `delay > 0.0` fold picks the same value either way. A
-        // skipped row is no larger than some evaluated one, and equal
-        // delays are equal bits, so the maximum is the same bits too.
-        let mut first = true;
-        for stage in Stage::ALL {
-            if rows & 1 << stage.index() == 0 {
-                continue;
-            }
-            let shortfall = shortfalls[stage.index()];
-            let at = entries[stage.index()] * padded;
-            let base = &bank.base[at..at + padded];
-            let spread = &bank.spread[at..at + padded];
-            let out = &mut self.cycle.stage_delay_ps[stage.index() * padded..][..padded];
-            let max = &mut self.cycle.max_delay_ps[..padded];
-            if first {
-                for lane in 0..padded {
-                    let delay = lane_delay(base[lane], spread[lane], shortfall, scale[lane]);
-                    out[lane] = delay;
-                    max[lane] = delay;
-                }
-                first = false;
-            } else {
-                for lane in 0..padded {
-                    let delay = lane_delay(base[lane], spread[lane], shortfall, scale[lane]);
-                    out[lane] = delay;
-                    max[lane] = if delay > max[lane] { delay } else { max[lane] };
-                }
-            }
+        let lanes = &mut self.cycle;
+        lanes.rows = 0;
+        lanes.folded = false;
+        if bound.is_none() {
+            lanes.fold(padded, &shortfalls, &entries, live);
         }
-        // Stored once, after the lane loops, so no store through `self`
-        // sits between them.
-        self.cycle.shortfall = shortfalls;
-        self.cycle.entries = entries;
-        self.cycle.rows = rows;
-        self.cycle.pure_key = bank.monotone_key;
+        // Stored after the lane loops, so no store through `self` sits
+        // between them.
+        lanes.shortfall = shortfalls;
+        lanes.entries = entries;
+        lanes.live = live;
+        lanes.pure_key = bank.monotone_key;
+        lanes.bound = bound;
     }
 }
 
@@ -1061,13 +1271,15 @@ mod tests {
         Surged,
     }
 
-    /// The pruned fold equals the fold that keeps every stage, bit for
-    /// bit, on every cycle and in every copy a bank of the drawn width can
-    /// run: the maximum lanes, and every stage row however it is read —
-    /// kept by the fold, evaluated by a perturbation before it rescales,
+    /// The pruned fold, deferred by `lazy_lanes`, equals the fold that
+    /// keeps every stage, bit for bit, on every cycle and in every copy a
+    /// bank of the drawn width can run: the maximum lanes, folded on demand
+    /// or by a perturbation, and every stage row however it is read — kept
+    /// by the fold, evaluated by a perturbation before it rescales,
     /// evaluated into scratch by `stage_lanes_with`, or filled in place by
-    /// `stage_lanes`. A clean walk of a bank wider than one chunk skips
-    /// more than half of its stage rows; a bank of one chunk skips none.
+    /// `stage_lanes`, before or after the deferred fold. A clean walk of a
+    /// bank wider than one chunk skips more than half of its stage rows and
+    /// defers every fold; a bank of one chunk skips and defers none.
     #[test]
     fn pruned_fold_equals_the_every_stage_fold() {
         use crate::{IrqTimeline, Perturbation};
@@ -1139,41 +1351,53 @@ mod tests {
                 let mut pruned = pruned.evaluator();
                 let mut every = every.evaluator();
                 let mut cursor = timeline.as_ref().map(IrqTimeline::cursor);
-                let mut skipped = 0;
+                let (mut skipped, mut deferred) = (0, 0);
                 digest.for_each_cycle(|cycle, dc| {
                     let entry = cursor
                         .as_mut()
                         .is_some_and(|cursor| cursor.phase(cycle) == IrqPhase::Entry);
-                    let lanes = pruned.cycle_lanes(cycle, dc);
-                    skipped += Stage::COUNT - lanes.rows.count_ones() as usize;
+                    let lanes = pruned.lazy_lanes(cycle, dc);
+                    skipped += Stage::COUNT - lanes.live.count_ones() as usize;
+                    deferred += usize::from(!lanes.folded);
                     perturbation.lanes(cycle, lanes, entry);
                     let oracle = every.cycle_lanes(cycle, dc);
                     assert_eq!(oracle.rows, ALL_ROWS, "{what}");
                     perturbation.lanes(cycle, oracle, entry);
+                    let expected_rows = Stage::ALL.map(|stage| oracle.stage_lanes(stage).to_vec());
+                    // Odd cycles read every row before the maximum, even
+                    // cycles after it.
+                    let mut read_rows = |lanes: &mut CycleLanes<'_>| {
+                        for stage in Stage::ALL {
+                            let expected = &expected_rows[stage.index()];
+                            assert!(
+                                same_bits(lanes.stage_lanes_with(stage, &mut scratch), expected),
+                                "{what}: cycle {cycle} {stage:?} read through scratch"
+                            );
+                            assert!(
+                                same_bits(lanes.stage_lanes(stage), expected),
+                                "{what}: cycle {cycle} {stage:?} filled in place"
+                            );
+                        }
+                    };
+                    if cycle % 2 == 1 {
+                        read_rows(lanes);
+                    }
                     assert!(
-                        same_bits(lanes.max_lanes(), oracle.max_lanes()),
+                        same_bits(lanes.fold_max(), oracle.max_lanes()),
                         "{what}: cycle {cycle} max lanes"
                     );
-                    for stage in Stage::ALL {
-                        let expected = oracle.stage_lanes(stage);
-                        assert!(
-                            same_bits(lanes.stage_lanes_with(stage, &mut scratch), expected),
-                            "{what}: cycle {cycle} {stage:?} read through scratch"
-                        );
-                        assert!(
-                            same_bits(lanes.stage_lanes(stage), expected),
-                            "{what}: cycle {cycle} {stage:?} filled in place"
-                        );
-                    }
+                    read_rows(lanes);
                 });
                 let rows = digest.cycles() as usize * Stage::COUNT;
                 if corners as usize <= LANE_WIDTH {
                     assert_eq!(skipped, 0, "{what}: one chunk keeps every row");
+                    assert_eq!(deferred, 0, "{what}: one chunk folds at once");
                 } else if scenario == Clean {
                     assert!(
                         skipped * 2 > rows,
                         "{what}: skipped {skipped} of {rows} rows"
                     );
+                    assert_eq!(deferred as u64, digest.cycles(), "{what}");
                 }
             }
         });
@@ -1265,7 +1489,10 @@ mod tests {
                     poisoned.excitation[stage.index()] = nan;
                     assert_eq!(fold_both(&bank, cycle, &poisoned), ALL_ROWS);
                     let mut evaluator = bank.evaluator();
-                    let lanes = evaluator.cycle_lanes(cycle, &poisoned);
+                    // No bound: the lazy lanes fold at once.
+                    let lanes = evaluator.lazy_lanes(cycle, &poisoned);
+                    assert_eq!(lanes.bound(), None);
+                    assert!(lanes.folded);
                     for (corner, model) in models.iter().enumerate() {
                         let scalar = model.digest_cycle_timing(cycle, &poisoned);
                         assert_lane_matches(lanes, corner, &scalar, cycle, "NaN excitation");
@@ -1392,5 +1619,113 @@ mod tests {
         assert!(same_bits(lanes.stage_lanes(Stage::Execute), &decode_row));
         assert!(same_bits(&max, &decode_row));
         assert!(max.iter().all(|&delay| delay > 0.0));
+    }
+
+    /// Whether the lanes of a bank with these parameters are monotone in
+    /// the shortfalls: finite bases, spreads and scales in `[0, ∞)`.
+    fn monotone(base: &[Ps], spread: &[Ps], scale: &[f64]) -> bool {
+        base.iter().all(|lane| lane.is_finite())
+            && spread
+                .iter()
+                .chain(scale)
+                .all(|lane| (0.0..f64::INFINITY).contains(lane))
+    }
+
+    #[test]
+    fn only_a_monotone_bank_wider_than_one_chunk_has_a_bound() {
+        let d = mixed_digest();
+        // Widths below, at and past the AVX2 gate, and one chunk.
+        for corners in [4, 8, 37] {
+            let clean = CornerBank::from_models(&varied_models(corners, 0xB0B0));
+            let lane = 2;
+            let at = entry_index(Stage::Execute, TimingClass::Mul) * clean.padded + lane;
+            let mut banks = vec![("clean", clean.clone())];
+            for bad in [-0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut base = clean.base.clone();
+                base[at] = bad;
+                let mut spread = clean.spread.clone();
+                spread[at] = bad;
+                let mut scale = clean.scale.clone();
+                scale[lane] = bad;
+                let period = clean.static_period_ps.clone();
+                banks.extend([
+                    (
+                        "base",
+                        CornerBank::from_lanes(
+                            base,
+                            clean.spread.clone(),
+                            clean.scale.clone(),
+                            period.clone(),
+                        ),
+                    ),
+                    (
+                        "spread",
+                        CornerBank::from_lanes(
+                            clean.base.clone(),
+                            spread,
+                            clean.scale.clone(),
+                            period.clone(),
+                        ),
+                    ),
+                    (
+                        "scale",
+                        CornerBank::from_lanes(
+                            clean.base.clone(),
+                            clean.spread.clone(),
+                            scale,
+                            period,
+                        ),
+                    ),
+                ]);
+            }
+            for (which, bank) in &banks {
+                let bounded =
+                    monotone(&bank.base, &bank.spread, &bank.scale) && bank.padded > LANE_WIDTH;
+                assert_eq!(bank.bounds.is_some(), bounded, "{which} corners {corners}");
+                let mut evaluator = bank.evaluator();
+                let mut oracle = bank.evaluator();
+                d.for_each_cycle(|cycle, dc| {
+                    let expected = oracle.cycle_lanes(cycle, dc).max_lanes().to_vec();
+                    let lanes = evaluator.lazy_lanes(cycle, dc);
+                    assert_eq!(
+                        lanes.bound().is_some(),
+                        bounded,
+                        "{which} corners {corners}"
+                    );
+                    assert_eq!(lanes.folded, !bounded);
+                    let ceiling = lanes.ceiling().map(|(_, ceiling)| ceiling.to_vec());
+                    let bound = lanes.bound();
+                    let max = lanes.fold_max();
+                    assert!(
+                        same_bits(max, &expected),
+                        "{which} corners {corners} cycle {cycle}"
+                    );
+                    // Without a bound every consumer runs its compare; with
+                    // one, no lane exceeds it or its ceiling lane.
+                    if let (Some(bound), Some(ceiling)) = (bound, ceiling) {
+                        for (&delay, &ceiling) in max.iter().zip(&ceiling) {
+                            assert!(
+                                delay <= bound && delay <= ceiling,
+                                "{which} corners {corners} cycle {cycle}"
+                            );
+                        }
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the maximum of a deferred cycle")]
+    fn reading_the_maximum_of_a_deferred_cycle_panics() {
+        let bank = CornerBank::from_models(&varied_models(8, 0xDEFE));
+        let mut evaluator = bank.evaluator();
+        mixed_digest().for_each_cycle(|cycle, dc| {
+            // Each cycle's maximum is folded once read; the next cycle's is
+            // deferred again, and never the lanes of this one.
+            let lanes = evaluator.lazy_lanes(cycle, dc);
+            assert!(lanes.bound().is_some());
+            let _ = lanes.max_lanes();
+        });
     }
 }
